@@ -287,11 +287,10 @@ func BenchmarkGadgetScan(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulated instructions per
 // second on a branchy integer kernel — the platform's speed budget. The
 // sub-benchmarks select the execution tier (DESIGN.md §6): "blocks" is
-// the default superblock tier, "noblocks" the single-step interpreter
-// over the predecode cache, "interp" the bare decode-every-step
-// interpreter. CI's bench-smoke job asserts blocks ≥ noblocks; all
-// three retire the identical instruction stream on the identical
-// simulated machine, so the ns/op ratio is pure host-tier speedup.
+// the default superblock tier, "noblocks" the single-step tier over the
+// predecode cache. CI's bench-smoke job asserts blocks > noblocks; both
+// retire the identical instruction stream on the identical simulated
+// machine, so the ns/op ratio is pure host-tier speedup.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w := mibench.Bitcount("bench", 20_000)
 	mod, err := w.HostModule(rop.HostOptions{})
@@ -299,19 +298,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name                  string
-		noBlocks, noPredecode bool
+		name     string
+		noBlocks bool
 	}{
-		{"blocks", false, false},
-		{"noblocks", true, false},
-		{"interp", true, true},
+		{"blocks", false},
+		{"noblocks", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var instr uint64
 			for i := 0; i < b.N; i++ {
 				cfg := vm.DefaultConfig()
 				cfg.CPU.NoBlocks = tc.noBlocks
-				cfg.CPU.NoPredecode = tc.noPredecode
 				m := vm.New(cfg)
 				m.Register("w", mod, 0x100000)
 				if err := m.Exec("w", []byte("x"), 1<<32); err != nil {

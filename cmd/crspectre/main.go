@@ -66,8 +66,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		manifest  = fs.String("manifest", "", "write a run manifest (config, seeds, build, metrics) to this file")
 		obsAddr   = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while running")
 
-		noblocks    = fs.Bool("noblocks", false, "disable the superblock tier (single-step through the predecode cache)")
-		nopredecode = fs.Bool("nopredecode", false, "disable the predecode cache too (bare interpreter; implies -noblocks)")
+		noblocks = fs.Bool("noblocks", false, "disable the superblock tier (single-step through the predecode cache)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,18 +128,17 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	rep, err := repro.RunAttack(repro.AttackOptions{
-		Host:        *host,
-		Variant:     *variant,
-		Secret:      *secret,
-		Perturbed:   *perturb,
-		Detector:    *detector,
-		Seed:        *seed,
-		Workers:     *workers,
-		Telemetry:   rec,
-		Metrics:     reg,
-		Tracker:     tracker,
-		NoBlocks:    *noblocks,
-		NoPredecode: *nopredecode,
+		Host:      *host,
+		Variant:   *variant,
+		Secret:    *secret,
+		Perturbed: *perturb,
+		Detector:  *detector,
+		Seed:      *seed,
+		Workers:   *workers,
+		Telemetry: rec,
+		Metrics:   reg,
+		Tracker:   tracker,
+		NoBlocks:  *noblocks,
 	})
 	if err != nil {
 		return err

@@ -8,7 +8,7 @@
 // memory at every retire. Each clean shard is then re-run through the
 // block-tier differential (oracle.RunTierDiff), which holds the
 // superblock tier to the harsher cycle-exact contract against the
-// single-step interpreter; -noblocks/-nopredecode skip that axis. On
+// single-step interpreter; -noblocks skips that axis. On
 // divergence the program is shrunk to the shortest failing prefix and a
 // repro report is written.
 //
@@ -105,8 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		selftest = fs.Bool("selftest", false, "inject a fast-path bug and require catch + minimize, then exit")
 		verbose  = fs.Bool("v", false, "per-wave progress")
 
-		noblocks    = fs.Bool("noblocks", false, "disable the superblock tier (also skips the per-shard tier diff)")
-		nopredecode = fs.Bool("nopredecode", false, "disable the predecode cache (implies the bare interpreter; also disables blocks)")
+		noblocks = fs.Bool("noblocks", false, "disable the superblock tier (also skips the per-shard tier diff)")
 
 		obsAddr     = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while soaking, e.g. 127.0.0.1:9464")
 		manifestOut = fs.String("manifest", "", "write a run manifest (provenance + final metrics/progress) to this file on a clean exit")
@@ -117,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 	if *selftest {
 		return runSelftest(stdout)
 	}
-	tierDiff := !*noblocks && !*nopredecode
+	tierDiff := !*noblocks
 
 	// Observability is opt-in: without -obs/-manifest every sink stays
 	// nil and the scheduler keeps its nil-check-only fast path.

@@ -73,8 +73,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		manifest  = fs.String("manifest", "", "write a run manifest to this file (default <csvdir>/manifest.json when -csvdir is set)")
 		obsAddr   = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while running, e.g. 127.0.0.1:9464")
 
-		noblocks    = fs.Bool("noblocks", false, "disable the superblock tier (results identical, wall-clock slower)")
-		nopredecode = fs.Bool("nopredecode", false, "disable the predecode cache too (bare interpreter; implies -noblocks)")
+		noblocks = fs.Bool("noblocks", false, "disable the superblock tier (results identical, wall-clock slower)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,7 +100,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	cfg.Reps = *reps
 	cfg.Workers = *workers
 	cfg.CPU.NoBlocks = *noblocks
-	cfg.CPU.NoPredecode = *nopredecode
 
 	// Telemetry sinks share one recorder/registry across every section
 	// the invocation runs; the manifest then carries the aggregate

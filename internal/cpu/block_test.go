@@ -319,58 +319,75 @@ func TestBlockTelemetryEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlockRunZeroAlloc is the tentpole's zero-allocation gate: once the
-// loop's blocks are compiled, steady-state Run must not allocate — not
-// for dispatch, not for speculation episodes (pooled specState), not for
-// store-bypass tracking. The workload deliberately includes a
-// mispredicting data-dependent branch (speculation episodes every few
-// iterations) and an in-flight store feeding a reload (the v4
+// TestBlockRunZeroAlloc is the zero-allocation gate, on both tiers: once
+// the loop's blocks are compiled, steady-state Run must not allocate —
+// not for dispatch, not for speculation episodes (pooled specState), not
+// for store-bypass tracking. On the single-step tier it also proves that
+// Step's one-instruction body never escapes to the heap, which would cost
+// an allocation per retired instruction. The workload deliberately
+// includes a mispredicting data-dependent branch (speculation episodes
+// every few iterations) and an in-flight store feeding a reload (the v4
 // store-buffer machinery).
 func TestBlockRunZeroAlloc(t *testing.T) {
-	c, img := load(t, `
-		movi r1, arr
-	loop:
-		clflush [r1+8]      ; force a miss: the next load lands late
-		load r3, [r1+8]
-		store [r1+16], r3   ; r3 still in flight: pending-store tracking
-		load r4, [r1+16]    ; reload in the bypass window
-		cmpi r3, 0          ; flags depend on the missed load: unresolved
-		jl skip             ; LCG sign bit: mispredicts, squashes episodes
-		addi r5, r5, 1
-	skip:
-		load r9, [r1+8]
-		muli r9, r9, 25214903917
-		addi r9, r9, 11     ; step the LCG the next iteration branches on
-		store [r1+8], r9
-		jmp loop
-	.data
-	arr: .space 64
-	`, DefaultConfig())
-	// Warm-up: compile the blocks, train the predictors, populate the
-	// store-buffer scratch. ErrBudget is the expected outcome.
-	if err := c.Run(20_000); err != ErrBudget {
-		t.Fatalf("warm-up: %v", err)
-	}
-	// A Run budget can stop execution at any instruction, making that PC
-	// a block start the next Run compiles lazily — a bounded, amortized
-	// cost, but this gate wants a closed steady state, so compile every
-	// possible entry point up front.
-	for pc := img.Base; pc < img.Base+uint64(len(img.Code)); pc += isa.InstrSize {
-		c.lookupBlock(pc)
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if err := c.Run(50_000); err != ErrBudget {
-			t.Fatalf("steady state: %v", err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Run allocates %.1f objects per call, want 0", avg)
-	}
-	if st := c.BlockStats(); st.Hits == 0 {
-		t.Fatalf("zero-alloc gate measured the wrong tier: %+v", st)
-	}
-	if c.Snapshot().Squashes == 0 {
-		t.Fatal("workload produced no speculation squashes; the gate is not covering episodes")
+	for _, tc := range []struct {
+		name     string
+		noBlocks bool
+	}{
+		{"blocks", false},
+		{"noblocks", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NoBlocks = tc.noBlocks
+			c, img := load(t, `
+				movi r1, arr
+			loop:
+				clflush [r1+8]      ; force a miss: the next load lands late
+				load r3, [r1+8]
+				store [r1+16], r3   ; r3 still in flight: pending-store tracking
+				load r4, [r1+16]    ; reload in the bypass window
+				cmpi r3, 0          ; flags depend on the missed load: unresolved
+				jl skip             ; LCG sign bit: mispredicts, squashes episodes
+				addi r5, r5, 1
+			skip:
+				load r9, [r1+8]
+				muli r9, r9, 25214903917
+				addi r9, r9, 11     ; step the LCG the next iteration branches on
+				store [r1+8], r9
+				jmp loop
+			.data
+			arr: .space 64
+			`, cfg)
+			// Warm-up: compile the blocks, train the predictors, populate
+			// the store-buffer scratch. ErrBudget is the expected outcome.
+			if err := c.Run(20_000); err != ErrBudget {
+				t.Fatalf("warm-up: %v", err)
+			}
+			// A Run budget can stop execution at any instruction, making
+			// that PC a block start the next Run compiles lazily — a
+			// bounded, amortized cost, but this gate wants a closed steady
+			// state, so compile every possible entry point up front.
+			if !tc.noBlocks {
+				for pc := img.Base; pc < img.Base+uint64(len(img.Code)); pc += isa.InstrSize {
+					c.lookupBlock(pc)
+				}
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				if err := c.Run(50_000); err != ErrBudget {
+					t.Fatalf("steady state: %v", err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state Run allocates %.1f objects per call, want 0", avg)
+			}
+			if hits := c.BlockStats().Hits; (hits != 0) == tc.noBlocks {
+				t.Fatalf("zero-alloc gate measured the wrong tier: %d block hits", hits)
+			}
+			if s := c.Snapshot(); s.Squashes == 0 || s.SpecBypasses == 0 {
+				t.Fatalf("workload produced %d squashes, %d bypass episodes; the gate is not covering episodes",
+					s.Squashes, s.SpecBypasses)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,14 @@
 // The block-compilation tier: straight-line guest regions are translated
 // once into host-side superblocks — pre-decoded instruction vectors with
-// a classified exit — and executed by a fused dispatch loop
-// (blockexec.go) that pays the fetch/decode, PC-maintenance and
-// budget-check costs per *block* instead of per instruction. Like the
-// predecode cache underneath it, the tier is a host optimization, not a
-// modelled structure: Cycle, the PMU counters, speculation episodes, the
-// store buffer and the predictors are byte-for-byte those of the
-// single-step interpreter (oracle.RunTierDiff and the difftest ring pin
-// this down, Snapshot field by Snapshot field).
+// a classified exit — and executed by a dispatch loop (blockexec.go) that
+// pays the fetch/decode, PC-maintenance and budget-check costs per
+// *block* instead of per instruction. Like the predecode cache
+// underneath it, the tier is a host optimization, not a modelled
+// structure: a block's body and exit run through the same retire kernel
+// as Step, so Cycle, the PMU counters, speculation episodes, the store
+// buffer and the predictors are byte-for-byte those of the single-step
+// tier (oracle.RunTierDiff and the difftest ring pin this down, Snapshot
+// field by Snapshot field).
 //
 // Coherence reuses the memory's per-page write generations exactly like
 // predecode slots: a block records the generation of every page its
@@ -17,12 +18,13 @@
 // were already proven canonical, so an equal compare refreshes the
 // generations — and otherwise recompilation. Stores executed *inside* a
 // block re-check its own pages before the next cached decode is used, so
-// RWX self-modifying code falls back cleanly mid-block (blockexec.go).
+// RWX self-modifying code falls back cleanly mid-block (the kernel in
+// exec.go).
 //
 // Blocks never contain speculation barriers (MFENCE/LFENCE/SYSCALL):
-// those retire through the single-step interpreter, as does everything
-// when an OnRetire observer is attached. Telemetry-enabled runs stay on
-// the block tier — the bodies replicate every hook site of Step.
+// those retire through Step, as does everything when an OnRetire
+// observer is attached. Telemetry-enabled runs stay on the block tier —
+// the kernel carries every hook site.
 package cpu
 
 import (
@@ -49,14 +51,14 @@ const (
 	// termNone: no terminator compiled — the block ends because the next
 	// instruction is a speculation barrier, undecodable, on an unfetchable
 	// page, or the body hit maxBlockOps. Execution falls through to endPC
-	// and the outer loop (or single-step interpreter) takes over.
+	// and the outer loop (or Step) takes over.
 	termNone blockKind = iota
 	termJmp
 	termCond
-	// termFused: a CMP/CMPI immediately feeding the exiting conditional
-	// branch, executed as one fused slot that retires two instructions.
-	// The flags are still architecturally materialized (the oracle
-	// compares them), but their computation is deferred to the branch.
+	// termFused: a conditional exit whose flags come from the CMP/CMPI
+	// that ends the body. The pair retires back to back with no dispatch
+	// between them; the compare is an ordinary body instruction, so the
+	// horizon can still stop the core between the two.
 	termFused
 	termCall
 	termCallr
@@ -71,14 +73,13 @@ const (
 )
 
 // block is one compiled superblock. body holds the straight-line
-// non-control instructions; term the classified exit (when kind is a
-// terminator kind); cmp the comparison folded into a termFused exit.
+// instructions; term the classified exit (when kind is a terminator
+// kind).
 type block struct {
 	startPC uint64
 	endPC   uint64 // fall-through PC after the last compiled instruction
 	body    []isa.Instruction
 	term    isa.Instruction
-	cmp     isa.Instruction
 	kind    blockKind
 	nretire int // architectural instructions a full execution retires
 
@@ -135,7 +136,7 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	for {
 		in, derr := isa.Decode(raw)
 		if derr != nil || in.Op.IsSpecBarrier() {
-			break // retired by the single-step interpreter
+			break // retired by Step
 		}
 		if pg := p / mem.PageSize; pg != b.pg0 {
 			b.pg1, b.gen1 = pg, gen
@@ -156,23 +157,15 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	}
 	b.endPC = p
 
-	// Fuse a flag-producing compare into the conditional exit it feeds.
-	if b.kind == termCond && len(b.body) > 0 {
-		if last := b.body[len(b.body)-1]; last.Op.SetsFlags() {
-			b.cmp = last
-			b.body = b.body[:len(b.body)-1]
-			b.kind = termFused
-		}
+	if b.kind == termCond && len(b.body) > 0 && b.body[len(b.body)-1].Op.SetsFlags() {
+		b.kind = termFused
 	}
-
 	b.nretire = len(b.body)
 	switch b.kind {
 	case termNone:
 		if b.nretire == 0 {
 			b.kind = termUncompilable
 		}
-	case termFused:
-		b.nretire += 2
 	default:
 		b.nretire++
 	}
@@ -251,9 +244,9 @@ type BlockStats struct {
 	Hits          uint64 // block executions served from the cache
 	Invalidations uint64 // stale blocks that failed byte-revalidation
 	// Sizes counts compilations by block size: Sizes[n] is how many
-	// compiled blocks retire n instructions per full execution. A fixed
-	// array (a fused terminator adds two on top of the maxBlockOps body)
-	// so BlockStats stays comparable; exact per-size counts let the
+	// compiled blocks retire n instructions per full execution (at most
+	// maxBlockOps; the array keeps spare slots). A fixed array so
+	// BlockStats stays comparable; exact per-size counts let the
 	// telemetry layer rebuild the block-size histogram with exact sums.
 	Sizes [maxBlockOps + 3]uint64
 }
@@ -273,7 +266,7 @@ type BlockInfo struct {
 	StartPC uint64
 	EndPC   uint64
 	Instrs  int  // architectural instructions retired by a full execution
-	Fused   bool // CMP/CMPI folded into the conditional exit
+	Fused   bool // CMP/CMPI feeding the conditional exit
 	Exit    string
 	Hits    uint64
 	Valid   bool // generations current at inspection time

@@ -1,28 +1,19 @@
 // Superblock execution (see blockcache.go for the cache and compile
 // side). runBlocks is Run's fast tier: it retires whole compiled blocks
 // per dispatch, paying the fetch/decode and budget checks once per block.
-// Every per-opcode body below mirrors the corresponding case of
-// execute() *exactly* — same operand waits, same cycle charges, same
-// hook sites, same fault identities — because the tier's contract is not
-// "same architectural result" but "same machine": Cycle, stallCycles and
-// every PMU counter must match the single-step interpreter bit for bit
-// (golden figure CSVs difference them). Any semantic change to exec.go
-// must be mirrored here; oracle.RunTierDiff, FuzzBlockCompile and the
-// difftest ring exist to catch a missed mirror.
-//
-// execBlock keeps PC, Cycle and the retire count in locals and writes
-// them back only at exits and around calls into helpers that read core
-// state (the branch resolvers, the store-bypass machinery, interfere,
-// and — because the hierarchy's event clock points at c.Cycle — every
-// cache access on a telemetry-enabled core). The lazy-sync invariants
-// are: c.PC/c.Cycle/c.instret are authoritative again at every return,
-// and current before every such helper call.
+// A block — its body and its exit — goes through the same retire kernel
+// (exec.go) that Step runs on a single instruction, so the tiers share
+// one definition of every opcode's semantics and timing. What is
+// specific to this tier is the glue around the kernel: the lazy PC/Cycle
+// sync across a whole body, successor chaining, mid-block
+// self-modification and the cycle horizon (which can split a fused
+// compare+branch exit). oracle.RunTierDiff, FuzzBlockCompile and the
+// difftest ring guard that glue — the tier's contract is "same machine":
+// Cycle, stallCycles and every PMU counter match the single-step tier bit
+// for bit (golden figure CSVs difference them).
 package cpu
 
-import (
-	"repro/internal/isa"
-	"repro/internal/telemetry"
-)
+import "repro/internal/isa"
 
 // runBlocks executes until HALT or maxInstr retired instructions, like
 // the single-step loop in Run, through the block cache. Instructions a
@@ -67,7 +58,11 @@ func (c *CPU) runBlocks(maxInstr uint64) error {
 			}
 			continue
 		}
-		n, err := c.execBlock(b)
+		var term *isa.Instruction
+		if b.kind != termNone {
+			term = &b.term
+		}
+		n, err := c.retire(b.body, term, b)
 		executed += uint64(n)
 		if err != nil {
 			return err
@@ -91,503 +86,4 @@ func (c *CPU) runBlocks(maxInstr uint64) error {
 		return nil
 	}
 	return ErrBudget
-}
-
-// execBlock retires block b, which the caller has gen-validated at entry.
-// It returns the number of instructions retired: less than b.nretire only
-// when a store inside the block dirtied one of the block's own pages (the
-// remaining cached decodes can no longer be trusted) or a fault ended the
-// run.
-//
-// Every telEmit below is dominated by telOn, the c.tel != nil guard
-// hoisted once per block — an idiom the vet pass cannot trace.
-//
-//crspectrevet:guarded
-func (c *CPU) execBlock(b *block) (int, error) {
-	var (
-		pc    = c.PC
-		cyc   = c.Cycle
-		n     = 0
-		telOn = c.tel != nil
-		body  = b.body // hoisted: stores through c could alias *b
-		stop  = c.stopCycle
-	)
-	for i := 0; i < len(body); i++ {
-		in := body[i]
-		rd, rs1, rs2 := in.Rd&15, in.Rs1&15, in.Rs2&15
-		switch in.Op {
-		case isa.NOP:
-			cyc++
-
-		case isa.MOVI:
-			c.Regs[rd] = uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-
-		case isa.MOV:
-			if r := c.regReady[rs1]; r > cyc {
-				c.stallCycles += r - cyc
-				cyc = r
-			}
-			c.Regs[rd] = c.Regs[rs1]
-			cyc++
-			c.regReady[rd] = cyc
-
-		case isa.ADD:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] + c.Regs[rs2]
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SUB:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] - c.Regs[rs2]
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.MUL:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] * c.Regs[rs2]
-			cyc += 3
-			c.regReady[rd] = cyc
-		case isa.DIV:
-			cyc = c.wait2(rs1, rs2, cyc)
-			if c.Regs[rs2] == 0 {
-				return c.blockFault(pc, cyc, n, errDivZero)
-			}
-			c.Regs[rd] = c.Regs[rs1] / c.Regs[rs2]
-			cyc += 20
-			c.regReady[rd] = cyc
-		case isa.MOD:
-			cyc = c.wait2(rs1, rs2, cyc)
-			if c.Regs[rs2] == 0 {
-				return c.blockFault(pc, cyc, n, errDivZero)
-			}
-			c.Regs[rd] = c.Regs[rs1] % c.Regs[rs2]
-			cyc += 20
-			c.regReady[rd] = cyc
-		case isa.AND:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] & c.Regs[rs2]
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.OR:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] | c.Regs[rs2]
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.XOR:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] ^ c.Regs[rs2]
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SHL:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] << (c.Regs[rs2] & 63)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SHR:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = c.Regs[rs1] >> (c.Regs[rs2] & 63)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SAR:
-			cyc = c.wait2(rs1, rs2, cyc)
-			c.Regs[rd] = uint64(int64(c.Regs[rs1]) >> (c.Regs[rs2] & 63))
-			cyc++
-			c.regReady[rd] = cyc
-
-		case isa.ADDI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] + uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SUBI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] - uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.MULI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] * uint64(in.Imm)
-			cyc += 3
-			c.regReady[rd] = cyc
-		case isa.DIVI:
-			cyc = c.wait1(rs1, cyc)
-			if in.Imm == 0 {
-				return c.blockFault(pc, cyc, n, errDivZero)
-			}
-			c.Regs[rd] = c.Regs[rs1] / uint64(in.Imm)
-			cyc += 20
-			c.regReady[rd] = cyc
-		case isa.MODI:
-			cyc = c.wait1(rs1, cyc)
-			if in.Imm == 0 {
-				return c.blockFault(pc, cyc, n, errDivZero)
-			}
-			c.Regs[rd] = c.Regs[rs1] % uint64(in.Imm)
-			cyc += 20
-			c.regReady[rd] = cyc
-		case isa.ANDI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] & uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.ORI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] | uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.XORI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] ^ uint64(in.Imm)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SHLI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] << (uint64(in.Imm) & 63)
-			cyc++
-			c.regReady[rd] = cyc
-		case isa.SHRI:
-			cyc = c.wait1(rs1, cyc)
-			c.Regs[rd] = c.Regs[rs1] >> (uint64(in.Imm) & 63)
-			cyc++
-			c.regReady[rd] = cyc
-
-		case isa.LOAD, isa.LOADB:
-			if r := c.regReady[rs1]; r > cyc {
-				c.stallCycles += r - cyc
-				cyc = r
-			}
-			addr := c.Regs[rs1] + uint64(in.Imm)
-			var v uint64
-			var err error
-			if in.Op == isa.LOAD {
-				v, err = c.Mem.Read64(addr)
-			} else {
-				var bb byte
-				bb, err = c.Mem.Read8(addr)
-				v = uint64(bb)
-			}
-			if err != nil {
-				return c.blockFault(pc, cyc, n, err)
-			}
-			if telOn {
-				c.Cycle = cyc // the hierarchy's event clock reads c.Cycle
-			}
-			lat, _ := c.Caches.Access(addr)
-			c.loads++
-			if len(c.pendingStores) != 0 {
-				size := uint64(8)
-				if in.Op == isa.LOADB {
-					size = 1
-				}
-				// bypassCheck derives the episode entry from PC and prunes
-				// by the core clock: sync both, reabsorb the stall after.
-				c.PC = pc
-				c.Cycle = cyc
-				c.bypassCheck(in, addr, size, v, lat)
-				cyc = c.Cycle
-			}
-			if addr < c.probeHi && addr >= c.probeLo && telOn {
-				c.telEmit(telemetry.KindCovertProbe, cyc, pc, addr, lat)
-			}
-			issue := cyc
-			cyc++
-			c.Regs[rd] = v
-			c.regReady[rd] = issue + lat
-
-		case isa.STORE, isa.STOREB:
-			if r := c.regReady[rs1]; r > cyc {
-				c.stallCycles += r - cyc
-				cyc = r
-			}
-			addr := c.Regs[rs1] + uint64(in.Imm)
-			if c.cfg.SpeculationEnabled && !c.cfg.DisableStoreBypass && c.regReady[rs2] > cyc {
-				size := uint64(8)
-				if in.Op == isa.STOREB {
-					size = 1
-				}
-				c.Cycle = cyc // trackPendingStore prunes by the core clock
-				c.trackPendingStore(addr, size, c.regReady[rs2])
-			}
-			var err error
-			if in.Op == isa.STORE {
-				err = c.Mem.Write64(addr, c.Regs[rs2])
-			} else {
-				err = c.Mem.Write8(addr, byte(c.Regs[rs2]))
-			}
-			if err != nil {
-				return c.blockFault(pc, cyc, n, err)
-			}
-			if telOn {
-				c.Cycle = cyc
-			}
-			c.Caches.Access(addr) // write-allocate
-			c.stores++
-			if addr < c.smashHi && telOn {
-				end := addr + 8
-				if in.Op == isa.STOREB {
-					end = addr + 1
-				}
-				if end > c.smashLo {
-					c.telEmit(telemetry.KindStackSmash, cyc, pc, addr, c.Regs[rs2])
-				}
-			}
-			cyc++
-
-		case isa.PUSH:
-			sp := c.Regs[isa.RegSP] - 8
-			if err := c.Mem.Write64(sp, c.Regs[rs1]); err != nil {
-				return c.blockFault(pc, cyc, n, err)
-			}
-			if telOn {
-				c.Cycle = cyc
-			}
-			c.Caches.Access(sp)
-			c.Regs[isa.RegSP] = sp
-			c.stores++
-			cyc++
-			c.regReady[isa.RegSP] = cyc
-
-		case isa.POP:
-			sp := c.Regs[isa.RegSP]
-			v, err := c.Mem.Read64(sp)
-			if err != nil {
-				return c.blockFault(pc, cyc, n, err)
-			}
-			if telOn {
-				c.Cycle = cyc
-			}
-			lat, _ := c.Caches.Access(sp)
-			c.loads++
-			issue := cyc
-			cyc++
-			c.Regs[rd] = v
-			c.regReady[rd] = issue + lat
-			c.Regs[isa.RegSP] = sp + 8
-			c.regReady[isa.RegSP] = cyc
-
-		case isa.CMP:
-			ready := maxU64(cyc+1, maxU64(c.regReady[rs1], c.regReady[rs2]))
-			c.setFlags(c.Regs[rs1], c.Regs[rs2])
-			c.flagsReady = ready
-			cyc++
-
-		case isa.CMPI:
-			ready := maxU64(cyc+1, c.regReady[rs1])
-			c.setFlags(c.Regs[rs1], uint64(in.Imm))
-			c.flagsReady = ready
-			cyc++
-
-		case isa.CLFLUSH:
-			if c.cfg.PrivilegedFlush {
-				return c.blockFault(pc, cyc, n, errPrivileged)
-			}
-			if r := c.regReady[rs1]; r > cyc {
-				c.stallCycles += r - cyc
-				cyc = r
-			}
-			if telOn {
-				c.Cycle = cyc
-			}
-			c.Caches.Flush(c.Regs[rs1] + uint64(in.Imm))
-			c.flushes++
-			cyc += c.cfg.FlushCost
-
-		case isa.RDTSC:
-			c.Regs[rd] = cyc
-			cyc++
-			c.regReady[rd] = cyc
-
-		default:
-			// Unreachable for the current ISA (compileBlock admits only
-			// the ops above into bodies); if an opcode is ever added
-			// without a mirrored body, hand it to the single-step
-			// interpreter instead of misretiring it.
-			c.PC, c.Cycle = pc, cyc
-			c.instret += uint64(n)
-			return n, nil
-		}
-
-		pc += isa.InstrSize
-		n++
-		if c.noiseNext != 0 {
-			c.Cycle = cyc
-			c.interfere()
-		}
-		if telOn {
-			c.telEmit(telemetry.KindRetire, cyc, pc-isa.InstrSize, 0, uint64(in.Op))
-		}
-		if in.Op >= isa.STORE && in.Op <= isa.PUSH {
-			// The store may have dirtied this block's own code (RWX
-			// self-modification): stop trusting the cached decodes and
-			// hand the rest of the region back to the outer loop, which
-			// revalidates or recompiles.
-			if c.genTab[b.pg0] != b.gen0 || c.genTab[b.pg1] != b.gen1 {
-				c.PC, c.Cycle = pc, cyc
-				c.instret += uint64(n)
-				return n, nil
-			}
-		}
-		if cyc >= stop {
-			// Cycle horizon (RunUntilCycle): this retirement crossed it,
-			// and the observer must see state exactly here — the same
-			// boundary the single-step loop would stop at.
-			c.PC, c.Cycle = pc, cyc
-			c.instret += uint64(n)
-			return n, nil
-		}
-	}
-
-	// The terminator. The branch resolvers (condBranch/indirect/ret) and
-	// the fused-CMP slot read and advance core state themselves, so
-	// Cycle/PC are synced before them; by the retire tail below c.Cycle
-	// is authoritative again in every case.
-	switch b.kind {
-	case termNone, termUncompilable:
-		c.PC, c.Cycle = pc, cyc
-		c.instret += uint64(n)
-		return n, nil
-
-	case termHalt:
-		cyc++
-		c.halted = true
-		c.PC, c.Cycle = pc, cyc
-
-	case termJmp:
-		c.BP.Stats.Direct++
-		cyc++
-		c.PC, c.Cycle = uint64(b.term.Imm), cyc
-
-	case termCond:
-		c.PC, c.Cycle = pc, cyc
-		c.condBranch(b.term)
-
-	case termFused:
-		// The fused CMP/CMPI slot: flags materialize here, immediately
-		// consumed by the exiting branch. Two architectural retirements,
-		// with the same interfere/telemetry points Step would hit.
-		cmp := b.cmp
-		if cmp.Op == isa.CMP {
-			ready := maxU64(cyc+1, maxU64(c.regReady[cmp.Rs1&15], c.regReady[cmp.Rs2&15]))
-			c.setFlags(c.Regs[cmp.Rs1&15], c.Regs[cmp.Rs2&15])
-			c.flagsReady = ready
-		} else {
-			ready := maxU64(cyc+1, c.regReady[cmp.Rs1&15])
-			c.setFlags(c.Regs[cmp.Rs1&15], uint64(cmp.Imm))
-			c.flagsReady = ready
-		}
-		cyc++
-		n++
-		c.Cycle = cyc
-		if c.noiseNext != 0 {
-			c.interfere()
-		}
-		if telOn {
-			c.telEmit(telemetry.KindRetire, cyc, pc, 0, uint64(cmp.Op))
-		}
-		pc += isa.InstrSize
-		c.PC = pc
-		if cyc >= stop {
-			// Horizon crossed by the fused CMP's retirement: stop between
-			// the pair, exactly as the single-step loop would. The branch
-			// re-enters at c.PC on the next dispatch.
-			c.instret += uint64(n)
-			return n, nil
-		}
-		c.condBranch(b.term)
-
-	case termCall:
-		sp := c.Regs[isa.RegSP] - 8
-		ret := pc + isa.InstrSize
-		if err := c.Mem.Write64(sp, ret); err != nil {
-			return c.blockFault(pc, cyc, n, err)
-		}
-		if telOn {
-			c.Cycle = cyc
-		}
-		c.Caches.Access(sp)
-		c.Regs[isa.RegSP] = sp
-		c.stores++
-		c.BP.RSB.Push(ret)
-		c.BP.Stats.Direct++
-		cyc++
-		c.regReady[isa.RegSP] = cyc
-		c.PC, c.Cycle = uint64(b.term.Imm), cyc
-
-	case termCallr:
-		target := c.Regs[b.term.Rs1&15]
-		sp := c.Regs[isa.RegSP] - 8
-		ret := pc + isa.InstrSize
-		if err := c.Mem.Write64(sp, ret); err != nil {
-			return c.blockFault(pc, cyc, n, err)
-		}
-		if telOn {
-			c.Cycle = cyc
-		}
-		c.Caches.Access(sp)
-		c.Regs[isa.RegSP] = sp
-		c.stores++
-		c.BP.RSB.Push(ret)
-		c.PC, c.Cycle = pc, cyc // indirect() indexes the BTB by the branch's PC
-		c.indirect(b.term.Rs1, target)
-		c.PC = target
-
-	case termJmpr:
-		target := c.Regs[b.term.Rs1&15]
-		c.PC, c.Cycle = pc, cyc
-		c.indirect(b.term.Rs1, target)
-		c.PC = target
-
-	case termRet:
-		c.PC, c.Cycle = pc, cyc
-		if err := c.ret(); err != nil {
-			c.instret += uint64(n)
-			return n, &Fault{PC: pc, Err: err}
-		}
-	}
-
-	n++
-	c.instret += uint64(n)
-	if c.noiseNext != 0 {
-		c.interfere()
-	}
-	if telOn {
-		c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(b.term.Op))
-	}
-	return n, nil
-}
-
-// wait1/wait2 advance the local block clock past operand readiness,
-// charging the stall. Both are small enough to inline into every ALU
-// case of execBlock.
-func (c *CPU) wait1(r uint8, cyc uint64) uint64 {
-	if rr := c.regReady[r]; rr > cyc {
-		c.stallCycles += rr - cyc
-		return rr
-	}
-	return cyc
-}
-
-func (c *CPU) wait2(r1, r2 uint8, cyc uint64) uint64 {
-	if rr := c.regReady[r1]; rr > cyc {
-		c.stallCycles += rr - cyc
-		cyc = rr
-	}
-	if rr := c.regReady[r2]; rr > cyc {
-		c.stallCycles += rr - cyc
-		cyc = rr
-	}
-	return cyc
-}
-
-// blockFault syncs the lazily tracked core state back at a faulting
-// instruction (which does not retire) and wraps the error with its PC,
-// exactly as Step does. Outlined to keep the fault plumbing off the hot
-// path.
-//
-//go:noinline
-func (c *CPU) blockFault(pc, cyc uint64, n int, err error) (int, error) {
-	c.PC, c.Cycle = pc, cyc
-	c.instret += uint64(n)
-	return n, &Fault{PC: pc, Err: err}
 }

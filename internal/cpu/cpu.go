@@ -91,15 +91,10 @@ type Config struct {
 	// harness (internal/analysis); never by the timing experiments — the
 	// forced episodes leave real cache fills behind, which is the point.
 	ForceWrongPath bool
-	// NoPredecode disables the host-side predecode cache (every fetch
-	// pays the permission walk and validating decode) and, because the
-	// block tier builds on the same coherence machinery, the block tier
-	// with it. A field-bisection escape hatch; changes host throughput
-	// only, never simulated behavior.
-	NoPredecode bool
-	// NoBlocks disables the block-compilation tier only, leaving the
-	// predecode cache on — Run retires strictly one instruction per
-	// dispatch. Same escape-hatch contract as NoPredecode.
+	// NoBlocks disables the block-compilation tier: Run retires strictly
+	// one instruction per dispatch, through the predecode cache. A
+	// field-bisection escape hatch and the tier-diff reference; changes
+	// host throughput only, never simulated behavior.
 	NoBlocks bool
 }
 
@@ -161,11 +156,9 @@ type CPU struct {
 
 	// icache is the host-side predecode cache (see predecode.go); genTab
 	// is the memory's live per-page write-generation view used for its
-	// coherence check. predecodeOff forces the uncached front end for
-	// differential tests; it must be set before execution starts.
-	icache       [icacheSize]icacheEntry
-	genTab       []uint64
-	predecodeOff bool
+	// coherence check.
+	icache [icacheSize]icacheEntry
+	genTab []uint64
 
 	instret     uint64
 	loads       uint64
@@ -250,14 +243,13 @@ func New(m *mem.Memory, cfg Config) *CPU {
 	caches := cache.DefaultHierarchy()
 	caches.NextLinePrefetch = cfg.NextLinePrefetch
 	c := &CPU{
-		Mem:          m,
-		Caches:       caches,
-		BP:           bp,
-		cfg:          cfg,
-		genTab:       m.PageGens(),
-		predecodeOff: cfg.NoPredecode,
-		blocksOff:    cfg.NoBlocks,
-		stopCycle:    ^uint64(0),
+		Mem:       m,
+		Caches:    caches,
+		BP:        bp,
+		cfg:       cfg,
+		genTab:    m.PageGens(),
+		blocksOff: cfg.NoBlocks,
+		stopCycle: ^uint64(0),
 	}
 	if cfg.NoisePeriod > 0 {
 		c.noiseNext = cfg.NoisePeriod
@@ -468,14 +460,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		Fences:              s.Fences - prev.Fences,
 		Syscalls:            s.Syscalls - prev.Syscalls,
 		StallCycles:         s.StallCycles - prev.StallCycles,
-	}
-}
-
-// waitReg stalls the pipeline until the register's value is available.
-func (c *CPU) waitReg(r uint8) {
-	if c.regReady[r] > c.Cycle {
-		c.stallCycles += c.regReady[r] - c.Cycle
-		c.Cycle = c.regReady[r]
 	}
 }
 

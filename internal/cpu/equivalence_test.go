@@ -129,24 +129,46 @@ func TestTimingDiffersAcrossConfigs(t *testing.T) {
 }
 
 // TestQuickALUSemantics cross-checks the simulated ALU against Go's own
-// 64-bit arithmetic on random operands.
+// 64-bit arithmetic on random operands, for every register form and,
+// through the op table's base op, every immediate form. It also pins
+// each form's cycle cost and divide-by-zero fault in the op table.
 func TestQuickALUSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	add := func(a, b uint64) uint64 { return a + b }
+	sub := func(a, b uint64) uint64 { return a - b }
+	mul := func(a, b uint64) uint64 { return a * b }
+	div := func(a, b uint64) uint64 { return a / b }
+	mod := func(a, b uint64) uint64 { return a % b }
+	and := func(a, b uint64) uint64 { return a & b }
+	or := func(a, b uint64) uint64 { return a | b }
+	xor := func(a, b uint64) uint64 { return a ^ b }
+	shl := func(a, b uint64) uint64 { return a << (b & 63) }
+	shr := func(a, b uint64) uint64 { return a >> (b & 63) }
 	ops := []struct {
-		op isa.Op
-		f  func(a, b uint64) uint64
+		op   isa.Op
+		cost uint8
+		f    func(a, b uint64) uint64
 	}{
-		{isa.ADD, func(a, b uint64) uint64 { return a + b }},
-		{isa.SUB, func(a, b uint64) uint64 { return a - b }},
-		{isa.MUL, func(a, b uint64) uint64 { return a * b }},
-		{isa.AND, func(a, b uint64) uint64 { return a & b }},
-		{isa.OR, func(a, b uint64) uint64 { return a | b }},
-		{isa.XOR, func(a, b uint64) uint64 { return a ^ b }},
-		{isa.SHL, func(a, b uint64) uint64 { return a << (b & 63) }},
-		{isa.SHR, func(a, b uint64) uint64 { return a >> (b & 63) }},
-		{isa.SAR, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) }},
-		{isa.DIV, func(a, b uint64) uint64 { return a / b }},
-		{isa.MOD, func(a, b uint64) uint64 { return a % b }},
+		{isa.ADD, 1, add}, {isa.SUB, 1, sub}, {isa.MUL, 3, mul},
+		{isa.DIV, 20, div}, {isa.MOD, 20, mod}, {isa.AND, 1, and},
+		{isa.OR, 1, or}, {isa.XOR, 1, xor}, {isa.SHL, 1, shl}, {isa.SHR, 1, shr},
+		{isa.SAR, 1, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) }},
+
+		{isa.ADDI, 1, add}, {isa.SUBI, 1, sub}, {isa.MULI, 3, mul},
+		{isa.DIVI, 20, div}, {isa.MODI, 20, mod}, {isa.ANDI, 1, and},
+		{isa.ORI, 1, or}, {isa.XORI, 1, xor}, {isa.SHLI, 1, shl}, {isa.SHRI, 1, shr},
+	}
+	for _, o := range ops {
+		e := opTab[o.op]
+		if e.class != clsALU && e.class != clsALUImm || opTab[e.base].class != clsALU {
+			t.Errorf("%s: op-table base %s is not a register-form ALU op", o.op, e.base)
+		}
+		if e.cost != o.cost {
+			t.Errorf("%s costs %d cycles, want %d", o.op, e.cost, o.cost)
+		}
+		if wantDiv := e.base == isa.DIV || e.base == isa.MOD; e.divides != wantDiv {
+			t.Errorf("%s: divides = %v, want %v", o.op, e.divides, wantDiv)
+		}
 	}
 	f := func() bool {
 		a, b := rng.Uint64(), rng.Uint64()
@@ -154,8 +176,7 @@ func TestQuickALUSemantics(t *testing.T) {
 			b = 1
 		}
 		o := ops[rng.Intn(len(ops))]
-		got, err := alu(o.op, a, b)
-		return err == nil && got == o.f(a, b)
+		return alu(opTab[o.op].base, a, b) == o.f(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)

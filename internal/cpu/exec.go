@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/isa"
 	"repro/internal/telemetry"
@@ -20,46 +19,71 @@ var ErrBudget = errors.New("cpu: instruction budget exhausted")
 var errPrivileged = errors.New("cpu: privileged instruction in user mode")
 
 // Step retires exactly one architectural instruction (which may trigger a
-// wrong-path speculation episode internally).
+// wrong-path speculation episode internally). It runs the same retire
+// kernel as a compiled block — a straight-line instruction as a
+// one-instruction body, a control-flow instruction as a bare exit — and
+// retires only the speculation barriers (MFENCE/LFENCE/SYSCALL), which no
+// block holds, by itself. OnRetire observers run here, which is why Run
+// single-steps whenever one is attached.
 func (c *CPU) Step() error {
 	if c.halted {
 		return ErrHalted
 	}
-	in, ok := c.fetchDecode(c.PC)
-	if !ok {
+	var one [1]isa.Instruction
+	var ok bool
+	if one[0], ok = c.fetchDecode(c.PC); !ok {
 		var err error
-		if in, err = c.fetchDecodeMiss(c.PC); err != nil {
+		if one[0], err = c.fetchDecodeMiss(c.PC); err != nil {
 			return &Fault{PC: c.PC, Err: err}
 		}
 	}
 	pc := c.PC
-	if err := c.execute(in); err != nil {
-		return &Fault{PC: c.PC, Err: err}
+	var err error
+	switch cls := opTab[one[0].Op].class; {
+	case cls.terminates():
+		_, err = c.retire(nil, &one[0], nil)
+	case cls == clsFence || cls == clsSyscall:
+		if err = c.serialize(one[0]); err != nil {
+			return &Fault{PC: c.PC, Err: err}
+		}
+		c.instret++
+		if c.noiseNext != 0 {
+			c.interfere()
+		}
+		if c.tel != nil {
+			c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(one[0].Op))
+		}
+	default:
+		_, err = c.retire(one[:], nil, nil)
 	}
-	c.instret++
-	if c.noiseNext != 0 {
-		c.interfere()
+	if err == nil && c.OnRetire != nil {
+		c.OnRetire(pc, one[0])
 	}
-	if c.OnRetire != nil || c.tel != nil {
-		c.retireHooks(pc, in)
-	}
-	return nil
+	return err
 }
 
-// retireHooks runs the observers of a retired instruction: the OnRetire
-// callback and the telemetry retire event. It is outlined so Step pays
-// one fused branch — benchmarked: a second independent branch-plus-call
-// in Step's tail costs several percent of simulator throughput even
-// when never taken.
-//
-//go:noinline
-func (c *CPU) retireHooks(pc uint64, in isa.Instruction) {
-	if c.OnRetire != nil {
-		c.OnRetire(pc, in)
+// serialize executes a speculation barrier: the fences drain every
+// in-flight result, and SYSCALL additionally hands the core to its
+// handler (with PC already past the instruction).
+func (c *CPU) serialize(in isa.Instruction) error {
+	if in.Op == isa.SYSCALL {
+		c.drain()
+		c.syscalls++
+		c.Cycle += 50
+		c.PC = c.next()
+		if c.OnSyscall == nil {
+			return errors.New("cpu: SYSCALL with no handler")
+		}
+		return c.OnSyscall(c)
 	}
-	if c.tel != nil {
-		c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(in.Op))
+	if in.Op == isa.MFENCE && c.cfg.PrivilegedFlush {
+		return errPrivileged
 	}
+	c.drain()
+	c.fences++
+	c.Cycle += c.cfg.FenceCost
+	c.PC = c.next()
+	return nil
 }
 
 // telEmit is the shared outlined emit behind every core hook site: the
@@ -76,11 +100,11 @@ func (c *CPU) telEmit(kind telemetry.Kind, cyc, pc, addr, val uint64) {
 // Run executes until HALT or until maxInstr instructions retire,
 // returning ErrBudget in the latter case. When the block tier is enabled
 // (the default) it dispatches compiled superblocks (blockexec.go);
-// per-instruction observers (OnRetire) and the escape hatches force the
+// per-instruction observers (OnRetire) and NoBlocks force the
 // single-step loop. Both tiers are the same machine — identical Cycle,
 // counters, speculation and faults — differing only in host throughput.
 func (c *CPU) Run(maxInstr uint64) error {
-	if !c.blocksOff && !c.predecodeOff && c.OnRetire == nil {
+	if !c.blocksOff && c.OnRetire == nil {
 		return c.runBlocks(maxInstr)
 	}
 	stop := c.stopCycle
@@ -105,7 +129,7 @@ func (c *CPU) Run(maxInstr uint64) error {
 // the first instruction whose retirement puts the core clock at or past
 // stopCycle (returning nil; the caller reads Cycle/Halted to see why it
 // stopped). The stop lands on exactly that retirement in both tiers —
-// execBlock checks the horizon in its per-instruction retire tail, and
+// the retire kernel checks the horizon after every instruction, and
 // every retire point is an architectural boundary — so cycle-boundary
 // observers like the PMU sampler read byte-identical snapshots whichever
 // tier ran.
@@ -119,338 +143,329 @@ func (c *CPU) RunUntilCycle(maxInstr, stopCycle uint64) error {
 // next is the fall-through PC for the current instruction.
 func (c *CPU) next() uint64 { return c.PC + isa.InstrSize }
 
-// aluRetire writes back an ALU result: cost cycles, rd ready at the new
-// cycle, PC advances to the fall-through. Tiny so it inlines into every
-// expanded ALU case of execute.
-func (c *CPU) aluRetire(rd uint8, v, cost uint64) {
-	c.Regs[rd] = v
-	c.Cycle += cost
-	c.regReady[rd] = c.Cycle
-	c.PC += isa.InstrSize
-}
+// retire is the retire kernel shared by both tiers: it retires body —
+// a compiled block's straight-line instructions, or Step's single one —
+// then term, the exit, when non-nil, and returns how many instructions
+// retired. Every cycle charge, operand wait, hook site and fault identity
+// of a non-barrier instruction is written here once, and the exit
+// section is the one terminator resolver; block tier and single-step
+// tier differ only in how many instructions one call retires.
+//
+// The kernel keeps PC, Cycle and the retire count in locals and writes
+// them back only at exits and around calls into helpers that read core
+// state (the store-bypass machinery, interfere, and — because the
+// hierarchy's event clock points at c.Cycle — every cache access on a
+// telemetry-enabled core); from the exit on, c.PC and c.Cycle are
+// authoritative. The lazy-sync invariants are: c.PC/c.Cycle/c.instret
+// are authoritative again at every return, and current before every such
+// helper call.
+//
+// It stops before the exit after a retirement that crosses the cycle
+// horizon (RunUntilCycle) and after a store that dirtied one of b's own
+// pages (the remaining cached decodes, the exit's included, can no
+// longer be trusted: RWX self-modification, so the outer loop
+// revalidates or recompiles; b is nil for Step, whose body has no
+// further decodes to distrust), and at a fault, with the faulting
+// instruction not retired. body never holds a control-flow instruction
+// or a speculation barrier: compileBlock and Step route those by their
+// op-table class, and TestOpcodeMatrixCoversISA holds the table to the
+// isa package's classification.
+//
+// Every telEmit below is dominated by telOn, the c.tel != nil guard
+// hoisted once per call — an idiom the vet pass cannot trace.
+//
+//crspectrevet:guarded
+func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (int, error) {
+	var (
+		pc    = c.PC
+		cyc   = c.Cycle
+		telOn = c.tel != nil
+		stop  = c.stopCycle
+	)
+	// i counts the instructions retired so far: each iteration either
+	// retires body[i] or returns. pc is body[i]'s PC.
+	for i := 0; i < len(body); i++ {
+		in := body[i]
+		op := opTab[in.Op]
+		rd, rs1, rs2 := in.Rd&15, in.Rs1&15, in.Rs2&15
+		switch op.class {
+		case clsNop:
+			cyc++
 
-func (c *CPU) execute(in isa.Instruction) error {
-	switch in.Op {
-	case isa.NOP:
-		c.Cycle++
-		c.PC = c.next()
+		case clsMovi:
+			c.Regs[rd] = uint64(in.Imm)
+			cyc++
+			c.regReady[rd] = cyc
 
-	case isa.HALT:
-		c.Cycle++
-		c.halted = true
+		case clsMov:
+			cyc = c.wait1(rs1, cyc)
+			c.Regs[rd] = c.Regs[rs1]
+			cyc++
+			c.regReady[rd] = cyc
 
-	case isa.MOVI:
-		c.Regs[in.Rd] = uint64(in.Imm)
-		c.Cycle++
-		c.regReady[in.Rd] = c.Cycle
-		c.PC = c.next()
+		case clsALU:
+			cyc = c.wait2(rs1, rs2, cyc)
+			v := c.Regs[rs2]
+			if v == 0 && op.divides {
+				return c.retireFault(pc, cyc, i, errDivZero)
+			}
+			c.Regs[rd] = alu(op.base, c.Regs[rs1], v)
+			cyc += uint64(op.cost)
+			c.regReady[rd] = cyc
 
-	case isa.MOV:
-		c.waitReg(in.Rs1)
-		c.Regs[in.Rd] = c.Regs[in.Rs1]
-		c.Cycle++
-		c.regReady[in.Rd] = c.Cycle
-		c.PC = c.next()
+		case clsALUImm:
+			cyc = c.wait1(rs1, cyc)
+			v := uint64(in.Imm)
+			if v == 0 && op.divides {
+				return c.retireFault(pc, cyc, i, errDivZero)
+			}
+			c.Regs[rd] = alu(op.base, c.Regs[rs1], v)
+			cyc += uint64(op.cost)
+			c.regReady[rd] = cyc
 
-	// The ALU families are expanded per opcode so the retired path runs
-	// each operation directly instead of re-dispatching inside alu() —
-	// the second half of the fast front end in predecode.go. Semantics
-	// and cycle charges are identical to alu()/aluCost (the speculative
-	// path in spec.go still goes through them, and
-	// TestQuickALUSemantics/equivalence keep the two in lockstep).
-	case isa.ADD:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]+c.Regs[in.Rs2], 1)
-	case isa.SUB:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]-c.Regs[in.Rs2], 1)
-	case isa.MUL:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]*c.Regs[in.Rs2], 3)
-	case isa.DIV:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		if c.Regs[in.Rs2] == 0 {
-			return errDivZero
-		}
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]/c.Regs[in.Rs2], 20)
-	case isa.MOD:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		if c.Regs[in.Rs2] == 0 {
-			return errDivZero
-		}
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]%c.Regs[in.Rs2], 20)
-	case isa.AND:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]&c.Regs[in.Rs2], 1)
-	case isa.OR:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]|c.Regs[in.Rs2], 1)
-	case isa.XOR:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]^c.Regs[in.Rs2], 1)
-	case isa.SHL:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]<<(c.Regs[in.Rs2]&63), 1)
-	case isa.SHR:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]>>(c.Regs[in.Rs2]&63), 1)
-	case isa.SAR:
-		c.waitReg(in.Rs1)
-		c.waitReg(in.Rs2)
-		c.aluRetire(in.Rd, uint64(int64(c.Regs[in.Rs1])>>(c.Regs[in.Rs2]&63)), 1)
-
-	case isa.ADDI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]+uint64(in.Imm), 1)
-	case isa.SUBI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]-uint64(in.Imm), 1)
-	case isa.MULI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]*uint64(in.Imm), 3)
-	case isa.DIVI:
-		c.waitReg(in.Rs1)
-		if in.Imm == 0 {
-			return errDivZero
-		}
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]/uint64(in.Imm), 20)
-	case isa.MODI:
-		c.waitReg(in.Rs1)
-		if in.Imm == 0 {
-			return errDivZero
-		}
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]%uint64(in.Imm), 20)
-	case isa.ANDI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]&uint64(in.Imm), 1)
-	case isa.ORI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]|uint64(in.Imm), 1)
-	case isa.XORI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]^uint64(in.Imm), 1)
-	case isa.SHLI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]<<(uint64(in.Imm)&63), 1)
-	case isa.SHRI:
-		c.waitReg(in.Rs1)
-		c.aluRetire(in.Rd, c.Regs[in.Rs1]>>(uint64(in.Imm)&63), 1)
-
-	case isa.LOAD, isa.LOADB:
-		c.waitReg(in.Rs1)
-		addr := c.Regs[in.Rs1] + uint64(in.Imm)
-		var v uint64
-		var err error
-		if in.Op == isa.LOAD {
-			v, err = c.Mem.Read64(addr)
-		} else {
-			var b byte
-			b, err = c.Mem.Read8(addr)
-			v = uint64(b)
-		}
-		if err != nil {
-			return err
-		}
-		lat, _ := c.Caches.Access(addr)
-		c.loads++
-		if len(c.pendingStores) != 0 {
-			size := uint64(8)
+		case clsLoad:
+			cyc = c.wait1(rs1, cyc)
+			addr := c.Regs[rs1] + uint64(in.Imm)
+			var v uint64
+			var err error
 			if in.Op == isa.LOADB {
-				size = 1
+				var bb byte
+				bb, err = c.Mem.Read8(addr)
+				v = uint64(bb)
+			} else {
+				v, err = c.Mem.Read64(addr)
 			}
-			c.bypassCheck(in, addr, size, v, lat)
-		}
-		if addr < c.probeHi && addr >= c.probeLo && c.tel != nil {
-			c.telEmit(telemetry.KindCovertProbe, c.Cycle, c.PC, addr, lat)
-		}
-		issue := c.Cycle
-		c.Cycle++
-		c.Regs[in.Rd] = v
-		c.regReady[in.Rd] = issue + lat
-		c.PC = c.next()
+			if err != nil {
+				return c.retireFault(pc, cyc, i, err)
+			}
+			if telOn {
+				c.Cycle = cyc // the hierarchy's event clock reads c.Cycle
+			}
+			lat, _ := c.Caches.Access(addr)
+			c.loads++
+			if len(c.pendingStores) != 0 {
+				// bypassCheck derives the episode entry from PC and prunes
+				// by the core clock: sync both, reabsorb the stall after.
+				c.PC = pc
+				c.Cycle = cyc
+				c.bypassCheck(in, addr, v, lat)
+				cyc = c.Cycle
+			}
+			if addr < c.probeHi && addr >= c.probeLo && telOn {
+				c.telEmit(telemetry.KindCovertProbe, cyc, pc, addr, lat)
+			}
+			issue := cyc
+			cyc++
+			c.Regs[rd] = v
+			c.regReady[rd] = issue + lat
 
-	case isa.STORE, isa.STOREB:
-		c.waitReg(in.Rs1)
-		addr := c.Regs[in.Rs1] + uint64(in.Imm)
-		if c.cfg.SpeculationEnabled && !c.cfg.DisableStoreBypass && c.regReady[in.Rs2] > c.Cycle {
-			// Data register still in flight: the value written below is
-			// architecturally correct (the register file always is), but
-			// younger loads may speculatively bypass it (Spectre v4).
-			size := uint64(8)
+		case clsStore:
+			cyc = c.wait1(rs1, cyc)
+			addr := c.Regs[rs1] + uint64(in.Imm)
+			if c.cfg.SpeculationEnabled && !c.cfg.DisableStoreBypass && c.regReady[rs2] > cyc {
+				// Data register still in flight: the value written below is
+				// architecturally correct (the register file always is), but
+				// younger loads may speculatively bypass it (Spectre v4).
+				c.Cycle = cyc // trackPendingStore prunes by the core clock
+				c.trackPendingStore(in.Op, addr, c.regReady[rs2])
+			}
+			var err error
 			if in.Op == isa.STOREB {
-				size = 1
+				err = c.Mem.Write8(addr, byte(c.Regs[rs2]))
+			} else {
+				err = c.Mem.Write64(addr, c.Regs[rs2])
 			}
-			c.trackPendingStore(addr, size, c.regReady[in.Rs2])
-		}
-		var err error
-		if in.Op == isa.STORE {
-			err = c.Mem.Write64(addr, c.Regs[in.Rs2])
-		} else {
-			err = c.Mem.Write8(addr, byte(c.Regs[in.Rs2]))
-		}
-		if err != nil {
-			return err
-		}
-		c.Caches.Access(addr) // write-allocate
-		c.stores++
-		if addr < c.smashHi && c.tel != nil {
-			end := addr + 8
-			if in.Op == isa.STOREB {
-				end = addr + 1
+			if err != nil {
+				return c.retireFault(pc, cyc, i, err)
 			}
-			if end > c.smashLo {
-				c.telEmit(telemetry.KindStackSmash, c.Cycle, c.PC, addr, c.Regs[in.Rs2])
+			if telOn {
+				c.Cycle = cyc
 			}
+			c.Caches.Access(addr) // write-allocate
+			c.stores++
+			if addr < c.smashHi && addr+uint64(op.width) > c.smashLo && telOn {
+				c.telEmit(telemetry.KindStackSmash, cyc, pc, addr, c.Regs[rs2])
+			}
+			cyc++
+
+		case clsPush:
+			sp := c.Regs[isa.RegSP] - 8
+			if err := c.Mem.Write64(sp, c.Regs[rs1]); err != nil {
+				return c.retireFault(pc, cyc, i, err)
+			}
+			if telOn {
+				c.Cycle = cyc
+			}
+			c.Caches.Access(sp)
+			c.Regs[isa.RegSP] = sp
+			c.stores++
+			cyc++
+			c.regReady[isa.RegSP] = cyc
+
+		case clsPop:
+			sp := c.Regs[isa.RegSP]
+			v, err := c.Mem.Read64(sp)
+			if err != nil {
+				return c.retireFault(pc, cyc, i, err)
+			}
+			if telOn {
+				c.Cycle = cyc
+			}
+			lat, _ := c.Caches.Access(sp)
+			c.loads++
+			issue := cyc
+			cyc++
+			c.Regs[rd] = v
+			c.regReady[rd] = issue + lat
+			c.Regs[isa.RegSP] = sp + 8
+			c.regReady[isa.RegSP] = cyc
+
+		case clsCmp:
+			c.flagsReady = maxU64(cyc+1, maxU64(c.regReady[rs1], c.regReady[rs2]))
+			c.setFlags(c.Regs[rs1], c.Regs[rs2])
+			cyc++
+
+		case clsCmpImm:
+			c.flagsReady = maxU64(cyc+1, c.regReady[rs1])
+			c.setFlags(c.Regs[rs1], uint64(in.Imm))
+			cyc++
+
+		case clsFlush:
+			if c.cfg.PrivilegedFlush {
+				return c.retireFault(pc, cyc, i, errPrivileged)
+			}
+			cyc = c.wait1(rs1, cyc)
+			if telOn {
+				c.Cycle = cyc
+			}
+			c.Caches.Flush(c.Regs[rs1] + uint64(in.Imm))
+			c.flushes++
+			cyc += c.cfg.FlushCost
+
+		case clsRdtsc:
+			c.Regs[rd] = cyc
+			cyc++
+			c.regReady[rd] = cyc
+
 		}
-		c.Cycle++
-		c.PC = c.next()
 
-	case isa.PUSH:
-		sp := c.Regs[isa.RegSP] - 8
-		if err := c.Mem.Write64(sp, c.Regs[in.Rs1]); err != nil {
-			return err
+		pc += isa.InstrSize
+		if c.noiseNext != 0 {
+			c.Cycle = cyc
+			c.interfere()
 		}
-		c.Caches.Access(sp)
-		c.Regs[isa.RegSP] = sp
-		c.stores++
-		c.Cycle++
-		c.regReady[isa.RegSP] = c.Cycle
-		c.PC = c.next()
-
-	case isa.POP:
-		sp := c.Regs[isa.RegSP]
-		v, err := c.Mem.Read64(sp)
-		if err != nil {
-			return err
+		if telOn {
+			c.telEmit(telemetry.KindRetire, cyc, pc-isa.InstrSize, 0, uint64(in.Op))
 		}
-		lat, _ := c.Caches.Access(sp)
-		c.loads++
-		issue := c.Cycle
-		c.Cycle++
-		c.Regs[in.Rd] = v
-		c.regReady[in.Rd] = issue + lat
-		c.Regs[isa.RegSP] = sp + 8
-		c.regReady[isa.RegSP] = c.Cycle
-		c.PC = c.next()
+		if (op.class == clsStore || op.class == clsPush) && b != nil &&
+			(c.genTab[b.pg0] != b.gen0 || c.genTab[b.pg1] != b.gen1) ||
+			cyc >= stop {
+			// The store dirtied this block's own code, so the remaining
+			// cached decodes (the exit's too) are stale; or this
+			// retirement crossed the cycle horizon (RunUntilCycle), and
+			// the observer must see state exactly here. Either way the
+			// outer loop takes over.
+			c.PC, c.Cycle = pc, cyc
+			c.instret += uint64(i + 1)
+			return i + 1, nil
+		}
+	}
+	n := len(body)
+	c.PC, c.Cycle = pc, cyc
+	if term == nil {
+		c.instret += uint64(n)
+		return n, nil
+	}
 
-	case isa.CMP:
-		ready := maxU64(c.Cycle+1, maxU64(c.regReady[in.Rs1], c.regReady[in.Rs2]))
-		c.setFlags(c.Regs[in.Rs1], c.Regs[in.Rs2])
-		c.flagsReady = ready
-		c.Cycle++
-		c.PC = c.next()
-
-	case isa.CMPI:
-		ready := maxU64(c.Cycle+1, c.regReady[in.Rs1])
-		c.setFlags(c.Regs[in.Rs1], uint64(in.Imm))
-		c.flagsReady = ready
-		c.Cycle++
-		c.PC = c.next()
-
-	case isa.JMP:
+	// The exit: the one terminator resolver. The branch helpers engage
+	// the predictors, launch the wrong-path episodes, and read and
+	// advance core state themselves.
+	in := *term
+	switch opTab[in.Op].class {
+	case clsJmp:
 		c.BP.Stats.Direct++
 		c.Cycle++
 		c.PC = uint64(in.Imm)
 
-	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JBE, isa.JA, isa.JAE:
+	case clsJcc:
 		c.condBranch(in)
 
-	case isa.CALL:
+	case clsCall, clsCallr:
+		target := c.Regs[in.Rs1&15] // read before the SP update below
 		sp := c.Regs[isa.RegSP] - 8
-		ret := c.next()
+		ret := pc + isa.InstrSize
 		if err := c.Mem.Write64(sp, ret); err != nil {
-			return err
+			return c.retireFault(pc, cyc, n, err)
 		}
 		c.Caches.Access(sp)
 		c.Regs[isa.RegSP] = sp
 		c.stores++
 		c.BP.RSB.Push(ret)
-		c.BP.Stats.Direct++
-		c.Cycle++
-		c.regReady[isa.RegSP] = c.Cycle
-		c.PC = uint64(in.Imm)
-
-	case isa.CALLR:
-		target := c.Regs[in.Rs1]
-		sp := c.Regs[isa.RegSP] - 8
-		ret := c.next()
-		if err := c.Mem.Write64(sp, ret); err != nil {
-			return err
+		if in.Op == isa.CALL {
+			c.BP.Stats.Direct++
+			c.Cycle++
+			c.regReady[isa.RegSP] = c.Cycle
+			c.PC = uint64(in.Imm)
+		} else {
+			c.indirect(in.Rs1&15, target)
+			c.PC = target
 		}
-		c.Caches.Access(sp)
-		c.Regs[isa.RegSP] = sp
-		c.stores++
-		c.BP.RSB.Push(ret)
-		c.indirect(in.Rs1, target)
+
+	case clsJmpr:
+		target := c.Regs[in.Rs1&15]
+		c.indirect(in.Rs1&15, target)
 		c.PC = target
 
-	case isa.JMPR:
-		target := c.Regs[in.Rs1]
-		c.indirect(in.Rs1, target)
-		c.PC = target
-
-	case isa.RET:
+	case clsRet:
 		if err := c.ret(); err != nil {
-			return err
+			return c.retireFault(pc, c.Cycle, n, err)
 		}
 
-	case isa.CLFLUSH:
-		if c.cfg.PrivilegedFlush {
-			return errPrivileged
-		}
-		c.waitReg(in.Rs1)
-		c.Caches.Flush(c.Regs[in.Rs1] + uint64(in.Imm))
-		c.flushes++
-		c.Cycle += c.cfg.FlushCost
-		c.PC = c.next()
-
-	case isa.MFENCE:
-		if c.cfg.PrivilegedFlush {
-			return errPrivileged
-		}
-		c.drain()
-		c.fences++
-		c.Cycle += c.cfg.FenceCost
-		c.PC = c.next()
-
-	case isa.LFENCE:
-		c.drain()
-		c.fences++
-		c.Cycle += c.cfg.FenceCost
-		c.PC = c.next()
-
-	case isa.RDTSC:
-		c.Regs[in.Rd] = c.Cycle
+	case clsHalt:
 		c.Cycle++
-		c.regReady[in.Rd] = c.Cycle
-		c.PC = c.next()
-
-	case isa.SYSCALL:
-		c.drain()
-		c.syscalls++
-		c.Cycle += 50
-		c.PC = c.next()
-		if c.OnSyscall == nil {
-			return errors.New("cpu: SYSCALL with no handler")
-		}
-		if err := c.OnSyscall(c); err != nil {
-			return err
-		}
-
-	default:
-		return fmt.Errorf("cpu: unimplemented opcode %s", in.Op)
+		c.halted = true
 	}
-	return nil
+	c.instret += uint64(n) + 1
+	if c.noiseNext != 0 {
+		c.interfere()
+	}
+	if telOn {
+		c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(in.Op))
+	}
+	return n + 1, nil
+}
+
+// wait1/wait2 advance the kernel's local clock past operand readiness,
+// charging the stall. Both are small enough to inline into the kernel.
+func (c *CPU) wait1(r uint8, cyc uint64) uint64 {
+	if rr := c.regReady[r]; rr > cyc {
+		c.stallCycles += rr - cyc
+		return rr
+	}
+	return cyc
+}
+
+func (c *CPU) wait2(r1, r2 uint8, cyc uint64) uint64 {
+	if rr := c.regReady[r1]; rr > cyc {
+		c.stallCycles += rr - cyc
+		cyc = rr
+	}
+	if rr := c.regReady[r2]; rr > cyc {
+		c.stallCycles += rr - cyc
+		cyc = rr
+	}
+	return cyc
+}
+
+// retireFault syncs the lazily tracked core state back at a faulting
+// instruction (which does not retire) and wraps the error with its PC.
+// Outlined to keep the fault plumbing off the hot path.
+//
+//go:noinline
+func (c *CPU) retireFault(pc, cyc uint64, n int, err error) (int, error) {
+	c.PC, c.Cycle = pc, cyc
+	c.instret += uint64(n)
+	return n, &Fault{PC: pc, Err: err}
 }
 
 // condBranch resolves a conditional branch, engaging the predictor and —
@@ -635,65 +650,162 @@ func condEval(op isa.Op, z, lt, b bool) bool {
 
 var errDivZero = errors.New("cpu: division by zero")
 
-func alu(op isa.Op, a, b uint64) (uint64, error) {
-	switch op {
-	case isa.ADD:
-		return a + b, nil
-	case isa.SUB:
-		return a - b, nil
-	case isa.MUL:
-		return a * b, nil
-	case isa.DIV:
-		if b == 0 {
-			return 0, errDivZero
+// alu evaluates a register-form ALU operation — the one definition of
+// ALU semantics every execution path uses (immediate forms map to their
+// register form through opTab's base). Callers fault a zero divisor
+// (opInfo.divides) before calling. It inlines into every call site, and
+// it is two short switches rather than one 11-way switch on purpose: Go
+// compiles the latter to a jump table, and that second indirect jump
+// after the kernel's class dispatch mispredicts far more often than this
+// compare tree (measured: the tree gives about a fifth more block-tier
+// throughput).
+func alu(op isa.Op, a, b uint64) uint64 {
+	if op < isa.AND {
+		switch op {
+		case isa.ADD:
+			return a + b
+		case isa.SUB:
+			return a - b
+		case isa.MUL:
+			return a * b
+		case isa.DIV:
+			return a / b
 		}
-		return a / b, nil
-	case isa.MOD:
-		if b == 0 {
-			return 0, errDivZero
-		}
-		return a % b, nil
-	case isa.AND:
-		return a & b, nil
-	case isa.OR:
-		return a | b, nil
-	case isa.XOR:
-		return a ^ b, nil
-	case isa.SHL:
-		return a << (b & 63), nil
-	case isa.SHR:
-		return a >> (b & 63), nil
-	case isa.SAR:
-		return uint64(int64(a) >> (b & 63)), nil
+		return a % b // MOD
 	}
-	return 0, fmt.Errorf("cpu: not an ALU op: %s", op)
+	switch op {
+	case isa.AND:
+		return a & b
+	case isa.OR:
+		return a | b
+	case isa.XOR:
+		return a ^ b
+	case isa.SHL:
+		return a << (b & 63)
+	case isa.SHR:
+		return a >> (b & 63)
+	}
+	return uint64(int64(a) >> (b & 63)) // SAR
 }
 
-// immOpBaseTab maps an immediate-form ALU opcode to its register form
-// (identity elsewhere); a table so the lookup inlines on the hot path.
-var immOpBaseTab = func() [isa.NumOps]isa.Op {
-	var t [isa.NumOps]isa.Op
-	for i := range t {
-		t[i] = isa.Op(i)
-	}
-	t[isa.ADDI], t[isa.SUBI], t[isa.MULI] = isa.ADD, isa.SUB, isa.MUL
-	t[isa.DIVI], t[isa.MODI], t[isa.ANDI] = isa.DIV, isa.MOD, isa.AND
-	t[isa.ORI], t[isa.XORI], t[isa.SHLI], t[isa.SHRI] = isa.OR, isa.XOR, isa.SHL, isa.SHR
-	return t
-}()
+// opClass is an opcode's execution class: the one dispatch key of the
+// retire kernel (whose control-flow cases are the terminator resolver)
+// and of the wrong-path executor.
+type opClass uint8
 
-// immOpBase maps an immediate-form ALU opcode to its register form.
-func immOpBase(op isa.Op) isa.Op { return immOpBaseTab[op] }
+const (
+	clsInvalid opClass = iota // no such opcode
 
-// aluCostTab holds per-opcode ALU cycle costs (1 except MUL/DIV/MOD).
-var aluCostTab = func() [isa.NumOps]uint64 {
-	var t [isa.NumOps]uint64
-	for i := range t {
-		t[i] = 1
-	}
-	t[isa.MUL] = 3
-	t[isa.DIV], t[isa.MOD] = 20, 20
-	return t
-}()
+	// Straight-line classes: retired by the kernel, held in block bodies.
+	clsNop
+	clsMovi
+	clsMov
+	clsALU    // rd = rs1 <base> rs2
+	clsALUImm // rd = rs1 <base> imm
+	clsLoad
+	clsStore
+	clsPush
+	clsPop
+	clsCmp
+	clsCmpImm
+	clsFlush
+	clsRdtsc
 
-func aluCost(op isa.Op) uint64 { return aluCostTab[op] }
+	// Terminators: a block's exit, resolved by the kernel's exit section.
+	clsHalt
+	clsJmp
+	clsJcc
+	clsCall
+	clsCallr
+	clsJmpr
+	clsRet
+
+	// Speculation barriers: retired by Step only, never in a block.
+	clsFence
+	clsSyscall
+)
+
+// terminates reports whether the class ends a block: a control-flow
+// instruction, retired as the kernel's exit.
+func (k opClass) terminates() bool { return k >= clsHalt && k <= clsRet }
+
+// opInfo is everything the execution paths need to know about an opcode
+// beyond its operands.
+type opInfo struct {
+	class opClass
+	// base is the register-form ALU operation alu evaluates (the opcode
+	// itself for the register forms).
+	base isa.Op
+	// width is the byte width of the data access: LOAD/STORE forms and
+	// the stack word of PUSH/POP/CALL/CALLR/RET.
+	width uint8
+	// cost is the ALU result latency in cycles.
+	cost uint8
+	// divides marks the ALU operations whose zero second operand
+	// faults (DIV/MOD and their immediate forms).
+	divides bool
+}
+
+// opTab is the op table: the single definition of every per-opcode
+// cycle cost, access width and immediate-form base the core uses.
+var opTab = [isa.NumOps]opInfo{
+	isa.NOP:  {class: clsNop},
+	isa.HALT: {class: clsHalt},
+	isa.MOVI: {class: clsMovi},
+	isa.MOV:  {class: clsMov},
+
+	isa.ADD: {class: clsALU, base: isa.ADD, cost: 1},
+	isa.SUB: {class: clsALU, base: isa.SUB, cost: 1},
+	isa.MUL: {class: clsALU, base: isa.MUL, cost: 3},
+	isa.DIV: {class: clsALU, base: isa.DIV, cost: 20, divides: true},
+	isa.MOD: {class: clsALU, base: isa.MOD, cost: 20, divides: true},
+	isa.AND: {class: clsALU, base: isa.AND, cost: 1},
+	isa.OR:  {class: clsALU, base: isa.OR, cost: 1},
+	isa.XOR: {class: clsALU, base: isa.XOR, cost: 1},
+	isa.SHL: {class: clsALU, base: isa.SHL, cost: 1},
+	isa.SHR: {class: clsALU, base: isa.SHR, cost: 1},
+	isa.SAR: {class: clsALU, base: isa.SAR, cost: 1},
+
+	isa.ADDI: {class: clsALUImm, base: isa.ADD, cost: 1},
+	isa.SUBI: {class: clsALUImm, base: isa.SUB, cost: 1},
+	isa.MULI: {class: clsALUImm, base: isa.MUL, cost: 3},
+	isa.DIVI: {class: clsALUImm, base: isa.DIV, cost: 20, divides: true},
+	isa.MODI: {class: clsALUImm, base: isa.MOD, cost: 20, divides: true},
+	isa.ANDI: {class: clsALUImm, base: isa.AND, cost: 1},
+	isa.ORI:  {class: clsALUImm, base: isa.OR, cost: 1},
+	isa.XORI: {class: clsALUImm, base: isa.XOR, cost: 1},
+	isa.SHLI: {class: clsALUImm, base: isa.SHL, cost: 1},
+	isa.SHRI: {class: clsALUImm, base: isa.SHR, cost: 1},
+
+	isa.LOAD:   {class: clsLoad, width: 8},
+	isa.LOADB:  {class: clsLoad, width: 1},
+	isa.STORE:  {class: clsStore, width: 8},
+	isa.STOREB: {class: clsStore, width: 1},
+	isa.PUSH:   {class: clsPush, width: 8},
+	isa.POP:    {class: clsPop, width: 8},
+
+	isa.CMP:  {class: clsCmp},
+	isa.CMPI: {class: clsCmpImm},
+
+	isa.JMP:   {class: clsJmp},
+	isa.JE:    {class: clsJcc},
+	isa.JNE:   {class: clsJcc},
+	isa.JL:    {class: clsJcc},
+	isa.JLE:   {class: clsJcc},
+	isa.JG:    {class: clsJcc},
+	isa.JGE:   {class: clsJcc},
+	isa.JB:    {class: clsJcc},
+	isa.JBE:   {class: clsJcc},
+	isa.JA:    {class: clsJcc},
+	isa.JAE:   {class: clsJcc},
+	isa.CALL:  {class: clsCall, width: 8},
+	isa.CALLR: {class: clsCallr, width: 8},
+	isa.JMPR:  {class: clsJmpr},
+	isa.RET:   {class: clsRet, width: 8},
+
+	isa.CLFLUSH: {class: clsFlush},
+	isa.MFENCE:  {class: clsFence},
+	isa.LFENCE:  {class: clsFence},
+	isa.RDTSC:   {class: clsRdtsc},
+	isa.SYSCALL: {class: clsSyscall},
+}

@@ -1,73 +1,78 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
+
+// opcodeMatrix is one small program per opcode with its architectural
+// result, run by TestOpcodeSemanticsMatrix.
+var opcodeMatrix = []struct {
+	name string
+	src  string
+	reg  int
+	want uint64
+}{
+	{"movi", "movi r1, 42\nhalt", 1, 42},
+	{"movi_negative", "movi r1, -1\nhalt", 1, ^uint64(0)},
+	{"mov", "movi r2, 9\nmov r1, r2\nhalt", 1, 9},
+	{"add", "movi r2, 3\nmovi r3, 4\nadd r1, r2, r3\nhalt", 1, 7},
+	{"sub_wraps", "movi r2, 1\nmovi r3, 2\nsub r1, r2, r3\nhalt", 1, ^uint64(0)},
+	{"mul", "movi r2, 6\nmovi r3, 7\nmul r1, r2, r3\nhalt", 1, 42},
+	{"div", "movi r2, 42\nmovi r3, 5\ndiv r1, r2, r3\nhalt", 1, 8},
+	{"mod", "movi r2, 42\nmovi r3, 5\nmod r1, r2, r3\nhalt", 1, 2},
+	{"and", "movi r2, 12\nmovi r3, 10\nand r1, r2, r3\nhalt", 1, 8},
+	{"or", "movi r2, 12\nmovi r3, 10\nor r1, r2, r3\nhalt", 1, 14},
+	{"xor", "movi r2, 12\nmovi r3, 10\nxor r1, r2, r3\nhalt", 1, 6},
+	{"shl", "movi r2, 1\nmovi r3, 12\nshl r1, r2, r3\nhalt", 1, 4096},
+	{"shr", "movi r2, 4096\nmovi r3, 12\nshr r1, r2, r3\nhalt", 1, 1},
+	{"sar_negative", "movi r2, -16\nmovi r3, 2\nsar r1, r2, r3\nhalt", 1, ^uint64(0) - 3}, // -4
+	{"shr_negative_is_logical", "movi r2, -16\nmovi r3, 60\nshr r1, r2, r3\nhalt", 1, 15},
+	{"addi", "movi r2, 40\naddi r1, r2, 2\nhalt", 1, 42},
+	{"subi", "movi r2, 44\nsubi r1, r2, 2\nhalt", 1, 42},
+	{"muli", "movi r2, 21\nmuli r1, r2, 2\nhalt", 1, 42},
+	{"divi", "movi r2, 84\ndivi r1, r2, 2\nhalt", 1, 42},
+	{"modi", "movi r2, 44\nmodi r1, r2, 43\nhalt", 1, 1},
+	{"andi", "movi r2, 0xff\nandi r1, r2, 0x0f\nhalt", 1, 15},
+	{"ori", "movi r2, 0xf0\nori r1, r2, 0x0f\nhalt", 1, 255},
+	{"xori", "movi r2, 0xff\nxori r1, r2, 0x0f\nhalt", 1, 0xf0},
+	{"shli", "movi r2, 3\nshli r1, r2, 4\nhalt", 1, 48},
+	{"shri", "movi r2, 48\nshri r1, r2, 4\nhalt", 1, 3},
+	{"shift_mod64", "movi r2, 1\nshli r1, r2, 65\nhalt", 1, 2},
+	{"load_store", "movi r2, d\nmovi r3, 777\nstore [r2], r3\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 777},
+	{"loadb_low_byte", "movi r2, d\nmovi r3, 0x1234\nstore [r2], r3\nloadb r1, [r2]\nhalt\n.data\nd: .word 0", 1, 0x34},
+	{"storeb_truncates", "movi r2, d\nmovi r3, 0x1FF\nstoreb [r2], r3\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 0xFF},
+	{"load_displacement", "movi r2, d\nload r1, [r2+8]\nhalt\n.data\nd: .word 1, 99", 1, 99},
+	{"push_pop", "movi r2, 5\npush r2\npop r1\nhalt", 1, 5},
+	{"rdtsc_nonzero", "nop\nnop\nrdtsc r1\ncmpi r1, 0\nje bad\nmovi r1, 1\nhalt\nbad: movi r1, 0\nhalt", 1, 1},
+	{"je_taken", "movi r2, 5\ncmpi r2, 5\nje yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jne_not_taken", "movi r2, 5\ncmpi r2, 5\njne yes\nmovi r1, 1\nhalt\nyes: movi r1, 0\nhalt", 1, 1},
+	{"jl_signed", "movi r2, -5\ncmpi r2, 0\njl yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jle_equal", "movi r2, 5\ncmpi r2, 5\njle yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jg_signed", "movi r2, 5\ncmpi r2, -1\njg yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jge_equal", "movi r2, 5\ncmpi r2, 5\njge yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jb_unsigned", "movi r2, 5\ncmpi r2, -1\njb yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jbe_equal", "movi r2, 5\ncmpi r2, 5\njbe yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"ja_unsigned", "movi r2, -1\ncmpi r2, 5\nja yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jae_equal", "movi r2, 5\ncmpi r2, 5\njae yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"jmp", "jmp over\nmovi r1, 0\nhalt\nover: movi r1, 1\nhalt", 1, 1},
+	{"jmpr", "movi r2, over\njmpr r2\nmovi r1, 0\nhalt\nover: movi r1, 1\nhalt", 1, 1},
+	{"call_ret", ".entry main\nf: movi r1, 1\nret\nmain: movi r1, 0\ncall f\nhalt", 1, 1},
+	{"callr", ".entry main\nf: movi r1, 1\nret\nmain: movi r2, f\nmovi r1, 0\ncallr r2\nhalt", 1, 1},
+	{"cmp_reg_form", "movi r2, 3\nmovi r3, 3\ncmp r2, r3\nje yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
+	{"clflush_is_functional_noop", "movi r2, d\nmovi r3, 5\nstore [r2], r3\nclflush [r2]\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 5},
+	{"mfence_preserves_state", "movi r1, 7\nmfence\nhalt", 1, 7},
+	{"lfence_preserves_state", "movi r1, 7\nlfence\nhalt", 1, 7},
+	{"nop", "movi r1, 3\nnop\nhalt", 1, 3},
+}
 
 // TestOpcodeSemanticsMatrix runs a small program per opcode and checks
 // the architectural result — a systematic spot check that every
 // instruction computes what its documentation says.
 func TestOpcodeSemanticsMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		reg  int
-		want uint64
-	}{
-		{"movi", "movi r1, 42\nhalt", 1, 42},
-		{"movi_negative", "movi r1, -1\nhalt", 1, ^uint64(0)},
-		{"mov", "movi r2, 9\nmov r1, r2\nhalt", 1, 9},
-		{"add", "movi r2, 3\nmovi r3, 4\nadd r1, r2, r3\nhalt", 1, 7},
-		{"sub_wraps", "movi r2, 1\nmovi r3, 2\nsub r1, r2, r3\nhalt", 1, ^uint64(0)},
-		{"mul", "movi r2, 6\nmovi r3, 7\nmul r1, r2, r3\nhalt", 1, 42},
-		{"div", "movi r2, 42\nmovi r3, 5\ndiv r1, r2, r3\nhalt", 1, 8},
-		{"mod", "movi r2, 42\nmovi r3, 5\nmod r1, r2, r3\nhalt", 1, 2},
-		{"and", "movi r2, 12\nmovi r3, 10\nand r1, r2, r3\nhalt", 1, 8},
-		{"or", "movi r2, 12\nmovi r3, 10\nor r1, r2, r3\nhalt", 1, 14},
-		{"xor", "movi r2, 12\nmovi r3, 10\nxor r1, r2, r3\nhalt", 1, 6},
-		{"shl", "movi r2, 1\nmovi r3, 12\nshl r1, r2, r3\nhalt", 1, 4096},
-		{"shr", "movi r2, 4096\nmovi r3, 12\nshr r1, r2, r3\nhalt", 1, 1},
-		{"sar_negative", "movi r2, -16\nmovi r3, 2\nsar r1, r2, r3\nhalt", 1, ^uint64(0) - 3}, // -4
-		{"shr_negative_is_logical", "movi r2, -16\nmovi r3, 60\nshr r1, r2, r3\nhalt", 1, 15},
-		{"addi", "movi r2, 40\naddi r1, r2, 2\nhalt", 1, 42},
-		{"subi", "movi r2, 44\nsubi r1, r2, 2\nhalt", 1, 42},
-		{"muli", "movi r2, 21\nmuli r1, r2, 2\nhalt", 1, 42},
-		{"divi", "movi r2, 84\ndivi r1, r2, 2\nhalt", 1, 42},
-		{"modi", "movi r2, 44\nmodi r1, r2, 43\nhalt", 1, 1},
-		{"andi", "movi r2, 0xff\nandi r1, r2, 0x0f\nhalt", 1, 15},
-		{"ori", "movi r2, 0xf0\nori r1, r2, 0x0f\nhalt", 1, 255},
-		{"xori", "movi r2, 0xff\nxori r1, r2, 0x0f\nhalt", 1, 0xf0},
-		{"shli", "movi r2, 3\nshli r1, r2, 4\nhalt", 1, 48},
-		{"shri", "movi r2, 48\nshri r1, r2, 4\nhalt", 1, 3},
-		{"shift_mod64", "movi r2, 1\nshli r1, r2, 65\nhalt", 1, 2},
-		{"load_store", "movi r2, d\nmovi r3, 777\nstore [r2], r3\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 777},
-		{"loadb_low_byte", "movi r2, d\nmovi r3, 0x1234\nstore [r2], r3\nloadb r1, [r2]\nhalt\n.data\nd: .word 0", 1, 0x34},
-		{"storeb_truncates", "movi r2, d\nmovi r3, 0x1FF\nstoreb [r2], r3\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 0xFF},
-		{"load_displacement", "movi r2, d\nload r1, [r2+8]\nhalt\n.data\nd: .word 1, 99", 1, 99},
-		{"push_pop", "movi r2, 5\npush r2\npop r1\nhalt", 1, 5},
-		{"rdtsc_nonzero", "nop\nnop\nrdtsc r1\ncmpi r1, 0\nje bad\nmovi r1, 1\nhalt\nbad: movi r1, 0\nhalt", 1, 1},
-		{"je_taken", "movi r2, 5\ncmpi r2, 5\nje yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jne_not_taken", "movi r2, 5\ncmpi r2, 5\njne yes\nmovi r1, 1\nhalt\nyes: movi r1, 0\nhalt", 1, 1},
-		{"jl_signed", "movi r2, -5\ncmpi r2, 0\njl yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jle_equal", "movi r2, 5\ncmpi r2, 5\njle yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jg_signed", "movi r2, 5\ncmpi r2, -1\njg yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jge_equal", "movi r2, 5\ncmpi r2, 5\njge yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jb_unsigned", "movi r2, 5\ncmpi r2, -1\njb yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jbe_equal", "movi r2, 5\ncmpi r2, 5\njbe yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"ja_unsigned", "movi r2, -1\ncmpi r2, 5\nja yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jae_equal", "movi r2, 5\ncmpi r2, 5\njae yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"jmp", "jmp over\nmovi r1, 0\nhalt\nover: movi r1, 1\nhalt", 1, 1},
-		{"jmpr", "movi r2, over\njmpr r2\nmovi r1, 0\nhalt\nover: movi r1, 1\nhalt", 1, 1},
-		{"call_ret", ".entry main\nf: movi r1, 1\nret\nmain: movi r1, 0\ncall f\nhalt", 1, 1},
-		{"callr", ".entry main\nf: movi r1, 1\nret\nmain: movi r2, f\nmovi r1, 0\ncallr r2\nhalt", 1, 1},
-		{"cmp_reg_form", "movi r2, 3\nmovi r3, 3\ncmp r2, r3\nje yes\nmovi r1, 0\nhalt\nyes: movi r1, 1\nhalt", 1, 1},
-		{"clflush_is_functional_noop", "movi r2, d\nmovi r3, 5\nstore [r2], r3\nclflush [r2]\nload r1, [r2]\nhalt\n.data\nd: .word 0", 1, 5},
-		{"mfence_preserves_state", "movi r1, 7\nmfence\nhalt", 1, 7},
-		{"lfence_preserves_state", "movi r1, 7\nlfence\nhalt", 1, 7},
-		{"nop", "movi r1, 3\nnop\nhalt", 1, 3},
-	}
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range opcodeMatrix {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := load(t, tc.src, DefaultConfig())
 			mustRun(t, c, 10_000)
@@ -78,15 +83,51 @@ func TestOpcodeSemanticsMatrix(t *testing.T) {
 	}
 }
 
-// TestOpcodeMatrixCoversISA sanity-checks that the matrix above is not
-// silently missing newly added opcodes (update both when extending the
-// ISA).
+// TestOpcodeMatrixCoversISA assembles every matrix program and fails,
+// naming them, when valid opcodes other than SYSCALL/HALT (covered by
+// dedicated tests) appear in none — so a newly added opcode cannot go
+// unexercised. It also holds every valid opcode to an op-table entry
+// that agrees with the isa package's classification: the block compiler
+// splits regions by IsBlockTerminator/IsSpecBarrier, while the retire
+// kernel, Step and the wrong-path executor dispatch on opTab alone.
 func TestOpcodeMatrixCoversISA(t *testing.T) {
-	// The matrix exercises every opcode except SYSCALL/HALT (covered by
-	// dedicated tests elsewhere in the package).
-	const exercised = 41 // distinct opcodes hit by the matrix programs
-	if exercised < 40 {
-		t.Fatal("opcode matrix shrank")
+	seen := map[isa.Op]bool{}
+	for _, tc := range opcodeMatrix {
+		mod, err := isa.Assemble(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		img, err := mod.Link(0x10000)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ins, err := isa.DecodeAll(img.Code)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, in := range ins {
+			seen[in.Op] = true
+		}
+	}
+	var missing []string
+	for op := isa.Op(0); op.Valid(); op++ {
+		if !seen[op] && op != isa.SYSCALL && op != isa.HALT {
+			missing = append(missing, op.String())
+		}
+		e := opTab[op]
+		if e.class == clsInvalid {
+			t.Errorf("%s has no op-table entry", op)
+			continue
+		}
+		if e.class.terminates() != op.IsBlockTerminator() {
+			t.Errorf("%s: op-table class %d disagrees with IsBlockTerminator", op, e.class)
+		}
+		if barrier := e.class == clsFence || e.class == clsSyscall; barrier != op.IsSpecBarrier() {
+			t.Errorf("%s: op-table class %d disagrees with IsSpecBarrier", op, e.class)
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("no opcode-matrix program exercises: %s", strings.Join(missing, ", "))
 	}
 }
 

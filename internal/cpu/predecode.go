@@ -62,12 +62,11 @@ func (c *CPU) fetchDecode(pc uint64) (isa.Instruction, bool) {
 
 // fetchDecodeMiss fills (or refreshes) the predecode slot for pc: the
 // first visit to a PC pays the full permission-checked fetch and
-// validating decode here. A page-straddling pc, or a core with the cache
-// disabled for differential testing, takes the original uncached
+// validating decode here. A page-straddling pc takes the uncached
 // Fetch+Decode path and leaves the slot alone.
 func (c *CPU) fetchDecodeMiss(pc uint64) (isa.Instruction, error) {
 	e := &c.icache[(pc/isa.InstrSize)%icacheSize]
-	if pc&(mem.PageSize-1) > maxInPageOff || c.predecodeOff {
+	if pc&(mem.PageSize-1) > maxInPageOff {
 		raw, err := c.Mem.Fetch(pc, isa.InstrSize)
 		if err != nil {
 			return isa.Instruction{}, err

@@ -119,49 +119,6 @@ func TestPredecodeStaleAfterRemap(t *testing.T) {
 	}
 }
 
-// TestPredecodeTimingNeutral is the differential check that the predecode
-// cache is invisible to the model: the same branchy, speculating program
-// run with the cache on and off must produce identical architectural state
-// and an identical PMU snapshot, cycle for cycle.
-func TestPredecodeTimingNeutral(t *testing.T) {
-	src := `
-		subi sp, sp, 16      ; scratch frame
-		movi r1, 0           ; i
-		movi r2, 0           ; acc
-	loop:
-		store [sp], r1
-		load r4, [sp]        ; in-flight value feeds the compare
-		cmp r4, r2           ; -> unresolved branch, wrong-path episodes
-		je hit
-		addi r2, r2, 1
-	hit:
-		addi r1, r1, 1
-		cmpi r1, 100
-		jne loop
-		halt
-	`
-	run := func(off bool) (*CPU, Snapshot) {
-		c, _ := load(t, src, DefaultConfig())
-		c.predecodeOff = off
-		mustRun(t, c, 1_000_000)
-		return c, c.Snapshot()
-	}
-	cOn, snapOn := run(false)
-	cOff, snapOff := run(true)
-
-	if snapOn != snapOff {
-		t.Errorf("PMU snapshots diverge:\n  cached:   %+v\n  uncached: %+v", snapOn, snapOff)
-	}
-	if cOn.Regs != cOff.Regs || cOn.PC != cOff.PC || cOn.Cycle != cOff.Cycle {
-		t.Errorf("architectural state diverges: regs %v vs %v, pc %#x vs %#x, cycle %d vs %d",
-			cOn.Regs, cOff.Regs, cOn.PC, cOff.PC, cOn.Cycle, cOff.Cycle)
-	}
-	if snapOn.SpecInstructions == 0 || snapOn.SpecLoads == 0 {
-		t.Fatalf("test program did not speculate (spec instrs %d, spec loads %d); differential check is vacuous",
-			snapOn.SpecInstructions, snapOn.SpecLoads)
-	}
-}
-
 // TestPredecodeStraddlingPCUncached drives execution onto a non-aligned PC
 // whose instruction straddles a page boundary: the fill path must refuse
 // to cache it and the uncached fetch must still fault correctly when the

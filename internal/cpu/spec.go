@@ -101,58 +101,54 @@ loop:
 		c.specInstr++
 		next := pc + isa.InstrSize
 
-		switch in.Op {
-		case isa.NOP:
+		switch op := opTab[in.Op]; op.class {
+		case clsNop:
 			s.cyc++
 			pc = next
 
-		case isa.MOVI:
+		case clsMovi:
 			s.regs[in.Rd] = uint64(in.Imm)
 			s.cyc++
 			s.ready[in.Rd] = s.cyc
 			pc = next
 
-		case isa.MOV:
+		case clsMov:
 			wait(in.Rs1)
 			s.regs[in.Rd] = s.regs[in.Rs1]
 			s.cyc++
 			s.ready[in.Rd] = s.cyc
 			pc = next
 
-		case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR:
+		case clsALU:
 			wait(in.Rs1)
 			wait(in.Rs2)
-			v, err := alu(in.Op, s.regs[in.Rs1], s.regs[in.Rs2])
-			if err != nil {
+			v := s.regs[in.Rs2]
+			if v == 0 && op.divides {
 				break loop
 			}
-			s.regs[in.Rd] = v
-			s.cyc += aluCost(in.Op)
+			s.regs[in.Rd] = alu(op.base, s.regs[in.Rs1], v)
+			s.cyc += uint64(op.cost)
 			s.ready[in.Rd] = s.cyc
 			pc = next
 
-		case isa.ADDI, isa.SUBI, isa.MULI, isa.DIVI, isa.MODI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
+		case clsALUImm:
 			wait(in.Rs1)
-			v, err := alu(immOpBase(in.Op), s.regs[in.Rs1], uint64(in.Imm))
-			if err != nil {
+			v := uint64(in.Imm)
+			if v == 0 && op.divides {
 				break loop
 			}
-			s.regs[in.Rd] = v
-			s.cyc += aluCost(immOpBase(in.Op))
+			s.regs[in.Rd] = alu(op.base, s.regs[in.Rs1], v)
+			s.cyc += uint64(op.cost)
 			s.ready[in.Rd] = s.cyc
 			pc = next
 
-		case isa.LOAD, isa.LOADB:
+		case clsLoad:
 			wait(in.Rs1)
 			if s.cyc >= deadline {
 				break loop
 			}
 			addr := s.regs[in.Rs1] + uint64(in.Imm)
-			size := uint64(8)
-			if in.Op == isa.LOADB {
-				size = 1
-			}
-			v, err := c.specRead(s, addr, size, s.cyc)
+			v, err := c.specRead(s, addr, in.Op, s.cyc)
 			if err != nil {
 				break loop
 			}
@@ -171,42 +167,33 @@ loop:
 			s.ready[in.Rd] = issue + lat
 			pc = next
 
-		case isa.STORE, isa.STOREB:
+		case clsStore:
 			wait(in.Rs1)
-			addr := s.regs[in.Rs1] + uint64(in.Imm)
-			n := uint64(8)
-			if in.Op == isa.STOREB {
-				n = 1
-			}
 			// Data still in flight leaves the entry invisible until it
 			// resolves: younger speculative loads bypass it (Spectre v4).
 			vis := s.cyc + 1
 			if s.ready[in.Rs2] > vis {
 				vis = s.ready[in.Rs2]
 			}
-			for i := uint64(0); i < n; i++ {
-				s.store[addr+i] = specByte{b: byte(s.regs[in.Rs2] >> (8 * i)), visibleAt: vis}
-			}
+			s.buffer(s.regs[in.Rs1]+uint64(in.Imm), s.regs[in.Rs2], op.width, vis)
 			s.cyc++
 			pc = next
 
-		case isa.PUSH:
+		case clsPush:
 			sp := s.regs[isa.RegSP] - 8
 			vis := s.cyc + 1
 			if s.ready[in.Rs1] > vis {
 				vis = s.ready[in.Rs1]
 			}
-			for i := uint64(0); i < 8; i++ {
-				s.store[sp+i] = specByte{b: byte(s.regs[in.Rs1] >> (8 * i)), visibleAt: vis}
-			}
+			s.buffer(sp, s.regs[in.Rs1], op.width, vis)
 			s.regs[isa.RegSP] = sp
 			s.cyc++
 			s.ready[isa.RegSP] = s.cyc
 			pc = next
 
-		case isa.POP:
+		case clsPop:
 			sp := s.regs[isa.RegSP]
-			v, err := c.specRead(s, sp, 8, s.cyc)
+			v, err := c.specRead(s, sp, in.Op, s.cyc)
 			if err != nil {
 				break loop
 			}
@@ -223,25 +210,25 @@ loop:
 			s.ready[isa.RegSP] = s.cyc
 			pc = next
 
-		case isa.CMP:
+		case clsCmp:
 			s.flagsRdy = maxU64(s.cyc+1, maxU64(s.ready[in.Rs1], s.ready[in.Rs2]))
 			a, b := s.regs[in.Rs1], s.regs[in.Rs2]
 			s.flagZ, s.flagLT, s.flagB = a == b, int64(a) < int64(b), a < b
 			s.cyc++
 			pc = next
 
-		case isa.CMPI:
+		case clsCmpImm:
 			s.flagsRdy = maxU64(s.cyc+1, s.ready[in.Rs1])
 			a, b := s.regs[in.Rs1], uint64(in.Imm)
 			s.flagZ, s.flagLT, s.flagB = a == b, int64(a) < int64(b), a < b
 			s.cyc++
 			pc = next
 
-		case isa.JMP:
+		case clsJmp:
 			s.cyc++
 			pc = uint64(in.Imm)
 
-		case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JBE, isa.JA, isa.JAE:
+		case clsJcc:
 			// Nested speculation is not modelled: the episode follows
 			// the branch's functional outcome under its own flags.
 			s.cyc++
@@ -251,33 +238,23 @@ loop:
 				pc = next
 			}
 
-		case isa.CALL:
+		case clsCall, clsCallr:
 			// The pushed return address is a constant: forwarded exactly,
 			// visible immediately.
 			sp := s.regs[isa.RegSP] - 8
-			for i := uint64(0); i < 8; i++ {
-				s.store[sp+i] = specByte{b: byte(next >> (8 * i)), visibleAt: s.cyc}
-			}
+			s.buffer(sp, next, op.width, s.cyc)
 			s.regs[isa.RegSP] = sp
 			s.cyc++
 			s.ready[isa.RegSP] = s.cyc
-			pc = uint64(in.Imm)
-
-		case isa.CALLR:
-			sp := s.regs[isa.RegSP] - 8
-			for i := uint64(0); i < 8; i++ {
-				s.store[sp+i] = specByte{b: byte(next >> (8 * i)), visibleAt: s.cyc}
-			}
-			s.regs[isa.RegSP] = sp
-			s.cyc++
-			s.ready[isa.RegSP] = s.cyc
-			if tgt, ok := c.specIndirectTarget(s, in.Rs1, pc, s.cyc); ok {
+			if op.class == clsCall {
+				pc = uint64(in.Imm)
+			} else if tgt, ok := c.specIndirectTarget(s, in.Rs1, pc, s.cyc); ok {
 				pc = tgt
 			} else {
 				break loop
 			}
 
-		case isa.JMPR:
+		case clsJmpr:
 			s.cyc++
 			if tgt, ok := c.specIndirectTarget(s, in.Rs1, pc, s.cyc); ok {
 				pc = tgt
@@ -285,9 +262,9 @@ loop:
 				break loop
 			}
 
-		case isa.RET:
+		case clsRet:
 			sp := s.regs[isa.RegSP]
-			v, err := c.specRead(s, sp, 8, s.cyc)
+			v, err := c.specRead(s, sp, in.Op, s.cyc)
 			if err != nil {
 				break loop
 			}
@@ -296,23 +273,21 @@ loop:
 			s.ready[isa.RegSP] = s.cyc
 			pc = v
 
-		case isa.CLFLUSH:
+		case clsFlush:
 			// CLFLUSH is not performed speculatively on real parts;
 			// the episode treats it as a no-op slot.
 			s.cyc++
 			pc = next
 
-		case isa.RDTSC:
+		case clsRdtsc:
 			s.regs[in.Rd] = s.cyc
 			s.cyc++
 			s.ready[in.Rd] = s.cyc
 			pc = next
 
-		case isa.MFENCE, isa.LFENCE, isa.SYSCALL, isa.HALT:
-			// Speculation barriers: the episode cannot retire past them.
-			break loop
-
 		default:
+			// Speculation barriers (MFENCE/LFENCE/SYSCALL/HALT): the
+			// episode cannot retire past them.
 			break loop
 		}
 	}
@@ -326,6 +301,14 @@ loop:
 	if c.tel != nil {
 		c.telEmit(telemetry.KindSpecSquash, s.cyc, pc, 0, uint64(n))
 		c.Caches.Clock = &c.Cycle
+	}
+}
+
+// buffer records a width-byte little-endian store of v at addr in the
+// episode's store buffer, invisible to loads issued before visibleAt.
+func (s *specState) buffer(addr, v uint64, width uint8, visibleAt uint64) {
+	for i := uint64(0); i < uint64(width); i++ {
+		s.store[addr+i] = specByte{b: byte(v >> (8 * i)), visibleAt: visibleAt}
 	}
 }
 
@@ -351,22 +334,23 @@ func (c *CPU) specIndirectTarget(s *specState, rs1 uint8, branchPC, cyc uint64) 
 	return 0, false
 }
 
-// specRead reads size bytes (little-endian) at episode cycle cyc,
-// forwarding from the episode's store buffer and falling back to
-// permission-checked memory. Entries whose producing store's data has
-// not resolved by cyc are not yet visible: the load bypasses them and
-// reads the stale memory bytes underneath — the in-episode face of the
-// Spectre-v4 guess (the retired-path face lives in ssb.go). Faults
-// abort the episode (returned as errors).
-func (c *CPU) specRead(s *specState, addr, size, cyc uint64) (uint64, error) {
+// specRead performs op's data read (opTab width bytes, little-endian) at
+// episode cycle cyc, forwarding from the episode's store buffer and
+// falling back to permission-checked memory. Entries whose producing
+// store's data has not resolved by cyc are not yet visible: the load
+// bypasses them and reads the stale memory bytes underneath — the
+// in-episode face of the Spectre-v4 guess (the retired-path face lives
+// in ssb.go). Faults abort the episode (returned as errors).
+func (c *CPU) specRead(s *specState, addr uint64, op isa.Op, cyc uint64) (uint64, error) {
 	if len(s.store) == 0 {
-		// No speculative stores to forward: whole-word fast path.
-		if size == 8 {
-			return c.Mem.Read64(addr)
+		// No speculative stores to forward: one memory access.
+		if op == isa.LOADB {
+			b, err := c.Mem.Read8(addr)
+			return uint64(b), err
 		}
-		b, err := c.Mem.Read8(addr)
-		return uint64(b), err
+		return c.Mem.Read64(addr)
 	}
+	size := uint64(opTab[op].width)
 	var v uint64
 	for i := uint64(0); i < size; i++ {
 		a := addr + i

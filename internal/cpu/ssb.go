@@ -26,12 +26,13 @@ type pendingStore struct {
 	old       [8]byte
 }
 
-// trackPendingStore is called by the retired STORE/STOREB path before
-// the write goes to memory, only when the data register is in flight
-// (resolveAt = the data register's ready cycle).
+// trackPendingStore is called by the retired STORE/STOREB path (op)
+// before the write goes to memory, only when the data register is in
+// flight (resolveAt = the data register's ready cycle).
 //
 //go:noinline
-func (c *CPU) trackPendingStore(addr, size, resolveAt uint64) {
+func (c *CPU) trackPendingStore(op isa.Op, addr, resolveAt uint64) {
+	size := uint64(opTab[op].width)
 	live := c.pendingStores[:0]
 	for _, p := range c.pendingStores {
 		if p.resolveAt > c.Cycle {
@@ -60,7 +61,8 @@ func (c *CPU) trackPendingStore(addr, size, resolveAt uint64) {
 // the replay completes).
 //
 //go:noinline
-func (c *CPU) bypassCheck(in isa.Instruction, addr, size, v, lat uint64) {
+func (c *CPU) bypassCheck(in isa.Instruction, addr, v, lat uint64) {
+	size := uint64(opTab[in.Op].width)
 	// Prune resolved entries; find the youngest-surviving overlap set.
 	live := c.pendingStores[:0]
 	overlap := false

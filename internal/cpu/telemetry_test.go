@@ -8,8 +8,7 @@ import (
 )
 
 // specSrc is a branchy program whose compare depends on an in-flight
-// load, forcing wrong-path speculation episodes (the same shape as
-// TestPredecodeTimingNeutral's differential program).
+// load, forcing wrong-path speculation episodes.
 const specSrc = `
 	subi sp, sp, 16      ; scratch frame
 	movi r1, 0           ; i

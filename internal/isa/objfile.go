@@ -99,18 +99,19 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if codeLen%InstrSize != 0 {
 		return nil, fmt.Errorf("isa: code length %d not instruction-aligned", codeLen)
 	}
-	img.Code = make([]byte, codeLen)
-	if _, err := io.ReadFull(r, img.Code); err != nil {
+	var err error
+	if img.Code, err = readSection(r, codeLen); err != nil {
 		return nil, fmt.Errorf("isa: reading code: %w", err)
 	}
 	if _, err := DecodeAll(img.Code); err != nil {
 		return nil, fmt.Errorf("isa: corrupt code section: %w", err)
 	}
-	img.Data = make([]byte, dataLen)
-	if _, err := io.ReadFull(r, img.Data); err != nil {
+	if img.Data, err = readSection(r, dataLen); err != nil {
 		return nil, fmt.Errorf("isa: reading data: %w", err)
 	}
-	img.Symbols = make(map[string]uint64, symCount)
+	// No size hint: symCount is the file's claim, and each symbol is
+	// only real once its bytes have been read.
+	img.Symbols = make(map[string]uint64)
 	var tmp [8]byte
 	for i := uint64(0); i < symCount; i++ {
 		if _, err := io.ReadFull(r, tmp[:4]); err != nil {
@@ -130,4 +131,15 @@ func ReadImage(r io.Reader) (*Image, error) {
 		img.Symbols[string(name)] = le.Uint64(tmp[:])
 	}
 	return img, nil
+}
+
+// readSection reads an n-byte section (n ≤ objMaxSection), growing the
+// buffer only as bytes arrive: a header claiming a huge section costs the
+// bytes the input actually holds, not the claim.
+func readSection(r io.Reader, n uint64) ([]byte, error) {
+	buf := bytes.NewBuffer([]byte{})
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

@@ -2,6 +2,8 @@ package isa
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -125,4 +127,87 @@ func TestObjectRoundTripRunnable(t *testing.T) {
 	if DisasmAll(got.Code, got.Base) != DisasmAll(img.Code, img.Base) {
 		t.Error("disassembly changed across round trip")
 	}
+}
+
+// headerOnly is a 56-byte SIMX file: magic, version and a header whose
+// section sizes claim codeLen/dataLen bytes and symCount symbols that
+// never follow.
+func headerOnly(codeLen, dataLen, symCount uint64) []byte {
+	b := []byte(objMagic)
+	b = binary.LittleEndian.AppendUint32(b, objVersion)
+	for _, v := range []uint64{0x40000, 0x80000, 0x40000, codeLen, dataLen, symCount} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// TestReadImageAllocationBounded: a header may claim sections up to
+// objMaxSection and a million symbols, but a reader that sizes its
+// buffers from those claims lets a 56-byte input allocate tens of MiB.
+// Memory must follow the bytes actually present.
+func TestReadImageAllocationBounded(t *testing.T) {
+	for name, in := range map[string][]byte{
+		"code section": headerOnly(objMaxSection, 0, 0),
+		"data section": headerOnly(0, objMaxSection, 0),
+		"symbols":      headerOnly(0, 0, 1<<20),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadImage(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated image accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d-byte input allocated %d bytes, want < 1 MiB", name, len(in), got)
+		}
+	}
+}
+
+// FuzzReadImage: whatever ReadImage accepts must re-serialize stably —
+// WriteTo then ReadImage then WriteTo reproduces the same bytes (the
+// first WriteTo normalizes symbol order and drops duplicate names).
+func FuzzReadImage(f *testing.F) {
+	var buf bytes.Buffer
+	img := MustAssemble(`
+	.entry main
+	f:	addi r1, r1, 1
+		ret
+	main:
+		call f
+		halt
+	.data
+	msg: .asciz "hi"
+	`)
+	linked, err := img.Link(0x40000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := linked.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(headerOnly(InstrSize, 0, 1))
+	f.Add([]byte(objMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := ReadImage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		if _, err := img.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadImage(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a serialized accepted image: %v", err)
+		}
+		if _, err := again.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("serialization not stable:\n%x\n%x", a.Bytes(), b.Bytes())
+		}
+	})
 }

@@ -210,12 +210,10 @@ type AttackOptions struct {
 	// Tracker, when non-nil, aggregates per-pool campaign progress for
 	// the obs server and the manifest's final progress snapshot.
 	Tracker *sched.Tracker
-	// NoBlocks disables the superblock execution tier (DESIGN.md §11);
-	// NoPredecode additionally disables the predecode cache, forcing the
-	// bare interpreter. Escape hatches for triaging tier bugs — results
-	// are identical either way, only host throughput changes.
-	NoBlocks    bool
-	NoPredecode bool
+	// NoBlocks disables the superblock execution tier (DESIGN.md §11),
+	// an escape hatch for triaging tier bugs — results are identical
+	// either way, only host throughput changes.
+	NoBlocks bool
 }
 
 // AttackReport describes what one end-to-end CR-Spectre run did.
@@ -275,7 +273,6 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 	cfg.Metrics = o.Metrics
 	cfg.Tracker = o.Tracker
 	cfg.CPU.NoBlocks = o.NoBlocks
-	cfg.CPU.NoPredecode = o.NoPredecode
 	spec := experiments.AttackSpec{Variant: variant}
 	if o.Perturbed {
 		pp := perturb.Paper()
