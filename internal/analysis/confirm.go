@@ -41,11 +41,17 @@ type ConfirmWitness struct {
 	Cycle uint64 `json:"cycle"`
 }
 
+// probeRingCapacity bounds the confirmation ring. A forced run over the
+// generated gadget corpus emits at most 16 covert-probe events with
+// either secret; confirmRun refuses a run that wraps the ring rather
+// than judge it on partial evidence.
+const probeRingCapacity = 1024
+
 // probeOnlyRecorder builds a recorder that stores covert-probe events
 // and merely counts everything else, so a long forced run cannot wrap
 // the oracle out of the ring.
 func probeOnlyRecorder() *telemetry.Recorder {
-	rec := telemetry.NewRecorder(0)
+	rec := telemetry.NewRecorder(probeRingCapacity)
 	var others []telemetry.Kind
 	for k := telemetry.Kind(0); k < telemetry.NumKinds; k++ {
 		if k != telemetry.KindCovertProbe {
@@ -102,6 +108,9 @@ func confirmRun(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxIns
 	}
 	if !c.Halted() {
 		return nil, fmt.Errorf("analysis: confirm run exceeded %d instructions", maxInstr)
+	}
+	if n := rec.Dropped(); n > 0 {
+		return nil, fmt.Errorf("analysis: confirm run overflowed the %d-event probe ring (%d dropped)", probeRingCapacity, n)
 	}
 	selfLine := meta.ProbeBase + uint64(secret)*meta.ProbeStride
 	otherLine := meta.ProbeBase + uint64(other)*meta.ProbeStride

@@ -2,9 +2,12 @@ package analysis
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/progen"
 )
 
@@ -100,5 +103,38 @@ func TestConfirmFindingsUpgrade(t *testing.T) {
 	ConfirmFindings(fs, nil) // no-op
 	if fs[1].Verdict != VerdictMitigated {
 		t.Error("nil witness mutated findings")
+	}
+}
+
+// TestConfirmRejectsProbeRingOverflow: a run that emits more covert-probe
+// events than the confirmation ring holds is an error, never a verdict
+// drawn from the events that survived the wrap.
+func TestConfirmRejectsProbeRingOverflow(t *testing.T) {
+	img, err := isa.MustAssemble(`
+		movi r1, 0x40000
+		movi r2, 1100
+	loop:
+		loadb r3, [r1]
+		subi r2, r2, 1
+		cmpi r2, 0
+		jne loop
+		halt
+	`).Link(progen.CodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := progen.Program{
+		Code:     img.Code,
+		NumInstr: len(img.Code) / isa.InstrSize,
+		CodeBase: progen.CodeBase,
+		Data:     make([]byte, mem.PageSize),
+		DataBase: progen.DataBase,
+		StackTop: progen.MemSize - mem.PageSize,
+		MemSize:  progen.MemSize,
+	}
+	meta := progen.GadgetMeta{SecretAddr: progen.DataBase + 8, ProbeBase: progen.DataBase, ProbeStride: 1}
+	_, err = ConfirmGadget(p, meta, cpu.DefaultConfig(), agreementBudget)
+	if err == nil || !strings.Contains(err.Error(), "probe ring") {
+		t.Fatalf("ConfirmGadget = %v, want a probe ring overflow error", err)
 	}
 }

@@ -496,17 +496,17 @@ func TestSubmitValidation(t *testing.T) {
 	base := baseOf(t, c)
 
 	bad := []string{
-		``,                                   // empty
-		`{`,                                  // truncated
-		`[]`,                                 // wrong shape
-		`{"kind":"fig9"}`,                    // unknown kind
-		`{"kind":"attack","variant":"v99"}`,  // unknown variant
-		`{"kind":"attack","posture":"magic"}`,// unknown posture
-		`{"kind":"fig4","samples":-1}`,       // negative
-		`{"kind":"fig4","workers":1000000}`,  // over cap
-		`{"kind":"fig4","bogus":true}`,       // unknown field
-		`{"kind":"fig4"}{"kind":"fig4"}`,     // trailing document
-		`{"kind":"fig4","id":"../escape"}`,   // traversal ID
+		``,                                    // empty
+		`{`,                                   // truncated
+		`[]`,                                  // wrong shape
+		`{"kind":"fig9"}`,                     // unknown kind
+		`{"kind":"attack","variant":"v99"}`,   // unknown variant
+		`{"kind":"attack","posture":"magic"}`, // unknown posture
+		`{"kind":"fig4","samples":-1}`,        // negative
+		`{"kind":"fig4","workers":1000000}`,   // over cap
+		`{"kind":"fig4","bogus":true}`,        // unknown field
+		`{"kind":"fig4"}{"kind":"fig4"}`,      // trailing document
+		`{"kind":"fig4","id":"../escape"}`,    // traversal ID
 	}
 	for _, payload := range bad {
 		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(payload))
@@ -583,4 +583,3 @@ func baseOf(t *testing.T, c *client.Client) string {
 	t.Helper()
 	return c.BaseURL()
 }
-

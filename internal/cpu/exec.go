@@ -185,7 +185,13 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 	// i counts the instructions retired so far: each iteration either
 	// retires body[i] or returns. pc is body[i]'s PC.
 	for i := 0; i < len(body); i++ {
-		in := body[i]
+		// The instruction is read in place. A copy goes to the stack
+		// as one 16-byte store that the next load (in.Op) must wait on,
+		// and that wait depended on where the frame happened to sit:
+		// the same code ran Table I 1.7x slower at one stack depth
+		// than at another. Compiled bodies are never written after
+		// compileBlock, so the pointer stays valid for the iteration.
+		in := &body[i]
 		op := opTab[in.Op]
 		rd, rs1, rs2 := in.Rd&15, in.Rs1&15, in.Rs2&15
 		switch op.class {
@@ -248,7 +254,7 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 				// by the core clock: sync both, reabsorb the stall after.
 				c.PC = pc
 				c.Cycle = cyc
-				c.bypassCheck(in, addr, v, lat)
+				c.bypassCheck(*in, addr, v, lat)
 				cyc = c.Cycle
 			}
 			if addr < c.probeHi && addr >= c.probeLo && telOn {

@@ -1,5 +1,8 @@
-// Package mem implements the simulated machine's physical memory: a flat
-// little-endian byte array with per-page R/W/X permissions. Page
+// Package mem implements the simulated machine's physical memory: a
+// little-endian byte space with per-page R/W/X permissions, backed page by
+// page on demand. A page that has never been written has no backing array
+// and reads as zero, so a machine costs host memory only for the pages it
+// actually stores into, not for its whole address space. Page
 // permissions are the substrate for the paper's DEP (Data Execution
 // Prevention) discussion: code pages are mapped R+X, stack and data pages
 // R+W, so an overflowed stack cannot be executed directly — which is
@@ -8,6 +11,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -82,11 +86,11 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x", f.Kind, f.Addr)
 }
 
-// Memory is a flat simulated physical memory.
+// Memory is a simulated physical memory.
 type Memory struct {
-	data  []byte
-	perms []Perm   // one per page
-	gen   []uint64 // per-page write generation (see PageGen)
+	pages []*[PageSize]byte // backing per page; nil until first written
+	perms []Perm            // one per page
+	gen   []uint64          // per-page write generation (see PageGen)
 
 	// OnWrite, when set, observes every successful user-mode store
 	// (watchpoints, overflow detectors). It runs after the bytes land.
@@ -94,19 +98,69 @@ type Memory struct {
 	OnWrite func(addr uint64, n int)
 }
 
+// zeroPage stands in for every page that has never been written. Nothing
+// ever stores into it: views of it are handed out with their capacity
+// capped, and writes go through backed, which allocates a private page.
+var zeroPage [PageSize]byte
+
 // New creates a memory of the given size (rounded up to a whole number of
-// pages). All pages start unmapped (no permissions).
+// pages). All pages start unmapped (no permissions) and unbacked (zero).
 func New(size uint64) *Memory {
-	size = (size + PageSize - 1) &^ (PageSize - 1)
+	pages := (size + PageSize - 1) / PageSize
 	return &Memory{
-		data:  make([]byte, size),
-		perms: make([]Perm, size/PageSize),
-		gen:   make([]uint64, size/PageSize),
+		pages: make([]*[PageSize]byte, pages),
+		perms: make([]Perm, pages),
+		gen:   make([]uint64, pages),
 	}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return uint64(len(m.pages)) * PageSize }
+
+// page returns page pg's bytes for reading: its backing array, or the
+// shared zero page when it has never been written.
+func (m *Memory) page(pg uint64) *[PageSize]byte {
+	if p := m.pages[pg]; p != nil {
+		return p
+	}
+	return &zeroPage
+}
+
+// backed returns page pg's backing array for writing, allocating it on
+// first use.
+func (m *Memory) backed(pg uint64) *[PageSize]byte {
+	p := m.pages[pg]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.pages[pg] = p
+	}
+	return p
+}
+
+// view returns a read-only window onto [addr, addr+n), which must lie in
+// one page. Its capacity is capped so an append cannot reach past it.
+func (m *Memory) view(addr, n uint64) []byte {
+	off := addr % PageSize
+	return m.page(addr / PageSize)[off : off+n : off+n]
+}
+
+// copyOut fills dst from memory starting at addr, page by page. The range
+// has been bounds-checked.
+func (m *Memory) copyOut(dst []byte, addr uint64) {
+	for len(dst) > 0 {
+		n := copy(dst, m.page(addr / PageSize)[addr%PageSize:])
+		dst, addr = dst[n:], addr+uint64(n)
+	}
+}
+
+// copyIn stores src into memory starting at addr, page by page, backing
+// each page it touches. The range has been bounds-checked.
+func (m *Memory) copyIn(addr uint64, src []byte) {
+	for len(src) > 0 {
+		n := copy(m.backed(addr / PageSize)[addr%PageSize:], src)
+		src, addr = src[n:], addr+uint64(n)
+	}
+}
 
 // Protect sets the permissions of every page overlapping [addr, addr+n).
 func (m *Memory) Protect(addr, n uint64, p Perm) error {
@@ -203,7 +257,7 @@ func (m *Memory) Read8(addr uint64) (byte, error) {
 	if err := m.check(addr, 1, PermRead, FaultRead); err != nil {
 		return 0, err
 	}
-	return m.data[addr], nil
+	return m.page(addr / PageSize)[addr%PageSize], nil
 }
 
 // Write8 stores one byte.
@@ -211,8 +265,9 @@ func (m *Memory) Write8(addr uint64, v byte) error {
 	if err := m.check(addr, 1, PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	m.data[addr] = v
-	m.gen[addr/PageSize]++
+	pg := addr / PageSize
+	m.backed(pg)[addr%PageSize] = v
+	m.gen[pg]++
 	if m.OnWrite != nil {
 		m.OnWrite(addr, 1)
 	}
@@ -232,7 +287,13 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 	if err := m.check(addr, 8, PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.data[addr:addr+8], v)
+	if off := addr % PageSize; off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(m.backed(addr / PageSize)[off:off+8], v)
+	} else {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		m.copyIn(addr, b[:])
+	}
 	m.bumpGen(addr, 8)
 	if m.OnWrite != nil {
 		m.OnWrite(addr, 8)
@@ -241,11 +302,17 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 }
 
 // Fetch reads n bytes for instruction fetch; the page must be executable.
+// The result may alias memory and must not be modified.
 func (m *Memory) Fetch(addr, n uint64) ([]byte, error) {
 	if err := m.check(addr, n, PermExec, FaultExec); err != nil {
 		return nil, err
 	}
-	return m.data[addr : addr+n], nil
+	if addr%PageSize+n <= PageSize {
+		return m.view(addr, n), nil
+	}
+	out := make([]byte, n)
+	m.copyOut(out, addr)
+	return out, nil
 }
 
 // FetchNoCopy is the predecoder's fetch: it returns a zero-copy view of n
@@ -254,7 +321,9 @@ func (m *Memory) Fetch(addr, n uint64) ([]byte, error) {
 // detect staleness with a single PageGen comparison. The range must lie
 // within one page (callers fall back to Fetch for the rare straddling
 // access); a crossing range returns an unmapped fault rather than a
-// half-checked view.
+// half-checked view. A never-written page yields a view of the shared
+// zero page; the first store to the page backs it and bumps its
+// generation, so a cached view is never trusted past that store.
 func (m *Memory) FetchNoCopy(addr, n uint64) ([]byte, uint64, error) {
 	end := addr + n
 	pg := addr / PageSize
@@ -267,7 +336,7 @@ func (m *Memory) FetchNoCopy(addr, n uint64) ([]byte, uint64, error) {
 		}
 		return nil, 0, &Fault{Kind: FaultExec, Addr: addr}
 	}
-	return m.data[addr:end], m.gen[pg], nil
+	return m.view(addr, n), m.gen[pg], nil
 }
 
 // ReadBytes copies n bytes starting at addr.
@@ -276,7 +345,7 @@ func (m *Memory) ReadBytes(addr, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:addr+n])
+	m.copyOut(out, addr)
 	return out, nil
 }
 
@@ -288,7 +357,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	if err := m.check(addr, uint64(len(b)), PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	copy(m.data[addr:], b)
+	m.copyIn(addr, b)
 	m.bumpGen(addr, uint64(len(b)))
 	if m.OnWrite != nil {
 		m.OnWrite(addr, len(b))
@@ -323,7 +392,7 @@ func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	if end < addr || end > m.Size() {
 		return &Fault{Kind: FaultUnmapped, Addr: addr}
 	}
-	copy(m.data[addr:], b)
+	m.copyIn(addr, b)
 	m.bumpGen(addr, uint64(len(b)))
 	return nil
 }
@@ -336,7 +405,7 @@ func (m *Memory) PeekRaw(addr, n uint64) ([]byte, error) {
 		return nil, &Fault{Kind: FaultUnmapped, Addr: addr}
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:end])
+	m.copyOut(out, addr)
 	return out, nil
 }
 
@@ -349,5 +418,37 @@ func (m *Memory) Peek64(addr uint64) (uint64, error) {
 }
 
 func (m *Memory) raw64(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(m.data[addr : addr+8])
+	if off := addr % PageSize; off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(m.page(addr / PageSize)[off : off+8])
+	}
+	var b [8]byte
+	m.copyOut(b[:], addr)
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// FirstDiff compares [addr, addr+n) of two memories in place and reports
+// the lowest address at which their bytes differ. Pages backed in neither
+// memory are equal without being read. A range that runs past either
+// memory's end differs at its first address beyond the smaller memory.
+func FirstDiff(a, b *Memory, addr, n uint64) (uint64, bool) {
+	end := addr + n
+	if end < addr {
+		end = ^uint64(0)
+	}
+	lim := min(a.Size(), b.Size(), end)
+	for addr < lim {
+		pg, off := addr/PageSize, addr%PageSize
+		k := min(PageSize-off, lim-addr)
+		if a.pages[pg] != nil || b.pages[pg] != nil {
+			if x, y := a.page(pg)[off:off+k], b.page(pg)[off:off+k]; !bytes.Equal(x, y) {
+				for i := range x {
+					if x[i] != y[i] {
+						return addr + uint64(i), true
+					}
+				}
+			}
+		}
+		addr += k
+	}
+	return addr, addr < end
 }

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -163,39 +162,35 @@ func compareState(c *cpu.CPU, o *Machine, pages map[uint64]struct{}) []string {
 }
 
 func comparePage(c *cpu.CPU, o *Machine, pg uint64) string {
-	a, errA := c.Mem.PeekRaw(pg*mem.PageSize, mem.PageSize)
-	b, errB := o.Mem.PeekRaw(pg*mem.PageSize, mem.PageSize)
-	if errA != nil || errB != nil {
+	addr := pg * mem.PageSize
+	if end := addr + mem.PageSize; end > c.Mem.Size() || end > o.Mem.Size() {
+		_, errA := c.Mem.PeekRaw(addr, mem.PageSize)
+		_, errB := o.Mem.PeekRaw(addr, mem.PageSize)
 		return fmt.Sprintf("page %#x: peek failed (core=%v oracle=%v)", pg, errA, errB)
 	}
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
+	if at, differ := mem.FirstDiff(c.Mem, o.Mem, addr, mem.PageSize); differ {
 		return fmt.Sprintf("mem[%#x]: core=%#02x oracle=%#02x (page %#x)",
-			pg*mem.PageSize+uint64(i), a[i], b[i], pg)
+			at, peek8(c.Mem, at), peek8(o.Mem, at), pg)
 	}
 	return ""
 }
 
 func compareAllMemory(c *cpu.CPU, o *Machine) string {
-	a, _ := c.Mem.PeekRaw(0, c.Mem.Size())
-	b, _ := o.Mem.PeekRaw(0, o.Mem.Size())
-	if len(a) != len(b) {
-		return fmt.Sprintf("memory sizes differ: core=%d oracle=%d", len(a), len(b))
+	if a, b := c.Mem.Size(), o.Mem.Size(); a != b {
+		return fmt.Sprintf("memory sizes differ: core=%d oracle=%d", a, b)
 	}
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
-		return fmt.Sprintf("final memory sweep: mem[%#x]: core=%#02x oracle=%#02x", i, a[i], b[i])
+	if at, differ := mem.FirstDiff(c.Mem, o.Mem, 0, c.Mem.Size()); differ {
+		return fmt.Sprintf("final memory sweep: mem[%#x]: core=%#02x oracle=%#02x",
+			at, peek8(c.Mem, at), peek8(o.Mem, at))
 	}
 	return ""
 }
 
-func firstDiff(a, b []byte) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return -1
+// peek8 reads the byte at an address FirstDiff reported, which lies
+// inside the memory.
+func peek8(m *mem.Memory, addr uint64) byte {
+	b, _ := m.PeekRaw(addr, 1)
+	return b[0]
 }
 
 // compareFaults decides whether two per-step errors are the same
