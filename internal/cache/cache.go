@@ -7,15 +7,18 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/telemetry"
 )
 
-// Line is one cache line's metadata.
+// line is one cache line's metadata. The valid bit is folded into the
+// tag: key is tag+1 for a valid line and 0 for an invalid one, which
+// NewCache keeps unambiguous by rejecting geometries whose tags would use
+// all 64 address bits.
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64 // last-touch stamp; larger = more recent
+	key uint64 // tag+1; 0 = invalid
+	lru uint64 // last-touch stamp; larger = more recent
 }
 
 // Stats counts the traffic seen by one cache level.
@@ -37,18 +40,20 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a single set-associative cache level.
 type Cache struct {
-	name     string
-	lineSize uint64
-	sets     uint64
-	ways     int
-	lines    [][]line // [set][way]
-	stamp    uint64
-	stats    Stats
+	name      string
+	lineSize  uint64
+	sets      uint64
+	ways      int
+	lineShift uint   // log2(lineSize)
+	setShift  uint   // log2(sets)
+	lines     []line // set-major: set s is lines[s*ways : (s+1)*ways]
+	stamp     uint64
+	stats     Stats
 }
 
 // NewCache builds a cache level. size is total capacity in bytes;
 // lineSize and the set count derived from size/(lineSize*ways) must be
-// powers of two.
+// powers of two, and not both 1.
 func NewCache(name string, size, lineSize uint64, ways int) (*Cache, error) {
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", name, lineSize)
@@ -63,12 +68,15 @@ func NewCache(name string, size, lineSize uint64, ways int) (*Cache, error) {
 	if sets == 0 || sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", name, sets)
 	}
-	c := &Cache{name: name, lineSize: lineSize, sets: sets, ways: ways}
-	c.lines = make([][]line, sets)
-	for i := range c.lines {
-		c.lines[i] = make([]line, ways)
+	if lineSize == 1 && sets == 1 {
+		return nil, fmt.Errorf("cache %s: one set of 1-byte lines leaves no tag bit free", name)
 	}
-	return c, nil
+	return &Cache{
+		name: name, lineSize: lineSize, sets: sets, ways: ways,
+		lineShift: uint(bits.TrailingZeros64(lineSize)),
+		setShift:  uint(bits.TrailingZeros64(sets)),
+		lines:     make([]line, sets*uint64(ways)),
+	}, nil
 }
 
 // MustCache is NewCache that panics on configuration errors.
@@ -92,17 +100,20 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint64) (set, tag uint64) {
-	lineAddr := addr / c.lineSize
-	return lineAddr % c.sets, lineAddr / c.sets
+// set returns the ways of the set holding addr and the key a valid line
+// for addr carries there.
+func (c *Cache) set(addr uint64) (ways []line, key uint64) {
+	lineAddr := addr >> c.lineShift
+	base := (lineAddr & (c.sets - 1)) * uint64(c.ways)
+	return c.lines[base : base+uint64(c.ways)], lineAddr>>c.setShift + 1
 }
 
 // Lookup probes the cache without modifying contents or stats. It
 // reports whether the line holding addr is present.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.lines[set] {
-		if c.lines[set][i].valid && c.lines[set][i].tag == tag {
+	ways, key := c.set(addr)
+	for i := range ways {
+		if ways[i].key == key {
 			return true
 		}
 	}
@@ -115,10 +126,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Access(addr uint64) bool {
 	c.stamp++
 	c.stats.Accesses++
-	set, tag := c.index(addr)
-	ways := c.lines[set]
+	ways, key := c.set(addr)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].key == key {
 			ways[i].lru = c.stamp
 			c.stats.Hits++
 			return true
@@ -128,7 +138,7 @@ func (c *Cache) Access(addr uint64) bool {
 	// Fill: choose invalid way, else LRU victim.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].key == 0 {
 			victim = i
 			goto fill
 		}
@@ -138,16 +148,16 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.stats.Evicts++
 fill:
-	ways[victim] = line{valid: true, tag: tag, lru: c.stamp}
+	ways[victim] = line{key: key, lru: c.stamp}
 	return false
 }
 
 // Flush invalidates the line containing addr, if present.
 func (c *Cache) Flush(addr uint64) {
-	set, tag := c.index(addr)
-	for i := range c.lines[set] {
-		if c.lines[set][i].valid && c.lines[set][i].tag == tag {
-			c.lines[set][i].valid = false
+	ways, key := c.set(addr)
+	for i := range ways {
+		if ways[i].key == key {
+			ways[i].key = 0
 			c.stats.Flushes++
 			return
 		}
@@ -164,20 +174,19 @@ func (c *Cache) EvictAt(set uint64, way int) bool {
 	if set >= c.sets || way < 0 || way >= c.ways {
 		return false
 	}
-	if !c.lines[set][way].valid {
+	l := &c.lines[set*uint64(c.ways)+uint64(way)]
+	if l.key == 0 {
 		return false
 	}
-	c.lines[set][way].valid = false
+	l.key = 0
 	c.stats.Evicts++
 	return true
 }
 
 // FlushAll invalidates every line (used between experiment runs).
 func (c *Cache) FlushAll() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.lines[s][w].valid = false
-		}
+	for i := range c.lines {
+		c.lines[i].key = 0
 	}
 }
 

@@ -154,10 +154,11 @@ type CPU struct {
 	noiseNext uint64 // next cycle at which interference evicts a line
 	noiseLCG  uint64 // interference PRNG state
 
-	// icache is the host-side predecode cache (see predecode.go); genTab
-	// is the memory's live per-page write-generation view used for its
-	// coherence check.
-	icache [icacheSize]icacheEntry
+	// icache is the host-side predecode cache (see predecode.go), one
+	// table per page of Mem, nil until a fetch from the page decodes;
+	// genTab is the memory's live per-page write-generation view used for
+	// its coherence check.
+	icache []*icachePage
 	genTab []uint64
 
 	instret     uint64
@@ -174,10 +175,6 @@ type CPU struct {
 	// tel, when non-nil, receives typed micro-architectural events. Every
 	// hook site guards with a single nil check; hooks observe only and
 	// never change timing or architectural state (see package telemetry).
-	// The telemetry fields sit at the very end of the struct so enabling
-	// the feature moved no pre-existing field: the predecode icache's
-	// alignment — which swings throughput by several percent — is exactly
-	// what it was before telemetry existed.
 	tel *telemetry.Recorder
 	// [probeLo,probeHi) is the registered covert-channel probe window:
 	// loads touching it emit KindCovertProbe. [smashLo,smashHi) is the
@@ -188,16 +185,12 @@ type CPU struct {
 
 	// Speculative-store-bypass state (Spectre v4, see ssb.go): stores
 	// whose data register was still in flight at retire, against which a
-	// younger load may speculatively read the stale memory contents. At
-	// the very end of the struct for the same reason as the telemetry
-	// fields: no pre-existing field moves.
+	// younger load may speculatively read the stale memory contents.
 	pendingStores []pendingStore
 	bypasses      uint64 // store-bypass wrong-path episodes launched
 	indirectSpecs uint64 // episodes launched at a BTB-predicted target
 
-	// Block-compilation tier (blockcache.go / blockexec.go). Appended
-	// after every pre-existing field, like the telemetry and SSB state
-	// above: the predecode icache's alignment must not move.
+	// Block-compilation tier (blockcache.go / blockexec.go).
 	blocksOff   bool
 	blkCompiled uint64
 	blkHits     uint64
@@ -247,6 +240,7 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		Caches:    caches,
 		BP:        bp,
 		cfg:       cfg,
+		icache:    make([]*icachePage, len(m.PageGens())),
 		genTab:    m.PageGens(),
 		blocksOff: cfg.NoBlocks,
 		stopCycle: ^uint64(0),

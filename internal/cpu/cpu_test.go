@@ -3,7 +3,9 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -671,3 +673,55 @@ func TestIndirectResolvedMiss(t *testing.T) {
 		t.Error("indirect calls did not execute")
 	}
 }
+
+// TestNewColdCost is the cold-core construction gate: short-lived cores
+// (difftest programs, gadget confirmation runs) retire a few hundred
+// instructions each, so building one must stay cheap. New over a 1 MiB
+// memory allocates a bounded handful of objects and bytes, and the CPU
+// struct itself, which the GC scans, stays small: predecode tables and
+// cache lines live behind pointers, allocated in one piece or on first
+// use.
+func TestNewColdCost(t *testing.T) {
+	if size := unsafe.Sizeof(CPU{}); size >= 16<<10 {
+		t.Errorf("CPU is %d bytes, want under 16 KiB", size)
+	}
+	m := mem.New(1 << 20)
+	cfg := DefaultConfig()
+	var c *CPU
+	if allocs := testing.AllocsPerRun(20, func() { c = New(m, cfg) }); allocs > 32 {
+		t.Errorf("New allocates %.0f objects, want at most 32", allocs)
+	}
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c = New(m, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if perNew := (after.TotalAlloc - before.TotalAlloc) / runs; perNew >= 128<<10 {
+		t.Errorf("New allocates %d bytes, want under 128 KiB", perNew)
+	}
+	if c.Mem != m {
+		t.Fatal("core not built over the given memory")
+	}
+}
+
+// BenchmarkNew measures building a cold core, the fixed cost every
+// short-lived simulation pays before its first instruction, over a
+// progen-sized (1 MiB) and a vm-sized (16 MiB) memory.
+func BenchmarkNew(b *testing.B) {
+	for _, size := range []uint64{1 << 20, 16 << 20} {
+		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
+			m := mem.New(size)
+			cfg := DefaultConfig()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCPU = New(m, cfg)
+			}
+		})
+	}
+}
+
+// benchCPU keeps BenchmarkNew's result live.
+var benchCPU *CPU

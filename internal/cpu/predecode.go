@@ -15,6 +15,14 @@ import (
 // same handful of PCs millions of times, and without the cache each visit
 // pays a per-page permission walk plus a fully validating decode.
 //
+// The cache is one table per guest page, with a slot for every
+// instruction-aligned offset in the page, and a page's table is allocated
+// when a fetch from that page first decodes. Building a core therefore
+// costs one pointer per page of memory, a core pays only for the code
+// pages it runs, and no two aligned PCs share a slot however much code
+// runs. An unaligned PC (reachable only through corrupted control flow)
+// shares its aligned neighbour's slot; the tag tells the two apart.
+//
 // Coherence is generation-based rather than hook-based: mem.Memory bumps
 // a per-page write generation on every store, loader write and Protect
 // call, and a cached decode is served only while its page's generation is
@@ -24,13 +32,9 @@ import (
 // the underlying bytes did not (a neighbouring store on the same page),
 // the entry is revalidated by byte comparison and re-decoded with
 // isa.DecodeFast — the bytes were already proven canonical.
-const (
-	icacheBits = 12
-	icacheSize = 1 << icacheBits // 4096 entries = 64 KiB of code
-)
 
-// icacheEntry is one direct-mapped predecode slot. The tag is pc+1 so the
-// zero value never matches a real PC (the all-ones PC cannot hold a whole
+// icacheEntry is one predecode slot. The tag is pc+1 so the zero value
+// never matches a real PC (the all-ones PC cannot hold a whole
 // instruction and is rejected by the fill path).
 type icacheEntry struct {
 	tag uint64 // pc+1; 0 = empty
@@ -38,6 +42,10 @@ type icacheEntry struct {
 	in  isa.Instruction
 	raw [isa.InstrSize]byte // fill-time bytes, for cheap revalidation
 }
+
+// icachePage is the predecode table of one guest page, indexed by
+// (pc % mem.PageSize) / isa.InstrSize.
+type icachePage [mem.PageSize / isa.InstrSize]icacheEntry
 
 // maxInPageOff is the largest page offset at which a whole instruction
 // still fits inside one page (InstrSize divides PageSize, so aligned
@@ -50,22 +58,24 @@ const maxInPageOff = mem.PageSize - isa.InstrSize
 // write generation is unchanged. It is deliberately tiny — and free of
 // the miss-path call — so it inlines into the Step and speculate loops
 // (the Go inliner will not inline the combined form); on a miss the
-// caller invokes fetchDecodeMiss. A matching tag proves pc was fetchable
-// at fill time, so the genTab index needs no bounds logic.
+// caller invokes fetchDecodeMiss. The icache and genTab tables have one
+// entry per page of memory, so the one bounds test covers both.
 func (c *CPU) fetchDecode(pc uint64) (isa.Instruction, bool) {
-	e := &c.icache[(pc/isa.InstrSize)%icacheSize]
-	if e.tag == pc+1 && e.gen == c.genTab[pc/mem.PageSize] {
-		return e.in, true
+	if pg := pc / mem.PageSize; pg < uint64(len(c.icache)) && c.icache[pg] != nil {
+		e := &c.icache[pg][pc%mem.PageSize/isa.InstrSize]
+		if e.tag == pc+1 && e.gen == c.genTab[pg] {
+			return e.in, true
+		}
 	}
 	return isa.Instruction{}, false
 }
 
 // fetchDecodeMiss fills (or refreshes) the predecode slot for pc: the
 // first visit to a PC pays the full permission-checked fetch and
-// validating decode here. A page-straddling pc takes the uncached
-// Fetch+Decode path and leaves the slot alone.
+// validating decode here, and the first one in a page to decode
+// allocates that page's table. A page-straddling pc takes the uncached
+// Fetch+Decode path and leaves the cache alone.
 func (c *CPU) fetchDecodeMiss(pc uint64) (isa.Instruction, error) {
-	e := &c.icache[(pc/isa.InstrSize)%icacheSize]
 	if pc&(mem.PageSize-1) > maxInPageOff {
 		raw, err := c.Mem.Fetch(pc, isa.InstrSize)
 		if err != nil {
@@ -77,17 +87,26 @@ func (c *CPU) fetchDecodeMiss(pc uint64) (isa.Instruction, error) {
 	if err != nil {
 		return isa.Instruction{}, err
 	}
-	if e.tag == pc+1 && e.raw == [isa.InstrSize]byte(raw) {
-		// The page was written but these bytes were not: already proven
-		// canonical, so skip revalidation.
-		e.in = isa.DecodeFast(raw)
-		e.gen = gen
-		return e.in, nil
+	// The fetch succeeded, so pc lies in memory and pg indexes icache.
+	pg, slot := pc/mem.PageSize, pc%mem.PageSize/isa.InstrSize
+	t := c.icache[pg]
+	if t != nil {
+		if e := &t[slot]; e.tag == pc+1 && e.raw == [isa.InstrSize]byte(raw) {
+			// The page was written but these bytes were not: already
+			// proven canonical, so skip revalidation.
+			e.in = isa.DecodeFast(raw)
+			e.gen = gen
+			return e.in, nil
+		}
 	}
 	in, err := isa.Decode(raw)
 	if err != nil {
 		return isa.Instruction{}, err
 	}
-	*e = icacheEntry{tag: pc + 1, gen: gen, in: in, raw: [isa.InstrSize]byte(raw)}
+	if t == nil {
+		t = new(icachePage)
+		c.icache[pg] = t
+	}
+	t[slot] = icacheEntry{tag: pc + 1, gen: gen, in: in, raw: [isa.InstrSize]byte(raw)}
 	return in, nil
 }

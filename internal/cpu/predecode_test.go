@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -139,5 +140,106 @@ func TestPredecodeStraddlingPCUncached(t *testing.T) {
 	var f *mem.Fault
 	if !errors.As(err, &f) || f.Kind != mem.FaultExec {
 		t.Fatalf("straddling fetch: err = %v, want exec fault", err)
+	}
+}
+
+// TestPredecodeLargeCodeToEndOfMemory runs a loop whose body spans 20
+// pages (80 KiB, more code than 4096 instruction slots hold) and whose
+// last instruction sits in the last instruction slot of memory, on both
+// tiers. Three passes run the body; after the first, a store patches the
+// immediate of an instruction on an already-fetched page in the middle
+// of the body. When the loop falls through, the fetch one slot past the
+// end of memory faults. A Protect flip on another fetched page then
+// turns the rerun into an exec fault. Both tiers must agree on every
+// counter, register and fault, and the noblocks tier, which fetches
+// every instruction through the predecode cache, must have built a
+// table for exactly the code pages.
+func TestPredecodeLargeCodeToEndOfMemory(t *testing.T) {
+	const (
+		memSize   = 1 << 20
+		codePages = 20
+		codeBase  = memSize - codePages*mem.PageSize
+		n         = codePages * mem.PageSize / isa.InstrSize
+		flipPage  = codeBase/mem.PageSize + 7
+	)
+	var src strings.Builder
+	src.WriteString("movi r2, 3\nmovi r6, 100\nmovi r7, patch\naddi r7, r7, 4\nloop:\n")
+	const prologue, tail = 4, 4
+	filler := n - prologue - tail - 1
+	for i := 0; i < filler; i++ {
+		if i == filler/2 {
+			src.WriteString("patch: addi r3, r3, 1\n") // imm becomes 100 after pass 1
+		}
+		src.WriteString("addi r1, r1, 1\n")
+	}
+	src.WriteString("store [r7], r6\nsubi r2, r2, 1\ncmpi r2, 0\njne loop\n")
+	mod, err := isa.Assemble(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := mod.Link(codeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := img.Base + uint64(len(img.Code)); end != memSize {
+		t.Fatalf("code ends at %#x, want the end of memory %#x", end, memSize)
+	}
+
+	type outcome struct {
+		snap      Snapshot
+		regs      [isa.NumRegs]uint64
+		err, flip string
+		flipSnap  Snapshot
+	}
+	run := func(noBlocks bool) outcome {
+		m := mem.New(memSize)
+		if err := m.LoadRaw(img.Base, img.Code); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Protect(img.Base, uint64(len(img.Code)), mem.PermRWX); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.NoBlocks = noBlocks
+		c := New(m, cfg)
+		c.PC = img.Entry
+		err := c.Run(1 << 20)
+		var f *Fault
+		var mf *mem.Fault
+		if !errors.As(err, &f) || f.PC != memSize || !errors.As(err, &mf) ||
+			mf.Kind != mem.FaultUnmapped || mf.Addr != memSize {
+			t.Fatalf("noblocks=%v: fall-through off the end: err = %v, want unmapped fault at %#x",
+				noBlocks, err, uint64(memSize))
+		}
+		if want := uint64(3 * filler); c.Regs[1] != want {
+			t.Errorf("noblocks=%v: r1 = %d, want %d", noBlocks, c.Regs[1], want)
+		}
+		if c.Regs[3] != 1+100+100 {
+			t.Errorf("noblocks=%v: r3 = %d, want 201 (patched immediate not seen)", noBlocks, c.Regs[3])
+		}
+		if noBlocks {
+			for pg, tab := range c.icache {
+				if code := pg >= codeBase/mem.PageSize; (tab != nil) != code {
+					t.Errorf("page %d: predecode table present = %v, want %v", pg, tab != nil, code)
+				}
+			}
+		}
+		o := outcome{snap: c.Snapshot(), regs: c.Regs, err: err.Error()}
+
+		if err := m.Protect(flipPage*mem.PageSize, mem.PageSize, mem.PermRW); err != nil {
+			t.Fatal(err)
+		}
+		c.PC = img.Entry
+		err = c.Run(1 << 20)
+		if !errors.As(err, &mf) || mf.Kind != mem.FaultExec || mf.Addr != flipPage*mem.PageSize {
+			t.Fatalf("noblocks=%v: rerun after exec revoke: err = %v, want exec fault at %#x",
+				noBlocks, err, uint64(flipPage*mem.PageSize))
+		}
+		o.flip, o.flipSnap = err.Error(), c.Snapshot()
+		return o
+	}
+	blocks, single := run(false), run(true)
+	if blocks != single {
+		t.Errorf("tiers disagree:\nblocks   %+v\nnoblocks %+v", blocks, single)
 	}
 }
