@@ -205,3 +205,36 @@ func TestDeterminismCampaign(t *testing.T) {
 		t.Error("two Workers=4 campaigns with the same seed differ")
 	}
 }
+
+// TestDeterminismOnlineCampaign covers the online Fig. 6 path with every
+// classifier family: the detectors train, score, retrain on the growing
+// corpus and mutate their variants concurrently, and none of that may
+// depend on the worker count.
+func TestDeterminismOnlineCampaign(t *testing.T) {
+	run := func(workers int) *CampaignResult {
+		cfg := detCfg(workers)
+		// Three attempts: every CR detector catches attempt 2, so
+		// attempt 3 runs the variants its mutation produced.
+		cfg.Attempts = 3
+		cfg.Classifiers = []string{"mlp", "nn", "lr", "svm"}
+		res, err := Fig6(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	r1, r4 := run(1), run(4)
+	if len(r1.Plain) != 12 || len(r1.CR) != 12 {
+		t.Fatalf("got %d plain and %d CR points, want 12 each", len(r1.Plain), len(r1.CR))
+	}
+	if !reflect.DeepEqual(r1.Plain, r4.Plain) {
+		t.Errorf("online plain panel differs between Workers=1 and Workers=4:\n%v\nvs\n%v", r1.Plain, r4.Plain)
+	}
+	if !reflect.DeepEqual(r1.CR, r4.CR) {
+		t.Errorf("online CR panel differs between Workers=1 and Workers=4:\n%v\nvs\n%v", r1.CR, r4.CR)
+	}
+	r4b := run(4)
+	if !reflect.DeepEqual(r4.Plain, r4b.Plain) || !reflect.DeepEqual(r4.CR, r4b.CR) {
+		t.Error("two Workers=4 online campaigns with the same seed differ")
+	}
+}

@@ -55,6 +55,9 @@ type detector interface {
 	Name() string
 }
 
+// campaignState is one detector with its attacker's adaptation state.
+// Each state owns its detector, variant and rng, so the states of one
+// campaign train, score and retrain concurrently.
 type campaignState struct {
 	det        detector
 	online     *hid.Online // non-nil in the online campaign
@@ -63,29 +66,48 @@ type campaignState struct {
 	rng        *rand.Rand
 }
 
-func (cfg Config) newStates(online bool, train ml.Dataset, seedOff int64) ([]*campaignState, error) {
-	var states []*campaignState
-	for i, name := range cfg.Classifiers {
-		clf, ok := ml.ByName(name, cfg.Seed+int64(i)+seedOff)
-		if !ok {
-			return nil, fmt.Errorf("campaign: unknown classifier %q", name)
+// newStates builds and trains one detector per classifier for each of
+// the two panels, fanned out over the campaign-hid pool: the first
+// len(cfg.Classifiers) states face plain Spectre, the rest CR-Spectre.
+func (cfg Config) newStates(online bool, train ml.Dataset) ([]*campaignState, error) {
+	n := len(cfg.Classifiers)
+	return sched.Map(cfg.ctx("campaign-hid"), cfg.workers(), 2*n,
+		func(_ context.Context, t int) (*campaignState, error) {
+			i, seedOff := t%n, int64(t/n)*1000
+			name := cfg.Classifiers[i]
+			clf, ok := ml.ByName(name, cfg.Seed+int64(i)+seedOff)
+			if !ok {
+				return nil, fmt.Errorf("campaign: unknown classifier %q", name)
+			}
+			st := &campaignState{
+				variant: perturb.Paper(),
+				rng:     rand.New(rand.NewSource(cfg.Seed + int64(i)*97 + seedOff)),
+			}
+			if online {
+				o := hid.NewOnline(clf)
+				st.det, st.online = o, o
+			} else {
+				st.det = hid.New(clf)
+			}
+			if err := st.det.Train(train); err != nil {
+				return nil, fmt.Errorf("campaign: train %s: %w", name, err)
+			}
+			return st, nil
+		})
+}
+
+// score fills p with the detector's accuracy and verdict on one attempt's
+// evaluation mix; an online detector then retrains on that mix.
+func (st *campaignState) score(eval ml.Dataset, p AttemptPoint) (AttemptPoint, error) {
+	p.Classifier = st.det.Name()
+	p.Accuracy = st.det.Accuracy(eval)
+	p.Verdict = hid.Judge(p.Accuracy)
+	if st.online != nil {
+		if err := st.online.Observe(eval); err != nil {
+			return p, err
 		}
-		st := &campaignState{
-			variant: perturb.Paper(),
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i)*97 + seedOff)),
-		}
-		if online {
-			o := hid.NewOnline(clf)
-			st.det, st.online = o, o
-		} else {
-			st.det = hid.New(clf)
-		}
-		if err := st.det.Train(train); err != nil {
-			return nil, fmt.Errorf("campaign: train %s: %w", name, err)
-		}
-		states = append(states, st)
 	}
-	return states, nil
+	return p, nil
 }
 
 func (cfg Config) campaign(online bool) (*CampaignResult, error) {
@@ -103,14 +125,11 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 	}
 	benignEval := benign.Project(cfg.FeatureSize)
 
-	plainStates, err := cfg.newStates(online, train.Data, 0)
+	states, err := cfg.newStates(online, train.Data)
 	if err != nil {
 		return nil, err
 	}
-	crStates, err := cfg.newStates(online, train.Data, 1000)
-	if err != nil {
-		return nil, err
-	}
+	plainStates, crStates := states[:len(cfg.Classifiers)], states[len(cfg.Classifiers):]
 
 	host, err := mibench.ByName("math")
 	if err != nil {
@@ -140,9 +159,9 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		// per attempt (no feedback needed against a detector that never
 		// learns); online HIDs face per-detector dynamic mutation. Each
 		// spec reads only state fixed at the start of the attempt, so
-		// they are captured here and the simulations — the dominant
-		// wall-clock cost — fan out across the pool. Detector scoring,
-		// observation and mutation stay strictly sequential below.
+		// they are captured here and the simulations fan out across the
+		// pool. Scoring, retraining and mutation then fan out per
+		// detector below, once every simulation has finished.
 		crSpecs := make([]AttackSpec, len(crStates))
 		crVariants := make([]perturb.Params, len(crStates))
 		for j, st := range crStates {
@@ -186,47 +205,34 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		aSet := trace.NewSet(pmu.AllEvents())
 		aSet.AddNoisy("spectre", trace.LabelAttack, sims[0].samples, cfg.NoiseSigma, seed)
 		eval := cfg.evalMix(aSet.Project(cfg.FeatureSize), benignEval, seed)
-		for _, st := range plainStates {
-			acc := st.det.Accuracy(eval.Data)
-			res.Plain = append(res.Plain, AttemptPoint{
-				Classifier: st.det.Name(),
-				Attempt:    attempt,
-				Accuracy:   acc,
-				Verdict:    hid.Judge(acc),
-				Recovered:  recovered,
-			})
-			if st.online != nil {
-				if err := st.online.Observe(eval.Data); err != nil {
-					return nil, err
+		points, err := sched.Map(cfg.ctx("campaign-hid"), cfg.workers(), len(states),
+			func(_ context.Context, t int) (AttemptPoint, error) {
+				st := states[t]
+				if t < len(plainStates) {
+					return st.score(eval.Data, AttemptPoint{Attempt: attempt, Recovered: recovered})
 				}
-			}
-		}
-
-		for j, st := range crStates {
-			cr := sims[1+j].cr
-			crSet := trace.NewSet(pmu.AllEvents())
-			crSet.AddNoisy("cr-spectre", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, seed)
-			crEval := cfg.evalMix(crSet.Project(cfg.FeatureSize), benignEval, seed+7)
-			acc := st.det.Accuracy(crEval.Data)
-			res.CR = append(res.CR, AttemptPoint{
-				Classifier: st.det.Name(),
-				Attempt:    attempt,
-				Accuracy:   acc,
-				Verdict:    hid.Judge(acc),
-				Variant:    crVariants[j].String(),
-				Recovered:  cr.Recovered == cfg.Secret && cr.Injected,
-			})
-			if st.online != nil {
-				if err := st.online.Observe(crEval.Data); err != nil {
-					return nil, err
-				}
+				j := t - len(plainStates)
+				cr := sims[1+j].cr
+				crSet := trace.NewSet(pmu.AllEvents())
+				crSet.AddNoisy("cr-spectre", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, seed)
+				crEval := cfg.evalMix(crSet.Project(cfg.FeatureSize), benignEval, seed+7)
+				p, err := st.score(crEval.Data, AttemptPoint{
+					Attempt:   attempt,
+					Variant:   crVariants[j].String(),
+					Recovered: cr.Recovered == cfg.Secret && cr.Injected,
+				})
 				// Defense-aware adaptation (§II-E): mutate when caught.
-				if acc > hid.DetectThreshold {
+				if err == nil && st.online != nil && p.Accuracy > hid.DetectThreshold {
 					st.variant = st.variant.Mutate(st.rng)
 					st.probeDelay = 60 + st.rng.Int63n(400)
 				}
-			}
+				return p, err
+			})
+		if err != nil {
+			return nil, err
 		}
+		res.Plain = append(res.Plain, points[:len(plainStates)]...)
+		res.CR = append(res.CR, points[len(plainStates):]...)
 	}
 	return res, nil
 }

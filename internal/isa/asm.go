@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -294,8 +295,10 @@ func (m *Module) directive(cur *section, text string, line int) error {
 				return err
 			}
 		}
-		for i := int64(0); i < n; i++ {
-			m.data = append(m.data, byte(fill))
+		start := len(m.data)
+		m.data = slices.Grow(m.data, int(n))[:start+int(n)]
+		for i := start; i < len(m.data); i++ {
+			m.data[i] = byte(fill)
 		}
 	case ".ascii", ".asciz":
 		i := strings.Index(text, "\"")

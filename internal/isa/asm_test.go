@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,6 +84,43 @@ func TestAssembleDataSection(t *testing.T) {
 	ins, _ := DecodeAll(img.Code)
 	if uint64(ins[0].Imm) != table {
 		t.Errorf("movi imm = %#x, want %#x", ins[0].Imm, table)
+	}
+}
+
+// TestSpaceGrowsDataOnce: a large .space grows the data section in one
+// step instead of byte by byte, and lays out the same bytes.
+func TestSpaceGrowsDataOnce(t *testing.T) {
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mod, err := Assemble(".data\nbig: .space 1048576")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(3 << 19) // 1.5 MiB; growing byte by byte allocates 5 MiB
+	if raceEnabled {
+		limit = 5 << 19
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("assembling a 1 MiB .space allocated %d bytes, want < %d", got, limit)
+	}
+	if mod.DataSize() != n {
+		t.Errorf("data size %d, want %d", mod.DataSize(), n)
+	}
+
+	mod, err = Assemble(".data\n.byte 7\n.space 1048576 0xa5\n.byte 9\n.space 3\n.byte 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := mod.Link(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte{7}, bytes.Repeat([]byte{0xa5}, n)...)
+	want = append(want, 9, 0, 0, 0, 1)
+	if !bytes.Equal(img.Data, want) {
+		t.Errorf("data section differs from the expected %d bytes (got %d)", len(want), len(img.Data))
 	}
 }
 

@@ -111,6 +111,22 @@ func TestFitRejectsBadInput(t *testing.T) {
 			t.Errorf("%s accepted non-binary label", name)
 		}
 	}
+	// A hidden width below 1 is an error, and the trained model stays.
+	X, y := [][]float64{{-1}, {1}}, []int{0, 1}
+	for _, hidden := range [][]int{{-1}, {0}, {8, 0}} {
+		m := NewMLP(1)
+		if err := m.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		before := m.Score(X[1])
+		m.Hidden = hidden
+		if err := m.Fit(X, y); err == nil {
+			t.Errorf("mlp accepted hidden widths %v", hidden)
+		}
+		if got := m.Score(X[1]); got != before {
+			t.Errorf("rejected fit with hidden widths %v changed the score from %v to %v", hidden, before, got)
+		}
+	}
 }
 
 func TestScalerProperties(t *testing.T) {

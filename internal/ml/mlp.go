@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -19,11 +20,16 @@ type MLP struct {
 	Batch    int
 	Seed     int64
 
-	label   string
-	weights [][][]float64 // [layer][out][in]
-	biases  [][]float64   // [layer][out]
-	velW    [][][]float64
-	velB    [][]float64
+	label  string
+	layers []layer // the trained network; nil before Fit
+}
+
+// layer is one fully-connected layer with its weights in one row-major
+// slice: w[o*in+j] weighs input j into output o.
+type layer struct {
+	in int
+	w  []float64 // out*in
+	b  []float64 // out
 }
 
 // NewMLP returns the 3-layer (input, one hidden, output) sklearn-style
@@ -46,33 +52,75 @@ func (m *MLP) Name() string {
 	return m.label
 }
 
-// Fit implements Classifier.
+// newNet allocates a zeroed network with the given layer widths as one
+// buffer, each layer's weights then its biases, and returns the buffer
+// with per-layer views into it. The parameters and their gradients share
+// this layout, so one flat loop applies the momentum update.
+func newNet(dims []int) ([]float64, []layer) {
+	n := 0
+	for l := 1; l < len(dims); l++ {
+		n += dims[l-1]*dims[l] + dims[l]
+	}
+	buf := make([]float64, n)
+	net := make([]layer, len(dims)-1)
+	rest := buf
+	for l := range net {
+		in, out := dims[l], dims[l+1]
+		net[l] = layer{in: in, w: rest[:out*in], b: rest[out*in : out*in+out]}
+		rest = rest[out*in+out:]
+	}
+	return buf, net
+}
+
+// units returns the number of non-input units, the length of the
+// activation buffer forward fills.
+func (m *MLP) units() int {
+	n := 0
+	for _, ly := range m.layers {
+		n += len(ly.b)
+	}
+	return n
+}
+
+// Fit implements Classifier. All training state (gradients, momentum
+// velocities, activations and deltas) is allocated once per call and
+// reused across epochs, batches and samples. Every floating-point
+// expression keeps the operands and evaluation order of the textbook
+// nested-slice form, so a fit is bit-for-bit reproducible against it.
 func (m *MLP) Fit(X [][]float64, y []int) error {
 	if err := checkXY(X, y); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(m.Seed))
-	dims := append([]int{len(X[0])}, m.Hidden...)
-	dims = append(dims, 1)
-	L := len(dims) - 1
-	m.weights = make([][][]float64, L)
-	m.biases = make([][]float64, L)
-	m.velW = make([][][]float64, L)
-	m.velB = make([][]float64, L)
-	for l := 0; l < L; l++ {
-		in, out := dims[l], dims[l+1]
-		scale := math.Sqrt(2 / float64(in)) // He init for ReLU
-		m.weights[l] = make([][]float64, out)
-		m.velW[l] = make([][]float64, out)
-		m.biases[l] = make([]float64, out)
-		m.velB[l] = make([]float64, out)
-		for o := 0; o < out; o++ {
-			m.weights[l][o] = make([]float64, in)
-			m.velW[l][o] = make([]float64, in)
-			for i := 0; i < in; i++ {
-				m.weights[l][o][i] = rng.NormFloat64() * scale
-			}
+	for l, h := range m.Hidden {
+		if h < 1 {
+			return fmt.Errorf("ml: hidden layer %d has width %d, want at least 1", l, h)
 		}
+	}
+	rng := rand.New(rand.NewSource(m.Seed))
+	dims := append(append([]int{len(X[0])}, m.Hidden...), 1)
+	params, net := newNet(dims)
+	m.layers = net
+	for _, ly := range net {
+		scale := math.Sqrt(2 / float64(ly.in)) // He init for ReLU
+		for k := range ly.w {
+			ly.w[k] = rng.NormFloat64() * scale
+		}
+	}
+
+	grad, grads := newNet(dims)
+	vel := make([]float64, len(params))
+	// acts[0] is the sample, acts[l+1] layer l's output; deltas[l] is the
+	// loss gradient at layer l's pre-activations. Both are views into
+	// flat buffers in forward's order.
+	L := len(net)
+	units := m.units()
+	act, delta := make([]float64, units), make([]float64, units)
+	acts, deltas := make([][]float64, L+1), make([][]float64, L)
+	off := 0
+	for l, ly := range net {
+		out := len(ly.b)
+		acts[l+1], deltas[l] = act[off:off+out], delta[off:off+out]
+		off += out
 	}
 
 	batch := m.Batch
@@ -80,93 +128,85 @@ func (m *MLP) Fit(X [][]float64, y []int) error {
 		batch = 16
 	}
 	idx := rng.Perm(len(X))
-	acts := make([][]float64, L+1) // activations per layer
 	for ep := 0; ep < m.Epochs; ep++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += batch {
-			end := start + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			// Gradient accumulators.
-			gradW := make([][][]float64, L)
-			gradB := make([][]float64, L)
-			for l := 0; l < L; l++ {
-				gradW[l] = make([][]float64, len(m.weights[l]))
-				gradB[l] = make([]float64, len(m.biases[l]))
-				for o := range m.weights[l] {
-					gradW[l][o] = make([]float64, len(m.weights[l][o]))
-				}
-			}
+			end := min(start+batch, len(idx))
+			clear(grad)
 			for _, i := range idx[start:end] {
-				m.forward(X[i], acts)
+				acts[0] = X[i]
 				// Output delta (sigmoid + cross-entropy): p - y.
-				delta := []float64{acts[L][0] - float64(y[i])}
+				deltas[L-1][0] = m.forward(X[i], act) - float64(y[i])
 				for l := L - 1; l >= 0; l-- {
-					next := make([]float64, len(acts[l]))
-					for o, d := range delta {
-						gradB[l][o] += d
-						for j, a := range acts[l] {
-							gradW[l][o][j] += d * a
-							next[j] += d * m.weights[l][o][j]
+					ly, g, d, a := net[l], grads[l], deltas[l], acts[l]
+					for o, dv := range d {
+						g.b[o] += dv
+						gw := g.w[o*ly.in : (o+1)*ly.in]
+						for j, av := range a {
+							gw[j] += dv * av
 						}
 					}
-					if l > 0 {
-						// ReLU derivative on the pre-layer activation.
-						for j := range next {
-							if acts[l][j] <= 0 {
-								next[j] = 0
-							}
+					if l == 0 {
+						break // nothing reads the input layer's delta
+					}
+					next := deltas[l-1]
+					clear(next)
+					for o, dv := range d {
+						for j, w := range ly.w[o*ly.in : (o+1)*ly.in] {
+							next[j] += dv * w
 						}
 					}
-					delta = next
+					// ReLU derivative on the pre-layer activation.
+					for j, av := range a {
+						if av <= 0 {
+							next[j] = 0
+						}
+					}
 				}
 			}
 			n := float64(end - start)
-			for l := 0; l < L; l++ {
-				for o := range m.weights[l] {
-					for j := range m.weights[l][o] {
-						m.velW[l][o][j] = m.Momentum*m.velW[l][o][j] - m.LR*gradW[l][o][j]/n
-						m.weights[l][o][j] += m.velW[l][o][j]
-					}
-					m.velB[l][o] = m.Momentum*m.velB[l][o] - m.LR*gradB[l][o]/n
-					m.biases[l][o] += m.velB[l][o]
-				}
+			for k := range params {
+				vel[k] = m.Momentum*vel[k] - m.LR*grad[k]/n
+				params[k] += vel[k]
 			}
 		}
 	}
 	return nil
 }
 
-// forward fills acts[0..L] for input x; acts[L] is the sigmoid output.
-func (m *MLP) forward(x []float64, acts [][]float64) {
-	L := len(m.weights)
-	acts[0] = x
-	for l := 0; l < L; l++ {
-		out := make([]float64, len(m.weights[l]))
-		for o, ws := range m.weights[l] {
-			z := m.biases[l][o]
-			for j, w := range ws {
-				z += w * acts[l][j]
+// forward runs x through the network, writing each layer's outputs in
+// turn into act (at least units() long), and returns the sigmoid output.
+func (m *MLP) forward(x, act []float64) float64 {
+	in := x
+	last := len(m.layers) - 1
+	for l, ly := range m.layers {
+		out := act[:len(ly.b)]
+		act = act[len(ly.b):]
+		for o := range out {
+			z := ly.b[o]
+			for j, w := range ly.w[o*ly.in : (o+1)*ly.in] {
+				z += w * in[j]
 			}
-			if l == L-1 {
+			switch {
+			case l == last:
 				out[o] = sigmoid(z)
-			} else if z > 0 {
+			case z > 0:
 				out[o] = z
+			default:
+				out[o] = 0
 			}
 		}
-		acts[l+1] = out
+		in = out
 	}
+	return in[0]
 }
 
 // Score implements Scorer: the sigmoid output (attack probability).
 func (m *MLP) Score(x []float64) float64 {
-	if len(m.weights) == 0 {
+	if len(m.layers) == 0 {
 		return 0
 	}
-	acts := make([][]float64, len(m.weights)+1)
-	m.forward(x, acts)
-	return acts[len(m.weights)][0]
+	return m.forward(x, make([]float64, m.units()))
 }
 
 // Predict implements Classifier.
