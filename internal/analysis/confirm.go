@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/progen"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -43,8 +42,8 @@ type ConfirmWitness struct {
 
 // probeRingCapacity bounds the confirmation ring. A forced run over the
 // generated gadget corpus emits at most 16 covert-probe events with
-// either secret; confirmRun refuses a run that wraps the ring rather
-// than judge it on partial evidence.
+// either secret; a run that wraps the ring fails with
+// ErrProbeRingOverflow rather than be judged on partial evidence.
 const probeRingCapacity = 1024
 
 // probeOnlyRecorder builds a recorder that stores covert-probe events
@@ -70,14 +69,17 @@ func probeOnlyRecorder() *telemetry.Recorder {
 // observed through the telemetry ring, which survives squashes (the
 // transient fill is the leak) and carries the transmitting PC.
 func ConfirmGadget(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64) (*ConfirmWitness, error) {
+	return new(gadgetMachine).confirm(p, meta, cfg, maxInstr)
+}
+
+func (g *gadgetMachine) confirm(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64) (*ConfirmWitness, error) {
 	cfg.ForceWrongPath = true
 	var witness *ConfirmWitness
 	for i, secret := range gadgetSecrets {
-		other := gadgetSecrets[1-i]
-		w, err := confirmRun(p, meta, cfg, maxInstr, secret, other)
-		if err != nil {
+		if err := g.run(p, meta, cfg, maxInstr, secret, true); err != nil {
 			return nil, err
 		}
+		w := probeWitness(g.rec, meta, secret, gadgetSecrets[1-i])
 		if w == nil {
 			return nil, nil
 		}
@@ -88,30 +90,10 @@ func ConfirmGadget(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, max
 	return witness, nil
 }
 
-func confirmRun(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64, secret, other byte) (*ConfirmWitness, error) {
-	m, err := p.NewMem()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.LoadRaw(meta.SecretAddr, []byte{secret}); err != nil {
-		return nil, err
-	}
-	c := cpu.New(m, cfg)
-	rec := probeOnlyRecorder()
-	c.AttachTelemetry(rec)
-	c.SetProbeWindow(meta.ProbeBase, meta.ProbeBase+256*meta.ProbeStride)
-	c.PC = p.CodeBase
-	c.Regs[isa.RegSP] = p.StackTop
-	c.Regs[meta.TaintReg] = meta.TaintVal
-	if err := c.Run(maxInstr); err != nil {
-		return nil, fmt.Errorf("analysis: confirm run faulted: %w", err)
-	}
-	if !c.Halted() {
-		return nil, fmt.Errorf("analysis: confirm run exceeded %d instructions", maxInstr)
-	}
-	if n := rec.Dropped(); n > 0 {
-		return nil, fmt.Errorf("analysis: confirm run overflowed the %d-event probe ring (%d dropped)", probeRingCapacity, n)
-	}
+// probeWitness judges one forced run from its covert-probe events: the
+// witness of the first probe of secret's line, or nil when other's line
+// was probed too or secret's never was.
+func probeWitness(rec *telemetry.Recorder, meta progen.GadgetMeta, secret, other byte) *ConfirmWitness {
 	selfLine := meta.ProbeBase + uint64(secret)*meta.ProbeStride
 	otherLine := meta.ProbeBase + uint64(other)*meta.ProbeStride
 	var witness *ConfirmWitness
@@ -120,7 +102,7 @@ func confirmRun(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxIns
 			continue
 		}
 		if ev.Addr == otherLine {
-			return nil, nil // the wrong line warmed: not secret-selected
+			return nil // the wrong line warmed: not secret-selected
 		}
 		if ev.Addr == selfLine && witness == nil {
 			witness = &ConfirmWitness{
@@ -132,7 +114,7 @@ func confirmRun(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxIns
 			}
 		}
 	}
-	return witness, nil
+	return witness
 }
 
 // ConfirmFindings applies a successful confirmation to a report's
@@ -182,9 +164,13 @@ func (c Confirmation) String() string {
 // static analyzer and the forced-speculation confirmation, and returns
 // the comparison.
 func CheckConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Confirmation, error) {
+	return new(gadgetMachine).checkConfirm(seed, kind, cfg, maxInstr)
+}
+
+func (g *gadgetMachine) checkConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Confirmation, error) {
 	p, meta := progen.GenerateGadget(seed, kind)
 	rep := AnalyzeGadget(p, meta)
-	w, err := ConfirmGadget(p, meta, cfg, maxInstr)
+	w, err := g.confirm(p, meta, cfg, maxInstr)
 	if err != nil {
 		return Confirmation{}, fmt.Errorf("seed %d kind %s: %w", seed, kind, err)
 	}
@@ -201,11 +187,11 @@ func CheckConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr u
 // SoakConfirm fans n confirmation checks out over the sched pool,
 // cycling gadget kinds and deriving seeds exactly like SoakAgreement —
 // the zero-disagreement contract extended to the forced-speculation
-// harness.
+// harness. Each worker confirms on one reused gadget machine.
 func SoakConfirm(ctx context.Context, seed int64, n, workers int, cfg cpu.Config, maxInstr uint64) ([]Confirmation, error) {
 	kinds := progen.GadgetKinds()
-	return sched.Map(ctx, workers, n, func(_ context.Context, i int) (Confirmation, error) {
+	return sched.MapLocal(ctx, workers, n, func(_ context.Context, g *gadgetMachine, i int) (Confirmation, error) {
 		s := sched.DeriveSeed(seed, uint64(i/len(kinds)))
-		return CheckConfirm(s, kinds[i%len(kinds)], cfg, maxInstr)
+		return g.checkConfirm(s, kinds[i%len(kinds)], cfg, maxInstr)
 	})
 }

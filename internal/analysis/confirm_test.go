@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"context"
-	"strings"
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
@@ -106,24 +108,14 @@ func TestConfirmFindingsUpgrade(t *testing.T) {
 	}
 }
 
-// TestConfirmRejectsProbeRingOverflow: a run that emits more covert-probe
-// events than the confirmation ring holds is an error, never a verdict
-// drawn from the events that survived the wrap.
-func TestConfirmRejectsProbeRingOverflow(t *testing.T) {
-	img, err := isa.MustAssemble(`
-		movi r1, 0x40000
-		movi r2, 1100
-	loop:
-		loadb r3, [r1]
-		subi r2, r2, 1
-		cmpi r2, 0
-		jne loop
-		halt
-	`).Link(progen.CodeBase)
+// gadgetProgram links a hand-written program into the generated-gadget
+// memory layout: code at CodeBase, one data page at DataBase.
+func gadgetProgram(t testing.TB, src string) progen.Program {
+	img, err := isa.MustAssemble(src).Link(progen.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := progen.Program{
+	return progen.Program{
 		Code:     img.Code,
 		NumInstr: len(img.Code) / isa.InstrSize,
 		CodeBase: progen.CodeBase,
@@ -132,9 +124,140 @@ func TestConfirmRejectsProbeRingOverflow(t *testing.T) {
 		StackTop: progen.MemSize - mem.PageSize,
 		MemSize:  progen.MemSize,
 	}
-	meta := progen.GadgetMeta{SecretAddr: progen.DataBase + 8, ProbeBase: progen.DataBase, ProbeStride: 1}
-	_, err = ConfirmGadget(p, meta, cpu.DefaultConfig(), agreementBudget)
-	if err == nil || !strings.Contains(err.Error(), "probe ring") {
-		t.Fatalf("ConfirmGadget = %v, want a probe ring overflow error", err)
+}
+
+// probeFlood emits more covert-probe events than the confirmation ring
+// holds.
+const probeFlood = `
+	movi r1, 0x40000
+	movi r2, 1100
+loop:
+	loadb r3, [r1]
+	subi r2, r2, 1
+	cmpi r2, 0
+	jne loop
+	halt
+`
+
+// floodMeta puts the probe array over the flood's load address.
+var floodMeta = progen.GadgetMeta{SecretAddr: progen.DataBase + 8, ProbeBase: progen.DataBase, ProbeStride: 1}
+
+// TestConfirmRejectsProbeRingOverflow: a run that emits more covert-probe
+// events than the confirmation ring holds is an error, never a verdict
+// drawn from the events that survived the wrap.
+func TestConfirmRejectsProbeRingOverflow(t *testing.T) {
+	_, err := ConfirmGadget(gadgetProgram(t, probeFlood), floodMeta, cpu.DefaultConfig(), agreementBudget)
+	if !errors.Is(err, ErrProbeRingOverflow) {
+		t.Fatalf("ConfirmGadget = %v, want ErrProbeRingOverflow", err)
 	}
+}
+
+// TestReusedMachineAfterFailure: every way a gadget run fails surfaces as
+// a matchable error, and a machine whose last run overflowed the probe
+// ring, faulted or ran out of budget gives the next gadget exactly the
+// verdict a fresh ConfirmGadget gives it.
+func TestReusedMachineAfterFailure(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		src  string
+		want func(error) bool
+	}{
+		{"overflow", probeFlood, func(err error) bool { return errors.Is(err, ErrProbeRingOverflow) }},
+		{"fault", "movi r1, 0x80000\nstore [r1], r1\nhalt", func(err error) bool {
+			var f *cpu.Fault
+			return errors.As(err, &f)
+		}},
+		{"budget", "spin: jmp spin", func(err error) bool { return errors.Is(err, ErrGadgetBudget) }},
+	} {
+		bad := gadgetProgram(t, tc.src)
+		for _, kind := range progen.GadgetKinds() {
+			p, meta := progen.GenerateGadget(5, kind)
+			want, err := ConfirmGadget(p, meta, cfg, agreementBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var g gadgetMachine
+			if _, err := g.confirm(bad, floodMeta, cfg, 10_000); !tc.want(err) {
+				t.Fatalf("%s: failing run returned %v", tc.name, err)
+			}
+			got, err := g.confirm(p, meta, cfg, agreementBudget)
+			if err != nil {
+				t.Fatalf("after %s, kind %s: %v", tc.name, kind, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("after %s, kind %s: reused witness %+v, fresh %+v", tc.name, kind, got, want)
+			}
+		}
+	}
+}
+
+// TestReusedConfirmAllocs is the reuse gate: once a machine has confirmed
+// a few gadgets, confirming further ones resets memory, core and
+// recorder in place, so all that is left to allocate is the compiled
+// blocks, the event copy and the witness.
+func TestReusedConfirmAllocs(t *testing.T) {
+	const bound = 16 << 10
+	type gadget struct {
+		p    progen.Program
+		meta progen.GadgetMeta
+	}
+	var warm, measured []gadget
+	for i, kind := range progen.GadgetKinds() {
+		p, meta := progen.GenerateGadget(int64(i), kind)
+		warm = append(warm, gadget{p, meta})
+		p, meta = progen.GenerateGadget(int64(100+i), kind)
+		measured = append(measured, gadget{p, meta})
+	}
+	cfg := cpu.DefaultConfig()
+	var g gadgetMachine
+	for _, gd := range warm {
+		if _, err := g.confirm(gd.p, gd.meta, cfg, agreementBudget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, gd := range measured {
+		if _, err := g.confirm(gd.p, gd.meta, cfg, agreementBudget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(len(measured))
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= bound {
+		t.Errorf("a reused confirmation allocates %d bytes, want under %d", per, bound)
+	}
+	t.Logf("per reused confirmation: %d bytes, %d objects",
+		(after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n)
+}
+
+// BenchmarkConfirmGadget measures one two-secret confirmation on fresh
+// machines (ConfirmGadget) and on one machine reset in place, the way
+// the scan and soak workers run it.
+func BenchmarkConfirmGadget(b *testing.B) {
+	p, meta := progen.GenerateGadget(7, progen.GadgetLeak)
+	cfg := cpu.DefaultConfig()
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ConfirmGadget(p, meta, cfg, agreementBudget); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		var g gadgetMachine
+		if _, err := g.confirm(p, meta, cfg, agreementBudget); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.confirm(p, meta, cfg, agreementBudget); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

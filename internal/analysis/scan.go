@@ -103,7 +103,8 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 	}
 	all = DedupeRanked(all)
 
-	// Dynamic confirmation, one task per image that carries a spec.
+	// Dynamic confirmation, one task per image that carries a spec, on
+	// one reused gadget machine per worker.
 	var confirmIdx []int
 	for i, im := range images {
 		if im.Confirm != nil {
@@ -111,9 +112,9 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 		}
 	}
 	if len(confirmIdx) > 0 {
-		witnesses, err := sched.Map(ctx, workers, len(confirmIdx), func(_ context.Context, i int) (*ConfirmWitness, error) {
+		witnesses, err := sched.MapLocal(ctx, workers, len(confirmIdx), func(_ context.Context, g *gadgetMachine, i int) (*ConfirmWitness, error) {
 			sp := images[confirmIdx[i]].Confirm
-			return ConfirmGadget(sp.Prog, sp.Meta, sp.CPU, sp.MaxInstr)
+			return g.confirm(sp.Prog, sp.Meta, sp.CPU, sp.MaxInstr)
 		})
 		if err != nil {
 			return nil, err

@@ -33,6 +33,9 @@ type CondPredictor interface {
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
+	// Reset forgets all training, returning the predictor to its
+	// constructor's state.
+	Reset()
 }
 
 // PHT is a direct-indexed pattern history table of 2-bit counters.
@@ -63,6 +66,9 @@ func (p *PHT) Update(pc uint64, taken bool) {
 	i := p.index(pc)
 	p.table[i] = p.table[i].Update(taken)
 }
+
+// Reset implements CondPredictor.
+func (p *PHT) Reset() { clear(p.table) }
 
 // Gshare is a global-history predictor: the PHT index is the branch PC
 // XORed with a shift register of recent outcomes.
@@ -99,6 +105,13 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 		g.history |= 1
 	}
 	g.history &= (1 << g.bits) - 1
+}
+
+// Reset implements CondPredictor: the table and the history register
+// return to zero.
+func (g *Gshare) Reset() {
+	clear(g.table)
+	g.history = 0
 }
 
 // BTB is a direct-mapped branch target buffer for indirect branches.
@@ -201,6 +214,13 @@ func (b *BTB) Update(pc, target uint64) {
 	b.tags[i], b.targets[i], b.valid[i] = b.tag(pc), target, true
 }
 
+// Reset invalidates every entry, keeping the geometry.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
+}
+
 // RSB is a fixed-depth return stack buffer. CALL pushes the return
 // address; RET pops a prediction. A ROP chain executes many RETs with no
 // matching CALLs, so the RSB underflows and mispredicts constantly — a
@@ -242,8 +262,11 @@ func (r *RSB) Pop() (ret uint64, ok bool) {
 // Depth returns the number of valid entries currently stacked.
 func (r *RSB) Depth() int { return r.top }
 
-// Clear empties the RSB.
-func (r *RSB) Clear() { r.top = 0 }
+// Clear empties the RSB and zeroes its slots, as NewRSB leaves them.
+func (r *RSB) Clear() {
+	clear(r.entries)
+	r.top = 0
+}
 
 // Stats aggregates prediction outcomes for the HPC event set.
 type Stats struct {
@@ -290,3 +313,13 @@ func NewGshareUnit() *Unit {
 
 // ResetStats zeroes the unit's counters without losing training state.
 func (u *Unit) ResetStats() { u.Stats = Stats{} }
+
+// Reset forgets all training and zeroes the counters, keeping every
+// table: the unit is then indistinguishable from a newly built one of
+// the same predictor family and BTB geometry.
+func (u *Unit) Reset() {
+	u.Cond.Reset()
+	u.BTB.Reset()
+	u.RSB.Clear()
+	u.Stats = Stats{}
+}

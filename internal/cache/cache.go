@@ -100,6 +100,15 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// Reset returns the level to the state NewCache built it in — every line
+// invalid, LRU stamps and counters zero — keeping its geometry and its
+// line array.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.stamp = 0
+	c.stats = Stats{}
+}
+
 // set returns the ways of the set holding addr and the key a valid line
 // for addr carries there.
 func (c *Cache) set(addr uint64) (ways []line, key uint64) {
@@ -238,6 +247,16 @@ func DefaultHierarchy() *Hierarchy {
 		L2:  MustCache("L2", 256<<10, 64, 8),
 		Lat: DefaultLatencies(),
 	}
+}
+
+// Reset empties both levels, zeroes every counter and detaches the
+// event sink and clock. Geometry, latencies and the prefetch switch are
+// configuration and stay as they are.
+func (h *Hierarchy) Reset() {
+	h.L1.Reset()
+	h.L2.Reset()
+	h.Prefetches = 0
+	h.Tel, h.Clock = nil, nil
 }
 
 // Access simulates a data access at addr and returns its latency in

@@ -213,6 +213,72 @@ type CPU struct {
 // New builds a core over the given memory with a default cache hierarchy
 // and branch unit.
 func New(m *mem.Memory, cfg Config) *CPU {
+	c := new(CPU)
+	c.Reset(m, cfg)
+	return c
+}
+
+// Reset returns the core to exactly the state New(m, cfg) builds while
+// keeping its allocations: the cache line arrays, the predictor tables
+// (rebuilt only when cfg changes the predictor family or the BTB
+// geometry), the predecode tables (kept while m has as many pages as the
+// previous memory) and the episode and store-buffer scratch. Hooks,
+// telemetry, probe and smash windows are detached like on a new core.
+//
+// m is typically the previous memory after mem.Memory.Reset, whose write
+// generations start again at zero; a kept predecode slot or compiled
+// block could then match a different program at the same PC and
+// generation, so every one is dropped. The cache hierarchy is reset in
+// place: a core sharing its hierarchy with another (vm.CoExec) empties
+// both.
+func (c *CPU) Reset(m *mem.Memory, cfg Config) {
+	bp := c.BP
+	if bp == nil || (c.cfg.Predictor == "gshare") != (cfg.Predictor == "gshare") ||
+		c.cfg.BTBEntries != cfg.BTBEntries || c.cfg.BTBTagBits != cfg.BTBTagBits {
+		bp = newBranchUnit(cfg)
+	} else {
+		bp.Reset()
+	}
+	caches := c.Caches
+	if caches == nil {
+		caches = cache.DefaultHierarchy()
+	} else {
+		caches.Reset()
+	}
+	caches.NextLinePrefetch = cfg.NextLinePrefetch
+	icache := c.icache
+	if len(icache) == len(m.PageGens()) {
+		for _, t := range icache {
+			if t != nil {
+				*t = icachePage{}
+			}
+		}
+	} else {
+		icache = make([]*icachePage, len(m.PageGens()))
+	}
+	store, filled, pending := c.specScratch.store, c.specScratch.filled[:0], c.pendingStores[:0]
+	clear(store)
+
+	*c = CPU{
+		Mem:           m,
+		Caches:        caches,
+		BP:            bp,
+		cfg:           cfg,
+		icache:        icache,
+		genTab:        m.PageGens(),
+		pendingStores: pending,
+		blocksOff:     cfg.NoBlocks,
+		stopCycle:     ^uint64(0),
+	}
+	c.specScratch.store, c.specScratch.filled = store, filled
+	if cfg.NoisePeriod > 0 {
+		c.noiseNext = cfg.NoisePeriod
+		c.noiseLCG = uint64(cfg.NoiseSeed)*6364136223846793005 + 1442695040888963407
+	}
+}
+
+// newBranchUnit builds the prediction unit cfg selects.
+func newBranchUnit(cfg Config) *branch.Unit {
 	bp := branch.NewUnit()
 	if cfg.Predictor == "gshare" {
 		bp = branch.NewGshareUnit()
@@ -233,23 +299,7 @@ func New(m *mem.Memory, cfg Config) *CPU {
 			bp.BTB = branch.NewBTBTagged(entries, tagBits)
 		}
 	}
-	caches := cache.DefaultHierarchy()
-	caches.NextLinePrefetch = cfg.NextLinePrefetch
-	c := &CPU{
-		Mem:       m,
-		Caches:    caches,
-		BP:        bp,
-		cfg:       cfg,
-		icache:    make([]*icachePage, len(m.PageGens())),
-		genTab:    m.PageGens(),
-		blocksOff: cfg.NoBlocks,
-		stopCycle: ^uint64(0),
-	}
-	if cfg.NoisePeriod > 0 {
-		c.noiseNext = cfg.NoisePeriod
-		c.noiseLCG = uint64(cfg.NoiseSeed)*6364136223846793005 + 1442695040888963407
-	}
-	return c
+	return bp
 }
 
 // interfere models bursty co-tenant cache pressure: whenever the noise

@@ -3,12 +3,14 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 // run assembles src, maps it at 0x10000 (code RX, data RW), gives it a
@@ -725,3 +727,118 @@ func BenchmarkNew(b *testing.B) {
 
 // benchCPU keeps BenchmarkNew's result live.
 var benchCPU *CPU
+
+// TestResetMatchesNew checks Reset against New structure by structure,
+// and is the reuse gate. After a run that trains every predictor
+// (conditional, indirect and return), fills the caches, leaves stores
+// pending and keeps telemetry attached, a reset core equals one New
+// builds — tables rebuilt or cleared, counters and clocks zero, hooks
+// detached — apart from the allocations Reset keeps, which must be
+// empty. Unless the posture changes the predictor family or the BTB
+// geometry, Reset allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	gshare, smallBTB, noBlocks, noisy := DefaultConfig(), DefaultConfig(), DefaultConfig(), DefaultConfig()
+	gshare.Predictor = "gshare"
+	smallBTB.BTBEntries, smallBTB.BTBTagBits = 16, 1
+	noBlocks.NoBlocks = true
+	noisy.NoisePeriod, noisy.NoiseSeed, noisy.NextLinePrefetch = 50, 3, true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name    string
+		before  Config
+		after   Config
+		rebuild bool // new predictor tables expected
+	}{
+		{"pht", DefaultConfig(), DefaultConfig(), false},
+		{"gshare", gshare, gshare, false},
+		{"btb", smallBTB, smallBTB, false},
+		{"noblocks", DefaultConfig(), noBlocks, false},
+		{"noise", noisy, DefaultConfig(), false},
+		{"rebuild", DefaultConfig(), gshare, true},
+	} {
+		c, _ := load(t, `
+			movi r1, arr
+			movi r6, fn
+		loop:
+			clflush [r1+8]
+			load r3, [r1+8]
+			store [r1+16], r3   ; r3 in flight: a pending store
+			cmpi r3, 0
+			jl skip             ; unresolved: a speculation episode
+			addi r5, r5, 1
+		skip:
+			andi r7, r5, 1
+			cmpi r7, 0
+			jne odd             ; taken every other pass: PHT and history
+			addi r8, r8, 1
+		odd:
+			load r9, [r1+8]
+			muli r9, r9, 25214903917
+			addi r9, r9, 11     ; step the LCG the jl above branches on
+			store [r1+8], r9
+			callr r6            ; trains the BTB and the RSB
+			jmp loop
+		fn:
+			ret
+		.data
+		arr: .space 64
+		`, tc.before)
+		c.AttachTelemetry(telemetry.NewRecorder(64))
+		c.SetProbeWindow(0x1000, 0x2000)
+		if err := c.Run(4_999); err != ErrBudget {
+			t.Fatalf("%s: run before reset: %v", tc.name, err)
+		}
+		if s := c.Snapshot(); s.Indirect == 0 || s.Returns == 0 || s.CondMispred == 0 || s.Squashes == 0 {
+			t.Fatalf("%s: workload did not exercise every predictor and speculation: %+v", tc.name, s)
+		}
+		m := c.Mem
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Reset(m, tc.after)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; !tc.rebuild && n != 0 {
+			t.Errorf("%s: Reset allocated %d objects, want 0", tc.name, n)
+		}
+		fresh := New(m, tc.after)
+
+		for pg, tab := range c.icache {
+			if tab != nil && *tab != (icachePage{}) {
+				t.Errorf("%s: predecode table of page %d kept entries", tc.name, pg)
+			}
+		}
+		if len(c.pendingStores) != 0 || len(c.specScratch.store) != 0 || len(c.specScratch.filled) != 0 {
+			t.Errorf("%s: store buffer or episode scratch kept entries", tc.name)
+		}
+		if !reflect.DeepEqual(c.BP, fresh.BP) {
+			t.Errorf("%s: branch unit differs from a new one", tc.name)
+		}
+		if !reflect.DeepEqual(c.Caches, fresh.Caches) {
+			t.Errorf("%s: cache hierarchy differs from a new one", tc.name)
+		}
+		got, want := *c, *fresh
+		got.icache, want.icache = nil, nil
+		got.pendingStores, want.pendingStores = nil, nil
+		got.specScratch, want.specScratch = specState{}, specState{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reset core differs from a new one", tc.name)
+		}
+	}
+}
+
+// BenchmarkReset measures returning a core to its just-built state in
+// place, the fixed cost a reused machine pays per run instead of New's,
+// over the same memory sizes as BenchmarkNew.
+func BenchmarkReset(b *testing.B) {
+	for _, size := range []uint64{1 << 20, 16 << 20} {
+		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
+			m := mem.New(size)
+			cfg := DefaultConfig()
+			c := New(m, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Reset(m, cfg)
+			}
+		})
+	}
+}

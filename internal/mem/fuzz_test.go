@@ -171,6 +171,7 @@ const (
 	opFetchNoCopy
 	opPageGen
 	opFirstDiff
+	opReset
 	numOps
 )
 
@@ -235,6 +236,14 @@ func FuzzMemory(f *testing.F) {
 		opPageGen, 1, 2, 0, 0, 0,
 		opPeek64, 2, 8, 0, 0, 0,
 	})
+	f.Add([]byte{
+		opWrite64, 1, 1, 0x10, 0, 0x44, // back page 1
+		opReset, 0, 0, 0, 0, 0,
+		opProtect, 0x80, 0, 0, 0xff, byte(PermRW),
+		opWrite8, 1, 2, 0, 0, 0x55, // reuses the released page
+		opReadBytes, 0x81, 2, 0, 70, 0,
+		opPageGen, 1, 1, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		m := New(fuzzPages * PageSize)
 		ref := newFlat(fuzzPages * PageSize)
@@ -250,7 +259,8 @@ func FuzzMemory(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		m.OnWrite = func(addr uint64, n int) { gotWrites = append(gotWrites, [2]uint64{addr, uint64(n)}) }
+		onWrite := func(addr uint64, n int) { gotWrites = append(gotWrites, [2]uint64{addr, uint64(n)}) }
+		m.OnWrite = onWrite
 
 		// other is FirstDiff's second operand: one page smaller, with
 		// one page backed but zero and one holding a pattern.
@@ -369,6 +379,16 @@ func FuzzMemory(f *testing.F) {
 				if differ != wdiffer || (differ && at != wat) {
 					t.Fatalf("FirstDiff(%#x, %d) = %#x, %v; want %#x, %v", addr, n, at, differ, wat, wdiffer)
 				}
+			case opReset:
+				// A reset memory is a new one: all zero, unmapped,
+				// generation zero, unobserved. Its recycled pages must
+				// come back zeroed when later stores back them again.
+				m.Reset()
+				if m.OnWrite != nil {
+					t.Fatal("Reset kept the OnWrite observer")
+				}
+				m.OnWrite = onWrite
+				*ref = *newFlat(ref.size())
 			}
 		}
 

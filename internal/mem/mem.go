@@ -91,6 +91,7 @@ type Memory struct {
 	pages []*[PageSize]byte // backing per page; nil until first written
 	perms []Perm            // one per page
 	gen   []uint64          // per-page write generation (see PageGen)
+	free  []*[PageSize]byte // zeroed pages released by Reset, reused by backed
 
 	// OnWrite, when set, observes every successful user-mode store
 	// (watchpoints, overflow detectors). It runs after the bytes land.
@@ -114,6 +115,25 @@ func New(size uint64) *Memory {
 	}
 }
 
+// Reset returns the memory to the state New built it in: every page
+// unbacked and unmapped, every write generation zero, and no OnWrite
+// observer. The backing arrays are zeroed and kept on a free list that
+// later first writes draw from, so a memory reused for program after
+// program stops allocating pages once it has backed as many as one
+// program needs.
+func (m *Memory) Reset() {
+	for pg, p := range m.pages {
+		if p != nil {
+			clear(p[:])
+			m.free = append(m.free, p)
+			m.pages[pg] = nil
+		}
+	}
+	clear(m.perms)
+	clear(m.gen)
+	m.OnWrite = nil
+}
+
 // Size returns the memory size in bytes.
 func (m *Memory) Size() uint64 { return uint64(len(m.pages)) * PageSize }
 
@@ -126,14 +146,28 @@ func (m *Memory) page(pg uint64) *[PageSize]byte {
 	return &zeroPage
 }
 
-// backed returns page pg's backing array for writing, allocating it on
+// backed returns page pg's backing array for writing, backing it on
 // first use.
 func (m *Memory) backed(pg uint64) *[PageSize]byte {
-	p := m.pages[pg]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[pg] = p
+	if p := m.pages[pg]; p != nil {
+		return p
 	}
+	return m.back(pg)
+}
+
+// back gives unbacked page pg a zeroed array: one Reset released, or a
+// new one. It stays out of line so backed, on every store's path, keeps
+// its pre-free-list size and inlines where it did.
+//
+//go:noinline
+func (m *Memory) back(pg uint64) *[PageSize]byte {
+	var p *[PageSize]byte
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = new([PageSize]byte)
+	}
+	m.pages[pg] = p
 	return p
 }
 

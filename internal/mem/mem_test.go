@@ -218,3 +218,48 @@ func TestPermAt(t *testing.T) {
 		t.Error("out-of-range PermAt should be 0")
 	}
 }
+
+// BenchmarkMemAccess measures the word accessors every guest load and
+// store goes through: within a backed page, from a page never written
+// (served by the shared zero page, so read only), and straddling a page
+// boundary (the byte-copy path).
+func BenchmarkMemAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		addr  uint64
+		write bool
+	}{
+		{"backed", 64, true},
+		{"unwritten", 3*PageSize + 64, false},
+		{"straddle", PageSize - 4, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := New(4 * PageSize)
+			if err := m.Protect(0, m.Size(), PermRW); err != nil {
+				b.Fatal(err)
+			}
+			if bc.write {
+				if err := m.Write64(bc.addr, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := m.Read64(bc.addr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bc.write {
+					if err := m.Write64(bc.addr, v+1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				benchWord += v
+			}
+		})
+	}
+}
+
+// benchWord keeps BenchmarkMemAccess's reads live.
+var benchWord uint64

@@ -21,3 +21,23 @@ func TestNewMemAllocatesTouchedPagesOnly(t *testing.T) {
 			p.MemSize>>10, alloc>>10, bound>>10)
 	}
 }
+
+// TestLoadIntoAfterResetAllocatesNothing: a memory reset and reloaded
+// with the program it held backs every page from the pages Reset
+// released, so a reused machine's memory costs nothing per run.
+func TestLoadIntoAfterResetAllocatesNothing(t *testing.T) {
+	p := Generate(1, DefaultOptions())
+	m, err := p.NewMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		if err := p.LoadInto(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset + LoadInto allocated %.0f objects, want 0", allocs)
+	}
+}

@@ -119,26 +119,37 @@ type Program struct {
 // PC=CodeBase with SP=StackTop.
 func (p Program) NewMem() (*mem.Memory, error) {
 	m := mem.New(p.MemSize)
-	if err := m.LoadRaw(p.CodeBase, p.Code); err != nil {
+	if err := p.LoadInto(m); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// LoadInto maps the program into m exactly as NewMem maps it into a fresh
+// memory. m must be empty — just built by mem.New or returned to that
+// state by Reset — and exactly as large as a fresh one, so reused and
+// fresh machines fault at the same addresses.
+func (p Program) LoadInto(m *mem.Memory) error {
+	if want := (p.MemSize + mem.PageSize - 1) / mem.PageSize * mem.PageSize; m.Size() != want {
+		return fmt.Errorf("progen: memory is %d bytes, program needs %d", m.Size(), want)
+	}
+	if err := m.LoadRaw(p.CodeBase, p.Code); err != nil {
+		return err
 	}
 	codePerm := mem.PermRX
 	if p.CodeRWX {
 		codePerm = mem.PermRWX
 	}
 	if err := m.Protect(p.CodeBase, uint64(len(p.Code)), codePerm); err != nil {
-		return nil, err
+		return err
 	}
 	if err := m.LoadRaw(p.DataBase, p.Data); err != nil {
-		return nil, err
+		return err
 	}
 	if err := m.Protect(p.DataBase, uint64(len(p.Data)), mem.PermRW); err != nil {
-		return nil, err
+		return err
 	}
-	if err := m.Protect(p.StackTop-stackSize, stackSize, mem.PermRW); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.Protect(p.StackTop-stackSize, stackSize, mem.PermRW)
 }
 
 // Truncate returns the program with only the first k instructions kept and

@@ -167,6 +167,10 @@ func TestNewMemLayout(t *testing.T) {
 		if !bytes.Equal(code, tc.p.Code) {
 			t.Fatal("mapped code differs from program code")
 		}
+		// LoadInto maps only into a memory a fresh NewMem would match.
+		if err := tc.p.LoadInto(mem.New(2 * tc.p.MemSize)); err == nil {
+			t.Fatal("LoadInto accepted a memory of the wrong size")
+		}
 	}
 }
 

@@ -111,22 +111,21 @@ func (p *Pool) taskDone(task int, failed bool) {
 	if p == nil {
 		return
 	}
-	now := time.Now()
+	// The clock is read under the lock so completions stamp lastDone in
+	// order: a stamp taken before another worker's later one would make
+	// a negative gap and could drive the estimate to zero or below.
 	p.mu.Lock()
+	now := time.Now()
 	if ts, ok := p.running[task]; ok {
 		delete(p.running, task)
 		p.latency.Observe(uint64(now.Sub(ts.at).Milliseconds()))
 	}
-	gap := now.Sub(p.lastDone)
 	if p.lastDone.IsZero() {
-		gap = now.Sub(p.started)
+		p.ewmaGap = now.Sub(p.started).Seconds()
+	} else {
+		p.ewmaGap = ewmaAlpha*now.Sub(p.lastDone).Seconds() + (1-ewmaAlpha)*p.ewmaGap
 	}
 	p.lastDone = now
-	if p.ewmaGap == 0 {
-		p.ewmaGap = gap.Seconds()
-	} else {
-		p.ewmaGap = ewmaAlpha*gap.Seconds() + (1-ewmaAlpha)*p.ewmaGap
-	}
 	p.mu.Unlock()
 	p.done.Add(1)
 	if failed {

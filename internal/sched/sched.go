@@ -93,6 +93,24 @@ func (e *PanicError) Error() string {
 // lowest-index recorded error is returned. Cancellation of the parent
 // context is likewise surfaced as its error.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, task int) (T, error)) ([]T, error) {
+	return mapTasks[struct{}](ctx, workers, n, fn, nil)
+}
+
+// MapLocal is Map with worker-local state: every worker goroutine owns
+// one L, zero-valued when the worker starts, and hands a pointer to it to
+// each task it runs. Tasks use it to reuse expensive scratch — a machine
+// reset in place rather than rebuilt — without a shared pool; nothing
+// else may touch it, so it needs no locking. Which tasks share a local
+// depends on scheduling, so a task's result must not depend on what an
+// earlier task left in it: the determinism contract holds only for
+// state a task fully resets before use.
+func MapLocal[L, T any](ctx context.Context, workers, n int, fn func(ctx context.Context, local *L, task int) (T, error)) ([]T, error) {
+	return mapTasks(ctx, workers, n, nil, fn)
+}
+
+// mapTasks is the one worker loop behind Map and MapLocal; exactly one of
+// fn and localFn is non-nil.
+func mapTasks[L, T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error), localFn func(context.Context, *L, int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n <= 0 {
 		return results, ctx.Err()
@@ -116,7 +134,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		wg   sync.WaitGroup
 		next atomic.Int64
 	)
-	run := func(task int) (err error) {
+	run := func(local *L, task int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Task: task, Value: r, Stack: debug.Stack()}
@@ -132,19 +150,24 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 			rec.Emit(telemetry.Event{Kind: telemetry.KindTaskStart, Addr: uint64(task)})
 		}
 		pool.taskStarted(task)
-		results[task], err = fn(pctx, task)
+		if fn != nil {
+			results[task], err = fn(pctx, task)
+		} else {
+			results[task], err = localFn(pctx, local, task)
+		}
 		return err
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var local L
 			for {
 				task := int(next.Add(1)) - 1
 				if task >= n || pctx.Err() != nil {
 					return
 				}
-				if err := run(task); err != nil {
+				if err := run(&local, task); err != nil {
 					errs[task] = err
 					cancel()
 					return

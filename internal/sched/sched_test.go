@@ -209,3 +209,33 @@ func TestMapErrorIsLowestIndexRecorded(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestMapLocalPerWorkerState: every worker hands its own zero-valued
+// local to the tasks it runs, so tasks reuse it without locking (the
+// race detector checks no two workers share one) and results stay in
+// task order.
+func TestMapLocalPerWorkerState(t *testing.T) {
+	const workers, n = 4, 200
+	out, err := MapLocal(context.Background(), workers, n, func(_ context.Context, runs *int, i int) ([2]int, error) {
+		*runs++
+		if i%9 == 0 {
+			time.Sleep(time.Millisecond) // let other workers interleave
+		}
+		return [2]int{i, *runs}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firsts := 0
+	for i, r := range out {
+		if r[0] != i {
+			t.Fatalf("result %d came from task %d", i, r[0])
+		}
+		if r[1] == 1 {
+			firsts++
+		}
+	}
+	if firsts < 1 || firsts > workers {
+		t.Errorf("%d tasks saw a fresh local, want 1..%d (one per worker that ran)", firsts, workers)
+	}
+}

@@ -172,6 +172,17 @@ func (r *Recorder) Exclude(kinds ...Kind) {
 	r.mu.Unlock()
 }
 
+// Reset empties the ring and zeroes the sequence and every count,
+// keeping the ring's capacity and the Exclude mask: a reset recorder
+// observes the next run exactly as a new one configured the same way
+// would.
+func (r *Recorder) Reset() {
+	r.mu.Lock()
+	r.head, r.n, r.seq = 0, 0, 0
+	r.counts = [NumKinds]uint64{}
+	r.mu.Unlock()
+}
+
 // Emit appends one event, overwriting the oldest when the ring is full.
 // The recorder assigns Seq; callers fill every other field.
 func (r *Recorder) Emit(ev Event) {

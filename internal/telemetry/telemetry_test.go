@@ -76,6 +76,21 @@ func TestRecorderExcludeCountsButDoesNotStore(t *testing.T) {
 	if r.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0 — exclusion is not wrap-around loss", r.Dropped())
 	}
+
+	// Reset forgets events, counts and sequence numbers but keeps the
+	// exclusion mask: a wrapped ring starts over like a new one.
+	for i := 0; i < 20; i++ {
+		r.Emit(Event{Kind: KindCacheFill})
+	}
+	r.Reset()
+	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || len(r.Counts()) != 0 {
+		t.Fatalf("after Reset: len %d, total %d, dropped %d, counts %v", r.Len(), r.Total(), r.Dropped(), r.Counts())
+	}
+	r.Emit(Event{Kind: KindRetire})
+	r.Emit(Event{Kind: KindCacheFill})
+	if evs := r.Events(); len(evs) != 1 || evs[0].Kind != KindCacheFill || evs[0].Seq != 0 {
+		t.Fatalf("after Reset: ring = %v, want one cache fill with Seq 0 and retirements still excluded", evs)
+	}
 }
 
 func TestRecorderConcurrentEmit(t *testing.T) {
