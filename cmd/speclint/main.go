@@ -1,16 +1,12 @@
 // Command speclint statically lints the project's guest-binary corpus
 // with internal/analysis: CFG recovery, speculative-taint findings, and
-// ROP-gadget summaries, with no simulation. The built-in corpus is
+// a ROP-gadget census, with no simulation. The built-in corpus is
 // every generated Spectre attack binary (one per variant) and every
 // MiBench ROP host image.
 //
-// Two lint invariants gate the exit status:
-//
-//   - the v1 attack binary's victim routine must be statically flagged
-//     as a leak (the analyzer never regresses below the paper's core
-//     gadget);
-//   - on every host image the static ROP planner and the dynamic
-//     gadget catalog must agree word-for-word about the exec chain.
+// One lint invariant gates the exit status: the v1 attack binary's
+// victim routine must be statically flagged as a leak (the analyzer
+// never regresses below the paper's core gadget).
 //
 // With -progen N it additionally soak-tests static/dynamic agreement in
 // cmd/difftest style: N seeded gadget programs (internal/progen) are
@@ -52,7 +48,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cpu"
-	"repro/internal/gadget"
 	"repro/internal/isa"
 	"repro/internal/mibench"
 	"repro/internal/obs"
@@ -61,11 +56,10 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 // hostGadgetLen matches the scan depth the ROP demos use on host
-// images, so the planner cross-check sees the same census.
+// images, so the lint's gadget census counts the same gadgets.
 const hostGadgetLen = 3
 
 func main() {
@@ -197,7 +191,6 @@ type corpusImage struct {
 	name  string
 	img   *isa.Image
 	taint []uint8 // registers attacker-controlled at the roots
-	host  bool    // ROP host: cross-check the exec-chain planners
 }
 
 // corpus links the built-in guest binaries: one attack image per
@@ -229,18 +222,10 @@ func corpus() ([]corpusImage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("host %s: %w", w.Name, err)
 		}
-		out = append(out, corpusImage{name: "host/" + w.Name, img: img, host: true})
+		out = append(out, corpusImage{name: "host/" + w.Name, img: img})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, nil
-}
-
-// lintResult is one image's shard of the parallel lint: the report plus
-// the host planner-check outcome, merged sequentially in corpus order.
-type lintResult struct {
-	rep        *analysis.Report
-	plannerErr error
-	plannerTag string // registry counter suffix, "" for non-hosts
 }
 
 func lintCorpus(ctx context.Context, stdout io.Writer, reg *telemetry.Registry, workers int, verbose bool) ([]*analysis.Report, error) {
@@ -248,27 +233,19 @@ func lintCorpus(ctx context.Context, stdout io.Writer, reg *telemetry.Registry, 
 	if err != nil {
 		return nil, err
 	}
-	// Shard the per-image analysis (and the pure planner cross-check)
-	// across the pool; sched.Map returns results in task order, so the
-	// merge below is deterministic at any worker count.
-	results, err := sched.Map(ctx, workers, len(images), func(_ context.Context, i int) (lintResult, error) {
+	// Shard the per-image analysis across the pool; sched.Map returns
+	// results in task order, so the merge below is deterministic at any
+	// worker count.
+	reports, err := sched.Map(ctx, workers, len(images), func(_ context.Context, i int) (*analysis.Report, error) {
 		ci := images[i]
 		rep := analysis.AnalyzeImage(ci.img, analysis.Config{TaintedRegs: ci.taint, MaxGadgetLen: hostGadgetLen})
 		rep.Name = ci.name
-		r := lintResult{rep: rep}
-		if ci.host {
-			r.plannerTag, r.plannerErr = checkHostPlanners(ci, rep)
-		}
-		return r, nil
+		return rep, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var reports []*analysis.Report
-	for i, r := range results {
-		rep := r.rep
-		reports = append(reports, rep)
-
+	for i, rep := range reports {
 		reg.Inc("speclint.images")
 		reg.Add("speclint.instrs", uint64(rep.NumInstrs))
 		reg.Add("speclint.blocks", uint64(rep.NumBlocks))
@@ -287,12 +264,6 @@ func lintCorpus(ctx context.Context, stdout io.Writer, reg *telemetry.Registry, 
 		if verbose {
 			fmt.Fprintf(stdout, "%-28s %s\n", images[i].name, rep.Summary())
 		}
-		if r.plannerErr != nil {
-			return nil, r.plannerErr
-		}
-		if r.plannerTag != "" {
-			reg.Inc("speclint.hosts." + r.plannerTag)
-		}
 	}
 	if err := checkV1Flagged(images, reports); err != nil {
 		return nil, err
@@ -300,8 +271,8 @@ func lintCorpus(ctx context.Context, stdout io.Writer, reg *telemetry.Registry, 
 	return reports, nil
 }
 
-// checkV1Flagged enforces the first lint invariant: the v1 attack
-// image's victim routine carries a static leak finding.
+// checkV1Flagged enforces the lint invariant: the v1 attack image's
+// victim routine carries a static leak finding.
 func checkV1Flagged(images []corpusImage, reports []*analysis.Report) error {
 	name := "spectre/" + spectre.V1BoundsCheck.String()
 	for i, ci := range images {
@@ -320,43 +291,6 @@ func checkV1Flagged(images []corpusImage, reports []*analysis.Report) error {
 		return fmt.Errorf("speclint: %s: victim routine at %#x carries no static leak finding", name, victim)
 	}
 	return fmt.Errorf("speclint: corpus lacks %s", name)
-}
-
-// checkHostPlanners enforces the second lint invariant: on a host
-// image, the static ROP planner subsumes the dynamic gadget catalog —
-// wherever the catalog builds the exec chain, the planner builds the
-// identical word sequence. (The planner may succeed where the catalog
-// cannot: it classifies gadget shapes the catalog does not.) Returns
-// the registry counter tag for the outcome.
-func checkHostPlanners(ci corpusImage, rep *analysis.Report) (string, error) {
-	dynChain, dynErr := rop.BuildExecChain(gadget.ScanAndCatalog(ci.img, hostGadgetLen), rop.NameAddr())
-
-	vals := []uint64{rop.NameAddr(), vm.SysExec}
-	var pairs []analysis.RegValue
-	for i, r := range rop.ExecChainRegs() {
-		pairs = append(pairs, analysis.RegValue{Reg: r, Value: vals[i]})
-	}
-	statPlan, statErr := analysis.PlanSyscall(rep.Gadgets, pairs...)
-
-	if dynErr != nil {
-		if statErr == nil {
-			return "exec_static_only", nil
-		}
-		return "exec_unplannable", nil
-	}
-	if statErr != nil {
-		return "", fmt.Errorf("speclint: %s: dynamic catalog plans the exec chain but the static planner failed: %v", ci.name, statErr)
-	}
-	dw, sw := dynChain.Words(), statPlan.Words()
-	if len(dw) != len(sw) {
-		return "", fmt.Errorf("speclint: %s: exec chains differ: dynamic %d words, static %d", ci.name, len(dw), len(sw))
-	}
-	for i := range dw {
-		if dw[i] != sw[i] {
-			return "", fmt.Errorf("speclint: %s: exec chain word %d: dynamic %#x, static %#x", ci.name, i, dw[i], sw[i])
-		}
-	}
-	return "exec_plannable", nil
 }
 
 // soakAgreement is the difftest-style static/dynamic cross-check: n
@@ -415,7 +349,7 @@ func scanCorpus(seed int64, progenN int, maxInstr uint64) ([]analysis.ScanImage,
 		out = append(out, analysis.ScanImage{
 			Name:   "spectre/" + v.String(),
 			Img:    img,
-			Cfg:    analysis.Config{TaintedRegs: spectre.StaticTaintRegs(), MaxGadgetLen: hostGadgetLen, UninitSecret: true},
+			Cfg:    analysis.Config{TaintedRegs: spectre.StaticTaintRegs(), UninitSecret: true},
 			Attack: scanAttackVariants[v],
 		})
 	}
@@ -431,7 +365,7 @@ func scanCorpus(seed int64, progenN int, maxInstr uint64) ([]analysis.ScanImage,
 		out = append(out, analysis.ScanImage{
 			Name: "host/" + w.Name,
 			Img:  img,
-			Cfg:  analysis.Config{MaxGadgetLen: hostGadgetLen, UninitSecret: true},
+			Cfg:  analysis.Config{UninitSecret: true},
 		})
 	}
 	kinds := progen.GadgetKinds()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/gadget"
 	"repro/internal/isa"
 )
 
@@ -20,10 +21,9 @@ type Report struct {
 	NumGadgets    int       `json:"num_gadgets"`
 	Findings      []Finding `json:"findings"`
 
-	// CFG and Gadgets carry the full structures for programmatic
-	// consumers; they are omitted from JSON output.
-	CFG     *CFG            `json:"-"`
-	Gadgets []GadgetSummary `json:"-"`
+	// CFG carries the full graph for programmatic consumers; it is
+	// omitted from JSON output.
+	CFG *CFG `json:"-"`
 }
 
 // Leaks returns the findings classified as leaking.
@@ -39,13 +39,18 @@ func (r *Report) Leaks() []Finding {
 
 // Analyze recovers the CFG of code loaded at base, runs the
 // speculative-taint pass from the given roots (every root starts with
-// cfg.TaintedRegs attacker-controlled), summarises ROP gadgets, and
-// assembles the report. It never executes the program.
+// cfg.TaintedRegs attacker-controlled), and assembles the report. It
+// never executes the program, and it leaves NumGadgets 0: only
+// AnalyzeImage takes the gadget census.
 func Analyze(code []byte, base uint64, cfg Config, roots ...uint64) *Report {
+	return analyze(decodeImage(code), base, cfg, roots...)
+}
+
+// analyze is Analyze over an existing decode, which it only reads.
+func analyze(d *decodedImage, base uint64, cfg Config, roots ...uint64) *Report {
 	cfg = cfg.withDefaults()
-	g := RecoverCFG(code, base, roots...)
+	g := recoverCFG(d, base, roots...)
 	pass := runTaint(g, cfg)
-	gadgets := SummarizeGadgets(code, base, cfg.MaxGadgetLen)
 	reachable := 0
 	for _, b := range g.Blocks {
 		if b.Reachable {
@@ -60,16 +65,15 @@ func Analyze(code []byte, base uint64, cfg Config, roots ...uint64) *Report {
 		IndirectSites: len(g.IndirectSites),
 		InvalidTgts:   len(g.InvalidTargets),
 		TruncatedTail: g.Truncated,
-		NumGadgets:    len(gadgets),
 		Findings:      pass.findings(),
 		CFG:           g,
-		Gadgets:       gadgets,
 	}
 }
 
 // AnalyzeImage analyses a linked image, rooting the pass at the entry
 // point and every symbol (victim routines are reached by symbol even
-// when only indirect calls target them).
+// when only indirect calls target them), and counts the image's ROP
+// gadgets of at most cfg.MaxGadgetLen instructions with gadget.Scan.
 func AnalyzeImage(img *isa.Image, cfg Config) *Report {
 	roots := []uint64{img.Entry}
 	for _, addr := range img.Symbols {
@@ -77,7 +81,9 @@ func AnalyzeImage(img *isa.Image, cfg Config) *Report {
 			roots = append(roots, addr)
 		}
 	}
-	return Analyze(img.Code, img.Base, cfg, roots...)
+	rep := Analyze(img.Code, img.Base, cfg, roots...)
+	rep.NumGadgets = len(gadget.Scan(img, cfg.withDefaults().MaxGadgetLen))
+	return rep
 }
 
 // Summary renders a one-line human-readable digest for speclint output.

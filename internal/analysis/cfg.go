@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,6 +108,26 @@ func (g *CFG) validPC(pc uint64) bool {
 	return ok && g.slots[i].Err == nil
 }
 
+// decodedImage is one image's slot decode, shared read-only by every
+// CFG recovered from it: a scan decodes each image once and recovers
+// one CFG per root from the same slots. instrs repeats slots[i].In
+// contiguously so every Block.Instrs can be a view of it rather than a
+// copy.
+type decodedImage struct {
+	slots     []isa.SlotDecode
+	instrs    []isa.Instruction
+	truncated int
+}
+
+func decodeImage(code []byte) *decodedImage {
+	slots, truncated := isa.DecodeSlots(code)
+	instrs := make([]isa.Instruction, len(slots))
+	for i := range slots {
+		instrs[i] = slots[i].In
+	}
+	return &decodedImage{slots: slots, instrs: instrs, truncated: truncated}
+}
+
 // RecoverCFG rebuilds the control-flow graph of a code image loaded at
 // base. Recovery combines a linear sweep (every aligned slot that
 // decodes canonically is candidate code, so unreachable gadget material
@@ -124,26 +145,32 @@ func (g *CFG) validPC(pc uint64) bool {
 // non-canonical byte frame, which the fixed-width ISA rejects by
 // construction.
 func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
-	slots, truncated := isa.DecodeSlots(code)
-	g := &CFG{
-		Base:      base,
-		Blocks:    map[uint64]*Block{},
-		Truncated: truncated,
-		slots:     slots,
-	}
+	return recoverCFG(decodeImage(code), base, roots...)
+}
+
+// recoverCFG is RecoverCFG over an existing decode, which it only
+// reads. Block.Instrs are cap-limited views of d.instrs, and Succs views
+// of one per-CFG array, so appending to either copies instead of
+// writing into a neighbour.
+func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
+	slots := d.slots
+	g := &CFG{Base: base, Truncated: d.truncated, slots: slots}
 	n := len(slots)
 
 	// Pass 1: leaders. A slot starts a block if it is a root, a direct
 	// branch target, the slot after any control transfer, or the first
 	// valid slot after invalid space (linear-sweep region starts).
 	leader := make([]bool, n)
-	invalid := map[uint64]bool{}
+	var invalid map[uint64]bool
 	markTarget := func(pc uint64) {
 		if i, ok := g.slotIndex(pc); ok && slots[i].Err == nil {
 			leader[i] = true
 			return
 		}
 		if !invalid[pc] {
+			if invalid == nil {
+				invalid = map[uint64]bool{}
+			}
 			invalid[pc] = true
 			g.InvalidTargets = append(g.InvalidTargets, pc)
 		}
@@ -175,17 +202,24 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 			}
 		}
 	}
+	nb := 0
+	for _, l := range leader {
+		if l {
+			nb++
+		}
+	}
 
-	// Pass 2: block formation over each maximal valid run.
+	// Pass 2: block formation over each maximal valid run. Leaders are
+	// visited in address order, so Order comes out sorted.
+	blocks := make([]Block, 0, nb)
+	g.Blocks = make(map[uint64]*Block, nb)
+	g.Order = make([]uint64, 0, nb)
 	for i := 0; i < n; i++ {
-		if slots[i].Err != nil || !leader[i] {
+		if !leader[i] {
 			continue
 		}
-		start := base + uint64(i)*isa.InstrSize
-		b := &Block{Start: start}
 		j := i
 		for {
-			b.Instrs = append(b.Instrs, slots[j].In)
 			op := slots[j].In.Op
 			if op.IsBranch() || op == isa.HALT {
 				break
@@ -195,19 +229,22 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 			}
 			j++
 		}
-		g.Blocks[start] = b
+		start := base + uint64(i)*isa.InstrSize
+		blocks = append(blocks, Block{Start: start, Instrs: d.instrs[i : j+1 : j+1]})
+		g.Blocks[start] = &blocks[len(blocks)-1]
 		g.Order = append(g.Order, start)
 	}
-	sort.Slice(g.Order, func(a, b int) bool { return g.Order[a] < g.Order[b] })
 
-	// Pass 3: successor edges.
-	for _, start := range g.Order {
-		b := g.Blocks[start]
+	// Pass 3: successor edges, at most two per block.
+	succs := make([]uint64, 0, 2*nb)
+	for k := range blocks {
+		b := &blocks[k]
 		term := b.Terminal()
 		fall := b.End()
+		lo := len(succs)
 		addSucc := func(pc uint64) {
-			if _, ok := g.Blocks[pc]; ok {
-				b.Succs = append(b.Succs, pc)
+			if i, ok := g.slotIndex(pc); ok && leader[i] {
+				succs = append(succs, pc)
 			}
 		}
 		switch op := term.Op; {
@@ -226,6 +263,9 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 		default:
 			addSucc(fall) // block split by a leader mid-run
 		}
+		if hi := len(succs); hi > lo {
+			b.Succs = succs[lo:hi:hi]
+		}
 	}
 
 	// Pass 4: reachability from the roots.
@@ -240,7 +280,7 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 		b.Reachable = true
 		work = append(work, b.Succs...)
 	}
-	sort.Slice(g.InvalidTargets, func(a, b int) bool { return g.InvalidTargets[a] < g.InvalidTargets[b] })
+	slices.Sort(g.InvalidTargets)
 	return g
 }
 

@@ -87,9 +87,10 @@ func TestScanCorpusShape(t *testing.T) {
 
 // TestScanCorpusWorkerInvariant: identical reports at 1, 4, and 8
 // workers — the sharding satellite's core invariant, checked at the
-// library layer (the CLI test checks the bytes).
+// library layer (the CLI test checks the bytes). The sha_1 host has
+// many roots, so its tasks share one decode across workers.
 func TestScanCorpusWorkerInvariant(t *testing.T) {
-	images := scanFixture(t)
+	images := append(scanFixture(t), ScanImage{Name: "host/sha_1", Img: linkHost(t, "sha_1"), Cfg: Config{UninitSecret: true}})
 	base, err := ScanCorpus(context.Background(), PolicyUninitSecret, images, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,9 @@ import (
 // the input, recovery must not panic, and the structural invariants
 // must hold: every block instruction round-trips through isa.Encode to
 // the exact image bytes (the linear sweep only admits canonical slots),
-// blocks are disjoint and ordered, successors land on block starts, and
-// the taint pass runs to completion on the recovered graph.
+// blocks are disjoint and ordered, successors land on block starts, the
+// taint pass runs to completion on the recovered graph, and a CFG
+// recovered from a shared decode equals RecoverCFG's.
 func FuzzCFGRecovery(f *testing.F) {
 	p, _ := progen.GenerateGadget(1, progen.GadgetLeak)
 	f.Add(p.Code)
@@ -61,22 +62,19 @@ func FuzzCFGRecovery(f *testing.F) {
 			}
 		}
 
-		// The whole pipeline must also hold up: taint analysis and gadget
-		// summarization over the same bytes, panic-free.
+		// The whole pipeline must also hold up: taint analysis over the
+		// same bytes, panic-free, and recovery from a shared decode that
+		// matches RecoverCFG from every root the fuzzed image offers.
 		rep := Analyze(code, fuzzBase, Config{TaintedRegs: []uint8{1}}, fuzzBase)
 		for _, fd := range rep.Findings {
 			if _, ok := g.InstrAt(fd.AccessPC); !ok {
 				t.Fatalf("finding at %#x points outside the decoded image", fd.AccessPC)
 			}
 		}
-		for _, s := range SummarizeGadgets(code, fuzzBase, 4) {
-			if s.Len < 1 || s.Len > 4 {
-				t.Fatalf("summary at %#x has length %d", s.Addr, s.Len)
-			}
-			in, ok := g.InstrAt(s.Addr + uint64(s.Len-1)*isa.InstrSize)
-			if !ok || in.Op != isa.RET {
-				t.Fatalf("summary at %#x does not end in RET", s.Addr)
-			}
+		d := decodeImage(code)
+		checkSameCFG(t, recoverCFG(d, fuzzBase, fuzzBase), g)
+		for _, start := range g.Order {
+			checkSameCFG(t, recoverCFG(d, fuzzBase, start), RecoverCFG(code, fuzzBase, start))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -21,6 +22,9 @@ import (
 // image join (taint that only flows via another root's prefix is not
 // seen), which is sound for a candidate sweep: every pair the joined
 // pass would flag from some root is flagged by that root's shard.
+// Each image is decoded once, by the first of its tasks to run; its
+// other tasks and the report's per-image summary recover their CFGs
+// from that shared, read-only decode.
 
 // ConfirmSpec carries what the SpecFuzz confirmation pass needs to
 // execute a scanned image: the concrete program, its gadget metadata
@@ -88,10 +92,16 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 			tasks = append(tasks, task{i, r})
 		}
 	}
+	decoded := make([]*decodedImage, len(images))
+	decodeOnce := make([]sync.Once, len(images))
+	decode := func(i int) *decodedImage {
+		decodeOnce[i].Do(func() { decoded[i] = decodeImage(images[i].Img.Code) })
+		return decoded[i]
+	}
 	shards, err := sched.Map(ctx, workers, len(tasks), func(_ context.Context, i int) ([]RankedFinding, error) {
 		t := tasks[i]
 		im := images[t.img]
-		rep := Analyze(im.Img.Code, im.Img.Base, im.Cfg, t.root)
+		rep := analyze(decode(t.img), im.Img.Base, im.Cfg, t.root)
 		return RankFindings(im.Name, rep), nil
 	})
 	if err != nil {
@@ -152,7 +162,7 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 	}
 	rep := &FindingsReport{Schema: FindingsSchema, Policy: policy, Findings: all}
 	for i, im := range images {
-		g := RecoverCFG(im.Img.Code, im.Img.Base, imageRoots(im.Img)...)
+		g := recoverCFG(decode(i), im.Img.Base, imageRoots(im.Img)...)
 		rep.Images = append(rep.Images, ImageSummary{
 			Name:      im.Name,
 			Base:      im.Img.Base,

@@ -1,9 +1,9 @@
 // Package analysis is the static counterpart of the dynamic pipeline:
 // it recovers control flow from guest binary images (cfg.go), runs a
 // worklist abstract interpretation that tracks an attacker-taint lattice
-// and speculation windows to flag Spectre-v1 gadgets (this file),
-// summarizes ROP gadgets symbolically (ropchain.go), and cross-checks
-// its verdicts against the simulator (dynamic.go, the agreement tests).
+// and speculation windows to flag Spectre-v1 gadgets (this file), and
+// cross-checks its verdicts against the simulator (dynamic.go, the
+// agreement tests). ROP chain planning is the dynamic rop package's.
 //
 // The taint lattice has two independent bits per register:
 //
@@ -53,7 +53,8 @@ type Config struct {
 	// SpecWindow is the modelled speculation window in instructions
 	// (default: 64, matching cpu.DefaultConfig).
 	SpecWindow int
-	// MaxGadgetLen bounds ROP gadget summaries (default 4).
+	// MaxGadgetLen bounds the ROP gadgets AnalyzeImage counts
+	// (default 4).
 	MaxGadgetLen int
 	// UninitSecret is the Pitchfork scan policy: every load executed
 	// inside a speculation window yields a transient secret even when
@@ -300,16 +301,12 @@ func runTaint(g *CFG, cfg Config) *taintPass {
 		if !ok {
 			continue
 		}
-		outs := p.flowBlock(b)
-		// Propagate in the block's successor order, not map order: the
-		// access/guard pairs recorded during pre-fixpoint visits depend
-		// on the visit sequence, so the worklist must evolve identically
-		// on every run for reports to be byte-stable.
+		out := p.flowBlock(b)
+		// Propagate in the block's successor order: the access/guard
+		// pairs recorded during pre-fixpoint visits depend on the visit
+		// sequence, so the worklist must evolve identically on every run
+		// for reports to be byte-stable.
 		for _, succ := range b.Succs {
-			out, ok := outs[succ]
-			if !ok {
-				continue
-			}
 			s := p.in[succ]
 			if s.join(out) {
 				p.in[succ] = s
@@ -321,37 +318,27 @@ func runTaint(g *CFG, cfg Config) *taintPass {
 }
 
 // flowBlock runs the transfer function over one block from its joined
-// entry state and returns the per-successor exit states.
-func (p *taintPass) flowBlock(b *Block) map[uint64]regState {
+// entry state and returns its exit state, which every successor
+// receives. A terminal conditional branch opens a window when its
+// flags are unresolved (the bounds check may mispredict).
+func (p *taintPass) flowBlock(b *Block) regState {
 	s := p.in[b.Start]
-	for i, in := range b.Instrs {
-		pc := b.Start + uint64(i)*isa.InstrSize
-		last := i == len(b.Instrs)-1
-		if last {
-			// Terminal: compute successor states, including window
-			// opening at an unresolved conditional bounds check.
-			outs := map[uint64]regState{}
-			if in.Op.IsCondBranch() {
-				out := s
-				p.tick(&out)
-				if out.win == 0 && s.flagsInflight {
-					out.win = p.cfg.SpecWindow
-					out.guard = pc
-				}
-				for _, succ := range b.Succs {
-					outs[succ] = out
-				}
-				return outs
-			}
-			p.step(&s, pc, in)
-			for _, succ := range b.Succs {
-				outs[succ] = s
-			}
-			return outs
-		}
-		p.step(&s, pc, in)
+	last := len(b.Instrs) - 1
+	for i, in := range b.Instrs[:last] {
+		p.step(&s, b.Start+uint64(i)*isa.InstrSize, in)
 	}
-	return nil
+	pc := b.Start + uint64(last)*isa.InstrSize
+	if term := b.Instrs[last]; !term.Op.IsCondBranch() {
+		p.step(&s, pc, term)
+		return s
+	}
+	out := s
+	p.tick(&out)
+	if out.win == 0 && s.flagsInflight {
+		out.win = p.cfg.SpecWindow
+		out.guard = pc
+	}
+	return out
 }
 
 // tick consumes one instruction slot of the open windows, clearing

@@ -132,6 +132,13 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	}
 	b := &block{startPC: pc, pg0: pc / mem.PageSize}
 	b.pg1, b.gen0, b.gen1 = b.pg0, gen, gen
+	// Collect the body and bytes on the stack, then copy each once at
+	// its exact length.
+	var (
+		body  [maxBlockOps]isa.Instruction
+		code  [(maxBlockOps + 1) * isa.InstrSize]byte
+		nbody int
+	)
 	p := pc
 	for {
 		in, derr := isa.Decode(raw)
@@ -141,14 +148,14 @@ func (c *CPU) compileBlock(pc uint64) *block {
 		if pg := p / mem.PageSize; pg != b.pg0 {
 			b.pg1, b.gen1 = pg, gen
 		}
-		b.raw = append(b.raw, raw...)
+		copy(code[p-pc:], raw)
 		p += isa.InstrSize
 		if in.Op.IsBlockTerminator() {
 			b.term, b.kind = in, termKindOf(in.Op)
 			break
 		}
-		b.body = append(b.body, in)
-		if len(b.body) >= maxBlockOps {
+		body[nbody] = in
+		if nbody++; nbody >= maxBlockOps {
 			break
 		}
 		if raw, gen, err = c.Mem.FetchNoCopy(p, isa.InstrSize); err != nil {
@@ -156,6 +163,12 @@ func (c *CPU) compileBlock(pc uint64) *block {
 		}
 	}
 	b.endPC = p
+	if nbody > 0 {
+		b.body = append([]isa.Instruction(nil), body[:nbody]...)
+	}
+	if p > pc {
+		b.raw = append([]byte(nil), code[:p-pc]...)
+	}
 
 	if b.kind == termCond && len(b.body) > 0 && b.body[len(b.body)-1].Op.SetsFlags() {
 		b.kind = termFused

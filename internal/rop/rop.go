@@ -233,11 +233,6 @@ func BuildExecChain(cat *gadget.Catalog, nameAddr uint64) (*gadget.Chain, error)
 	)
 }
 
-// ExecChainRegs lists the registers BuildExecChain loads, in chain
-// order — the pop-gadget capabilities a static planner must find in a
-// host image for the paper's injection to be possible.
-func ExecChainRegs() []uint8 { return []uint8{1, 0} }
-
 // PayloadLayout describes where BuildPayload placed its pieces, for
 // documentation and tests.
 type PayloadLayout struct {
