@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,8 +22,6 @@ import (
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/prof"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -72,13 +69,19 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	// Retirements would wrap the ring within ~65k instructions and evict
+	// the attack's speculation episodes; keep them as counts.
+	h, err := obs.Start(obs.Config{
+		Tool: "crspectre", Trace: *traceOut, TraceEvents: *eventsOut, Manifest: *manifest, Obs: *obsAddr,
+		CPUProfile: *cpuprofile, MemProfile: *memprofile,
+		Exclude: []telemetry.Kind{telemetry.KindRetire}, Stall: 2 * time.Minute,
+	})
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
+		if cerr := h.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}()
 
@@ -89,44 +92,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		return nil
 	}
 
-	// Telemetry sinks: a recorder when any trace/manifest output was
-	// requested (the manifest carries the per-kind event totals), a
-	// registry whenever a manifest is wanted. Both stay nil — and every
-	// core hook a single nil check — otherwise.
-	var (
-		rec     *telemetry.Recorder
-		reg     *telemetry.Registry
-		tracker *sched.Tracker
-		start   = time.Now()
-		runID   = telemetry.NewRunID()
-	)
-	if *traceOut != "" || *eventsOut != "" || *manifest != "" || *obsAddr != "" {
-		rec = telemetry.NewRecorder(0)
-		// Retirements would wrap the ring within ~65k instructions and
-		// evict the attack's speculation episodes; keep them as counts.
-		rec.Exclude(telemetry.KindRetire)
-	}
-	if *manifest != "" || *obsAddr != "" {
-		reg = telemetry.NewRegistry()
-		tracker = sched.NewTracker(reg, rec, nil)
-	}
-	if *obsAddr != "" {
-		logger := telemetry.NewLogger(os.Stderr, "crspectre", runID)
-		tracker = sched.NewTracker(reg, rec, logger)
-		obsCtx, obsCancel := context.WithCancel(context.Background())
-		defer obsCancel()
-		srv, serr := obs.Serve(obsCtx, *obsAddr, obs.Options{
-			Tool: "crspectre", RunID: runID, Log: logger,
-			Registry: reg, Recorder: rec, Tracker: tracker,
-		})
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		stopWatch := tracker.Watch(obsCtx, 2*time.Minute)
-		defer stopWatch()
-	}
-
 	rep, err := repro.RunAttack(repro.AttackOptions{
 		Host:      *host,
 		Variant:   *variant,
@@ -135,45 +100,27 @@ func run(args []string, stdout io.Writer) (err error) {
 		Detector:  *detector,
 		Seed:      *seed,
 		Workers:   *workers,
-		Telemetry: rec,
-		Metrics:   reg,
-		Tracker:   tracker,
+		Telemetry: h.Recorder,
+		Metrics:   h.Registry,
+		Tracker:   h.Tracker,
 		NoBlocks:  *noblocks,
 	})
 	if err != nil {
 		return err
 	}
 
-	if *traceOut != "" {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, rec.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote trace %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
+	m := telemetry.NewManifest("crspectre", args)
+	m.Seed = *seed
+	m.Workers = *workers
+	m.Config = map[string]any{
+		"host":       *host,
+		"variant":    *variant,
+		"secret_len": len(*secret),
+		"perturb":    *perturb,
+		"detector":   *detector,
 	}
-	if *eventsOut != "" {
-		if err := telemetry.WriteJSONLFile(*eventsOut, rec.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote event log %s\n", *eventsOut)
-	}
-	if *manifest != "" {
-		m := telemetry.NewManifest("crspectre", args)
-		m.RunID = runID
-		m.RecordProgress(tracker.ManifestProgress())
-		m.Seed = *seed
-		m.Workers = *workers
-		m.Config = map[string]any{
-			"host":       *host,
-			"variant":    *variant,
-			"secret_len": len(*secret),
-			"perturb":    *perturb,
-			"detector":   *detector,
-		}
-		m.Finish(start, reg, rec)
-		if err := m.WriteFile(*manifest); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote manifest %s\n", *manifest)
+	if err := h.WriteOutputs(stdout, m); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stdout, "host:             %s\n", rep.Host)

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -83,6 +82,7 @@ var configRing = []struct {
 type shardResult struct {
 	seed    int64
 	config  string
+	cfg     cpu.Config
 	steps   uint64
 	halted  bool
 	faulted bool
@@ -119,46 +119,20 @@ func run(args []string, stdout io.Writer) error {
 	tierDiff := !*noblocks
 
 	// Observability is opt-in: without -obs/-manifest every sink stays
-	// nil and the scheduler keeps its nil-check-only fast path.
-	ctx := context.Background()
-	var (
-		reg     *telemetry.Registry
-		rec     *telemetry.Recorder
-		tracker *sched.Tracker
-	)
-	runID := telemetry.NewRunID()
-	if *obsAddr != "" || *manifestOut != "" {
-		reg = telemetry.NewRegistry()
-		rec = telemetry.NewRecorder(0)
-		// Keep task stops in the ring — /events then tails one line per
-		// completed shard, the soak's live feed — but drop the starts,
-		// which would only halve the ring's reach. The counts census
-		// keeps both either way.
-		rec.Exclude(telemetry.KindTaskStart)
-		var logger *slog.Logger
-		if *obsAddr != "" {
-			logger = telemetry.NewLogger(os.Stderr, "difftest", runID)
-		}
-		tracker = sched.NewTracker(reg, rec, logger)
-		ctx = sched.WithPool(telemetry.WithRegistry(telemetry.NewContext(ctx, rec), reg),
-			tracker.Pool("difftest"))
-		if *obsAddr != "" {
-			obsCtx, obsCancel := context.WithCancel(context.Background())
-			defer obsCancel()
-			srv, err := obs.Serve(obsCtx, *obsAddr, obs.Options{
-				Tool: "difftest", RunID: runID, Log: logger,
-				Registry: reg, Recorder: rec, Tracker: tracker,
-			})
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			// A shard is milliseconds of work; a minute of silence means a
-			// wedged worker, and the goroutine dump is the evidence.
-			stopWatch := tracker.Watch(obsCtx, time.Minute)
-			defer stopWatch()
-		}
+	// nil and the scheduler keeps its nil-check-only fast path. Task
+	// stops stay in the ring — /events then tails one line per completed
+	// shard, the soak's live feed — but the starts, which would only
+	// halve the ring's reach, are kept as counts. A shard is milliseconds
+	// of work; a minute of silence means a wedged worker.
+	h, err := obs.Start(obs.Config{
+		Tool: "difftest", Manifest: *manifestOut, Obs: *obsAddr,
+		Exclude: []telemetry.Kind{telemetry.KindTaskStart}, Stall: time.Minute,
+	})
+	if err != nil {
+		return err
 	}
+	defer h.Close()
+	ctx := h.Context(context.Background(), "difftest")
 
 	start := time.Now()
 	deadline := time.Duration(float64(time.Minute) * *minutes)
@@ -191,7 +165,7 @@ func run(args []string, stdout io.Writer) error {
 				return shardResult{}, fmt.Errorf("shard %d (seed %d): %w", shard, s, err)
 			}
 			sr := shardResult{
-				seed: s, config: ring.name, steps: res.Steps,
+				seed: s, config: ring.name, cfg: ring.cfg, steps: res.Steps,
 				halted: res.Halted, faulted: res.Fault != nil, budget: res.BudgetExhausted,
 				div: res.Div, prog: p,
 			}
@@ -213,13 +187,13 @@ func run(args []string, stdout io.Writer) error {
 		for _, r := range results {
 			total++
 			instret += r.steps
-			reg.Inc("difftest.programs")
-			reg.Add("difftest.instr_pairs", r.steps)
+			h.Registry.Inc("difftest.programs")
+			h.Registry.Add("difftest.instr_pairs", r.steps)
 			switch {
 			case r.div != nil:
-				return reportDivergence(stdout, *reproOut, r, *maxInstr)
+				return reportDivergence(stdout, *reproOut, r, r.div, lockstepAxis(*maxInstr, nil))
 			case r.tierDiv != nil:
-				return reportTierDivergence(stdout, *reproOut, r, *maxInstr)
+				return reportDivergence(stdout, *reproOut, r, r.tierDiv, tierAxis(*maxInstr, 0, nil))
 			case r.halted:
 				halted++
 			case r.faulted:
@@ -242,42 +216,60 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "difftest: %d programs (%d halted, %d faulted, %d budget-capped), %d instr pairs, tier-diff %s, %.1fs, divergences: 0\n",
 		total, halted, faulted, budget, instret, mode, elapsed)
 	if *manifestOut != "" {
-		reg.Add("difftest.halted", uint64(halted))
-		reg.Add("difftest.faulted", uint64(faulted))
-		reg.Add("difftest.budget_capped", uint64(budget))
-		m := telemetry.NewManifest("difftest", args)
-		m.RunID = runID
-		m.Seed = *seed
-		m.Workers = sched.Workers(*workers)
-		m.Config = map[string]any{
-			"programs": *programs,
-			"minutes":  *minutes,
-			"maxinstr": *maxInstr,
-			"tierdiff": tierDiff,
-		}
-		m.RecordProgress(tracker.ManifestProgress())
-		m.Finish(start, reg, rec)
-		if err := m.WriteFile(*manifestOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote manifest %s\n", *manifestOut)
+		h.Registry.Add("difftest.halted", uint64(halted))
+		h.Registry.Add("difftest.faulted", uint64(faulted))
+		h.Registry.Add("difftest.budget_capped", uint64(budget))
 	}
-	return nil
+	m := telemetry.NewManifest("difftest", args)
+	m.Seed = *seed
+	m.Workers = sched.Workers(*workers)
+	m.Config = map[string]any{
+		"programs": *programs,
+		"minutes":  *minutes,
+		"maxinstr": *maxInstr,
+		"tierdiff": tierDiff,
+	}
+	return h.WriteOutputs(stdout, m)
 }
 
-// reportDivergence minimizes the failing program and writes the repro
-// report; the returned error carries the headline so the process exits 1.
-func reportDivergence(stdout io.Writer, reproPath string, r shardResult, maxInstr uint64) error {
-	ring := cpu.DefaultConfig()
-	for _, c := range configRing {
-		if c.name == r.config {
-			ring = c.cfg
-		}
-	}
+// axis is one of a shard's two differentials, as its divergence report
+// names it, with the minimizer that shrinks a failing program on it.
+type axis struct {
+	title    string // report headline
+	note     string // headline suffix
+	subject  string // what the returned error calls the divergence
+	minimize func(p progen.Program, cfg cpu.Config) (min progen.Program, n int, div *oracle.Divergence, ok bool)
+}
+
+// lockstepAxis is the optimized core against the reference interpreter.
+func lockstepAxis(maxInstr uint64, pre oracle.PreStep) axis {
+	return axis{title: "DIVERGENCE", subject: "divergence",
+		minimize: func(p progen.Program, cfg cpu.Config) (progen.Program, int, *oracle.Divergence, bool) {
+			min, n, res, ok := oracle.Minimize(p, cfg, maxInstr, pre)
+			return min, n, res.Div, ok
+		}}
+}
+
+// tierAxis is the block tier against single-step: the optimized core
+// agreed with the reference interpreter but disagreed with itself once
+// superblocks were enabled. Minimization goes through the tier harness
+// so the repro stays a two-tier one.
+func tierAxis(maxInstr, sliceInstr uint64, pre oracle.TierPreSlice) axis {
+	return axis{title: "TIER DIVERGENCE", note: " (blocks vs single-step)", subject: "block-tier divergence",
+		minimize: func(p progen.Program, cfg cpu.Config) (progen.Program, int, *oracle.Divergence, bool) {
+			min, n, res, ok := oracle.MinimizeTier(p, cfg, maxInstr, sliceInstr, pre)
+			return min, n, res.Div, ok
+		}}
+}
+
+// reportDivergence minimizes the failing program on its axis and writes
+// the repro report; the returned error carries the headline so the
+// process exits 1.
+func reportDivergence(stdout io.Writer, reproPath string, r shardResult, div *oracle.Divergence, ax axis) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DIVERGENCE seed=%d config=%s\n%v\n", r.seed, r.config, r.div)
-	if min, n, mres, ok := oracle.Minimize(r.prog, ring, maxInstr, nil); ok {
-		fmt.Fprintf(&b, "minimized to %d instructions:\n%s%v\n", n, min.Disasm(n), mres.Div)
+	fmt.Fprintf(&b, "%s seed=%d config=%s%s\n%v\n", ax.title, r.seed, r.config, ax.note, div)
+	if min, n, mdiv, ok := ax.minimize(r.prog, r.cfg); ok {
+		fmt.Fprintf(&b, "minimized to %d instructions:\n%s%v\n", n, min.Disasm(n), mdiv)
 	} else {
 		fmt.Fprintf(&b, "minimization failed to reproduce; full program (%d instructions):\n%s",
 			r.prog.NumInstr, r.prog.Disasm(0))
@@ -286,39 +278,10 @@ func reportDivergence(stdout io.Writer, reproPath string, r shardResult, maxInst
 	fmt.Fprint(stdout, report)
 	if reproPath != "" {
 		if err := os.WriteFile(reproPath, []byte(report), 0o644); err != nil {
-			return fmt.Errorf("difftest: divergence found, and writing repro failed: %w", err)
+			return fmt.Errorf("difftest: %s found, and writing repro failed: %w", strings.ToLower(ax.title), err)
 		}
 	}
-	return fmt.Errorf("difftest: divergence on seed %d (config %s)", r.seed, r.config)
-}
-
-// reportTierDivergence is reportDivergence for the block-tier axis: the
-// optimized core agreed with the reference interpreter but disagreed
-// with itself once superblocks were enabled. Minimization goes through
-// the tier harness so the repro stays a two-tier one.
-func reportTierDivergence(stdout io.Writer, reproPath string, r shardResult, maxInstr uint64) error {
-	ring := cpu.DefaultConfig()
-	for _, c := range configRing {
-		if c.name == r.config {
-			ring = c.cfg
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "TIER DIVERGENCE seed=%d config=%s (blocks vs single-step)\n%v\n", r.seed, r.config, r.tierDiv)
-	if min, n, mres, ok := oracle.MinimizeTier(r.prog, ring, maxInstr, 0, nil); ok {
-		fmt.Fprintf(&b, "minimized to %d instructions:\n%s%v\n", n, min.Disasm(n), mres.Div)
-	} else {
-		fmt.Fprintf(&b, "minimization failed to reproduce; full program (%d instructions):\n%s",
-			r.prog.NumInstr, r.prog.Disasm(0))
-	}
-	report := b.String()
-	fmt.Fprint(stdout, report)
-	if reproPath != "" {
-		if err := os.WriteFile(reproPath, []byte(report), 0o644); err != nil {
-			return fmt.Errorf("difftest: tier divergence found, and writing repro failed: %w", err)
-		}
-	}
-	return fmt.Errorf("difftest: block-tier divergence on seed %d (config %s)", r.seed, r.config)
+	return fmt.Errorf("difftest: %s on seed %d (config %s)", ax.subject, r.seed, r.config)
 }
 
 // runSelftest proves the harness end to end: it injects silent
@@ -365,32 +328,19 @@ func runSelftest(stdout io.Writer) error {
 // register the program never writes, and the tier diff must catch the
 // skew and MinimizeTier must shrink the repro past the padding tail.
 func runTierSelftest(stdout io.Writer) error {
-	const sliceInstr = 4
-	instrs := []isa.Instruction{
-		{Op: isa.MOVI, Rd: 1, Imm: 7},
-	}
-	for i := 0; i < 48; i++ {
-		instrs = append(instrs, isa.Instruction{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 1})
-	}
-	instrs = append(instrs, isa.Instruction{Op: isa.HALT})
-	p, err := progen.Craft(instrs, nil, false)
+	p, pre, err := brokenTierScenario()
 	if err != nil {
 		return err
 	}
-	pre := func(slice uint64, blocks, _ *cpu.CPU) {
-		if slice == 1 {
-			blocks.Regs[5] ^= 0xdead // r5 is never architecturally written
-		}
-	}
 	cfg := cpu.DefaultConfig()
-	res, err := oracle.RunTierDiff(p, cfg, 100_000, sliceInstr, pre)
+	res, err := oracle.RunTierDiff(p, cfg, 100_000, selftestSlice, pre)
 	if err != nil {
 		return err
 	}
 	if res.Clean() {
 		return fmt.Errorf("difftest: selftest block-tier: injected register skew was NOT detected")
 	}
-	_, n, mres, ok := oracle.MinimizeTier(p, cfg, 100_000, sliceInstr, pre)
+	_, n, mres, ok := oracle.MinimizeTier(p, cfg, 100_000, selftestSlice, pre)
 	if !ok || mres.Clean() {
 		return fmt.Errorf("difftest: selftest block-tier: minimizer failed to reproduce the divergence")
 	}
@@ -400,6 +350,33 @@ func runTierSelftest(stdout io.Writer) error {
 	fmt.Fprintf(stdout, "selftest block-tier: slice-injected skew caught (%d reasons) and minimized to %d instructions\n",
 		len(res.Div.Reasons), n)
 	return nil
+}
+
+// selftestSlice is the block-tier selftest's slice length, short enough
+// that the skew lands in the second slice.
+const selftestSlice = 4
+
+// brokenTierScenario builds a padded program and a slice hook that, in
+// the second slice, clobbers a register the program never writes on the
+// block-tier core only.
+func brokenTierScenario() (progen.Program, oracle.TierPreSlice, error) {
+	instrs := []isa.Instruction{
+		{Op: isa.MOVI, Rd: 1, Imm: 7},
+	}
+	for i := 0; i < 48; i++ {
+		instrs = append(instrs, isa.Instruction{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 1})
+	}
+	instrs = append(instrs, isa.Instruction{Op: isa.HALT})
+	p, err := progen.Craft(instrs, nil, false)
+	if err != nil {
+		return progen.Program{}, nil, err
+	}
+	pre := func(slice uint64, blocks, _ *cpu.CPU) {
+		if slice == 1 {
+			blocks.Regs[5] ^= 0xdead // r5 is never architecturally written
+		}
+	}
+	return p, pre, nil
 }
 
 // brokenFastPathScenario builds a program whose 11th instruction is a

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,8 +27,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/prof"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -83,16 +80,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		manifestPath = filepath.Join(*csvdir, "manifest.json")
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-
 	cfg := experiments.DefaultConfig()
 	cfg.SamplesPerClass = *samples
 	cfg.Attempts = *att
@@ -101,39 +88,24 @@ func run(args []string, stdout io.Writer) (err error) {
 	cfg.Workers = *workers
 	cfg.CPU.NoBlocks = *noblocks
 
-	// Telemetry sinks share one recorder/registry across every section
-	// the invocation runs; the manifest then carries the aggregate
-	// metrics and per-kind event totals. All nil when nothing asked.
-	runStart := time.Now()
-	runID := telemetry.NewRunID()
-	if *traceOut != "" || *eventsOut != "" || manifestPath != "" || *obsAddr != "" {
-		cfg.Telemetry = telemetry.NewRecorder(0)
-		// Retirements would wrap the ring within ~65k instructions and
-		// evict the episode-structure events; keep them as counts.
-		cfg.Telemetry.Exclude(telemetry.KindRetire)
+	// One set of sinks serves every section the invocation runs; the
+	// manifest then carries the aggregate metrics and per-kind event
+	// totals. Retirements would wrap the ring within ~65k instructions
+	// and evict the episode-structure events; keep them as counts.
+	h, err := obs.Start(obs.Config{
+		Tool: "experiments", Trace: *traceOut, TraceEvents: *eventsOut, Manifest: manifestPath, Obs: *obsAddr,
+		CPUProfile: *cpuprofile, MemProfile: *memprofile,
+		Exclude: []telemetry.Kind{telemetry.KindRetire}, Stall: 2 * time.Minute,
+	})
+	if err != nil {
+		return err
 	}
-	if manifestPath != "" || *obsAddr != "" {
-		cfg.Metrics = telemetry.NewRegistry()
-	}
-	if manifestPath != "" || *obsAddr != "" {
-		cfg.Tracker = sched.NewTracker(cfg.Metrics, cfg.Telemetry, nil)
-	}
-	if *obsAddr != "" {
-		logger := telemetry.NewLogger(os.Stderr, "experiments", runID)
-		cfg.Tracker = sched.NewTracker(cfg.Metrics, cfg.Telemetry, logger)
-		obsCtx, obsCancel := context.WithCancel(context.Background())
-		defer obsCancel()
-		srv, err := obs.Serve(obsCtx, *obsAddr, obs.Options{
-			Tool: "experiments", RunID: runID, Log: logger,
-			Registry: cfg.Metrics, Recorder: cfg.Telemetry, Tracker: cfg.Tracker,
-		})
-		if err != nil {
-			return err
+	defer func() {
+		if cerr := h.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
-		defer srv.Close()
-		stopWatch := cfg.Tracker.Watch(obsCtx, 2*time.Minute)
-		defer stopWatch()
-	}
+	}()
+	cfg.Telemetry, cfg.Metrics, cfg.Tracker = h.Recorder, h.Registry, h.Tracker
 
 	want := func(s, v string) bool { return *all || strings.TrimSpace(s) == v }
 	campaign := experiments.CampaignSpec{
@@ -152,27 +124,5 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 
-	if *traceOut != "" {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, cfg.Telemetry.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote trace %s (%d events, %d dropped)\n",
-			*traceOut, cfg.Telemetry.Len(), cfg.Telemetry.Dropped())
-	}
-	if *eventsOut != "" {
-		if err := telemetry.WriteJSONLFile(*eventsOut, cfg.Telemetry.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote event log %s\n", *eventsOut)
-	}
-	if manifestPath != "" {
-		m := cfg.Manifest("experiments", args)
-		m.RunID = runID
-		cfg.FinishManifest(m, runStart)
-		if err := m.WriteFile(manifestPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote manifest %s\n", manifestPath)
-	}
-	return nil
+	return h.WriteOutputs(stdout, cfg.Manifest("experiments", args))
 }

@@ -109,7 +109,11 @@ func dump(img *isa.Image, gadgets bool) {
 	for n, a := range img.Symbols {
 		syms = append(syms, sym{n, a})
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i].addr < syms[j].addr })
+	// Aliases share an address; the name breaks the tie so the table
+	// never depends on map order.
+	sort.Slice(syms, func(i, j int) bool {
+		return syms[i].addr < syms[j].addr || syms[i].addr == syms[j].addr && syms[i].name < syms[j].name
+	})
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	for _, s := range syms {
 		sec := ".text"

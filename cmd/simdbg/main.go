@@ -18,52 +18,79 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"time"
-
 	"io"
+	"os"
 	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/debug"
 	"repro/internal/gadget"
 	"repro/internal/mibench"
+	"repro/internal/obs"
 	"repro/internal/rop"
 	"repro/internal/spectre"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
-func main() {
-	var (
-		hostName = flag.String("host", "math", "workload to load")
-		bp       = flag.String("break", "", "break at this symbol")
-		attack   = flag.Bool("attack", false, "run the CR-Spectre injection instead of a benign input")
-		events   = flag.Int("events", 25, "telemetry events to dump at each stop")
-		budget   = flag.Uint64("budget", 200_000_000, "instruction budget")
-		watchRet = flag.Bool("watchret", false, "watch the saved-return-address slot and report who wrote it")
-		blocks   = flag.Bool("blocks", false, "run hook-free and dump the superblock cache (tier introspection; ignores -break/-watchret)")
+// errFlags marks a command line the flag set rejected.
+var errFlags = errors.New("bad flags")
 
-		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace of the session to this file")
-		eventsOut = flag.String("trace-events", "", "write the raw JSONL event log to this file")
-		manifest  = flag.String("manifest", "", "write a session manifest to this file")
-		metrics   = flag.String("metrics", "", "dump the metrics of a run manifest file or a live obs server (host:port or URL) and exit")
+func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	case errors.Is(err, errFlags):
+		os.Exit(2) // the flag set has said why
+	default:
+		fmt.Fprintln(os.Stderr, "simdbg:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one debugger session against args, writing the session
+// to stdout. It is the testable core of main.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("simdbg", flag.ContinueOnError)
+	var (
+		hostName = fs.String("host", "math", "workload to load")
+		bp       = fs.String("break", "", "break at this symbol")
+		attack   = fs.Bool("attack", false, "run the CR-Spectre injection instead of a benign input")
+		events   = fs.Int("events", 25, "telemetry events to dump at each stop")
+		budget   = fs.Uint64("budget", 200_000_000, "instruction budget")
+		watchRet = fs.Bool("watchret", false, "watch the saved-return-address slot and report who wrote it")
+		blocks   = fs.Bool("blocks", false, "run hook-free and dump the superblock cache (tier introspection; ignores -break/-watchret)")
+
+		traceOut  = fs.String("trace", "", "write a Chrome/Perfetto trace of the session to this file")
+		eventsOut = fs.String("trace-events", "", "write the raw JSONL event log to this file")
+		manifest  = fs.String("manifest", "", "write a session manifest to this file")
+		metrics   = fs.String("metrics", "", "dump the metrics of a run manifest file or a live obs server (host:port or URL) and exit")
 	)
-	flag.Parse()
-	start := time.Now()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	if *metrics != "" {
 		// Metrics inspection is a standalone mode: no workload is
 		// loaded, the source is another run entirely.
-		if err := dumpMetrics(os.Stdout, *metrics); err != nil {
-			fatal(err)
-		}
-		return
+		return dumpMetrics(stdout, *metrics)
+	}
+
+	h, err := obs.Start(obs.Config{Tool: "simdbg", Trace: *traceOut, TraceEvents: *eventsOut, Manifest: *manifest})
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	// The debugger always records: its whole point is observation, so
+	// the telemetry ring is on whatever the flags say (unlike the batch
+	// tools, which only pay for it when an export flag asks).
+	rec := h.Recorder
+	if rec == nil {
+		rec = telemetry.NewRecorder(0)
 	}
 
 	host, err := mibench.ByName(*hostName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opts := rop.HostOptions{}
 	if *attack {
@@ -71,19 +98,15 @@ func main() {
 	}
 	hostMod, err := host.HostModule(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	// The debugger always records: its whole point is observation, so
-	// the telemetry ring is on unconditionally (unlike the batch tools,
-	// which only pay for it when an export flag asks).
-	rec := telemetry.NewRecorder(0)
 	cfg := vm.DefaultConfig()
 	cfg.Telemetry = rec
 	m := vm.New(cfg)
 	m.Register(host.Name, hostMod, 0x100000)
 	img, err := m.Load(host.Name)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	arg := []byte("benign")
@@ -96,23 +119,23 @@ func main() {
 		}
 		attMod, err := att.Module()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		m.Register("crspectre", attMod, 0x600000)
 		plan, err := rop.PlanInjection(gadget.ScanAndCatalog(img, 3), "crspectre", nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		plan.Emit(rec)
 		arg = plan.Payload
-		fmt.Printf("loaded %s with a %d-word ROP payload\n", host.Name, plan.Chain.Len())
+		fmt.Fprintf(stdout, "loaded %s with a %d-word ROP payload\n", host.Name, plan.Chain.Len())
 	}
 
 	if _, err := m.SetArg(arg); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := m.Start(host.Name); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *blocks {
@@ -120,22 +143,22 @@ func main() {
 		// force the single-step interpreter, so a -blocks session runs
 		// bare and attaches symbols only afterwards, for the dump.
 		runErr := m.CPU.Run(*budget)
-		d := debug.Attach(m.CPU, 16)
+		d := debug.Attach(m.CPU)
 		d.AddSymbols(img.Symbols)
 		if aimg, ok := m.Image("crspectre"); ok {
 			d.AddSymbols(aimg.Symbols)
 		}
 		if runErr != nil && runErr != cpu.ErrBudget {
-			fmt.Printf("stopped: %v\n", runErr)
+			fmt.Fprintf(stdout, "stopped: %v\n", runErr)
 		} else {
-			fmt.Printf("program %s\n", map[bool]string{true: "halted", false: "hit the budget"}[m.CPU.Halted()])
-			fmt.Printf("output: %q\n", m.Output.String())
+			fmt.Fprintf(stdout, "program %s\n", map[bool]string{true: "halted", false: "hit the budget"}[m.CPU.Halted()])
+			fmt.Fprintf(stdout, "output: %q\n", m.Output.String())
 		}
-		dumpBlocks(os.Stdout, d, m.CPU)
-		return
+		dumpBlocks(stdout, d, m.CPU)
+		return nil
 	}
 
-	d := debug.Attach(m.CPU, 4096)
+	d := debug.Attach(m.CPU)
 	d.AddSymbols(img.Symbols)
 	if aimg, ok := m.Image("crspectre"); ok {
 		d.AddSymbols(aimg.Symbols)
@@ -147,45 +170,23 @@ func main() {
 		// _start's CALL pushes the return address one word below the
 		// initial SP; the overflow smashes exactly that slot.
 		d.WatchWrites("saved-ret", m.StackTop()-8, 8)
-		fmt.Printf("watching the saved-return-address slot at %#x\n", m.StackTop()-8)
+		fmt.Fprintf(stdout, "watching the saved-return-address slot at %#x\n", m.StackTop()-8)
 	}
 	if *bp != "" {
 		if err := d.BreakSymbol(*bp); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("breakpoint at %s\n", *bp)
+		fmt.Fprintf(stdout, "breakpoint at %s\n", *bp)
 	}
 
-	// export writes whatever trace/manifest outputs were requested; it
-	// runs on every exit path so a crashed session still leaves its
-	// timeline behind.
-	export := func() {
-		if *traceOut != "" {
-			if err := telemetry.WriteChromeTraceFile(*traceOut, rec.Events()); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote trace %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
-		}
-		if *eventsOut != "" {
-			if err := telemetry.WriteJSONLFile(*eventsOut, rec.Events()); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote event log %s\n", *eventsOut)
-		}
-		if *manifest != "" {
-			mf := telemetry.NewManifest("simdbg", os.Args[1:])
-			mf.Config = map[string]any{
-				"host":   *hostName,
-				"attack": *attack,
-				"break":  *bp,
-				"budget": *budget,
-			}
-			mf.Finish(start, nil, rec)
-			if err := mf.WriteFile(*manifest); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote manifest %s\n", *manifest)
-		}
+	// The requested outputs are written at a halt and at a stop alike,
+	// so a crashed session still leaves its timeline behind.
+	mf := telemetry.NewManifest("simdbg", args)
+	mf.Config = map[string]any{
+		"host":   *hostName,
+		"attack": *attack,
+		"break":  *bp,
+		"budget": *budget,
 	}
 
 	for {
@@ -193,27 +194,28 @@ func main() {
 		var br *debug.ErrBreak
 		switch {
 		case err == nil:
-			fmt.Println("\nprogram halted")
-			fmt.Printf("output: %q\n", m.Output.String())
-			d.DumpState(os.Stdout, 0)
-			d.DumpEvents(os.Stdout, rec, *events)
+			fmt.Fprintln(stdout, "\nprogram halted")
+			fmt.Fprintf(stdout, "output: %q\n", m.Output.String())
+			d.DumpState(stdout)
+			d.DumpEvents(stdout, rec, *events)
 			if *watchRet {
-				fmt.Println()
-				fmt.Print(d.ReportWatches())
+				fmt.Fprintln(stdout)
+				fmt.Fprint(stdout, d.ReportWatches())
 			}
-			export()
-			return
+			return h.WriteOutputs(stdout, mf)
 		case errors.As(err, &br):
-			fmt.Printf("\nbreakpoint hit at %s (cycle %d)\n", d.Symbolize(br.Ev.PC), br.Ev.Cycle)
-			d.DumpState(os.Stdout, 0)
-			d.DumpEvents(os.Stdout, rec, *events)
-			fmt.Println("\ncontinuing...")
+			fmt.Fprintf(stdout, "\nbreakpoint hit at %s (cycle %d)\n", d.Symbolize(br.PC), br.Cycle)
+			d.DumpState(stdout)
+			d.DumpEvents(stdout, rec, *events)
+			fmt.Fprintln(stdout, "\ncontinuing...")
 		default:
-			fmt.Printf("\nstopped: %v\n", err)
-			d.DumpState(os.Stdout, 0)
-			d.DumpEvents(os.Stdout, rec, *events)
-			export()
-			os.Exit(1)
+			fmt.Fprintf(stdout, "\nstopped: %v\n", err)
+			d.DumpState(stdout)
+			d.DumpEvents(stdout, rec, *events)
+			if werr := h.WriteOutputs(stdout, mf); werr != nil {
+				return werr
+			}
+			return fmt.Errorf("stopped: %w", err)
 		}
 	}
 }
@@ -241,9 +243,4 @@ func dumpBlocks(w io.Writer, d *debug.Debugger, c *cpu.CPU) {
 		fmt.Fprintf(w, "  %#x..%#x  %-28s %2d instrs  exit %-11s hits %-9d%s\n",
 			b.StartPC, b.EndPC, d.Symbolize(b.StartPC), b.Instrs, b.Exit, b.Hits, tags)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simdbg:", err)
-	os.Exit(1)
 }

@@ -92,32 +92,19 @@ func run(args []string, stdout io.Writer) error {
 	return runLint(args, stdout)
 }
 
-// obsServe starts the live observability server and a tracker pool when
-// addr is non-empty; the returned context carries the pool, and cleanup
-// must run at exit.
-func obsServe(ctx context.Context, reg *telemetry.Registry, addr, pool string) (context.Context, func(), error) {
-	if addr == "" {
-		return ctx, func() {}, nil
-	}
-	runID := telemetry.NewRunID()
-	logger := telemetry.NewLogger(os.Stderr, "speclint", runID)
-	tracker := sched.NewTracker(reg, nil, logger)
-	ctx = sched.WithPool(ctx, tracker.Pool(pool))
-	obsCtx, obsCancel := context.WithCancel(context.Background())
-	srv, err := obs.Serve(obsCtx, addr, obs.Options{
-		Tool: "speclint", RunID: runID, Log: logger,
-		Registry: reg, Tracker: tracker,
-	})
+// startObs wires speclint's -obs flag through the harness. The registry
+// exists whatever the flags say, because the summary line and -metrics
+// read it; the returned context carries it, and under -obs the recorder
+// and the named progress pool, into the worker pools.
+func startObs(addr, pool string) (*obs.Harness, context.Context, error) {
+	h, err := obs.Start(obs.Config{Tool: "speclint", Obs: addr, Stall: time.Minute})
 	if err != nil {
-		obsCancel()
-		return ctx, func() {}, err
+		return nil, nil, err
 	}
-	stopWatch := tracker.Watch(obsCtx, time.Minute)
-	return ctx, func() {
-		stopWatch()
-		srv.Close()
-		obsCancel()
-	}, nil
+	if h.Registry == nil {
+		h.Registry = telemetry.NewRegistry()
+	}
+	return h, h.Context(context.Background(), pool), nil
 }
 
 func runLint(args []string, stdout io.Writer) error {
@@ -138,13 +125,12 @@ func runLint(args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithRegistry(context.Background(), reg)
-	ctx, obsDone, err := obsServe(ctx, reg, *obsAddr, "agreement-soak")
+	h, ctx, err := startObs(*obsAddr, "agreement-soak")
 	if err != nil {
 		return err
 	}
-	defer obsDone()
+	defer h.Close()
+	reg := h.Registry
 	reports, err := lintCorpus(ctx, stdout, reg, *workers, *verbose)
 	if err != nil {
 		return err
@@ -407,13 +393,12 @@ func runScan(args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithRegistry(context.Background(), reg)
-	ctx, obsDone, err := obsServe(ctx, reg, *obsAddr, "corpus-scan")
+	h, ctx, err := startObs(*obsAddr, "corpus-scan")
 	if err != nil {
 		return err
 	}
-	defer obsDone()
+	defer h.Close()
+	reg := h.Registry
 
 	images, err := scanCorpus(*seed, *progenN, *maxInstr)
 	if err != nil {

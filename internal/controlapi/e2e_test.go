@@ -23,7 +23,7 @@ import (
 	"repro/client"
 	"repro/internal/controlapi"
 	"repro/internal/experiments"
-	"repro/internal/sched"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -236,17 +236,15 @@ func TestManifestWorkerInvariance(t *testing.T) {
 		cfg.Attempts = 1
 		cfg.Seed = 7
 		cfg.Workers = workers
-		cfg.Telemetry = telemetry.NewRecorder(0)
-		cfg.Telemetry.Exclude(telemetry.KindRetire)
-		cfg.Metrics = telemetry.NewRegistry()
-		cfg.Tracker = sched.NewTracker(cfg.Metrics, cfg.Telemetry, nil)
+		sinks := obs.NewSinks(nil, telemetry.KindRetire)
+		cfg.Telemetry, cfg.Metrics, cfg.Tracker = sinks.Recorder, sinks.Registry, sinks.Tracker
 		start := time.Now()
 		m := cfg.Manifest("experiments", nil)
 		dir := t.TempDir()
 		if err := experiments.RunCampaign(cfg, experiments.CampaignSpec{Fig4: true}, io.Discard, dir); err != nil {
 			t.Fatal(err)
 		}
-		cfg.FinishManifest(m, start)
+		sinks.Finish(m, start)
 		raw, err := m.MarshalIndent()
 		if err != nil {
 			t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 // State is one vertex of the job lifecycle state machine.
@@ -65,9 +65,7 @@ type job struct {
 	id  string
 	dir string // artifact directory
 
-	rec     *telemetry.Recorder
-	reg     *telemetry.Registry
-	tracker *sched.Tracker
+	obs.Sinks // the job's own, built by obs.NewSinks
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -157,7 +155,7 @@ func (j *job) status() JobStatus {
 	}
 	j.mu.Unlock()
 	if st.State == StateRunning {
-		st.Progress = j.tracker.Progress()
+		st.Progress = j.Tracker.Progress()
 	}
 	return st
 }

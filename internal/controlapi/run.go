@@ -61,9 +61,9 @@ func (s JobSpec) config(defaultWorkers int, j *job, ctx context.Context) experim
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers
 	}
-	cfg.Telemetry = j.rec
-	cfg.Metrics = j.reg
-	cfg.Tracker = j.tracker
+	cfg.Telemetry = j.Recorder
+	cfg.Metrics = j.Registry
+	cfg.Tracker = j.Tracker
 	cfg.BaseCtx = ctx
 	return cfg
 }
@@ -89,7 +89,7 @@ func (s *Server) runJob(ctx context.Context, j *job) error {
 	// capacity-bounded, so volatile by nature; the deterministic census
 	// lives in the manifest's events block).
 	defer func() {
-		_ = telemetry.WriteChromeTraceFile(filepath.Join(j.dir, artifactTrace), j.rec.Events())
+		_ = telemetry.WriteChromeTraceFile(filepath.Join(j.dir, artifactTrace), j.Recorder.Events())
 	}()
 
 	var runErr error
@@ -101,7 +101,7 @@ func (s *Server) runJob(ctx context.Context, j *job) error {
 		m := cfg.Manifest("experiments", nil)
 		m.RunID = s.opts.RunID
 		runErr = experiments.RunCampaign(cfg, section, logf, j.dir)
-		cfg.FinishManifest(m, start)
+		j.Finish(m, start)
 		if werr := m.WriteFile(filepath.Join(j.dir, artifactManifest)); werr != nil && runErr == nil {
 			runErr = werr
 		}
@@ -180,9 +180,7 @@ func (s *Server) runAttackJob(ctx context.Context, j *job, spec JobSpec, logf *o
 		"reps":    reps,
 	}
 
-	tctx := telemetry.WithRegistry(telemetry.NewContext(ctx, j.rec), j.reg)
-	tctx = sched.WithPool(tctx, j.tracker.Pool("attack"))
-	outcomes, runErr := sched.Map(tctx, workers, reps,
+	outcomes, runErr := sched.Map(j.Context(ctx, "attack"), workers, reps,
 		func(_ context.Context, i int) (defense.Outcome, error) {
 			return defense.Evaluate(posture, atk, sched.DeriveSeed(seed, uint64(i)))
 		})
@@ -213,8 +211,7 @@ func (s *Server) runAttackJob(ctx context.Context, j *job, spec JobSpec, logf *o
 		}
 	}
 
-	m.RecordProgress(j.tracker.ManifestProgress())
-	m.Finish(start, j.reg, j.rec)
+	j.Finish(m, start)
 	if werr := m.WriteFile(filepath.Join(j.dir, artifactManifest)); werr != nil && runErr == nil {
 		runErr = werr
 	}

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/defense"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/telemetry"
 )
@@ -216,15 +215,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("controlapi: %v", err))
 		return
 	}
-	rec := telemetry.NewRecorder(0)
-	rec.Exclude(telemetry.KindRetire) // like every batch CLI: counts stay complete
-	reg := telemetry.NewRegistry()
 	jctx, jcancel := context.WithCancel(s.baseCtx)
+	// Like crspectre's and experiments' sinks, a job's recorder counts
+	// retirements without keeping them.
 	j := &job{
 		id: id, dir: dir, spec: spec,
-		rec: rec, reg: reg,
-		tracker: sched.NewTracker(reg, rec, s.opts.Log),
-		ctx:     jctx, cancel: jcancel,
+		Sinks: obs.NewSinks(s.opts.Log, telemetry.KindRetire),
+		ctx:   jctx, cancel: jcancel,
 		done:    make(chan struct{}),
 		state:   StateQueued,
 		created: time.Now().UTC(),
@@ -342,7 +339,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// The shared obs stream, bounded by the job's lifetime: when the job
 	// reaches a terminal state the remaining ring drains and the stream
 	// ends, so `client events --follow` terminates with the job.
-	obs.ServeEventStream(w, r, j.rec, j.done)
+	obs.ServeEventStream(w, r, j.Recorder, j.done)
 }
 
 func (s *Server) listArtifacts(j *job) ([]Artifact, error) {

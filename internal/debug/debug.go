@@ -1,9 +1,10 @@
 // Package debug is the reproduction's GDB analogue — the methodology
 // tool of the paper's §II-C ("We load the compiled victim binary in the
 // Linux Debugger (GDB) to search for all instructions that end in a ret
-// instruction"). It attaches to a simulated core and provides execution
-// tracing with a bounded ring buffer, PC breakpoints at addresses or
-// symbols, call-stack reconstruction, and symbolised state dumps.
+// instruction"). It attaches to a simulated core and provides PC
+// breakpoints at addresses or symbols, call-stack reconstruction,
+// watchpoints, and symbolised state dumps. The retirement timeline is
+// the core's telemetry recorder, which DumpEvents renders.
 package debug
 
 import (
@@ -15,14 +16,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/isa"
 )
-
-// Event is one retired instruction in the trace.
-type Event struct {
-	Seq   uint64 // retirement index
-	Cycle uint64 // cycle at retirement
-	PC    uint64
-	Instr isa.Instruction
-}
 
 // Frame is one reconstructed call-stack entry.
 type Frame struct {
@@ -39,14 +32,8 @@ type Debugger struct {
 	revSyms  map[uint64]string
 	symAddrs []uint64
 
-	trace     []Event
-	traceCap  int
-	traceHead int
-	traceLen  int
-	seq       uint64
-
 	breakpoints map[uint64]bool
-	hitBreak    *Event
+	hitBreak    *ErrBreak
 
 	stack []Frame
 
@@ -55,23 +42,24 @@ type Debugger struct {
 	watchNames []string
 }
 
-// ErrBreak reports that execution stopped at a breakpoint.
-type ErrBreak struct{ Ev Event }
-
-func (e *ErrBreak) Error() string {
-	return fmt.Sprintf("debug: breakpoint at %#x (seq %d)", e.Ev.PC, e.Ev.Seq)
+// ErrBreak reports that execution stopped at a breakpoint, with the
+// instruction that retired just before it.
+type ErrBreak struct {
+	Seq   uint64 // retirement index, from the core's retired count
+	Cycle uint64 // cycle at retirement
+	PC    uint64
+	Instr isa.Instruction
 }
 
-// Attach wires a debugger onto the core, keeping the last traceCap
-// retired instructions. It replaces the core's OnRetire hook.
-func Attach(c *cpu.CPU, traceCap int) *Debugger {
-	if traceCap <= 0 {
-		traceCap = 256
-	}
+func (e *ErrBreak) Error() string {
+	return fmt.Sprintf("debug: breakpoint at %#x (seq %d)", e.PC, e.Seq)
+}
+
+// Attach wires a debugger onto the core. It replaces the core's
+// OnRetire hook.
+func Attach(c *cpu.CPU) *Debugger {
 	d := &Debugger{
 		cpu:         c,
-		traceCap:    traceCap,
-		trace:       make([]Event, traceCap),
 		breakpoints: map[uint64]bool{},
 		symbols:     map[string]uint64{},
 		revSyms:     map[uint64]string{},
@@ -81,11 +69,16 @@ func Attach(c *cpu.CPU, traceCap int) *Debugger {
 }
 
 // AddSymbols registers a symbol table (e.g. a linked image's) for
-// symbolised output and symbolic breakpoints.
+// symbolised output and symbolic breakpoints. Where several names share
+// an address — a loop label at the top of its function, say — Symbolize
+// renders the lexicographically smallest, so output never depends on
+// map order.
 func (d *Debugger) AddSymbols(symbols map[string]uint64) {
 	for name, addr := range symbols {
 		d.symbols[name] = addr
-		d.revSyms[addr] = name
+		if cur, ok := d.revSyms[addr]; !ok || name < cur {
+			d.revSyms[addr] = name
+		}
 	}
 	d.symAddrs = d.symAddrs[:0]
 	for addr := range d.revSyms {
@@ -130,13 +123,6 @@ func (d *Debugger) BreakSymbol(name string) error {
 func (d *Debugger) ClearBreak(addr uint64) { delete(d.breakpoints, addr) }
 
 func (d *Debugger) onRetire(pc uint64, in isa.Instruction) {
-	ev := Event{Seq: d.seq, Cycle: d.cpu.Cycle, PC: pc, Instr: in}
-	d.seq++
-	d.trace[d.traceHead] = ev
-	d.traceHead = (d.traceHead + 1) % d.traceCap
-	if d.traceLen < d.traceCap {
-		d.traceLen++
-	}
 	switch in.Op {
 	case isa.CALL, isa.CALLR:
 		d.stack = append(d.stack, Frame{CallPC: pc, TargetPC: d.cpu.PC, Return: pc + isa.InstrSize})
@@ -148,8 +134,7 @@ func (d *Debugger) onRetire(pc uint64, in isa.Instruction) {
 		}
 	}
 	if d.breakpoints[d.cpu.PC] {
-		evCopy := ev
-		d.hitBreak = &evCopy
+		d.hitBreak = &ErrBreak{Seq: d.cpu.Instret() - 1, Cycle: d.cpu.Cycle, PC: pc, Instr: in}
 	}
 }
 
@@ -164,10 +149,9 @@ func (d *Debugger) Run(budget uint64) error {
 		if err := d.cpu.Step(); err != nil {
 			return err
 		}
-		if d.hitBreak != nil {
-			ev := *d.hitBreak
+		if br := d.hitBreak; br != nil {
 			d.hitBreak = nil
-			return &ErrBreak{Ev: ev}
+			return br
 		}
 	}
 	if d.cpu.Halted() {
@@ -179,26 +163,14 @@ func (d *Debugger) Run(budget uint64) error {
 // Step retires one instruction.
 func (d *Debugger) Step() error { return d.cpu.Step() }
 
-// Trace returns the retained events, oldest first.
-func (d *Debugger) Trace() []Event {
-	out := make([]Event, 0, d.traceLen)
-	start := (d.traceHead - d.traceLen + d.traceCap) % d.traceCap
-	for i := 0; i < d.traceLen; i++ {
-		out = append(out, d.trace[(start+i)%d.traceCap])
-	}
-	return out
-}
-
 // CallStack returns the reconstructed frames, outermost first.
 func (d *Debugger) CallStack() []Frame {
 	return append([]Frame(nil), d.stack...)
 }
 
-// DumpState writes a GDB-style state report: registers, the call stack,
-// and the last lastN trace entries, all symbolised. lastN == 0 omits
-// the retirement tail entirely — for callers that dump the unified
-// telemetry timeline (DumpEvents) instead.
-func (d *Debugger) DumpState(w io.Writer, lastN int) {
+// DumpState writes a GDB-style state report: registers and the call
+// stack, symbolised. DumpEvents renders the timeline that led there.
+func (d *Debugger) DumpState(w io.Writer) {
 	c := d.cpu
 	fmt.Fprintf(w, "pc  = %-24s cycle=%d instret=%d\n", d.Symbolize(c.PC), c.Cycle, c.Instret())
 	for i := 0; i < isa.NumRegs; i++ {
@@ -221,36 +193,12 @@ func (d *Debugger) DumpState(w io.Writer, lastN int) {
 		fmt.Fprintf(w, "  %s -> %s (ret %s)\n",
 			d.Symbolize(f.CallPC), d.Symbolize(f.TargetPC), d.Symbolize(f.Return))
 	}
-	if lastN == 0 {
-		return
-	}
-	tr := d.Trace()
-	if lastN > 0 && len(tr) > lastN {
-		tr = tr[len(tr)-lastN:]
-	}
-	fmt.Fprintf(w, "trace (last %d):\n", len(tr))
-	for _, ev := range tr {
-		fmt.Fprintf(w, "  %8d  %-28s %s\n", ev.Cycle, d.Symbolize(ev.PC), ev.Instr)
-	}
-}
-
-// FindRets scans the trace for RET retirements whose successor PC was
-// never pushed by a call — the ROP fingerprint a human analyst (the
-// paper's "human-in-the-loop") would look for.
-func (d *Debugger) FindRets() []Event {
-	var out []Event
-	for _, ev := range d.Trace() {
-		if ev.Instr.Op == isa.RET {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // String summarises the debugger state in one line.
 func (d *Debugger) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "debug{pc=%s depth=%d traced=%d bps=%d}",
-		d.Symbolize(d.cpu.PC), len(d.stack), d.traceLen, len(d.breakpoints))
+	fmt.Fprintf(&b, "debug{pc=%s depth=%d retired=%d bps=%d}",
+		d.Symbolize(d.cpu.PC), len(d.stack), d.cpu.Instret(), len(d.breakpoints))
 	return b.String()
 }

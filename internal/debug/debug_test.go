@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -25,9 +26,13 @@ loop:
 	halt
 `
 
-func attach(t *testing.T, src string, traceCap int) (*vm.Machine, *Debugger, map[string]uint64) {
+// attach loads src on a fresh machine whose core records into rec (nil
+// for none) and attaches a debugger to it.
+func attach(t *testing.T, src string, rec *telemetry.Recorder) (*vm.Machine, *Debugger, map[string]uint64) {
 	t.Helper()
-	m := vm.New(vm.DefaultConfig())
+	cfg := vm.DefaultConfig()
+	cfg.Telemetry = rec
+	m := vm.New(cfg)
 	m.Register("p", isa.MustAssemble(src), 0x100000)
 	img, err := m.Load("p")
 	if err != nil {
@@ -36,50 +41,71 @@ func attach(t *testing.T, src string, traceCap int) (*vm.Machine, *Debugger, map
 	if err := m.Start("p"); err != nil {
 		t.Fatal(err)
 	}
-	d := Attach(m.CPU, traceCap)
+	d := Attach(m.CPU)
 	d.AddSymbols(img.Symbols)
 	return m, d, img.Symbols
 }
 
+// retirements returns the retire events rec kept, oldest first.
+func retirements(rec *telemetry.Recorder) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == telemetry.KindRetire {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestTraceRecordsRetirements: a debugged run's retirements reach the
+// recorder in order, with monotonic cycles, ending at the HALT.
 func TestTraceRecordsRetirements(t *testing.T) {
-	_, d, _ := attach(t, program, 256)
+	rec := telemetry.NewRecorder(0)
+	m, d, _ := attach(t, program, rec)
 	if err := d.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	tr := d.Trace()
-	if len(tr) == 0 {
-		t.Fatal("empty trace")
+	tr := retirements(rec)
+	if uint64(len(tr)) != m.CPU.Instret() {
+		t.Fatalf("recorded %d retirements, core retired %d", len(tr), m.CPU.Instret())
 	}
-	// Sequenced, monotonic cycles, last is HALT.
 	for i := 1; i < len(tr); i++ {
-		if tr[i].Seq != tr[i-1].Seq+1 {
+		if tr[i].Seq <= tr[i-1].Seq {
 			t.Fatal("trace sequence broken")
 		}
 		if tr[i].Cycle < tr[i-1].Cycle {
 			t.Fatal("trace cycles not monotonic")
 		}
 	}
-	if tr[len(tr)-1].Instr.Op != isa.HALT {
-		t.Errorf("last traced op = %s", tr[len(tr)-1].Instr.Op)
+	if op := isa.Op(tr[len(tr)-1].Val); op != isa.HALT {
+		t.Errorf("last traced op = %s", op)
 	}
 }
 
+// TestTraceRingBufferKeepsTail: the timeline DumpEvents renders is the
+// recorder's newest events, ending at the HALT.
 func TestTraceRingBufferKeepsTail(t *testing.T) {
-	_, d, _ := attach(t, program, 4)
+	rec := telemetry.NewRecorder(4)
+	_, d, _ := attach(t, program, rec)
 	if err := d.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	tr := d.Trace()
+	tr := rec.Events()
 	if len(tr) != 4 {
 		t.Fatalf("ring kept %d", len(tr))
 	}
-	if tr[3].Instr.Op != isa.HALT {
+	if last := tr[3]; last.Kind != telemetry.KindRetire || isa.Op(last.Val) != isa.HALT {
 		t.Error("ring did not keep the most recent events")
+	}
+	var buf bytes.Buffer
+	d.DumpEvents(&buf, rec, 2)
+	if out := buf.String(); !strings.Contains(out, "events (last 2 of") || !strings.Contains(out, "op=halt") {
+		t.Errorf("timeline tail:\n%s", out)
 	}
 }
 
 func TestBreakpointAtSymbol(t *testing.T) {
-	m, d, syms := attach(t, program, 64)
+	m, d, syms := attach(t, program, nil)
 	if err := d.BreakSymbol("helper"); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +116,9 @@ func TestBreakpointAtSymbol(t *testing.T) {
 	}
 	if m.CPU.PC != syms["helper"] {
 		t.Errorf("stopped at %#x, want helper %#x", m.CPU.PC, syms["helper"])
+	}
+	if br.Seq != m.CPU.Instret()-1 {
+		t.Errorf("break seq %d, want the core's last retirement %d", br.Seq, m.CPU.Instret()-1)
 	}
 	// Resume: hits it twice more, then halts.
 	hits := 1
@@ -113,7 +142,7 @@ func TestBreakpointAtSymbol(t *testing.T) {
 }
 
 func TestClearBreak(t *testing.T) {
-	_, d, syms := attach(t, program, 64)
+	_, d, syms := attach(t, program, nil)
 	d.Break(syms["helper"])
 	d.ClearBreak(syms["helper"])
 	if err := d.Run(1000); err != nil {
@@ -122,7 +151,7 @@ func TestClearBreak(t *testing.T) {
 }
 
 func TestBreakUnknownSymbol(t *testing.T) {
-	_, d, _ := attach(t, program, 64)
+	_, d, _ := attach(t, program, nil)
 	if err := d.BreakSymbol("nope"); err == nil {
 		t.Error("unknown symbol accepted")
 	}
@@ -140,7 +169,7 @@ main:
 	call outer
 	halt
 `
-	_, d, syms := attach(t, src, 64)
+	_, d, syms := attach(t, src, nil)
 	if err := d.BreakSymbol("inner"); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +209,7 @@ main:
 	call f
 	halt
 `
-	_, d, _ := attach(t, src, 64)
+	_, d, _ := attach(t, src, nil)
 	if err := d.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +219,7 @@ main:
 }
 
 func TestSymbolize(t *testing.T) {
-	_, d, syms := attach(t, program, 64)
+	_, d, syms := attach(t, program, nil)
 	if got := d.Symbolize(syms["helper"]); got != "helper" {
 		t.Errorf("Symbolize(helper) = %q", got)
 	}
@@ -202,34 +231,62 @@ func TestSymbolize(t *testing.T) {
 	}
 }
 
+// TestSymbolizeAliasesDeterministic: two names on one address (the math
+// host's wl_gcd and its loop label wl_gcd_loop) symbolise the same way on
+// every debugger, whatever order the symbol map iterates in.
+func TestSymbolizeAliasesDeterministic(t *testing.T) {
+	m, _, _ := attach(t, program, nil)
+	syms := map[string]uint64{
+		"wl_math_loop": 0x100600,
+		"wl_gcd_loop":  0x1007d0,
+		"wl_gcd":       0x1007d0,
+		"wl_gcd_done":  0x100830,
+	}
+	for i := 0; i < 256; i++ {
+		d := Attach(m.CPU)
+		d.AddSymbols(syms)
+		if got := d.Symbolize(0x100800); got != "wl_gcd+0x30" {
+			t.Fatalf("debugger %d: Symbolize = %q, want wl_gcd+0x30", i, got)
+		}
+	}
+}
+
 func TestDumpState(t *testing.T) {
-	_, d, _ := attach(t, program, 64)
+	_, d, _ := attach(t, program, nil)
 	if err := d.Run(1000); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	d.DumpState(&buf, 5)
+	d.DumpState(&buf)
 	out := buf.String()
-	for _, want := range []string{"pc  =", "sp  =", "call stack", "trace (last"} {
+	for _, want := range []string{"pc  =", "sp  =", "call stack"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestFindRets: the recorder holds the RET retirements an analyst looks
+// for, one per call to helper.
 func TestFindRets(t *testing.T) {
-	_, d, _ := attach(t, program, 256)
+	rec := telemetry.NewRecorder(0)
+	_, d, _ := attach(t, program, rec)
 	if err := d.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	rets := d.FindRets()
-	if len(rets) != 3 {
-		t.Errorf("found %d rets, want 3", len(rets))
+	rets := 0
+	for _, ev := range retirements(rec) {
+		if isa.Op(ev.Val) == isa.RET {
+			rets++
+		}
+	}
+	if rets != 3 {
+		t.Errorf("found %d rets, want 3", rets)
 	}
 }
 
 func TestStringSummary(t *testing.T) {
-	_, d, _ := attach(t, program, 64)
+	_, d, _ := attach(t, program, nil)
 	if s := d.String(); !strings.Contains(s, "debug{") {
 		t.Errorf("summary = %q", s)
 	}
@@ -252,7 +309,7 @@ main:
 sp_ok:
 	halt
 `
-	m, d, syms := attach(t, src, 64)
+	m, d, syms := attach(t, src, nil)
 	// Watch the word just below the initial SP: the frame smash lands
 	// there when main's call pushes and smash stores through sp.
 	spTop := m.CPU.Regs[15]
@@ -281,7 +338,7 @@ sp_ok:
 }
 
 func TestClearWatches(t *testing.T) {
-	m, d, _ := attach(t, program, 64)
+	m, d, _ := attach(t, program, nil)
 	d.WatchWrites("x", 0, 1<<20)
 	d.ClearWatches()
 	if err := d.Run(1000); err != nil {
@@ -296,7 +353,7 @@ func TestClearWatches(t *testing.T) {
 }
 
 func TestNoWatchHitsReport(t *testing.T) {
-	_, d, _ := attach(t, program, 64)
+	_, d, _ := attach(t, program, nil)
 	if !strings.Contains(d.ReportWatches(), "no watchpoint hits") {
 		t.Error("empty report wrong")
 	}

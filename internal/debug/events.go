@@ -9,8 +9,7 @@ import (
 )
 
 // DumpEvents writes the newest lastN telemetry events as a symbolised
-// timeline — the unified replacement for the retirement-trace tail,
-// showing speculation episodes, cache traffic and attack markers
+// timeline: speculation episodes, cache traffic and attack markers
 // (RET pivots, stack smashes, covert probes) alongside retirements.
 // A nil recorder dumps nothing.
 func (d *Debugger) DumpEvents(w io.Writer, rec *telemetry.Recorder, lastN int) {

@@ -55,7 +55,7 @@ func (d *Debugger) onWrite(addr uint64, n int) {
 	for _, w := range d.watches {
 		if addr < w.end && end > w.start {
 			d.watchHits = append(d.watchHits, WatchHit{
-				Seq:   d.seq,
+				Seq:   d.cpu.Instret(),
 				Cycle: d.cpu.Cycle,
 				PC:    d.cpu.PC,
 				Addr:  addr,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mibench"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
@@ -128,7 +129,7 @@ func TestDeterminismManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := cfg.Manifest("experiments-test", nil)
-		cfg.FinishManifest(m, time.Now())
+		obs.Sinks{Recorder: cfg.Telemetry, Registry: cfg.Metrics, Tracker: cfg.Tracker}.Finish(m, time.Now())
 		m.ZeroVolatile()
 		m.Workers = 0
 		out, err := m.MarshalIndent()

@@ -105,15 +105,15 @@ func (cfg Config) workers() int { return sched.Workers(cfg.Workers) }
 
 // ctx returns the context experiment drivers hand to the worker pool,
 // carrying the configured telemetry sinks plus the named progress pool
-// (all nil-safe; an absent tracker hands the pool carrier a nil pool).
+// (all nil-safe; an absent tracker carries a nil pool).
 func (cfg Config) ctx(pool string) context.Context {
 	base := cfg.BaseCtx
 	if base == nil {
 		base = context.Background()
 	}
-	ctx := telemetry.WithRegistry(
-		telemetry.NewContext(base, cfg.Telemetry), cfg.Metrics)
-	return sched.WithPool(ctx, cfg.Tracker.Pool(pool))
+	return sched.WithSinks(base, sched.Sinks{
+		Recorder: cfg.Telemetry, Registry: cfg.Metrics, Pool: cfg.Tracker.Pool(pool),
+	})
 }
 
 // DefaultConfig returns the configuration used by the cmd tools.

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Manifest starts a run manifest describing this configuration. The
 // Config block holds every knob that determines results — two runs
@@ -37,13 +33,4 @@ func (cfg Config) Manifest(tool string, args []string) *telemetry.Manifest {
 		},
 	}
 	return m
-}
-
-// FinishManifest stamps timings and drains the configured telemetry
-// sinks into m (the convenience the cmd tools call before writing).
-// With a Tracker configured the manifest also records the final
-// campaign-progress snapshot — the worker-count-invariant subset only.
-func (cfg Config) FinishManifest(m *telemetry.Manifest, start time.Time) {
-	m.RecordProgress(cfg.Tracker.ManifestProgress())
-	m.Finish(start, cfg.Metrics, cfg.Telemetry)
 }

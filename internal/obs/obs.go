@@ -1,6 +1,14 @@
-// Package obs is the embeddable, opt-in observability server: every CLI
-// grows an `-obs addr` flag that serves live introspection over HTTP
-// while a campaign runs. The surface:
+// Package obs is the tools' observability: the harness that wires the
+// observability flags of crspectre, experiments, difftest, speclint and
+// simdbg, and the embeddable, opt-in server behind the `-obs addr` flag
+// of crspectre, experiments, difftest and speclint (lint and scan),
+// which serves live introspection over HTTP while a campaign runs. The
+// crspectred daemon mounts the same surface on its own mux (Register).
+//
+// The harness (Start) takes a tool's flag values and wires the rest
+// once: the telemetry sinks, the server and its stall watchdog, the
+// -cpuprofile/-memprofile host profiles, and the -trace, -trace-events
+// and -manifest files. The server's surface:
 //
 //	/healthz          liveness probe (plain "ok")
 //	/buildz           build info, run ID, uptime (JSON)

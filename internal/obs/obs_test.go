@@ -127,7 +127,7 @@ func TestMetricsJSON(t *testing.T) {
 
 func TestProgress(t *testing.T) {
 	h, _, _, tr := testHandler(t)
-	ctx := sched.WithPool(context.Background(), tr.Pool("unit"))
+	ctx := sched.WithSinks(context.Background(), sched.Sinks{Pool: tr.Pool("unit")})
 	if _, err := sched.Map(ctx, 2, 6, func(ctx context.Context, task int) (int, error) {
 		sched.ObserveInstrs(ctx, 10)
 		return task, nil

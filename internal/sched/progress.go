@@ -142,27 +142,12 @@ func (p *Pool) AddInstrs(n uint64) {
 	p.instrs.Add(n)
 }
 
-type poolKey struct{}
-
-// WithPool attaches a progress pool to the context so Map (and the
-// tasks it runs) report into it. A nil pool is fine — the context then
-// carries the explicit no-op sink.
-func WithPool(ctx context.Context, p *Pool) context.Context {
-	return context.WithValue(ctx, poolKey{}, p)
-}
-
-// PoolFrom extracts the progress pool riding the context, or nil.
-func PoolFrom(ctx context.Context) *Pool {
-	p, _ := ctx.Value(poolKey{}).(*Pool)
-	return p
-}
-
 // ObserveInstrs credits n simulated instructions to the context's pool;
 // a no-op when no pool rides the context. Tasks call this with the
 // machine's retired-instruction count so /progress can report campaign
 // throughput in Minstr/s.
 func ObserveInstrs(ctx context.Context, n uint64) {
-	PoolFrom(ctx).AddInstrs(n)
+	sinksFrom(ctx).Pool.AddInstrs(n)
 }
 
 // PoolProgress is one pool's live progress snapshot — the /progress
@@ -241,8 +226,8 @@ func (t *Tracker) Progress() []PoolProgress {
 }
 
 // ManifestProgress returns the worker-count-invariant subset of every
-// pool's progress, sorted by name — what Manifest.RecordProgress
-// stores. Lifecycle totals and instruction counts depend only on the
+// pool's progress, sorted by name — what a manifest's Progress
+// records. Lifecycle totals and instruction counts depend only on the
 // task set, never on scheduling, so two runs of the same configuration
 // at different -workers values record byte-identical progress.
 func (t *Tracker) ManifestProgress() []telemetry.ProgressPool {

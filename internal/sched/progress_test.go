@@ -12,7 +12,7 @@ import (
 
 func TestPoolLifecycleCounts(t *testing.T) {
 	tr := NewTracker(telemetry.NewRegistry(), nil, nil)
-	ctx := WithPool(context.Background(), tr.Pool("corpus"))
+	ctx := WithSinks(context.Background(), Sinks{Pool: tr.Pool("corpus")})
 	_, err := Map(ctx, 4, 20, func(ctx context.Context, task int) (int, error) {
 		ObserveInstrs(ctx, 100)
 		return task, nil
@@ -41,7 +41,7 @@ func TestPoolLifecycleCounts(t *testing.T) {
 
 func TestPoolCountsFailures(t *testing.T) {
 	tr := NewTracker(nil, nil, nil)
-	ctx := WithPool(context.Background(), tr.Pool("flaky"))
+	ctx := WithSinks(context.Background(), Sinks{Pool: tr.Pool("flaky")})
 	boom := errors.New("boom")
 	// Workers=1 so exactly the failing task runs and cancels the rest.
 	_, err := Map(ctx, 1, 5, func(_ context.Context, task int) (int, error) {
@@ -61,7 +61,7 @@ func TestPoolCountsFailures(t *testing.T) {
 
 func TestPoolAccumulatesAcrossMapCalls(t *testing.T) {
 	tr := NewTracker(nil, nil, nil)
-	ctx := WithPool(context.Background(), tr.Pool("waves"))
+	ctx := WithSinks(context.Background(), Sinks{Pool: tr.Pool("waves")})
 	for wave := 0; wave < 3; wave++ {
 		if _, err := Map(ctx, 2, 4, func(ctx context.Context, task int) (int, error) {
 			ObserveInstrs(ctx, 1)
@@ -79,7 +79,7 @@ func TestPoolAccumulatesAcrossMapCalls(t *testing.T) {
 func TestManifestProgressWorkerInvariant(t *testing.T) {
 	build := func(workers int) []byte {
 		tr := NewTracker(telemetry.NewRegistry(), nil, nil)
-		ctx := WithPool(context.Background(), tr.Pool("det"))
+		ctx := WithSinks(context.Background(), Sinks{Pool: tr.Pool("det")})
 		if _, err := Map(ctx, workers, 32, func(ctx context.Context, task int) (int, error) {
 			ObserveInstrs(ctx, uint64(DeriveSeed(1, uint64(task))&0xFFFF))
 			return task, nil
@@ -113,7 +113,7 @@ func TestWatchdogEmitsStall(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(64)
 	tr := NewTracker(reg, rec, nil)
-	ctx := WithPool(context.Background(), tr.Pool("stuck"))
+	ctx := WithSinks(context.Background(), Sinks{Pool: tr.Pool("stuck")})
 
 	release := make(chan struct{})
 	mapDone := make(chan struct{})

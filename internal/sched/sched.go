@@ -73,6 +73,29 @@ func Rand(base int64, index uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(base, index)))
 }
 
+// Sinks are what a pool reports into: task events to the recorder,
+// counters to the registry, and lifecycle and instruction totals to the
+// progress pool. Any of them may be nil.
+type Sinks struct {
+	Recorder *telemetry.Recorder
+	Registry *telemetry.Registry
+	Pool     *Pool
+}
+
+type sinksKey struct{}
+
+// WithSinks returns a context whose Map calls, and the tasks they run,
+// report into s.
+func WithSinks(ctx context.Context, s Sinks) context.Context {
+	return context.WithValue(ctx, sinksKey{}, s)
+}
+
+// sinksFrom extracts the sinks riding the context; all nil when none do.
+func sinksFrom(ctx context.Context) Sinks {
+	s, _ := ctx.Value(sinksKey{}).(Sinks)
+	return s
+}
+
 // PanicError surfaces a panic captured inside a pool task.
 type PanicError struct {
 	Task  int
@@ -123,10 +146,9 @@ func mapTasks[L, T any](ctx context.Context, workers, n int, fn func(context.Con
 
 	// Telemetry sinks and the progress pool ride the context (the Map
 	// signature predates them); all are nil-safe, so unobserved pools pay
-	// only these three lookups.
-	rec := telemetry.FromContext(ctx)
-	reg := telemetry.RegistryFrom(ctx)
-	pool := PoolFrom(ctx)
+	// only this one lookup.
+	sinks := sinksFrom(ctx)
+	rec, reg, pool := sinks.Recorder, sinks.Registry, sinks.Pool
 	pool.taskSubmitted(uint64(n))
 
 	errs := make([]error, n)

@@ -13,7 +13,7 @@ import (
 func TestMapEmitsTaskEvents(t *testing.T) {
 	rec := telemetry.NewRecorder(0)
 	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithRegistry(telemetry.NewContext(context.Background(), rec), reg)
+	ctx := WithSinks(context.Background(), Sinks{Recorder: rec, Registry: reg})
 
 	const n = 64
 	_, err := Map(ctx, 8, n, func(ctx context.Context, task int) (int, error) {
@@ -35,7 +35,7 @@ func TestMapEmitsTaskEvents(t *testing.T) {
 
 func TestMapCountsPanics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithRegistry(context.Background(), reg)
+	ctx := WithSinks(context.Background(), Sinks{Registry: reg})
 	_, err := Map(ctx, 2, 4, func(ctx context.Context, task int) (int, error) {
 		if task == 1 {
 			panic("boom")
@@ -48,6 +48,18 @@ func TestMapCountsPanics(t *testing.T) {
 	}
 	if got := reg.Values()["sched.panics"]; got != 1 {
 		t.Fatalf("sched.panics = %v, want 1", got)
+	}
+}
+
+func TestContextCarriers(t *testing.T) {
+	rec, reg := telemetry.NewRecorder(8), telemetry.NewRegistry()
+	pool := NewTracker(reg, rec, nil).Pool("carried")
+	ctx := WithSinks(t.Context(), Sinks{Recorder: rec, Registry: reg, Pool: pool})
+	if got := sinksFrom(ctx); got.Recorder != rec || got.Registry != reg || got.Pool != pool {
+		t.Fatalf("sinksFrom lost a sink: %+v", got)
+	}
+	if got := sinksFrom(t.Context()); got != (Sinks{}) {
+		t.Fatalf("bare context should carry nil sinks, got %+v", got)
 	}
 }
 

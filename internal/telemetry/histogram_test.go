@@ -167,7 +167,7 @@ func TestManifestFinishRecordsKindsAndHistograms(t *testing.T) {
 
 func TestManifestProgressRoundTrip(t *testing.T) {
 	m := NewManifest("test", nil)
-	m.RecordProgress([]ProgressPool{{Name: "soak", Submitted: 10, Done: 9, Failed: 1, Instrs: 12345}})
+	m.Progress = []ProgressPool{{Name: "soak", Submitted: 10, Done: 9, Failed: 1, Instrs: 12345}}
 	b, err := m.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)

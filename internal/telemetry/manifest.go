@@ -155,13 +155,6 @@ func (m *Manifest) Finish(start time.Time, reg *Registry, rec *Recorder) {
 	}
 }
 
-// RecordProgress stores the final campaign-progress snapshot (the
-// invariant subset; see ProgressPool). Callers hand in what
-// sched.Tracker.ManifestProgress returns.
-func (m *Manifest) RecordProgress(pools []ProgressPool) {
-	m.Progress = pools
-}
-
 // ZeroVolatile clears every field that legitimately differs between two
 // runs of the same configuration — timings, host identity, build
 // stamp, and argv — leaving only content that must be deterministic.

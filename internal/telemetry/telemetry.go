@@ -21,10 +21,7 @@
 // cpu.TestTelemetryTimingNeutral).
 package telemetry
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Kind identifies one typed event class.
 type Kind uint8
@@ -292,34 +289,4 @@ func (r *Recorder) Counts() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// recorderKey / registryKey carry telemetry sinks through a context into
-// code whose signatures predate telemetry (the sched pool).
-type (
-	recorderKey struct{}
-	registryKey struct{}
-)
-
-// NewContext returns a context carrying the recorder, for APIs that
-// accept a context instead of an explicit *Recorder (sched.Map).
-func NewContext(ctx context.Context, r *Recorder) context.Context {
-	return context.WithValue(ctx, recorderKey{}, r)
-}
-
-// FromContext extracts the recorder, or nil when none is attached.
-func FromContext(ctx context.Context) *Recorder {
-	r, _ := ctx.Value(recorderKey{}).(*Recorder)
-	return r
-}
-
-// WithRegistry returns a context carrying the metrics registry.
-func WithRegistry(ctx context.Context, reg *Registry) context.Context {
-	return context.WithValue(ctx, registryKey{}, reg)
-}
-
-// RegistryFrom extracts the registry, or nil when none is attached.
-func RegistryFrom(ctx context.Context) *Registry {
-	reg, _ := ctx.Value(registryKey{}).(*Registry)
-	return reg
 }

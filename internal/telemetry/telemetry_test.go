@@ -155,20 +155,6 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestContextCarriers(t *testing.T) {
-	rec, reg := NewRecorder(8), NewRegistry()
-	ctx := WithRegistry(NewContext(t.Context(), rec), reg)
-	if FromContext(ctx) != rec {
-		t.Fatal("FromContext lost the recorder")
-	}
-	if RegistryFrom(ctx) != reg {
-		t.Fatal("RegistryFrom lost the registry")
-	}
-	if FromContext(t.Context()) != nil || RegistryFrom(t.Context()) != nil {
-		t.Fatal("bare context should carry nil sinks")
-	}
-}
-
 // chromeDoc mirrors the trace-event container for validation.
 type chromeDoc struct {
 	TraceEvents []struct {
