@@ -18,7 +18,7 @@ import "repro/internal/isa"
 // runBlocks executes until HALT or maxInstr retired instructions, like
 // the single-step loop in Run, through the block cache. Instructions a
 // block cannot hold (fences, SYSCALL, undecodable or unaligned regions)
-// and blocks larger than the remaining budget retire via Step.
+// and blocks larger than the remaining budget retire via step.
 func (c *CPU) runBlocks(maxInstr uint64) error {
 	var (
 		executed uint64
@@ -49,7 +49,7 @@ func (c *CPU) runBlocks(maxInstr uint64) error {
 		}
 		prev = nil
 		if b == nil || b.nretire == 0 || uint64(b.nretire) > maxInstr-executed {
-			if err := c.Step(); err != nil {
+			if err := c.step(); err != nil {
 				return err
 			}
 			executed++

@@ -176,6 +176,12 @@ type CPU struct {
 	// hook site guards with a single nil check; hooks observe only and
 	// never change timing or architectural state (see package telemetry).
 	tel *telemetry.Recorder
+	// telRetire is set when tel stores retirements, so the retire kernel
+	// emits one KindRetire per instruction. Otherwise retirements are
+	// count-only: telFlush adds the instret delta since telInstret to tel
+	// when Run or Step returns and before a re-attach or Reset.
+	telRetire  bool
+	telInstret uint64
 	// [probeLo,probeHi) is the registered covert-channel probe window:
 	// loads touching it emit KindCovertProbe. [smashLo,smashHi) is the
 	// watched saved-return-address slot: plain stores overlapping it emit
@@ -232,6 +238,9 @@ func New(m *mem.Memory, cfg Config) *CPU {
 // place: a core sharing its hierarchy with another (vm.CoExec) empties
 // both.
 func (c *CPU) Reset(m *mem.Memory, cfg Config) {
+	if c.tel != nil {
+		c.telFlush()
+	}
 	bp := c.BP
 	if bp == nil || (c.cfg.Predictor == "gshare") != (cfg.Predictor == "gshare") ||
 		c.cfg.BTBEntries != cfg.BTBEntries || c.cfg.BTBTagBits != cfg.BTBTagBits {
@@ -329,8 +338,19 @@ func (c *CPU) interfere() {
 // hierarchy. Pass nil to detach. The hierarchy's event clock points at
 // the core's cycle counter so cache events carry core time (speculate
 // temporarily repoints it at the episode-local clock).
+//
+// The recorder is asked once whether it stores retirements. If it only
+// counts them, the core counts them itself (its instret) and adds the
+// tally when Run or Step returns, so a retirement costs no call. The
+// previous recorder first receives the retirements it has not yet been
+// told of.
 func (c *CPU) AttachTelemetry(r *telemetry.Recorder) {
+	if c.tel != nil {
+		c.telFlush()
+	}
 	c.tel = r
+	c.telRetire = r != nil && r.Stores(telemetry.KindRetire)
+	c.telInstret = c.instret
 	c.Caches.Tel = r
 	if r != nil {
 		c.Caches.Clock = &c.Cycle

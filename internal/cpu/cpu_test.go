@@ -17,6 +17,18 @@ import (
 // stack, and returns a ready CPU plus the linked image.
 func load(t *testing.T, src string, cfg Config) (*CPU, *isa.Image) {
 	t.Helper()
+	m := mem.New(4 << 20)
+	img := loadImage(t, m, src)
+	c := New(m, cfg)
+	c.PC = img.Entry
+	c.Regs[isa.RegSP] = m.Size() - mem.PageSize
+	return c, img
+}
+
+// loadImage assembles src into m: code read-execute, data read-write,
+// and a 64 KiB stack below a guard page at the top of m.
+func loadImage(t *testing.T, m *mem.Memory, src string) *isa.Image {
+	t.Helper()
 	mod, err := isa.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +37,6 @@ func load(t *testing.T, src string, cfg Config) (*CPU, *isa.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mem.New(4 << 20)
 	if err := m.LoadRaw(img.Base, img.Code); err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +58,7 @@ func load(t *testing.T, src string, cfg Config) (*CPU, *isa.Image) {
 	if err := m.Protect(top-(64<<10), 64<<10, mem.PermRW); err != nil {
 		t.Fatal(err)
 	}
-	c := New(m, cfg)
-	c.PC = img.Entry
-	c.Regs[isa.RegSP] = top
-	return c, img
+	return img
 }
 
 func mustRun(t *testing.T, c *CPU, budget uint64) {

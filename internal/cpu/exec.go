@@ -26,6 +26,16 @@ var errPrivileged = errors.New("cpu: privileged instruction in user mode")
 // block holds, by itself. OnRetire observers run here, which is why Run
 // single-steps whenever one is attached.
 func (c *CPU) Step() error {
+	err := c.step()
+	if c.tel != nil {
+		c.telFlush()
+	}
+	return err
+}
+
+// step is Step without the count-only retirement flush, for Run's loops,
+// which flush once when Run returns.
+func (c *CPU) step() error {
 	if c.halted {
 		return ErrHalted
 	}
@@ -50,7 +60,7 @@ func (c *CPU) Step() error {
 		if c.noiseNext != 0 {
 			c.interfere()
 		}
-		if c.tel != nil {
+		if c.tel != nil && c.telRetire {
 			c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(one[0].Op))
 		}
 	default:
@@ -97,6 +107,18 @@ func (c *CPU) telEmit(kind telemetry.Kind, cyc, pc, addr, val uint64) {
 	c.tel.Emit(telemetry.Event{Kind: kind, Cycle: cyc, PC: pc, Addr: addr, Val: val})
 }
 
+// telFlush tells a recorder that only counts retirements how many
+// retired since it was last told; a recorder that stores them has had
+// each one emitted. Every call site checks c.tel != nil.
+//
+//crspectrevet:guarded
+func (c *CPU) telFlush() {
+	if !c.telRetire && c.instret != c.telInstret {
+		c.tel.Add(telemetry.KindRetire, c.instret-c.telInstret)
+		c.telInstret = c.instret
+	}
+}
+
 // Run executes until HALT or until maxInstr instructions retire,
 // returning ErrBudget in the latter case. When the block tier is enabled
 // (the default) it dispatches compiled superblocks (blockexec.go);
@@ -104,6 +126,15 @@ func (c *CPU) telEmit(kind telemetry.Kind, cyc, pc, addr, val uint64) {
 // single-step loop. Both tiers are the same machine — identical Cycle,
 // counters, speculation and faults — differing only in host throughput.
 func (c *CPU) Run(maxInstr uint64) error {
+	err := c.run(maxInstr)
+	if c.tel != nil {
+		c.telFlush()
+	}
+	return err
+}
+
+// run is Run without the count-only retirement flush.
+func (c *CPU) run(maxInstr uint64) error {
 	if !c.blocksOff && c.OnRetire == nil {
 		return c.runBlocks(maxInstr)
 	}
@@ -112,7 +143,7 @@ func (c *CPU) Run(maxInstr uint64) error {
 		if c.halted {
 			return nil
 		}
-		if err := c.Step(); err != nil {
+		if err := c.step(); err != nil {
 			return err
 		}
 		if c.Cycle >= stop {
@@ -172,7 +203,9 @@ func (c *CPU) next() uint64 { return c.PC + isa.InstrSize }
 // isa package's classification.
 //
 // Every telEmit below is dominated by telOn, the c.tel != nil guard
-// hoisted once per call — an idiom the vet pass cannot trace.
+// hoisted once per call — an idiom the vet pass cannot trace. The
+// retirement sites read c.telRetire behind telOn, so the nil path stays
+// the one hoisted check and the body loop carries no more state.
 //
 //crspectrevet:guarded
 func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (int, error) {
@@ -360,7 +393,7 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 			c.Cycle = cyc
 			c.interfere()
 		}
-		if telOn {
+		if telOn && c.telRetire {
 			c.telEmit(telemetry.KindRetire, cyc, pc-isa.InstrSize, 0, uint64(in.Op))
 		}
 		if (op.class == clsStore || op.class == clsPush) && b != nil &&
@@ -435,7 +468,7 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 	if c.noiseNext != 0 {
 		c.interfere()
 	}
-	if telOn {
+	if telOn && c.telRetire {
 		c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(in.Op))
 	}
 	return n + 1, nil

@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
 
@@ -26,49 +28,163 @@ hit:
 	halt
 `
 
+// neutralPaths are the ways a core retires specSrc to its halt that
+// TestTelemetryTimingNeutral covers; each attaches rec (nil: none)
+// where that way of running a core attaches its recorder.
+var neutralPaths = []struct {
+	name string
+	run  func(t *testing.T, rec *telemetry.Recorder) *CPU
+}{
+	{"blocks", func(t *testing.T, rec *telemetry.Recorder) *CPU {
+		c, _ := load(t, specSrc, DefaultConfig())
+		attach(c, rec)
+		mustRun(t, c, 1_000_000)
+		return c
+	}},
+	{"noblocks", func(t *testing.T, rec *telemetry.Recorder) *CPU {
+		cfg := DefaultConfig()
+		cfg.NoBlocks = true
+		c, _ := load(t, specSrc, cfg)
+		attach(c, rec)
+		mustRun(t, c, 1_000_000)
+		return c
+	}},
+	{"step-onretire", func(t *testing.T, rec *telemetry.Recorder) *CPU {
+		c, _ := load(t, specSrc, DefaultConfig())
+		attach(c, rec)
+		var hooked uint64
+		c.OnRetire = func(uint64, isa.Instruction) { hooked++ }
+		for !c.Halted() {
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hooked != c.Instret() {
+			t.Errorf("OnRetire ran %d times for %d retirements", hooked, c.Instret())
+		}
+		return c
+	}},
+	{"reset-reattach", func(t *testing.T, rec *telemetry.Recorder) *CPU {
+		// The scan gadget machine's sequence: a budget-stopped run, then
+		// memory, core and recorder reset in place and the recorder
+		// attached again for the next program.
+		c, _ := load(t, specSrc, DefaultConfig())
+		attach(c, rec)
+		if err := c.Run(300); err != ErrBudget {
+			t.Fatalf("first run: %v, want the budget", err)
+		}
+		m := c.Mem
+		m.Reset()
+		img := loadImage(t, m, specSrc)
+		c.Reset(m, DefaultConfig())
+		if rec != nil {
+			rec.Reset()
+			c.AttachTelemetry(rec)
+		}
+		c.PC, c.Regs[isa.RegSP] = img.Entry, m.Size()-mem.PageSize
+		mustRun(t, c, 1_000_000)
+		return c
+	}},
+}
+
+func attach(c *CPU, rec *telemetry.Recorder) {
+	if rec != nil {
+		c.AttachTelemetry(rec)
+	}
+}
+
 // TestTelemetryTimingNeutral is the differential check that hooks
 // observe without perturbing: the same speculating program run with and
 // without a recorder attached must produce identical architectural
 // state and an identical PMU snapshot, cycle for cycle — while the
-// observed run captures a non-trivial event stream.
+// observed run captures a non-trivial event stream. A recorder that
+// only counts retirements, which the core then tallies itself, must
+// see the same census as one that stores each.
 func TestTelemetryTimingNeutral(t *testing.T) {
-	run := func(rec *telemetry.Recorder) (*CPU, Snapshot) {
-		c, _ := load(t, specSrc, DefaultConfig())
-		if rec != nil {
-			c.AttachTelemetry(rec)
+	for _, path := range neutralPaths {
+		t.Run(path.name, func(t *testing.T) {
+			rec, countOnly := telemetry.NewRecorder(0), telemetry.NewRecorder(0)
+			countOnly.Exclude(telemetry.KindRetire)
+			cOn, cCount, cOff := path.run(t, rec), path.run(t, countOnly), path.run(t, nil)
+			snapOn := cOn.Snapshot()
+			for _, other := range []struct {
+				name string
+				c    *CPU
+			}{{"count-only", cCount}, {"unobserved", cOff}} {
+				c := other.c
+				if snap := c.Snapshot(); snap != snapOn {
+					t.Errorf("PMU snapshots diverge:\n  observed: %+v\n  %s: %+v", snapOn, other.name, snap)
+				}
+				if c.Regs != cOn.Regs || c.PC != cOn.PC || c.Cycle != cOn.Cycle {
+					t.Errorf("%s architectural state diverges: regs %v vs %v, pc %#x vs %#x, cycle %d vs %d",
+						other.name, c.Regs, cOn.Regs, c.PC, cOn.PC, c.Cycle, cOn.Cycle)
+				}
+			}
+
+			counts := rec.Counts()
+			if got := countOnly.Counts(); !reflect.DeepEqual(got, counts) {
+				t.Errorf("count-only census %v, want the storing recorder's %v", got, counts)
+			}
+			if countOnly.Total() != rec.Total()-counts["retire"] {
+				t.Errorf("count-only recorder stored %d events, want %d", countOnly.Total(), rec.Total()-counts["retire"])
+			}
+			if counts["retire"] != snapOn.Instructions {
+				t.Errorf("retire events = %d, want instret %d", counts["retire"], snapOn.Instructions)
+			}
+			if counts["spec_enter"] == 0 || counts["spec_enter"] != counts["spec_squash"] {
+				t.Errorf("episode events unbalanced: enter %d, squash %d",
+					counts["spec_enter"], counts["spec_squash"])
+			}
+			if counts["spec_squash"] != snapOn.Squashes {
+				t.Errorf("squash events = %d, want PMU squashes %d", counts["spec_squash"], snapOn.Squashes)
+			}
+			if counts["branch_mispredict"] != snapOn.CondMispred {
+				t.Errorf("mispredict events = %d, want PMU CondMispred %d",
+					counts["branch_mispredict"], snapOn.CondMispred)
+			}
+			if counts["cache_fill"] == 0 {
+				t.Error("no cache_fill events from a load-heavy program")
+			}
+		})
+	}
+}
+
+// TestCountOnlyRetireSplitsAtReattach re-attaches mid-run, from inside a
+// SYSCALL handler: the retirements before the switch belong to the
+// first recorder and the rest, the SYSCALL's own included, to the
+// second, whether the recorders store retirements or only count them.
+func TestCountOnlyRetireSplitsAtReattach(t *testing.T) {
+	const src = `
+		movi r1, 7
+		movi r2, 0
+	loop:
+		addi r2, r2, 1
+		subi r1, r1, 1
+		cmpi r1, 0
+		jne loop
+		syscall
+		movi r3, 1
+		halt
+	`
+	split := func(exclude bool) (first, second map[string]uint64) {
+		a, b := telemetry.NewRecorder(0), telemetry.NewRecorder(0)
+		if exclude {
+			a.Exclude(telemetry.KindRetire)
+			b.Exclude(telemetry.KindRetire)
 		}
-		mustRun(t, c, 1_000_000)
-		return c, c.Snapshot()
+		c, _ := load(t, src, DefaultConfig())
+		c.AttachTelemetry(a)
+		c.OnSyscall = func(c *CPU) error { c.AttachTelemetry(b); return nil }
+		mustRun(t, c, 1000)
+		return a.Counts(), b.Counts()
 	}
-	rec := telemetry.NewRecorder(0)
-	cOn, snapOn := run(rec)
-	cOff, snapOff := run(nil)
-
-	if snapOn != snapOff {
-		t.Errorf("PMU snapshots diverge:\n  observed:   %+v\n  unobserved: %+v", snapOn, snapOff)
+	storedA, storedB := split(false)
+	countedA, countedB := split(true)
+	if storedA["retire"] == 0 || storedB["retire"] != 3 {
+		t.Fatalf("storing recorders saw %d and %d retirements, want some and 3", storedA["retire"], storedB["retire"])
 	}
-	if cOn.Regs != cOff.Regs || cOn.PC != cOff.PC || cOn.Cycle != cOff.Cycle {
-		t.Errorf("architectural state diverges: regs %v vs %v, pc %#x vs %#x, cycle %d vs %d",
-			cOn.Regs, cOff.Regs, cOn.PC, cOff.PC, cOn.Cycle, cOff.Cycle)
-	}
-
-	counts := rec.Counts()
-	if counts["retire"] != snapOn.Instructions {
-		t.Errorf("retire events = %d, want instret %d", counts["retire"], snapOn.Instructions)
-	}
-	if counts["spec_enter"] == 0 || counts["spec_enter"] != counts["spec_squash"] {
-		t.Errorf("episode events unbalanced: enter %d, squash %d",
-			counts["spec_enter"], counts["spec_squash"])
-	}
-	if counts["spec_squash"] != snapOn.Squashes {
-		t.Errorf("squash events = %d, want PMU squashes %d", counts["spec_squash"], snapOn.Squashes)
-	}
-	if counts["branch_mispredict"] != snapOn.CondMispred {
-		t.Errorf("mispredict events = %d, want PMU CondMispred %d",
-			counts["branch_mispredict"], snapOn.CondMispred)
-	}
-	if counts["cache_fill"] == 0 {
-		t.Error("no cache_fill events from a load-heavy program")
+	if !reflect.DeepEqual(countedA, storedA) || !reflect.DeepEqual(countedB, storedB) {
+		t.Errorf("count-only census %v / %v, want %v / %v", countedA, countedB, storedA, storedB)
 	}
 }
 

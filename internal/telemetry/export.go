@@ -1,31 +1,18 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
-// chromeEvent is one entry of the Chrome trace-event format (the JSON
-// Perfetto and about://tracing load). ts/dur are in the format's
-// microsecond unit; we map one simulated cycle to one microsecond.
-type chromeEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  uint64         `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-func hexArg(v uint64) string { return fmt.Sprintf("%#x", v) }
-
-// WriteChromeTrace exports events as Chrome trace-event JSON.
+// WriteChromeTrace exports events as Chrome trace-event JSON (the
+// format Perfetto and about://tracing load). ts/dur are in the format's
+// microsecond unit; one simulated cycle maps to one microsecond.
 //
 // Track layout: pid 0 / tid 0 carries the core's timeline — speculation
 // episodes as B/E duration slices with the cache fills, flushes, probes
@@ -35,62 +22,94 @@ func hexArg(v uint64) string { return fmt.Sprintf("%#x", v) }
 // timeline; use WriteJSONL for the full stream). Squash events whose
 // opening SpecEnter was already overwritten in the ring are dropped so
 // the B/E stack stays balanced.
+//
+// Each trace event is appended into one reused scratch slice and written
+// to a buffered writer, so the export allocates the writer's buffer and
+// the scratch and nothing per event. The bytes are those encoding/json
+// writes for the document {"traceEvents":[...],"displayTimeUnit":"ms"}:
+// fields in declaration order, empty optional fields omitted, args keys
+// sorted, and a final newline.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	out := make([]chromeEvent, 0, len(events))
-	depth := 0
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
+		return err
+	}
+	scratch := make([]byte, 0, 256) // longer than any one trace event
+	depth, sep := 0, false
 	for _, ev := range events {
+		b := scratch[:0]
 		switch ev.Kind {
-		case KindRetire:
-			// Omitted: see doc comment.
 		case KindSpecEnter:
 			depth++
-			out = append(out, chromeEvent{
-				Name: "speculation", Cat: "spec", Ph: "B", TS: ev.Cycle,
-				Args: map[string]any{"pc": hexArg(ev.PC), "deadline": ev.Val},
-			})
+			b = appendChromeHead(b, sep, "speculation", "spec", "B", ev.Cycle, 0, 0, 0)
+			b = strconv.AppendUint(append(b, `,"args":{"deadline":`...), ev.Val, 10)
+			b = append(appendHexArg(append(b, `,"pc":`...), ev.PC), "}}"...)
 		case KindSpecSquash:
 			if depth == 0 {
 				continue
 			}
 			depth--
-			out = append(out, chromeEvent{
-				Name: "speculation", Cat: "spec", Ph: "E", TS: ev.Cycle,
-				Args: map[string]any{"squashed": ev.Val},
-			})
+			b = appendChromeHead(b, sep, "speculation", "spec", "E", ev.Cycle, 0, 0, 0)
+			b = append(strconv.AppendUint(append(b, `,"args":{"squashed":`...), ev.Val, 10), "}}"...)
 		case KindCacheFill:
 			name := "fill.L2"
 			if ev.Level >= 3 {
 				name = "fill.MEM"
 			}
-			out = append(out, chromeEvent{
-				Name: name, Cat: "cache", Ph: "X", TS: ev.Cycle, Dur: ev.Val,
-				Args: map[string]any{"addr": hexArg(ev.Addr)},
-			})
+			b = appendChromeHead(b, sep, name, "cache", "X", ev.Cycle, ev.Val, 0, 0)
+			b = append(appendHexArg(append(b, `,"args":{"addr":`...), ev.Addr), "}}"...)
 		case KindCacheEvict, KindCacheFlush, KindBranchMispredict,
 			KindRetPivot, KindStackSmash, KindCovertProbe, KindExec, KindRopPlan,
 			KindSchedStall:
-			out = append(out, chromeEvent{
-				Name: ev.Kind.String(), Cat: "event", Ph: "i", TS: ev.Cycle, S: "t",
-				Args: map[string]any{
-					"pc": hexArg(ev.PC), "addr": hexArg(ev.Addr), "val": ev.Val,
-				},
-			})
+			b = appendChromeHead(b, sep, ev.Kind.String(), "event", "i", ev.Cycle, 0, 0, 0)
+			b = appendHexArg(append(b, `,"s":"t","args":{"addr":`...), ev.Addr)
+			b = appendHexArg(append(b, `,"pc":`...), ev.PC)
+			b = append(strconv.AppendUint(append(b, `,"val":`...), ev.Val, 10), "}}"...)
 		case KindTaskStart:
-			out = append(out, chromeEvent{
-				Name: "task", Cat: "sched", Ph: "B", TS: ev.Seq, PID: 1, TID: ev.Addr,
-			})
+			b = append(appendChromeHead(b, sep, "task", "sched", "B", ev.Seq, 0, 1, ev.Addr), '}')
 		case KindTaskStop:
-			out = append(out, chromeEvent{
-				Name: "task", Cat: "sched", Ph: "E", TS: ev.Seq, PID: 1, TID: ev.Addr,
-			})
+			b = append(appendChromeHead(b, sep, "task", "sched", "E", ev.Seq, 0, 1, ev.Addr), '}')
+		default:
+			// Retirements (see above) and kinds out of range.
+			continue
+		}
+		sep, scratch = true, b
+		if _, err := bw.Write(b); err != nil {
+			return err
 		}
 	}
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: out, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	if _, err := bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// appendChromeHead appends a trace event's fields up to its pid and
+// tid, leaving the object open for "s" and "args": the leading comma
+// when sep is set, then name, cat, ph, ts, dur when non-zero, pid and
+// tid. name, cat and ph must need no JSON escaping.
+func appendChromeHead(b []byte, sep bool, name, cat, ph string, ts, dur, pid, tid uint64) []byte {
+	if sep {
+		b = append(b, ',')
+	}
+	b = append(b, `{"name":"`...)
+	b = append(b, name...)
+	b = append(b, `","cat":"`...)
+	b = append(b, cat...)
+	b = append(b, `","ph":"`...)
+	b = append(b, ph...)
+	b = strconv.AppendUint(append(b, `","ts":`...), ts, 10)
+	if dur != 0 {
+		b = strconv.AppendUint(append(b, `,"dur":`...), dur, 10)
+	}
+	b = strconv.AppendUint(append(b, `,"pid":`...), pid, 10)
+	return strconv.AppendUint(append(b, `,"tid":`...), tid, 10)
+}
+
+// appendHexArg appends v as the JSON string fmt's %#x renders it.
+func appendHexArg(b []byte, v uint64) []byte {
+	b = strconv.AppendUint(append(b, `"0x`...), v, 16)
+	return append(b, '"')
 }
 
 // jsonlEvent is the compact JSONL wire form of one event.

@@ -3,9 +3,147 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// chromeEvent is one entry of the Chrome trace-event format, as the
+// reference builder below encodes it.
+type chromeEvent struct {
+	Name string         `json:"name,omitempty"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	TS   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  uint64         `json:"tid"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+func hexArg(v uint64) string { return fmt.Sprintf("%#x", v) }
+
+// referenceChromeTrace is the trace builder WriteChromeTrace replaced:
+// the whole document as Go values, one args map per event, encoded by
+// encoding/json in one piece. WriteChromeTrace must write exactly its
+// bytes.
+func referenceChromeTrace(w io.Writer, events []Event) error {
+	out := make([]chromeEvent, 0, len(events))
+	depth := 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case KindRetire:
+			// Omitted: see WriteChromeTrace.
+		case KindSpecEnter:
+			depth++
+			out = append(out, chromeEvent{
+				Name: "speculation", Cat: "spec", Ph: "B", TS: ev.Cycle,
+				Args: map[string]any{"pc": hexArg(ev.PC), "deadline": ev.Val},
+			})
+		case KindSpecSquash:
+			if depth == 0 {
+				continue
+			}
+			depth--
+			out = append(out, chromeEvent{
+				Name: "speculation", Cat: "spec", Ph: "E", TS: ev.Cycle,
+				Args: map[string]any{"squashed": ev.Val},
+			})
+		case KindCacheFill:
+			name := "fill.L2"
+			if ev.Level >= 3 {
+				name = "fill.MEM"
+			}
+			out = append(out, chromeEvent{
+				Name: name, Cat: "cache", Ph: "X", TS: ev.Cycle, Dur: ev.Val,
+				Args: map[string]any{"addr": hexArg(ev.Addr)},
+			})
+		case KindCacheEvict, KindCacheFlush, KindBranchMispredict,
+			KindRetPivot, KindStackSmash, KindCovertProbe, KindExec, KindRopPlan,
+			KindSchedStall:
+			out = append(out, chromeEvent{
+				Name: ev.Kind.String(), Cat: "event", Ph: "i", TS: ev.Cycle, S: "t",
+				Args: map[string]any{
+					"pc": hexArg(ev.PC), "addr": hexArg(ev.Addr), "val": ev.Val,
+				},
+			})
+		case KindTaskStart:
+			out = append(out, chromeEvent{
+				Name: "task", Cat: "sched", Ph: "B", TS: ev.Seq, PID: 1, TID: ev.Addr,
+			})
+		case KindTaskStop:
+			out = append(out, chromeEvent{
+				Name: "task", Cat: "sched", Ph: "E", TS: ev.Seq, PID: 1, TID: ev.Addr,
+			})
+		}
+	}
+	doc := struct {
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{TraceEvents: out, DisplayTimeUnit: "ms"}
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// mixedEvents returns n events cycling through every kind, one out of
+// range, with field values spread over their ranges: the shape of a
+// long traced run's ring.
+func mixedEvents(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		u := uint64(i)
+		evs[i] = Event{
+			Kind: Kind(i % int(NumKinds+1)), Level: uint8(i % 5), Seq: u,
+			Cycle: u * 977, PC: 0x10000 + u*8, Addr: u * 0x9e3779b97f4a7c15, Val: u * 31,
+		}
+	}
+	return evs
+}
+
+// TestWriteChromeTraceAllocs gates the streamed writer: a full default
+// ring of mixed events costs the writer's buffers, not a document.
+func TestWriteChromeTraceAllocs(t *testing.T) {
+	events := mixedEvents(DefaultCapacity)
+	var err error
+	got := allocBytes(3, func() { err = WriteChromeTrace(io.Discard, events) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 64<<10 {
+		t.Errorf("WriteChromeTrace over %d events allocated %d bytes, want at most 64 KiB", len(events), got)
+	}
+}
+
+// failingWriter fails every write.
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestWriteChromeTraceWriterError checks a failing writer's error is
+// returned, whether the trace fits the writer's buffer or not.
+func TestWriteChromeTraceWriterError(t *testing.T) {
+	sentinel := errors.New("disk full")
+	for _, n := range []int{0, 10, DefaultCapacity} {
+		if err := WriteChromeTrace(failingWriter{sentinel}, mixedEvents(n)); !errors.Is(err, sentinel) {
+			t.Errorf("%d events: err = %v, want the writer's error", n, err)
+		}
+	}
+}
+
+// BenchmarkWriteChromeTrace writes a full default ring of mixed events;
+// run it with -benchmem.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	events := mixedEvents(DefaultCapacity)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, events); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // TestExportersEmptyRing pins the degenerate case every exporter must
 // survive: a recorder that never saw an event.

@@ -11,9 +11,14 @@
 // allocation, no indirect calls. When enabled, Emit takes a mutex (the
 // internal/sched pool emits from many goroutines) and writes one
 // fixed-size Event into the ring, overwriting the oldest entry when
-// full. Per-kind counts are monotonic and independent of ring capacity,
-// so event totals are deterministic for any worker count even though
-// ring *contents* interleave.
+// full; the ring starts empty and doubles up to its capacity as events
+// arrive. A kind the recorder counts without storing (Exclude) costs an
+// emitter nothing per event when it asks Stores once and reports its
+// own tally with Add: the cpu core counts retirements that way, one Add
+// per Run or Step instead of one Emit, and so one lock, per
+// instruction. Per-kind counts are monotonic and independent of ring
+// capacity, so event totals are deterministic for any worker count even
+// though ring *contents* interleave.
 //
 // Hooks observe; they never mutate simulated state. Cycle counts,
 // cache contents, predictor state and PMU counters are byte-identical
@@ -132,26 +137,34 @@ type Event struct {
 // DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
 const DefaultCapacity = 1 << 16
 
-// Recorder is the fixed-capacity event ring. A nil *Recorder is the
+// minRing is the ring's first allocation, in events: a recorder holds
+// no ring until it stores an event, then doubles from here up to its
+// capacity.
+const minRing = 16
+
+// Recorder is the bounded event ring. A nil *Recorder is the
 // disabled state: every hook site guards with a nil check and skips all
 // work. All methods are safe for concurrent use.
 type Recorder struct {
-	mu     sync.Mutex
-	buf    []Event
-	head   int    // next write position
-	n      int    // live entries (<= len(buf))
-	seq    uint64 // events assigned a sequence number (stored kinds only)
-	mask   uint64 // kinds counted but not stored (bit k = Kind k excluded)
-	counts [NumKinds]uint64
+	mu       sync.Mutex
+	buf      []Event // grows to capacity; the ring wraps only once it is that long
+	capacity int
+	head     int    // next write position; len(buf) when the next write wraps or grows
+	n        int    // live entries (<= len(buf))
+	seq      uint64 // events assigned a sequence number (stored kinds only)
+	mask     uint64 // kinds counted but not stored (bit k = Kind k excluded)
+	counts   [NumKinds]uint64
 }
 
 // NewRecorder builds a recorder holding the last capacity events
-// (DefaultCapacity when capacity <= 0).
+// (DefaultCapacity when capacity <= 0). It allocates no ring: the ring
+// grows as events are stored, so a run that stores a few events pays
+// for a few.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // Exclude stops retaining the given kinds in the ring. Excluded kinds
@@ -169,10 +182,33 @@ func (r *Recorder) Exclude(kinds ...Kind) {
 	r.mu.Unlock()
 }
 
+// Stores reports whether the ring keeps events of kind k, that is,
+// whether Exclude has not hidden it. An emitter that learns a kind is
+// count-only may tally it itself and report the tally with Add. The
+// answer never turns from false to true: Exclude only adds kinds, and
+// Reset keeps them.
+func (r *Recorder) Stores(k Kind) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return k >= NumKinds || r.mask>>k&1 == 0
+}
+
+// Add counts n events of kind k without storing any: the census Emit
+// would reach for n events of a kind Stores reports false for. Kinds
+// out of range are ignored, as Emit ignores them in the census.
+func (r *Recorder) Add(k Kind, n uint64) {
+	if k >= NumKinds {
+		return
+	}
+	r.mu.Lock()
+	r.counts[k] += n
+	r.mu.Unlock()
+}
+
 // Reset empties the ring and zeroes the sequence and every count,
-// keeping the ring's capacity and the Exclude mask: a reset recorder
-// observes the next run exactly as a new one configured the same way
-// would.
+// keeping the ring's capacity, the ring it has grown so far and the
+// Exclude mask: a reset recorder observes the next run exactly as a new
+// one configured the same way would.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.head, r.n, r.seq = 0, 0, 0
@@ -193,15 +229,29 @@ func (r *Recorder) Emit(ev Event) {
 	}
 	ev.Seq = r.seq
 	r.seq++
+	if r.head == len(r.buf) {
+		if len(r.buf) < r.capacity {
+			r.grow()
+		} else {
+			r.head = 0
+		}
+	}
 	r.buf[r.head] = ev
 	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
 	if r.n < len(r.buf) {
 		r.n++
 	}
 	r.mu.Unlock()
+}
+
+// grow doubles the ring, from minRing up to the capacity. A ring
+// shorter than its capacity has never wrapped, so its live events are
+// exactly buf[:head], oldest first.
+func (r *Recorder) grow() {
+	size := min(max(2*len(r.buf), minRing), r.capacity)
+	buf := make([]Event, size)
+	copy(buf, r.buf[:r.head])
+	r.buf = buf
 }
 
 // Events returns a copy of the retained events, oldest first.

@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -95,14 +97,23 @@ func TestRecorderExcludeCountsButDoesNotStore(t *testing.T) {
 
 func TestRecorderConcurrentEmit(t *testing.T) {
 	r := NewRecorder(64)
+	r.Exclude(KindRetire)
 	const goroutines, per = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.Emit(Event{Kind: KindTaskStart, Addr: uint64(g)})
+			}
+		}(g)
+		// Count-only tallies arrive concurrently with the stored events,
+		// as from cores flushing their retirements under the sched pool.
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Add(KindRetire, uint64(g))
 			}
 		}(g)
 	}
@@ -110,12 +121,147 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	if got := r.Total(); got != goroutines*per {
 		t.Fatalf("Total = %d, want %d", got, goroutines*per)
 	}
+	want := map[string]uint64{"task_start": goroutines * per, "retire": per * goroutines * (goroutines - 1) / 2}
+	if got := r.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts = %v, want %v", got, want)
+	}
 	// Seq numbers in the retained window must be unique and ascending.
 	evs := r.Events()
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("non-ascending Seq at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
+	}
+}
+
+func TestRecorderStoresAndAdd(t *testing.T) {
+	r := NewRecorder(8)
+	r.Exclude(KindRetire)
+	for k := Kind(0); k <= NumKinds; k++ {
+		if got, want := r.Stores(k), k != KindRetire; got != want {
+			t.Errorf("Stores(%v) = %v, want %v", k, got, want)
+		}
+	}
+	r.Add(KindRetire, 40)
+	r.Emit(Event{Kind: KindRetire})
+	r.Add(KindCacheFill, 2) // counted, never stored, even for a stored kind
+	r.Add(NumKinds, 5)      // out of range: ignored, as Emit ignores it in the census
+	want := map[string]uint64{"retire": 41, "cache_fill": 2}
+	if got := r.Counts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Counts = %v, want %v", got, want)
+	}
+	if r.Len() != 0 || r.Total() != 0 {
+		t.Errorf("Add stored events: len %d, total %d", r.Len(), r.Total())
+	}
+	r.Reset()
+	if r.Stores(KindRetire) || len(r.Counts()) != 0 {
+		t.Errorf("after Reset: Stores(retire) = %v, counts %v", r.Stores(KindRetire), r.Counts())
+	}
+}
+
+// ringModel is a fixed-capacity ring written the plain way: every
+// stored event since the last reset, of which the last capacity are
+// retained.
+type ringModel struct {
+	capacity int
+	stored   []Event
+}
+
+func (m *ringModel) emit(ev Event) {
+	ev.Seq = uint64(len(m.stored))
+	m.stored = append(m.stored, ev)
+}
+
+func (m *ringModel) retained() []Event {
+	return m.stored[max(0, len(m.stored)-m.capacity):]
+}
+
+// TestRecorderRingGrowth drives the growing ring against the fixed-ring
+// model: sequences shorter than, equal to and wrapping past capacity,
+// with a Reset partway through that keeps what the ring has grown.
+func TestRecorderRingGrowth(t *testing.T) {
+	for _, capacity := range []int{1, 4, 64, 65, 1000} {
+		for _, n := range []int{capacity / 2, capacity - 1, capacity, capacity + 1, 3*capacity + 5} {
+			for _, resetAt := range []int{-1, n / 3, n} {
+				r := NewRecorder(capacity)
+				r.Exclude(KindRetire)
+				m := &ringModel{capacity: capacity}
+				step := 1 + capacity/16
+				for i := 0; i < 2*n; i++ {
+					if i == resetAt {
+						r.Reset()
+						m.stored = nil
+					}
+					if i%5 == 4 {
+						r.Emit(Event{Kind: KindRetire}) // counted, not stored
+					}
+					ev := Event{Kind: KindCacheFill, Cycle: uint64(i), Val: uint64(i)}
+					r.Emit(ev)
+					m.emit(ev)
+					if i%step == 0 || i == 2*n-1 || i == resetAt {
+						checkRing(t, fmt.Sprintf("capacity %d, n %d, reset at %d, after %d", capacity, n, resetAt, i), r, m)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkRing compares the recorder's read side with the model.
+func checkRing(t *testing.T, at string, r *Recorder, m *ringModel) {
+	t.Helper()
+	want := m.retained()
+	total := uint64(len(m.stored))
+	if got := r.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Events = %v, want %v", at, got, want)
+	}
+	if r.Len() != len(want) || r.Total() != total || r.Dropped() != total-uint64(len(want)) {
+		t.Fatalf("%s: Len %d, Total %d, Dropped %d; want %d, %d, %d",
+			at, r.Len(), r.Total(), r.Dropped(), len(want), total, total-uint64(len(want)))
+	}
+	for _, cursor := range []uint64{0, total / 2, total - min(total, 1), total, total + 3} {
+		got, next := r.EventsSince(cursor)
+		since := []Event{}
+		for _, ev := range want {
+			if ev.Seq >= cursor {
+				since = append(since, ev)
+			}
+		}
+		if !reflect.DeepEqual(append([]Event{}, got...), since) || next != total {
+			t.Fatalf("%s: EventsSince(%d) = %v, %d; want %v, %d", at, cursor, got, next, since, total)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged
+// over runs calls.
+func allocBytes(runs int, f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// TestRecorderSmallRunAllocs gates the growing ring: a default recorder
+// that stores 16 events (an attack job's worth) pays for those, not for
+// a full ring, and a reset recorder reuses the ring it has grown.
+func TestRecorderSmallRunAllocs(t *testing.T) {
+	emit16 := func(r *Recorder) {
+		for i := 0; i < 16; i++ {
+			r.Emit(Event{Kind: KindRopPlan, Val: uint64(i)})
+		}
+	}
+	if got := allocBytes(100, func() { emit16(NewRecorder(0)) }); got > 8<<10 {
+		t.Errorf("NewRecorder(0) plus 16 events allocated %d bytes, want at most 8 KiB", got)
+	}
+	r := NewRecorder(0)
+	emit16(r)
+	if n := testing.AllocsPerRun(100, func() { r.Reset(); emit16(r) }); n != 0 {
+		t.Errorf("Reset plus 16 events allocated %v times, want 0", n)
 	}
 }
 
