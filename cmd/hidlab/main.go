@@ -54,27 +54,21 @@ func main() {
 	cfg.Workers = *workers
 
 	fmt.Printf("profiling benign corpus (%d workloads)...\n", len(mibench.AllWithBackgrounds()))
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
-	if err != nil {
-		fatal(err)
-	}
 	fmt.Printf("profiling attack corpus (4 spectre variants)...\n")
-	attack, err := cfg.AttackCorpus(cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
 		fatal(err)
 	}
-	full := benign.Project(cfg.FeatureSize)
-	if err := full.Merge(attack.Project(cfg.FeatureSize)); err != nil {
+	full := corp.Train(cfg.FeatureSize)
+	fmt.Printf("corpus: %d benign + %d attack samples, %d features\n",
+		corp.Benign.Len(), corp.Attack.Len(), cfg.FeatureSize)
+
+	// The full 56-event corpus of both classes, for -profile and -export.
+	wide := corp.Benign
+	if err := wide.Merge(corp.Attack); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("corpus: %d benign + %d attack samples, %d features\n",
-		benign.Len(), attack.Len(), cfg.FeatureSize)
-
 	if *profile >= 0 {
-		wide := benign
-		if err := wide.Merge(attack); err != nil {
-			fatal(err)
-		}
 		if err := wide.RenderSummary(os.Stdout, *profile); err != nil {
 			fatal(err)
 		}
@@ -86,10 +80,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		wide := benign
-		if err := wide.Merge(attack); err != nil {
-			fatal(err)
-		}
 		if err := wide.WriteCSV(f); err != nil {
 			fatal(err)
 		}
@@ -99,7 +89,7 @@ func main() {
 		fmt.Printf("full 56-event corpus written to %s\n", *export)
 	}
 
-	train, test := full.Data.Split(0.7, cfg.Seed)
+	train, test := full.Split(0.7, cfg.Seed)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "classifier\taccuracy\tprecision\trecall\tf1\tauc\tverdict\tcv")
 	for _, name := range strings.Split(*classifiers, ",") {
@@ -121,7 +111,7 @@ func main() {
 			res, err := ml.CrossValidate(func() ml.Classifier {
 				clf, _ := ml.ByName(name, cfg.Seed)
 				return clf
-			}, full.Data, *cv, cfg.Seed)
+			}, full, *cv, cfg.Seed)
 			if err != nil {
 				fatal(err)
 			}

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,6 +24,81 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hid"
 )
+
+// sections are the report's sections in order: the -sections key, the
+// heading, and the run that renders the section's body.
+var sections = []struct {
+	key, title string
+	render     func(cfg experiments.Config, w io.Writer) error
+}{
+	{"fig4", "Fig. 4 — HID accuracy vs feature size", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.Fig4(cfg)
+		if err == nil {
+			experiments.RenderFig4(w, rows)
+		}
+		return err
+	}},
+	{"fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", func(cfg experiments.Config, w io.Writer) error {
+		res, err := experiments.Fig5(cfg)
+		if err == nil {
+			experiments.RenderCampaign(w, res, cfg.Classifiers)
+		}
+		return err
+	}},
+	{"fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", func(cfg experiments.Config, w io.Writer) error {
+		res, err := experiments.Fig6(cfg)
+		if err == nil {
+			experiments.RenderCampaign(w, res, cfg.Classifiers)
+		}
+		return err
+	}},
+	{"table1", "Table I — IPC overhead", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.Table1(cfg)
+		if err == nil {
+			experiments.RenderTable1(w, rows)
+		}
+		return err
+	}},
+	{"defense", "Defense matrix (§I / §IV)", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := defense.Matrix(cfg.Seed)
+		for _, r := range rows {
+			result := "BLOCKED "
+			if r.Outcome.Success {
+				result = "SUCCEEDS"
+			}
+			fmt.Fprintf(w, "%-34s %s  %s\n", r.Name, result, r.Outcome.Detail)
+		}
+		return err
+	}},
+	{"latency", "Extension — online-HID detection latency", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.DetectionLatency(cfg, 6)
+		if err == nil {
+			experiments.RenderLatency(w, rows)
+		}
+		return err
+	}},
+	{"recycle", "Extension — variant recycling vs windowed HID", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.VariantRecycling(cfg, 600)
+		if err == nil {
+			experiments.RenderRecycling(w, rows)
+		}
+		return err
+	}},
+	{"ensemble", "Extension — pointwise detectors vs committee on a diluted variant", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.EnsembleComparison(cfg)
+		if err == nil {
+			experiments.RenderEnsemble(w, rows)
+		}
+		return err
+	}},
+	{"alarms", "Extension — run-level alarm policies", func(cfg experiments.Config, w io.Writer) error {
+		rows, err := experiments.RunLevelDetection(cfg, nil, 6)
+		if err == nil {
+			experiments.RenderAlarms(w, rows)
+		}
+		return err
+	}},
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -33,6 +110,10 @@ func main() {
 // run executes the tool against args, writing progress/summary lines to
 // stdout and the report to the -o file. It is the testable core of main.
 func run(args []string, stdout io.Writer) error {
+	keys := make([]string, len(sections))
+	for i, sec := range sections {
+		keys[i] = sec.key
+	}
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	var (
 		out      = fs.String("o", "results/REPORT.md", "output markdown file")
@@ -40,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 		att      = fs.Int("attempts", 10, "attack attempts per campaign")
 		seed     = fs.Int64("seed", 1, "pipeline seed")
 		workers  = fs.Int("workers", 0, "parallel simulated machines (0 = all cores); results are identical for any value")
-		sections = fs.String("sections", "", "comma-separated subset to run: fig4,fig5,fig6,table1,defense,latency,recycle,ensemble,alarms (empty = all)")
+		selected = fs.String("sections", "", "comma-separated subset to run: "+strings.Join(keys, ",")+" (empty = all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,26 +133,16 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 
-	known := []string{"fig4", "fig5", "fig6", "table1", "defense", "latency", "recycle", "ensemble", "alarms"}
 	enabled := map[string]bool{}
-	for _, s := range strings.Split(*sections, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			enabled[s] = true
+	for _, key := range strings.Split(*selected, ",") {
+		if key = strings.TrimSpace(key); key == "" {
+			continue
 		}
+		if !slices.Contains(keys, key) {
+			return fmt.Errorf("unknown section %q (valid: %s)", key, strings.Join(keys, ","))
+		}
+		enabled[key] = true
 	}
-	for key := range enabled {
-		found := false
-		for _, k := range known {
-			if k == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown section %q (valid: %s)", key, strings.Join(known, ","))
-		}
-	}
-	want := func(key string) bool { return len(enabled) == 0 || enabled[key] }
 
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# CR-Spectre reproduction report\n\n")
@@ -82,145 +153,29 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(&b, "`go run ./cmd/report -seed %d -samples %d -attempts %d` to reproduce it.\n\n",
 		cfg.Seed, cfg.SamplesPerClass, cfg.Attempts)
 
-	section := func(key, title string, f func() (string, error)) error {
-		if !want(key) {
-			return nil
+	for _, sec := range sections {
+		if len(enabled) > 0 && !enabled[sec.key] {
+			continue
 		}
 		start := time.Now()
-		fmt.Fprintf(stdout, "running: %s...\n", title)
-		body, err := f()
-		if err != nil {
-			return fmt.Errorf("%s: %w", title, err)
+		fmt.Fprintf(stdout, "running: %s...\n", sec.title)
+		var body bytes.Buffer
+		if err := sec.render(cfg, &body); err != nil {
+			return fmt.Errorf("%s: %w", sec.title, err)
 		}
-		fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n*(%.1fs)*\n\n", title, body, time.Since(start).Seconds())
-		return nil
-	}
-
-	if err := section("fig4", "Fig. 4 — HID accuracy vs feature size", func() (string, error) {
-		rows, err := experiments.Fig4(cfg)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderFig4(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", func() (string, error) {
-		res, err := experiments.Fig5(cfg)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderCampaign(&s, res, cfg.Classifiers)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", func() (string, error) {
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderCampaign(&s, res, cfg.Classifiers)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("table1", "Table I — IPC overhead", func() (string, error) {
-		rows, err := experiments.Table1(cfg)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderTable1(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("defense", "Defense matrix (§I / §IV)", func() (string, error) {
-		rows, err := defense.Matrix(cfg.Seed)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		for _, r := range rows {
-			result := "BLOCKED "
-			if r.Outcome.Success {
-				result = "SUCCEEDS"
-			}
-			fmt.Fprintf(&s, "%-34s %s  %s\n", r.Name, result, r.Outcome.Detail)
-		}
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("latency", "Extension — online-HID detection latency", func() (string, error) {
-		rows, err := experiments.DetectionLatency(cfg, 6)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderLatency(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("recycle", "Extension — variant recycling vs windowed HID", func() (string, error) {
-		rows, err := experiments.VariantRecycling(cfg, 600)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderRecycling(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("ensemble", "Extension — pointwise detectors vs committee on a diluted variant", func() (string, error) {
-		rows, err := experiments.EnsembleComparison(cfg)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderEnsemble(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := section("alarms", "Extension — run-level alarm policies", func() (string, error) {
-		rows, err := experiments.RunLevelDetection(cfg, nil, 6)
-		if err != nil {
-			return "", err
-		}
-		var s bytes.Buffer
-		experiments.RenderAlarms(&s, rows)
-		return s.String(), nil
-	}); err != nil {
-		return err
+		fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n*(%.1fs)*\n\n", sec.title, body.String(), time.Since(start).Seconds())
 	}
 
 	fmt.Fprintf(&b, "## Thresholds\n\nEvasion ≤ %.0f%% accuracy; detection > %.0f%% (paper §II-E).\n",
 		100*hid.EvadeThreshold, 100*hid.DetectThreshold)
 
 	b.WriteString("\n## Simulator throughput\n\nHost-side benchmark numbers " +
-		"(per execution tier: superblock, predecode single-step, bare " +
-		"interpreter) are " +
+		"(per execution tier: superblock and predecode single-step) are " +
 		"tracked in [BENCH_simulator.json](../BENCH_simulator.json); the " +
 		"optimisation is timing-model neutral, so every figure above is " +
 		"unchanged by it.\n")
 
-	if err := os.MkdirAll(dirOf(*out), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
 		return err
 	}
 	if err := os.WriteFile(*out, b.Bytes(), 0o644); err != nil {
@@ -228,13 +183,4 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", *out, b.Len())
 	return nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -25,20 +25,12 @@ func main() {
 	cfg.Secret = "EXFILTR8"
 
 	fmt.Println("training the online HID (deep NN) on benign + Spectre traces...")
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
-		log.Fatal(err)
-	}
-	attack, err := cfg.AttackCorpus(cfg.SamplesPerClass)
-	if err != nil {
-		log.Fatal(err)
-	}
-	train := benign.Project(cfg.FeatureSize)
-	if err := train.Merge(attack.Project(cfg.FeatureSize)); err != nil {
 		log.Fatal(err)
 	}
 	det := hid.NewOnline(ml.NewDeepNN(1))
-	if err := det.Train(train.Data); err != nil {
+	if err := det.Train(corp.Train(cfg.FeatureSize)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -65,7 +57,7 @@ func main() {
 			fmt.Printf("%7d  (secret lost: %q)\n", attempt, cr.Recovered)
 			continue
 		}
-		eval, err := experiments.CREvalSet(cfg, cr, benign)
+		eval, err := experiments.CREvalSet(cfg, cr, corp.Benign)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -89,21 +89,13 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 	const features = 16
 
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
-		return nil, err
-	}
-	attackTrain, err := cfg.AttackCorpus(cfg.SamplesPerClass)
-	if err != nil {
-		return nil, err
-	}
-	train := benign.Project(features)
-	if err := train.Merge(attackTrain.Project(features)); err != nil {
 		return nil, err
 	}
 	clf, _ := ml.ByName("mlp", cfg.Seed)
 	det := hid.New(clf)
-	if err := det.Train(train.Data); err != nil {
+	if err := det.Train(corp.Train(features)); err != nil {
 		return nil, err
 	}
 

@@ -26,7 +26,86 @@ type CampaignSpec struct {
 
 // Any reports whether at least one section is selected.
 func (s CampaignSpec) Any() bool {
-	return s.Fig4 || s.Fig5 || s.Fig6 || s.Latency || s.Recycle || s.Alarms || s.Table1
+	for _, sec := range campaignSections {
+		if sec.on(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// campaignSections are RunCampaign's sections in canonical order. Each
+// run renders its driver's tables to w and returns the writer of its CSV
+// (nil when csv is "").
+var campaignSections = []struct {
+	title string
+	on    func(CampaignSpec) bool
+	csv   string
+	run   func(cfg Config, w io.Writer) (func(io.Writer), error)
+}{
+	{"Fig 4: HID accuracy vs feature size", func(s CampaignSpec) bool { return s.Fig4 }, "fig4.csv",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			rows, err := Fig4(cfg)
+			if err != nil {
+				return nil, err
+			}
+			RenderFig4(w, rows)
+			return func(f io.Writer) { Fig4CSV(f, rows) }, nil
+		}},
+	{"Fig 5: offline-type HID campaign", func(s CampaignSpec) bool { return s.Fig5 }, "fig5.csv",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			res, err := Fig5(cfg)
+			if err != nil {
+				return nil, err
+			}
+			RenderCampaign(w, res, cfg.Classifiers)
+			return func(f io.Writer) { CampaignCSV(f, res) }, nil
+		}},
+	{"Fig 6: online-type HID campaign", func(s CampaignSpec) bool { return s.Fig6 }, "fig6.csv",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			res, err := Fig6(cfg)
+			if err != nil {
+				return nil, err
+			}
+			RenderCampaign(w, res, cfg.Classifiers)
+			return func(f io.Writer) { CampaignCSV(f, res) }, nil
+		}},
+	{"Extension: online-HID detection latency", func(s CampaignSpec) bool { return s.Latency }, "",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			rows, err := DetectionLatency(cfg, 6)
+			if err != nil {
+				return nil, err
+			}
+			RenderLatency(w, rows)
+			return nil, nil
+		}},
+	{"Extension: variant recycling vs windowed HID", func(s CampaignSpec) bool { return s.Recycle }, "",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			rows, err := VariantRecycling(cfg, 600)
+			if err != nil {
+				return nil, err
+			}
+			RenderRecycling(w, rows)
+			return nil, nil
+		}},
+	{"Extension: run-level alarm policies vs diluted CR-Spectre", func(s CampaignSpec) bool { return s.Alarms }, "",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			rows, err := RunLevelDetection(cfg, nil, 6)
+			if err != nil {
+				return nil, err
+			}
+			RenderAlarms(w, rows)
+			return nil, nil
+		}},
+	{"Table I: IPC overhead", func(s CampaignSpec) bool { return s.Table1 }, "table1.csv",
+		func(cfg Config, w io.Writer) (func(io.Writer), error) {
+			rows, err := Table1(cfg)
+			if err != nil {
+				return nil, err
+			}
+			RenderTable1(w, rows)
+			return func(f io.Writer) { Table1CSV(f, rows) }, nil
+		}},
 }
 
 // RunCampaign executes the selected sections in the canonical order
@@ -36,118 +115,38 @@ func (s CampaignSpec) Any() bool {
 // pools inside every driver stop dispatching once it is cancelled, and
 // the context's error is returned.
 func RunCampaign(cfg Config, spec CampaignSpec, stdout io.Writer, csvdir string) error {
-	section := func(name string, f func() error) error {
+	for _, sec := range campaignSections {
+		if !sec.on(spec) {
+			continue
+		}
 		start := time.Now()
-		fmt.Fprintf(stdout, "=== %s ===\n", name)
-		if err := f(); err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
+		fmt.Fprintf(stdout, "=== %s ===\n", sec.title)
+		emit, err := sec.run(cfg, stdout)
+		if err == nil && sec.csv != "" && csvdir != "" {
+			err = writeCSV(stdout, filepath.Join(csvdir, sec.csv), emit)
 		}
-		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-		return nil
-	}
-
-	writeCSV := func(name string, emit func(f *os.File)) error {
-		if csvdir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(csvdir, 0o755); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		f, err := os.Create(filepath.Join(csvdir, name))
 		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
+			return fmt.Errorf("experiments: %s: %w", sec.title, err)
 		}
-		emit(f)
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(csvdir, name))
-		return nil
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", sec.title, time.Since(start).Seconds())
 	}
+	return nil
+}
 
-	if spec.Fig4 {
-		if err := section("Fig 4: HID accuracy vs feature size", func() error {
-			rows, err := Fig4(cfg)
-			if err != nil {
-				return err
-			}
-			RenderFig4(stdout, rows)
-			return writeCSV("fig4.csv", func(f *os.File) { Fig4CSV(f, rows) })
-		}); err != nil {
-			return err
-		}
+// writeCSV writes one section's CSV to path, creating its directory,
+// and reports the path on stdout.
+func writeCSV(stdout io.Writer, path string, emit func(io.Writer)) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
-	if spec.Fig5 {
-		if err := section("Fig 5: offline-type HID campaign", func() error {
-			res, err := Fig5(cfg)
-			if err != nil {
-				return err
-			}
-			RenderCampaign(stdout, res, cfg.Classifiers)
-			return writeCSV("fig5.csv", func(f *os.File) { CampaignCSV(f, res) })
-		}); err != nil {
-			return err
-		}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
-	if spec.Fig6 {
-		if err := section("Fig 6: online-type HID campaign", func() error {
-			res, err := Fig6(cfg)
-			if err != nil {
-				return err
-			}
-			RenderCampaign(stdout, res, cfg.Classifiers)
-			return writeCSV("fig6.csv", func(f *os.File) { CampaignCSV(f, res) })
-		}); err != nil {
-			return err
-		}
+	emit(f)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
-	if spec.Latency {
-		if err := section("Extension: online-HID detection latency", func() error {
-			rows, err := DetectionLatency(cfg, 6)
-			if err != nil {
-				return err
-			}
-			RenderLatency(stdout, rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if spec.Recycle {
-		if err := section("Extension: variant recycling vs windowed HID", func() error {
-			rows, err := VariantRecycling(cfg, 600)
-			if err != nil {
-				return err
-			}
-			RenderRecycling(stdout, rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if spec.Alarms {
-		if err := section("Extension: run-level alarm policies vs diluted CR-Spectre", func() error {
-			rows, err := RunLevelDetection(cfg, nil, 6)
-			if err != nil {
-				return err
-			}
-			RenderAlarms(stdout, rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if spec.Table1 {
-		if err := section("Table I: IPC overhead", func() error {
-			rows, err := Table1(cfg)
-			if err != nil {
-				return err
-			}
-			RenderTable1(stdout, rows)
-			return writeCSV("table1.csv", func(f *os.File) { Table1CSV(f, rows) })
-		}); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }

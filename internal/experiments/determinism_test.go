@@ -28,6 +28,26 @@ func detCfg(workers int) Config {
 	return cfg
 }
 
+// rowsAtWorkers runs one driver at Workers=1 and Workers=4, fails the
+// test unless both return equal rows, and returns the Workers=1 rows for
+// the caller's shape checks.
+func rowsAtWorkers[T any](t *testing.T, cfg Config, drive func(Config) (T, error)) T {
+	t.Helper()
+	var rows [2]T
+	for i, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		r, err := drive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = r
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("rows differ between Workers=1 and Workers=4:\n%v\nvs\n%v", rows[0], rows[1])
+	}
+	return rows[0]
+}
+
 func TestDeterminismCorpora(t *testing.T) {
 	build := func(workers int) (benignApps []string, benignX [][]float64, attackApps []string, attackX [][]float64) {
 		cfg := detCfg(workers)

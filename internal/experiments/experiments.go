@@ -18,13 +18,13 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
 	"repro/internal/isa"
 	"repro/internal/mibench"
+	"repro/internal/ml"
 	"repro/internal/perturb"
 	"repro/internal/pmu"
 	"repro/internal/rop"
@@ -208,41 +208,55 @@ type AttackSpec struct {
 	HistoryMatched bool
 }
 
-func (a AttackSpec) perturbAsm() string {
-	if a.Perturb == nil {
-		return perturb.None()
+// module assembles the attack binary this spec describes, aimed at the
+// secretLen-byte __secret of target. A non-empty resume is the host entry
+// the binary EXECs once the leak is done (CR-Spectre's cloak).
+func (a AttackSpec) module(target *isa.Image, secretLen int, resume string) (*isa.Module, error) {
+	perturbAsm := perturb.None()
+	if a.Perturb != nil {
+		perturbAsm = a.Perturb.Asm()
 	}
-	return a.Perturb.Asm()
+	return spectre.Config{
+		Variant:        a.Variant,
+		TargetAddr:     target.MustSymbol("__secret"),
+		SecretLen:      secretLen,
+		PerturbAsm:     perturbAsm,
+		ProbeDelay:     a.ProbeDelay,
+		Rounds:         a.Rounds,
+		HistoryMatched: a.HistoryMatched,
+		ResumePath:     resume,
+	}.Module()
 }
 
-// standaloneRun launches the attack as its own application against a
-// separate secret-holder image — the paper's "traditional Spectre"
-// baseline (Fig. 2b).
-func (cfg Config) standaloneRun(spec AttackSpec, seed int64) ([]pmu.Sample, *vm.Machine, error) {
+// standaloneMachine builds and starts the traditional-Spectre machine
+// (Fig. 2b): the attack as its own application against a separate
+// secret-holder image.
+func (cfg Config) standaloneMachine(spec AttackSpec, seed int64) (*vm.Machine, error) {
 	m := cfg.machine(seed)
 	m.Register("target", holderModule(cfg.Secret), targetBase)
 	img, err := m.Load("target")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	att := spectre.Config{
-		Variant:        spec.Variant,
-		TargetAddr:     img.MustSymbol("__secret"),
-		SecretLen:      len(cfg.Secret),
-		PerturbAsm:     spec.perturbAsm(),
-		ProbeDelay:     spec.ProbeDelay,
-		Rounds:         spec.Rounds,
-		HistoryMatched: spec.HistoryMatched,
-	}
-	mod, err := att.Module()
+	mod, err := spec.module(img, len(cfg.Secret), "")
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: assemble attack: %w", err)
+		return nil, fmt.Errorf("experiments: assemble attack: %w", err)
 	}
 	m.Register("spectre", mod, attackBase)
 	if _, err := m.Load("spectre"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := m.Start("spectre"); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// standaloneRun profiles the standalone attack — the paper's
+// "traditional Spectre" baseline.
+func (cfg Config) standaloneRun(spec AttackSpec, seed int64) ([]pmu.Sample, *vm.Machine, error) {
+	m, err := cfg.standaloneMachine(spec, seed)
+	if err != nil {
 		return nil, nil, err
 	}
 	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
@@ -277,17 +291,7 @@ func (cfg Config) crRun(w mibench.Workload, spec AttackSpec, seed int64) (*CRRes
 	if err != nil {
 		return nil, err
 	}
-	att := spectre.Config{
-		Variant:        spec.Variant,
-		TargetAddr:     hostImg.MustSymbol("__secret"),
-		SecretLen:      len(cfg.Secret),
-		PerturbAsm:     spec.perturbAsm(),
-		ProbeDelay:     spec.ProbeDelay,
-		Rounds:         spec.Rounds,
-		HistoryMatched: spec.HistoryMatched,
-		ResumePath:     w.Name + "#workload_entry",
-	}
-	attMod, err := att.Module()
+	attMod, err := spec.module(hostImg, len(cfg.Secret), w.Name+"#workload_entry")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: assemble cr-spectre: %w", err)
 	}
@@ -345,33 +349,10 @@ func RunStandalone(cfg Config, spec AttackSpec, seed int64) ([]pmu.Sample, *vm.M
 // realistic noisy-neighbour channel. It returns the attack machine (its
 // Output carries the recovered bytes).
 func RunStandaloneCoTenant(cfg Config, spec AttackSpec, neighbour mibench.Workload, quantum uint64, seed int64) (*vm.Machine, error) {
-	m := cfg.machine(seed)
-	m.Register("target", holderModule(cfg.Secret), targetBase)
-	img, err := m.Load("target")
+	m, err := cfg.standaloneMachine(spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	att := spectre.Config{
-		Variant:        spec.Variant,
-		TargetAddr:     img.MustSymbol("__secret"),
-		SecretLen:      len(cfg.Secret),
-		PerturbAsm:     spec.perturbAsm(),
-		ProbeDelay:     spec.ProbeDelay,
-		Rounds:         spec.Rounds,
-		HistoryMatched: spec.HistoryMatched,
-	}
-	mod, err := att.Module()
-	if err != nil {
-		return nil, err
-	}
-	m.Register("spectre", mod, attackBase)
-	if _, err := m.Load("spectre"); err != nil {
-		return nil, err
-	}
-	if err := m.Start("spectre"); err != nil {
-		return nil, err
-	}
-
 	nMod, err := neighbour.HostModule(rop.HostOptions{})
 	if err != nil {
 		return nil, err
@@ -392,79 +373,90 @@ func RunStandaloneCoTenant(cfg Config, spec AttackSpec, neighbour mibench.Worklo
 // CREvalSet builds the detector evaluation mix for one CR run: the
 // run's (noisy) samples labelled attack plus a fresh benign batch.
 func CREvalSet(cfg Config, cr *CRResult, benign *trace.Set) (*trace.Set, error) {
-	crSet := trace.NewSet(pmu.AllEvents())
-	crSet.AddNoisy("cr-spectre", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, cfg.Seed+55)
-	return cfg.evalMix(crSet.Project(cfg.FeatureSize), benign.Project(cfg.FeatureSize), cfg.Seed+56), nil
+	return cfg.attackEval("cr-spectre", cr.Samples, cfg.Seed+55, benign.Project(cfg.FeatureSize), cfg.Seed+56), nil
+}
+
+// Corpora are the two labelled training classes every HID experiment
+// starts from, full-width (all 56 events): the benign applications and
+// the standalone Spectre variants.
+type Corpora struct {
+	Benign, Attack *trace.Set
+}
+
+// Corpora profiles both training classes at SamplesPerClass: the benign
+// class over every workload and background application, the attack
+// class over the standalone Spectre variants.
+func (cfg Config) Corpora() (*Corpora, error) {
+	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	if err != nil {
+		return nil, fmt.Errorf("benign corpus: %w", err)
+	}
+	attack, err := cfg.AttackCorpus(cfg.SamplesPerClass)
+	if err != nil {
+		return nil, fmt.Errorf("attack corpus: %w", err)
+	}
+	return &Corpora{Benign: benign, Attack: attack}, nil
+}
+
+// Train returns the HID training set at size monitored features: the
+// benign rows, then the attack rows.
+func (c *Corpora) Train(size int) ml.Dataset {
+	train := c.Benign.Project(size).Data
+	train.Append(c.Attack.Project(size).Data)
+	return train
 }
 
 // BenignCorpus profiles the workload list with per-run noise and layout
 // variation until ~total samples are collected (the paper's benign
-// class: the hosts plus other applications running on the system). The
-// workloads fan out across the worker pool; each workload's repetition
-// seeds derive from (Seed, workload index, rep), so the corpus is
-// byte-identical for any Workers setting.
+// class: the hosts plus other applications running on the system).
 func (cfg Config) BenignCorpus(workloads []mibench.Workload, total int) (*trace.Set, error) {
-	set := trace.NewSet(pmu.AllEvents())
-	if len(workloads) == 0 || total <= 0 {
-		return set, nil
+	apps := make([]string, len(workloads))
+	for i, w := range workloads {
+		apps[i] = w.Name
 	}
-	quota := (total + len(workloads) - 1) / len(workloads)
-	parts, err := sched.Map(cfg.ctx("benign-corpus"), cfg.workers(), len(workloads),
-		func(ctx context.Context, i int) (*trace.Set, error) {
-			w := workloads[i]
-			part := trace.NewSet(pmu.AllEvents())
-			base := sched.DeriveSeed(cfg.Seed*7919, uint64(i))
-			got := 0
-			for rep := 0; got < quota && rep < 200; rep++ {
-				seed := sched.DeriveSeed(base, uint64(rep))
-				samples, m, err := cfg.benignRun(w, seed)
-				if err != nil {
-					return nil, err
-				}
-				sched.ObserveInstrs(ctx, m.CPU.Instret())
-				samples = subsample(samples, quota-got)
-				part.AddNoisy(w.Name, trace.LabelBenign, samples, cfg.NoiseSigma, seed)
-				got += len(samples)
-			}
-			return part, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		if err := set.Merge(part); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
+	return cfg.corpus("benign-corpus", 7919, trace.LabelBenign, apps, total,
+		func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error) { return cfg.benignRun(workloads[i], seed) })
 }
 
 // AttackCorpus profiles the standalone Spectre variants (the traces the
-// HID is trained on; the paper averages over the variant set). Variants
-// fan out like BenignCorpus workloads, with per-(variant, rep) derived
-// seeds.
+// HID is trained on; the paper averages over the variant set).
 func (cfg Config) AttackCorpus(total int) (*trace.Set, error) {
-	set := trace.NewSet(pmu.AllEvents())
 	variants := spectre.Variants()
-	if total <= 0 {
+	apps := make([]string, len(variants))
+	for i, v := range variants {
+		apps[i] = "spectre-" + v.String()
+	}
+	return cfg.corpus("attack-corpus", 104729, trace.LabelAttack, apps, total,
+		func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error) {
+			return cfg.standaloneRun(AttackSpec{Variant: variants[i]}, seed)
+		})
+}
+
+// corpus collects ~total samples labelled label from one source per app,
+// sharing the quota evenly. The sources fan out across the named pool;
+// source i's repetition seeds derive from (Seed*salt, i, rep), so the
+// corpus is byte-identical for any Workers setting.
+func (cfg Config) corpus(pool string, salt int64, label int, apps []string, total int,
+	run func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error)) (*trace.Set, error) {
+	set := trace.NewSet(pmu.AllEvents())
+	if len(apps) == 0 || total <= 0 {
 		return set, nil
 	}
-	quota := (total + len(variants) - 1) / len(variants)
-	parts, err := sched.Map(cfg.ctx("attack-corpus"), cfg.workers(), len(variants),
+	quota := (total + len(apps) - 1) / len(apps)
+	parts, err := sched.Map(cfg.ctx(pool), cfg.workers(), len(apps),
 		func(ctx context.Context, i int) (*trace.Set, error) {
-			v := variants[i]
 			part := trace.NewSet(pmu.AllEvents())
-			base := sched.DeriveSeed(cfg.Seed*104729, uint64(i))
+			base := sched.DeriveSeed(cfg.Seed*salt, uint64(i))
 			got := 0
 			for rep := 0; got < quota && rep < 200; rep++ {
 				seed := sched.DeriveSeed(base, uint64(rep))
-				samples, m, err := cfg.standaloneRun(AttackSpec{Variant: v}, seed)
+				samples, m, err := run(i, seed)
 				if err != nil {
 					return nil, err
 				}
 				sched.ObserveInstrs(ctx, m.CPU.Instret())
 				samples = subsample(samples, quota-got)
-				part.AddNoisy("spectre-"+v.String(), trace.LabelAttack, samples, cfg.NoiseSigma, seed)
+				part.AddNoisy(apps[i], label, samples, cfg.NoiseSigma, seed)
 				got += len(samples)
 			}
 			return part, nil
@@ -496,6 +488,16 @@ func subsample(samples []pmu.Sample, n int) []pmu.Sample {
 		out = append(out, samples[int(float64(k)*step)])
 	}
 	return out
+}
+
+// attackEval builds the evaluation mix for one attack run: its samples,
+// labelled attack under app with noise seeded by noiseSeed and projected
+// to benign's feature width, mixed with rows drawn from benign (a set
+// already projected to the size the detector monitors).
+func (cfg Config) attackEval(app string, samples []pmu.Sample, noiseSeed int64, benign *trace.Set, mixSeed int64) *trace.Set {
+	set := trace.NewSet(pmu.AllEvents())
+	set.AddNoisy(app, trace.LabelAttack, samples, cfg.NoiseSigma, noiseSeed)
+	return cfg.evalMix(set.Project(len(benign.Events)), benign, mixSeed)
 }
 
 // evalMix builds a per-attempt evaluation set: the attempt's attack

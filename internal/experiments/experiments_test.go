@@ -330,10 +330,7 @@ func TestEvalMixRatio(t *testing.T) {
 func TestDetectionLatency(t *testing.T) {
 	cfg := testConfig()
 	cfg.SamplesPerClass = 80
-	rows, err := DetectionLatency(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsAtWorkers(t, cfg, func(cfg Config) ([]LatencyRow, error) { return DetectionLatency(cfg, 5) })
 	if len(rows) != len(cfg.Classifiers) {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -392,10 +389,7 @@ func TestCampaignDeterminism(t *testing.T) {
 func TestVariantRecycling(t *testing.T) {
 	cfg := testConfig()
 	cfg.SamplesPerClass = 120
-	rows, err := VariantRecycling(cfg, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsAtWorkers(t, cfg, func(cfg Config) ([]RecycleRow, error) { return VariantRecycling(cfg, 500) })
 	if len(rows) < 4 {
 		t.Fatalf("only %d phases", len(rows))
 	}
@@ -429,10 +423,7 @@ func TestVariantRecycling(t *testing.T) {
 func TestRunLevelDetection(t *testing.T) {
 	cfg := testConfig()
 	cfg.SamplesPerClass = 150
-	rows, err := RunLevelDetection(cfg, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsAtWorkers(t, cfg, func(cfg Config) ([]AlarmRow, error) { return RunLevelDetection(cfg, nil, 4) })
 	byPolicy := map[string]AlarmRow{}
 	for _, r := range rows {
 		byPolicy[r.Policy] = r
@@ -483,10 +474,7 @@ func TestAlarmPolicyFires(t *testing.T) {
 func TestEnsembleComparison(t *testing.T) {
 	cfg := testConfig()
 	cfg.SamplesPerClass = 100
-	rows, err := EnsembleComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsAtWorkers(t, cfg, EnsembleComparison)
 	if len(rows) != 10 { // 4 classifiers + ensemble, at 2 feature sizes
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -111,26 +110,17 @@ func (st *campaignState) score(eval ml.Dataset, p AttemptPoint) (AttemptPoint, e
 }
 
 func (cfg Config) campaign(online bool) (*CampaignResult, error) {
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
-		return nil, fmt.Errorf("campaign: benign corpus: %w", err)
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	attackTrain, err := cfg.AttackCorpus(cfg.SamplesPerClass)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: attack corpus: %w", err)
-	}
-	train := benign.Project(cfg.FeatureSize)
-	if err := train.Merge(attackTrain.Project(cfg.FeatureSize)); err != nil {
-		return nil, err
-	}
-	benignEval := benign.Project(cfg.FeatureSize)
-
-	states, err := cfg.newStates(online, train.Data)
+	states, err := cfg.newStates(online, corp.Train(cfg.FeatureSize))
 	if err != nil {
 		return nil, err
 	}
 	plainStates, crStates := states[:len(cfg.Classifiers)], states[len(cfg.Classifiers):]
 
+	benignEval := corp.Benign.Project(cfg.FeatureSize)
 	host, err := mibench.ByName("math")
 	if err != nil {
 		return nil, err
@@ -202,9 +192,7 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		}
 
 		recovered := sims[0].machine.Output.String() == cfg.Secret
-		aSet := trace.NewSet(pmu.AllEvents())
-		aSet.AddNoisy("spectre", trace.LabelAttack, sims[0].samples, cfg.NoiseSigma, seed)
-		eval := cfg.evalMix(aSet.Project(cfg.FeatureSize), benignEval, seed)
+		eval := cfg.attackEval("spectre", sims[0].samples, seed, benignEval, seed)
 		points, err := sched.Map(cfg.ctx("campaign-hid"), cfg.workers(), len(states),
 			func(_ context.Context, t int) (AttemptPoint, error) {
 				st := states[t]
@@ -213,9 +201,7 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 				}
 				j := t - len(plainStates)
 				cr := sims[1+j].cr
-				crSet := trace.NewSet(pmu.AllEvents())
-				crSet.AddNoisy("cr-spectre", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, seed)
-				crEval := cfg.evalMix(crSet.Project(cfg.FeatureSize), benignEval, seed+7)
+				crEval := cfg.attackEval("cr-spectre", cr.Samples, seed, benignEval, seed+7)
 				p, err := st.score(crEval.Data, AttemptPoint{
 					Attempt:   attempt,
 					Variant:   crVariants[j].String(),

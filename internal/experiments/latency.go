@@ -11,10 +11,8 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/ml"
 	"repro/internal/perturb"
-	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
-	"repro/internal/trace"
 )
 
 // LatencyRow reports how quickly one online detector adapted to a fresh
@@ -39,19 +37,12 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 	if maxBatches <= 0 {
 		maxBatches = 6
 	}
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
 		return nil, err
 	}
-	attackTrain, err := cfg.AttackCorpus(cfg.SamplesPerClass)
-	if err != nil {
-		return nil, err
-	}
-	train := benign.Project(cfg.FeatureSize)
-	if err := train.Merge(attackTrain.Project(cfg.FeatureSize)); err != nil {
-		return nil, err
-	}
-	benignEval := benign.Project(cfg.FeatureSize)
+	train := corp.Train(cfg.FeatureSize)
+	benignEval := corp.Benign.Project(cfg.FeatureSize)
 	host, err := mibench.ByName("math")
 	if err != nil {
 		return nil, err
@@ -69,7 +60,7 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 				return LatencyRow{}, fmt.Errorf("latency: unknown classifier %q", name)
 			}
 			det := hid.NewOnline(clf)
-			if err := det.Train(train.Data); err != nil {
+			if err := det.Train(train); err != nil {
 				return LatencyRow{}, err
 			}
 			// A fresh variant the detector has never observed, with heavy
@@ -89,9 +80,7 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 				if err != nil {
 					return LatencyRow{}, err
 				}
-				crSet := trace.NewSet(pmu.AllEvents())
-				crSet.AddNoisy("cr", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, cfg.Seed+int64(batch))
-				eval := cfg.evalMix(crSet.Project(cfg.FeatureSize), benignEval, cfg.Seed+int64(batch)*13)
+				eval := cfg.attackEval("cr", cr.Samples, cfg.Seed+int64(batch), benignEval, cfg.Seed+int64(batch)*13)
 				acc := det.Accuracy(eval.Data)
 				row.Trajectory = append(row.Trajectory, acc)
 				if acc > hid.DetectThreshold && row.BatchesToDetect < 0 {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/ml"
 	"repro/internal/perturb"
-	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/trace"
@@ -34,19 +33,12 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	if window <= 0 {
 		window = 600
 	}
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
 		return nil, err
 	}
-	attackTrain, err := cfg.AttackCorpus(cfg.SamplesPerClass)
-	if err != nil {
-		return nil, err
-	}
-	train := benign.Project(cfg.FeatureSize)
-	if err := train.Merge(attackTrain.Project(cfg.FeatureSize)); err != nil {
-		return nil, err
-	}
-	benignEval := benign.Project(cfg.FeatureSize)
+	train := corp.Train(cfg.FeatureSize)
+	benignEval := corp.Benign.Project(cfg.FeatureSize)
 	host, err := mibench.ByName("math")
 	if err != nil {
 		return nil, err
@@ -60,8 +52,8 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	// Shuffle before seeding: the window keeps the most recent traces,
 	// and the merged corpus is ordered benign-then-attack — trimming an
 	// unshuffled corpus would skew the class balance.
-	train.Data.Shuffle(cfg.Seed + 99)
-	if err := det.Train(train.Data); err != nil {
+	train.Shuffle(cfg.Seed + 99)
+	if err := det.Train(train); err != nil {
 		return nil, err
 	}
 
@@ -80,9 +72,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 		if err != nil {
 			return ml.Dataset{}, err
 		}
-		set := trace.NewSet(pmu.AllEvents())
-		set.AddNoisy("cr", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, seed)
-		return cfg.evalMix(set.Project(cfg.FeatureSize), benignEval, seed+3).Data, nil
+		return cfg.attackEval("cr", cr.Samples, seed, benignEval, seed+3).Data, nil
 	}
 
 	var rows []RecycleRow
@@ -194,11 +184,7 @@ type EnsembleRow struct {
 // fail identically), while 16 features expose the perturbation's
 // clflush/fence fingerprint that no benign application carries.
 func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
-	benign, err := cfg.BenignCorpus(mibench.AllWithBackgrounds(), cfg.SamplesPerClass)
-	if err != nil {
-		return nil, err
-	}
-	attackTrain, err := cfg.AttackCorpus(cfg.SamplesPerClass)
+	corp, err := cfg.Corpora()
 	if err != nil {
 		return nil, err
 	}
@@ -214,21 +200,16 @@ func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	crSet := trace.NewSet(pmu.AllEvents())
-	crSet.AddNoisy("cr", trace.LabelAttack, cr.Samples, cfg.NoiseSigma, cfg.Seed+91)
 
 	var rows []EnsembleRow
 	for _, size := range []int{cfg.FeatureSize, 16} {
-		train := benign.Project(size)
-		if err := train.Merge(attackTrain.Project(size)); err != nil {
-			return nil, err
-		}
-		eval := cfg.evalMix(crSet.Project(size), benign.Project(size), cfg.Seed+92)
+		train := corp.Train(size)
+		eval := cfg.attackEval("cr", cr.Samples, cfg.Seed+91, corp.Benign.Project(size), cfg.Seed+92)
 		var members []ml.Classifier
 		for i, name := range ml.ClassifierNames() {
 			clf, _ := ml.ByName(name, cfg.Seed+int64(i))
 			det := hid.New(clf)
-			if err := det.Train(train.Data); err != nil {
+			if err := det.Train(train); err != nil {
 				return nil, err
 			}
 			rows = append(rows, EnsembleRow{Detector: name, FeatureSize: size, Accuracy: det.Accuracy(eval.Data)})
@@ -236,7 +217,7 @@ func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
 			members = append(members, clf2)
 		}
 		committee := hid.NewEnsemble(members...)
-		if err := committee.Train(train.Data); err != nil {
+		if err := committee.Train(train); err != nil {
 			return nil, err
 		}
 		rows = append(rows, EnsembleRow{Detector: "ensemble", FeatureSize: size, Accuracy: committee.Accuracy(eval.Data)})

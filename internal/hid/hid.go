@@ -103,9 +103,15 @@ func (d *Detector) Confusion(ds ml.Dataset) ml.Confusion {
 }
 
 // Online is the retraining HID: it accumulates every observed trace into
-// its training corpus and refits after each observation round.
+// its training corpus and refits after each observation round. A
+// windowed Online (NewWindowed) bounds that corpus: once it exceeds the
+// window, the oldest traces are evicted before retraining. Real
+// deployments bound memory and adapt to workload drift this way — at the
+// price of *forgetting*, which an attacker can exploit by recycling a
+// variant the detector once knew (see the variant-recycling experiment).
 type Online struct {
 	Detector
+	window int // most traces kept; 0 keeps every trace
 	corpus ml.Dataset
 }
 
@@ -114,20 +120,38 @@ func NewOnline(clf ml.Classifier) *Online {
 	return &Online{Detector: Detector{clf: clf}}
 }
 
-// Train sets the initial corpus and fits.
+// NewWindowed wraps a classifier as a sliding-window online detector
+// keeping at most window traces (at least 1).
+func NewWindowed(clf ml.Classifier, window int) *Online {
+	if window < 1 {
+		window = 1
+	}
+	return &Online{Detector: Detector{clf: clf}, window: window}
+}
+
+// Train sets the initial corpus (trimmed to the window) and fits.
 func (o *Online) Train(ds ml.Dataset) error {
 	o.corpus = ds.Clone()
-	return o.Detector.Train(o.corpus)
+	return o.refit()
 }
 
 // Observe augments the corpus with newly profiled (labelled) traces and
 // retrains — the paper's "retrained on the augmented dataset" loop.
 func (o *Online) Observe(ds ml.Dataset) error {
 	o.corpus.Append(ds.Clone())
+	return o.refit()
+}
+
+// refit evicts the traces beyond the window and retrains on the rest.
+func (o *Online) refit() error {
+	if n := o.corpus.Len(); o.window > 0 && n > o.window {
+		o.corpus.X = o.corpus.X[n-o.window:]
+		o.corpus.Y = o.corpus.Y[n-o.window:]
+	}
 	return o.Detector.Train(o.corpus)
 }
 
-// CorpusSize returns the number of traces the online HID has accumulated.
+// CorpusSize returns the number of traces the online HID retains.
 func (o *Online) CorpusSize() int { return o.corpus.Len() }
 
 // Ensemble is a majority-vote committee of detectors — the natural
@@ -186,52 +210,6 @@ func (e *Ensemble) Accuracy(ds ml.Dataset) float64 {
 	}
 	return ml.Accuracy(pred, ds.Y)
 }
-
-// Windowed is an online HID with a bounded training corpus: when the
-// corpus exceeds the window, the oldest traces are evicted before
-// retraining. Real deployments bound memory and adapt to workload drift
-// this way — at the price of *forgetting*, which an attacker can exploit
-// by recycling a variant the detector once knew (see the
-// variant-recycling experiment).
-type Windowed struct {
-	Detector
-	window int
-	corpus ml.Dataset
-}
-
-// NewWindowed wraps a classifier as a sliding-window online detector
-// keeping at most window traces.
-func NewWindowed(clf ml.Classifier, window int) *Windowed {
-	if window < 1 {
-		window = 1
-	}
-	return &Windowed{Detector: Detector{clf: clf}, window: window}
-}
-
-// Train seeds the corpus (trimmed to the window) and fits.
-func (o *Windowed) Train(ds ml.Dataset) error {
-	o.corpus = ds.Clone()
-	o.trim()
-	return o.Detector.Train(o.corpus)
-}
-
-// Observe appends new labelled traces, evicts beyond the window, and
-// retrains.
-func (o *Windowed) Observe(ds ml.Dataset) error {
-	o.corpus.Append(ds.Clone())
-	o.trim()
-	return o.Detector.Train(o.corpus)
-}
-
-func (o *Windowed) trim() {
-	if n := o.corpus.Len(); n > o.window {
-		o.corpus.X = o.corpus.X[n-o.window:]
-		o.corpus.Y = o.corpus.Y[n-o.window:]
-	}
-}
-
-// CorpusSize returns the retained trace count.
-func (o *Windowed) CorpusSize() int { return o.corpus.Len() }
 
 // Verdict classifies an accuracy measurement per the paper's thresholds.
 type Verdict string

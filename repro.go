@@ -308,23 +308,15 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 		}
 		small := cfg
 		small.SamplesPerClass = 150
-		benign, err := small.BenignCorpus(mibench.AllWithBackgrounds(), small.SamplesPerClass)
+		corp, err := small.Corpora()
 		if err != nil {
-			return nil, err
-		}
-		attack, err := small.AttackCorpus(small.SamplesPerClass)
-		if err != nil {
-			return nil, err
-		}
-		train := benign.Project(cfg.FeatureSize)
-		if err := train.Merge(attack.Project(cfg.FeatureSize)); err != nil {
 			return nil, err
 		}
 		det := hid.New(clf)
-		if err := det.Train(train.Data); err != nil {
+		if err := det.Train(corp.Train(cfg.FeatureSize)); err != nil {
 			return nil, err
 		}
-		eval, err := experiments.CREvalSet(small, cr, benign)
+		eval, err := experiments.CREvalSet(small, cr, corp.Benign)
 		if err != nil {
 			return nil, err
 		}
