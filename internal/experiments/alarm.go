@@ -14,6 +14,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // AlarmPolicy raises a run-level alarm when at least K of any W
@@ -110,14 +111,14 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 		return pred
 	}
 
-	// Per-run prediction sequences: one fresh run per benign workload,
-	// crRuns diluted CR campaigns. Each run is an independent machine
-	// and the detector is frozen (Predict is read-only), so both run
-	// sets fan out across the pool.
+	// Per-run prediction sequences: one run per benign workload, crRuns
+	// diluted CR campaigns. Each run resets its worker's machine and the
+	// detector is frozen (Predict is read-only), so both run sets fan
+	// out across the pool.
 	benignRuns := mibench.AllWithBackgrounds()
-	benignSeqs, err := sched.Map(cfg.ctx("alarm-benign"), cfg.workers(), len(benignRuns),
-		func(_ context.Context, i int) ([]int, error) {
-			samples, _, err := cfg.benignRun(benignRuns[i], cfg.Seed*53+int64(i))
+	benignSeqs, err := sched.MapLocal(cfg.ctx("alarm-benign"), cfg.workers(), len(benignRuns),
+		func(_ context.Context, m *vm.Machine, i int) ([]int, error) {
+			samples, err := cfg.benignRun(m, benignRuns[i], cfg.Seed*53+int64(i))
 			if err != nil {
 				return nil, err
 			}
@@ -132,9 +133,9 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 	variant := perturb.Paper()
 	variant.Delay = 120
-	crSeqs, err := sched.Map(cfg.ctx("alarm-crspectre"), cfg.workers(), crRuns,
-		func(_ context.Context, r int) ([]int, error) {
-			cr, err := cfg.crRun(host, AttackSpec{
+	crSeqs, err := sched.MapLocal(cfg.ctx("alarm-crspectre"), cfg.workers(), crRuns,
+		func(_ context.Context, m *vm.Machine, r int) ([]int, error) {
+			cr, err := cfg.crRun(m, host, AttackSpec{
 				Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,
 			}, cfg.Seed*71+int64(r))
 			if err != nil {

@@ -1,8 +1,9 @@
 // Package experiments reproduces the paper's evaluation (§III): the
 // feature-size sweep of Fig. 4, the offline- and online-HID attack
 // campaigns of Figs. 5 and 6, and the IPC overhead table (Table I). Each
-// experiment builds fresh simulated machines, profiles them through the
-// PMU sampler, and feeds labelled traces to the HID detectors.
+// experiment runs simulated machines, each reset to a just-built state
+// before its run, profiles them through the PMU sampler, and feeds
+// labelled traces to the HID detectors.
 //
 // Scale note: trace counts, workload sizes and attempt structure follow
 // the paper, but sizes are scaled to simulator throughput (documented in
@@ -13,7 +14,10 @@
 // Parallelism: every driver fans its independent machine runs out
 // through the internal/sched worker pool, with per-task seeds derived
 // via sched.DeriveSeed so results are byte-identical for any Workers
-// setting (the golden determinism tests enforce this).
+// setting (the golden determinism tests enforce this). Most pools run
+// on one machine per worker (sched.MapLocal), reset in place before each
+// run; a task copies out what it needs before the worker's next task
+// resets the machine.
 package experiments
 
 import (
@@ -132,15 +136,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// machine builds a fresh simulated computer with ASLR seeded for
-// run-to-run layout variation.
-func (cfg Config) machine(seed int64) *vm.Machine {
+// machine resets m (a zero Machine is valid) into the simulated computer
+// every run uses, with ASLR seeded for run-to-run layout variation.
+func (cfg Config) machine(m *vm.Machine, seed int64) {
 	mc := vm.DefaultConfig()
 	mc.CPU = cfg.CPU
 	mc.ASLR = true
 	mc.ASLRSeed = seed
 	mc.Telemetry = cfg.Telemetry
-	m := vm.New(mc)
+	m.Reset(mc)
 	if cfg.Telemetry != nil {
 		// Annotate each mapped image: if it carries the covert-channel
 		// probe array, register its (ASLR-slid) window with this core.
@@ -148,7 +152,6 @@ func (cfg Config) machine(seed int64) *vm.Machine {
 			spectre.AnnotateProbe(m.CPU, img)
 		}
 	}
-	return m
 }
 
 // sampler profiles the full 56-event catalogue; experiments project to
@@ -165,30 +168,31 @@ func (cfg Config) publishBlocks(m *vm.Machine) {
 	pmu.PublishBlocks(cfg.Metrics, "blocks.", m.CPU.BlockStats())
 }
 
-// benignRun executes one workload host with a benign argument and
-// returns its samples plus the finished machine (for counters/IPC).
-func (cfg Config) benignRun(w mibench.Workload, seed int64) ([]pmu.Sample, *vm.Machine, error) {
+// benignRun executes one workload host with a benign argument on m
+// (reset first) and returns its samples; m is left finished (for
+// counters/IPC).
+func (cfg Config) benignRun(m *vm.Machine, w mibench.Workload, seed int64) ([]pmu.Sample, error) {
 	mod, err := w.HostModule(rop.HostOptions{Secret: cfg.Secret})
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s: %w", w.Name, err)
+		return nil, fmt.Errorf("experiments: %s: %w", w.Name, err)
 	}
-	m := cfg.machine(seed)
+	cfg.machine(m, seed)
 	m.Register(w.Name, mod, hostBase)
 	if _, err := m.Load(w.Name); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := m.SetArg([]byte("benign")); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := m.Start(w.Name); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: benign %s: %w", w.Name, err)
+		return nil, fmt.Errorf("experiments: benign %s: %w", w.Name, err)
 	}
 	cfg.publishBlocks(m)
-	return samples, m, nil
+	return samples, nil
 }
 
 // holderModule is the standalone-scenario target application holding the
@@ -228,46 +232,45 @@ func (a AttackSpec) module(target *isa.Image, secretLen int, resume string) (*is
 	}.Module()
 }
 
-// standaloneMachine builds and starts the traditional-Spectre machine
-// (Fig. 2b): the attack as its own application against a separate
-// secret-holder image.
-func (cfg Config) standaloneMachine(spec AttackSpec, seed int64) (*vm.Machine, error) {
-	m := cfg.machine(seed)
+// standaloneMachine resets m into the traditional-Spectre machine
+// (Fig. 2b) and starts it: the attack as its own application against a
+// separate secret-holder image.
+func (cfg Config) standaloneMachine(m *vm.Machine, spec AttackSpec, seed int64) error {
+	cfg.machine(m, seed)
 	m.Register("target", holderModule(cfg.Secret), targetBase)
 	img, err := m.Load("target")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mod, err := spec.module(img, len(cfg.Secret), "")
 	if err != nil {
-		return nil, fmt.Errorf("experiments: assemble attack: %w", err)
+		return fmt.Errorf("experiments: assemble attack: %w", err)
 	}
 	m.Register("spectre", mod, attackBase)
 	if _, err := m.Load("spectre"); err != nil {
-		return nil, err
+		return err
 	}
-	if err := m.Start("spectre"); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.Start("spectre")
 }
 
 // standaloneRun profiles the standalone attack — the paper's
-// "traditional Spectre" baseline.
-func (cfg Config) standaloneRun(spec AttackSpec, seed int64) ([]pmu.Sample, *vm.Machine, error) {
-	m, err := cfg.standaloneMachine(spec, seed)
-	if err != nil {
-		return nil, nil, err
+// "traditional Spectre" baseline — on m; m is left finished (its Output
+// carries the recovered bytes).
+func (cfg Config) standaloneRun(m *vm.Machine, spec AttackSpec, seed int64) ([]pmu.Sample, error) {
+	if err := cfg.standaloneMachine(m, spec, seed); err != nil {
+		return nil, err
 	}
 	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: standalone spectre: %w", err)
+		return nil, fmt.Errorf("experiments: standalone spectre: %w", err)
 	}
 	cfg.publishBlocks(m)
-	return samples, m, nil
+	return samples, nil
 }
 
-// CRResult reports one CR-Spectre campaign run.
+// CRResult reports one CR-Spectre campaign run. Machine is the finished
+// machine; a run on a pool worker's machine leaves it valid only until
+// the worker's next task resets it.
 type CRResult struct {
 	Samples    []pmu.Sample
 	Recovered  string // bytes the covert channel produced
@@ -276,16 +279,16 @@ type CRResult struct {
 	ChainWords int  // length of the injected ROP chain in stack words
 }
 
-// crRun performs the full CR-Spectre flow (Fig. 2c): load the host,
-// scan it for gadgets, build the overflow payload, run — the hijacked
-// host EXECs the attack binary, which leaks the host's secret and then
-// resumes the host workload under whose cloak it ran.
-func (cfg Config) crRun(w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
+// crRun performs the full CR-Spectre flow (Fig. 2c) on m, reset first:
+// load the host, scan it for gadgets, build the overflow payload, run —
+// the hijacked host EXECs the attack binary, which leaks the host's
+// secret and then resumes the host workload under whose cloak it ran.
+func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
 	hostMod, err := w.HostModule(rop.HostOptions{Secret: cfg.Secret})
 	if err != nil {
 		return nil, err
 	}
-	m := cfg.machine(seed)
+	cfg.machine(m, seed)
 	m.Register(w.Name, hostMod, hostBase)
 	hostImg, err := m.Load(w.Name)
 	if err != nil {
@@ -335,13 +338,18 @@ func (cfg Config) crRun(w mibench.Workload, spec AttackSpec, seed int64) (*CRRes
 
 // RunCR exposes the CR-Spectre flow for the public facade and tools.
 func RunCR(cfg Config, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
-	return cfg.crRun(w, spec, seed)
+	return cfg.crRun(new(vm.Machine), w, spec, seed)
 }
 
 // RunStandalone exposes the traditional-Spectre flow (Fig. 2b) for the
 // facade, tools and ablation benchmarks.
 func RunStandalone(cfg Config, spec AttackSpec, seed int64) ([]pmu.Sample, *vm.Machine, error) {
-	return cfg.standaloneRun(spec, seed)
+	m := new(vm.Machine)
+	samples, err := cfg.standaloneRun(m, spec, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return samples, m, nil
 }
 
 // RunStandaloneCoTenant runs the standalone attack while a benign
@@ -349,15 +357,16 @@ func RunStandalone(cfg Config, spec AttackSpec, seed int64) ([]pmu.Sample, *vm.M
 // realistic noisy-neighbour channel. It returns the attack machine (its
 // Output carries the recovered bytes).
 func RunStandaloneCoTenant(cfg Config, spec AttackSpec, neighbour mibench.Workload, quantum uint64, seed int64) (*vm.Machine, error) {
-	m, err := cfg.standaloneMachine(spec, seed)
-	if err != nil {
+	m := new(vm.Machine)
+	if err := cfg.standaloneMachine(m, spec, seed); err != nil {
 		return nil, err
 	}
 	nMod, err := neighbour.HostModule(rop.HostOptions{})
 	if err != nil {
 		return nil, err
 	}
-	nm := cfg.machine(seed + 1)
+	nm := new(vm.Machine)
+	cfg.machine(nm, seed+1)
 	// Disjoint base: the shared hierarchy is indexed by machine address.
 	nm.Register(neighbour.Name, nMod, 0xA00000)
 	co := vm.NewCoExec(m, nm, quantum)
@@ -415,7 +424,9 @@ func (cfg Config) BenignCorpus(workloads []mibench.Workload, total int) (*trace.
 		apps[i] = w.Name
 	}
 	return cfg.corpus("benign-corpus", 7919, trace.LabelBenign, apps, total,
-		func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error) { return cfg.benignRun(workloads[i], seed) })
+		func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error) {
+			return cfg.benignRun(m, workloads[i], seed)
+		})
 }
 
 // AttackCorpus profiles the standalone Spectre variants (the traces the
@@ -427,30 +438,31 @@ func (cfg Config) AttackCorpus(total int) (*trace.Set, error) {
 		apps[i] = "spectre-" + v.String()
 	}
 	return cfg.corpus("attack-corpus", 104729, trace.LabelAttack, apps, total,
-		func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error) {
-			return cfg.standaloneRun(AttackSpec{Variant: variants[i]}, seed)
+		func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error) {
+			return cfg.standaloneRun(m, AttackSpec{Variant: variants[i]}, seed)
 		})
 }
 
 // corpus collects ~total samples labelled label from one source per app,
-// sharing the quota evenly. The sources fan out across the named pool;
-// source i's repetition seeds derive from (Seed*salt, i, rep), so the
-// corpus is byte-identical for any Workers setting.
+// sharing the quota evenly. The sources fan out across the named pool,
+// each run on its worker's machine; source i's repetition seeds derive
+// from (Seed*salt, i, rep), so the corpus is byte-identical for any
+// Workers setting.
 func (cfg Config) corpus(pool string, salt int64, label int, apps []string, total int,
-	run func(i int, seed int64) ([]pmu.Sample, *vm.Machine, error)) (*trace.Set, error) {
+	run func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error)) (*trace.Set, error) {
 	set := trace.NewSet(pmu.AllEvents())
 	if len(apps) == 0 || total <= 0 {
 		return set, nil
 	}
 	quota := (total + len(apps) - 1) / len(apps)
-	parts, err := sched.Map(cfg.ctx(pool), cfg.workers(), len(apps),
-		func(ctx context.Context, i int) (*trace.Set, error) {
+	parts, err := sched.MapLocal(cfg.ctx(pool), cfg.workers(), len(apps),
+		func(ctx context.Context, m *vm.Machine, i int) (*trace.Set, error) {
 			part := trace.NewSet(pmu.AllEvents())
 			base := sched.DeriveSeed(cfg.Seed*salt, uint64(i))
 			got := 0
 			for rep := 0; got < quota && rep < 200; rep++ {
 				seed := sched.DeriveSeed(base, uint64(rep))
-				samples, m, err := run(i, seed)
+				samples, err := run(m, i, seed)
 				if err != nil {
 					return nil, err
 				}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/pmu"
 	"repro/internal/spectre"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // newTestSet builds a uniform labelled set for mixing tests.
@@ -78,9 +79,9 @@ func TestCorporaLabelsAndSizes(t *testing.T) {
 
 func TestStandaloneRunLeaksSecret(t *testing.T) {
 	cfg := testConfig()
+	var m vm.Machine // one machine, reset by every variant's run
 	for _, v := range spectre.Variants() {
-		_, m, err := cfg.standaloneRun(AttackSpec{Variant: v}, 5)
-		if err != nil {
+		if _, err := cfg.standaloneRun(&m, AttackSpec{Variant: v}, 5); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
 		if got := m.Output.String(); got != cfg.Secret {
@@ -96,7 +97,7 @@ func TestCRRunFullChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	pp := perturb.Paper()
-	cr, err := cfg.crRun(host, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &pp}, 9)
+	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &pp}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +506,7 @@ func TestCRRunAllVariants(t *testing.T) {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
-			cr, err := cfg.crRun(host, AttackSpec{Variant: v}, 21)
+			cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: v}, 21)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,9 +521,9 @@ func TestCRRunAllVariants(t *testing.T) {
 // full experiment machinery must never reach the EXEC syscall.
 func TestBenignRunNeverTriggersInjection(t *testing.T) {
 	cfg := testConfig()
+	var m vm.Machine // one machine, reset by every workload's run
 	for _, w := range mibench.Suite()[:2] {
-		_, m, err := cfg.benignRun(w, 3)
-		if err != nil {
+		if _, err := cfg.benignRun(&m, w, 3); err != nil {
 			t.Fatal(err)
 		}
 		if len(m.ExecLog) != 0 {
@@ -543,7 +544,7 @@ func TestCRSamplesCarryInjectionSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := cfg.crRun(host, AttackSpec{Variant: spectre.V1BoundsCheck}, 5)
+	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,13 +128,12 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 	variants := spectre.Variants()
 	res := &CampaignResult{Online: online}
 
-	// attemptSims carries one attempt's fanned-out simulations: task 0
-	// is the panel-(a) standalone run, tasks 1..len(crStates) the
-	// per-detector CR runs.
-	type attemptSims struct {
-		samples []pmu.Sample
-		machine *vm.Machine
-		cr      *CRResult
+	// attemptSim is what one of an attempt's fanned-out simulations
+	// copies out of its worker's machine: task 0 is the panel-(a)
+	// standalone run, tasks 1..len(crStates) the per-detector CR runs.
+	type attemptSim struct {
+		samples   []pmu.Sample
+		recovered bool // the exact secret came back (and, for CR, was injected)
 	}
 
 	for attempt := 1; attempt <= cfg.Attempts; attempt++ {
@@ -171,41 +170,40 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 				ProbeDelay: pd,
 			}
 		}
-		sims, err := sched.Map(cfg.ctx("campaign"), cfg.workers(), 1+len(crStates),
-			func(_ context.Context, t int) (attemptSims, error) {
+		sims, err := sched.MapLocal(cfg.ctx("campaign"), cfg.workers(), 1+len(crStates),
+			func(_ context.Context, m *vm.Machine, t int) (attemptSim, error) {
 				if t == 0 {
-					samples, m, err := cfg.standaloneRun(spec, seed)
+					samples, err := cfg.standaloneRun(m, spec, seed)
 					if err != nil {
-						return attemptSims{}, fmt.Errorf("campaign: attempt %d standalone: %w", attempt, err)
+						return attemptSim{}, fmt.Errorf("campaign: attempt %d standalone: %w", attempt, err)
 					}
-					return attemptSims{samples: samples, machine: m}, nil
+					return attemptSim{samples, m.Output.String() == cfg.Secret}, nil
 				}
 				st := crStates[t-1]
-				cr, err := cfg.crRun(host, crSpecs[t-1], seed+int64(len(st.det.Name())))
+				cr, err := cfg.crRun(m, host, crSpecs[t-1], seed+int64(len(st.det.Name())))
 				if err != nil {
-					return attemptSims{}, fmt.Errorf("campaign: attempt %d cr (%s): %w", attempt, st.det.Name(), err)
+					return attemptSim{}, fmt.Errorf("campaign: attempt %d cr (%s): %w", attempt, st.det.Name(), err)
 				}
-				return attemptSims{cr: cr}, nil
+				return attemptSim{cr.Samples, cr.Recovered == cfg.Secret && cr.Injected}, nil
 			})
 		if err != nil {
 			return nil, err
 		}
 
-		recovered := sims[0].machine.Output.String() == cfg.Secret
 		eval := cfg.attackEval("spectre", sims[0].samples, seed, benignEval, seed)
 		points, err := sched.Map(cfg.ctx("campaign-hid"), cfg.workers(), len(states),
 			func(_ context.Context, t int) (AttemptPoint, error) {
 				st := states[t]
 				if t < len(plainStates) {
-					return st.score(eval.Data, AttemptPoint{Attempt: attempt, Recovered: recovered})
+					return st.score(eval.Data, AttemptPoint{Attempt: attempt, Recovered: sims[0].recovered})
 				}
 				j := t - len(plainStates)
-				cr := sims[1+j].cr
-				crEval := cfg.attackEval("cr-spectre", cr.Samples, seed, benignEval, seed+7)
+				sim := sims[1+j]
+				crEval := cfg.attackEval("cr-spectre", sim.samples, seed, benignEval, seed+7)
 				p, err := st.score(crEval.Data, AttemptPoint{
 					Attempt:   attempt,
 					Variant:   crVariants[j].String(),
-					Recovered: cr.Recovered == cfg.Secret && cr.Injected,
+					Recovered: sim.recovered,
 				})
 				// Defense-aware adaptation (§II-E): mutate when caught.
 				if err == nil && st.online != nil && p.Accuracy > hid.DetectThreshold {

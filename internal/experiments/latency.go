@@ -13,6 +13,7 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/sched"
 	"repro/internal/spectre"
+	"repro/internal/vm"
 )
 
 // LatencyRow reports how quickly one online detector adapted to a fresh
@@ -71,8 +72,9 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 			pd := int64(200 + rng.Int63n(200))
 
 			row := LatencyRow{Classifier: name, Variant: variant.String(), BatchesToDetect: -1}
+			var m vm.Machine // reset by every batch's run
 			for batch := 1; batch <= maxBatches; batch++ {
-				cr, err := cfg.crRun(host, AttackSpec{
+				cr, err := cfg.crRun(&m, host, AttackSpec{
 					Variant:    spectre.Variants()[(batch-1)%len(spectre.Variants())],
 					Perturb:    &variant,
 					ProbeDelay: pd,

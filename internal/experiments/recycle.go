@@ -14,6 +14,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // RecycleRow is one phase of the variant-recycling experiment.
@@ -65,8 +66,8 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	variantA := perturb.Paper().Mutate(rng)
 	variantA.Delay = 150
 
-	runEval := func(v *perturb.Params, pd int64, seed int64) (ml.Dataset, error) {
-		cr, err := cfg.crRun(host, AttackSpec{
+	runEval := func(m *vm.Machine, v *perturb.Params, pd int64, seed int64) (ml.Dataset, error) {
+		cr, err := cfg.crRun(m, host, AttackSpec{
 			Variant: spectre.V1BoundsCheck, Perturb: v, ProbeDelay: pd,
 		}, seed)
 		if err != nil {
@@ -84,7 +85,8 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	// until it is caught.
 	const dilutionA = 500
 	seed := cfg.Seed * 13
-	evalA, err := runEval(&variantA, dilutionA, seed)
+	var m vm.Machine // the sequential phases' machine, reset by every run
+	evalA, err := runEval(&m, &variantA, dilutionA, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +96,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 			return nil, err
 		}
 		seed++
-		if evalA, err = runEval(&variantA, dilutionA, seed); err != nil {
+		if evalA, err = runEval(&m, &variantA, dilutionA, seed); err != nil {
 			return nil, err
 		}
 		acc := det.Accuracy(evalA)
@@ -111,9 +113,9 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	// replays them in round order.
 	const decoyRounds = 6
 	decoyBase := seed
-	decoys, err := sched.Map(cfg.ctx("recycle-decoys"), cfg.workers(), decoyRounds,
-		func(_ context.Context, r int) (ml.Dataset, error) {
-			return runEval(nil, 0, decoyBase+1+int64(r))
+	decoys, err := sched.MapLocal(cfg.ctx("recycle-decoys"), cfg.workers(), decoyRounds,
+		func(_ context.Context, m *vm.Machine, r int) (ml.Dataset, error) {
+			return runEval(m, nil, 0, decoyBase+1+int64(r))
 		})
 	if err != nil {
 		return nil, err
@@ -137,7 +139,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 
 	// Phase 3: recycle variant A after its traces aged out.
 	seed++
-	evalA2, err := runEval(&variantA, dilutionA, seed)
+	evalA2, err := runEval(&m, &variantA, dilutionA, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +196,7 @@ func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
 	}
 	variant := perturb.Paper()
 	variant.Delay = 120
-	cr, err := cfg.crRun(host, AttackSpec{
+	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{
 		Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,
 	}, cfg.Seed*7+3)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/sched"
 	"repro/internal/spectre"
+	"repro/internal/vm"
 )
 
 // Table1Row is one benchmark row of Table I: IPC of the original
@@ -60,8 +61,8 @@ func Table1For(cfg Config, workloads []mibench.Workload) ([]Table1Row, error) {
 			row := Table1Row{Benchmark: w.Name}
 
 			orig, err := cfg.avgIPC(func(seed int64) (float64, error) {
-				_, m, err := cfg.benignRun(w, seed)
-				if err != nil {
+				m := new(vm.Machine)
+				if _, err := cfg.benignRun(m, w, seed); err != nil {
 					return 0, err
 				}
 				return m.CPU.IPC(), nil
@@ -126,7 +127,7 @@ func (cfg Config) avgIPC(run func(seed int64) (float64, error)) (float64, error)
 
 func (cfg Config) avgCRIPC(w mibench.Workload, spec AttackSpec) (float64, error) {
 	return cfg.avgIPC(func(seed int64) (float64, error) {
-		cr, err := cfg.crRun(w, spec, seed)
+		cr, err := cfg.crRun(new(vm.Machine), w, spec, seed)
 		if err != nil {
 			return 0, err
 		}

@@ -210,6 +210,11 @@ func fuzzBytes(seed byte, n uint64) []byte {
 	return b
 }
 
+// fuzzZeros is the selector bit (free in fuzzAddr and fuzzLen) that makes
+// opLoadRaw load zeros instead of fuzzBytes, so LoadRaw's zero skip runs
+// on backed pages, which must be overwritten, and on unbacked ones.
+const fuzzZeros = 0x40
+
 // FuzzMemory applies a decoded sequence of calls to Memory and to the
 // flat reference model and requires identical values, faults, write
 // generations and OnWrite reports, then compares the whole space and
@@ -244,6 +249,14 @@ func FuzzMemory(f *testing.F) {
 		opReadBytes, 0x81, 2, 0, 70, 0,
 		opPageGen, 1, 1, 0, 0, 0,
 	})
+	f.Add([]byte{
+		opWriteBytes, 0x81, 1, 0x80, 69, 0x66, // back pages 0 and 1
+		opLoadRaw, 0xc1, 1, 0x80, 100, 0, // zeros over both, then into unbacked page 2
+		opReadBytes, 0x81, 1, 0x80, 69, 0,
+		opFetchNoCopy, 1, 2, 0x10, 8, 0,
+		opPageGen, 1, 2, 0, 0, 0,
+		opFirstDiff, 0x80, 0, 0, 0xff, 0,
+	})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		m := New(fuzzPages * PageSize)
 		ref := newFlat(fuzzPages * PageSize)
@@ -263,9 +276,13 @@ func FuzzMemory(f *testing.F) {
 		m.OnWrite = onWrite
 
 		// other is FirstDiff's second operand: one page smaller, with
-		// one page backed but zero and one holding a pattern.
+		// one page backed but zero (a pattern loaded, then zeros over
+		// it) and one holding a pattern.
 		other := New((fuzzPages - 1) * PageSize)
 		otherRef := make([]byte, (fuzzPages-1)*PageSize)
+		if err := other.LoadRaw(PageSize, fuzzBytes(1, PageSize)); err != nil {
+			t.Fatal(err)
+		}
 		if err := other.LoadRaw(PageSize, make([]byte, PageSize)); err != nil {
 			t.Fatal(err)
 		}
@@ -315,6 +332,9 @@ func FuzzMemory(f *testing.F) {
 				}
 			case opLoadRaw:
 				b := fuzzBytes(val, n)
+				if sel&fuzzZeros != 0 {
+					b = make([]byte, n)
+				}
 				if err, want := m.LoadRaw(addr, b), ref.load(addr, b); !sameFault(err, want) {
 					t.Fatalf("LoadRaw(%#x, %d): %v, want %v", addr, n, err, want)
 				}

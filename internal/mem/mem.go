@@ -417,7 +417,11 @@ func (m *Memory) ReadCString(addr uint64, max int) (string, error) {
 
 // LoadRaw writes bytes bypassing permission checks. It is the loader's
 // privileged channel ("kernel mode"): used to map images and build the
-// initial stack before user-mode execution begins.
+// initial stack before user-mode execution begins. An all-zero chunk
+// landing on a never-written page is not copied, since the page already
+// reads as zero, so zero-filled data (a .space table) costs no page
+// array until the program stores into it. Every page in the range still
+// has its write generation bumped.
 func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	if len(b) == 0 {
 		return nil
@@ -426,8 +430,15 @@ func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	if end < addr || end > m.Size() {
 		return &Fault{Kind: FaultUnmapped, Addr: addr}
 	}
-	m.copyIn(addr, b)
 	m.bumpGen(addr, uint64(len(b)))
+	for len(b) > 0 {
+		pg, off := addr/PageSize, addr%PageSize
+		n := min(PageSize-off, uint64(len(b)))
+		if m.pages[pg] != nil || !bytes.Equal(b[:n], zeroPage[:n]) {
+			copy(m.backed(pg)[off:], b[:n])
+		}
+		b, addr = b[n:], addr+n
+	}
 	return nil
 }
 

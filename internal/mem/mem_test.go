@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -163,6 +164,53 @@ func TestLoadRawBypassesPerms(t *testing.T) {
 	}
 	if v, err := m.Peek64(0); err != nil || v&0xffffff != 0x030201 {
 		t.Errorf("Peek64 = %#x, %v", v, err)
+	}
+}
+
+// TestLoadRawZerosStayUnbacked: zeros loaded onto a never-written page
+// back nothing (the page already reads as zero) but still bump its
+// generation; zeros onto a backed page overwrite it; and a Reset after
+// both leaves a clean memory whose pages come back zeroed.
+func TestLoadRawZerosStayUnbacked(t *testing.T) {
+	m := New(3 * PageSize)
+	if err := m.LoadRaw(0, []byte{7, 7, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadRaw(1, make([]byte, 2*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if m.pages[0] == nil || m.pages[1] != nil || m.pages[2] != nil {
+		t.Fatalf("backed pages after zero loads: %v %v %v", m.pages[0] != nil, m.pages[1] != nil, m.pages[2] != nil)
+	}
+	if b, _ := m.PeekRaw(0, 3); b[0] != 7 || b[1] != 0 || b[2] != 0 {
+		t.Errorf("zeros did not overwrite the backed page: %v", b)
+	}
+	for pg, want := range []uint64{2, 1, 1} {
+		if got := m.PageGen(uint64(pg) * PageSize); got != want {
+			t.Errorf("page %d generation %d, want %d", pg, got, want)
+		}
+	}
+
+	m.Reset()
+	for pg := range m.pages {
+		if m.pages[pg] != nil || m.gen[pg] != 0 {
+			t.Fatalf("page %d backed or at a nonzero generation after Reset", pg)
+		}
+	}
+	if err := m.Protect(0, m.Size(), PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write8(PageSize+1, 1); err != nil { // draws the released page
+		t.Fatal(err)
+	}
+	all, err := m.PeekRaw(0, m.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, m.Size())
+	want[PageSize+1] = 1
+	if !bytes.Equal(all, want) {
+		t.Error("a page released by Reset came back dirty")
 	}
 }
 

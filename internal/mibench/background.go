@@ -193,16 +193,14 @@ wl_ch_tab: .space 1048576
 	return Workload{Name: name, Asm: asm, Expected: putint(refChase(steps))}
 }
 
-// refChase mirrors the pointer-chase kernel.
+// refChase mirrors the pointer-chase kernel. Table entry i holds
+// (i*2654435761 + 12345) & (size-1), so following the chain applies that
+// recurrence to the index; no table is built.
 func refChase(steps int) uint64 {
 	const size = 131072
-	tab := make([]uint64, size)
-	for i := uint64(0); i < size; i++ {
-		tab[i] = (i*2654435761 + 12345) & (size - 1)
-	}
 	idx := uint64(0)
 	for s := 0; s < steps; s++ {
-		idx = tab[idx]
+		idx = (idx*2654435761 + 12345) & (size - 1)
 	}
 	return idx
 }

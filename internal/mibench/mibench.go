@@ -15,6 +15,7 @@ package mibench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/rop"
@@ -32,9 +33,29 @@ type Workload struct {
 }
 
 // HostModule wraps the workload in the vulnerable host scaffold and
-// assembles it.
+// assembles it. Each (Asm, opts) pair is assembled once per process and
+// the module shared by every later call, from any goroutine: a Module is
+// never written after isa.Assemble returns, and Link copies what it
+// resolves into a new Image.
 func (w Workload) HostModule(opts rop.HostOptions) (*isa.Module, error) {
-	return isa.Assemble(rop.HostSource(w.Asm, opts))
+	key := hostKey{w.Asm, opts}
+	if mod, ok := hostModules.Load(key); ok {
+		return mod.(*isa.Module), nil
+	}
+	mod, err := isa.Assemble(rop.HostSource(w.Asm, opts))
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := hostModules.LoadOrStore(key, mod)
+	return shared.(*isa.Module), nil
+}
+
+// hostModules memoises HostModule: hostKey -> *isa.Module.
+var hostModules sync.Map
+
+type hostKey struct {
+	asm  string
+	opts rop.HostOptions
 }
 
 // Suite returns the Table I workloads: Math, Bitcount 50M, Bitcount

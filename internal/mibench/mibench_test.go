@@ -1,8 +1,11 @@
 package mibench
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/rop"
 	"repro/internal/vm"
 )
@@ -103,6 +106,62 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("ByName accepted unknown workload")
+	}
+
+	// A lookup builds the catalogue's source texts and checksums, not a
+	// workload's data: a Chase reference that built its 1 MiB table
+	// would cost three tables a call.
+	const calls, bound = 10, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := ByName("math"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= bound {
+		t.Errorf("ByName allocated %d B a call, want under %d", per, bound)
+	}
+}
+
+// TestHostModuleShared: HostModule assembles each (source, options) pair
+// once and hands every caller the same module, and concurrent links of
+// that module (at different bases, as ASLR gives them) only read it,
+// which the race detector checks.
+func TestHostModuleShared(t *testing.T) {
+	w := SHA1(2)
+	opts := rop.HostOptions{Secret: "shared"}
+	const workers = 4
+	mods := make([]*isa.Module, workers)
+	var wg sync.WaitGroup
+	for i := range mods {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mod, err := w.HostModule(opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := mod.Link(uint64(0x100000 + i*isa.PageSize)); err != nil {
+				t.Error(err)
+			}
+			mods[i] = mod
+		}(i)
+	}
+	wg.Wait()
+	for i, mod := range mods {
+		if mod != mods[0] {
+			t.Fatalf("call %d got its own module", i)
+		}
+	}
+	other, err := w.HostModule(rop.HostOptions{Secret: "shared", Canary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == mods[0] {
+		t.Error("different host options shared one module")
 	}
 }
 

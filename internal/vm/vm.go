@@ -112,20 +112,49 @@ type registered struct {
 
 // New builds a machine with the given configuration.
 func New(cfg Config) *Machine {
+	m := new(Machine)
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns the machine to exactly the state New(cfg) builds while
+// keeping its allocations: the memory's page arrays (when cfg keeps its
+// size; see mem.Memory.Reset), the core's tables (cpu.CPU.Reset), the
+// ASLR generator (reseeded), the binary and image maps and the output
+// buffer. Registrations, loaded images, output, exit state, the exec log
+// and the OnLoad hook are dropped like on a new machine. A zero Machine
+// is valid, so a worker can hold one by value and reset it per run.
+func (m *Machine) Reset(cfg Config) {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = DefaultMemSize
 	}
 	if cfg.StackSize == 0 {
 		cfg.StackSize = DefaultStackSize
 	}
-	m := &Machine{
-		Mem:      mem.New(cfg.MemSize),
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.ASLRSeed)),
-		binaries: map[string]registered{},
-		images:   map[string]*isa.Image{},
+	if m.Mem != nil && m.Mem.Size() == alignPage(cfg.MemSize) {
+		m.Mem.Reset()
+	} else {
+		m.Mem = mem.New(cfg.MemSize)
 	}
-	m.CPU = cpu.New(m.Mem, cfg.CPU)
+	if m.CPU == nil {
+		m.CPU = new(cpu.CPU)
+	}
+	m.CPU.Reset(m.Mem, cfg.CPU)
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(cfg.ASLRSeed))
+	} else {
+		m.rng.Seed(cfg.ASLRSeed)
+	}
+	if m.binaries == nil {
+		m.binaries, m.images = map[string]registered{}, map[string]*isa.Image{}
+	} else {
+		clear(m.binaries)
+		clear(m.images)
+	}
+	m.cfg, m.arglen = cfg, 0
+	m.Output.Reset()
+	m.ExitCode, m.Aborted, m.ExecLog, m.OnLoad = 0, false, nil, nil
+
 	m.CPU.OnSyscall = m.syscall
 	if cfg.Telemetry != nil {
 		m.CPU.AttachTelemetry(cfg.Telemetry)
@@ -152,8 +181,11 @@ func New(cfg Config) *Machine {
 		// address a main-frame overflow can reach.
 		m.CPU.SetSmashWatch(m.stackTop-8, 8)
 	}
-	return m
 }
+
+// alignPage rounds n up to a whole number of pages, the size mem.New
+// gives a memory asked for n bytes.
+func alignPage(n uint64) uint64 { return (n + mem.PageSize - 1) / mem.PageSize * mem.PageSize }
 
 // StackTop returns the initial stack pointer value.
 func (m *Machine) StackTop() uint64 { return m.stackTop }
