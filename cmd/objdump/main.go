@@ -98,7 +98,7 @@ func main() {
 func dump(img *isa.Image, gadgets bool) {
 	fmt.Printf("sections:\n")
 	fmt.Printf("  .text  %#x  %6d bytes  (%d instructions)\n", img.Base, len(img.Code), len(img.Code)/isa.InstrSize)
-	fmt.Printf("  .data  %#x  %6d bytes\n\n", img.DataBase, len(img.Data))
+	fmt.Printf("  .data  %#x  %6d bytes\n\n", img.DataBase, img.DataSize)
 
 	fmt.Println("symbols:")
 	type sym struct {

@@ -37,20 +37,7 @@ func loadImage(t *testing.T, m *mem.Memory, src string) *isa.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadRaw(img.Base, img.Code); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Protect(img.Base, uint64(len(img.Code)), mem.PermRX); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadRaw(img.DataBase, img.Data); err != nil {
-		t.Fatal(err)
-	}
-	dl := uint64(len(img.Data))
-	if dl == 0 {
-		dl = 1
-	}
-	if err := m.Protect(img.DataBase, dl, mem.PermRW); err != nil {
+	if err := img.MapInto(m); err != nil {
 		t.Fatal(err)
 	}
 	// Stack: last 64 KiB below a guard page.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -14,7 +15,8 @@ import (
 type Module struct {
 	code      []Instruction
 	codeRel   []codeReloc
-	data      []byte
+	data      []Run  // the data section's initialised runs (see Run)
+	dataSize  uint64 // the data section's size, zeros included
 	dataRel   []dataReloc
 	symbols   map[string]symbol
 	entryName string
@@ -69,16 +71,20 @@ func errf(line int, format string, args ...any) error {
 //	.text / .data    switch section
 //	.word e, e, ...  emit 8-byte little-endian words (labels allowed)
 //	.byte e, e, ...  emit bytes
-//	.space n [fill]  emit n fill bytes (default 0)
+//	.space n [fill]  emit n fill bytes (default 0: reserved, not stored)
 //	.ascii "s"       emit string bytes
 //	.asciz "s"       emit string bytes plus NUL
-//	.align n         pad data section to n-byte boundary
+//	.align n         pad data section to n-byte boundary (with zeros)
 //	.equ name expr   define a numeric constant
 //	.entry name      designate the entry label (default "_start", else 0)
 //
 // Instruction operands: registers r0..r15 (aliases sp=r15, bp=r14),
 // immediates (decimal, 0x hex, 'c' char, negative), symbol references
 // with optional +/- offsets, and memory operands [reg], [reg+expr].
+//
+// The data section may hold at most 64 MiB, the most a SIMX object file
+// stores, so every module that assembles can be linked, written and read
+// back.
 func Assemble(src string) (*Module, error) {
 	m := &Module{symbols: map[string]symbol{}, entryName: "_start"}
 	cur := secText
@@ -107,7 +113,7 @@ func Assemble(src string) (*Module, error) {
 				}
 				off := uint64(len(m.code)) * InstrSize
 				if cur == secData {
-					off = uint64(len(m.data))
+					off = m.dataSize
 				}
 				m.symbols[name] = symbol{sec: cur, off: off, defind: true}
 				text = strings.TrimSpace(text[i+1:])
@@ -158,6 +164,12 @@ func Assemble(src string) (*Module, error) {
 		if _, ok := m.symbols[r.sym]; !ok {
 			return nil, errf(r.line, "undefined symbol %q in .word", r.sym)
 		}
+	}
+	// Images share the runs read-only: no spare capacity for an append
+	// to write into.
+	m.data = slices.Clip(m.data)
+	for i := range m.data {
+		m.data[i].Bytes = slices.Clip(m.data[i].Bytes)
 	}
 	return m, nil
 }
@@ -256,9 +268,9 @@ func (m *Module) directive(cur *section, text string, line int) error {
 			} else if s, ok := m.symbols[sym]; ok && s.isEqu {
 				v = s.value + add
 			} else {
-				m.dataRel = append(m.dataRel, dataReloc{off: uint64(len(m.data)), sym: sym, addend: add, line: line})
+				m.dataRel = append(m.dataRel, dataReloc{off: m.dataSize, sym: sym, addend: add, line: line})
 			}
-			m.data = appendWord(m.data, uint64(v))
+			binary.LittleEndian.PutUint64(m.store(8), uint64(v))
 		}
 	case ".byte":
 		if *cur != secData {
@@ -273,7 +285,7 @@ func (m *Module) directive(cur *section, text string, line int) error {
 			if err != nil {
 				return err
 			}
-			m.data = append(m.data, byte(v))
+			m.store(1)[0] = byte(v)
 		}
 	case ".space":
 		if *cur != secData {
@@ -286,8 +298,8 @@ func (m *Module) directive(cur *section, text string, line int) error {
 		if err != nil {
 			return err
 		}
-		if n < 0 || n > 1<<28 {
-			return errf(line, ".space size %d out of range", n)
+		if n < 0 || uint64(n) > objMaxSection-m.dataSize {
+			return errf(line, ".space size %d out of range (the data section holds at most %d bytes)", n, objMaxSection)
 		}
 		fill := int64(0)
 		if len(head) == 3 {
@@ -295,10 +307,13 @@ func (m *Module) directive(cur *section, text string, line int) error {
 				return err
 			}
 		}
-		start := len(m.data)
-		m.data = slices.Grow(m.data, int(n))[:start+int(n)]
-		for i := start; i < len(m.data); i++ {
-			m.data[i] = byte(fill)
+		if byte(fill) == 0 {
+			m.dataSize += uint64(n) // reserved, never stored
+			break
+		}
+		b := m.store(int(n))
+		for i := range b {
+			b[i] = byte(fill)
 		}
 	case ".ascii", ".asciz":
 		i := strings.Index(text, "\"")
@@ -310,10 +325,10 @@ func (m *Module) directive(cur *section, text string, line int) error {
 		if err != nil {
 			return errf(line, "bad string literal: %v", err)
 		}
-		m.data = append(m.data, s...)
 		if dir == ".asciz" {
-			m.data = append(m.data, 0)
+			s += "\x00"
 		}
+		copy(m.store(len(s)), s)
 	case ".align":
 		if *cur != secData {
 			return errf(line, ".align outside .data")
@@ -328,13 +343,34 @@ func (m *Module) directive(cur *section, text string, line int) error {
 		if n <= 0 || n&(n-1) != 0 {
 			return errf(line, ".align boundary must be a power of two")
 		}
-		for uint64(len(m.data))%uint64(n) != 0 {
-			m.data = append(m.data, 0)
-		}
+		m.dataSize = alignUp(m.dataSize, uint64(n)) // zero padding, never stored
 	default:
 		return errf(line, "unknown directive %q", dir)
 	}
+	if m.dataSize > objMaxSection {
+		return errf(line, "data section of %d bytes exceeds the %d an object file holds", m.dataSize, objMaxSection)
+	}
 	return nil
+}
+
+// store appends n initialised bytes to the data section and returns them
+// for the caller to fill. They extend the last run when it ends where the
+// section does, and start a new run after a gap.
+func (m *Module) store(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if k := len(m.data); k > 0 && m.data[k-1].end() == m.dataSize {
+		r := &m.data[k-1]
+		at := len(r.Bytes)
+		r.Bytes = slices.Grow(r.Bytes, n)[:at+n]
+		m.dataSize += uint64(n)
+		return r.Bytes[at:]
+	}
+	b := make([]byte, n)
+	m.data = append(m.data, Run{Off: m.dataSize, Bytes: b})
+	m.dataSize += uint64(n)
+	return b
 }
 
 func wordArgs(text, dir string) []string {
@@ -351,13 +387,6 @@ func wordArgs(text, dir string) []string {
 }
 
 func splitOperands(text string) []string { return []string{text} }
-
-func appendWord(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
-}
 
 // parseNum parses a pure numeric literal: decimal, 0x hex, 'c' char,
 // optionally negative.

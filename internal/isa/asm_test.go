@@ -68,16 +68,17 @@ func TestAssembleDataSection(t *testing.T) {
 	if table < img.DataBase {
 		t.Fatalf("table %#x below data base %#x", table, img.DataBase)
 	}
+	data := expand(t, img)
 	off := table - img.DataBase
-	if got := binary.LittleEndian.Uint64(img.Data[off+8:]); got != 200 {
+	if got := binary.LittleEndian.Uint64(data[off+8:]); got != 200 {
 		t.Errorf("table[1] = %d, want 200", got)
 	}
 	msg := img.MustSymbol("msg") - img.DataBase
-	if string(img.Data[msg:msg+3]) != "hi\x00" {
-		t.Errorf("msg bytes = %q", img.Data[msg:msg+3])
+	if string(data[msg:msg+3]) != "hi\x00" {
+		t.Errorf("msg bytes = %q", data[msg:msg+3])
 	}
 	buf := img.MustSymbol("buf") - img.DataBase
-	if img.Data[buf] != 0xff || img.Data[buf+3] != 0xff {
+	if data[buf] != 0xff || data[buf+3] != 0xff {
 		t.Error(".space fill not applied")
 	}
 	// movi r1, table must hold the absolute data address.
@@ -87,29 +88,37 @@ func TestAssembleDataSection(t *testing.T) {
 	}
 }
 
-// TestSpaceGrowsDataOnce: a large .space grows the data section in one
-// step instead of byte by byte, and lays out the same bytes.
+// TestSpaceGrowsDataOnce: a zero-filled .space reserves its bytes without
+// storing them, a filled one grows the data section in one step instead
+// of byte by byte, and both lay out the same bytes as a dense section.
 func TestSpaceGrowsDataOnce(t *testing.T) {
 	const n = 1 << 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	mod, err := Assemble(".data\nbig: .space 1048576")
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	alloc := func(src string) (*Module, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mod, err := Assemble(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod, after.TotalAlloc - before.TotalAlloc
+	}
+	mod, got := alloc(".data\nbig: .space 1048576")
+	if limit := uint64(64 << 10); got >= limit {
+		t.Errorf("assembling a 1 MiB zero .space allocated %d bytes, want < %d", got, limit)
+	}
+	if mod.DataSize() != n {
+		t.Errorf("data size %d, want %d", mod.DataSize(), n)
 	}
 	limit := uint64(3 << 19) // 1.5 MiB; growing byte by byte allocates 5 MiB
 	if raceEnabled {
 		limit = 5 << 19
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-		t.Errorf("assembling a 1 MiB .space allocated %d bytes, want < %d", got, limit)
-	}
-	if mod.DataSize() != n {
-		t.Errorf("data size %d, want %d", mod.DataSize(), n)
+	if _, got := alloc(".data\n.byte 7\nbig: .space 1048576 0xa5"); got >= limit {
+		t.Errorf("assembling a 1 MiB filled .space allocated %d bytes, want < %d", got, limit)
 	}
 
-	mod, err = Assemble(".data\n.byte 7\n.space 1048576 0xa5\n.byte 9\n.space 3\n.byte 1")
+	mod, err := Assemble(".data\n.byte 7\n.space 1048576 0xa5\n.byte 9\n.space 3\n.byte 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +128,11 @@ func TestSpaceGrowsDataOnce(t *testing.T) {
 	}
 	want := append([]byte{7}, bytes.Repeat([]byte{0xa5}, n)...)
 	want = append(want, 9, 0, 0, 0, 1)
-	if !bytes.Equal(img.Data, want) {
-		t.Errorf("data section differs from the expected %d bytes (got %d)", len(want), len(img.Data))
+	if data := expand(t, img); !bytes.Equal(data, want) {
+		t.Errorf("data section differs from the expected %d bytes (got %d)", len(want), len(data))
+	}
+	if len(img.Data) != 2 {
+		t.Errorf("data section stored as %d runs, want 2 around the 3 zero bytes", len(img.Data))
 	}
 }
 
@@ -138,7 +150,7 @@ func TestAssembleWordLabelRelocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := img.MustSymbol("fptr") - img.DataBase
-	if got := binary.LittleEndian.Uint64(img.Data[off:]); got != img.MustSymbol("f") {
+	if got := binary.LittleEndian.Uint64(expand(t, img)[off:]); got != img.MustSymbol("f") {
 		t.Errorf(".word f = %#x, want %#x", got, img.MustSymbol("f"))
 	}
 }

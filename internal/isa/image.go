@@ -1,8 +1,12 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+
+	"repro/internal/mem"
 )
 
 // PageSize is the unit of memory protection in the simulated machine.
@@ -11,20 +15,36 @@ import (
 const PageSize = 4096
 
 // Image is a Module linked at a concrete load base: encoded code bytes,
-// data bytes, and an absolute symbol table. Images are what the loader
-// maps into machine memory and what the gadget scanner inspects.
+// the data section, and an absolute symbol table. Images are what the
+// loader maps into machine memory and what the gadget scanner inspects.
 type Image struct {
 	Base     uint64            // load address of the code section
 	Code     []byte            // encoded instructions (len % InstrSize == 0)
 	DataBase uint64            // load address of the data section
-	Data     []byte            // initialised data
+	DataSize uint64            // data section size in bytes
+	Data     []Run             // the data section's initialised runs (read-only)
 	Entry    uint64            // absolute entry point
 	Symbols  map[string]uint64 // absolute symbol addresses
 }
 
+// Run is one stretch of initialised bytes in a data section. A section is
+// its size plus its runs, in ascending order and disjoint; every byte no
+// run covers is zero and is never stored, so a `.space` table costs
+// nothing until the program writes it. An Image shares its runs with the
+// Module it was linked from and with every other Image of that Module, so
+// the bytes must not be written.
+type Run struct {
+	Off   uint64 // offset from the start of the section
+	Bytes []byte
+}
+
+func (r Run) end() uint64 { return r.Off + uint64(len(r.Bytes)) }
+
 // Link resolves the module at the given base address. The code section is
 // placed at base and the data section at the next page boundary after the
-// code. Base must be page-aligned.
+// code. Base must be page-aligned. The code is encoded anew for every
+// base; the data runs are the module's own, except that a run holding a
+// relocated `.word` is copied before the word is patched.
 func (m *Module) Link(base uint64) (*Image, error) {
 	if base%PageSize != 0 {
 		return nil, fmt.Errorf("isa: link base %#x not page-aligned", base)
@@ -50,7 +70,8 @@ func (m *Module) Link(base uint64) (*Image, error) {
 		Base:     base,
 		DataBase: dataBase,
 		Code:     make([]byte, codeSize),
-		Data:     append([]byte(nil), m.data...),
+		DataSize: m.dataSize,
+		Data:     m.data,
 		Symbols:  make(map[string]uint64, len(m.symbols)),
 	}
 	for name := range m.symbols {
@@ -76,14 +97,24 @@ func (m *Module) Link(base uint64) (*Image, error) {
 			return nil, fmt.Errorf("isa: instruction %d (%s): %w", i, in, err)
 		}
 	}
-	for _, r := range m.dataRel {
-		a, err := symAddr(r.sym)
-		if err != nil {
-			return nil, errf(r.line, "%v", err)
-		}
-		v := a + uint64(r.addend)
-		for i := 0; i < 8; i++ {
-			img.Data[r.off+uint64(i)] = byte(v >> (8 * i))
+	if len(m.dataRel) > 0 {
+		// Relocations ascend by offset and each lies inside one run
+		// (the 8 bytes its .word stored), so one cursor finds them all.
+		img.Data = slices.Clone(m.data)
+		run, copied := 0, -1
+		for _, r := range m.dataRel {
+			a, err := symAddr(r.sym)
+			if err != nil {
+				return nil, errf(r.line, "%v", err)
+			}
+			for img.Data[run].end() <= r.off {
+				run++
+			}
+			d := &img.Data[run]
+			if copied != run {
+				d.Bytes, copied = slices.Clone(d.Bytes), run
+			}
+			binary.LittleEndian.PutUint64(d.Bytes[r.off-d.Off:], a+uint64(r.addend))
 		}
 	}
 
@@ -95,11 +126,35 @@ func (m *Module) Link(base uint64) (*Image, error) {
 	return img, nil
 }
 
+// MapInto maps the image into m at its link addresses: the code pages
+// read-execute and the data pages read-write (DEP). Only the data's runs
+// are copied. The rest of the section is cleared where an earlier write
+// backed it and left unbacked elsewhere, so m reads exactly as if every
+// byte of the section had been stored, and every page the image covers
+// has its write generation bumped.
+func (img *Image) MapInto(m *mem.Memory) error {
+	if err := m.LoadRaw(img.Base, img.Code); err != nil {
+		return err
+	}
+	if err := m.Protect(img.Base, max(uint64(len(img.Code)), 1), mem.PermRX); err != nil {
+		return err
+	}
+	if err := m.ZeroRaw(img.DataBase, img.DataSize); err != nil {
+		return err
+	}
+	for _, r := range img.Data {
+		if err := m.LoadRaw(img.DataBase+r.Off, r.Bytes); err != nil {
+			return err
+		}
+	}
+	return m.Protect(img.DataBase, max(img.DataSize, 1), mem.PermRW)
+}
+
 // NumInstructions returns the number of instructions in the module.
 func (m *Module) NumInstructions() int { return len(m.code) }
 
 // DataSize returns the size of the module's data section in bytes.
-func (m *Module) DataSize() int { return len(m.data) }
+func (m *Module) DataSize() int { return int(m.dataSize) }
 
 // SymbolNames returns all symbol names in sorted order.
 func (m *Module) SymbolNames() []string {
@@ -128,7 +183,7 @@ func (img *Image) MustSymbol(name string) uint64 {
 
 // End returns the first address past the image (data end, page-aligned).
 func (img *Image) End() uint64 {
-	return img.DataBase + alignUp(uint64(len(img.Data)), PageSize)
+	return img.DataBase + alignUp(img.DataSize, PageSize)
 }
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

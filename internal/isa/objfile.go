@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -21,31 +22,46 @@ import (
 //	code    [codeLen]byte
 //	data    [dataLen]byte
 //	symbols symCount * { nameLen uint32, name [nameLen]byte, addr uint64 }
+//
+// The data section is stored dense: the gaps between an Image's runs are
+// written as zeros, and ReadImage returns the section as one run.
 const (
 	objMagic   = "SIMX"
 	objVersion = 1
 	// objMaxSection guards against absurd allocations from corrupt or
-	// hostile files.
+	// hostile files. Assemble caps the data section at it, so every
+	// image it links can be written and read back.
 	objMaxSection = 64 << 20
 )
 
-// WriteTo serialises the image in SIMX format.
+// WriteTo serialises the image in SIMX format. It streams: the data
+// section's gaps are written as zeros from one fixed page, so writing an
+// image costs no copy of its sections.
 func (img *Image) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	buf.WriteString(objMagic)
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	// bufio.Writer keeps the first error and turns every later write into
+	// a no-op, so only Flush's error needs checking.
+	bw.WriteString(objMagic)
 	le := binary.LittleEndian
 	var tmp [8]byte
 	le.PutUint32(tmp[:4], objVersion)
-	buf.Write(tmp[:4])
+	bw.Write(tmp[:4])
 	for _, v := range []uint64{
 		img.Base, img.DataBase, img.Entry,
-		uint64(len(img.Code)), uint64(len(img.Data)), uint64(len(img.Symbols)),
+		uint64(len(img.Code)), img.DataSize, uint64(len(img.Symbols)),
 	} {
 		le.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
+		bw.Write(tmp[:])
 	}
-	buf.Write(img.Code)
-	buf.Write(img.Data)
+	bw.Write(img.Code)
+	at := uint64(0)
+	for _, r := range img.Data {
+		writeZeros(bw, r.Off-at)
+		bw.Write(r.Bytes)
+		at = r.end()
+	}
+	writeZeros(bw, img.DataSize-at)
 	// Deterministic symbol order.
 	names := make([]string, 0, len(img.Symbols))
 	for n := range img.Symbols {
@@ -54,13 +70,36 @@ func (img *Image) WriteTo(w io.Writer) (int64, error) {
 	sort.Strings(names)
 	for _, n := range names {
 		le.PutUint32(tmp[:4], uint32(len(n)))
-		buf.Write(tmp[:4])
-		buf.WriteString(n)
+		bw.Write(tmp[:4])
+		bw.WriteString(n)
 		le.PutUint64(tmp[:], img.Symbols[n])
-		buf.Write(tmp[:])
+		bw.Write(tmp[:])
 	}
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
+	err := bw.Flush()
+	return cw.n, err
+}
+
+// zeroChunk is the source of every gap WriteTo expands.
+var zeroChunk [PageSize]byte
+
+func writeZeros(bw *bufio.Writer, n uint64) {
+	for n > 0 {
+		k := min(n, PageSize)
+		bw.Write(zeroChunk[:k])
+		n -= k
+	}
+}
+
+// countWriter counts the bytes its writer accepts, for WriteTo's result.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // ReadImage parses a SIMX object file, validating structure and that the
@@ -106,8 +145,13 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if _, err := DecodeAll(img.Code); err != nil {
 		return nil, fmt.Errorf("isa: corrupt code section: %w", err)
 	}
-	if img.Data, err = readSection(r, dataLen); err != nil {
+	data, err := readSection(r, dataLen)
+	if err != nil {
 		return nil, fmt.Errorf("isa: reading data: %w", err)
+	}
+	img.DataSize = dataLen
+	if dataLen > 0 {
+		img.Data = []Run{{Bytes: data}}
 	}
 	// No size hint: symCount is the file's claim, and each symbol is
 	// only real once its bytes have been read.

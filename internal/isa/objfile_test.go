@@ -42,7 +42,7 @@ func TestObjectRoundTrip(t *testing.T) {
 	if got.Base != img.Base || got.DataBase != img.DataBase || got.Entry != img.Entry {
 		t.Errorf("header mismatch: %+v vs %+v", got, img)
 	}
-	if !bytes.Equal(got.Code, img.Code) || !bytes.Equal(got.Data, img.Data) {
+	if !bytes.Equal(got.Code, img.Code) || got.DataSize != img.DataSize || !bytes.Equal(expand(t, got), expand(t, img)) {
 		t.Error("sections mismatch")
 	}
 	if len(got.Symbols) != len(img.Symbols) {

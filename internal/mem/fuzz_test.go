@@ -212,7 +212,9 @@ func fuzzBytes(seed byte, n uint64) []byte {
 
 // fuzzZeros is the selector bit (free in fuzzAddr and fuzzLen) that makes
 // opLoadRaw load zeros instead of fuzzBytes, so LoadRaw's zero skip runs
-// on backed pages, which must be overwritten, and on unbacked ones.
+// on backed pages, which must be overwritten, and on unbacked ones. With
+// an odd value byte the zeros go through ZeroRaw, which must act as
+// LoadRaw of that many zero bytes.
 const fuzzZeros = 0x40
 
 // FuzzMemory applies a decoded sequence of calls to Memory and to the
@@ -255,6 +257,14 @@ func FuzzMemory(f *testing.F) {
 		opReadBytes, 0x81, 1, 0x80, 69, 0,
 		opFetchNoCopy, 1, 2, 0x10, 8, 0,
 		opPageGen, 1, 2, 0, 0, 0,
+		opFirstDiff, 0x80, 0, 0, 0xff, 0,
+	})
+	f.Add([]byte{
+		opWriteBytes, 0x81, 1, 0x80, 69, 0x66, // back pages 0 and 1
+		opLoadRaw, 0xc1, 1, 0x80, 100, 1, // ZeroRaw over both, then into unbacked page 2
+		opReadBytes, 0x81, 1, 0x80, 69, 0,
+		opPageGen, 1, 2, 0, 0, 0,
+		opLoadRaw, 0xc3, 0, 0, 20, 1, // ZeroRaw past the top
 		opFirstDiff, 0x80, 0, 0, 0xff, 0,
 	})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -335,8 +345,14 @@ func FuzzMemory(f *testing.F) {
 				if sel&fuzzZeros != 0 {
 					b = make([]byte, n)
 				}
-				if err, want := m.LoadRaw(addr, b), ref.load(addr, b); !sameFault(err, want) {
-					t.Fatalf("LoadRaw(%#x, %d): %v, want %v", addr, n, err, want)
+				var err error
+				if sel&fuzzZeros != 0 && val&1 != 0 {
+					err = m.ZeroRaw(addr, n)
+				} else {
+					err = m.LoadRaw(addr, b)
+				}
+				if want := ref.load(addr, b); !sameFault(err, want) {
+					t.Fatalf("LoadRaw(%#x, %d) (zeros %v): %v, want %v", addr, n, sel&fuzzZeros != 0, err, want)
 				}
 			case opProtect:
 				p := Perm(val) & PermRWX

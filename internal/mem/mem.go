@@ -442,6 +442,30 @@ func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	return nil
 }
 
+// ZeroRaw is LoadRaw of n zero bytes without the bytes: it clears
+// [addr, addr+n) bypassing permission checks. Only pages an earlier write
+// backed are touched; a never-written page already reads as zero and
+// stays unbacked. Every page in the range has its write generation bumped.
+func (m *Memory) ZeroRaw(addr, n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	end := addr + n
+	if end < addr || end > m.Size() {
+		return &Fault{Kind: FaultUnmapped, Addr: addr}
+	}
+	m.bumpGen(addr, n)
+	for addr < end {
+		pg, off := addr/PageSize, addr%PageSize
+		k := min(PageSize-off, end-addr)
+		if p := m.pages[pg]; p != nil {
+			clear(p[off : off+k])
+		}
+		addr += k
+	}
+	return nil
+}
+
 // PeekRaw reads bytes bypassing permission checks (debugger channel; GDB
 // in the paper's methodology).
 func (m *Memory) PeekRaw(addr, n uint64) ([]byte, error) {

@@ -167,16 +167,26 @@ func TestLoadRawBypassesPerms(t *testing.T) {
 	}
 }
 
-// TestLoadRawZerosStayUnbacked: zeros loaded onto a never-written page
-// back nothing (the page already reads as zero) but still bump its
-// generation; zeros onto a backed page overwrite it; and a Reset after
-// both leaves a clean memory whose pages come back zeroed.
+// TestLoadRawZerosStayUnbacked: zeros loaded onto a never-written page,
+// as zero bytes through LoadRaw or without bytes through ZeroRaw, back
+// nothing (the page already reads as zero) but still bump its generation;
+// zeros onto a backed page overwrite it; and a Reset after both leaves a
+// clean memory whose pages come back zeroed.
 func TestLoadRawZerosStayUnbacked(t *testing.T) {
+	for name, zeros := range map[string]func(m *Memory, addr, n uint64) error{
+		"LoadRaw": func(m *Memory, addr, n uint64) error { return m.LoadRaw(addr, make([]byte, n)) },
+		"ZeroRaw": (*Memory).ZeroRaw,
+	} {
+		t.Run(name, func(t *testing.T) { zerosStayUnbacked(t, zeros) })
+	}
+}
+
+func zerosStayUnbacked(t *testing.T, zeros func(m *Memory, addr, n uint64) error) {
 	m := New(3 * PageSize)
 	if err := m.LoadRaw(0, []byte{7, 7, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadRaw(1, make([]byte, 2*PageSize)); err != nil {
+	if err := zeros(m, 1, 2*PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if m.pages[0] == nil || m.pages[1] != nil || m.pages[2] != nil {

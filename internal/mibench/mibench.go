@@ -35,8 +35,8 @@ type Workload struct {
 // HostModule wraps the workload in the vulnerable host scaffold and
 // assembles it. Each (Asm, opts) pair is assembled once per process and
 // the module shared by every later call, from any goroutine: a Module is
-// never written after isa.Assemble returns, and Link copies what it
-// resolves into a new Image.
+// never written after isa.Assemble returns, and the Images Link makes
+// share its data runs read-only (a run a relocation patches is copied).
 func (w Workload) HostModule(opts rop.HostOptions) (*isa.Module, error) {
 	key := hostKey{w.Asm, opts}
 	if mod, ok := hostModules.Load(key); ok {

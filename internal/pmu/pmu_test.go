@@ -106,10 +106,7 @@ func TestSamplerProducesSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.New(1 << 20)
-	if err := m.LoadRaw(img.Base, img.Code); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Protect(img.Base, uint64(len(img.Code)), mem.PermRX); err != nil {
+	if err := img.MapInto(m); err != nil {
 		t.Fatal(err)
 	}
 	c := cpu.New(m, cpu.DefaultConfig())
@@ -197,16 +194,7 @@ func TestSamplerTierEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := mem.New(1 << 20)
-		if err := m.LoadRaw(img.Base, img.Code); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Protect(img.Base, uint64(len(img.Code)), mem.PermRX); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.LoadRaw(img.DataBase, img.Data); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Protect(img.DataBase, uint64(len(img.Data)), mem.PermRW); err != nil {
+		if err := img.MapInto(m); err != nil {
 			t.Fatal(err)
 		}
 		cfg := cpu.DefaultConfig()

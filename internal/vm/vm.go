@@ -215,7 +215,7 @@ func (m *Machine) Load(name string) (*isa.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.mapImage(img); err != nil {
+	if err := img.MapInto(m.Mem); err != nil {
 		return nil, err
 	}
 	m.images[name] = img
@@ -225,38 +225,10 @@ func (m *Machine) Load(name string) (*isa.Image, error) {
 	return img, nil
 }
 
-// MapPrelinked maps an already-linked image (e.g. read from a SIMX
-// object file) at its baked addresses and registers it under name. ASLR
-// does not apply: a prelinked image has no relocations left to slide.
-func (m *Machine) MapPrelinked(name string, img *isa.Image) error {
-	if err := m.mapImage(img); err != nil {
-		return err
-	}
-	m.images[name] = img
-	if m.OnLoad != nil {
-		m.OnLoad(name, img)
-	}
-	return nil
-}
-
 // Image returns the currently loaded image for name, if any.
 func (m *Machine) Image(name string) (*isa.Image, bool) {
 	img, ok := m.images[name]
 	return img, ok
-}
-
-func (m *Machine) mapImage(img *isa.Image) error {
-	if err := m.Mem.LoadRaw(img.Base, img.Code); err != nil {
-		return err
-	}
-	if err := m.Mem.Protect(img.Base, maxU64(uint64(len(img.Code)), 1), mem.PermRX); err != nil {
-		return err
-	}
-	dataLen := maxU64(uint64(len(img.Data)), 1)
-	if err := m.Mem.LoadRaw(img.DataBase, img.Data); err != nil {
-		return err
-	}
-	return m.Mem.Protect(img.DataBase, dataLen, mem.PermRW)
 }
 
 // SetArg writes the program argument bytes into the argument area and
@@ -366,11 +338,4 @@ func (m *Machine) syscall(c *cpu.CPU) error {
 		return fmt.Errorf("vm: unknown syscall %d", c.Regs[0])
 	}
 	return nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

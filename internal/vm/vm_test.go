@@ -359,42 +359,3 @@ func TestLoadUnregistered(t *testing.T) {
 		t.Error("loading unregistered binary succeeded")
 	}
 }
-
-func TestMapPrelinked(t *testing.T) {
-	mod := isa.MustAssemble(`
-		movi r0, 1
-		movi r1, 'P'
-		syscall
-		movi r0, 0
-		movi r1, 0
-		syscall
-	.data
-	x: .word 7
-	`)
-	img, err := mod.Link(0x300000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(DefaultConfig())
-	hooked := ""
-	m.OnLoad = func(name string, im *isa.Image) { hooked = name }
-	if err := m.MapPrelinked("pre", img); err != nil {
-		t.Fatal(err)
-	}
-	if hooked != "pre" {
-		t.Error("OnLoad not invoked for prelinked image")
-	}
-	if err := m.Start("pre"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CPU.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if m.Output.String() != "P" {
-		t.Errorf("output = %q", m.Output.String())
-	}
-	got, ok := m.Image("pre")
-	if !ok || got.Base != 0x300000 {
-		t.Error("prelinked image not registered")
-	}
-}
