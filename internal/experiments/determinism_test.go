@@ -99,13 +99,24 @@ func TestDeterminismFig4(t *testing.T) {
 	}
 }
 
+// TestDeterminismTable1 holds Table I's one pool to the contract:
+// rows, CSV and the manifest (the pool's progress and instruction
+// count, the per-run blocks.* counters, event totals) are identical
+// across worker counts and repeat runs.
 func TestDeterminismTable1(t *testing.T) {
 	workloads := []mibench.Workload{
 		mibench.Math(2_000),
 		mibench.SHA1(150),
 	}
-	run := func(workers int) ([]Table1Row, []byte) {
-		cfg := detCfg(workers)
+	type result struct {
+		rows          []Table1Row
+		csv, manifest []byte
+	}
+	run := func(workers int) result {
+		cfg := observed(detCfg(workers))
+		// Retirements are counted, not stored, as in the experiments
+		// CLI: storing one event per instruction would dominate the run.
+		cfg.Telemetry.Exclude(telemetry.KindRetire)
 		cfg.Reps = 2
 		rows, err := Table1For(cfg, workloads)
 		if err != nil {
@@ -113,20 +124,58 @@ func TestDeterminismTable1(t *testing.T) {
 		}
 		var csv bytes.Buffer
 		Table1CSV(&csv, rows)
-		return rows, csv.Bytes()
+		m, js := manifestJSON(t, cfg)
+		var pool *telemetry.ProgressPool
+		for i := range m.Progress {
+			if m.Progress[i].Name == "table1" {
+				pool = &m.Progress[i]
+			}
+		}
+		if want := uint64(len(workloads) * len(table1Cells()) * cfg.Reps); len(m.Progress) != 1 || pool == nil ||
+			pool.Submitted != want || pool.Done != want || pool.Instrs == 0 {
+			t.Errorf("progress %+v, want one table1 pool of %d done tasks with their instructions", m.Progress, want)
+		}
+		return result{rows, csv.Bytes(), js}
 	}
-	rows1, csv1 := run(1)
-	rows4, csv4 := run(4)
-	if !reflect.DeepEqual(rows1, rows4) {
-		t.Errorf("Table1 rows differ between Workers=1 and Workers=4:\n%v\nvs\n%v", rows1, rows4)
+	r1, r4 := run(1), run(4)
+	if !reflect.DeepEqual(r1.rows, r4.rows) {
+		t.Errorf("Table1 rows differ between Workers=1 and Workers=4:\n%v\nvs\n%v", r1.rows, r4.rows)
 	}
-	if !bytes.Equal(csv1, csv4) {
+	if !bytes.Equal(r1.csv, r4.csv) {
 		t.Error("Table1 CSV output not byte-identical across worker counts")
 	}
-	rows4b, csv4b := run(4)
-	if !reflect.DeepEqual(rows4, rows4b) || !bytes.Equal(csv4, csv4b) {
+	if !bytes.Equal(r1.manifest, r4.manifest) {
+		t.Errorf("Table1 manifests differ between Workers=1 and Workers=4:\n%s\nvs\n%s", r1.manifest, r4.manifest)
+	}
+	if r4b := run(4); !reflect.DeepEqual(r4, r4b) {
 		t.Error("two Workers=4 Table1 runs with the same seed differ")
 	}
+}
+
+// observed attaches fresh sinks to cfg: a tiny event ring (counts must
+// not care about its capacity), a metrics registry and a progress
+// tracker.
+func observed(cfg Config) Config {
+	cfg.Telemetry = telemetry.NewRecorder(256)
+	cfg.Metrics = telemetry.NewRegistry()
+	cfg.Tracker = sched.NewTracker(cfg.Metrics, cfg.Telemetry, nil)
+	return cfg
+}
+
+// manifestJSON finishes the run manifest of an observed cfg and renders
+// it with the volatile fields (timings, build, host) and the worker
+// count zeroed: the part that must not depend on the worker count.
+func manifestJSON(t *testing.T, cfg Config) (*telemetry.Manifest, []byte) {
+	t.Helper()
+	m := cfg.Manifest("experiments-test", nil)
+	obs.Sinks{Recorder: cfg.Telemetry, Registry: cfg.Metrics, Tracker: cfg.Tracker}.Finish(m, time.Now())
+	m.ZeroVolatile()
+	m.Workers = 0
+	out, err := m.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, out
 }
 
 // TestDeterminismManifest extends the contract to telemetry: the run
@@ -137,25 +186,15 @@ func TestDeterminismTable1(t *testing.T) {
 // emissions, independent of ring capacity and emit interleaving.
 func TestDeterminismManifest(t *testing.T) {
 	build := func(workers int) []byte {
-		cfg := detCfg(workers)
-		cfg.Telemetry = telemetry.NewRecorder(256) // tiny ring: counts must not care
-		cfg.Metrics = telemetry.NewRegistry()
 		// The tracker rides along: its manifest snapshot (pool lifecycle
 		// totals, instruction counts) is part of the invariance contract,
 		// while its wall-clock surface (latency histograms, rates) must
 		// stay out of the manifest entirely.
-		cfg.Tracker = sched.NewTracker(cfg.Metrics, cfg.Telemetry, nil)
+		cfg := observed(detCfg(workers))
 		if _, err := cfg.AttackCorpus(24); err != nil {
 			t.Fatal(err)
 		}
-		m := cfg.Manifest("experiments-test", nil)
-		obs.Sinks{Recorder: cfg.Telemetry, Registry: cfg.Metrics, Tracker: cfg.Tracker}.Finish(m, time.Now())
-		m.ZeroVolatile()
-		m.Workers = 0
-		out, err := m.MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, out := manifestJSON(t, cfg)
 		return out
 	}
 	m1, m4 := build(1), build(4)

@@ -22,7 +22,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
@@ -168,23 +170,29 @@ func (cfg Config) publishBlocks(m *vm.Machine) {
 	pmu.PublishBlocks(cfg.Metrics, "blocks.", m.CPU.BlockStats())
 }
 
-// benignRun executes one workload host with a benign argument on m
-// (reset first) and returns its samples; m is left finished (for
-// counters/IPC).
-func (cfg Config) benignRun(m *vm.Machine, w mibench.Workload, seed int64) ([]pmu.Sample, error) {
+// benignMachine resets m and starts the workload host on it with a
+// benign argument.
+func (cfg Config) benignMachine(m *vm.Machine, w mibench.Workload, seed int64) error {
 	mod, err := w.HostModule(rop.HostOptions{Secret: cfg.Secret})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", w.Name, err)
+		return fmt.Errorf("experiments: %s: %w", w.Name, err)
 	}
 	cfg.machine(m, seed)
 	m.Register(w.Name, mod, hostBase)
 	if _, err := m.Load(w.Name); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := m.SetArg([]byte("benign")); err != nil {
-		return nil, err
+		return err
 	}
-	if err := m.Start(w.Name); err != nil {
+	return m.Start(w.Name)
+}
+
+// benignRun profiles one workload host with a benign argument on m
+// (reset first) and returns its samples; m is left finished (for
+// counters/IPC).
+func (cfg Config) benignRun(m *vm.Machine, w mibench.Workload, seed int64) ([]pmu.Sample, error) {
+	if err := cfg.benignMachine(m, w, seed); err != nil {
 		return nil, err
 	}
 	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
@@ -220,9 +228,13 @@ func (a AttackSpec) module(target *isa.Image, secretLen int, resume string) (*is
 	if a.Perturb != nil {
 		perturbAsm = a.Perturb.Asm()
 	}
+	secret, ok := target.Symbol("__secret")
+	if !ok {
+		return nil, errors.New("target holds no __secret")
+	}
 	return spectre.Config{
 		Variant:        a.Variant,
-		TargetAddr:     target.MustSymbol("__secret"),
+		TargetAddr:     secret,
 		SecretLen:      secretLen,
 		PerturbAsm:     perturbAsm,
 		ProbeDelay:     a.ProbeDelay,
@@ -279,36 +291,53 @@ type CRResult struct {
 	ChainWords int  // length of the injected ROP chain in stack words
 }
 
-// crRun performs the full CR-Spectre flow (Fig. 2c) on m, reset first:
-// load the host, scan it for gadgets, build the overflow payload, run —
-// the hijacked host EXECs the attack binary, which leaks the host's
-// secret and then resumes the host workload under whose cloak it ran.
-func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
+// crMachine resets m into the CR-Spectre machine (Fig. 2c) and starts
+// it: the host loaded, the attack binary assembled against the host's
+// secret, and the overflow payload built from the host's gadgets set as
+// its argument. Once running, the hijacked host EXECs the attack binary,
+// which leaks the secret and then resumes the host workload under whose
+// cloak it ran. It returns the injected chain's length in stack words.
+func (cfg Config) crMachine(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64) (int, error) {
 	hostMod, err := w.HostModule(rop.HostOptions{Secret: cfg.Secret})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	cfg.machine(m, seed)
 	m.Register(w.Name, hostMod, hostBase)
 	hostImg, err := m.Load(w.Name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	attMod, err := spec.module(hostImg, len(cfg.Secret), w.Name+"#workload_entry")
 	if err != nil {
-		return nil, fmt.Errorf("experiments: assemble cr-spectre: %w", err)
+		return 0, fmt.Errorf("experiments: assemble cr-spectre against %s: %w", w.Name, err)
 	}
 	m.Register("crspectre", attMod, attackBase)
 
 	plan, err := rop.PlanInjection(gadget.ScanAndCatalog(hostImg, 3), "crspectre", nil)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: rop plan: %w", err)
+		return 0, fmt.Errorf("experiments: rop plan: %w", err)
 	}
 	plan.Emit(cfg.Telemetry)
 	if _, err := m.SetArg(plan.Payload); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := m.Start(w.Name); err != nil {
+		return 0, err
+	}
+	return plan.Chain.Len(), nil
+}
+
+// injected reports whether m's ROP chain EXECed the attack binary.
+func injected(m *vm.Machine) bool {
+	return slices.Contains(m.ExecLog, "crspectre")
+}
+
+// crRun profiles the full CR-Spectre flow on m, reset first; m is left
+// finished (its Output carries the leaked bytes).
+func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
+	chainWords, err := cfg.crMachine(m, w, spec, seed)
+	if err != nil {
 		return nil, err
 	}
 	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
@@ -316,23 +345,16 @@ func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed
 		return nil, fmt.Errorf("experiments: cr run on %s: %w", w.Name, err)
 	}
 	cfg.publishBlocks(m)
-	out := m.Output.String()
-	rec := out
+	rec := m.Output.String()
 	if len(rec) > len(cfg.Secret) {
 		rec = rec[:len(cfg.Secret)]
-	}
-	injected := false
-	for _, e := range m.ExecLog {
-		if e == "crspectre" {
-			injected = true
-		}
 	}
 	return &CRResult{
 		Samples:    samples,
 		Recovered:  rec,
 		Machine:    m,
-		Injected:   injected,
-		ChainWords: plan.Chain.Len(),
+		Injected:   injected(m),
+		ChainWords: chainWords,
 	}, nil
 }
 

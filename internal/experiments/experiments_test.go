@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/perturb"
 	"repro/internal/pmu"
+	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -284,6 +287,48 @@ func TestTable1Shape(t *testing.T) {
 	Table1CSV(&buf, rows)
 	if !strings.Contains(buf.String(), "benchmark,ipc_original") {
 		t.Error("table CSV missing header")
+	}
+}
+
+// TestTable1Allocs bounds what a Table I pass allocates once its hosts
+// are assembled: every run is bare (no sample vectors) on its worker's
+// reset machine (no fresh memory, caches or predictors per run).
+func TestTable1Allocs(t *testing.T) {
+	const bound = 3 << 20
+	cfg := detCfg(1)
+	cfg.Reps = 2
+	workloads := []mibench.Workload{mibench.Math(2_000), mibench.SHA1(150)}
+	if _, err := Table1For(cfg, workloads); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Table1For(cfg, workloads); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= bound {
+		t.Errorf("a Table I pass allocates %d bytes, want under %d", got, bound)
+	}
+	t.Logf("per Table I pass: %d bytes, %d objects", got, after.Mallocs-before.Mallocs)
+}
+
+// TestEmptySecretIsAnError: with no secret the host carries no __secret
+// for the attack binary to aim at. The CR flow reports that as an error
+// naming the host, from RunCR and from Table I's pool alike.
+func TestEmptySecretIsAnError(t *testing.T) {
+	cfg := testConfig()
+	cfg.Secret = ""
+	host := mibench.Math(50)
+	_, err := RunCR(cfg, host, AttackSpec{Variant: spectre.V1BoundsCheck}, 1)
+	if err == nil || !strings.Contains(err.Error(), host.Name) {
+		t.Errorf("RunCR: err = %v, want an error naming %s", err, host.Name)
+	}
+	_, err = Table1For(cfg, []mibench.Workload{host})
+	var panicked *sched.PanicError
+	if err == nil || errors.As(err, &panicked) || !strings.Contains(err.Error(), "table1 math baseline") {
+		t.Errorf("Table1For: err = %v, want the baseline cell's error", err)
 	}
 }
 

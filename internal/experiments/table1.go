@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/mibench"
 	"repro/internal/perturb"
 	"repro/internal/sched"
@@ -49,93 +51,97 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	return Table1For(cfg, Table1Workloads())
 }
 
-// Table1For runs the overhead measurement over a custom workload list.
-// Every benchmark row is an independent pool task, and within a row the
-// per-cell repetitions fan out too; the per-rep seed schedule matches
-// the sequential implementation, so the table is byte-identical for any
-// Workers setting.
-func Table1For(cfg Config, workloads []mibench.Workload) ([]Table1Row, error) {
-	return sched.Map(cfg.ctx("table1"), cfg.workers(), len(workloads),
-		func(_ context.Context, i int) (Table1Row, error) {
-			w := workloads[i]
-			row := Table1Row{Benchmark: w.Name}
-
-			orig, err := cfg.avgIPC(func(seed int64) (float64, error) {
-				m := new(vm.Machine)
-				if _, err := cfg.benignRun(m, w, seed); err != nil {
-					return 0, err
-				}
-				return m.CPU.IPC(), nil
-			})
-			if err != nil {
-				return row, fmt.Errorf("table1 %s original: %w", w.Name, err)
-			}
-			row.IPCOriginal = orig
-
-			// Baseline: ROP-injected Spectre without perturbation.
-			base, err := cfg.avgCRIPC(w, AttackSpec{Variant: spectre.V1BoundsCheck})
-			if err != nil {
-				return row, fmt.Errorf("table1 %s baseline: %w", w.Name, err)
-			}
-
-			// Offline mode: the single static Algorithm-2 variant.
-			offV := perturb.Paper()
-			off, err := cfg.avgCRIPC(w, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &offV})
-			if err != nil {
-				return row, fmt.Errorf("table1 %s offline: %w", w.Name, err)
-			}
-			row.IPCOffline = off
-
-			// Online mode: a mutated variant with dispersion, as the
-			// adaptive campaign would deploy.
-			onV := perturb.Scaled(2)
-			onV.Delay = 60
-			on, err := cfg.avgCRIPC(w, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &onV, ProbeDelay: 40})
-			if err != nil {
-				return row, fmt.Errorf("table1 %s online: %w", w.Name, err)
-			}
-			row.IPCOnline = on
-
-			if base > 0 {
-				row.OverheadOffline = (base - off) / base
-				row.OverheadOnline = (base - on) / base
-			}
-			return row, nil
-		})
+// table1Cell is one of Table I's four measurements per row; a nil spec
+// is the benign original, the others are CR runs.
+type table1Cell struct {
+	name string
+	spec *AttackSpec
 }
 
-func (cfg Config) avgIPC(run func(seed int64) (float64, error)) (float64, error) {
+// table1Cells lists a row's cells: the original, the ROP-injected plain
+// Spectre baseline the overheads are relative to, the offline mode's
+// single static Algorithm-2 variant, and the online mode's mutated
+// variant with dispersion, as the adaptive campaign would deploy.
+func table1Cells() []table1Cell {
+	offV := perturb.Paper()
+	onV := perturb.Scaled(2)
+	onV.Delay = 60
+	return []table1Cell{
+		{name: "original"},
+		{name: "baseline", spec: &AttackSpec{Variant: spectre.V1BoundsCheck}},
+		{name: "offline", spec: &AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &offV}},
+		{name: "online", spec: &AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &onV, ProbeDelay: 40}},
+	}
+}
+
+// Table1For runs the overhead measurement over a custom workload list.
+// Every (row, cell, rep) run is one task of a single pool, on its
+// worker's machine; rep r of every cell runs at seed Seed+337r, and each
+// cell averages its reps in rep order, so the table is byte-identical
+// for any Workers setting.
+func Table1For(cfg Config, workloads []mibench.Workload) ([]Table1Row, error) {
 	reps := cfg.Reps
 	if reps <= 0 {
 		reps = 3
 	}
-	vals, err := sched.Map(cfg.ctx("table1-reps"), cfg.workers(), reps,
-		func(_ context.Context, r int) (float64, error) {
-			return run(cfg.Seed + int64(r)*337)
+	cells := table1Cells()
+	perRow := len(cells) * reps
+	ipcs, err := sched.MapLocal(cfg.ctx("table1"), cfg.workers(), len(workloads)*perRow,
+		func(ctx context.Context, m *vm.Machine, task int) (float64, error) {
+			w, cell := workloads[task/perRow], cells[task%perRow/reps]
+			ipc, err := cfg.table1Run(m, w, cell.spec, cfg.Seed+int64(task%reps)*337)
+			if err != nil {
+				return 0, fmt.Errorf("table1 %s %s: %w", w.Name, cell.name, err)
+			}
+			sched.ObserveInstrs(ctx, m.CPU.Instret())
+			return ipc, nil
 		})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table1Row, len(workloads))
+	for i, w := range workloads {
+		// mean averages cell c of row i in rep order: summation order is
+		// part of the byte-identical contract.
+		mean := func(c int) float64 {
+			var sum float64
+			for _, v := range ipcs[i*perRow+c*reps:][:reps] {
+				sum += v
+			}
+			return sum / float64(reps)
+		}
+		base, off, on := mean(1), mean(2), mean(3)
+		rows[i] = Table1Row{Benchmark: w.Name, IPCOriginal: mean(0), IPCOffline: off, IPCOnline: on}
+		if base > 0 {
+			rows[i].OverheadOffline = (base - off) / base
+			rows[i].OverheadOnline = (base - on) / base
+		}
+	}
+	return rows, nil
+}
+
+// table1Run runs one Table I cell on m and returns its IPC. The run is
+// bare: IPC is read from the core's own counters, and the PMU sampler
+// only observes the core (pmu's TestSamplerIsPassive), so profiling it
+// would change no digit.
+func (cfg Config) table1Run(m *vm.Machine, w mibench.Workload, spec *AttackSpec, seed int64) (float64, error) {
+	var err error
+	if spec == nil {
+		err = cfg.benignMachine(m, w, seed)
+	} else {
+		_, err = cfg.crMachine(m, w, *spec, seed)
+	}
 	if err != nil {
 		return 0, err
 	}
-	// Accumulate in rep order: summation order is part of the
-	// byte-identical contract.
-	var sum float64
-	for _, v := range vals {
-		sum += v
+	if err := m.CPU.Run(cfg.Budget); err != nil && !errors.Is(err, cpu.ErrBudget) {
+		return 0, fmt.Errorf("experiments: run %s: %w", w.Name, err)
 	}
-	return sum / float64(reps), nil
-}
-
-func (cfg Config) avgCRIPC(w mibench.Workload, spec AttackSpec) (float64, error) {
-	return cfg.avgIPC(func(seed int64) (float64, error) {
-		cr, err := cfg.crRun(new(vm.Machine), w, spec, seed)
-		if err != nil {
-			return 0, err
-		}
-		if !cr.Injected {
-			return 0, fmt.Errorf("injection failed on %s", w.Name)
-		}
-		return cr.Machine.CPU.IPC(), nil
-	})
+	cfg.publishBlocks(m)
+	if spec != nil && !injected(m) {
+		return 0, fmt.Errorf("injection failed on %s", w.Name)
+	}
+	return m.CPU.IPC(), nil
 }
 
 // MeanOverheads averages the two overhead columns across rows — the

@@ -1,6 +1,7 @@
 package pmu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cpu"
@@ -90,28 +91,62 @@ func TestVector(t *testing.T) {
 	}
 }
 
-func TestSamplerProducesSamples(t *testing.T) {
-	// A long-running loop sampled at a small interval must yield
-	// multiple samples with sane headline values.
-	mod := isa.MustAssemble(`
-		movi r1, 200000
-	loop:
-		subi r1, r1, 1
-		cmpi r1, 0
-		jne loop
-		halt
-	`)
-	img, err := mod.Link(0x10000)
+// loopSrc counts r1 down from 200,000: a fixed, branchy hot loop.
+const loopSrc = `
+	movi r1, 200000
+loop:
+	subi r1, r1, 1
+	cmpi r1, 0
+	jne loop
+	halt
+`
+
+// specSrc is a loop with cache misses, in-flight flags and real
+// speculation episodes.
+const specSrc = `
+	movi r1, arr
+	movi r2, 40000
+loop:
+	clflush [r1+8]
+	load r3, [r1+8]
+	store [r1+16], r3
+	cmpi r3, 0
+	jl skip
+	addi r5, r5, 1
+skip:
+	load r9, [r1+8]
+	muli r9, r9, 25214903917
+	addi r9, r9, 11
+	store [r1+8], r9
+	subi r2, r2, 1
+	cmpi r2, 0
+	jne loop
+	halt
+.data
+arr: .space 64
+`
+
+// newCore maps src, linked at 0x10000, into a fresh 1 MiB memory and
+// returns a core configured by cfg at its entry.
+func newCore(tb testing.TB, src string, cfg cpu.Config) *cpu.CPU {
+	tb.Helper()
+	img, err := isa.MustAssemble(src).Link(0x10000)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := mem.New(1 << 20)
 	if err := img.MapInto(m); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	c := cpu.New(m, cpu.DefaultConfig())
+	c := cpu.New(m, cfg)
 	c.PC = img.Entry
+	return c
+}
 
+func TestSamplerProducesSamples(t *testing.T) {
+	// A long-running loop sampled at a small interval must yield
+	// multiple samples with sane headline values.
+	c := newCore(t, loopSrc, cpu.DefaultConfig())
 	s := &Sampler{Interval: 10_000, Events: Features(6)}
 	samples, err := s.Run(c, 10_000_000)
 	if err != nil {
@@ -166,47 +201,12 @@ func TestEveryEventDescribed(t *testing.T) {
 // episodes — the boundary-crossing retirement is the same instruction
 // in both tiers.
 func TestSamplerTierEquivalence(t *testing.T) {
-	build := func(noBlocks bool) *cpu.CPU {
-		mod := isa.MustAssemble(`
-			movi r1, arr
-			movi r2, 40000
-		loop:
-			clflush [r1+8]
-			load r3, [r1+8]
-			store [r1+16], r3
-			cmpi r3, 0
-			jl skip
-			addi r5, r5, 1
-		skip:
-			load r9, [r1+8]
-			muli r9, r9, 25214903917
-			addi r9, r9, 11
-			store [r1+8], r9
-			subi r2, r2, 1
-			cmpi r2, 0
-			jne loop
-			halt
-		.data
-		arr: .space 64
-		`)
-		img, err := mod.Link(0x10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := mem.New(1 << 20)
-		if err := img.MapInto(m); err != nil {
-			t.Fatal(err)
-		}
-		cfg := cpu.DefaultConfig()
-		cfg.NoBlocks = noBlocks
-		c := cpu.New(m, cfg)
-		c.PC = img.Entry
-		return c
-	}
 	// A prime interval drifts the boundary across block edges, so stops
 	// land mid-block, between a fused pair, and on terminators alike.
 	run := func(noBlocks bool) ([]Sample, *cpu.CPU) {
-		c := build(noBlocks)
+		cfg := cpu.DefaultConfig()
+		cfg.NoBlocks = noBlocks
+		c := newCore(t, specSrc, cfg)
 		s := &Sampler{Interval: 9973, Events: AllEvents()}
 		samples, err := s.Run(c, 5_000_000)
 		if err != nil {
@@ -228,6 +228,105 @@ func TestSamplerTierEquivalence(t *testing.T) {
 				t.Fatalf("sample %d feature %s: blocks=%v single-step=%v",
 					i, AllEvents()[j], blocks[i][j], single[i][j])
 			}
+		}
+	}
+}
+
+// TestSamplerIsPassive pins what lets a caller that wants only a run's
+// totals (Table I's IPC) skip the sampler: profiling a run leaves the
+// core exactly where a bare Run leaves it. The prime interval lands the
+// sampler's stops mid-block; the runs cover both tiers, a core with
+// co-tenant noise, and a budget that cuts the program short.
+func TestSamplerIsPassive(t *testing.T) {
+	noisy := cpu.DefaultConfig()
+	noisy.NoisePeriod, noisy.NoiseSeed = 700, 5
+	noisyNoBlocks := noisy
+	noisyNoBlocks.NoBlocks = true
+	noBlocks := cpu.DefaultConfig()
+	noBlocks.NoBlocks = true
+	cores := []struct {
+		name string
+		cfg  cpu.Config
+	}{
+		{"blocks", cpu.DefaultConfig()},
+		{"noblocks", noBlocks},
+		{"noisy", noisy},
+		{"noisy-noblocks", noisyNoBlocks},
+	}
+	for _, core := range cores {
+		for _, budget := range []uint64{5_000_000, 123_457} {
+			cfg := core.cfg
+			t.Run(fmt.Sprintf("%s/budget=%d", core.name, budget), func(t *testing.T) {
+				sampled := newCore(t, specSrc, cfg)
+				s := &Sampler{Interval: 9973, Events: AllEvents()}
+				samples, err := s.Run(sampled, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(samples) < 10 {
+					t.Fatalf("only %d samples: the sampler barely stopped the core", len(samples))
+				}
+				bare := newCore(t, specSrc, cfg)
+				if err := bare.Run(budget); err != nil && err != cpu.ErrBudget {
+					t.Fatal(err)
+				}
+				if sampled.Halted() != bare.Halted() || sampled.Halted() != (budget == 5_000_000) {
+					t.Fatalf("halted: sampled %v, bare %v", sampled.Halted(), bare.Halted())
+				}
+				if got, want := sampled.Snapshot(), bare.Snapshot(); got != want {
+					t.Errorf("snapshot:\nsampled %+v\nbare    %+v", got, want)
+				}
+				if sampled.Instret() != bare.Instret() || sampled.Cycle != bare.Cycle {
+					t.Errorf("instret/cycle: sampled %d/%d, bare %d/%d",
+						sampled.Instret(), sampled.Cycle, bare.Instret(), bare.Cycle)
+				}
+				if sampled.PC != bare.PC || sampled.Regs != bare.Regs {
+					t.Errorf("architectural state: sampled pc %#x regs %v, bare pc %#x regs %v",
+						sampled.PC, sampled.Regs, bare.PC, bare.Regs)
+				}
+			})
+		}
+	}
+}
+
+// vectorSink keeps the benchmarked results alive.
+var vectorSink []float64
+
+// BenchmarkVector measures one sample's extraction: all 56 events over
+// one counter delta.
+func BenchmarkVector(b *testing.B) {
+	d := cpu.Snapshot{
+		Cycles: 20_000, Instructions: 9_000, Loads: 2_100, Stores: 900,
+		L1Accesses: 3_000, L1Misses: 120, L1Evicts: 80, L1Flushes: 4,
+		L2Accesses: 120, L2Misses: 30, L2Evicts: 10, L2Flushes: 2,
+		CondBranches: 1_500, CondMispred: 40, Returns: 60, ReturnMispred: 3,
+		Indirect: 20, IndirectMiss: 2, Direct: 90,
+		SpecInstructions: 400, SpecLoads: 70, Squashes: 45,
+		Flushes: 4, Fences: 1, Syscalls: 2, StallCycles: 6_000,
+	}
+	events := AllEvents()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vectorSink = Vector(d, events)
+	}
+}
+
+// BenchmarkSamplerRun measures profiling loopSrc to its halt at the
+// experiments' interval of 20,000 cycles, over the full catalogue. Each
+// run starts from a fresh core, built outside the timer.
+func BenchmarkSamplerRun(b *testing.B) {
+	s := &Sampler{Interval: 20_000, Events: AllEvents()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newCore(b, loopSrc, cpu.DefaultConfig())
+		b.StartTimer()
+		samples, err := s.Run(c, 10_000_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(samples) == 0 {
+			b.Fatal("no samples")
 		}
 	}
 }
