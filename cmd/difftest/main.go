@@ -105,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		selftest = fs.Bool("selftest", false, "inject a fast-path bug and require catch + minimize, then exit")
 		verbose  = fs.Bool("v", false, "per-wave progress")
 
-		noblocks = fs.Bool("noblocks", false, "disable the superblock tier (also skips the per-shard tier diff)")
+		noblocks = fs.Bool("noblocks", false, "skip the per-shard block-tier diff (the lock-step run single-steps either way)")
 
 		obsAddr     = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while soaking, e.g. 127.0.0.1:9464")
 		manifestOut = fs.String("manifest", "", "write a run manifest (provenance + final metrics/progress) to this file on a clean exit")

@@ -10,6 +10,7 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
@@ -134,10 +135,23 @@ type Outcome struct {
 // Secret is the value planted in the host for Evaluate runs.
 const Secret = "S3CR3T_K3Y"
 
+// machines is Evaluate's machine pool. Its callers (the defense and
+// variant matrices, the daemon's attack repetitions) hold no machine to
+// pass in, so a pool keeps the signature. An Outcome holds only values
+// and copied strings, so nothing returned references a pooled machine.
+var machines = sync.Pool{New: func() any { return new(vm.Machine) }}
+
 // Evaluate runs the attack chain under the posture with the given
 // attacker capabilities and reports the outcome. Deterministic under
 // seed.
 func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
+	m := machines.Get().(*vm.Machine)
+	defer machines.Put(m)
+	return evaluate(m, p, atk, seed)
+}
+
+// evaluate is Evaluate on m, which it resets to the state vm.New builds.
+func evaluate(m *vm.Machine, p Posture, atk Attacker, seed int64) (Outcome, error) {
 	host := mibench.Math(150)
 	hostMod, err := host.HostModule(rop.HostOptions{Canary: p.Canary, Secret: Secret})
 	if err != nil {
@@ -153,7 +167,7 @@ func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
 	cfg.CPU.FenceConditional = p.CSFencing
 	cfg.CPU.SpeculationEnabled = !p.NoSpeculation
 	cfg.CPU.DisableStoreBypass = p.SSBD
-	m := vm.New(cfg)
+	m.Reset(cfg)
 	m.Register("host", hostMod, 0x100000)
 	hostImg, err := m.Load("host")
 	if err != nil {

@@ -2,10 +2,12 @@ package defense
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/sched"
 	"repro/internal/spectre"
+	"repro/internal/vm"
 )
 
 // TestVariantMitigationMatrix is the PR's acceptance lattice: every
@@ -109,6 +111,52 @@ func TestEveryMitigationIsBypassable(t *testing.T) {
 		}
 		if !open {
 			t.Errorf("%s: claims to seal all variants — contradicts the defense-aware threat model", m)
+		}
+	}
+}
+
+// TestPooledEvaluateMatchesFresh runs every Matrix row and VariantMatrix
+// cell through the pooled Evaluate in reverse order from four workers,
+// so each machine is reset from another posture's or variant's run.
+// Every Outcome must equal the same run on a fresh machine. Under -race
+// the pool drops about a quarter of its Puts, so both paths run.
+func TestPooledEvaluateMatchesFresh(t *testing.T) {
+	const seed = 11
+	type run struct {
+		name string
+		p    Posture
+		a    Attacker
+	}
+	rows, err := Matrix(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []run
+	for _, r := range rows {
+		runs = append(runs, run{r.Name, r.Posture, r.Attacker})
+	}
+	for _, v := range MatrixVariants() {
+		for _, m := range Mitigations() {
+			runs = append(runs, run{fmt.Sprintf("%s under %s", v, m), m.Posture(), Attacker{Variant: v}})
+		}
+	}
+	want := make([]Outcome, len(runs))
+	for i, r := range runs {
+		if want[i], err = evaluate(new(vm.Machine), r.p, r.a, seed); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	n := len(runs)
+	got, err := sched.Map(context.Background(), 4, n, func(_ context.Context, i int) (Outcome, error) {
+		r := runs[n-1-i]
+		return Evaluate(r.p, r.a, seed)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range got {
+		if k := n - 1 - i; o != want[k] {
+			t.Errorf("%s: pooled machine %+v, fresh machine %+v", runs[k].name, o, want[k])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cpu"
@@ -69,12 +70,15 @@ func (r Result) Clean() bool { return r.Div == nil }
 // with identical entry PC and SP; RunProgram does this from a
 // progen.Program.
 func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
-	// Dirty-page tracking: both memories report stores into a shared
-	// per-step page set (plus an all-run set for the final sweep).
-	stepPages := map[uint64]struct{}{}
+	// Dirty-page tracking: both memories report stores into one sorted
+	// list of the step's distinct pages, which compareState walks in
+	// ascending order so a divergence's reasons read the same every run.
+	var stepPages []uint64
 	mark := func(addr uint64, n int) {
 		for pg := addr / mem.PageSize; pg <= (addr+uint64(n)-1)/mem.PageSize; pg++ {
-			stepPages[pg] = struct{}{}
+			if i, found := slices.BinarySearch(stepPages, pg); !found {
+				stepPages = slices.Insert(stepPages, i, pg)
+			}
 		}
 	}
 	c.Mem.OnWrite = mark
@@ -96,7 +100,7 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 		}
 		pc := c.PC
 		now = c.Cycle
-		clear(stepPages)
+		stepPages = stepPages[:0]
 
 		errC := c.Step()
 		errO := o.Step()
@@ -135,7 +139,7 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 }
 
 // compareState checks the per-retire architectural contract.
-func compareState(c *cpu.CPU, o *Machine, pages map[uint64]struct{}) []string {
+func compareState(c *cpu.CPU, o *Machine, pages []uint64) []string {
 	var reasons []string
 	if c.PC != o.PC {
 		reasons = append(reasons, fmt.Sprintf("PC: core=%#x oracle=%#x", c.PC, o.PC))
@@ -153,7 +157,7 @@ func compareState(c *cpu.CPU, o *Machine, pages map[uint64]struct{}) []string {
 		reasons = append(reasons, fmt.Sprintf("flags: core=(z=%v lt=%v b=%v) oracle=(z=%v lt=%v b=%v)",
 			cz, clt, cb, o.FlagZ, o.FlagLT, o.FlagB))
 	}
-	for pg := range pages {
+	for _, pg := range pages {
 		if r := comparePage(c, o, pg); r != "" {
 			reasons = append(reasons, r)
 		}
@@ -237,26 +241,32 @@ func faultKey(err error) (pc uint64, key string) {
 	return pc, msg
 }
 
-// RunProgram builds the optimized core and the reference machine over two
-// identically initialized private memories for p and lock-steps them to
-// completion. This is difftest's per-program kernel; cfg selects the
+// RunProgram sets up the optimized core and the reference machine over
+// two identically initialized private memories for p and lock-steps them
+// to completion. This is difftest's per-program kernel; cfg selects the
 // micro-architectural posture under test (speculation on/off, InvisiSpec,
 // fencing, noise...), none of which may change architectural results.
+// The machines are a pooled rig's, reset to the state fresh ones start
+// in; pre's arguments are valid only until RunProgram returns.
 func RunProgram(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) (Result, error) {
-	mc, err := p.NewMem()
+	r := rigs.Get().(*rig)
+	defer rigs.Put(r)
+	return r.runProgram(p, cfg, maxInstr, pre)
+}
+
+// runProgram is RunProgram on r's machines.
+func (r *rig) runProgram(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) (Result, error) {
+	mc, err := r.load(0, p)
 	if err != nil {
 		return Result{}, fmt.Errorf("oracle: core memory: %w", err)
 	}
-	mo, err := p.NewMem()
+	mo, err := r.load(1, p)
 	if err != nil {
 		return Result{}, fmt.Errorf("oracle: oracle memory: %w", err)
 	}
-	c := cpu.New(mc, cfg)
-	c.PC = p.CodeBase
-	c.Regs[isa.RegSP] = p.StackTop
-	o := New(mo)
-	o.PC = p.CodeBase
+	c := r.core(0, mc, cfg, p)
+	o := &r.ref
+	*o = Machine{Mem: mo, PC: p.CodeBase, PrivilegedFlush: cfg.PrivilegedFlush}
 	o.Regs[isa.RegSP] = p.StackTop
-	o.PrivilegedFlush = cfg.PrivilegedFlush
 	return Lockstep(c, o, maxInstr, pre), nil
 }

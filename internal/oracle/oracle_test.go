@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -213,6 +214,47 @@ func TestLockstepDetectsRegisterDivergence(t *testing.T) {
 	}
 	if res.Div.Step != 2 {
 		t.Fatalf("divergence at step %d, want 2:\n%v", res.Div.Step, res.Div)
+	}
+}
+
+// TestDivergenceReasonsInPageOrder: when one step dirties two pages that
+// both differ, the reasons name them in ascending page order on every
+// run, so difftest's repro report and Minimize's output repeat exactly.
+func TestDivergenceReasonsInPageOrder(t *testing.T) {
+	p, err := progen.Craft([]isa.Instruction{
+		{Op: isa.MOVI, Rd: 10, Imm: progen.DataBase},
+		{Op: isa.MOVI, Rd: 1, Imm: 0x1122334455667788},
+		{Op: isa.STORE, Rs1: 10, Rs2: 1, Imm: mem.PageSize - 4}, // straddles both data pages
+		{Op: isa.HALT},
+	}, make([]byte, 2*mem.PageSize), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := func(step uint64, _ *cpu.CPU, o *oracle.Machine) {
+		if step == 2 {
+			_ = o.Mem.LoadRaw(progen.DataBase+8, []byte{0xEE})
+			_ = o.Mem.LoadRaw(progen.DataBase+mem.PageSize+64, []byte{0xEE})
+		}
+	}
+	var first string
+	for i := 0; i < 64; i++ {
+		res, err := oracle.RunProgram(p, cpu.DefaultConfig(), testBudget, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Clean() || len(res.Div.Reasons) != 2 {
+			t.Fatalf("want a divergence on both pages, got %+v", res)
+		}
+		text := res.Div.String()
+		if i == 0 {
+			first = text
+			lo, hi := strings.Index(text, "(page 0x40)"), strings.Index(text, "(page 0x41)")
+			if lo < 0 || hi < lo {
+				t.Fatalf("pages not in ascending order:\n%s", text)
+			}
+		} else if text != first {
+			t.Fatalf("run %d reads differently:\n%s\nfirst run:\n%s", i, text, first)
+		}
 	}
 }
 

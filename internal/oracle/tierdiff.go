@@ -48,28 +48,33 @@ func (r TierResult) Clean() bool { return r.Div == nil }
 // block tier retires exactly its budget unless it halts or faults, so
 // both sides stay aligned), letting a divergence be localized to a slice
 // without paying a per-instruction Run call. sliceInstr == 0 picks a
-// default that exercises block re-entry across slice boundaries.
+// default that exercises block re-entry across slice boundaries. Like
+// RunProgram's, the cores are a pooled rig's, and pre's arguments are
+// valid only until RunTierDiff returns.
 func RunTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (TierResult, error) {
+	r := rigs.Get().(*rig)
+	defer rigs.Put(r)
+	return r.runTierDiff(p, cfg, maxInstr, sliceInstr, pre)
+}
+
+// runTierDiff is RunTierDiff on r's cores.
+func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (TierResult, error) {
 	if sliceInstr == 0 {
 		sliceInstr = 257 // prime: slice edges drift across block boundaries
 	}
-	mb, err := p.NewMem()
+	mb, err := r.load(0, p)
 	if err != nil {
 		return TierResult{}, fmt.Errorf("oracle: block-tier memory: %w", err)
 	}
-	ms, err := p.NewMem()
+	ms, err := r.load(1, p)
 	if err != nil {
 		return TierResult{}, fmt.Errorf("oracle: single-step memory: %w", err)
 	}
 	cfgB, cfgS := cfg, cfg
 	cfgB.NoBlocks = false
 	cfgS.NoBlocks = true
-	cb := cpu.New(mb, cfgB)
-	cs := cpu.New(ms, cfgS)
-	for _, c := range []*cpu.CPU{cb, cs} {
-		c.PC = p.CodeBase
-		c.Regs[isa.RegSP] = p.StackTop
-	}
+	cb := r.core(0, mb, cfgB, p)
+	cs := r.core(1, ms, cfgS, p)
 
 	var res TierResult
 	for slice := uint64(0); res.Steps < maxInstr; slice++ {
