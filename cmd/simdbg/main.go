@@ -231,9 +231,6 @@ func dumpBlocks(w io.Writer, d *debug.Debugger, c *cpu.CPU) {
 	sort.SliceStable(infos, func(i, j int) bool { return infos[i].Hits > infos[j].Hits })
 	for _, b := range infos {
 		tags := ""
-		if b.Fused {
-			tags += " fused"
-		}
 		if !b.Valid {
 			tags += " stale"
 		}

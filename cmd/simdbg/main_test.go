@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
 
@@ -68,6 +70,35 @@ func TestRunStopsOnBudget(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "\nstopped: ") || !strings.Contains(out.String(), "call stack") {
 		t.Errorf("stop not dumped:\n%s", out.String())
+	}
+}
+
+// TestRunBlocksDump drives the -blocks session: the dump opens with the
+// block-cache header, the math workload compiled blocks, and its loops
+// exit through conditional branches, printed by mnemonic.
+func TestRunBlocksDump(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-host", "math", "-blocks"}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	text := out.String()
+	var compiled int
+	_, header, ok := strings.Cut(text, "\nblock cache: ")
+	if !ok {
+		t.Fatalf("no block cache header:\n%s", text)
+	}
+	if _, err := fmt.Sscanf(header, "%d compiled", &compiled); err != nil || compiled == 0 {
+		t.Errorf("block cache header %q: %d compiled (%v)", strings.SplitN(header, "\n", 2)[0], compiled, err)
+	}
+	var cond bool
+	for _, line := range strings.Split(text, "\n") {
+		if _, rest, ok := strings.Cut(line, " exit "); ok {
+			op, known := isa.OpByName(strings.Fields(rest)[0])
+			cond = cond || known && op.IsCondBranch()
+		}
+	}
+	if !cond {
+		t.Errorf("no block exits through a conditional branch:\n%s", text)
 	}
 }
 

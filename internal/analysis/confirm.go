@@ -160,13 +160,9 @@ func (c Confirmation) String() string {
 		c.Seed, c.Kind, c.Expect, c.StaticLeak, c.Confirmed)
 }
 
-// CheckConfirm generates the gadget program for (seed, kind), runs the
+// checkConfirm generates the gadget program for (seed, kind), runs the
 // static analyzer and the forced-speculation confirmation, and returns
 // the comparison.
-func CheckConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Confirmation, error) {
-	return new(gadgetMachine).checkConfirm(seed, kind, cfg, maxInstr)
-}
-
 func (g *gadgetMachine) checkConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Confirmation, error) {
 	p, meta := progen.GenerateGadget(seed, kind)
 	rep := AnalyzeGadget(p, meta)

@@ -37,7 +37,7 @@ var ErrProbeRingOverflow = errors.New("analysis: confirmation run overflowed the
 // hit its budget. A machine is not safe for concurrent use; the soaks and
 // ScanCorpus give each sched worker its own through sched.MapLocal.
 type gadgetMachine struct {
-	mem *mem.Memory
+	mem mem.Memory
 	cpu *cpu.CPU
 	rec *telemetry.Recorder
 }
@@ -48,21 +48,17 @@ type gadgetMachine struct {
 // The halted core and its recorder stay available for inspection until
 // the next run.
 func (g *gadgetMachine) run(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64, secret byte, probe bool) error {
-	if g.mem == nil || g.mem.Size() != p.MemSize {
-		g.mem = mem.New(p.MemSize)
-	} else {
-		g.mem.Reset()
-	}
-	if err := p.LoadInto(g.mem); err != nil {
+	g.mem.Reset(p.MemSize)
+	if err := p.LoadInto(&g.mem); err != nil {
 		return err
 	}
 	if err := g.mem.LoadRaw(meta.SecretAddr, []byte{secret}); err != nil {
 		return err
 	}
 	if g.cpu == nil {
-		g.cpu = cpu.New(g.mem, cfg)
+		g.cpu = cpu.New(&g.mem, cfg)
 	} else {
-		g.cpu.Reset(g.mem, cfg)
+		g.cpu.Reset(&g.mem, cfg)
 	}
 	c := g.cpu
 	if probe {
@@ -156,13 +152,9 @@ func SoakAgreement(ctx context.Context, seed int64, n, workers int, cfg cpu.Conf
 	})
 }
 
-// CheckAgreement generates the gadget program for (seed, kind), runs
+// checkAgreement generates the gadget program for (seed, kind), runs
 // both the analyzer and the simulator, and returns the comparison — the
-// core step of TestStaticDynamicAgreement and speclint's soak mode.
-func CheckAgreement(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Agreement, error) {
-	return new(gadgetMachine).checkAgreement(seed, kind, cfg, maxInstr)
-}
-
+// step SoakAgreement runs per program.
 func (g *gadgetMachine) checkAgreement(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Agreement, error) {
 	p, meta := progen.GenerateGadget(seed, kind)
 	rep := AnalyzeGadget(p, meta)

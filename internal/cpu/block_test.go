@@ -11,7 +11,8 @@ import (
 
 // TestBlockTierEngages: the default core must actually run the
 // arithmetic loop through the block cache — compiled blocks, cache hits,
-// a fused CMP+Jcc exit — and still retire the same answer.
+// the loop body compiled with its CMPI and JNE exit — and still retire
+// the same answer.
 func TestBlockTierEngages(t *testing.T) {
 	src := `
 		movi r1, 1000
@@ -32,17 +33,17 @@ func TestBlockTierEngages(t *testing.T) {
 	if st.Compiled == 0 || st.Hits == 0 {
 		t.Fatalf("block tier did not engage: %+v", st)
 	}
-	var fused bool
+	var loopExit bool
 	for _, b := range c.Blocks() {
-		if b.Fused {
-			fused = true
+		if b.Exit == "jne" {
+			loopExit = true
 			if b.Instrs < 2 {
-				t.Errorf("fused block retires %d instructions, want >= 2", b.Instrs)
+				t.Errorf("jne block retires %d instructions, want >= 2", b.Instrs)
 			}
 		}
 	}
-	if !fused {
-		t.Errorf("loop exit was not compiled as a fused CMP+Jcc: %+v", c.Blocks())
+	if !loopExit {
+		t.Errorf("no block exits through the loop's jne: %+v", c.Blocks())
 	}
 
 	// Step() must stay on the single-step interpreter: a freshly loaded
@@ -269,7 +270,7 @@ func TestBlockChaining(t *testing.T) {
 	if hot == nil {
 		t.Fatalf("no hot block in %+v", blocks)
 	}
-	if !hot.Valid || !hot.Fused || hot.Exit != "cmp+cond" {
+	if !hot.Valid || hot.Exit != "jne" {
 		t.Errorf("hot loop block mis-described: %+v", *hot)
 	}
 }
@@ -427,14 +428,33 @@ func TestBlockBudgetExactness(t *testing.T) {
 	}
 }
 
-// TestBlockKindLabels pins the BlockInfo exit labels the simdbg -blocks
-// dump prints.
-func TestBlockKindLabels(t *testing.T) {
-	kinds := []blockKind{termNone, termJmp, termCond, termFused, termCall,
-		termCallr, termJmpr, termRet, termHalt, termUncompilable}
-	for _, k := range kinds {
-		if s := k.String(); s == "" || s == "?" {
-			t.Errorf("blockKind %d has no label", k)
+// TestBlockExitLabels pins the BlockInfo exit labels the simdbg -blocks
+// dump prints: an exit's mnemonic, "fallthrough" for a body that ends
+// before a barrier, and "uncompilable" for the barrier's negative entry.
+func TestBlockExitLabels(t *testing.T) {
+	c, _ := load(t, `
+		movi r1, 3
+	loop:
+		subi r1, r1, 1
+		lfence
+		cmpi r1, 0
+		jne loop
+		call f
+		halt
+	f:
+		ret
+	`, DefaultConfig())
+	mustRun(t, c, 1000)
+	seen := map[string]bool{}
+	for _, b := range c.Blocks() {
+		seen[b.Exit] = true
+		if (b.Exit == "uncompilable") != (b.Instrs == 0) {
+			t.Errorf("block %#x: exit %q with %d instrs", b.StartPC, b.Exit, b.Instrs)
+		}
+	}
+	for _, exit := range []string{"fallthrough", "uncompilable", "jne", "call", "ret", "halt"} {
+		if !seen[exit] {
+			t.Errorf("no block labelled %q: %+v", exit, c.Blocks())
 		}
 	}
 }

@@ -1,30 +1,34 @@
 // The block-compilation tier: straight-line guest regions are translated
-// once into host-side superblocks — pre-decoded instruction vectors with
-// a classified exit — and executed by a dispatch loop (blockexec.go) that
-// pays the fetch/decode, PC-maintenance and budget-check costs per
-// *block* instead of per instruction. Like the predecode cache
-// underneath it, the tier is a host optimization, not a modelled
-// structure: a block's body and exit run through the same retire kernel
-// as Step, so Cycle, the PMU counters, speculation episodes, the store
-// buffer and the predictors are byte-for-byte those of the single-step
-// tier (oracle.RunTierDiff and the difftest ring pin this down, Snapshot
-// field by Snapshot field).
+// once into host-side superblocks — pre-decoded instruction vectors,
+// optionally ending in one exit — and executed by a dispatch loop
+// (blockexec.go) that pays the fetch/decode, PC-maintenance and
+// budget-check costs per *block* instead of per instruction. The tier is
+// a host optimization, not a modelled structure: a block's body and exit
+// run through the same retire kernel as Step, so Cycle, the PMU counters,
+// speculation episodes, the store buffer and the predictors are
+// byte-for-byte those of the single-step tier (oracle.RunTierDiff and the
+// difftest ring pin this down, Snapshot field by Snapshot field).
 //
-// Coherence reuses the memory's per-page write generations exactly like
-// predecode slots: a block records the generation of every page its
-// bytes span (at most two — blocks are ≤ maxBlockOps instructions and
-// InstrSize divides PageSize) and is served only while both are
-// unchanged. A moved generation triggers byte-revalidation — the bytes
-// were already proven canonical, so an equal compare refreshes the
-// generations — and otherwise recompilation. Stores executed *inside* a
-// block re-check its own pages before the next cached decode is used, so
-// RWX self-modifying code falls back cleanly mid-block (the kernel in
-// exec.go).
+// compileBlock decodes guest bytes itself (mem.FetchNoCopy, isa.Decode)
+// and routes each instruction by its op-table class, the same two tests
+// step uses: a control transfer or HALT (opClass.terminates) is the
+// block's exit, and a speculation barrier (opClass.barrier:
+// MFENCE/LFENCE/SYSCALL) never enters a block — it ends the body before
+// it and retires through Step, as does everything when an OnRetire
+// observer is attached. A block therefore either ends in an exit or falls
+// through to the instruction after its body. Telemetry-enabled runs stay
+// on the block tier — the kernel carries every hook site.
 //
-// Blocks never contain speculation barriers (MFENCE/LFENCE/SYSCALL):
-// those retire through Step, as does everything when an OnRetire
-// observer is attached. Telemetry-enabled runs stay on the block tier —
-// the kernel carries every hook site.
+// The one thing the tier shares with the predecode cache (predecode.go)
+// is its coherence rule: a block records the write generation of every
+// page its bytes span (at most two — blocks are ≤
+// maxBlockOps instructions and InstrSize divides PageSize) and is served
+// only while both are unchanged. A moved generation triggers
+// byte-revalidation — the bytes were already proven canonical, so an
+// equal compare refreshes the generations — and otherwise recompilation.
+// Stores executed *inside* a block re-check its own pages before the next
+// cached decode is used, so RWX self-modifying code falls back cleanly
+// mid-block (the kernel in exec.go).
 package cpu
 
 import (
@@ -44,43 +48,18 @@ const (
 	maxBlockOps = 32
 )
 
-// blockKind classifies a compiled block's exit.
-type blockKind uint8
-
-const (
-	// termNone: no terminator compiled — the block ends because the next
-	// instruction is a speculation barrier, undecodable, on an unfetchable
-	// page, or the body hit maxBlockOps. Execution falls through to endPC
-	// and the outer loop (or Step) takes over.
-	termNone blockKind = iota
-	termJmp
-	termCond
-	// termFused: a conditional exit whose flags come from the CMP/CMPI
-	// that ends the body. The pair retires back to back with no dispatch
-	// between them; the compare is an ordinary body instruction, so the
-	// horizon can still stop the core between the two.
-	termFused
-	termCall
-	termCallr
-	termJmpr
-	termRet
-	termHalt
-	// termUncompilable is a negative entry: the first instruction at
-	// startPC cannot live in a block (barrier or undecodable bytes). It
-	// exists so hot fence/syscall sites don't pay a failed compile per
-	// visit; the slot revalidates by generation like any other block.
-	termUncompilable
-)
-
 // block is one compiled superblock. body holds the straight-line
-// instructions; term the classified exit (when kind is a terminator
-// kind).
+// instructions and term the exit, which the block has when nretire >
+// len(body). A block with nretire == 0 is a negative entry: the
+// instruction at startPC cannot live in a block (a barrier or
+// undecodable bytes), and the entry exists so hot fence/syscall sites
+// don't pay a failed compile per visit; it revalidates by generation
+// like any other block.
 type block struct {
 	startPC uint64
 	endPC   uint64 // fall-through PC after the last compiled instruction
 	body    []isa.Instruction
 	term    isa.Instruction
-	kind    blockKind
 	nretire int // architectural instructions a full execution retires
 
 	// Pages spanned by the block's bytes and their write generations at
@@ -97,30 +76,10 @@ type block struct {
 	hits uint64
 }
 
-// termKindOf classifies a terminator opcode (op.IsBlockTerminator()).
-func termKindOf(op isa.Op) blockKind {
-	switch {
-	case op == isa.JMP:
-		return termJmp
-	case op.IsCondBranch():
-		return termCond
-	case op == isa.CALL:
-		return termCall
-	case op == isa.CALLR:
-		return termCallr
-	case op == isa.JMPR:
-		return termJmpr
-	case op == isa.RET:
-		return termRet
-	default: // HALT
-		return termHalt
-	}
-}
-
 // compileBlock translates the straight-line region at pc. It returns nil
 // when pc is unaligned or unfetchable (the single-step path will fault
 // with the exact architectural error); otherwise it always returns a
-// block — possibly a termUncompilable negative entry.
+// block — possibly a negative entry.
 func (c *CPU) compileBlock(pc uint64) *block {
 	if pc%isa.InstrSize != 0 {
 		// Corrupted control flow: only aligned PCs are block-compiled.
@@ -142,7 +101,7 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	p := pc
 	for {
 		in, derr := isa.Decode(raw)
-		if derr != nil || in.Op.IsSpecBarrier() {
+		if derr != nil || opTab[in.Op].class.barrier() {
 			break // retired by Step
 		}
 		if pg := p / mem.PageSize; pg != b.pg0 {
@@ -150,8 +109,8 @@ func (c *CPU) compileBlock(pc uint64) *block {
 		}
 		copy(code[p-pc:], raw)
 		p += isa.InstrSize
-		if in.Op.IsBlockTerminator() {
-			b.term, b.kind = in, termKindOf(in.Op)
+		if opTab[in.Op].class.terminates() {
+			b.term = in
 			break
 		}
 		body[nbody] = in
@@ -169,19 +128,8 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	if p > pc {
 		b.raw = append([]byte(nil), code[:p-pc]...)
 	}
-
-	if b.kind == termCond && len(b.body) > 0 && b.body[len(b.body)-1].Op.SetsFlags() {
-		b.kind = termFused
-	}
-	b.nretire = len(b.body)
-	switch b.kind {
-	case termNone:
-		if b.nretire == 0 {
-			b.kind = termUncompilable
-		}
-	default:
-		b.nretire++
-	}
+	// Every compiled instruction, body and exit alike, copied its bytes.
+	b.nretire = int(p-pc) / isa.InstrSize
 	return b
 }
 
@@ -278,11 +226,13 @@ func (c *CPU) BlockStats() BlockStats {
 type BlockInfo struct {
 	StartPC uint64
 	EndPC   uint64
-	Instrs  int  // architectural instructions retired by a full execution
-	Fused   bool // CMP/CMPI feeding the conditional exit
-	Exit    string
-	Hits    uint64
-	Valid   bool // generations current at inspection time
+	Instrs  int // architectural instructions retired by a full execution
+	// Exit is the exit's mnemonic (e.g. "jne"), "fallthrough" for a
+	// block that ends without one, or "uncompilable" for a negative
+	// entry.
+	Exit  string
+	Hits  uint64
+	Valid bool // generations current at inspection time
 }
 
 // Blocks snapshots the live block cache, ordered by StartPC. Negative
@@ -293,12 +243,18 @@ func (c *CPU) Blocks() []BlockInfo {
 		if b == nil {
 			continue
 		}
+		exit := "fallthrough"
+		switch {
+		case b.nretire == 0:
+			exit = "uncompilable"
+		case b.nretire > len(b.body):
+			exit = b.term.Op.String()
+		}
 		out = append(out, BlockInfo{
 			StartPC: b.startPC,
 			EndPC:   b.endPC,
 			Instrs:  b.nretire,
-			Fused:   b.kind == termFused,
-			Exit:    b.kind.String(),
+			Exit:    exit,
 			Hits:    b.hits,
 			Valid:   c.genTab[b.pg0] == b.gen0 && c.genTab[b.pg1] == b.gen1,
 		})
@@ -309,30 +265,4 @@ func (c *CPU) Blocks() []BlockInfo {
 		}
 	}
 	return out
-}
-
-func (k blockKind) String() string {
-	switch k {
-	case termNone:
-		return "fallthrough"
-	case termJmp:
-		return "jmp"
-	case termCond:
-		return "cond"
-	case termFused:
-		return "cmp+cond"
-	case termCall:
-		return "call"
-	case termCallr:
-		return "callr"
-	case termJmpr:
-		return "jmpr"
-	case termRet:
-		return "ret"
-	case termHalt:
-		return "halt"
-	case termUncompilable:
-		return "uncompilable"
-	}
-	return "?"
 }

@@ -6,11 +6,12 @@
 // one definition of every opcode's semantics and timing. What is
 // specific to this tier is the glue around the kernel: the lazy PC/Cycle
 // sync across a whole body, successor chaining, mid-block
-// self-modification and the cycle horizon (which can split a fused
-// compare+branch exit). oracle.RunTierDiff, FuzzBlockCompile and the
-// difftest ring guard that glue — the tier's contract is "same machine":
-// Cycle, stallCycles and every PMU counter match the single-step tier bit
-// for bit (golden figure CSVs difference them).
+// self-modification and the cycle horizon (which can stop the core
+// between a body's last instruction and the exit). oracle.RunTierDiff,
+// FuzzBlockCompile and the difftest ring guard that glue — the tier's
+// contract is "same machine": Cycle, stallCycles and every PMU counter
+// match the single-step tier bit for bit (golden figure CSVs difference
+// them).
 package cpu
 
 import "repro/internal/isa"
@@ -59,7 +60,7 @@ func (c *CPU) runBlocks(maxInstr uint64) error {
 			continue
 		}
 		var term *isa.Instruction
-		if b.kind != termNone {
+		if b.nretire > len(b.body) {
 			term = &b.term
 		}
 		n, err := c.retire(b.body, term, b)

@@ -144,7 +144,7 @@ func FuzzResetEquivalence(f *testing.F) {
 			countsA = recA.Counts()
 		}
 
-		m.Reset()
+		m.Reset(m.Size())
 		if err := pb.LoadInto(m); err != nil {
 			t.Fatal(err)
 		}

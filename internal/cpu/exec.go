@@ -52,7 +52,7 @@ func (c *CPU) step() error {
 	switch cls := opTab[one[0].Op].class; {
 	case cls.terminates():
 		_, err = c.retire(nil, &one[0], nil)
-	case cls == clsFence || cls == clsSyscall:
+	case cls.barrier():
 		if err = c.serialize(one[0]); err != nil {
 			return &Fault{PC: c.PC, Err: err}
 		}
@@ -198,9 +198,8 @@ func (c *CPU) next() uint64 { return c.PC + isa.InstrSize }
 // revalidates or recompiles; b is nil for Step, whose body has no
 // further decodes to distrust), and at a fault, with the faulting
 // instruction not retired. body never holds a control-flow instruction
-// or a speculation barrier: compileBlock and Step route those by their
-// op-table class, and TestOpcodeMatrixCoversISA holds the table to the
-// isa package's classification.
+// or a speculation barrier: compileBlock and Step route those by the
+// same two op-table class tests, terminates and barrier.
 //
 // Every telEmit below is dominated by telOn, the c.tel != nil guard
 // hoisted once per call — an idiom the vet pass cannot trace. The
@@ -767,6 +766,10 @@ const (
 // terminates reports whether the class ends a block: a control-flow
 // instruction, retired as the kernel's exit.
 func (k opClass) terminates() bool { return k >= clsHalt && k <= clsRet }
+
+// barrier reports whether the class is a speculation barrier, which step
+// retires by itself and no block holds.
+func (k opClass) barrier() bool { return k == clsFence || k == clsSyscall }
 
 // opInfo is everything the execution paths need to know about an opcode
 // beyond its operands.

@@ -74,7 +74,7 @@ var neutralPaths = []struct {
 			t.Fatalf("first run: %v, want the budget", err)
 		}
 		m := c.Mem
-		m.Reset()
+		m.Reset(m.Size())
 		img := loadImage(t, m, specSrc)
 		c.Reset(m, DefaultConfig())
 		if rec != nil {

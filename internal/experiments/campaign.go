@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -134,7 +135,8 @@ func RunCampaign(cfg Config, spec CampaignSpec, stdout io.Writer, csvdir string)
 }
 
 // writeCSV writes one section's CSV to path, creating its directory,
-// and reports the path on stdout.
+// and reports the path on stdout. The emitters return no write errors,
+// so they write through a buffer whose Flush reports the first one.
 func writeCSV(stdout io.Writer, path string, emit func(io.Writer)) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("experiments: %w", err)
@@ -143,8 +145,13 @@ func writeCSV(stdout io.Writer, path string, emit func(io.Writer)) error {
 	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	emit(f)
-	if err := f.Close(); err != nil {
+	w := bufio.NewWriter(f)
+	emit(w)
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	fmt.Fprintf(stdout, "wrote %s\n", path)

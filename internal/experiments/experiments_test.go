@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -595,5 +597,18 @@ func TestCRSamplesCarryInjectionSignature(t *testing.T) {
 	}
 	if cr.Machine.CPU.BP.Stats.ReturnMispred < 2 {
 		t.Errorf("CR run recorded only %d return mispredictions", cr.Machine.CPU.BP.Stats.ReturnMispred)
+	}
+}
+
+// TestWriteCSVReportsWriteErrors: a CSV whose every write fails is an
+// error, and no "wrote" line claims it.
+func TestWriteCSVReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	var out strings.Builder
+	err := writeCSV(&out, "/dev/full", func(w io.Writer) { Table1CSV(w, []Table1Row{{Benchmark: "math"}}) })
+	if err == nil || out.Len() != 0 {
+		t.Errorf("writeCSV to /dev/full = %v, stdout %q; want an error and no wrote line", err, out.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/mem"
 )
@@ -155,16 +154,6 @@ func (m *Module) NumInstructions() int { return len(m.code) }
 
 // DataSize returns the size of the module's data section in bytes.
 func (m *Module) DataSize() int { return int(m.dataSize) }
-
-// SymbolNames returns all symbol names in sorted order.
-func (m *Module) SymbolNames() []string {
-	names := make([]string, 0, len(m.symbols))
-	for n := range m.symbols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Symbol returns the absolute address of a linked symbol.
 func (img *Image) Symbol(name string) (uint64, bool) {

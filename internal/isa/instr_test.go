@@ -154,12 +154,6 @@ func TestOpPredicates(t *testing.T) {
 			t.Errorf("%s should be a branch", op)
 		}
 	}
-	if !LOAD.IsLoad() || !POP.IsLoad() || !RET.IsLoad() {
-		t.Error("LOAD/POP/RET read memory")
-	}
-	if !STORE.IsStore() || !PUSH.IsStore() || !CALL.IsStore() {
-		t.Error("STORE/PUSH/CALL write memory")
-	}
 }
 
 func TestOpByName(t *testing.T) {

@@ -210,34 +210,3 @@ func (op Op) IsCondBranch() bool { return op >= JE && op <= JAE }
 func (op Op) IsBranch() bool {
 	return op == JMP || op == JMPR || op == CALL || op == CALLR || op == RET || op.IsCondBranch()
 }
-
-// IsLoad reports whether op reads data memory.
-func (op Op) IsLoad() bool { return op == LOAD || op == LOADB || op == POP || op == RET }
-
-// IsStore reports whether op writes data memory.
-func (op Op) IsStore() bool {
-	return op == STORE || op == STOREB || op == PUSH || op == CALL || op == CALLR
-}
-
-// SetsFlags reports whether op writes the comparison flags (NZCV
-// equivalents: zero / signed-less / unsigned-below).
-func (op Op) SetsFlags() bool { return op == CMP || op == CMPI }
-
-// ReadsFlags reports whether op consumes the comparison flags. Only the
-// conditional branches do: flag production (CMP/CMPI) can therefore be
-// deferred to the consuming branch — the fusion the CPU's block compiler
-// performs.
-func (op Op) ReadsFlags() bool { return op.IsCondBranch() }
-
-// IsSpecBarrier reports whether op ends a wrong-path speculation episode
-// (and, for the block compiler, must be executed by the single-step
-// interpreter: fences drain the scoreboard and SYSCALL escapes to the
-// host handler, which may remap memory under a running block).
-func (op Op) IsSpecBarrier() bool {
-	return op == MFENCE || op == LFENCE || op == SYSCALL
-}
-
-// IsBlockTerminator reports whether op ends a straight-line superblock:
-// every control transfer plus HALT. Non-terminator, non-barrier ops are
-// safe to fuse into a compiled block body.
-func (op Op) IsBlockTerminator() bool { return op == HALT || op.IsBranch() }

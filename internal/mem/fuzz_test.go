@@ -419,7 +419,7 @@ func FuzzMemory(f *testing.F) {
 				// A reset memory is a new one: all zero, unmapped,
 				// generation zero, unobserved. Its recycled pages must
 				// come back zeroed when later stores back them again.
-				m.Reset()
+				m.Reset(m.Size())
 				if m.OnWrite != nil {
 					t.Fatal("Reset kept the OnWrite observer")
 				}

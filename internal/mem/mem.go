@@ -107,21 +107,20 @@ var zeroPage [PageSize]byte
 // New creates a memory of the given size (rounded up to a whole number of
 // pages). All pages start unmapped (no permissions) and unbacked (zero).
 func New(size uint64) *Memory {
-	pages := (size + PageSize - 1) / PageSize
-	return &Memory{
-		pages: make([]*[PageSize]byte, pages),
-		perms: make([]Perm, pages),
-		gen:   make([]uint64, pages),
-	}
+	m := new(Memory)
+	m.Reset(size)
+	return m
 }
 
-// Reset returns the memory to the state New built it in: every page
+// Reset returns the memory to the state New(size) builds: every page
 // unbacked and unmapped, every write generation zero, and no OnWrite
-// observer. The backing arrays are zeroed and kept on a free list that
-// later first writes draw from, so a memory reused for program after
-// program stops allocating pages once it has backed as many as one
-// program needs.
-func (m *Memory) Reset() {
+// observer. The page tables are kept when size needs as many pages as the
+// memory has, and rebuilt otherwise. Either way the backing arrays are
+// zeroed and kept on a free list that later first writes draw from, so a
+// memory reused for program after program stops allocating pages once it
+// has backed as many as one program needs. A zero Memory is ready to be
+// Reset, so an owner can hold one by value.
+func (m *Memory) Reset(size uint64) {
 	for pg, p := range m.pages {
 		if p != nil {
 			clear(p[:])
@@ -129,8 +128,14 @@ func (m *Memory) Reset() {
 			m.pages[pg] = nil
 		}
 	}
-	clear(m.perms)
-	clear(m.gen)
+	if pages := (size + PageSize - 1) / PageSize; uint64(len(m.pages)) != pages {
+		m.pages = make([]*[PageSize]byte, pages)
+		m.perms = make([]Perm, pages)
+		m.gen = make([]uint64, pages)
+	} else {
+		clear(m.perms)
+		clear(m.gen)
+	}
 	m.OnWrite = nil
 }
 

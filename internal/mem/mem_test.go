@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,7 +202,7 @@ func zerosStayUnbacked(t *testing.T, zeros func(m *Memory, addr, n uint64) error
 		}
 	}
 
-	m.Reset()
+	m.Reset(m.Size())
 	for pg := range m.pages {
 		if m.pages[pg] != nil || m.gen[pg] != 0 {
 			t.Fatalf("page %d backed or at a nonzero generation after Reset", pg)
@@ -221,6 +222,48 @@ func zerosStayUnbacked(t *testing.T, zeros func(m *Memory, addr, n uint64) error
 	want[PageSize+1] = 1
 	if !bytes.Equal(all, want) {
 		t.Error("a page released by Reset came back dirty")
+	}
+}
+
+// TestResetResizesLikeNew: Reset(size) leaves a used memory in the state
+// New(size) builds, whether size shrinks it, grows it back or keeps its
+// page count: the same Size, permissions, generations and (no) backing.
+// A kept page count keeps the tables, and pages backed before any resize
+// are reused from the free list.
+func TestResetResizesLikeNew(t *testing.T) {
+	dirty := func(m *Memory) {
+		t.Helper()
+		if err := m.Protect(0, m.Size(), PermRWX); err != nil {
+			t.Fatal(err)
+		}
+		for addr := uint64(1); addr < m.Size(); addr += PageSize {
+			if err := m.Write8(addr, 0xAB); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.OnWrite = func(uint64, int) {}
+	}
+	m := New(8 * PageSize)
+	for _, size := range []uint64{3*PageSize + 1, 8 * PageSize, 8*PageSize - 100} {
+		dirty(m)
+		perms := &m.perms[0]
+		m.Reset(size)
+		want := New(size)
+		if m.Size() != want.Size() {
+			t.Fatalf("Reset(%d): Size %d, New's %d", size, m.Size(), want.Size())
+		}
+		if !slices.Equal(m.perms, want.perms) || !slices.Equal(m.gen, want.gen) {
+			t.Errorf("Reset(%d): perms %v gens %v, New's %v %v", size, m.perms, m.gen, want.perms, want.gen)
+		}
+		if slices.ContainsFunc(m.pages, func(p *[PageSize]byte) bool { return p != nil }) || m.OnWrite != nil {
+			t.Errorf("Reset(%d) left a page backed or the OnWrite observer set", size)
+		}
+		if kept := &m.perms[0] == perms; kept != (size == 8*PageSize-100) {
+			t.Errorf("Reset(%d) kept its tables: %v", size, kept)
+		}
+	}
+	if len(m.free) != 8 {
+		t.Errorf("free list holds %d pages after three resets, want the 8 first backed", len(m.free))
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // are values, divergence reasons are formatted strings, and every fault
 // in a Fault chain is allocated by the step that raised it.
 type rig struct {
-	mems  [2]*mem.Memory
-	sizes [2]uint64 // the progen.Program.MemSize each memory was built for
+	mems  [2]mem.Memory
 	cores [2]cpu.CPU
 	ref   Machine
 }
@@ -29,15 +28,10 @@ type rig struct {
 var rigs = sync.Pool{New: func() any { return new(rig) }}
 
 // load returns memory i holding p exactly as p.NewMem would build it:
-// the kept memory reset and loaded, or a new one when p's size differs.
+// the kept memory reset to p's size and loaded.
 func (r *rig) load(i int, p progen.Program) (*mem.Memory, error) {
-	m := r.mems[i]
-	if m == nil || r.sizes[i] != p.MemSize {
-		m = mem.New(p.MemSize)
-		r.mems[i], r.sizes[i] = m, p.MemSize
-	} else {
-		m.Reset()
-	}
+	m := &r.mems[i]
+	m.Reset(p.MemSize)
 	return m, p.LoadInto(m)
 }
 

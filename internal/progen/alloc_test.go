@@ -32,7 +32,7 @@ func TestLoadIntoAfterResetAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		m.Reset()
+		m.Reset(m.Size())
 		if err := p.LoadInto(m); err != nil {
 			t.Fatal(err)
 		}

@@ -118,12 +118,12 @@ func New(cfg Config) *Machine {
 }
 
 // Reset returns the machine to exactly the state New(cfg) builds while
-// keeping its allocations: the memory's page arrays (when cfg keeps its
-// size; see mem.Memory.Reset), the core's tables (cpu.CPU.Reset), the
-// ASLR generator (reseeded), the binary and image maps and the output
-// buffer. Registrations, loaded images, output, exit state, the exec log
-// and the OnLoad hook are dropped like on a new machine. A zero Machine
-// is valid, so a worker can hold one by value and reset it per run.
+// keeping its allocations: the memory's page arrays and tables
+// (mem.Memory.Reset), the core's tables (cpu.CPU.Reset), the ASLR
+// generator (reseeded), the binary and image maps and the output buffer.
+// Registrations, loaded images, output, exit state, the exec log and the
+// OnLoad hook are dropped like on a new machine. A zero Machine is
+// valid, so a worker can hold one by value and reset it per run.
 func (m *Machine) Reset(cfg Config) {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = DefaultMemSize
@@ -131,11 +131,10 @@ func (m *Machine) Reset(cfg Config) {
 	if cfg.StackSize == 0 {
 		cfg.StackSize = DefaultStackSize
 	}
-	if m.Mem != nil && m.Mem.Size() == alignPage(cfg.MemSize) {
-		m.Mem.Reset()
-	} else {
-		m.Mem = mem.New(cfg.MemSize)
+	if m.Mem == nil {
+		m.Mem = new(mem.Memory)
 	}
+	m.Mem.Reset(cfg.MemSize)
 	if m.CPU == nil {
 		m.CPU = new(cpu.CPU)
 	}
@@ -182,10 +181,6 @@ func (m *Machine) Reset(cfg Config) {
 		m.CPU.SetSmashWatch(m.stackTop-8, 8)
 	}
 }
-
-// alignPage rounds n up to a whole number of pages, the size mem.New
-// gives a memory asked for n bytes.
-func alignPage(n uint64) uint64 { return (n + mem.PageSize - 1) / mem.PageSize * mem.PageSize }
 
 // StackTop returns the initial stack pointer value.
 func (m *Machine) StackTop() uint64 { return m.stackTop }
