@@ -74,12 +74,17 @@ func main() {
 			fmt.Println("attacker leaked the canary value (info-leak primitive)")
 		}
 	}
+	// What the attacker knows: with -leak, the image as loaded; without
+	// it, only the preferred base, which ASLR moves the image away from.
+	planImg := img
 	if aslr && !*leak {
-		fmt.Println("note: attacker plans against the leaked (actual) image below;")
-		fmt.Println("      without -leak the chain would use stale addresses and crash")
+		if planImg, err = hostMod.Link(0x100000); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("no info leak: attacker plans against the preferred base %#x\n", planImg.Base)
 	}
 
-	cat := gadget.ScanAndCatalog(img, 3)
+	cat := gadget.ScanAndCatalog(planImg, 3)
 	fmt.Printf("gadget scan: %d gadgets end in ret\n", len(cat.All()))
 	if *gadgets {
 		for _, g := range cat.All() {

@@ -230,14 +230,11 @@ func dumpBlocks(w io.Writer, d *debug.Debugger, c *cpu.CPU) {
 	infos := c.Blocks()
 	sort.SliceStable(infos, func(i, j int) bool { return infos[i].Hits > infos[j].Hits })
 	for _, b := range infos {
-		tags := ""
+		tag := ""
 		if !b.Valid {
-			tags += " stale"
+			tag = " stale"
 		}
-		if b.Instrs == 0 {
-			tags += " uncompilable"
-		}
-		fmt.Fprintf(w, "  %#x..%#x  %-28s %2d instrs  exit %-11s hits %-9d%s\n",
-			b.StartPC, b.EndPC, d.Symbolize(b.StartPC), b.Instrs, b.Exit, b.Hits, tags)
+		fmt.Fprintf(w, "  %#x..%#x  %-28s %2d instrs  exit %-12s hits %-9d%s\n",
+			b.StartPC, b.EndPC, d.Symbolize(b.StartPC), b.Instrs, b.Exit, b.Hits, tag)
 	}
 }

@@ -90,15 +90,36 @@ func TestRunBlocksDump(t *testing.T) {
 	if _, err := fmt.Sscanf(header, "%d compiled", &compiled); err != nil || compiled == 0 {
 		t.Errorf("block cache header %q: %d compiled (%v)", strings.SplitN(header, "\n", 2)[0], compiled, err)
 	}
-	var cond bool
+	var cond, uncompilable bool
+	hitsCol := -1
 	for _, line := range strings.Split(text, "\n") {
-		if _, rest, ok := strings.Cut(line, " exit "); ok {
-			op, known := isa.OpByName(strings.Fields(rest)[0])
-			cond = cond || known && op.IsCondBranch()
+		_, rest, ok := strings.Cut(line, " exit ")
+		if !ok {
+			continue
+		}
+		op, known := isa.OpByName(strings.Fields(rest)[0])
+		cond = cond || known && op.IsCondBranch()
+		// The exit column names an uncompilable entry once, and is
+		// wide enough that every row's hits column lines up.
+		if n := strings.Count(line, "uncompilable"); n > 0 {
+			uncompilable = true
+			if n > 1 {
+				t.Errorf("row names uncompilable %d times: %q", n, line)
+			}
+		}
+		col := strings.Index(line, " hits ")
+		if hitsCol < 0 {
+			hitsCol = col
+		}
+		if col != hitsCol {
+			t.Errorf("hits at column %d, want %d: %q", col, hitsCol, line)
 		}
 	}
 	if !cond {
 		t.Errorf("no block exits through a conditional branch:\n%s", text)
+	}
+	if !uncompilable {
+		t.Errorf("no uncompilable entry to check the exit column against:\n%s", text)
 	}
 }
 

@@ -174,17 +174,17 @@ func runLint(args []string, stdout io.Writer) error {
 
 // corpusImage is one guest binary with its analysis convention.
 type corpusImage struct {
-	name  string
-	img   *isa.Image
-	taint []uint8 // registers attacker-controlled at the roots
+	name    string
+	img     *isa.Image
+	taint   []uint8         // registers attacker-controlled at the roots; nil for a host
+	variant spectre.Variant // the attack's variant, for an image with taint
 }
 
-// corpus links the built-in guest binaries: one attack image per
-// Spectre variant plus every MiBench host image, sorted by name so
-// every downstream artifact is ordered the same way.
-func corpus() ([]corpusImage, error) {
+// guestCorpus links the built-in guest binaries: one attack image per
+// listed Spectre variant, then every MiBench host image.
+func guestCorpus(variants []spectre.Variant) ([]corpusImage, error) {
 	var out []corpusImage
-	for _, v := range spectre.Variants() {
+	for _, v := range variants {
 		mod, err := spectre.Config{Variant: v, TargetAddr: 0x123456}.Module()
 		if err != nil {
 			return nil, fmt.Errorf("spectre %s: %w", v, err)
@@ -194,9 +194,10 @@ func corpus() ([]corpusImage, error) {
 			return nil, fmt.Errorf("spectre %s: %w", v, err)
 		}
 		out = append(out, corpusImage{
-			name:  "spectre/" + v.String(),
-			img:   img,
-			taint: spectre.StaticTaintRegs(),
+			name:    "spectre/" + v.String(),
+			img:     img,
+			taint:   spectre.StaticTaintRegs(),
+			variant: v,
 		})
 	}
 	for _, w := range append(mibench.Suite(), mibench.Extended()...) {
@@ -210,15 +211,17 @@ func corpus() ([]corpusImage, error) {
 		}
 		out = append(out, corpusImage{name: "host/" + w.Name, img: img})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, nil
 }
 
 func lintCorpus(ctx context.Context, stdout io.Writer, reg *telemetry.Registry, workers int, verbose bool) ([]*analysis.Report, error) {
-	images, err := corpus()
+	// The paper's four variants and every host, sorted by name so every
+	// downstream artifact is ordered the same way.
+	images, err := guestCorpus(spectre.Variants())
 	if err != nil {
 		return nil, err
 	}
+	sort.Slice(images, func(i, j int) bool { return images[i].name < images[j].name })
 	// Shard the per-image analysis across the pool; sched.Map returns
 	// results in task order, so the merge below is deterministic at any
 	// worker count.
@@ -322,36 +325,17 @@ var scanAttackVariants = map[spectre.Variant]bool{
 // programs with confirmation specs — the planted, labeled half of the
 // ranking gate.
 func scanCorpus(seed int64, progenN int, maxInstr uint64) ([]analysis.ScanImage, error) {
-	var out []analysis.ScanImage
-	for _, v := range spectre.AllVariants() {
-		mod, err := spectre.Config{Variant: v, TargetAddr: 0x123456}.Module()
-		if err != nil {
-			return nil, fmt.Errorf("spectre %s: %w", v, err)
-		}
-		img, err := mod.Link(0x200000)
-		if err != nil {
-			return nil, fmt.Errorf("spectre %s: %w", v, err)
-		}
-		out = append(out, analysis.ScanImage{
-			Name:   "spectre/" + v.String(),
-			Img:    img,
-			Cfg:    analysis.Config{TaintedRegs: spectre.StaticTaintRegs(), UninitSecret: true},
-			Attack: scanAttackVariants[v],
-		})
+	guests, err := guestCorpus(spectre.AllVariants())
+	if err != nil {
+		return nil, err
 	}
-	for _, w := range append(mibench.Suite(), mibench.Extended()...) {
-		mod, err := w.HostModule(rop.HostOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("host %s: %w", w.Name, err)
-		}
-		img, err := mod.Link(0x100000)
-		if err != nil {
-			return nil, fmt.Errorf("host %s: %w", w.Name, err)
-		}
+	var out []analysis.ScanImage
+	for _, g := range guests {
 		out = append(out, analysis.ScanImage{
-			Name: "host/" + w.Name,
-			Img:  img,
-			Cfg:  analysis.Config{UninitSecret: true},
+			Name:   g.name,
+			Img:    g.img,
+			Cfg:    analysis.Config{TaintedRegs: g.taint, UninitSecret: true},
+			Attack: g.taint != nil && scanAttackVariants[g.variant],
 		})
 	}
 	kinds := progen.GadgetKinds()

@@ -75,13 +75,7 @@ func analyze(d *decodedImage, base uint64, cfg Config, roots ...uint64) *Report 
 // when only indirect calls target them), and counts the image's ROP
 // gadgets of at most cfg.MaxGadgetLen instructions with gadget.Scan.
 func AnalyzeImage(img *isa.Image, cfg Config) *Report {
-	roots := []uint64{img.Entry}
-	for _, addr := range img.Symbols {
-		if addr >= img.Base && addr < img.Base+uint64(len(img.Code)) {
-			roots = append(roots, addr)
-		}
-	}
-	rep := Analyze(img.Code, img.Base, cfg, roots...)
+	rep := Analyze(img.Code, img.Base, cfg, imageRoots(img)...)
 	rep.NumGadgets = len(gadget.Scan(img, cfg.withDefaults().MaxGadgetLen))
 	return rep
 }

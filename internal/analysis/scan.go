@@ -52,7 +52,7 @@ type ScanImage struct {
 	Confirm *ConfirmSpec
 }
 
-// imageRoots mirrors AnalyzeImage's rooting: entry plus every in-range
+// imageRoots is an image's analysis roots: entry plus every in-range
 // symbol, deduplicated, in deterministic order.
 func imageRoots(img *isa.Image) []uint64 {
 	roots := []uint64{img.Entry}

@@ -279,18 +279,6 @@ type Stats struct {
 	Direct        uint64 // direct JMP/CALL (always predicted correctly)
 }
 
-// Mispredictions returns the total across branch kinds (the paper's
-// "branch mispredictions" HPC).
-func (s Stats) Mispredictions() uint64 {
-	return s.CondMispred + s.ReturnMispred + s.IndirectMiss
-}
-
-// Branches returns the total branch instruction count (the paper's
-// "total branch instructions" HPC).
-func (s Stats) Branches() uint64 {
-	return s.CondBranches + s.Returns + s.Indirect + s.Direct
-}
-
 // Unit bundles the predictor structures a core needs.
 type Unit struct {
 	Cond  CondPredictor

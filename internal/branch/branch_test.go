@@ -171,16 +171,6 @@ func TestQuickRSBMatchesStack(t *testing.T) {
 	}
 }
 
-func TestStatsTotals(t *testing.T) {
-	s := Stats{CondBranches: 10, CondMispred: 2, Returns: 5, ReturnMispred: 1, Indirect: 3, IndirectMiss: 1, Direct: 7}
-	if s.Branches() != 25 {
-		t.Errorf("Branches() = %d, want 25", s.Branches())
-	}
-	if s.Mispredictions() != 4 {
-		t.Errorf("Mispredictions() = %d, want 4", s.Mispredictions())
-	}
-}
-
 func TestUnitConstructors(t *testing.T) {
 	u := NewUnit()
 	if u.Cond == nil || u.BTB == nil || u.RSB == nil {

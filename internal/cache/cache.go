@@ -30,14 +30,6 @@ type Stats struct {
 	Evicts   uint64 // lines displaced by fills
 }
 
-// MissRate returns Misses/Accesses, or 0 with no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a single set-associative cache level.
 type Cache struct {
 	name      string

@@ -148,17 +148,6 @@ func TestHierarchyFlush(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty stats should have 0 miss rate")
-	}
-	s = Stats{Accesses: 10, Misses: 5}
-	if s.MissRate() != 0.5 {
-		t.Errorf("miss rate = %f", s.MissRate())
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	c := MustCache("L1", 1<<10, 64, 2)
 	c.Access(0)

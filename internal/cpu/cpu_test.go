@@ -564,6 +564,24 @@ func TestSnapshotSub(t *testing.T) {
 	}
 }
 
+// TestSnapshotSubEveryField holds Sub to every counter: each field of
+// the difference is that field's own difference, and no two fields'
+// differences are equal, so a field Sub skips or crosses over shows.
+func TestSnapshotSubEveryField(t *testing.T) {
+	var s, prev Snapshot
+	vs, vp := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&prev).Elem()
+	for i := range vs.NumField() {
+		vs.Field(i).SetUint(uint64(1000 + 7*i))
+		vp.Field(i).SetUint(uint64(i))
+	}
+	d := reflect.ValueOf(s.Sub(prev))
+	for i := range d.NumField() {
+		if got, want := d.Field(i).Uint(), uint64(1000+6*i); got != want {
+			t.Errorf("Sub().%s = %d, want %d", d.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
 func TestIndirectBranchBTBTraining(t *testing.T) {
 	c, _ := load(t, `
 	.entry main

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -151,41 +152,15 @@ func compareTiers(cb, cs *cpu.CPU) []string {
 	return reasons
 }
 
-// snapshotDiff names every PMU counter the tiers disagree on.
+// snapshotDiff names every PMU counter the tiers disagree on. It walks
+// cpu.Snapshot's fields, so a counter added there joins the contract.
 func snapshotDiff(a, b cpu.Snapshot) []string {
 	var reasons []string
-	add := func(name string, va, vb uint64) {
-		if va != vb {
-			reasons = append(reasons, fmt.Sprintf("pmu %s: blocks=%d single-step=%d", name, va, vb))
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := range va.NumField() {
+		if x, y := va.Field(i).Uint(), vb.Field(i).Uint(); x != y {
+			reasons = append(reasons, fmt.Sprintf("pmu %s: blocks=%d single-step=%d", va.Type().Field(i).Name, x, y))
 		}
 	}
-	add("Cycles", a.Cycles, b.Cycles)
-	add("Instructions", a.Instructions, b.Instructions)
-	add("Loads", a.Loads, b.Loads)
-	add("Stores", a.Stores, b.Stores)
-	add("L1Accesses", a.L1Accesses, b.L1Accesses)
-	add("L1Misses", a.L1Misses, b.L1Misses)
-	add("L1Evicts", a.L1Evicts, b.L1Evicts)
-	add("L1Flushes", a.L1Flushes, b.L1Flushes)
-	add("L2Accesses", a.L2Accesses, b.L2Accesses)
-	add("L2Misses", a.L2Misses, b.L2Misses)
-	add("L2Evicts", a.L2Evicts, b.L2Evicts)
-	add("L2Flushes", a.L2Flushes, b.L2Flushes)
-	add("CondBranches", a.CondBranches, b.CondBranches)
-	add("CondMispred", a.CondMispred, b.CondMispred)
-	add("Returns", a.Returns, b.Returns)
-	add("ReturnMispred", a.ReturnMispred, b.ReturnMispred)
-	add("Indirect", a.Indirect, b.Indirect)
-	add("IndirectMiss", a.IndirectMiss, b.IndirectMiss)
-	add("Direct", a.Direct, b.Direct)
-	add("SpecInstructions", a.SpecInstructions, b.SpecInstructions)
-	add("SpecLoads", a.SpecLoads, b.SpecLoads)
-	add("Squashes", a.Squashes, b.Squashes)
-	add("SpecBypasses", a.SpecBypasses, b.SpecBypasses)
-	add("IndirectSpecTargets", a.IndirectSpecTargets, b.IndirectSpecTargets)
-	add("Flushes", a.Flushes, b.Flushes)
-	add("Fences", a.Fences, b.Fences)
-	add("Syscalls", a.Syscalls, b.Syscalls)
-	add("StallCycles", a.StallCycles, b.StallCycles)
 	return reasons
 }

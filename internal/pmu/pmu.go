@@ -17,16 +17,17 @@ import (
 // Event identifies one countable performance event.
 type Event int
 
-// The event catalogue. The first six events, in order, are the paper's
-// feature set; the remainder are the extended events a real PMU exposes
-// (raw counters, aggregates, and derived rates).
+// The events in priority order; the catalogue table below states each
+// one's name, description and formula. The first six, in order, are the
+// paper's feature set; the remainder are the extended events a real PMU
+// exposes (raw counters, aggregates, and derived rates).
 const (
-	TotalCacheMisses     Event = iota // L1+L2 misses (paper feature 1)
-	TotalCacheAccesses                // L1+L2 accesses (paper feature 2)
-	TotalBranches                     // all branch instructions (paper feature 3)
-	BranchMispredictions              // all mispredictions (paper feature 4)
-	Instructions                      // retired instructions (paper feature 5)
-	Cycles                            // elapsed cycles (paper feature 6)
+	TotalCacheMisses Event = iota
+	TotalCacheAccesses
+	TotalBranches
+	BranchMispredictions
+	Instructions
+	Cycles
 
 	L1Accesses
 	L1Misses
@@ -84,71 +85,154 @@ const (
 	NumEvents // sentinel
 )
 
-var eventNames = [NumEvents]string{
-	TotalCacheMisses:       "total_cache_misses",
-	TotalCacheAccesses:     "total_cache_accesses",
-	TotalBranches:          "total_branch_instructions",
-	BranchMispredictions:   "branch_mispredictions",
-	Instructions:           "total_instructions",
-	Cycles:                 "total_cycles",
-	L1Accesses:             "l1_accesses",
-	L1Misses:               "l1_misses",
-	L1Evictions:            "l1_evictions",
-	L1FlushHits:            "l1_flush_hits",
-	L2Accesses:             "l2_accesses",
-	L2Misses:               "l2_misses",
-	L2Evictions:            "l2_evictions",
-	L2FlushHits:            "l2_flush_hits",
-	Loads:                  "loads",
-	Stores:                 "stores",
-	MemoryOps:              "memory_ops",
-	CondBranches:           "cond_branches",
-	CondMispredictions:     "cond_mispredictions",
-	Returns:                "returns",
-	ReturnMispredictions:   "return_mispredictions",
-	IndirectBranches:       "indirect_branches",
-	IndirectMispredictions: "indirect_mispredictions",
-	DirectBranches:         "direct_branches",
-	SpecInstructions:       "spec_instructions",
-	SpecLoads:              "spec_loads",
-	Squashes:               "squashes",
-	FlushInstructions:      "clflush_instructions",
-	FenceInstructions:      "fence_instructions",
-	Syscalls:               "syscalls",
-	StallCycles:            "stall_cycles",
-	TotalEvictions:         "total_evictions",
-	TotalFlushHits:         "total_flush_hits",
-	IPC:                    "ipc",
-	L1MissRate:             "l1_miss_rate",
-	L2MissRate:             "l2_miss_rate",
-	CacheMissRatio:         "cache_miss_ratio",
-	BranchMispredRate:      "branch_mispred_rate",
-	CondMispredRate:        "cond_mispred_rate",
-	ReturnMispredRate:      "return_mispred_rate",
-	LoadFraction:           "load_fraction",
-	StoreFraction:          "store_fraction",
-	SpecFraction:           "spec_fraction",
-	StallFraction:          "stall_fraction",
-	SquashRate:             "squash_rate",
-	FlushesPerKInstr:       "clflush_per_kinstr",
-	FencesPerKInstr:        "fences_per_kinstr",
-	SyscallsPerKInstr:      "syscalls_per_kinstr",
-	SpecLoadsPerKInstr:     "spec_loads_per_kinstr",
-	ReturnsPerKInstr:       "returns_per_kinstr",
-	IndirectPerKInstr:      "indirect_per_kinstr",
-	BranchesPerKInstr:      "branches_per_kinstr",
-	MissesPerKInstr:        "misses_per_kinstr",
-	EvictsPerKInstr:        "evicts_per_kinstr",
-	L2AccessPerKInstr:      "l2_access_per_kinstr",
-	CyclesPerBranch:        "cycles_per_branch",
+// eventDef is one catalogue entry: everything the package states about
+// an event, in one place.
+type eventDef struct {
+	name  string                       // PAPI-style wire name
+	desc  string                       // one-line description, in the style of papi_avail
+	value func(d cpu.Snapshot) float64 // the event over a counter delta
 }
+
+// catalogue is the one statement of the 56 events. The wire names key
+// the manifest schema, trace CSV headers and registry metric names, so
+// renaming or reordering an entry is a breaking change.
+var catalogue = [NumEvents]eventDef{
+	TotalCacheMisses: {"total_cache_misses", "L1D + L2 misses per interval (paper feature 1)",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Misses + d.L2Misses) }},
+	TotalCacheAccesses: {"total_cache_accesses", "L1D + L2 lookups per interval (paper feature 2)",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Accesses + d.L2Accesses) }},
+	TotalBranches: {"total_branch_instructions", "all retired branch instructions (paper feature 3)",
+		func(d cpu.Snapshot) float64 { return float64(d.CondBranches + d.Returns + d.Indirect + d.Direct) }},
+	BranchMispredictions: {"branch_mispredictions", "conditional + return + indirect mispredictions (paper feature 4)",
+		func(d cpu.Snapshot) float64 { return float64(d.CondMispred + d.ReturnMispred + d.IndirectMiss) }},
+	Instructions: {"total_instructions", "retired instructions (paper feature 5)",
+		func(d cpu.Snapshot) float64 { return float64(d.Instructions) }},
+	Cycles: {"total_cycles", "elapsed core cycles (paper feature 6)",
+		func(d cpu.Snapshot) float64 { return float64(d.Cycles) }},
+
+	L1Accesses: {"l1_accesses", "L1D lookups",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Accesses) }},
+	L1Misses: {"l1_misses", "L1D misses",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Misses) }},
+	L1Evictions: {"l1_evictions", "L1D lines displaced by fills",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Evicts) }},
+	L1FlushHits: {"l1_flush_hits", "L1D lines invalidated by CLFLUSH",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Flushes) }},
+	L2Accesses: {"l2_accesses", "L2 lookups (L1D misses)",
+		func(d cpu.Snapshot) float64 { return float64(d.L2Accesses) }},
+	L2Misses: {"l2_misses", "L2 misses (DRAM fills)",
+		func(d cpu.Snapshot) float64 { return float64(d.L2Misses) }},
+	L2Evictions: {"l2_evictions", "L2 lines displaced by fills",
+		func(d cpu.Snapshot) float64 { return float64(d.L2Evicts) }},
+	L2FlushHits: {"l2_flush_hits", "L2 lines invalidated by CLFLUSH",
+		func(d cpu.Snapshot) float64 { return float64(d.L2Flushes) }},
+	Loads: {"loads", "retired load-class instructions (LOAD/LOADB/POP/RET)",
+		func(d cpu.Snapshot) float64 { return float64(d.Loads) }},
+	Stores: {"stores", "retired store-class instructions (STORE/STOREB/PUSH/CALL)",
+		func(d cpu.Snapshot) float64 { return float64(d.Stores) }},
+	MemoryOps: {"memory_ops", "loads + stores",
+		func(d cpu.Snapshot) float64 { return float64(d.Loads + d.Stores) }},
+	CondBranches: {"cond_branches", "retired conditional branches",
+		func(d cpu.Snapshot) float64 { return float64(d.CondBranches) }},
+	CondMispredictions: {"cond_mispredictions", "conditional branch mispredictions",
+		func(d cpu.Snapshot) float64 { return float64(d.CondMispred) }},
+	Returns: {"returns", "retired RET instructions",
+		func(d cpu.Snapshot) float64 { return float64(d.Returns) }},
+	ReturnMispredictions: {"return_mispredictions", "RSB mispredictions (ROP chains light this up)",
+		func(d cpu.Snapshot) float64 { return float64(d.ReturnMispred) }},
+	IndirectBranches: {"indirect_branches", "retired indirect jumps/calls",
+		func(d cpu.Snapshot) float64 { return float64(d.Indirect) }},
+	IndirectMispredictions: {"indirect_mispredictions", "BTB mispredictions",
+		func(d cpu.Snapshot) float64 { return float64(d.IndirectMiss) }},
+	DirectBranches: {"direct_branches", "retired direct JMP/CALL",
+		func(d cpu.Snapshot) float64 { return float64(d.Direct) }},
+	SpecInstructions: {"spec_instructions", "wrong-path instructions executed then squashed",
+		func(d cpu.Snapshot) float64 { return float64(d.SpecInstructions) }},
+	SpecLoads: {"spec_loads", "wrong-path loads (their fills persist: Spectre)",
+		func(d cpu.Snapshot) float64 { return float64(d.SpecLoads) }},
+	Squashes: {"squashes", "speculation episodes squashed",
+		func(d cpu.Snapshot) float64 { return float64(d.Squashes) }},
+	FlushInstructions: {"clflush_instructions", "retired CLFLUSH (perturbation/flush+reload fingerprint)",
+		func(d cpu.Snapshot) float64 { return float64(d.Flushes) }},
+	FenceInstructions: {"fence_instructions", "retired MFENCE/LFENCE",
+		func(d cpu.Snapshot) float64 { return float64(d.Fences) }},
+	Syscalls: {"syscalls", "retired SYSCALLs",
+		func(d cpu.Snapshot) float64 { return float64(d.Syscalls) }},
+	StallCycles: {"stall_cycles", "cycles lost waiting on operands/drains",
+		func(d cpu.Snapshot) float64 { return float64(d.StallCycles) }},
+	TotalEvictions: {"total_evictions", "L1D + L2 displacements",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Evicts + d.L2Evicts) }},
+	TotalFlushHits: {"total_flush_hits", "L1D + L2 CLFLUSH invalidations",
+		func(d cpu.Snapshot) float64 { return float64(d.L1Flushes + d.L2Flushes) }},
+
+	IPC: {"ipc", "instructions per cycle",
+		func(d cpu.Snapshot) float64 { return ratio(d.Instructions, d.Cycles) }},
+	L1MissRate: {"l1_miss_rate", "L1D misses / lookups",
+		func(d cpu.Snapshot) float64 { return ratio(d.L1Misses, d.L1Accesses) }},
+	L2MissRate: {"l2_miss_rate", "L2 misses / lookups",
+		func(d cpu.Snapshot) float64 { return ratio(d.L2Misses, d.L2Accesses) }},
+	CacheMissRatio: {"cache_miss_ratio", "total misses / total lookups",
+		func(d cpu.Snapshot) float64 { return ratio(d.L1Misses+d.L2Misses, d.L1Accesses+d.L2Accesses) }},
+	BranchMispredRate: {"branch_mispred_rate", "mispredictions / branches",
+		func(d cpu.Snapshot) float64 {
+			return ratio(d.CondMispred+d.ReturnMispred+d.IndirectMiss, d.CondBranches+d.Returns+d.Indirect)
+		}},
+	CondMispredRate: {"cond_mispred_rate", "conditional mispredictions / conditional branches",
+		func(d cpu.Snapshot) float64 { return ratio(d.CondMispred, d.CondBranches) }},
+	ReturnMispredRate: {"return_mispred_rate", "RSB mispredictions / returns",
+		func(d cpu.Snapshot) float64 { return ratio(d.ReturnMispred, d.Returns) }},
+	LoadFraction: {"load_fraction", "loads / instructions",
+		func(d cpu.Snapshot) float64 { return ratio(d.Loads, d.Instructions) }},
+	StoreFraction: {"store_fraction", "stores / instructions",
+		func(d cpu.Snapshot) float64 { return ratio(d.Stores, d.Instructions) }},
+	SpecFraction: {"spec_fraction", "squashed instructions / retired instructions",
+		func(d cpu.Snapshot) float64 { return ratio(d.SpecInstructions, d.Instructions) }},
+	StallFraction: {"stall_fraction", "stall cycles / cycles",
+		func(d cpu.Snapshot) float64 { return ratio(d.StallCycles, d.Cycles) }},
+	SquashRate: {"squash_rate", "squashes / branches",
+		func(d cpu.Snapshot) float64 { return ratio(d.Squashes, d.CondBranches+d.Returns+d.Indirect) }},
+
+	FlushesPerKInstr: {"clflush_per_kinstr", "CLFLUSH per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.Flushes, d.Instructions) }},
+	FencesPerKInstr: {"fences_per_kinstr", "fences per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.Fences, d.Instructions) }},
+	SyscallsPerKInstr: {"syscalls_per_kinstr", "syscalls per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.Syscalls, d.Instructions) }},
+	SpecLoadsPerKInstr: {"spec_loads_per_kinstr", "wrong-path loads per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.SpecLoads, d.Instructions) }},
+	ReturnsPerKInstr: {"returns_per_kinstr", "returns per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.Returns, d.Instructions) }},
+	IndirectPerKInstr: {"indirect_per_kinstr", "indirect branches per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.Indirect, d.Instructions) }},
+	BranchesPerKInstr: {"branches_per_kinstr", "branches per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.CondBranches+d.Returns+d.Indirect, d.Instructions) }},
+	MissesPerKInstr: {"misses_per_kinstr", "cache misses per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.L1Misses+d.L2Misses, d.Instructions) }},
+	EvictsPerKInstr: {"evicts_per_kinstr", "evictions per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.L1Evicts+d.L2Evicts, d.Instructions) }},
+	L2AccessPerKInstr: {"l2_access_per_kinstr", "L2 lookups per 1000 instructions",
+		func(d cpu.Snapshot) float64 { return perK(d.L2Accesses, d.Instructions) }},
+	CyclesPerBranch: {"cycles_per_branch", "cycles / branches",
+		func(d cpu.Snapshot) float64 { return ratio(d.Cycles, d.CondBranches+d.Returns+d.Indirect) }},
+}
+
+func (e Event) valid() bool { return e >= 0 && e < NumEvents }
 
 // String returns the event's PAPI-style name.
 func (e Event) String() string {
-	if e < 0 || e >= NumEvents {
+	if !e.valid() {
 		return fmt.Sprintf("event(%d)", int(e))
 	}
-	return eventNames[e]
+	return catalogue[e].name
+}
+
+// Describe returns a one-line human description of the event, in the
+// style of `papi_avail` — used by hidlab's catalogue listing.
+func (e Event) Describe() string {
+	if !e.valid() {
+		return "undocumented event"
+	}
+	return catalogue[e].desc
 }
 
 // AllEvents returns the full catalogue in priority order.
@@ -182,123 +266,13 @@ func ratio(a, b uint64) float64 {
 
 func perK(a, b uint64) float64 { return 1000 * ratio(a, b) }
 
-// Extract computes the value of event e over the counter delta d.
+// Extract computes the value of event e over the counter delta d; an
+// event outside the catalogue reads 0.
 func Extract(d cpu.Snapshot, e Event) float64 {
-	switch e {
-	case TotalCacheMisses:
-		return float64(d.L1Misses + d.L2Misses)
-	case TotalCacheAccesses:
-		return float64(d.L1Accesses + d.L2Accesses)
-	case TotalBranches:
-		return float64(d.CondBranches + d.Returns + d.Indirect + d.Direct)
-	case BranchMispredictions:
-		return float64(d.CondMispred + d.ReturnMispred + d.IndirectMiss)
-	case Instructions:
-		return float64(d.Instructions)
-	case Cycles:
-		return float64(d.Cycles)
-	case L1Accesses:
-		return float64(d.L1Accesses)
-	case L1Misses:
-		return float64(d.L1Misses)
-	case L1Evictions:
-		return float64(d.L1Evicts)
-	case L1FlushHits:
-		return float64(d.L1Flushes)
-	case L2Accesses:
-		return float64(d.L2Accesses)
-	case L2Misses:
-		return float64(d.L2Misses)
-	case L2Evictions:
-		return float64(d.L2Evicts)
-	case L2FlushHits:
-		return float64(d.L2Flushes)
-	case Loads:
-		return float64(d.Loads)
-	case Stores:
-		return float64(d.Stores)
-	case MemoryOps:
-		return float64(d.Loads + d.Stores)
-	case CondBranches:
-		return float64(d.CondBranches)
-	case CondMispredictions:
-		return float64(d.CondMispred)
-	case Returns:
-		return float64(d.Returns)
-	case ReturnMispredictions:
-		return float64(d.ReturnMispred)
-	case IndirectBranches:
-		return float64(d.Indirect)
-	case IndirectMispredictions:
-		return float64(d.IndirectMiss)
-	case DirectBranches:
-		return float64(d.Direct)
-	case SpecInstructions:
-		return float64(d.SpecInstructions)
-	case SpecLoads:
-		return float64(d.SpecLoads)
-	case Squashes:
-		return float64(d.Squashes)
-	case FlushInstructions:
-		return float64(d.Flushes)
-	case FenceInstructions:
-		return float64(d.Fences)
-	case Syscalls:
-		return float64(d.Syscalls)
-	case StallCycles:
-		return float64(d.StallCycles)
-	case TotalEvictions:
-		return float64(d.L1Evicts + d.L2Evicts)
-	case TotalFlushHits:
-		return float64(d.L1Flushes + d.L2Flushes)
-	case IPC:
-		return ratio(d.Instructions, d.Cycles)
-	case L1MissRate:
-		return ratio(d.L1Misses, d.L1Accesses)
-	case L2MissRate:
-		return ratio(d.L2Misses, d.L2Accesses)
-	case CacheMissRatio:
-		return ratio(d.L1Misses+d.L2Misses, d.L1Accesses+d.L2Accesses)
-	case BranchMispredRate:
-		return ratio(d.CondMispred+d.ReturnMispred+d.IndirectMiss, d.CondBranches+d.Returns+d.Indirect)
-	case CondMispredRate:
-		return ratio(d.CondMispred, d.CondBranches)
-	case ReturnMispredRate:
-		return ratio(d.ReturnMispred, d.Returns)
-	case LoadFraction:
-		return ratio(d.Loads, d.Instructions)
-	case StoreFraction:
-		return ratio(d.Stores, d.Instructions)
-	case SpecFraction:
-		return ratio(d.SpecInstructions, d.Instructions)
-	case StallFraction:
-		return ratio(d.StallCycles, d.Cycles)
-	case SquashRate:
-		return ratio(d.Squashes, d.CondBranches+d.Returns+d.Indirect)
-	case FlushesPerKInstr:
-		return perK(d.Flushes, d.Instructions)
-	case FencesPerKInstr:
-		return perK(d.Fences, d.Instructions)
-	case SyscallsPerKInstr:
-		return perK(d.Syscalls, d.Instructions)
-	case SpecLoadsPerKInstr:
-		return perK(d.SpecLoads, d.Instructions)
-	case ReturnsPerKInstr:
-		return perK(d.Returns, d.Instructions)
-	case IndirectPerKInstr:
-		return perK(d.Indirect, d.Instructions)
-	case BranchesPerKInstr:
-		return perK(d.CondBranches+d.Returns+d.Indirect, d.Instructions)
-	case MissesPerKInstr:
-		return perK(d.L1Misses+d.L2Misses, d.Instructions)
-	case EvictsPerKInstr:
-		return perK(d.L1Evicts+d.L2Evicts, d.Instructions)
-	case L2AccessPerKInstr:
-		return perK(d.L2Accesses, d.Instructions)
-	case CyclesPerBranch:
-		return ratio(d.Cycles, d.CondBranches+d.Returns+d.Indirect)
+	if !e.valid() {
+		return 0
 	}
-	return 0
+	return catalogue[e].value(d)
 }
 
 // Vector extracts the given events from a delta into a feature vector.
@@ -321,11 +295,6 @@ type Sampler struct {
 	Interval uint64
 	// Events selects which events each sample records.
 	Events []Event
-}
-
-// DefaultSampler samples the paper's 4-feature set every 50k cycles.
-func DefaultSampler() *Sampler {
-	return &Sampler{Interval: 50_000, Events: Features(4)}
 }
 
 // Run executes the core until it halts or maxInstr instructions retire,

@@ -73,6 +73,91 @@ func TestExtractHeadlineEvents(t *testing.T) {
 	}
 }
 
+// TestEveryEventValue pins every formula in the catalogue over one delta
+// whose 28 counters all differ, so an event that reads the wrong counter,
+// or sums or divides the wrong ones, changes its value.
+func TestEveryEventValue(t *testing.T) {
+	d := cpu.Snapshot{
+		Cycles: 20011, Instructions: 9001, Loads: 2003, Stores: 907,
+		L1Accesses: 3001, L1Misses: 127, L1Evicts: 83, L1Flushes: 5,
+		L2Accesses: 131, L2Misses: 31, L2Evicts: 11, L2Flushes: 3,
+		CondBranches: 1499, CondMispred: 41, Returns: 61, ReturnMispred: 7,
+		Indirect: 23, IndirectMiss: 2, Direct: 89,
+		SpecInstructions: 401, SpecLoads: 71, Squashes: 43,
+		SpecBypasses: 13, IndirectSpecTargets: 17,
+		Flushes: 19, Fences: 29, Syscalls: 37, StallCycles: 6007,
+	}
+	want := [NumEvents]float64{
+		TotalCacheMisses:       158,
+		TotalCacheAccesses:     3132,
+		TotalBranches:          1672,
+		BranchMispredictions:   50,
+		Instructions:           9001,
+		Cycles:                 20011,
+		L1Accesses:             3001,
+		L1Misses:               127,
+		L1Evictions:            83,
+		L1FlushHits:            5,
+		L2Accesses:             131,
+		L2Misses:               31,
+		L2Evictions:            11,
+		L2FlushHits:            3,
+		Loads:                  2003,
+		Stores:                 907,
+		MemoryOps:              2910,
+		CondBranches:           1499,
+		CondMispredictions:     41,
+		Returns:                61,
+		ReturnMispredictions:   7,
+		IndirectBranches:       23,
+		IndirectMispredictions: 2,
+		DirectBranches:         89,
+		SpecInstructions:       401,
+		SpecLoads:              71,
+		Squashes:               43,
+		FlushInstructions:      19,
+		FenceInstructions:      29,
+		Syscalls:               37,
+		StallCycles:            6007,
+		TotalEvictions:         94,
+		TotalFlushHits:         8,
+		IPC:                    0.4498026085652891,
+		L1MissRate:             0.04231922692435855,
+		L2MissRate:             0.2366412213740458,
+		CacheMissRatio:         0.05044699872286079,
+		BranchMispredRate:      0.03158559696778269,
+		CondMispredRate:        0.027351567711807873,
+		ReturnMispredRate:      0.11475409836065574,
+		LoadFraction:           0.22253082990778802,
+		StoreFraction:          0.10076658149094544,
+		SpecFraction:           0.04455060548827908,
+		StallFraction:          0.30018489830593176,
+		SquashRate:             0.027163613392293114,
+		FlushesPerKInstr:       2.110876569270081,
+		FencesPerKInstr:        3.2218642373069657,
+		SyscallsPerKInstr:      4.110654371736474,
+		SpecLoadsPerKInstr:     7.888012443061882,
+		ReturnsPerKInstr:       6.777024775024997,
+		IndirectPerKInstr:      2.555271636484835,
+		BranchesPerKInstr:      175.86934785023885,
+		MissesPerKInstr:        17.55360515498278,
+		EvictsPerKInstr:        10.443284079546718,
+		L2AccessPerKInstr:      14.55393845128319,
+		CyclesPerBranch:        12.641187618445988,
+	}
+	for _, e := range AllEvents() {
+		if got := Extract(d, e); got != want[e] {
+			t.Errorf("%s = %v, want %v", e, got, want[e])
+		}
+	}
+	if got := Extract(d, NumEvents); got != 0 {
+		t.Errorf("out-of-range event = %v, want 0", got)
+	}
+	if got := Event(-1).String(); got != "event(-1)" {
+		t.Errorf("Event(-1).String() = %q", got)
+	}
+}
+
 func TestExtractZeroDeltaIsFinite(t *testing.T) {
 	var d cpu.Snapshot
 	for _, e := range AllEvents() {
@@ -173,13 +258,6 @@ func TestSamplerZeroIntervalRejected(t *testing.T) {
 	s := &Sampler{Interval: 0, Events: Features(1)}
 	if _, err := s.Run(nil, 0); err == nil {
 		t.Error("zero interval accepted")
-	}
-}
-
-func TestDefaultSampler(t *testing.T) {
-	s := DefaultSampler()
-	if s.Interval == 0 || len(s.Events) != 4 {
-		t.Errorf("default sampler = %+v", s)
 	}
 }
 
