@@ -100,9 +100,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		Detector:  *detector,
 		Seed:      *seed,
 		Workers:   *workers,
-		Telemetry: h.Recorder,
-		Metrics:   h.Registry,
-		Tracker:   h.Tracker,
+		Sinks:     h.Sinks,
 		NoBlocks:  *noblocks,
 	})
 	if err != nil {

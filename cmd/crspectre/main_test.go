@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pmu"
 	"repro/internal/telemetry"
 )
 
@@ -87,5 +88,21 @@ func TestRunObservabilityOutputs(t *testing.T) {
 	}
 	if m.Tool != "crspectre" || m.RunID == "" || len(m.Events) == 0 {
 		t.Errorf("manifest tool %q run %q events %v", m.Tool, m.RunID, m.Events)
+	}
+	// The attack machine's end-of-run PMU gauges reach the manifest
+	// through the run's registry: one per event, and no other pmu. name.
+	gauges := 0
+	for name := range m.Metrics {
+		if strings.HasPrefix(name, "pmu.") {
+			gauges++
+		}
+	}
+	for _, e := range pmu.AllEvents() {
+		if name := "pmu." + e.String(); m.MetricKinds[name] != "gauge" {
+			t.Errorf("manifest lacks the %s gauge (kind %q)", name, m.MetricKinds[name])
+		}
+	}
+	if gauges != int(pmu.NumEvents) {
+		t.Errorf("manifest holds %d pmu. metrics, want %d", gauges, pmu.NumEvents)
 	}
 }

@@ -132,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer h.Close()
-	ctx := h.Context(context.Background(), "difftest")
+	ctx := sched.WithSinks(context.Background(), h.Sinks, "difftest")
 
 	start := time.Now()
 	deadline := time.Duration(float64(time.Minute) * *minutes)
@@ -187,8 +187,8 @@ func run(args []string, stdout io.Writer) error {
 		for _, r := range results {
 			total++
 			instret += r.steps
-			h.Registry.Inc("difftest.programs")
-			h.Registry.Add("difftest.instr_pairs", r.steps)
+			h.Metrics.Inc("difftest.programs")
+			h.Metrics.Add("difftest.instr_pairs", r.steps)
 			switch {
 			case r.div != nil:
 				return reportDivergence(stdout, *reproOut, r, r.div, lockstepAxis(*maxInstr, nil))
@@ -216,9 +216,9 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "difftest: %d programs (%d halted, %d faulted, %d budget-capped), %d instr pairs, tier-diff %s, %.1fs, divergences: 0\n",
 		total, halted, faulted, budget, instret, mode, elapsed)
 	if *manifestOut != "" {
-		h.Registry.Add("difftest.halted", uint64(halted))
-		h.Registry.Add("difftest.faulted", uint64(faulted))
-		h.Registry.Add("difftest.budget_capped", uint64(budget))
+		h.Metrics.Add("difftest.halted", uint64(halted))
+		h.Metrics.Add("difftest.faulted", uint64(faulted))
+		h.Metrics.Add("difftest.budget_capped", uint64(budget))
 	}
 	m := telemetry.NewManifest("difftest", args)
 	m.Seed = *seed

@@ -105,7 +105,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = cerr
 		}
 	}()
-	cfg.Telemetry, cfg.Metrics, cfg.Tracker = h.Recorder, h.Registry, h.Tracker
+	cfg.Sinks = h.Sinks
 
 	want := func(s, v string) bool { return *all || strings.TrimSpace(s) == v }
 	campaign := experiments.CampaignSpec{

@@ -10,9 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/gadget"
 	"repro/internal/isa"
@@ -21,14 +24,37 @@ import (
 	"repro/internal/vm"
 )
 
+// errFlags marks a command line the flag set rejected.
+var errFlags = errors.New("bad flags")
+
 func main() {
-	var (
-		defense = flag.String("defense", "none", "defense configuration: none, canary, aslr, both")
-		leak    = flag.Bool("leak", false, "give the attacker an info-leak primitive (bypasses canary/ASLR)")
-		gadgets = flag.Bool("gadgets", false, "print the discovered gadget catalogue")
-		seed    = flag.Int64("seed", 42, "ASLR seed")
-	)
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	case errors.Is(err, errFlags):
+		os.Exit(2) // the flag set has said why
+	default:
+		fmt.Fprintln(os.Stderr, "ropdemo:", err)
+		os.Exit(1)
+	}
+}
+
+const (
+	// budget bounds each host run: the leak and the overflow.
+	budget = 10_000_000
+	// canaryValue is the word the loader installs under -defense
+	// canary or both.
+	canaryValue = 0x00c0ffee1550c001
+)
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ropdemo", flag.ContinueOnError)
+	defense := fs.String("defense", "none", "defense configuration: none, canary, aslr, both")
+	leak := fs.Bool("leak", false, "run the host's debug info leak and plan from the leaked base and canary (bypasses canary/ASLR)")
+	gadgets := fs.Bool("gadgets", false, "print the discovered gadget catalogue")
+	seed := fs.Int64("seed", 42, "ASLR seed")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	canary := *defense == "canary" || *defense == "both"
 	aslr := *defense == "aslr" || *defense == "both"
@@ -36,7 +62,7 @@ func main() {
 	host := mibench.Math(100)
 	hostMod, err := host.HostModule(rop.HostOptions{Canary: canary})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	attack := isa.MustAssemble(`
 		movi r0, 1
@@ -51,79 +77,66 @@ func main() {
 	cfg.ASLR = aslr
 	cfg.ASLRSeed = *seed
 	m := vm.New(cfg)
-	m.Register("host", hostMod, 0x100000)
+	m.Register("host", hostMod, rop.HostBase)
 	m.Register("attack", attack, 0x400000)
 
 	img, err := m.Load("host")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("host image: code %#x..%#x, data at %#x (ASLR %v)\n",
+	fmt.Fprintf(stdout, "host image: code %#x..%#x, data at %#x (ASLR %v)\n",
 		img.Base, img.Base+uint64(len(img.Code)), img.DataBase, aslr)
 
-	var canaryVal *uint64
 	if canary {
 		addr := img.MustSymbol("__canary")
-		v := uint64(0x00c0ffee1550c001)
-		if err := m.Mem.Write64(addr, v); err != nil {
-			fatal(err)
+		if err := m.Mem.Write64(addr, canaryValue); err != nil {
+			return err
 		}
-		fmt.Printf("stack canary installed at %#x\n", addr)
-		if *leak {
-			canaryVal = &v
-			fmt.Println("attacker leaked the canary value (info-leak primitive)")
-		}
+		fmt.Fprintf(stdout, "stack canary installed at %#x\n", addr)
 	}
-	// What the attacker knows: with -leak, the image as loaded; without
-	// it, only the preferred base, which ASLR moves the image away from.
-	planImg := img
-	if aslr && !*leak {
-		if planImg, err = hostMod.Link(0x100000); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("no info leak: attacker plans against the preferred base %#x\n", planImg.Base)
+	// What the attacker knows: the preferred base and no canary, or,
+	// under -leak, what the host's diagnostics echo.
+	tgt, err := rop.Recon(m, "host", hostMod, img, *leak, *leak && canary, budget)
+	if err != nil {
+		return err
+	}
+	switch {
+	case tgt.Leak != nil:
+		fmt.Fprintf(stdout, "info leak (DBG diagnostics): load base %#x, canary %#x\n", tgt.Leak.Base, tgt.Leak.Canary)
+	case tgt.Image != img:
+		fmt.Fprintf(stdout, "no info leak: attacker plans against the preferred base %#x\n", tgt.Image.Base)
 	}
 
-	cat := gadget.ScanAndCatalog(planImg, 3)
-	fmt.Printf("gadget scan: %d gadgets end in ret\n", len(cat.All()))
+	cat := gadget.ScanAndCatalog(tgt.Image, 3)
+	fmt.Fprintf(stdout, "gadget scan: %d gadgets end in ret\n", len(cat.All()))
 	if *gadgets {
 		for _, g := range cat.All() {
-			fmt.Println("  ", g)
+			fmt.Fprintln(stdout, "  ", g)
 		}
 	}
 
-	plan, err := rop.PlanInjection(cat, "attack", canaryVal)
+	plan, err := rop.PlanInjection(cat, "attack", tgt.Canary)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("\nROP chain:")
-	fmt.Println(plan.Chain.Describe())
-	fmt.Printf("\npayload: %d bytes (name@%d, filler %d, canary@%d, chain@%d)\n",
+	fmt.Fprintln(stdout, "\nROP chain:")
+	fmt.Fprintln(stdout, plan.Chain.Describe())
+	fmt.Fprintf(stdout, "\npayload: %d bytes (name@%d, filler %d, canary@%d, chain@%d)\n",
 		len(plan.Payload), plan.Layout.NameOffset, plan.Layout.FillerLen,
 		plan.Layout.CanaryOffset, plan.Layout.ChainOffset)
 
-	err = m.Exec("host", plan.Payload, 10_000_000)
-	fmt.Println("\n--- run ---")
+	err = m.Exec("host", plan.Payload, budget)
+	fmt.Fprintln(stdout, "\n--- run ---")
 	switch {
 	case err != nil:
-		fmt.Printf("host crashed: %v\n", err)
+		fmt.Fprintf(stdout, "host crashed: %v\n", err)
 	case m.Aborted:
-		fmt.Printf("host aborted: stack smashing detected (code %#x)\n", m.ExitCode)
+		fmt.Fprintf(stdout, "host aborted: stack smashing detected (code %#x)\n", m.ExitCode)
 	default:
-		fmt.Printf("output: %q\n", m.Output.String())
+		fmt.Fprintf(stdout, "output: %q\n", m.Output.String())
 	}
-	hijacked := false
-	for _, e := range m.ExecLog {
-		if e == "attack" {
-			hijacked = true
-		}
-	}
-	fmt.Printf("attack binary executed: %t\n", hijacked)
-	fmt.Printf("return mispredictions (RSB signature of the chain): %d\n",
+	fmt.Fprintf(stdout, "attack binary executed: %t\n", slices.Contains(m.ExecLog, "attack"))
+	fmt.Fprintf(stdout, "return mispredictions (RSB signature of the chain): %d\n",
 		m.CPU.BP.Stats.ReturnMispred)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ropdemo:", err)
-	os.Exit(1)
+	return nil
 }

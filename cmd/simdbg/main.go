@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 	// The debugger always records: its whole point is observation, so
 	// the telemetry ring is on whatever the flags say (unlike the batch
 	// tools, which only pay for it when an export flag asks).
-	rec := h.Recorder
+	rec := h.Telemetry
 	if rec == nil {
 		rec = telemetry.NewRecorder(0)
 	}
@@ -103,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 	cfg := vm.DefaultConfig()
 	cfg.Telemetry = rec
 	m := vm.New(cfg)
-	m.Register(host.Name, hostMod, 0x100000)
+	m.Register(host.Name, hostMod, rop.HostBase)
 	img, err := m.Load(host.Name)
 	if err != nil {
 		return err

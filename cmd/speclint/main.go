@@ -101,10 +101,10 @@ func startObs(addr, pool string) (*obs.Harness, context.Context, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.Registry == nil {
-		h.Registry = telemetry.NewRegistry()
+	if h.Metrics == nil {
+		h.Metrics = telemetry.NewRegistry()
 	}
-	return h, h.Context(context.Background(), pool), nil
+	return h, sched.WithSinks(context.Background(), h.Sinks, pool), nil
 }
 
 func runLint(args []string, stdout io.Writer) error {
@@ -130,7 +130,7 @@ func runLint(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer h.Close()
-	reg := h.Registry
+	reg := h.Metrics
 	reports, err := lintCorpus(ctx, stdout, reg, *workers, *verbose)
 	if err != nil {
 		return err
@@ -382,7 +382,7 @@ func runScan(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer h.Close()
-	reg := h.Registry
+	reg := h.Metrics
 
 	images, err := scanCorpus(*seed, *progenN, *maxInstr)
 	if err != nil {

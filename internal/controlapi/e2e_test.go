@@ -23,7 +23,7 @@ import (
 	"repro/client"
 	"repro/internal/controlapi"
 	"repro/internal/experiments"
-	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -236,15 +236,14 @@ func TestManifestWorkerInvariance(t *testing.T) {
 		cfg.Attempts = 1
 		cfg.Seed = 7
 		cfg.Workers = workers
-		sinks := obs.NewSinks(nil, telemetry.KindRetire)
-		cfg.Telemetry, cfg.Metrics, cfg.Tracker = sinks.Recorder, sinks.Registry, sinks.Tracker
+		cfg.Sinks = sched.NewSinks(nil, telemetry.KindRetire)
 		start := time.Now()
 		m := cfg.Manifest("experiments", nil)
 		dir := t.TempDir()
 		if err := experiments.RunCampaign(cfg, experiments.CampaignSpec{Fig4: true}, io.Discard, dir); err != nil {
 			t.Fatal(err)
 		}
-		sinks.Finish(m, start)
+		cfg.Finish(m, start)
 		raw, err := m.MarshalIndent()
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -65,7 +64,7 @@ type job struct {
 	id  string
 	dir string // artifact directory
 
-	obs.Sinks // the job's own, built by obs.NewSinks
+	sched.Sinks // the job's own, built by sched.NewSinks
 
 	ctx    context.Context
 	cancel context.CancelFunc

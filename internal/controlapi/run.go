@@ -61,9 +61,7 @@ func (s JobSpec) config(defaultWorkers int, j *job, ctx context.Context) experim
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers
 	}
-	cfg.Telemetry = j.Recorder
-	cfg.Metrics = j.Registry
-	cfg.Tracker = j.Tracker
+	cfg.Sinks = j.Sinks
 	cfg.BaseCtx = ctx
 	return cfg
 }
@@ -89,7 +87,7 @@ func (s *Server) runJob(ctx context.Context, j *job) error {
 	// capacity-bounded, so volatile by nature; the deterministic census
 	// lives in the manifest's events block).
 	defer func() {
-		_ = telemetry.WriteChromeTraceFile(filepath.Join(j.dir, artifactTrace), j.Recorder.Events())
+		_ = telemetry.WriteChromeTraceFile(filepath.Join(j.dir, artifactTrace), j.Telemetry.Events())
 	}()
 
 	var runErr error
@@ -180,7 +178,7 @@ func (s *Server) runAttackJob(ctx context.Context, j *job, spec JobSpec, logf *o
 		"reps":    reps,
 	}
 
-	outcomes, runErr := sched.Map(j.Context(ctx, "attack"), workers, reps,
+	outcomes, runErr := sched.Map(sched.WithSinks(ctx, j.Sinks, "attack"), workers, reps,
 		func(_ context.Context, i int) (defense.Outcome, error) {
 			return defense.Evaluate(posture, atk, sched.DeriveSeed(seed, uint64(i)))
 		})

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/defense"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/telemetry"
 )
@@ -103,10 +104,10 @@ func New(opts Options) (*Server, error) {
 	// the daemon already claimed, so the two surfaces cannot collide
 	// however often this runs (the double-registration regression).
 	obs.Register(s.mux, obs.Options{
-		Tool:     "crspectred",
-		RunID:    opts.RunID,
-		Registry: s.reg,
-		Log:      opts.Log,
+		Tool:  "crspectred",
+		RunID: opts.RunID,
+		Sinks: sched.Sinks{Metrics: s.reg},
+		Log:   opts.Log,
 	})
 	return s, nil
 }
@@ -220,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// retirements without keeping them.
 	j := &job{
 		id: id, dir: dir, spec: spec,
-		Sinks: obs.NewSinks(s.opts.Log, telemetry.KindRetire),
+		Sinks: sched.NewSinks(s.opts.Log, telemetry.KindRetire),
 		ctx:   jctx, cancel: jcancel,
 		done:    make(chan struct{}),
 		state:   StateQueued,
@@ -339,7 +340,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// The shared obs stream, bounded by the job's lifetime: when the job
 	// reaches a terminal state the remaining ring drains and the stream
 	// ends, so `client events --follow` terminates with the job.
-	obs.ServeEventStream(w, r, j.Recorder, j.done)
+	obs.ServeEventStream(w, r, j.Telemetry, j.done)
 }
 
 func (s *Server) listArtifacts(j *job) ([]Artifact, error) {

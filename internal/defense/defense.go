@@ -10,6 +10,7 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cpu"
@@ -42,45 +43,15 @@ type Posture struct {
 	CSFencing bool
 	// NoSpeculation disables wrong-path execution entirely.
 	NoSpeculation bool
-
-	// The software-mitigation postures of Bălucea & Irofti: each models a
-	// compiler pass applied to the victim code (the attack binary's own
-	// gadget routines — the threat model's "defended victim"). At most
-	// one of the three codegen transforms below is honoured per posture,
-	// in field order; they are alternatives, not layers.
-
-	// IndexMasking clamps attacker-controlled indices with a bitmask
-	// before the dependent access.
-	IndexMasking bool
-	// SLH applies speculative load hardening: the index is masked with a
-	// data-dependent all-ones/zero mask from the bounds comparison.
-	SLH bool
-	// Retpoline replaces indirect calls with return trampolines, so the
-	// BTB is neither trained nor consulted.
-	Retpoline bool
-	// FenceInsertion places LFENCEs at speculation-reachable points
-	// (after bounds checks, at return landing sites, between sanitizing
-	// stores and reloads).
-	FenceInsertion bool
+	// Harden is the software mitigation of Bălucea & Irofti compiled
+	// into the victim code (the attack binary's own gadget routines —
+	// the threat model's "defended victim"): index masking, SLH,
+	// retpoline or fence insertion. The transforms are alternatives, not
+	// layers, so a posture carries at most one.
+	Harden spectre.Hardening
 	// SSBD disables speculative store bypass in the core (the
 	// chicken-bit analogue; no recompile needed).
 	SSBD bool
-}
-
-// hardening maps the posture's codegen flags to the generator transform
-// (first of mask/SLH/retpoline/fence wins).
-func (p Posture) hardening() spectre.Hardening {
-	switch {
-	case p.IndexMasking:
-		return spectre.HardenIndexMask
-	case p.SLH:
-		return spectre.HardenSLH
-	case p.Retpoline:
-		return spectre.HardenRetpoline
-	case p.FenceInsertion:
-		return spectre.HardenFence
-	}
-	return spectre.HardenNone
 }
 
 // Attacker is the adversary's capability set. The paper's §I cites
@@ -168,7 +139,7 @@ func evaluate(m *vm.Machine, p Posture, atk Attacker, seed int64) (Outcome, erro
 	cfg.CPU.SpeculationEnabled = !p.NoSpeculation
 	cfg.CPU.DisableStoreBypass = p.SSBD
 	m.Reset(cfg)
-	m.Register("host", hostMod, 0x100000)
+	m.Register("host", hostMod, rop.HostBase)
 	hostImg, err := m.Load("host")
 	if err != nil {
 		return Outcome{}, err
@@ -182,40 +153,18 @@ func evaluate(m *vm.Machine, p Posture, atk Attacker, seed int64) (Outcome, erro
 		}
 	}
 
-	// What the attacker knows. Without leaks they plan against the
-	// preferred (unslid) addresses and no canary. With leaks they run
-	// the host's verbose diagnostics input and parse the echoed stale
-	// stack words — the bypass is executed, not assumed.
-	planBase := uint64(0x100000)
-	var leakedCanary *uint64
-	if atk.LeakLayout || atk.LeakCanary {
-		leak, err := rop.LeakViaDebug(m, "host", 100_000_000)
-		if err != nil {
-			return Outcome{Stage: StagePayload, Detail: "info leak failed: " + err.Error()}, nil
-		}
-		if atk.LeakLayout {
-			planBase = leak.Base
-		}
-		if atk.LeakCanary {
-			c := leak.Canary
-			leakedCanary = &c
-		}
-	}
-	planImg := hostImg
-	if planImg.Base != planBase {
-		planImg, err = hostMod.Link(planBase)
-		if err != nil {
-			return Outcome{}, err
-		}
+	// What the attacker knows: the preferred base, or what a leak echoes.
+	tgt, err := rop.Recon(m, "host", hostMod, hostImg, atk.LeakLayout, atk.LeakCanary, 100_000_000)
+	if err != nil {
+		return Outcome{Stage: StagePayload, Detail: err.Error()}, nil
 	}
 
-	// Target address for the attack binary: attacker-known host secret.
-	secretAddr := planImg.MustSymbol("__secret")
+	// The attack binary targets the host secret's attacker-known address.
 	attCfg := spectre.Config{
 		Variant:    atk.Variant,
-		TargetAddr: secretAddr,
+		TargetAddr: tgt.Image.MustSymbol("__secret"),
 		SecretLen:  len(Secret),
-		Harden:     p.hardening(),
+		Harden:     p.Harden,
 	}
 	if atk.Perturb {
 		attCfg.PerturbAsm = perturb.Paper().Asm()
@@ -230,10 +179,10 @@ func evaluate(m *vm.Machine, p Posture, atk Attacker, seed int64) (Outcome, erro
 	// executable (cheaper, no gadgets needed), else the ROP chain.
 	var payload []byte
 	if !p.DEP {
-		payload, _, err = rop.BuildShellcodePayload("attack", rop.ShellcodeBufAddr(m.StackTop(), p.Canary), leakedCanary)
+		payload, _, err = rop.BuildShellcodePayload("attack", rop.ShellcodeBufAddr(m.StackTop(), p.Canary), tgt.Canary)
 	} else {
 		var plan *rop.Plan
-		plan, err = rop.PlanInjection(gadget.ScanAndCatalog(planImg, 3), "attack", leakedCanary)
+		plan, err = rop.PlanInjection(gadget.ScanAndCatalog(tgt.Image, 3), "attack", tgt.Canary)
 		if plan != nil {
 			payload = plan.Payload
 		}
@@ -248,16 +197,11 @@ func evaluate(m *vm.Machine, p Posture, atk Attacker, seed int64) (Outcome, erro
 	if len(out.Recovered) > len(Secret) {
 		out.Recovered = out.Recovered[:len(Secret)]
 	}
-	for _, e := range m.ExecLog {
-		if e == "attack" {
-			out.Injected = true
-			out.Stage = StageLeak
-		}
+	if slices.Contains(m.ExecLog, "attack") {
+		out.Injected = true
+		out.Stage = StageLeak
 	}
-	out.Aborted = m.Aborted
-	if runErr != nil {
-		out.Faulted = true
-	}
+	out.Aborted, out.Faulted = m.Aborted, runErr != nil
 	if out.Recovered == Secret {
 		out.Stage = StageComplete
 		out.Success = true
@@ -317,16 +261,16 @@ func Matrix(seed int64) ([]MatrixRow, error) {
 		// The software-mitigation postures, each probed twice: once by
 		// the variant it seals and once by the variant a defense-aware
 		// attacker re-targets to slip past it.
-		{"index masking", Posture{DEP: true, IndexMasking: true}, Attacker{}},
-		{"index masking, v2 variant", Posture{DEP: true, IndexMasking: true}, Attacker{Variant: spectre.V2CrossTrain}},
-		{"SLH", Posture{DEP: true, SLH: true}, Attacker{}},
-		{"SLH, v4 variant", Posture{DEP: true, SLH: true}, Attacker{Variant: spectre.V4StoreBypass}},
-		{"retpoline, v2 variant", Posture{DEP: true, Retpoline: true}, Attacker{Variant: spectre.V2CrossTrain}},
-		{"retpoline, v1 variant", Posture{DEP: true, Retpoline: true}, Attacker{}},
-		{"fence insertion", Posture{DEP: true, FenceInsertion: true}, Attacker{}},
-		{"fence insertion, v2 variant", Posture{DEP: true, FenceInsertion: true}, Attacker{Variant: spectre.V2CrossTrain}},
-		{"SSBD, v4 variant", Posture{DEP: true, SSBD: true}, Attacker{Variant: spectre.V4StoreBypass}},
-		{"SSBD, v1 variant", Posture{DEP: true, SSBD: true}, Attacker{}},
+		{"index masking", MitigationIndexMask.Posture(), Attacker{}},
+		{"index masking, v2 variant", MitigationIndexMask.Posture(), Attacker{Variant: spectre.V2CrossTrain}},
+		{"SLH", MitigationSLH.Posture(), Attacker{}},
+		{"SLH, v4 variant", MitigationSLH.Posture(), Attacker{Variant: spectre.V4StoreBypass}},
+		{"retpoline, v2 variant", MitigationRetpoline.Posture(), Attacker{Variant: spectre.V2CrossTrain}},
+		{"retpoline, v1 variant", MitigationRetpoline.Posture(), Attacker{}},
+		{"fence insertion", MitigationFence.Posture(), Attacker{}},
+		{"fence insertion, v2 variant", MitigationFence.Posture(), Attacker{Variant: spectre.V2CrossTrain}},
+		{"SSBD, v4 variant", MitigationSSBD.Posture(), Attacker{Variant: spectre.V4StoreBypass}},
+		{"SSBD, v1 variant", MitigationSSBD.Posture(), Attacker{}},
 	}
 	var rows []MatrixRow
 	for _, c := range cases {

@@ -39,48 +39,33 @@ func Mitigations() []Mitigation {
 	return ms
 }
 
-// String names the mitigation.
-func (m Mitigation) String() string {
-	switch m {
-	case MitigationNone:
-		return "none"
-	case MitigationIndexMask:
-		return "index-mask"
-	case MitigationSLH:
-		return "slh"
-	case MitigationRetpoline:
-		return "retpoline"
-	case MitigationFence:
-		return "fence"
-	case MitigationInvisiSpec:
-		return "invisispec"
-	case MitigationSSBD:
-		return "ssbd"
-	}
-	return fmt.Sprintf("mitigation(%d)", int(m))
+// mitigations states each matrix column once: its name and the posture
+// deploying exactly that mitigation, on the standard DEP baseline (the
+// matrix varies the speculation defense, not the memory-safety layer).
+var mitigations = [numMitigations]struct {
+	name    string
+	posture Posture
+}{
+	MitigationNone:       {"none", Posture{DEP: true}},
+	MitigationIndexMask:  {"index-mask", Posture{DEP: true, Harden: spectre.HardenIndexMask}},
+	MitigationSLH:        {"slh", Posture{DEP: true, Harden: spectre.HardenSLH}},
+	MitigationRetpoline:  {"retpoline", Posture{DEP: true, Harden: spectre.HardenRetpoline}},
+	MitigationFence:      {"fence", Posture{DEP: true, Harden: spectre.HardenFence}},
+	MitigationInvisiSpec: {"invisispec", Posture{DEP: true, InvisiSpec: true}},
+	MitigationSSBD:       {"ssbd", Posture{DEP: true, SSBD: true}},
 }
 
-// Posture returns the defense posture deploying exactly this mitigation
-// (on the standard DEP baseline — the matrix varies the speculation
-// defense, not the memory-safety layer).
-func (m Mitigation) Posture() Posture {
-	p := Posture{DEP: true}
-	switch m {
-	case MitigationIndexMask:
-		p.IndexMasking = true
-	case MitigationSLH:
-		p.SLH = true
-	case MitigationRetpoline:
-		p.Retpoline = true
-	case MitigationFence:
-		p.FenceInsertion = true
-	case MitigationInvisiSpec:
-		p.InvisiSpec = true
-	case MitigationSSBD:
-		p.SSBD = true
+// String names the mitigation.
+func (m Mitigation) String() string {
+	if m < 0 || m >= numMitigations {
+		return fmt.Sprintf("mitigation(%d)", int(m))
 	}
-	return p
+	return mitigations[m].name
 }
+
+// Posture returns the defense posture deploying exactly this mitigation;
+// m must be one of Mitigations().
+func (m Mitigation) Posture() Posture { return mitigations[m].posture }
 
 // MatrixVariants lists the matrix rows: the four variant families the
 // mitigation catalog distinguishes (v1/PHT, v2/BTB cross-training,

@@ -7,23 +7,24 @@ import "sort"
 // axes — memory defenses, the §IV countermeasures, and the software
 // mitigation postures — under short, stable identifiers (they appear in
 // job specs, artifact manifests and client scripts, so renaming one is
-// a wire-format change).
-var namedPostures = map[string]Posture{
-	"none":       {},
-	"dep":        {DEP: true},
-	"dep-canary": {DEP: true, Canary: true},
-	"dep-aslr":   {DEP: true, ASLR: true},
-	"full":       {DEP: true, Canary: true, ASLR: true},
-	"csfencing":  {DEP: true, CSFencing: true},
-	"privflush":  {DEP: true, PrivilegedFlush: true},
-	"invisispec": {DEP: true, InvisiSpec: true},
-	"nospec":     {DEP: true, NoSpeculation: true},
-	"index-mask": {DEP: true, IndexMasking: true},
-	"slh":        {DEP: true, SLH: true},
-	"retpoline":  {DEP: true, Retpoline: true},
-	"fence":      {DEP: true, FenceInsertion: true},
-	"ssbd":       {DEP: true, SSBD: true},
-}
+// a wire-format change). The matrix's mitigation columns join it under
+// their column names; its "none" column is "dep" here.
+var namedPostures = func() map[string]Posture {
+	named := map[string]Posture{
+		"none":       {},
+		"dep":        {DEP: true},
+		"dep-canary": {DEP: true, Canary: true},
+		"dep-aslr":   {DEP: true, ASLR: true},
+		"full":       {DEP: true, Canary: true, ASLR: true},
+		"csfencing":  {DEP: true, CSFencing: true},
+		"privflush":  {DEP: true, PrivilegedFlush: true},
+		"nospec":     {DEP: true, NoSpeculation: true},
+	}
+	for _, m := range Mitigations()[MitigationIndexMask:] {
+		named[m.String()] = m.Posture()
+	}
+	return named
+}()
 
 // PostureByName resolves a named defensive configuration.
 func PostureByName(name string) (Posture, bool) {

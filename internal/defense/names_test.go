@@ -3,6 +3,8 @@ package defense
 import (
 	"sort"
 	"testing"
+
+	"repro/internal/spectre"
 )
 
 // TestPostureCatalogue pins the named-posture wire vocabulary: these
@@ -30,11 +32,11 @@ func TestPostureCatalogue(t *testing.T) {
 		{"none", func(p Posture) bool { return p == Posture{} }},
 		{"dep", func(p Posture) bool { return p.DEP && !p.Canary && !p.ASLR }},
 		{"full", func(p Posture) bool { return p.DEP && p.Canary && p.ASLR }},
-		{"retpoline", func(p Posture) bool { return p.Retpoline }},
-		{"slh", func(p Posture) bool { return p.SLH }},
+		{"retpoline", func(p Posture) bool { return p.Harden == spectre.HardenRetpoline }},
+		{"slh", func(p Posture) bool { return p.Harden == spectre.HardenSLH }},
 		{"ssbd", func(p Posture) bool { return p.SSBD }},
 		{"nospec", func(p Posture) bool { return p.NoSpeculation }},
-		{"index-mask", func(p Posture) bool { return p.IndexMasking }},
+		{"index-mask", func(p Posture) bool { return p.Harden == spectre.HardenIndexMask }},
 	}
 	for _, c := range checks {
 		p, ok := PostureByName(c.name)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/mibench"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
@@ -168,7 +167,7 @@ func observed(cfg Config) Config {
 func manifestJSON(t *testing.T, cfg Config) (*telemetry.Manifest, []byte) {
 	t.Helper()
 	m := cfg.Manifest("experiments-test", nil)
-	obs.Sinks{Recorder: cfg.Telemetry, Registry: cfg.Metrics, Tracker: cfg.Tracker}.Finish(m, time.Now())
+	cfg.Finish(m, time.Now())
 	m.ZeroVolatile()
 	m.Workers = 0
 	out, err := m.MarshalIndent()

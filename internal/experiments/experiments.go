@@ -36,14 +36,12 @@ import (
 	"repro/internal/rop"
 	"repro/internal/sched"
 	"repro/internal/spectre"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
-// Load bases for the three images of a scenario machine.
+// Load bases for a scenario machine's target and attack images.
 const (
-	hostBase   = 0x100000
 	targetBase = 0x300000
 	attackBase = 0x600000
 )
@@ -83,19 +81,15 @@ type Config struct {
 	// value — parallelism never changes the numbers, only the
 	// wall-clock.
 	Workers int
-	// Telemetry, when non-nil, is attached to every machine the drivers
-	// build (and to the worker pool): each core streams typed events
-	// into the shared recorder. Per-kind event totals stay deterministic
-	// for any Workers value; ring *contents* interleave.
-	Telemetry *telemetry.Recorder
-	// Metrics, when non-nil, accumulates named counters (pool stats,
-	// end-of-run PMU publication) for the run manifest.
-	Metrics *telemetry.Registry
-	// Tracker, when non-nil, aggregates per-pool campaign progress
-	// (lifecycle counts, task latencies, instruction throughput) for the
-	// obs server's /progress endpoint and the manifest's final progress
-	// snapshot. Nil keeps the scheduler on its nil-check-only fast path.
-	Tracker *sched.Tracker
+	// Sinks are the run's telemetry sinks, each optional. The recorder
+	// is attached to every machine the drivers build (and to the worker
+	// pools): each core streams typed events into it. Per-kind event
+	// totals stay deterministic for any Workers value; ring *contents*
+	// interleave. The registry accumulates named counters (pool stats,
+	// end-of-run PMU publication) for the run manifest, and the tracker
+	// per-pool campaign progress. Nil sinks keep the scheduler on its
+	// nil-check-only fast path.
+	sched.Sinks
 	// BaseCtx, when non-nil, is the parent context of every worker pool
 	// the drivers spin up — the crspectred daemon's per-job cancellation
 	// path (cancel requests and graceful drain propagate through it into
@@ -117,9 +111,7 @@ func (cfg Config) ctx(pool string) context.Context {
 	if base == nil {
 		base = context.Background()
 	}
-	return sched.WithSinks(base, sched.Sinks{
-		Recorder: cfg.Telemetry, Registry: cfg.Metrics, Pool: cfg.Tracker.Pool(pool),
-	})
+	return sched.WithSinks(base, cfg.Sinks, pool)
 }
 
 // DefaultConfig returns the configuration used by the cmd tools.
@@ -178,7 +170,7 @@ func (cfg Config) benignMachine(m *vm.Machine, w mibench.Workload, seed int64) e
 		return fmt.Errorf("experiments: %s: %w", w.Name, err)
 	}
 	cfg.machine(m, seed)
-	m.Register(w.Name, mod, hostBase)
+	m.Register(w.Name, mod, rop.HostBase)
 	if _, err := m.Load(w.Name); err != nil {
 		return err
 	}
@@ -303,7 +295,7 @@ func (cfg Config) crMachine(m *vm.Machine, w mibench.Workload, spec AttackSpec, 
 		return 0, err
 	}
 	cfg.machine(m, seed)
-	m.Register(w.Name, hostMod, hostBase)
+	m.Register(w.Name, hostMod, rop.HostBase)
 	hostImg, err := m.Load(w.Name)
 	if err != nil {
 		return 0, err

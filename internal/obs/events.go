@@ -34,7 +34,7 @@ const eventsPollInterval = 50 * time.Millisecond
 // silently resumes at the oldest retained event (the Seq field exposes
 // the gap to clients that care).
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
-	ServeEventStream(w, r, h.opts.Recorder, nil)
+	ServeEventStream(w, r, h.opts.Telemetry, nil)
 }
 
 // ServeEventStream tails rec's ring to w, honouring the /events query

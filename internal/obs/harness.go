@@ -15,46 +15,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Sinks are one run's telemetry sinks. Each may be nil, and every
-// consumer treats nil as off.
-type Sinks struct {
-	Recorder *telemetry.Recorder
-	Registry *telemetry.Registry
-	Tracker  *sched.Tracker
-}
-
-// NewSinks builds all three sinks of a run: a recorder on the default
-// ring that counts the excluded kinds without storing them, a registry,
-// and a tracker feeding both that logs through log (nil for none).
-// Tools get theirs from Start; daemon jobs call this directly.
-func NewSinks(log *slog.Logger, exclude ...telemetry.Kind) Sinks {
-	rec := newRecorder(exclude)
-	reg := telemetry.NewRegistry()
-	return Sinks{Recorder: rec, Registry: reg, Tracker: sched.NewTracker(reg, rec, log)}
-}
-
-func newRecorder(exclude []telemetry.Kind) *telemetry.Recorder {
-	rec := telemetry.NewRecorder(0)
-	rec.Exclude(exclude...)
-	return rec
-}
-
-// Context returns ctx carrying the sinks and the tracker's named pool,
-// for the sched.Map calls that run under it.
-func (s Sinks) Context(ctx context.Context, pool string) context.Context {
-	return sched.WithSinks(ctx, sched.Sinks{
-		Recorder: s.Recorder, Registry: s.Registry, Pool: s.Tracker.Pool(pool),
-	})
-}
-
-// Finish records the tracker's final progress into m and drains the
-// registry and recorder into it (telemetry.Manifest.Finish); start is
-// when the run began.
-func (s Sinks) Finish(m *telemetry.Manifest, start time.Time) {
-	m.Progress = s.Tracker.ManifestProgress()
-	m.Finish(start, s.Registry, s.Recorder)
-}
-
 // Config is what a tool hands Start once its flags are parsed: its
 // name, the values of its observability flags (empty when a flag was
 // not given, or when the tool has no such flag), and the two settings
@@ -81,7 +41,7 @@ type Config struct {
 // the output files. Without any observability flag every sink is nil
 // and nothing is served or written.
 type Harness struct {
-	Sinks
+	sched.Sinks
 
 	cfg       Config
 	runID     string
@@ -122,16 +82,14 @@ func Start(cfg Config) (*Harness, error) {
 	}
 	switch {
 	case cfg.Manifest != "" || cfg.Obs != "":
-		h.Sinks = NewSinks(log, cfg.Exclude...)
+		h.Sinks = sched.NewSinks(log, cfg.Exclude...)
 	case cfg.Trace != "" || cfg.TraceEvents != "":
-		h.Recorder = newRecorder(cfg.Exclude)
+		h.Telemetry = telemetry.NewRecorder(0)
+		h.Telemetry.Exclude(cfg.Exclude...)
 	}
 	if cfg.Obs != "" {
 		var err error
-		h.srv, err = Serve(context.Background(), cfg.Obs, Options{
-			Tool: cfg.Tool, RunID: h.runID, Log: log,
-			Registry: h.Registry, Recorder: h.Recorder, Tracker: h.Tracker,
-		})
+		h.srv, err = Serve(context.Background(), cfg.Obs, Options{Tool: cfg.Tool, RunID: h.runID, Sinks: h.Sinks, Log: log})
 		if err != nil {
 			return nil, errors.Join(err, h.Close())
 		}
@@ -172,13 +130,13 @@ func writeHeapProfile(path string) error {
 // sinks' totals into it, and ignores it without -manifest.
 func (h *Harness) WriteOutputs(w io.Writer, m *telemetry.Manifest) error {
 	if path := h.cfg.Trace; path != "" {
-		if err := telemetry.WriteChromeTraceFile(path, h.Recorder.Events()); err != nil {
+		if err := telemetry.WriteChromeTraceFile(path, h.Telemetry.Events()); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "wrote trace %s (%d events, %d dropped)\n", path, h.Recorder.Len(), h.Recorder.Dropped())
+		fmt.Fprintf(w, "wrote trace %s (%d events, %d dropped)\n", path, h.Telemetry.Len(), h.Telemetry.Dropped())
 	}
 	if path := h.cfg.TraceEvents; path != "" {
-		if err := telemetry.WriteJSONLFile(path, h.Recorder.Events()); err != nil {
+		if err := telemetry.WriteJSONLFile(path, h.Telemetry.Events()); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote event log %s\n", path)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ func TestStartNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Sinks != (Sinks{}) || h.srv != nil {
+	if h.Sinks != (sched.Sinks{}) || h.srv != nil {
 		t.Errorf("no flags built sinks %+v, server %v", h.Sinks, h.srv)
 	}
 	var out strings.Builder
@@ -56,11 +57,11 @@ func TestStartSinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer h.Close()
-			if h.Recorder == nil || (h.Registry != nil) != tc.wantTrack || (h.Tracker != nil) != tc.wantTrack {
+			if h.Telemetry == nil || (h.Metrics != nil) != tc.wantTrack || (h.Tracker != nil) != tc.wantTrack {
 				t.Fatalf("sinks %+v, want recorder and tracking %v", h.Sinks, tc.wantTrack)
 			}
-			h.Recorder.Emit(telemetry.Event{Kind: telemetry.KindRetire})
-			h.Recorder.Emit(telemetry.Event{Kind: telemetry.KindExec})
+			h.Telemetry.Emit(telemetry.Event{Kind: telemetry.KindRetire})
+			h.Telemetry.Emit(telemetry.Event{Kind: telemetry.KindExec})
 			var out strings.Builder
 			if err := h.WriteOutputs(&out, telemetry.NewManifest("harnesstest", nil)); err != nil {
 				t.Fatal(err)
@@ -90,7 +91,7 @@ func TestStartObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Recorder == nil || h.Registry == nil || h.Tracker == nil {
+	if h.Telemetry == nil || h.Metrics == nil || h.Tracker == nil {
 		t.Fatalf("-obs sinks %+v, want all three", h.Sinks)
 	}
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}

@@ -42,16 +42,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options wires the server to a run's telemetry sinks. Every field is
-// optional; endpoints backed by an absent sink degrade to empty (or
-// 503 for /events, which cannot stream without a recorder).
+// Options wires the server to a run's telemetry sinks: the registry
+// backs /metrics and /metrics.json, the recorder /events, and the
+// tracker /progress. Every field is optional; endpoints backed by an
+// absent sink degrade to empty (or 503 for /events, which cannot stream
+// without a recorder).
 type Options struct {
-	Tool     string              // host program name, surfaced in /buildz
-	RunID    string              // telemetry.NewRunID(), surfaced everywhere
-	Registry *telemetry.Registry // /metrics, /metrics.json
-	Recorder *telemetry.Recorder // /events
-	Tracker  *sched.Tracker      // /progress
-	Log      *slog.Logger        // request logging; nil disables
+	Tool  string // host program name, surfaced in /buildz
+	RunID string // telemetry.NewRunID(), surfaced everywhere
+	sched.Sinks
+	Log *slog.Logger // request logging; nil disables
 }
 
 // handler bundles the options with the server start time for uptime.
@@ -152,7 +152,7 @@ func (h *handler) buildz(w http.ResponseWriter, _ *http.Request) {
 
 func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writePrometheus(w, h.opts.Registry)
+	writePrometheus(w, h.opts.Metrics)
 }
 
 // metricsJSON is the machine-readable twin of /metrics, shaped exactly
@@ -161,8 +161,8 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 func (h *handler) metricsJSON(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, MetricsSnapshot{
 		RunID:      h.opts.RunID,
-		Metrics:    h.opts.Registry.Snapshot(),
-		Histograms: h.opts.Registry.HistogramSnapshots(true),
+		Metrics:    h.opts.Metrics.Snapshot(),
+		Histograms: h.opts.Metrics.HistogramSnapshots(true),
 	})
 }
 

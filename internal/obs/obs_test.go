@@ -22,11 +22,9 @@ func testHandler(t *testing.T) (http.Handler, *telemetry.Registry, *telemetry.Re
 	rec := telemetry.NewRecorder(256)
 	tr := sched.NewTracker(reg, rec, nil)
 	return NewHandler(Options{
-		Tool:     "obstest",
-		RunID:    "testrun01",
-		Registry: reg,
-		Recorder: rec,
-		Tracker:  tr,
+		Tool:  "obstest",
+		RunID: "testrun01",
+		Sinks: sched.Sinks{Telemetry: rec, Metrics: reg, Tracker: tr},
 	}), reg, rec, tr
 }
 
@@ -127,7 +125,7 @@ func TestMetricsJSON(t *testing.T) {
 
 func TestProgress(t *testing.T) {
 	h, _, _, tr := testHandler(t)
-	ctx := sched.WithSinks(context.Background(), sched.Sinks{Pool: tr.Pool("unit")})
+	ctx := sched.WithSinks(context.Background(), sched.Sinks{Tracker: tr}, "unit")
 	if _, err := sched.Map(ctx, 2, 6, func(ctx context.Context, task int) (int, error) {
 		sched.ObserveInstrs(ctx, 10)
 		return task, nil
@@ -215,7 +213,7 @@ func TestEventsSSEFormatLive(t *testing.T) {
 	rec := telemetry.NewRecorder(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", Options{Registry: reg, Recorder: rec})
+	srv, err := Serve(ctx, "127.0.0.1:0", Options{Sinks: sched.Sinks{Telemetry: rec, Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -26,7 +27,7 @@ func TestRegisterSharedMux(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	reg.Inc("obs.test.counter")
-	opts := Options{Tool: "register-test", Registry: reg}
+	opts := Options{Tool: "register-test", Sinks: sched.Sinks{Metrics: reg}}
 	Register(mux, opts)
 	Register(mux, opts) // the regression: this used to panic
 
@@ -68,7 +69,7 @@ func TestRegisterSharedMux(t *testing.T) {
 func TestNewHandlerStandalone(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Set("gauge.x", 42)
-	ts := httptest.NewServer(NewHandler(Options{Tool: "standalone", Registry: reg}))
+	ts := httptest.NewServer(NewHandler(Options{Tool: "standalone", Sinks: sched.Sinks{Metrics: reg}}))
 	defer ts.Close()
 	for _, path := range []string{"/healthz", "/buildz", "/metrics", "/metrics.json", "/progress"} {
 		resp, err := http.Get(ts.URL + path)

@@ -113,7 +113,7 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 			}
 			// Identical faults: a passing outcome, but still sweep memory.
 			res.Fault = errC
-			if reason := compareAllMemory(c, o); reason != "" {
+			if reason := compareAllMemory(c.Mem, o.Mem, "core", "oracle"); reason != "" {
 				res.Div = &Divergence{Step: step, PC: pc, Reasons: []string{reason}}
 			}
 			return res
@@ -132,7 +132,7 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 			return res
 		}
 	}
-	if reason := compareAllMemory(c, o); reason != "" {
+	if reason := compareAllMemory(c.Mem, o.Mem, "core", "oracle"); reason != "" {
 		res.Div = &Divergence{Step: res.Steps, PC: c.PC, Reasons: []string{reason}}
 	}
 	return res
@@ -179,13 +179,15 @@ func comparePage(c *cpu.CPU, o *Machine, pg uint64) string {
 	return ""
 }
 
-func compareAllMemory(c *cpu.CPU, o *Machine) string {
-	if a, b := c.Mem.Size(), o.Mem.Size(); a != b {
-		return fmt.Sprintf("memory sizes differ: core=%d oracle=%d", a, b)
+// compareAllMemory sweeps two whole memories, naming them x and y in
+// the reason.
+func compareAllMemory(a, b *mem.Memory, x, y string) string {
+	if sa, sb := a.Size(), b.Size(); sa != sb {
+		return fmt.Sprintf("memory sizes differ: %s=%d %s=%d", x, sa, y, sb)
 	}
-	if at, differ := mem.FirstDiff(c.Mem, o.Mem, 0, c.Mem.Size()); differ {
-		return fmt.Sprintf("final memory sweep: mem[%#x]: core=%#02x oracle=%#02x",
-			at, peek8(c.Mem, at), peek8(o.Mem, at))
+	if at, differ := mem.FirstDiff(a, b, 0, a.Size()); differ {
+		return fmt.Sprintf("final memory sweep: mem[%#x]: %s=%#02x %s=%#02x",
+			at, x, peek8(a, at), y, peek8(b, at))
 	}
 	return ""
 }

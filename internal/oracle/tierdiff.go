@@ -146,7 +146,7 @@ func compareTiers(cb, cs *cpu.CPU) []string {
 	if sb, ss := cb.Snapshot(), cs.Snapshot(); sb != ss {
 		reasons = append(reasons, snapshotDiff(sb, ss)...)
 	}
-	if reason := compareAllMemory(cb, &Machine{Mem: cs.Mem}); reason != "" {
+	if reason := compareAllMemory(cb.Mem, cs.Mem, "blocks", "single-step"); reason != "" {
 		reasons = append(reasons, reason)
 	}
 	return reasons

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,6 +136,31 @@ func TestTierDiffDetectsInjectedCorruption(t *testing.T) {
 	}
 	if !strings.Contains(res.Div.String(), "r5") {
 		t.Fatalf("divergence does not name the corrupted register:\n%v", res.Div)
+	}
+}
+
+// TestTierDiffMemoryReasonNamesTiers: a byte written into the block-tier
+// core's data page surfaces as one final-sweep reason that names the two
+// tiers, not the lock-step harness's core and oracle.
+func TestTierDiffMemoryReasonNamesTiers(t *testing.T) {
+	p := tierDiffLoop(t)
+	res, err := oracle.RunTierDiff(p, cpu.DefaultConfig(), 4096, 0,
+		func(slice uint64, blocks, single *cpu.CPU) {
+			if slice == 1 {
+				if err := blocks.Mem.Write8(progen.DataBase+8, 0xee); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clean() {
+		t.Fatal("injected memory write was not detected")
+	}
+	want := fmt.Sprintf("final memory sweep: mem[%#x]: blocks=0xee single-step=0x00", progen.DataBase+8)
+	if len(res.Div.Reasons) != 1 || res.Div.Reasons[0] != want {
+		t.Fatalf("reasons %q, want exactly %q", res.Div.Reasons, want)
 	}
 }
 

@@ -5,8 +5,14 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/vm"
 )
+
+// HostBase is the preferred load base of a host binary: where callers
+// register it, and where an attacker without a layout leak believes it
+// is loaded (ASLR slides it away).
+const HostBase = 0x100000
 
 // DebugRetOffset is where the leaked stale return address points inside
 // the host image: the instruction after `_start`'s call, i.e. base + one
@@ -48,4 +54,40 @@ func LeakViaDebug(m *vm.Machine, hostName string, budget uint64) (DebugLeak, err
 		return DebugLeak{}, fmt.Errorf("rop: implausible leaked return address %#x", ret)
 	}
 	return DebugLeak{Base: ret - DebugRetOffset, Canary: canary}, nil
+}
+
+// Target is what an attacker plans an injection against: the host
+// image linked where they believe it is loaded, the canary word if they
+// leaked it, and what the host's diagnostics echoed if a leak ran.
+type Target struct {
+	Image  *isa.Image
+	Canary *uint64
+	Leak   *DebugLeak
+}
+
+// Recon returns what an attacker knows of host, loaded on m as img from
+// mod. Without leaks they know only HostBase and no canary. With
+// leakLayout or leakCanary they run LeakViaDebug and take the load
+// base, the canary or both from what it echoes: the bypasses are
+// executed, not assumed.
+func Recon(m *vm.Machine, host string, mod *isa.Module, img *isa.Image, leakLayout, leakCanary bool, budget uint64) (Target, error) {
+	t, base := Target{Image: img}, uint64(HostBase)
+	if leakLayout || leakCanary {
+		leak, err := LeakViaDebug(m, host, budget)
+		if err != nil {
+			return Target{}, fmt.Errorf("info leak failed: %w", err)
+		}
+		t.Leak = &leak
+		if leakLayout {
+			base = leak.Base
+		}
+		if leakCanary {
+			t.Canary = &leak.Canary
+		}
+	}
+	var err error
+	if img.Base != base {
+		t.Image, err = mod.Link(base)
+	}
+	return t, err
 }

@@ -286,6 +286,46 @@ func TestLeakViaDebugRecoversBaseAndCanary(t *testing.T) {
 	}
 }
 
+// TestRecon: without a leak the attacker plans against HostBase and no
+// canary; with both leaks, against the slid image as loaded and the
+// installed canary.
+func TestRecon(t *testing.T) {
+	cfg := vm.DefaultConfig()
+	cfg.ASLR, cfg.ASLRSeed = true, 1234
+	m := vm.New(cfg)
+	host, err := isa.Assemble(HostSource(trivialWorkload, HostOptions{Canary: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Register("host", host, HostBase)
+	img, err := m.Load("host")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Base == HostBase {
+		t.Fatal("ASLR left the host at HostBase")
+	}
+	canary := uint64(0x1337C0DECAFE)
+	if err := m.Mem.Write64(img.MustSymbol("__canary"), canary); err != nil {
+		t.Fatal(err)
+	}
+
+	blind, err := Recon(m, "host", host, img, false, false, 10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.Image.Base != HostBase || blind.Canary != nil || blind.Leak != nil {
+		t.Errorf("no leak: planned at %#x, canary %v, leak %v; want %#x and neither", blind.Image.Base, blind.Canary, blind.Leak, HostBase)
+	}
+	leaked, err := Recon(m, "host", host, img, true, true, 10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaked.Image != img || leaked.Leak == nil || leaked.Canary == nil || *leaked.Canary != canary {
+		t.Errorf("leaks: planned at %#x (loaded at %#x), canary %v, leak %v; want the loaded image and %#x", leaked.Image.Base, img.Base, leaked.Canary, leaked.Leak, canary)
+	}
+}
+
 func TestDebugPathAbsentForNormalInput(t *testing.T) {
 	m := newHostMachine(t, HostOptions{})
 	if err := m.Exec("host", []byte("normal input"), 1_000_000); err != nil {

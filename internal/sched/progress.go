@@ -147,7 +147,7 @@ func (p *Pool) AddInstrs(n uint64) {
 // machine's retired-instruction count so /progress can report campaign
 // throughput in Minstr/s.
 func ObserveInstrs(ctx context.Context, n uint64) {
-	sinksFrom(ctx).Pool.AddInstrs(n)
+	sinksFrom(ctx).pool.AddInstrs(n)
 }
 
 // PoolProgress is one pool's live progress snapshot — the /progress

@@ -37,11 +37,13 @@ package sched
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -73,26 +75,52 @@ func Rand(base int64, index uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(base, index)))
 }
 
-// Sinks are what a pool reports into: task events to the recorder,
-// counters to the registry, and lifecycle and instruction totals to the
-// progress pool. Any of them may be nil.
+// Sinks are one run's telemetry sinks, the handle a run passes from its
+// flags to every worker pool: typed events go to the recorder, counters
+// to the registry, and per-pool progress to the tracker. Each may be
+// nil, and every consumer treats nil as off.
 type Sinks struct {
-	Recorder *telemetry.Recorder
-	Registry *telemetry.Registry
-	Pool     *Pool
+	Telemetry *telemetry.Recorder
+	Metrics   *telemetry.Registry
+	Tracker   *Tracker
+}
+
+// NewSinks builds all three sinks of a run: a recorder on the default
+// ring that counts the excluded kinds without storing them, a registry,
+// and a tracker feeding both that logs through log (nil for none).
+func NewSinks(log *slog.Logger, exclude ...telemetry.Kind) Sinks {
+	rec := telemetry.NewRecorder(0)
+	rec.Exclude(exclude...)
+	reg := telemetry.NewRegistry()
+	return Sinks{Telemetry: rec, Metrics: reg, Tracker: NewTracker(reg, rec, log)}
+}
+
+// Finish records the tracker's final progress into m and drains the
+// registry and recorder into it (telemetry.Manifest.Finish); start is
+// when the run began.
+func (s Sinks) Finish(m *telemetry.Manifest, start time.Time) {
+	m.Progress = s.Tracker.ManifestProgress()
+	m.Finish(start, s.Metrics, s.Telemetry)
+}
+
+// poolSinks is what rides a pool's context: the run's sinks and the
+// tracker pool its Map calls report into.
+type poolSinks struct {
+	Sinks
+	pool *Pool
 }
 
 type sinksKey struct{}
 
 // WithSinks returns a context whose Map calls, and the tasks they run,
-// report into s.
-func WithSinks(ctx context.Context, s Sinks) context.Context {
-	return context.WithValue(ctx, sinksKey{}, s)
+// report into s, with progress going to the tracker's pool of that name.
+func WithSinks(ctx context.Context, s Sinks, pool string) context.Context {
+	return context.WithValue(ctx, sinksKey{}, poolSinks{s, s.Tracker.Pool(pool)})
 }
 
 // sinksFrom extracts the sinks riding the context; all nil when none do.
-func sinksFrom(ctx context.Context) Sinks {
-	s, _ := ctx.Value(sinksKey{}).(Sinks)
+func sinksFrom(ctx context.Context) poolSinks {
+	s, _ := ctx.Value(sinksKey{}).(poolSinks)
 	return s
 }
 
@@ -148,7 +176,7 @@ func mapTasks[L, T any](ctx context.Context, workers, n int, fn func(context.Con
 	// signature predates them); all are nil-safe, so unobserved pools pay
 	// only this one lookup.
 	sinks := sinksFrom(ctx)
-	rec, reg, pool := sinks.Recorder, sinks.Registry, sinks.Pool
+	rec, reg, pool := sinks.Telemetry, sinks.Metrics, sinks.pool
 	pool.taskSubmitted(uint64(n))
 
 	errs := make([]error, n)

@@ -41,7 +41,6 @@ import (
 	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
-	"repro/internal/telemetry"
 )
 
 // Options configures the experiment drivers. The zero value is usable:
@@ -200,16 +199,13 @@ type AttackOptions struct {
 	// Workers bounds the corpus-building parallelism when a Detector is
 	// set (0 = all cores). Results are byte-identical for any value.
 	Workers int
-	// Telemetry, when non-nil, records typed micro-architectural events
-	// from the attack machine (speculation episodes, cache fills, the
-	// RET pivot, covert-channel probes) for trace export.
-	Telemetry *telemetry.Recorder
-	// Metrics, when non-nil, receives the run's end-of-run PMU metrics
-	// under the "pmu." prefix plus pool counters, for the run manifest.
-	Metrics *telemetry.Registry
-	// Tracker, when non-nil, aggregates per-pool campaign progress for
-	// the obs server and the manifest's final progress snapshot.
-	Tracker *sched.Tracker
+	// Sinks are the run's telemetry sinks, each optional. The recorder
+	// takes typed micro-architectural events from the attack machine
+	// (speculation episodes, cache fills, the RET pivot, covert-channel
+	// probes) for trace export; the registry receives the run's
+	// end-of-run PMU metrics under the "pmu." prefix plus pool counters,
+	// for the run manifest; the tracker aggregates per-pool progress.
+	sched.Sinks
 	// NoBlocks disables the superblock execution tier (DESIGN.md §11),
 	// an escape hatch for triaging tier bugs — results are identical
 	// either way, only host throughput changes.
@@ -269,9 +265,7 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 	if o.Workers > 0 {
 		cfg.Workers = o.Workers
 	}
-	cfg.Telemetry = o.Telemetry
-	cfg.Metrics = o.Metrics
-	cfg.Tracker = o.Tracker
+	cfg.Sinks = o.Sinks
 	cfg.CPU.NoBlocks = o.NoBlocks
 	spec := experiments.AttackSpec{Variant: variant}
 	if o.Perturbed {
