@@ -30,15 +30,14 @@ import (
 var errSecretWrong = errors.New("crspectre: recovered secret does not match")
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if err == nil {
-		return
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	case errors.Is(err, errSecretWrong):
+		os.Exit(2) // the report has said why
+	default:
+		fmt.Fprintln(os.Stderr, "crspectre:", err)
+		os.Exit(1)
 	}
-	if errors.Is(err, errSecretWrong) || errors.Is(err, flag.ErrHelp) {
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, "crspectre:", err)
-	os.Exit(1)
 }
 
 // run executes the tool against args, writing the report to stdout. It

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +51,9 @@ func TestRunUnknownVariant(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-variant", "nope"}, &out); err == nil {
 		t.Error("run with unknown variant succeeded, want error")
+	}
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 }
 

@@ -41,18 +41,22 @@ import (
 // errUsage marks a bad invocation (exit code 2, like flag errors).
 var errUsage = errors.New("crspectred: want a subcommand: serve, submit, status, cancel, fetch")
 
+// usage is what crspectred -h prints.
+const usage = `usage: crspectred serve|submit|status|cancel|fetch [flags] [args]
+Run "crspectred <subcommand> -h" for a subcommand's flags.`
+
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	err := run(os.Args[1:], os.Stdout, sig)
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) || errors.Is(err, flag.ErrHelp) {
+	switch err := run(os.Args[1:], os.Stdout, sig); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	os.Exit(1)
 }
 
 // run dispatches the subcommand. It is the testable core of main: sig
@@ -62,6 +66,9 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		return errUsage
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
+	case "-h", "-help", "--help":
+		fmt.Fprintln(stdout, usage)
+		return flag.ErrHelp
 	case "serve":
 		return runServe(rest, stdout, sig)
 	case "submit":

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -134,6 +136,13 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"frobnicate"}, io.Discard, nil); err == nil {
 		t.Error("unknown subcommand accepted")
+	}
+	var help strings.Builder
+	if err := run([]string{"-h"}, &help, nil); !errors.Is(err, flag.ErrHelp) || !strings.Contains(help.String(), "serve|submit") {
+		t.Errorf("-h = %v, printed %q; want flag.ErrHelp (exit 0) after the subcommands", err, help.String())
+	}
+	if err := runServe([]string{"-h"}, io.Discard, nil); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("serve -h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 	if err := runStatus([]string{"-addr", "http://127.0.0.1:1"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "job-id") {

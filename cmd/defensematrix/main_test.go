@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,6 +72,9 @@ func TestRunBadFlagAndUnwritableDir(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 	if err := run([]string{"-csv", filepath.Join(t.TempDir(), "missing", "deeper")}, &out); err == nil {
 		t.Error("unwritable csv dir accepted")

@@ -42,15 +42,12 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if err == nil {
-		return
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(2)
-	}
-	os.Exit(1)
 }
 
 // configRing is the posture sweep; shard i runs under configRing[i%len].

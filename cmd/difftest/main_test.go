@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +66,9 @@ func TestBadFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 }
 

@@ -34,15 +34,15 @@ import (
 var errUsage = errors.New("experiments: pick -fig 4|5|6, -table 1, -latency, -recycle, -alarms, or -all")
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) || errors.Is(err, flag.ErrHelp) {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	os.Exit(1)
 }
 
 // run executes the tool against args, writing results to stdout. It is

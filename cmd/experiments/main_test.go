@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,5 +78,8 @@ func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Error("run with an unknown flag succeeded, want parse error")
+	}
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -101,7 +102,9 @@ var sections = []struct {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
+	default:
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,5 +60,8 @@ func TestRunBadFlag(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &stdout); err == nil {
 		t.Error("run with an unknown flag succeeded, want parse error")
+	}
+	if err := run([]string{"-h"}, &stdout); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 }

@@ -48,7 +48,14 @@ const (
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ropdemo", flag.ContinueOnError)
-	defense := fs.String("defense", "none", "defense configuration: none, canary, aslr, both")
+	defense := "none"
+	fs.Func("defense", "defense `posture`: none (default), canary, aslr or both", func(s string) error {
+		if !slices.Contains([]string{"none", "canary", "aslr", "both"}, s) {
+			return errors.New("want none, canary, aslr or both")
+		}
+		defense = s
+		return nil
+	})
 	leak := fs.Bool("leak", false, "run the host's debug info leak and plan from the leaked base and canary (bypasses canary/ASLR)")
 	gadgets := fs.Bool("gadgets", false, "print the discovered gadget catalogue")
 	seed := fs.Int64("seed", 42, "ASLR seed")
@@ -56,8 +63,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w: %w", errFlags, err)
 	}
 
-	canary := *defense == "canary" || *defense == "both"
-	aslr := *defense == "aslr" || *defense == "both"
+	canary := defense == "canary" || defense == "both"
+	aslr := defense == "aslr" || defense == "both"
 
 	host := mibench.Math(100)
 	hostMod, err := host.HostModule(rop.HostOptions{Canary: canary})

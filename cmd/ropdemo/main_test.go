@@ -68,3 +68,19 @@ func TestRunBadFlag(t *testing.T) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
 }
+
+// TestRunBadDefense: a -defense value other than the four postures is a
+// flag error (exit 2) that names them, not an undefended run.
+func TestRunBadDefense(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-defense", "bogus"}, &out)
+	if !errors.Is(err, errFlags) {
+		t.Fatalf("-defense bogus = %v, want errFlags (exit 2)", err)
+	}
+	if want := "none, canary, aslr or both"; !strings.Contains(err.Error(), want) {
+		t.Errorf("-defense bogus error %q does not name the postures (%q)", err, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-defense bogus ran:\n%s", out.String())
+	}
+}

@@ -89,10 +89,19 @@ func (c *CPU) compileBlock(pc uint64) *block {
 	if err != nil {
 		return nil
 	}
-	b := &block{startPC: pc, pg0: pc / mem.PageSize}
+	// Refill a block Reset freed, keeping its body and raw storage. Only
+	// Reset frees blocks: one evicted or invalidated during a run may
+	// still be reachable through another block's succ.
+	b := c.spare
+	if b != nil {
+		c.spare = b.succ[0]
+		*b = block{body: b.body[:0], raw: b.raw[:0]}
+	} else {
+		b = new(block)
+	}
+	b.startPC, b.pg0 = pc, pc/mem.PageSize
 	b.pg1, b.gen0, b.gen1 = b.pg0, gen, gen
-	// Collect the body and bytes on the stack, then copy each once at
-	// its exact length.
+	// Collect the body and bytes on the stack, then copy each once.
 	var (
 		body  [maxBlockOps]isa.Instruction
 		code  [(maxBlockOps + 1) * isa.InstrSize]byte
@@ -122,12 +131,8 @@ func (c *CPU) compileBlock(pc uint64) *block {
 		}
 	}
 	b.endPC = p
-	if nbody > 0 {
-		b.body = append([]isa.Instruction(nil), body[:nbody]...)
-	}
-	if p > pc {
-		b.raw = append([]byte(nil), code[:p-pc]...)
-	}
+	b.body = append(b.body, body[:nbody]...)
+	b.raw = append(b.raw, code[:p-pc]...)
 	// Every compiled instruction, body and exit alike, copied its bytes.
 	b.nretire = int(p-pc) / isa.InstrSize
 	return b
@@ -137,7 +142,8 @@ func (c *CPU) compileBlock(pc uint64) *block {
 // recompiling a stale slot, or nil when pc cannot be block-compiled at
 // all (unaligned / unfetchable).
 func (c *CPU) lookupBlock(pc uint64) *block {
-	slot := &c.bcache[(pc/isa.InstrSize)&(bcacheSize-1)]
+	i := int(pc/isa.InstrSize) & (bcacheSize - 1)
+	slot := &c.bcache[i]
 	if b := *slot; b != nil && b.startPC == pc {
 		if c.genTab[b.pg0] == b.gen0 && c.genTab[b.pg1] == b.gen1 {
 			if b.nretire > 0 {
@@ -164,6 +170,7 @@ func (c *CPU) lookupBlock(pc uint64) *block {
 			}
 		}
 		*slot = b
+		c.bcacheHi = max(c.bcacheHi, i+1)
 	}
 	return b
 }

@@ -203,6 +203,14 @@ type CPU struct {
 	blkInval    uint64
 	blkSizes    [maxBlockOps + 3]uint64 // compilations by retired-instruction count
 	bcache      [bcacheSize]*block
+	bcacheHi    int // bcache[bcacheHi:] has stayed empty since Reset
+	// spare heads the blocks Reset took out of bcache, linked through
+	// succ[0]; compileBlock refills one before it allocates a block.
+	spare *block
+
+	// units is every branch unit the core has built, one per predictor
+	// family and BTB geometry; Reset hands out the matching one.
+	units []keptUnit
 
 	// stopCycle is Run's cycle horizon (RunUntilCycle): execution stops
 	// at the first instruction whose retirement puts Cycle at or past
@@ -225,28 +233,30 @@ func New(m *mem.Memory, cfg Config) *CPU {
 }
 
 // Reset returns the core to exactly the state New(m, cfg) builds while
-// keeping its allocations: the cache line arrays, the predictor tables
-// (rebuilt only when cfg changes the predictor family or the BTB
-// geometry), the predecode tables (kept while m has as many pages as the
-// previous memory) and the episode and store-buffer scratch. Hooks,
-// telemetry, probe and smash windows are detached like on a new core.
+// keeping its allocations: the cache line arrays, the branch units (one
+// per predictor family and BTB geometry the core has run; cfg's is reset
+// in place), the predecode tables (kept while m has as many pages as the
+// previous memory), the compiled blocks' storage and the episode and
+// store-buffer scratch. Hooks, telemetry, probe and smash windows are
+// detached like on a new core.
 //
 // m is typically the previous memory after mem.Memory.Reset, whose write
 // generations start again at zero; a kept predecode slot or compiled
 // block could then match a different program at the same PC and
-// generation, so every one is dropped. The cache hierarchy is reset in
-// place: a core sharing its hierarchy with another (vm.CoExec) empties
-// both.
+// generation, so every one is dropped, the blocks onto the free list
+// compileBlock refills. The cache hierarchy is reset in place: a core
+// sharing its hierarchy with another (vm.CoExec) empties both.
 func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 	if c.tel != nil {
 		c.telFlush()
 	}
-	bp := c.BP
-	if bp == nil || (c.cfg.Predictor == "gshare") != (cfg.Predictor == "gshare") ||
-		c.cfg.BTBEntries != cfg.BTBEntries || c.cfg.BTBTagBits != cfg.BTBTagBits {
-		bp = newBranchUnit(cfg)
-	} else {
-		bp.Reset()
+	bp := c.unit(cfg)
+	spare := c.spare
+	for _, b := range c.bcache[:c.bcacheHi] {
+		if b != nil {
+			b.succ = [2]*block{spare}
+			spare = b
+		}
 	}
 	caches := c.Caches
 	if caches == nil {
@@ -277,6 +287,8 @@ func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 		genTab:        m.PageGens(),
 		pendingStores: pending,
 		blocksOff:     cfg.NoBlocks,
+		spare:         spare,
+		units:         c.units,
 		stopCycle:     ^uint64(0),
 	}
 	c.specScratch.store, c.specScratch.filled = store, filled
@@ -284,6 +296,30 @@ func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 		c.noiseNext = cfg.NoisePeriod
 		c.noiseLCG = uint64(cfg.NoiseSeed)*6364136223846793005 + 1442695040888963407
 	}
+}
+
+// keptUnit is a branch unit a core has built, under the predictor
+// family and BTB geometry that select it.
+type keptUnit struct {
+	gshare           bool
+	entries, tagBits int
+	bp               *branch.Unit
+}
+
+// unit returns the core's branch unit for cfg's predictor family and BTB
+// geometry, reset, building and keeping one the first time the core runs
+// that geometry.
+func (c *CPU) unit(cfg Config) *branch.Unit {
+	gshare := cfg.Predictor == "gshare"
+	for _, u := range c.units {
+		if u.gshare == gshare && u.entries == cfg.BTBEntries && u.tagBits == cfg.BTBTagBits {
+			u.bp.Reset()
+			return u.bp
+		}
+	}
+	bp := newBranchUnit(cfg)
+	c.units = append(c.units, keptUnit{gshare, cfg.BTBEntries, cfg.BTBTagBits, bp})
+	return bp
 }
 
 // newBranchUnit builds the prediction unit cfg selects.

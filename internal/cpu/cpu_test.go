@@ -747,8 +747,9 @@ var benchCPU *CPU
 // pending and keeps telemetry attached, a reset core equals one New
 // builds — tables rebuilt or cleared, counters and clocks zero, hooks
 // detached — apart from the allocations Reset keeps, which must be
-// empty. Unless the posture changes the predictor family or the BTB
-// geometry, Reset allocates nothing.
+// empty. Unless the posture selects a predictor family or BTB geometry
+// the core has not run, Reset allocates nothing, and a reset back to the
+// posture the core ran first never does.
 func TestResetMatchesNew(t *testing.T) {
 	gshare, smallBTB, noBlocks, noisy := DefaultConfig(), DefaultConfig(), DefaultConfig(), DefaultConfig()
 	gshare.Predictor = "gshare"
@@ -832,8 +833,17 @@ func TestResetMatchesNew(t *testing.T) {
 		got.icache, want.icache = nil, nil
 		got.pendingStores, want.pendingStores = nil, nil
 		got.specScratch, want.specScratch = specState{}, specState{}
+		got.units, want.units = nil, nil
+		got.spare, want.spare = nil, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reset core differs from a new one", tc.name)
+		}
+
+		runtime.ReadMemStats(&before)
+		c.Reset(m, tc.before)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: Reset back to the first posture allocated %d objects, want 0", tc.name, n)
 		}
 	}
 }

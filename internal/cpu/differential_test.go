@@ -118,6 +118,7 @@ func FuzzResetEquivalence(f *testing.F) {
 	f.Add(int64(-7), int64(11), uint8(3), uint8(0), uint16(0), uint8(0))   // NoBlocks -> blocks
 	f.Add(int64(11), int64(-7), uint8(4), uint8(4), uint16(0), uint8(0))   // noise
 	f.Add(int64(18), int64(18), uint8(1), uint8(0), uint16(77), uint8(3))  // same program, both traced
+	f.Add(int64(59), int64(21), uint8(0), uint8(0), uint16(0), uint8(0))   // A compiles 38 blocks, B 12 into A's spares
 	f.Fuzz(func(t *testing.T, seedA, seedB int64, postA, postB uint8, stopA uint16, tel uint8) {
 		cfgA := resetConfigs[int(postA)%len(resetConfigs)]
 		cfgB := resetConfigs[int(postB)%len(resetConfigs)]

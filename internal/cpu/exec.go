@@ -221,8 +221,9 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 		// as one 16-byte store that the next load (in.Op) must wait on,
 		// and that wait depended on where the frame happened to sit:
 		// the same code ran Table I 1.7x slower at one stack depth
-		// than at another. Compiled bodies are never written after
-		// compileBlock, so the pointer stays valid for the iteration.
+		// than at another. A body is written only when compileBlock
+		// fills its block, and it refills only blocks Reset freed, so
+		// the pointer stays valid for the iteration.
 		in := &body[i]
 		op := opTab[in.Op]
 		rd, rs1, rs2 := in.Rd&15, in.Rs1&15, in.Rs2&15

@@ -224,14 +224,17 @@ func TestRigReuseMatchesFresh(t *testing.T) {
 
 // TestRunProgramAllocs gates the reuse: once the pool holds a rig, a
 // RunProgram plus RunTierDiff pair builds no memory, core, predecode
-// table or backed page. Fresh machines cost the pair about 460 KB.
+// table or backed page. Fresh machines cost the pair about 460 KB. Over
+// cmd/difftest's posture ring, once a lap has run every posture, a pair
+// builds no branch unit either, and compiles its blocks into the ones
+// earlier programs left.
 func TestRunProgramAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled rigs at random")
 	}
-	p := progen.Generate(1, progen.DefaultOptions())
-	cfg := cpu.DefaultConfig()
-	pair := func() {
+	// One P, so every Get finds the rig the previous Put left.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pair := func(p progen.Program, cfg cpu.Config) {
 		if _, err := RunProgram(p, cfg, rigBudget, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -239,15 +242,37 @@ func TestRunProgramAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pair()
-	const pairs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < pairs; i++ {
-		pair()
+	perPair := func(pairs int, run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(pairs)
 	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / pairs; got >= 64<<10 {
-		t.Fatalf("a RunProgram + RunTierDiff pair allocates %d B, want < 64 KiB", got)
+
+	p := progen.Generate(1, progen.DefaultOptions())
+	cfg := cpu.DefaultConfig()
+	pair(p, cfg)
+	const pairs = 20
+	if got := perPair(pairs, func() {
+		for i := 0; i < pairs; i++ {
+			pair(p, cfg)
+		}
+	}); got >= 64<<10 {
+		t.Errorf("a RunProgram + RunTierDiff pair allocates %d B, want < 64 KiB", got)
+	}
+
+	progs := make([]progen.Program, 60)
+	for i := range progs {
+		progs[i] = progen.Generate(int64(i)+1, progen.DefaultOptions())
+	}
+	lap := func() {
+		for i, p := range progs {
+			pair(p, postures[i%len(postures)])
+		}
+	}
+	lap()
+	if got := perPair(len(progs), lap); got >= 8<<10 {
+		t.Errorf("over the posture ring a RunProgram + RunTierDiff pair allocates %d B, want < 8 KiB", got)
 	}
 }

@@ -41,3 +41,27 @@ func TestLoadIntoAfterResetAllocatesNothing(t *testing.T) {
 		t.Errorf("Reset + LoadInto allocated %.0f objects, want 0", allocs)
 	}
 }
+
+// TestGenerateAllocs: a generation allocates only the program it
+// returns, Code and Data; its instruction, label and function slices and
+// its RNG come from a pooled generator.
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled generators at random")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Generate(1, DefaultOptions()) }); allocs != 2 {
+		t.Errorf("Generate allocated %.0f objects, want 2 (Code and Data)", allocs)
+	}
+}
+
+// BenchmarkGenerate measures generating one difftest program, the
+// per-program cost cmd/difftest pays before its machines run.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchProgram = Generate(int64(i), DefaultOptions())
+	}
+}
+
+// benchProgram keeps BenchmarkGenerate's result live.
+var benchProgram Program

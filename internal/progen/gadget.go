@@ -9,7 +9,6 @@ package progen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -179,11 +178,9 @@ type GadgetMeta struct {
 //     0..7 are architecturally warmed — disjoint from the secret bytes
 //     the dynamic check plants (which avoid 0..7).
 func GenerateGadget(seed int64, kind GadgetKind) (Program, GadgetMeta) {
-	g := &gen{
-		rng:      rand.New(rand.NewSource(sched.DeriveSeed(seed, uint64(1000+int(kind))))),
-		opts:     Options{Blocks: 1, Funcs: -1, DataPages: gadBenignPages, SMCProb: -1, FaultProb: -1}.withDefaults(),
-		dataSize: gadBenignPages * mem.PageSize,
-	}
+	g := newGen(sched.DeriveSeed(seed, uint64(1000+int(kind))),
+		Options{Blocks: 1, Funcs: -1, DataPages: gadBenignPages, SMCProb: -1, FaultProb: -1}.withDefaults())
+	defer gens.Put(g)
 
 	const (
 		boundAddr  = DataBase + gadBoundOff

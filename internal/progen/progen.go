@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -248,16 +249,31 @@ type gen struct {
 	funcLbl  []int // label id of each generated function
 }
 
+// gens pools generator scratch: a generation's instruction, label and
+// function slices and its RNG are dead once the program is encoded, so
+// the next generation reuses them and allocates only the Code and Data
+// it returns.
+var gens = sync.Pool{New: func() any { return &gen{rng: rand.New(rand.NewSource(0))} }}
+
+// newGen takes a generator from the pool, emptied and with its RNG
+// reseeded: (*rand.Rand).Seed restarts exactly the stream NewSource(seed)
+// starts, Read's position included. Return it with gens.Put once its
+// program is encoded.
+func newGen(seed int64, opts Options) *gen {
+	g := gens.Get().(*gen)
+	g.rng.Seed(seed)
+	*g = gen{rng: g.rng, opts: opts, ins: g.ins[:0], labels: g.labels[:0],
+		dataSize: uint64(opts.DataPages) * mem.PageSize, funcLbl: g.funcLbl[:0]}
+	return g
+}
+
 // Generate builds a random program from the seed. The RNG stream is
 // derived with the engine's splitmix64 finaliser so adjacent seeds give
 // statistically independent programs.
 func Generate(seed int64, opts Options) Program {
 	o := opts.withDefaults()
-	g := &gen{
-		rng:      rand.New(rand.NewSource(sched.DeriveSeed(seed, 0))),
-		opts:     o,
-		dataSize: uint64(o.DataPages) * mem.PageSize,
-	}
+	g := newGen(sched.DeriveSeed(seed, 0), o)
+	defer gens.Put(g)
 	g.smc = g.rng.Float64() < o.SMCProb
 
 	// Functions are laid out after main's HALT; allocate their labels up
@@ -362,20 +378,32 @@ func (g *gen) prologue() {
 	}
 }
 
+// block emits one body block, its kind drawn with ALU and memory blocks
+// at double weight, and self-modifying loops at double weight in
+// self-modifying programs only.
 func (g *gen) block() {
-	kinds := []func(){
-		g.aluBlock, g.aluBlock,
-		g.memBlock, g.memBlock,
-		g.boundsBlock,
-		g.callBlock,
-		g.loopBlock,
-		g.pushPopBlock,
-		g.fenceBlock,
-	}
+	kinds := 9
 	if g.smc {
-		kinds = append(kinds, g.smcBlock, g.smcBlock)
+		kinds = 11
 	}
-	kinds[g.rng.Intn(len(kinds))]()
+	switch g.rng.Intn(kinds) {
+	case 0, 1:
+		g.aluBlock()
+	case 2, 3:
+		g.memBlock()
+	case 4:
+		g.boundsBlock()
+	case 5:
+		g.callBlock()
+	case 6:
+		g.loopBlock()
+	case 7:
+		g.pushPopBlock()
+	case 8:
+		g.fenceBlock()
+	default:
+		g.smcBlock()
+	}
 }
 
 var regALUOps = []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR}
