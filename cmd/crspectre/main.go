@@ -21,60 +21,51 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
 // errSecretWrong reports a completed run that failed to recover the
-// planted secret (exit code 2, distinct from operational errors).
+// planted secret.
 var errSecretWrong = errors.New("crspectre: recovered secret does not match")
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	case errors.Is(err, errSecretWrong):
-		os.Exit(2) // the report has said why
-	default:
-		fmt.Fprintln(os.Stderr, "crspectre:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run executes the tool against args, writing the report to stdout. It
 // is the testable core of main.
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("crspectre", flag.ContinueOnError)
-	var (
-		cpuprofile = fs.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a host heap profile to this file on exit")
+	// The attack plants and seeds like a campaign run by default.
+	def := experiments.DefaultConfig()
+	var opts repro.AttackOptions
+	// Retirements would wrap the ring within ~65k instructions and evict
+	// the attack's speculation episodes; keep them as counts.
+	oc := obs.Config{Tool: "crspectre", Exclude: []telemetry.Kind{telemetry.KindRetire}, Stall: 2 * time.Minute}
+	fs.StringVar(&oc.CPUProfile, "cpuprofile", "", "write a host CPU profile to this file")
+	fs.StringVar(&oc.MemProfile, "memprofile", "", "write a host heap profile to this file on exit")
 
-		host     = fs.String("host", "math", "host workload to hijack (see -list)")
-		variant  = fs.String("variant", "v1-bounds-check", "spectre variant: "+strings.Join(repro.Variants(), ", "))
-		secret   = fs.String("secret", "SPECTRE_PoC_42", "secret planted in the host")
-		perturb  = fs.Bool("perturb", false, "inject Algorithm 2's dynamic perturbations")
-		detector = fs.String("detector", "", "score the run with an HID: mlp, nn, lr, svm")
-		seed     = fs.Int64("seed", 1, "layout/initialisation seed")
-		workers  = fs.Int("workers", 0, "parallel corpus building when -detector is set (0 = all cores)")
-		list     = fs.Bool("list", false, "list available hosts and exit")
+	fs.StringVar(&opts.Host, "host", "math", "host workload to hijack (see -list)")
+	fs.StringVar(&opts.Variant, "variant", "v1-bounds-check", "spectre variant: "+strings.Join(repro.Variants(), ", "))
+	fs.StringVar(&opts.Secret, "secret", def.Secret, "secret planted in the host")
+	fs.BoolVar(&opts.Perturbed, "perturb", false, "inject Algorithm 2's dynamic perturbations")
+	fs.StringVar(&opts.Detector, "detector", "", "score the run with an HID: mlp, nn, lr, svm")
+	fs.Int64Var(&opts.Seed, "seed", def.Seed, "layout/initialisation seed")
+	fs.IntVar(&opts.Workers, "workers", 0, "parallel corpus building when -detector is set (0 = all cores)")
+	list := fs.Bool("list", false, "list available hosts and exit")
 
-		traceOut  = fs.String("trace", "", "write a Chrome/Perfetto trace of the run to this file")
-		eventsOut = fs.String("trace-events", "", "write the raw JSONL event log to this file")
-		manifest  = fs.String("manifest", "", "write a run manifest (config, seeds, build, metrics) to this file")
-		obsAddr   = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while running")
+	fs.StringVar(&oc.Trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
+	fs.StringVar(&oc.TraceEvents, "trace-events", "", "write the raw JSONL event log to this file")
+	fs.StringVar(&oc.Manifest, "manifest", "", "write a run manifest (config, seeds, build, metrics) to this file")
+	fs.StringVar(&oc.Obs, "obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while running")
 
-		noblocks = fs.Bool("noblocks", false, "disable the superblock tier (single-step through the predecode cache)")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.BoolVar(&opts.NoBlocks, "noblocks", false, "disable the superblock tier (single-step through the predecode cache)")
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
-	// Retirements would wrap the ring within ~65k instructions and evict
-	// the attack's speculation episodes; keep them as counts.
-	h, err := obs.Start(obs.Config{
-		Tool: "crspectre", Trace: *traceOut, TraceEvents: *eventsOut, Manifest: *manifest, Obs: *obsAddr,
-		CPUProfile: *cpuprofile, MemProfile: *memprofile,
-		Exclude: []telemetry.Kind{telemetry.KindRetire}, Stall: 2 * time.Minute,
-	})
+	h, err := obs.Start(oc)
 	if err != nil {
 		return err
 	}
@@ -91,30 +82,21 @@ func run(args []string, stdout io.Writer) (err error) {
 		return nil
 	}
 
-	rep, err := repro.RunAttack(repro.AttackOptions{
-		Host:      *host,
-		Variant:   *variant,
-		Secret:    *secret,
-		Perturbed: *perturb,
-		Detector:  *detector,
-		Seed:      *seed,
-		Workers:   *workers,
-		Sinks:     h.Sinks,
-		NoBlocks:  *noblocks,
-	})
+	opts.Sinks = h.Sinks
+	rep, err := repro.RunAttack(opts)
 	if err != nil {
 		return err
 	}
 
 	m := telemetry.NewManifest("crspectre", args)
-	m.Seed = *seed
-	m.Workers = *workers
+	m.Seed = opts.Seed
+	m.Workers = opts.Workers
 	m.Config = map[string]any{
-		"host":       *host,
-		"variant":    *variant,
-		"secret_len": len(*secret),
-		"perturb":    *perturb,
-		"detector":   *detector,
+		"host":       opts.Host,
+		"variant":    opts.Variant,
+		"secret_len": len(opts.Secret),
+		"perturb":    opts.Perturbed,
+		"detector":   opts.Detector,
 	}
 	if err := h.WriteOutputs(stdout, m); err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/pmu"
 	"repro/internal/telemetry"
 )
@@ -49,8 +50,11 @@ func TestRunList(t *testing.T) {
 
 func TestRunUnknownVariant(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-variant", "nope"}, &out); err == nil {
-		t.Error("run with unknown variant succeeded, want error")
+	if err := run([]string{"-variant", "nope"}, &out); err == nil || errors.Is(err, cli.ErrUsage) {
+		t.Errorf("run with unknown variant = %v, want a plain error (exit 1)", err)
+	}
+	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("run with an unknown flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)

@@ -21,7 +21,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,12 +33,13 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cli"
 	"repro/internal/controlapi"
 	"repro/internal/telemetry"
 )
 
-// errUsage marks a bad invocation (exit code 2, like flag errors).
-var errUsage = errors.New("crspectred: want a subcommand: serve, submit, status, cancel, fetch")
+// errSubcommand is a command line that names no known subcommand.
+var errSubcommand = fmt.Errorf("%w: want a subcommand: serve, submit, status, cancel, fetch", cli.ErrUsage)
 
 // usage is what crspectred -h prints.
 const usage = `usage: crspectred serve|submit|status|cancel|fetch [flags] [args]
@@ -48,22 +48,14 @@ Run "crspectred <subcommand> -h" for a subcommand's flags.`
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	switch err := run(os.Args[1:], os.Stdout, sig); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	case errors.Is(err, errUsage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Exit(run(os.Args[1:], os.Stdout, sig))
 }
 
 // run dispatches the subcommand. It is the testable core of main: sig
 // delivers shutdown signals to serve mode (tests feed it directly).
 func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	if len(args) == 0 {
-		return errUsage
+		return errSubcommand
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "-h", "-help", "--help":
@@ -80,7 +72,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	case "fetch":
 		return runFetch(rest, stdout)
 	default:
-		return fmt.Errorf("%w (got %q)", errUsage, cmd)
+		return fmt.Errorf("%w (got %q)", errSubcommand, cmd)
 	}
 }
 
@@ -94,7 +86,7 @@ func runServe(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		drain   = fs.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM before in-flight jobs are cancelled")
 		quiet   = fs.Bool("quiet", false, "suppress request and lifecycle logging")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	var log *slog.Logger
@@ -162,26 +154,20 @@ func printJSON(stdout io.Writer, v any) error {
 func runSubmit(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("crspectred submit", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
-	var (
-		id      = fs.String("id", "", "job ID (empty = generated; resubmitting an ID is idempotent)")
-		kind    = fs.String("kind", "", "job kind: fig4, fig5, fig6, table1, attack")
-		seed    = fs.Int64("seed", 0, "pipeline seed (0 = default 1)")
-		workers = fs.Int("workers", 0, "job fan-out (0 = daemon default); results identical for any value")
-		samples = fs.Int("samples", 0, "training samples per class for campaign kinds (0 = default)")
-		att     = fs.Int("attempts", 0, "attack attempts for campaign kinds (0 = default)")
-		reps    = fs.Int("reps", 0, "repetitions (0 = kind default)")
-		variant = fs.String("variant", "", "speculation variant for -kind attack")
-		posture = fs.String("posture", "", "defense posture for -kind attack")
-		perturb = fs.Bool("perturb", false, "enable defense-aware perturbation for -kind attack")
-		wait    = fs.Bool("wait", false, "block until the job reaches a terminal state")
-	)
-	if err := fs.Parse(args); err != nil {
+	var spec controlapi.JobSpec
+	fs.StringVar(&spec.ID, "id", "", "job ID (empty = generated; resubmitting an ID is idempotent)")
+	fs.StringVar(&spec.Kind, "kind", "", "job kind: fig4, fig5, fig6, table1, attack")
+	fs.Int64Var(&spec.Seed, "seed", 0, "pipeline seed (0 = default 1)")
+	fs.IntVar(&spec.Workers, "workers", 0, "job fan-out (0 = daemon default); results identical for any value")
+	fs.IntVar(&spec.Samples, "samples", 0, "training samples per class for campaign kinds (0 = default)")
+	fs.IntVar(&spec.Attempts, "attempts", 0, "attack attempts for campaign kinds (0 = default)")
+	fs.IntVar(&spec.Reps, "reps", 0, "repetitions (0 = kind default)")
+	fs.StringVar(&spec.Variant, "variant", "", "speculation variant for -kind attack")
+	fs.StringVar(&spec.Posture, "posture", "", "defense posture for -kind attack")
+	fs.BoolVar(&spec.Perturb, "perturb", false, "enable defense-aware perturbation for -kind attack")
+	wait := fs.Bool("wait", false, "block until the job reaches a terminal state")
+	if err := cli.Parse(fs, args); err != nil {
 		return err
-	}
-	spec := controlapi.JobSpec{
-		ID: *id, Kind: *kind, Seed: *seed, Workers: *workers,
-		Samples: *samples, Attempts: *att, Reps: *reps,
-		Variant: *variant, Posture: *posture, Perturb: *perturb,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -207,7 +193,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 // oneIDArg parses the single positional <job-id> of status/cancel.
 func oneIDArg(fs *flag.FlagSet) (string, error) {
 	if fs.NArg() != 1 {
-		return "", fmt.Errorf("crspectred %s: want exactly one <job-id> argument", fs.Name())
+		return "", fmt.Errorf("%w: %s wants exactly one <job-id> argument", cli.ErrUsage, fs.Name())
 	}
 	return fs.Arg(0), nil
 }
@@ -215,7 +201,7 @@ func oneIDArg(fs *flag.FlagSet) (string, error) {
 func runStatus(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	id, err := oneIDArg(fs)
@@ -234,7 +220,7 @@ func runStatus(args []string, stdout io.Writer) error {
 func runCancel(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cancel", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	id, err := oneIDArg(fs)
@@ -254,11 +240,11 @@ func runFetch(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fetch", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
 	out := fs.String("o", "", "write the artifact to this file instead of stdout")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return errors.New("crspectred fetch: want <job-id> <artifact-name>")
+		return fmt.Errorf("%w: fetch wants <job-id> <artifact-name>", cli.ErrUsage)
 	}
 	id, name := fs.Arg(0), fs.Arg(1)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

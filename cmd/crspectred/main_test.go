@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
 )
 
 // syncWriter lets the serve goroutine and test assertions share a
@@ -131,11 +133,14 @@ func TestServeSubmitDrain(t *testing.T) {
 
 // TestUsageErrors pins exit-path classification for bad invocations.
 func TestUsageErrors(t *testing.T) {
-	if err := run(nil, io.Discard, nil); err == nil {
-		t.Error("no subcommand accepted")
+	if err := run(nil, io.Discard, nil); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("no subcommand = %v, want cli.ErrUsage (exit 2)", err)
 	}
-	if err := run([]string{"frobnicate"}, io.Discard, nil); err == nil {
-		t.Error("unknown subcommand accepted")
+	if err := run([]string{"frobnicate"}, io.Discard, nil); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("unknown subcommand = %v, want cli.ErrUsage (exit 2)", err)
+	}
+	if err := run([]string{"serve", "-nosuch"}, io.Discard, nil); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("serve -nosuch = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	var help strings.Builder
 	if err := run([]string{"-h"}, &help, nil); !errors.Is(err, flag.ErrHelp) || !strings.Contains(help.String(), "serve|submit") {
@@ -144,11 +149,11 @@ func TestUsageErrors(t *testing.T) {
 	if err := runServe([]string{"-h"}, io.Discard, nil); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("serve -h = %v, want flag.ErrHelp (exit 0)", err)
 	}
-	if err := runStatus([]string{"-addr", "http://127.0.0.1:1"}, io.Discard); err == nil ||
+	if err := runStatus([]string{"-addr", "http://127.0.0.1:1"}, io.Discard); !errors.Is(err, cli.ErrUsage) ||
 		!strings.Contains(err.Error(), "job-id") {
-		t.Errorf("status without ID: %v", err)
+		t.Errorf("status without ID = %v, want a cli.ErrUsage naming the job-id (exit 2)", err)
 	}
-	if err := runFetch([]string{"-addr", "http://127.0.0.1:1", "only-one"}, io.Discard); err == nil {
-		t.Error("fetch without artifact name accepted")
+	if err := runFetch([]string{"-addr", "http://127.0.0.1:1", "only-one"}, io.Discard); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("fetch without artifact name = %v, want cli.ErrUsage (exit 2)", err)
 	}
 }

@@ -11,7 +11,6 @@ package main
 
 import (
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,23 +19,17 @@ import (
 	"strconv"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/defense"
 )
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	default:
-		fmt.Fprintln(os.Stderr, "defensematrix:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("defensematrix", flag.ContinueOnError)
 	seed := fs.Int64("seed", 11, "layout/canary seed")
 	csvDir := fs.String("csv", "", "also write defensematrix.csv and variantmatrix.csv into this directory")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

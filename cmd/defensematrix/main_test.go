@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // TestRunGridAgreesWithGroundTruth: the driver is an acceptance gate —
@@ -70,13 +72,13 @@ func TestRunWritesCSVGrids(t *testing.T) {
 // surface as errors, not panics or silent truncation.
 func TestRunBadFlagAndUnwritableDir(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-no-such-flag"}, &out); err == nil {
-		t.Error("bad flag accepted")
+	if err := run([]string{"-no-such-flag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("bad flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
-	if err := run([]string{"-csv", filepath.Join(t.TempDir(), "missing", "deeper")}, &out); err == nil {
-		t.Error("unwritable csv dir accepted")
+	if err := run([]string{"-csv", filepath.Join(t.TempDir(), "missing", "deeper")}, &out); err == nil || errors.Is(err, cli.ErrUsage) {
+		t.Errorf("unwritable csv dir = %v, want a plain error (exit 1)", err)
 	}
 }

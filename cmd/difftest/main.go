@@ -1,10 +1,9 @@
 // Command difftest soak-tests the optimized speculative core against the
 // reference interpreter (internal/oracle) on random programs
 // (internal/progen). Each shard generates a program from a
-// splitmix64-derived per-shard seed, picks a micro-architectural posture
-// from a fixed ring (speculation on/off, InvisiSpec, conditional fencing,
-// tiny windows, gshare, cache noise, privileged flush), and lock-steps
-// the two implementations, comparing registers, flags, PC, and dirtied
+// splitmix64-derived per-shard seed, takes the next micro-architectural
+// posture of oracle.Postures in turn, and lock-steps the two
+// implementations, comparing registers, flags, PC, and dirtied
 // memory at every retire. Each clean shard is then re-run through the
 // block-tier differential (oracle.RunTierDiff), which holds the
 // superblock tier to the harsher cycle-exact contract against the
@@ -24,7 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -41,39 +40,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	default:
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// configRing is the posture sweep; shard i runs under configRing[i%len].
-// Architectural results must be identical under every entry — that
-// includes post-squash state after wrong-path speculation, the
-// speculation-consistency mode of DESIGN.md §8.
-var configRing = []struct {
-	name string
-	cfg  cpu.Config
-}{
-	{"baseline", cpu.DefaultConfig()},
-	{"no-spec", cpu.Config{SpecWindow: 64, MispredictPenalty: 24}},
-	{"invisispec", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true}},
-	{"fence-cond", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true}},
-	{"tiny-window", cpu.Config{SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true}},
-	{"gshare-prefetch", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Predictor: "gshare", NextLinePrefetch: true}},
-	{"noisy", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, NoisePeriod: 50, NoiseSeed: 7}},
-	{"priv-flush", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, PrivilegedFlush: true}},
-	// Spectre-v2/v4 postures: the indirect-target and store-bypass
-	// speculation paths must also be architecturally invisible, both
-	// enabled and sealed.
-	{"retpoline", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Retpoline: true}},
-	{"ssbd", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, DisableStoreBypass: true}},
-	{"tiny-btb", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBEntries: 16, BTBTagBits: 1}},
-	{"fulltag-btb", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBTagBits: -2}},
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 // shardResult is one program's outcome, aggregated into the run summary.
 type shardResult struct {
@@ -91,7 +58,6 @@ type shardResult struct {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("difftest", flag.ContinueOnError)
-	fs.SetOutput(stdout)
 	var (
 		seed     = fs.Int64("seed", 1, "base seed; shard seeds derive from it")
 		programs = fs.Int("programs", 256, "programs per run (fixed-count mode)")
@@ -103,11 +69,17 @@ func run(args []string, stdout io.Writer) error {
 		verbose  = fs.Bool("v", false, "per-wave progress")
 
 		noblocks = fs.Bool("noblocks", false, "skip the per-shard block-tier diff (the lock-step run single-steps either way)")
-
-		obsAddr     = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while soaking, e.g. 127.0.0.1:9464")
-		manifestOut = fs.String("manifest", "", "write a run manifest (provenance + final metrics/progress) to this file on a clean exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	// Observability is opt-in: without -obs/-manifest every sink stays
+	// nil and the scheduler keeps its nil-check-only fast path. Task
+	// stops stay in the ring — /events then tails one line per completed
+	// shard, the soak's live feed — but the starts, which would only
+	// halve the ring's reach, are kept as counts. A shard is milliseconds
+	// of work; a minute of silence means a wedged worker.
+	oc := obs.Config{Tool: "difftest", Exclude: []telemetry.Kind{telemetry.KindTaskStart}, Stall: time.Minute}
+	fs.StringVar(&oc.Obs, "obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while soaking, e.g. 127.0.0.1:9464")
+	fs.StringVar(&oc.Manifest, "manifest", "", "write a run manifest (provenance + final metrics/progress) to this file on a clean exit")
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *selftest {
@@ -115,21 +87,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 	tierDiff := !*noblocks
 
-	// Observability is opt-in: without -obs/-manifest every sink stays
-	// nil and the scheduler keeps its nil-check-only fast path. Task
-	// stops stay in the ring — /events then tails one line per completed
-	// shard, the soak's live feed — but the starts, which would only
-	// halve the ring's reach, are kept as counts. A shard is milliseconds
-	// of work; a minute of silence means a wedged worker.
-	h, err := obs.Start(obs.Config{
-		Tool: "difftest", Manifest: *manifestOut, Obs: *obsAddr,
-		Exclude: []telemetry.Kind{telemetry.KindTaskStart}, Stall: time.Minute,
-	})
+	h, err := obs.Start(oc)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
 	ctx := sched.WithSinks(context.Background(), h.Sinks, "difftest")
+	postures := oracle.Postures()
 
 	start := time.Now()
 	deadline := time.Duration(float64(time.Minute) * *minutes)
@@ -155,21 +119,21 @@ func run(args []string, stdout io.Writer) error {
 		results, err := sched.Map(ctx, *workers, n, func(ctx context.Context, i int) (shardResult, error) {
 			shard := base + uint64(i)
 			s := sched.DeriveSeed(*seed, shard)
-			ring := configRing[shard%uint64(len(configRing))]
+			pos := postures[shard%uint64(len(postures))]
 			p := progen.Generate(s, progen.DefaultOptions())
-			res, err := oracle.RunProgram(p, ring.cfg, *maxInstr, nil)
+			res, err := oracle.RunProgram(p, pos.CPU, *maxInstr, nil)
 			if err != nil {
 				return shardResult{}, fmt.Errorf("shard %d (seed %d): %w", shard, s, err)
 			}
 			sr := shardResult{
-				seed: s, config: ring.name, cfg: ring.cfg, steps: res.Steps,
+				seed: s, config: pos.Name, cfg: pos.CPU, steps: res.Steps,
 				halted: res.Halted, faulted: res.Fault != nil, budget: res.BudgetExhausted,
 				div: res.Div, prog: p,
 			}
 			// Same program, second axis: superblock tier vs single-step
 			// under the cycle-exact tier contract (DESIGN.md §11).
 			if tierDiff && sr.div == nil {
-				tres, err := oracle.RunTierDiff(p, ring.cfg, *maxInstr, 0, nil)
+				tres, err := oracle.RunTierDiff(p, pos.CPU, *maxInstr, 0, nil)
 				if err != nil {
 					return shardResult{}, fmt.Errorf("shard %d (seed %d) tier diff: %w", shard, s, err)
 				}
@@ -212,7 +176,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "difftest: %d programs (%d halted, %d faulted, %d budget-capped), %d instr pairs, tier-diff %s, %.1fs, divergences: 0\n",
 		total, halted, faulted, budget, instret, mode, elapsed)
-	if *manifestOut != "" {
+	if oc.Manifest != "" {
 		h.Metrics.Add("difftest.halted", uint64(halted))
 		h.Metrics.Add("difftest.faulted", uint64(faulted))
 		h.Metrics.Add("difftest.budget_capped", uint64(budget))

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/oracle"
 	"repro/internal/telemetry"
@@ -64,8 +65,8 @@ func TestSoakModeRespectsDeadline(t *testing.T) {
 
 func TestBadFlag(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Fatal("bad flag accepted")
+	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("bad flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/telemetry"
 )
 
@@ -69,15 +70,15 @@ func TestRunFig4Smoke(t *testing.T) {
 
 func TestRunNoSelection(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(nil, &out); !errors.Is(err, errUsage) {
-		t.Errorf("run with no selection = %v, want errUsage", err)
+	if err := run(nil, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("run with no selection = %v, want cli.ErrUsage (exit 2)", err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Error("run with an unknown flag succeeded, want parse error")
+	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("run with an unknown flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)

@@ -12,10 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/hid"
 	"repro/internal/mibench"
@@ -23,107 +25,100 @@ import (
 	"repro/internal/pmu"
 )
 
-func main() {
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run executes the tool against args, writing results to stdout. It is
+// the testable core of main.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hidlab", flag.ContinueOnError)
+	cfg := experiments.DefaultConfig()
+	fs.IntVar(&cfg.FeatureSize, "features", cfg.FeatureSize, "number of monitored HPC features")
+	fs.IntVar(&cfg.SamplesPerClass, "samples", cfg.SamplesPerClass, "training samples per class (paper: 2000)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "pipeline seed")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel simulated machines (0 = all cores); results are identical for any value")
 	var (
-		features    = flag.Int("features", 4, "number of monitored HPC features")
-		samples     = flag.Int("samples", 400, "training samples per class (paper: 2000)")
-		classifiers = flag.String("classifiers", "mlp,nn,lr,svm", "comma-separated classifier families")
-		export      = flag.String("export", "", "write the labelled corpus to this CSV file")
-		seed        = flag.Int64("seed", 1, "pipeline seed")
-		workers     = flag.Int("workers", 0, "parallel simulated machines (0 = all cores); results are identical for any value")
-		cv          = flag.Int("cv", 0, "also run k-fold cross-validation with this k")
-		events      = flag.Bool("events", false, "list the 56-event PMU catalogue and exit")
-		profile     = flag.Int("profile", -1, "print per-app distribution stats for this feature index")
+		classifiers = fs.String("classifiers", strings.Join(cfg.Classifiers, ","), "comma-separated classifier families")
+		export      = fs.String("export", "", "write the labelled corpus to this CSV file")
+		cv          = fs.Int("cv", 0, "also run k-fold cross-validation with this k")
+		events      = fs.Bool("events", false, "list the 56-event PMU catalogue and exit")
+		profile     = fs.Int("profile", -1, "print per-app distribution stats for this feature index")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *events {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "#\tevent\tdescription")
 		for i, e := range pmu.AllEvents() {
 			fmt.Fprintf(tw, "%d\t%s\t%s\n", i+1, e, e.Describe())
 		}
-		tw.Flush()
-		return
+		return tw.Flush()
 	}
 
-	cfg := experiments.DefaultConfig()
-	cfg.FeatureSize = *features
-	cfg.SamplesPerClass = *samples
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-
-	fmt.Printf("profiling benign corpus (%d workloads)...\n", len(mibench.AllWithBackgrounds()))
-	fmt.Printf("profiling attack corpus (4 spectre variants)...\n")
+	fmt.Fprintf(stdout, "profiling benign corpus (%d workloads)...\n", len(mibench.AllWithBackgrounds()))
+	fmt.Fprintf(stdout, "profiling attack corpus (4 spectre variants)...\n")
 	corp, err := cfg.Corpora()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	full := corp.Train(cfg.FeatureSize)
-	fmt.Printf("corpus: %d benign + %d attack samples, %d features\n",
+	fmt.Fprintf(stdout, "corpus: %d benign + %d attack samples, %d features\n",
 		corp.Benign.Len(), corp.Attack.Len(), cfg.FeatureSize)
 
 	// The full 56-event corpus of both classes, for -profile and -export.
 	wide := corp.Benign
 	if err := wide.Merge(corp.Attack); err != nil {
-		fatal(err)
+		return err
 	}
 	if *profile >= 0 {
-		if err := wide.RenderSummary(os.Stdout, *profile); err != nil {
-			fatal(err)
-		}
-		return
+		return wide.RenderSummary(stdout, *profile)
 	}
 
 	if *export != "" {
 		f, err := os.Create(*export)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := wide.WriteCSV(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("full 56-event corpus written to %s\n", *export)
+		fmt.Fprintf(stdout, "full 56-event corpus written to %s\n", *export)
 	}
 
 	train, test := full.Split(0.7, cfg.Seed)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "classifier\taccuracy\tprecision\trecall\tf1\tauc\tverdict\tcv")
 	for _, name := range strings.Split(*classifiers, ",") {
 		name = strings.TrimSpace(name)
 		clf, ok := ml.ByName(name, cfg.Seed)
 		if !ok {
-			fatal(fmt.Errorf("unknown classifier %q", name))
+			return fmt.Errorf("unknown classifier %q", name)
 		}
 		det := hid.New(clf)
 		if err := det.Train(train); err != nil {
-			fatal(err)
+			return err
 		}
 		acc := det.Accuracy(test)
 		c := det.Confusion(test)
 		auc := det.AUC(test)
 		cvCol := "-"
 		if *cv >= 2 {
-			name := name
 			res, err := ml.CrossValidate(func() ml.Classifier {
 				clf, _ := ml.ByName(name, cfg.Seed)
 				return clf
 			}, full, *cv, cfg.Seed)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			cvCol = res.String()
 		}
 		fmt.Fprintf(tw, "%s\t%.1f%%\t%.3f\t%.3f\t%.3f\t%.3f\t%s\t%s\n",
 			name, 100*acc, c.Precision(), c.Recall(), c.F1(), auc, hid.Judge(acc), cvCol)
 	}
-	tw.Flush()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hidlab:", err)
-	os.Exit(1)
+	return tw.Flush()
 }

@@ -13,10 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/gadget"
 	"repro/internal/isa"
 	"repro/internal/mibench"
@@ -24,30 +26,37 @@ import (
 	"repro/internal/spectre"
 )
 
-func main() {
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run executes the tool against args, writing the dump to stdout. It is
+// the testable core of main.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("objdump", flag.ContinueOnError)
 	var (
-		hostName = flag.String("host", "math", "workload to dump")
-		attack   = flag.Bool("attack", false, "dump a generated attack binary instead")
-		variant  = flag.String("variant", "v1-bounds-check", "attack variant (with -attack)")
-		gadgets  = flag.Bool("gadgets", false, "print the gadget catalogue instead of full disassembly")
-		base     = flag.Uint64("base", 0x100000, "link base address")
-		save     = flag.String("save", "", "also write the linked image as a SIMX object file")
-		loadObj  = flag.String("load", "", "dump a SIMX object file instead of building one")
+		hostName = fs.String("host", "math", "workload to dump")
+		attack   = fs.Bool("attack", false, "dump a generated attack binary instead")
+		variant  = fs.String("variant", "v1-bounds-check", "attack variant (with -attack)")
+		gadgets  = fs.Bool("gadgets", false, "print the gadget catalogue instead of full disassembly")
+		base     = fs.Uint64("base", rop.HostBase, "link base address")
+		save     = fs.String("save", "", "also write the linked image as a SIMX object file")
+		loadObj  = fs.String("load", "", "dump a SIMX object file instead of building one")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *loadObj != "" {
 		f, err := os.Open(*loadObj)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		img, err := isa.ReadImage(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		dump(img, *gadgets)
-		return
+		dump(stdout, img, *gadgets)
+		return nil
 	}
 
 	var mod *isa.Module
@@ -62,7 +71,7 @@ func main() {
 			}
 		}
 		if !found {
-			fatal(fmt.Errorf("unknown variant %q", *variant))
+			return fmt.Errorf("unknown variant %q", *variant)
 		}
 		mod, err = spectre.Config{Variant: v, TargetAddr: 0x200000, SecretLen: 8}.Module()
 	default:
@@ -73,34 +82,36 @@ func main() {
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	img, err := mod.Link(*base)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if _, err := img.WriteTo(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *save)
+		fmt.Fprintf(stdout, "wrote %s\n", *save)
 	}
-	dump(img, *gadgets)
+	dump(stdout, img, *gadgets)
+	return nil
 }
 
-func dump(img *isa.Image, gadgets bool) {
-	fmt.Printf("sections:\n")
-	fmt.Printf("  .text  %#x  %6d bytes  (%d instructions)\n", img.Base, len(img.Code), len(img.Code)/isa.InstrSize)
-	fmt.Printf("  .data  %#x  %6d bytes\n\n", img.DataBase, img.DataSize)
+func dump(w io.Writer, img *isa.Image, gadgets bool) {
+	fmt.Fprintf(w, "sections:\n")
+	fmt.Fprintf(w, "  .text  %#x  %6d bytes  (%d instructions)\n", img.Base, len(img.Code), len(img.Code)/isa.InstrSize)
+	fmt.Fprintf(w, "  .data  %#x  %6d bytes\n\n", img.DataBase, img.DataSize)
 
-	fmt.Println("symbols:")
+	fmt.Fprintln(w, "symbols:")
 	type sym struct {
 		name string
 		addr uint64
@@ -114,7 +125,7 @@ func dump(img *isa.Image, gadgets bool) {
 	sort.Slice(syms, func(i, j int) bool {
 		return syms[i].addr < syms[j].addr || syms[i].addr == syms[j].addr && syms[i].name < syms[j].name
 	})
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	for _, s := range syms {
 		sec := ".text"
 		if s.addr >= img.DataBase {
@@ -123,21 +134,16 @@ func dump(img *isa.Image, gadgets bool) {
 		fmt.Fprintf(tw, "  %#010x\t%s\t%s\n", s.addr, sec, s.name)
 	}
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	if gadgets {
 		cat := gadget.ScanAndCatalog(img, 3)
-		fmt.Printf("gadgets (%d):\n", len(cat.All()))
+		fmt.Fprintf(w, "gadgets (%d):\n", len(cat.All()))
 		for _, g := range cat.All() {
-			fmt.Println("  ", g)
+			fmt.Fprintln(w, "  ", g)
 		}
 		return
 	}
-	fmt.Println("disassembly:")
-	fmt.Print(isa.DisasmAll(img.Code, img.Base))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "objdump:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "disassembly:")
+	fmt.Fprint(w, isa.DisasmAll(img.Code, img.Base))
 }

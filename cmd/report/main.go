@@ -11,7 +11,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,45 +20,24 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/defense"
 	"repro/internal/experiments"
 	"repro/internal/hid"
 )
 
 // sections are the report's sections in order: the -sections key, the
-// heading, and the run that renders the section's body.
+// heading, and, for the two sections the campaign does not run, the run
+// that renders the body. The others render the campaign section of the
+// same key.
 var sections = []struct {
 	key, title string
 	render     func(cfg experiments.Config, w io.Writer) error
 }{
-	{"fig4", "Fig. 4 — HID accuracy vs feature size", func(cfg experiments.Config, w io.Writer) error {
-		rows, err := experiments.Fig4(cfg)
-		if err == nil {
-			experiments.RenderFig4(w, rows)
-		}
-		return err
-	}},
-	{"fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", func(cfg experiments.Config, w io.Writer) error {
-		res, err := experiments.Fig5(cfg)
-		if err == nil {
-			experiments.RenderCampaign(w, res, cfg.Classifiers)
-		}
-		return err
-	}},
-	{"fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", func(cfg experiments.Config, w io.Writer) error {
-		res, err := experiments.Fig6(cfg)
-		if err == nil {
-			experiments.RenderCampaign(w, res, cfg.Classifiers)
-		}
-		return err
-	}},
-	{"table1", "Table I — IPC overhead", func(cfg experiments.Config, w io.Writer) error {
-		rows, err := experiments.Table1(cfg)
-		if err == nil {
-			experiments.RenderTable1(w, rows)
-		}
-		return err
-	}},
+	{"fig4", "Fig. 4 — HID accuracy vs feature size", nil},
+	{"fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", nil},
+	{"fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", nil},
+	{"table1", "Table I — IPC overhead", nil},
 	{"defense", "Defense matrix (§I / §IV)", func(cfg experiments.Config, w io.Writer) error {
 		rows, err := defense.Matrix(cfg.Seed)
 		for _, r := range rows {
@@ -71,20 +49,8 @@ var sections = []struct {
 		}
 		return err
 	}},
-	{"latency", "Extension — online-HID detection latency", func(cfg experiments.Config, w io.Writer) error {
-		rows, err := experiments.DetectionLatency(cfg, 6)
-		if err == nil {
-			experiments.RenderLatency(w, rows)
-		}
-		return err
-	}},
-	{"recycle", "Extension — variant recycling vs windowed HID", func(cfg experiments.Config, w io.Writer) error {
-		rows, err := experiments.VariantRecycling(cfg, 600)
-		if err == nil {
-			experiments.RenderRecycling(w, rows)
-		}
-		return err
-	}},
+	{"latency", "Extension — online-HID detection latency", nil},
+	{"recycle", "Extension — variant recycling vs windowed HID", nil},
 	{"ensemble", "Extension — pointwise detectors vs committee on a diluted variant", func(cfg experiments.Config, w io.Writer) error {
 		rows, err := experiments.EnsembleComparison(cfg)
 		if err == nil {
@@ -92,23 +58,10 @@ var sections = []struct {
 		}
 		return err
 	}},
-	{"alarms", "Extension — run-level alarm policies", func(cfg experiments.Config, w io.Writer) error {
-		rows, err := experiments.RunLevelDetection(cfg, nil, 6)
-		if err == nil {
-			experiments.RenderAlarms(w, rows)
-		}
-		return err
-	}},
+	{"alarms", "Extension — run-level alarm policies", nil},
 }
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	default:
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run executes the tool against args, writing progress/summary lines to
 // stdout and the report to the -o file. It is the testable core of main.
@@ -118,23 +71,16 @@ func run(args []string, stdout io.Writer) error {
 		keys[i] = sec.key
 	}
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	var (
-		out      = fs.String("o", "results/REPORT.md", "output markdown file")
-		samples  = fs.Int("samples", 400, "training samples per class")
-		att      = fs.Int("attempts", 10, "attack attempts per campaign")
-		seed     = fs.Int64("seed", 1, "pipeline seed")
-		workers  = fs.Int("workers", 0, "parallel simulated machines (0 = all cores); results are identical for any value")
-		selected = fs.String("sections", "", "comma-separated subset to run: "+strings.Join(keys, ",")+" (empty = all)")
-	)
-	if err := fs.Parse(args); err != nil {
+	cfg := experiments.DefaultConfig()
+	out := fs.String("o", "results/REPORT.md", "output markdown file")
+	fs.IntVar(&cfg.SamplesPerClass, "samples", cfg.SamplesPerClass, "training samples per class")
+	fs.IntVar(&cfg.Attempts, "attempts", cfg.Attempts, "attack attempts per campaign")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "pipeline seed")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel simulated machines (0 = all cores); results are identical for any value")
+	selected := fs.String("sections", "", "comma-separated subset to run: "+strings.Join(keys, ",")+" (empty = all)")
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-
-	cfg := experiments.DefaultConfig()
-	cfg.SamplesPerClass = *samples
-	cfg.Attempts = *att
-	cfg.Seed = *seed
-	cfg.Workers = *workers
 
 	enabled := map[string]bool{}
 	for _, key := range strings.Split(*selected, ",") {
@@ -142,7 +88,7 @@ func run(args []string, stdout io.Writer) error {
 			continue
 		}
 		if !slices.Contains(keys, key) {
-			return fmt.Errorf("unknown section %q (valid: %s)", key, strings.Join(keys, ","))
+			return fmt.Errorf("%w: unknown section %q (valid: %s)", cli.ErrUsage, key, strings.Join(keys, ","))
 		}
 		enabled[key] = true
 	}
@@ -163,7 +109,13 @@ func run(args []string, stdout io.Writer) error {
 		start := time.Now()
 		fmt.Fprintf(stdout, "running: %s...\n", sec.title)
 		var body bytes.Buffer
-		if err := sec.render(cfg, &body); err != nil {
+		var err error
+		if sec.render != nil {
+			err = sec.render(cfg, &body)
+		} else {
+			err = experiments.RenderSection(cfg, sec.key, &body)
+		}
+		if err != nil {
 			return fmt.Errorf("%s: %w", sec.title, err)
 		}
 		fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n*(%.1fs)*\n\n", sec.title, body.String(), time.Since(start).Seconds())

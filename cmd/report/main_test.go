@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // TestRunReportSmoke generates a report restricted to two cheap
@@ -51,15 +53,15 @@ func TestRunReportSmoke(t *testing.T) {
 func TestRunUnknownSection(t *testing.T) {
 	var stdout bytes.Buffer
 	err := run([]string{"-o", filepath.Join(t.TempDir(), "r.md"), "-sections", "nope"}, &stdout)
-	if err == nil || !strings.Contains(err.Error(), `unknown section "nope"`) {
-		t.Errorf("run with unknown section = %v, want unknown-section error", err)
+	if !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), `unknown section "nope"`) {
+		t.Errorf("run with unknown section = %v, want an unknown-section cli.ErrUsage (exit 2)", err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
 	var stdout bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &stdout); err == nil {
-		t.Error("run with an unknown flag succeeded, want parse error")
+	if err := run([]string{"-definitely-not-a-flag"}, &stdout); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("run with an unknown flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &stdout); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)

@@ -10,13 +10,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
 
+	"repro/internal/cli"
 	"repro/internal/gadget"
 	"repro/internal/isa"
 	"repro/internal/mibench"
@@ -24,19 +24,7 @@ import (
 	"repro/internal/vm"
 )
 
-// errFlags marks a command line the flag set rejected.
-var errFlags = errors.New("bad flags")
-
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	case errors.Is(err, errFlags):
-		os.Exit(2) // the flag set has said why
-	default:
-		fmt.Fprintln(os.Stderr, "ropdemo:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 const (
 	// budget bounds each host run: the leak and the overflow.
@@ -48,23 +36,19 @@ const (
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ropdemo", flag.ContinueOnError)
-	defense := "none"
-	fs.Func("defense", "defense `posture`: none (default), canary, aslr or both", func(s string) error {
-		if !slices.Contains([]string{"none", "canary", "aslr", "both"}, s) {
-			return errors.New("want none, canary, aslr or both")
-		}
-		defense = s
-		return nil
-	})
+	defense := fs.String("defense", "", "defense `posture`: none (default), canary, aslr or both")
 	leak := fs.Bool("leak", false, "run the host's debug info leak and plan from the leaked base and canary (bypasses canary/ASLR)")
 	gadgets := fs.Bool("gadgets", false, "print the discovered gadget catalogue")
 	seed := fs.Int64("seed", 42, "ASLR seed")
-	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errFlags, err)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if !slices.Contains([]string{"", "none", "canary", "aslr", "both"}, *defense) {
+		return fmt.Errorf("%w: unknown -defense %q (want none, canary, aslr or both)", cli.ErrUsage, *defense)
 	}
 
-	canary := defense == "canary" || defense == "both"
-	aslr := defense == "aslr" || defense == "both"
+	canary := *defense == "canary" || *defense == "both"
+	aslr := *defense == "aslr" || *defense == "both"
 
 	host := mibench.Math(100)
 	hostMod, err := host.HostModule(rop.HostOptions{Canary: canary})

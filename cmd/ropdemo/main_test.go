@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // demo runs ropdemo with args and returns its output.
@@ -57,12 +59,12 @@ func TestRunDefensesHoldWithoutLeak(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag: a rejected command line is errFlags (exit 2), and -h
-// is flag.ErrHelp (exit 0 after the usage).
+// TestRunBadFlag: a rejected command line is cli.ErrUsage (exit 2), and
+// -h is flag.ErrHelp (exit 0 after the usage).
 func TestRunBadFlag(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-nosuchflag"}, &out); !errors.Is(err, errFlags) {
-		t.Errorf("bad flag = %v, want errFlags (exit 2)", err)
+	if err := run([]string{"-nosuchflag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("bad flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
@@ -70,12 +72,12 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 // TestRunBadDefense: a -defense value other than the four postures is a
-// flag error (exit 2) that names them, not an undefended run.
+// usage error (exit 2) that names them, not an undefended run.
 func TestRunBadDefense(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-defense", "bogus"}, &out)
-	if !errors.Is(err, errFlags) {
-		t.Fatalf("-defense bogus = %v, want errFlags (exit 2)", err)
+	if !errors.Is(err, cli.ErrUsage) {
+		t.Fatalf("-defense bogus = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if want := "none, canary, aslr or both"; !strings.Contains(err.Error(), want) {
 		t.Errorf("-defense bogus error %q does not name the postures (%q)", err, want)

@@ -22,6 +22,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/debug"
 	"repro/internal/gadget"
@@ -33,19 +34,7 @@ import (
 	"repro/internal/vm"
 )
 
-// errFlags marks a command line the flag set rejected.
-var errFlags = errors.New("bad flags")
-
-func main() {
-	switch err := run(os.Args[1:], os.Stdout); {
-	case err == nil, errors.Is(err, flag.ErrHelp): // -h printed the usage
-	case errors.Is(err, errFlags):
-		os.Exit(2) // the flag set has said why
-	default:
-		fmt.Fprintln(os.Stderr, "simdbg:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 // run executes one debugger session against args, writing the session
 // to stdout. It is the testable core of main.
@@ -59,14 +48,14 @@ func run(args []string, stdout io.Writer) error {
 		budget   = fs.Uint64("budget", 200_000_000, "instruction budget")
 		watchRet = fs.Bool("watchret", false, "watch the saved-return-address slot and report who wrote it")
 		blocks   = fs.Bool("blocks", false, "run hook-free and dump the superblock cache (tier introspection; ignores -break/-watchret)")
-
-		traceOut  = fs.String("trace", "", "write a Chrome/Perfetto trace of the session to this file")
-		eventsOut = fs.String("trace-events", "", "write the raw JSONL event log to this file")
-		manifest  = fs.String("manifest", "", "write a session manifest to this file")
-		metrics   = fs.String("metrics", "", "dump the metrics of a run manifest file or a live obs server (host:port or URL) and exit")
+		metrics  = fs.String("metrics", "", "dump the metrics of a run manifest file or a live obs server (host:port or URL) and exit")
 	)
-	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errFlags, err)
+	oc := obs.Config{Tool: "simdbg"}
+	fs.StringVar(&oc.Trace, "trace", "", "write a Chrome/Perfetto trace of the session to this file")
+	fs.StringVar(&oc.TraceEvents, "trace-events", "", "write the raw JSONL event log to this file")
+	fs.StringVar(&oc.Manifest, "manifest", "", "write a session manifest to this file")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *metrics != "" {
@@ -75,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		return dumpMetrics(stdout, *metrics)
 	}
 
-	h, err := obs.Start(obs.Config{Tool: "simdbg", Trace: *traceOut, TraceEvents: *eventsOut, Manifest: *manifest})
+	h, err := obs.Start(oc)
 	if err != nil {
 		return err
 	}

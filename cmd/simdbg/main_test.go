@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
@@ -125,13 +126,13 @@ func TestRunBlocksDump(t *testing.T) {
 
 func TestRunFlagErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, errFlags) {
-		t.Errorf("bad flag = %v, want errFlags (exit 2)", err)
+	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("bad flag = %v, want cli.ErrUsage (exit 2)", err)
 	}
 	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h = %v, want flag.ErrHelp (exit 0)", err)
 	}
-	if err := run([]string{"-host", "nope"}, &out); err == nil || errors.Is(err, errFlags) {
+	if err := run([]string{"-host", "nope"}, &out); err == nil || errors.Is(err, cli.ErrUsage) {
 		t.Errorf("unknown host = %v, want a plain error (exit 1)", err)
 	}
 }

@@ -38,7 +38,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mibench"
@@ -62,17 +62,7 @@ import (
 // images, so the lint's gadget census counts the same gadgets.
 const hostGadgetLen = 3
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
@@ -86,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		case "report":
 			return runReport(rest, stdout)
 		default:
-			return fmt.Errorf("speclint: unknown verb %q (want scan, rank, or report): %w", verb, flag.ErrHelp)
+			return fmt.Errorf("%w: unknown verb %q (want scan, rank, or report)", cli.ErrUsage, verb)
 		}
 	}
 	return runLint(args, stdout)
@@ -109,7 +99,6 @@ func startObs(addr, pool string) (*obs.Harness, context.Context, error) {
 
 func runLint(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("speclint", flag.ContinueOnError)
-	fs.SetOutput(stdout)
 	var (
 		seed     = fs.Int64("seed", 1, "base seed for the -progen soak")
 		progenN  = fs.Int("progen", 0, "also soak static/dynamic agreement over this many generated gadget programs")
@@ -120,7 +109,7 @@ func runLint(args []string, stdout io.Writer) error {
 		obsAddr  = fs.String("obs", "", "serve live observability (/metrics, /progress, /events, /debug/pprof) on this address while running")
 		verbose  = fs.Bool("v", false, "per-image detail lines")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -205,7 +194,7 @@ func guestCorpus(variants []spectre.Variant) ([]corpusImage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("host %s: %w", w.Name, err)
 		}
-		img, err := mod.Link(0x100000)
+		img, err := mod.Link(rop.HostBase)
 		if err != nil {
 			return nil, fmt.Errorf("host %s: %w", w.Name, err)
 		}
@@ -360,7 +349,6 @@ func scanCorpus(seed int64, progenN int, maxInstr uint64) ([]analysis.ScanImage,
 
 func runScan(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("speclint scan", flag.ContinueOnError)
-	fs.SetOutput(stdout)
 	var (
 		seed     = fs.Int64("seed", 1, "base seed for the generated gadget images")
 		progenN  = fs.Int("progen", 0, "include this many generated gadget programs (with SpecFuzz confirmation)")
@@ -372,7 +360,7 @@ func runScan(args []string, stdout io.Writer) error {
 		obsAddr  = fs.String("obs", "", "serve live observability on this address while scanning")
 		verbose  = fs.Bool("v", false, "per-image summary lines")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -446,16 +434,15 @@ func readFindings(path string) (*analysis.FindingsReport, error) {
 
 func runRank(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("speclint rank", flag.ContinueOnError)
-	fs.SetOutput(stdout)
 	var (
 		in  = fs.String("in", "", "findings report to rank (required)")
 		top = fs.Int("top", 10, "number of findings to print")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
-		return fmt.Errorf("speclint rank: -in is required: %w", flag.ErrHelp)
+		return fmt.Errorf("%w: rank needs -in", cli.ErrUsage)
 	}
 	rep, err := readFindings(*in)
 	if err != nil {
@@ -487,16 +474,15 @@ func runRank(args []string, stdout io.Writer) error {
 
 func runReport(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("speclint report", flag.ContinueOnError)
-	fs.SetOutput(stdout)
 	var (
 		in   = fs.String("in", "", "findings report to validate (required)")
 		gate = fs.Bool("gate", false, "also enforce the attack-over-benign ranking gate")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
-		return fmt.Errorf("speclint report: -in is required: %w", flag.ErrHelp)
+		return fmt.Errorf("%w: report needs -in", cli.ErrUsage)
 	}
 	rep, err := readFindings(*in)
 	if err != nil {

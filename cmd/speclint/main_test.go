@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 )
 
 // TestLintCorpusClean: the built-in corpus lints clean, quickly, and
@@ -92,11 +95,21 @@ func TestMetricsOutput(t *testing.T) {
 
 func TestUsageError(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"frobnicate"},
+		{"scan", "-definitely-not-a-flag"},
+		{"rank"},
+		{"report"},
+	} {
+		if err := run(args, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%q = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
 	}
-	if err := run([]string{"frobnicate"}, &out); err == nil {
-		t.Fatal("unknown verb accepted")
+	for _, args := range [][]string{{"-h"}, {"rank", "-h"}} {
+		if err := run(args, &out); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%q = %v, want flag.ErrHelp (exit 0)", args, err)
+		}
 	}
 }
 

@@ -47,9 +47,9 @@ type Options struct {
 // surface. Create with New, serve Handler, stop with Drain (graceful)
 // or Close (immediate).
 type Server struct {
-	opts Options
-	mux  *http.ServeMux
-	reg  *telemetry.Registry // daemon-level metrics (job lifecycle counts)
+	opts    Options
+	handler http.Handler
+	reg     *telemetry.Registry // daemon-level metrics (job lifecycle counts)
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -90,20 +90,21 @@ func New(opts Options) (*Server, error) {
 		sem:        make(chan struct{}, opts.MaxJobs),
 		jobs:       make(map[string]*job),
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /{$}", s.handleIndex)
-	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /jobs", s.handleList)
-	s.mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
-	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /jobs/{id}/artifacts", s.handleArtifacts)
-	s.mux.HandleFunc("GET /jobs/{id}/artifacts/{name}", s.handleArtifact)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /{$}", s.handleIndex)
+	mux.HandleFunc("POST /jobs", s.handleSubmit)
+	mux.HandleFunc("GET /jobs", s.handleList)
+	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
+	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /jobs/{id}/artifacts", s.handleArtifacts)
+	mux.HandleFunc("GET /jobs/{id}/artifacts/{name}", s.handleArtifact)
 	// The embedded observability surface: /healthz, /buildz, /metrics
 	// (the daemon-level registry), /debug/pprof. Register skips patterns
 	// the daemon already claimed, so the two surfaces cannot collide
-	// however often this runs (the double-registration regression).
-	obs.Register(s.mux, obs.Options{
+	// however often this runs (the double-registration regression). The
+	// handler it returns logs each request when opts.Log is set.
+	s.handler = obs.Register(mux, obs.Options{
 		Tool:  "crspectred",
 		RunID: opts.RunID,
 		Sinks: sched.Sinks{Metrics: s.reg},
@@ -116,18 +117,7 @@ func New(opts Options) (*Server, error) {
 func (s *Server) DataDir() string { return s.opts.DataDir }
 
 // Handler returns the daemon's HTTP surface.
-func (s *Server) Handler() http.Handler {
-	if s.opts.Log == nil {
-		return s.mux
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		s.mux.ServeHTTP(w, r)
-		s.opts.Log.Info("controlapi request",
-			"method", r.Method, "path", r.URL.Path, "remote", r.RemoteAddr,
-			"dur_ms", time.Since(t0).Milliseconds())
-	})
-}
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Drain is the SIGTERM path: stop accepting new jobs, wait for
 // in-flight and queued jobs to finish, and — once ctx expires — cancel

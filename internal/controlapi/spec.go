@@ -55,9 +55,10 @@ type JobSpec struct {
 	// manifest's informational workers field change.
 	Workers int `json:"workers,omitempty"`
 	// Samples is the per-class training-corpus size for campaign kinds
-	// (0 = 400, the CLI default).
+	// (0 = experiments.DefaultConfig's value, the CLI default).
 	Samples int `json:"samples,omitempty"`
-	// Attempts is the attack-attempt count for campaign kinds (0 = 10).
+	// Attempts is the attack-attempt count for campaign kinds (0 =
+	// experiments.DefaultConfig's value).
 	Attempts int `json:"attempts,omitempty"`
 	// Reps is the repetition count: Table I cell averaging for
 	// "table1", evaluation repetitions for "attack" (0 = the kind's

@@ -35,16 +35,18 @@ func (s CampaignSpec) Any() bool {
 	return false
 }
 
-// campaignSections are RunCampaign's sections in canonical order. Each
-// run renders its driver's tables to w and returns the writer of its CSV
-// (nil when csv is "").
+// campaignSections are RunCampaign's sections in canonical order, each
+// under the key RenderSection knows it by. Each run renders its
+// driver's tables to w and returns the writer of its CSV (nil when csv
+// is "").
 var campaignSections = []struct {
+	key   string
 	title string
 	on    func(CampaignSpec) bool
 	csv   string
 	run   func(cfg Config, w io.Writer) (func(io.Writer), error)
 }{
-	{"Fig 4: HID accuracy vs feature size", func(s CampaignSpec) bool { return s.Fig4 }, "fig4.csv",
+	{"fig4", "Fig 4: HID accuracy vs feature size", func(s CampaignSpec) bool { return s.Fig4 }, "fig4.csv",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			rows, err := Fig4(cfg)
 			if err != nil {
@@ -53,7 +55,7 @@ var campaignSections = []struct {
 			RenderFig4(w, rows)
 			return func(f io.Writer) { Fig4CSV(f, rows) }, nil
 		}},
-	{"Fig 5: offline-type HID campaign", func(s CampaignSpec) bool { return s.Fig5 }, "fig5.csv",
+	{"fig5", "Fig 5: offline-type HID campaign", func(s CampaignSpec) bool { return s.Fig5 }, "fig5.csv",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			res, err := Fig5(cfg)
 			if err != nil {
@@ -62,7 +64,7 @@ var campaignSections = []struct {
 			RenderCampaign(w, res, cfg.Classifiers)
 			return func(f io.Writer) { CampaignCSV(f, res) }, nil
 		}},
-	{"Fig 6: online-type HID campaign", func(s CampaignSpec) bool { return s.Fig6 }, "fig6.csv",
+	{"fig6", "Fig 6: online-type HID campaign", func(s CampaignSpec) bool { return s.Fig6 }, "fig6.csv",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			res, err := Fig6(cfg)
 			if err != nil {
@@ -71,7 +73,7 @@ var campaignSections = []struct {
 			RenderCampaign(w, res, cfg.Classifiers)
 			return func(f io.Writer) { CampaignCSV(f, res) }, nil
 		}},
-	{"Extension: online-HID detection latency", func(s CampaignSpec) bool { return s.Latency }, "",
+	{"latency", "Extension: online-HID detection latency", func(s CampaignSpec) bool { return s.Latency }, "",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			rows, err := DetectionLatency(cfg, 6)
 			if err != nil {
@@ -80,7 +82,7 @@ var campaignSections = []struct {
 			RenderLatency(w, rows)
 			return nil, nil
 		}},
-	{"Extension: variant recycling vs windowed HID", func(s CampaignSpec) bool { return s.Recycle }, "",
+	{"recycle", "Extension: variant recycling vs windowed HID", func(s CampaignSpec) bool { return s.Recycle }, "",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			rows, err := VariantRecycling(cfg, 600)
 			if err != nil {
@@ -89,7 +91,7 @@ var campaignSections = []struct {
 			RenderRecycling(w, rows)
 			return nil, nil
 		}},
-	{"Extension: run-level alarm policies vs diluted CR-Spectre", func(s CampaignSpec) bool { return s.Alarms }, "",
+	{"alarms", "Extension: run-level alarm policies vs diluted CR-Spectre", func(s CampaignSpec) bool { return s.Alarms }, "",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			rows, err := RunLevelDetection(cfg, nil, 6)
 			if err != nil {
@@ -98,7 +100,7 @@ var campaignSections = []struct {
 			RenderAlarms(w, rows)
 			return nil, nil
 		}},
-	{"Table I: IPC overhead", func(s CampaignSpec) bool { return s.Table1 }, "table1.csv",
+	{"table1", "Table I: IPC overhead", func(s CampaignSpec) bool { return s.Table1 }, "table1.csv",
 		func(cfg Config, w io.Writer) (func(io.Writer), error) {
 			rows, err := Table1(cfg)
 			if err != nil {
@@ -132,6 +134,19 @@ func RunCampaign(cfg Config, spec CampaignSpec, stdout io.Writer, csvdir string)
 		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", sec.title, time.Since(start).Seconds())
 	}
 	return nil
+}
+
+// RenderSection runs the campaign section known by key (fig4, fig5,
+// fig6, latency, recycle, alarms or table1) and renders its tables to
+// w, without writing its CSV.
+func RenderSection(cfg Config, key string, w io.Writer) error {
+	for _, sec := range campaignSections {
+		if sec.key == key {
+			_, err := sec.run(cfg, w)
+			return err
+		}
+	}
+	return fmt.Errorf("experiments: no campaign section %q", key)
 }
 
 // writeCSV writes one section's CSV to path, creating its directory,

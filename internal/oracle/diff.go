@@ -12,6 +12,37 @@ import (
 	"repro/internal/progen"
 )
 
+// Posture is one named micro-architectural configuration of the
+// optimized core.
+type Posture struct {
+	Name string
+	CPU  cpu.Config
+}
+
+// Postures returns the posture table: speculation on and off,
+// InvisiSpec, conditional fencing, tiny windows, gshare, cache noise,
+// privileged flush, and the Spectre-v2/v4 mitigations and BTB shapes.
+// Architectural results must be identical under every entry, including
+// post-squash state after wrong-path speculation through the indirect
+// -target and store-bypass paths, enabled and sealed (the
+// speculation-consistency mode of DESIGN.md §8).
+func Postures() []Posture {
+	return []Posture{
+		{"baseline", cpu.DefaultConfig()},
+		{"no-spec", cpu.Config{SpecWindow: 64, MispredictPenalty: 24}},
+		{"invisispec", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true}},
+		{"fence-cond", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true}},
+		{"tiny-window", cpu.Config{SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true}},
+		{"gshare-prefetch", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Predictor: "gshare", NextLinePrefetch: true}},
+		{"noisy", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, NoisePeriod: 50, NoiseSeed: 7}},
+		{"priv-flush", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, PrivilegedFlush: true}},
+		{"retpoline", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Retpoline: true}},
+		{"ssbd", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, DisableStoreBypass: true}},
+		{"tiny-btb", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBEntries: 16, BTBTagBits: 1}},
+		{"fulltag-btb", cpu.Config{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBTagBits: -2}},
+	}
+}
+
 // PreStep, when non-nil, runs before each lock-step pair of Step calls.
 // It exists for fault injection in the harness's own tests (e.g.
 // simulating a broken memory fast path by corrupting one side), and for

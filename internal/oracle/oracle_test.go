@@ -43,27 +43,16 @@ func TestLockstepRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestLockstepConfigSweep re-runs a band of seeds under every
-// micro-architectural posture difftest exercises. None of these knobs may
-// change architectural results, including post-squash state after
+// TestLockstepConfigSweep re-runs a band of seeds under every posture of
+// oracle.Postures, the table difftest cycles through. None of these knobs
+// may change architectural results, including post-squash state after
 // wrong-path speculation (the speculation-consistency mode).
 func TestLockstepConfigSweep(t *testing.T) {
-	configs := map[string]cpu.Config{
-		"baseline":    cpu.DefaultConfig(),
-		"no-spec":     {SpecWindow: 64, MispredictPenalty: 24},
-		"invisispec":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true},
-		"fence-cond":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true},
-		"tiny-window": {SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true},
-		"gshare":      {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Predictor: "gshare", NextLinePrefetch: true},
-		"noisy":       {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, NoisePeriod: 50, NoiseSeed: 7},
-		"priv-flush":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, PrivilegedFlush: true},
-	}
-	for name, cfg := range configs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
+	for _, pos := range oracle.Postures() {
+		t.Run(pos.Name, func(t *testing.T) {
 			for seed := int64(100); seed < 112; seed++ {
 				p := progen.Generate(seed, progen.DefaultOptions())
-				res, err := oracle.RunProgram(p, cfg, testBudget, nil)
+				res, err := oracle.RunProgram(p, pos.CPU, testBudget, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -15,21 +15,8 @@ import (
 // rigBudget is cmd/difftest's per-program budget.
 const rigBudget = 200_000
 
-// postures is cmd/difftest's posture ring.
-var postures = []cpu.Config{
-	cpu.DefaultConfig(),
-	{SpecWindow: 64, MispredictPenalty: 24},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true},
-	{SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Predictor: "gshare", NextLinePrefetch: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, NoisePeriod: 50, NoiseSeed: 7},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, PrivilegedFlush: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Retpoline: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, DisableStoreBypass: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBEntries: 16, BTBTagBits: 1},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, BTBTagBits: -2},
-}
+// postures is the posture table.
+var postures = Postures()
 
 // rigCase is one program the reuse test runs on both axes, with hooks
 // that may leave the machines they are handed dirty.
@@ -147,7 +134,7 @@ func rigCases(t *testing.T) []rigCase {
 					_ = single.Mem.LoadRaw(progen.DataBase+mem.PageSize+64, []byte{0xEE})
 				}
 			}},
-		{name: "stack-scribble", p: store, cfg: postures[2], max: rigBudget,
+		{name: "stack-scribble", p: store, cfg: postures[2].CPU, max: rigBudget,
 			pre: func(step uint64, c *cpu.CPU, _ *Machine) {
 				if step == 0 {
 					_ = c.Mem.LoadRaw(store.StackTop-64, []byte{0xEE})
@@ -171,21 +158,21 @@ func rigCases(t *testing.T) []rigCase {
 					single.SetDefenses(false, true, true, true)
 				}
 			}},
-		{name: "cycle-skew", p: loop, cfg: postures[5], max: 4096,
+		{name: "cycle-skew", p: loop, cfg: postures[5].CPU, max: 4096,
 			tier: func(slice uint64, blocks, _ *cpu.CPU) {
 				if slice == 1 {
 					blocks.Cycle += 7
 				}
 			}},
-		{name: "div-zero", p: divZero, cfg: postures[7], max: rigBudget},
-		{name: "budget", p: loop, cfg: postures[10], max: 4096},
+		{name: "div-zero", p: divZero, cfg: postures[7].CPU, max: rigBudget},
+		{name: "budget", p: loop, cfg: postures[10].CPU, max: 4096},
 		{name: "big-memory", p: big, cfg: def, max: rigBudget},
 	}
 	var cases []rigCase
-	for i, cfg := range postures {
+	for i, pos := range postures {
 		for _, seed := range []int64{int64(i) + 1, int64(i) + 101} {
 			cases = append(cases, rigCase{name: fmt.Sprintf("posture %d seed %d", i, seed),
-				p: progen.Generate(seed, progen.DefaultOptions()), cfg: cfg, max: rigBudget})
+				p: progen.Generate(seed, progen.DefaultOptions()), cfg: pos.CPU, max: rigBudget})
 		}
 		if i < len(dirty) {
 			cases = append(cases, dirty[i])
@@ -268,7 +255,7 @@ func TestRunProgramAllocs(t *testing.T) {
 	}
 	lap := func() {
 		for i, p := range progs {
-			pair(p, postures[i%len(postures)])
+			pair(p, postures[i%len(postures)].CPU)
 		}
 	}
 	lap()

@@ -46,27 +46,17 @@ func TestTierDiffRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestTierDiffConfigSweep re-runs a seed band under every difftest
-// posture. The block tier must be cycle-exact under all of them —
-// speculation episodes, squashed cache effects, noise injection and
-// privileged-flush faults included.
+// TestTierDiffConfigSweep re-runs a seed band under every posture of
+// oracle.Postures. The block tier must be cycle-exact under all of them —
+// speculation episodes, squashed cache effects, noise injection,
+// privileged-flush faults, indirect-target and store-bypass speculation
+// included.
 func TestTierDiffConfigSweep(t *testing.T) {
-	configs := map[string]cpu.Config{
-		"baseline":    cpu.DefaultConfig(),
-		"no-spec":     {SpecWindow: 64, MispredictPenalty: 24},
-		"invisispec":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true},
-		"fence-cond":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true},
-		"tiny-window": {SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true},
-		"gshare":      {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, Predictor: "gshare", NextLinePrefetch: true},
-		"noisy":       {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, NoisePeriod: 50, NoiseSeed: 7},
-		"priv-flush":  {SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, PrivilegedFlush: true},
-	}
-	for name, cfg := range configs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
+	for _, pos := range oracle.Postures() {
+		t.Run(pos.Name, func(t *testing.T) {
 			for seed := int64(100); seed < 112; seed++ {
 				p := progen.Generate(seed, progen.DefaultOptions())
-				res, err := oracle.RunTierDiff(p, cfg, testBudget, 0, nil)
+				res, err := oracle.RunTierDiff(p, pos.CPU, testBudget, 0, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
