@@ -191,20 +191,20 @@ func runSubmit(args []string, stdout io.Writer) error {
 }
 
 // oneIDArg parses the single positional <job-id> of status/cancel.
-func oneIDArg(fs *flag.FlagSet) (string, error) {
+func oneIDArg(fs *flag.FlagSet, verb string) (string, error) {
 	if fs.NArg() != 1 {
-		return "", fmt.Errorf("%w: %s wants exactly one <job-id> argument", cli.ErrUsage, fs.Name())
+		return "", fmt.Errorf("%w: %s wants exactly one <job-id> argument", cli.ErrUsage, verb)
 	}
 	return fs.Arg(0), nil
 }
 
 func runStatus(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("status", flag.ContinueOnError)
+	fs := flag.NewFlagSet("crspectred status", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	id, err := oneIDArg(fs)
+	id, err := oneIDArg(fs, "status")
 	if err != nil {
 		return err
 	}
@@ -218,12 +218,12 @@ func runStatus(args []string, stdout io.Writer) error {
 }
 
 func runCancel(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("cancel", flag.ContinueOnError)
+	fs := flag.NewFlagSet("crspectred cancel", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	id, err := oneIDArg(fs)
+	id, err := oneIDArg(fs, "cancel")
 	if err != nil {
 		return err
 	}
@@ -237,7 +237,7 @@ func runCancel(args []string, stdout io.Writer) error {
 }
 
 func runFetch(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("fetch", flag.ContinueOnError)
+	fs := flag.NewFlagSet("crspectred fetch", flag.ContinueOnError)
 	addr, timeout := clientFlags(fs)
 	out := fs.String("o", "", "write the artifact to this file instead of stdout")
 	if err := cli.Parse(fs, args); err != nil {

@@ -157,3 +157,32 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("fetch without artifact name = %v, want cli.ErrUsage (exit 2)", err)
 	}
 }
+
+// TestVerbUsageNamesTool: every verb's -h names the tool and the verb in
+// its first line, while the missing-ID usage error still names the verb
+// alone (cli.Exit puts the tool in front).
+func TestVerbUsageNamesTool(t *testing.T) {
+	for _, verb := range []string{"serve", "submit", "status", "cancel", "fetch"} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w // where a flag set with no output set prints its usage
+		err = run([]string{verb, "-h"}, io.Discard, nil)
+		os.Stderr = stderr
+		w.Close()
+		usage, _ := io.ReadAll(r)
+		r.Close()
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h = %v, want flag.ErrHelp (exit 0)", verb, err)
+		}
+		if first, _, _ := strings.Cut(string(usage), "\n"); first != "Usage of crspectred "+verb+":" {
+			t.Errorf("%s -h first line %q, want %q", verb, first, "Usage of crspectred "+verb+":")
+		}
+	}
+	err := runStatus(nil, io.Discard)
+	if want := "usage: status wants exactly one <job-id> argument"; err == nil || err.Error() != want {
+		t.Errorf("status without ID = %v, want %q", err, want)
+	}
+}

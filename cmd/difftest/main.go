@@ -44,17 +44,16 @@ func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
 
 // shardResult is one program's outcome, aggregated into the run summary.
 type shardResult struct {
-	seed    int64
-	config  string
-	cfg     cpu.Config
-	steps   uint64
-	halted  bool
-	faulted bool
-	budget  bool
-	div     *oracle.Divergence
-	tierDiv *oracle.Divergence
-	prog    progen.Program
+	seed int64
+	pos  oracle.Posture
+	prog progen.Program
+	res  oracle.Result // the lock-step run's, or the tier diff's if only it diverged
+	tier bool          // res is the tier diff's
 }
+
+// runFunc runs a program through one differential axis, RunProgram or
+// RunTierDiff under a fixed posture and hooks, as oracle.Minimize replays it.
+type runFunc func(progen.Program) (oracle.Result, error)
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("difftest", flag.ContinueOnError)
@@ -125,21 +124,19 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return shardResult{}, fmt.Errorf("shard %d (seed %d): %w", shard, s, err)
 			}
-			sr := shardResult{
-				seed: s, config: pos.Name, cfg: pos.CPU, steps: res.Steps,
-				halted: res.Halted, faulted: res.Fault != nil, budget: res.BudgetExhausted,
-				div: res.Div, prog: p,
-			}
+			sr := shardResult{seed: s, pos: pos, prog: p, res: res}
 			// Same program, second axis: superblock tier vs single-step
 			// under the cycle-exact tier contract (DESIGN.md §11).
-			if tierDiff && sr.div == nil {
+			if tierDiff && res.Clean() {
 				tres, err := oracle.RunTierDiff(p, pos.CPU, *maxInstr, 0, nil)
 				if err != nil {
 					return shardResult{}, fmt.Errorf("shard %d (seed %d) tier diff: %w", shard, s, err)
 				}
-				sr.tierDiv = tres.Div
+				if !tres.Clean() {
+					sr.res, sr.tier = tres, true
+				}
 			}
-			sched.ObserveInstrs(ctx, sr.steps)
+			sched.ObserveInstrs(ctx, res.Steps)
 			return sr, nil
 		})
 		if err != nil {
@@ -147,19 +144,25 @@ func run(args []string, stdout io.Writer) error {
 		}
 		for _, r := range results {
 			total++
-			instret += r.steps
+			instret += r.res.Steps
 			h.Metrics.Inc("difftest.programs")
-			h.Metrics.Add("difftest.instr_pairs", r.steps)
+			h.Metrics.Add("difftest.instr_pairs", r.res.Steps)
 			switch {
-			case r.div != nil:
-				return reportDivergence(stdout, *reproOut, r, r.div, lockstepAxis(*maxInstr, nil))
-			case r.tierDiv != nil:
-				return reportDivergence(stdout, *reproOut, r, r.tierDiv, tierAxis(*maxInstr, 0, nil))
-			case r.halted:
+			case !r.res.Clean():
+				run := func(p progen.Program) (oracle.Result, error) {
+					return oracle.RunProgram(p, r.pos.CPU, *maxInstr, nil)
+				}
+				if r.tier {
+					run = func(p progen.Program) (oracle.Result, error) {
+						return oracle.RunTierDiff(p, r.pos.CPU, *maxInstr, 0, nil)
+					}
+				}
+				return reportDivergence(stdout, *reproOut, r, run)
+			case r.res.Halted:
 				halted++
-			case r.faulted:
+			case r.res.Fault != nil:
 				faulted++
-			case r.budget:
+			case r.res.BudgetExhausted:
 				budget++
 			}
 		}
@@ -193,44 +196,18 @@ func run(args []string, stdout io.Writer) error {
 	return h.WriteOutputs(stdout, m)
 }
 
-// axis is one of a shard's two differentials, as its divergence report
-// names it, with the minimizer that shrinks a failing program on it.
-type axis struct {
-	title    string // report headline
-	note     string // headline suffix
-	subject  string // what the returned error calls the divergence
-	minimize func(p progen.Program, cfg cpu.Config) (min progen.Program, n int, div *oracle.Divergence, ok bool)
-}
-
-// lockstepAxis is the optimized core against the reference interpreter.
-func lockstepAxis(maxInstr uint64, pre oracle.PreStep) axis {
-	return axis{title: "DIVERGENCE", subject: "divergence",
-		minimize: func(p progen.Program, cfg cpu.Config) (progen.Program, int, *oracle.Divergence, bool) {
-			min, n, res, ok := oracle.Minimize(p, cfg, maxInstr, pre)
-			return min, n, res.Div, ok
-		}}
-}
-
-// tierAxis is the block tier against single-step: the optimized core
-// agreed with the reference interpreter but disagreed with itself once
-// superblocks were enabled. Minimization goes through the tier harness
-// so the repro stays a two-tier one.
-func tierAxis(maxInstr, sliceInstr uint64, pre oracle.TierPreSlice) axis {
-	return axis{title: "TIER DIVERGENCE", note: " (blocks vs single-step)", subject: "block-tier divergence",
-		minimize: func(p progen.Program, cfg cpu.Config) (progen.Program, int, *oracle.Divergence, bool) {
-			min, n, res, ok := oracle.MinimizeTier(p, cfg, maxInstr, sliceInstr, pre)
-			return min, n, res.Div, ok
-		}}
-}
-
-// reportDivergence minimizes the failing program on its axis and writes
-// the repro report; the returned error carries the headline so the
-// process exits 1.
-func reportDivergence(stdout io.Writer, reproPath string, r shardResult, div *oracle.Divergence, ax axis) error {
+// reportDivergence minimizes the failing program through run, the axis
+// that found the divergence, and writes the repro report; the returned
+// error carries the headline so the process exits 1.
+func reportDivergence(stdout io.Writer, reproPath string, r shardResult, run runFunc) error {
+	title, note, subject := "DIVERGENCE", "", "divergence"
+	if r.tier {
+		title, note, subject = "TIER DIVERGENCE", " (blocks vs single-step)", "block-tier divergence"
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s seed=%d config=%s%s\n%v\n", ax.title, r.seed, r.config, ax.note, div)
-	if min, n, mdiv, ok := ax.minimize(r.prog, r.cfg); ok {
-		fmt.Fprintf(&b, "minimized to %d instructions:\n%s%v\n", n, min.Disasm(n), mdiv)
+	fmt.Fprintf(&b, "%s seed=%d config=%s%s\n%v\n", title, r.seed, r.pos.Name, note, r.res.Div)
+	if min, n, mres, ok := oracle.Minimize(r.prog, run); ok {
+		fmt.Fprintf(&b, "minimized to %d instructions:\n%s%v\n", n, min.Disasm(n), mres.Div)
 	} else {
 		fmt.Fprintf(&b, "minimization failed to reproduce; full program (%d instructions):\n%s",
 			r.prog.NumInstr, r.prog.Disasm(0))
@@ -239,88 +216,62 @@ func reportDivergence(stdout io.Writer, reproPath string, r shardResult, div *or
 	fmt.Fprint(stdout, report)
 	if reproPath != "" {
 		if err := os.WriteFile(reproPath, []byte(report), 0o644); err != nil {
-			return fmt.Errorf("difftest: %s found, and writing repro failed: %w", strings.ToLower(ax.title), err)
+			return fmt.Errorf("difftest: %s found, and writing repro failed: %w", strings.ToLower(title), err)
 		}
 	}
-	return fmt.Errorf("difftest: %s on seed %d (config %s)", ax.subject, r.seed, r.config)
+	return fmt.Errorf("difftest: %s on seed %d (config %s)", subject, r.seed, r.pos.Name)
 }
 
-// runSelftest proves the harness end to end: it injects silent
-// corruptions modelling a broken memory fast path and a broken
-// store-bypass fast path, and requires the lock-step comparison to
-// catch each and the reporter to minimize it to a short prefix. A
-// harness that cannot fail is not a test harness.
+// runSelftest proves the harness end to end: each scenario injects a
+// silent corruption, modelling a broken memory fast path, a broken
+// store-bypass fast path and a broken superblock, and the axis it runs
+// on must catch it and Minimize must shrink the repro to a short prefix.
+// A harness that cannot fail is not a test harness.
 func runSelftest(stdout io.Writer) error {
-	scenarios := []struct {
+	for _, sc := range []struct {
 		name  string
-		build func() (progen.Program, oracle.PreStep, int, error)
+		build func() (p progen.Program, run runFunc, injected string, err error)
 	}{
 		{"write64", brokenFastPathScenario},
 		{"store-bypass", brokenStoreBypassScenario},
-	}
-	for _, sc := range scenarios {
-		p, pre, badIdx, err := sc.build()
+		{"block-tier", brokenTierScenario},
+	} {
+		p, run, injected, err := sc.build()
 		if err != nil {
 			return err
 		}
-		cfg := cpu.DefaultConfig()
-		res, err := oracle.RunProgram(p, cfg, 100_000, pre)
+		res, err := run(p)
 		if err != nil {
 			return err
 		}
 		if res.Clean() {
-			return fmt.Errorf("difftest: selftest %s: injected corruption was NOT detected", sc.name)
+			return fmt.Errorf("difftest: selftest %s: %s was NOT detected", sc.name, injected)
 		}
-		_, n, mres, ok := oracle.Minimize(p, cfg, 100_000, pre)
-		if !ok || mres.Clean() {
+		_, n, _, ok := oracle.Minimize(p, run)
+		if !ok {
 			return fmt.Errorf("difftest: selftest %s: minimizer failed to reproduce the divergence", sc.name)
 		}
 		if n > 16 {
 			return fmt.Errorf("difftest: selftest %s: minimized to %d instructions, want <= 16", sc.name, n)
 		}
-		fmt.Fprintf(stdout, "selftest %s: corruption at instr %d caught (%d reasons) and minimized to %d instructions\n",
-			sc.name, badIdx, len(res.Div.Reasons), n)
+		fmt.Fprintf(stdout, "selftest %s: %s caught (%d reasons) and minimized to %d instructions\n",
+			sc.name, injected, len(res.Div.Reasons), n)
 	}
-	return runTierSelftest(stdout)
-}
-
-// runTierSelftest proves the block-tier axis of the harness the same
-// way: a slice hook models a broken superblock that silently clobbers a
-// register the program never writes, and the tier diff must catch the
-// skew and MinimizeTier must shrink the repro past the padding tail.
-func runTierSelftest(stdout io.Writer) error {
-	p, pre, err := brokenTierScenario()
-	if err != nil {
-		return err
-	}
-	cfg := cpu.DefaultConfig()
-	res, err := oracle.RunTierDiff(p, cfg, 100_000, selftestSlice, pre)
-	if err != nil {
-		return err
-	}
-	if res.Clean() {
-		return fmt.Errorf("difftest: selftest block-tier: injected register skew was NOT detected")
-	}
-	_, n, mres, ok := oracle.MinimizeTier(p, cfg, 100_000, selftestSlice, pre)
-	if !ok || mres.Clean() {
-		return fmt.Errorf("difftest: selftest block-tier: minimizer failed to reproduce the divergence")
-	}
-	if n > 16 {
-		return fmt.Errorf("difftest: selftest block-tier: minimized to %d instructions, want <= 16", n)
-	}
-	fmt.Fprintf(stdout, "selftest block-tier: slice-injected skew caught (%d reasons) and minimized to %d instructions\n",
-		len(res.Div.Reasons), n)
 	return nil
 }
 
-// selftestSlice is the block-tier selftest's slice length, short enough
-// that the skew lands in the second slice.
-const selftestSlice = 4
+// The selftest runs' retired-instruction budget, and the block-tier
+// scenario's slice length, short enough that the skew lands in the
+// second slice.
+const (
+	selftestBudget = 100_000
+	selftestSlice  = 4
+)
 
-// brokenTierScenario builds a padded program and a slice hook that, in
-// the second slice, clobbers a register the program never writes on the
-// block-tier core only.
-func brokenTierScenario() (progen.Program, oracle.TierPreSlice, error) {
+// brokenTierScenario builds a padded program run through the tier diff
+// with a slice hook that, in the second slice, clobbers a register the
+// program never writes on the block-tier core only.
+func brokenTierScenario() (progen.Program, runFunc, string, error) {
 	instrs := []isa.Instruction{
 		{Op: isa.MOVI, Rd: 1, Imm: 7},
 	}
@@ -330,22 +281,25 @@ func brokenTierScenario() (progen.Program, oracle.TierPreSlice, error) {
 	instrs = append(instrs, isa.Instruction{Op: isa.HALT})
 	p, err := progen.Craft(instrs, nil, false)
 	if err != nil {
-		return progen.Program{}, nil, err
+		return progen.Program{}, nil, "", err
 	}
 	pre := func(slice uint64, blocks, _ *cpu.CPU) {
 		if slice == 1 {
 			blocks.Regs[5] ^= 0xdead // r5 is never architecturally written
 		}
 	}
-	return p, pre, nil
+	run := func(prog progen.Program) (oracle.Result, error) {
+		return oracle.RunTierDiff(prog, cpu.DefaultConfig(), selftestBudget, selftestSlice, pre)
+	}
+	return p, run, "slice-injected skew", nil
 }
 
 // brokenFastPathScenario builds a program whose 11th instruction is a
-// 64-bit store, plus a PreStep hook that silently clobbers another byte
-// on the store's page at that step — the observable signature of a
-// mis-masked Write64 fast path. The long tail of padding is what the
-// minimizer must discard.
-func brokenFastPathScenario() (progen.Program, oracle.PreStep, int, error) {
+// 64-bit store, lock-stepped with a PreStep hook that silently clobbers
+// another byte on the store's page at that step — the observable
+// signature of a mis-masked Write64 fast path. The long tail of padding
+// is what the minimizer must discard.
+func brokenFastPathScenario() (progen.Program, runFunc, string, error) {
 	instrs := []isa.Instruction{
 		{Op: isa.MOVI, Rd: 10, Imm: int64(progen.DataBase)},
 		{Op: isa.MOVI, Rd: 1, Imm: 0x1122334455667788},
@@ -361,14 +315,17 @@ func brokenFastPathScenario() (progen.Program, oracle.PreStep, int, error) {
 	instrs = append(instrs, isa.Instruction{Op: isa.HALT})
 	p, err := progen.Craft(instrs, nil, false)
 	if err != nil {
-		return progen.Program{}, nil, 0, err
+		return progen.Program{}, nil, "", err
 	}
 	pre := func(step uint64, c *cpu.CPU, _ *oracle.Machine) {
 		if step == storeIdx {
 			_ = c.Mem.LoadRaw(progen.DataBase+80, []byte{0xEE})
 		}
 	}
-	return p, pre, storeIdx, nil
+	run := func(prog progen.Program) (oracle.Result, error) {
+		return oracle.RunProgram(prog, cpu.DefaultConfig(), selftestBudget, pre)
+	}
+	return p, run, fmt.Sprintf("corruption at instr %d", storeIdx), nil
 }
 
 // brokenStoreBypassScenario arms the Spectre-v4 fast path — a byte
@@ -379,7 +336,7 @@ func brokenFastPathScenario() (progen.Program, oracle.PreStep, int, error) {
 // state. The optimized core then reloads 0x55 where the oracle sees
 // the sanitized zero, and the lock-step comparison must catch the
 // register difference and minimize past the padding tail.
-func brokenStoreBypassScenario() (progen.Program, oracle.PreStep, int, error) {
+func brokenStoreBypassScenario() (progen.Program, runFunc, string, error) {
 	const (
 		slot    = int64(progen.DataBase)         // bypassed slot
 		zeroSrc = int64(progen.DataBase) + 0x140 // flushed line: slow zero
@@ -403,12 +360,15 @@ func brokenStoreBypassScenario() (progen.Program, oracle.PreStep, int, error) {
 	instrs = append(instrs, isa.Instruction{Op: isa.HALT})
 	p, err := progen.Craft(instrs, nil, false)
 	if err != nil {
-		return progen.Program{}, nil, 0, err
+		return progen.Program{}, nil, "", err
 	}
 	pre := func(step uint64, c *cpu.CPU, _ *oracle.Machine) {
 		if step == uint64(loadIdx) {
 			_ = c.Mem.LoadRaw(progen.DataBase, []byte{0x55})
 		}
 	}
-	return p, pre, loadIdx, nil
+	run := func(prog progen.Program) (oracle.Result, error) {
+		return oracle.RunProgram(prog, cpu.DefaultConfig(), selftestBudget, pre)
+	}
+	return p, run, fmt.Sprintf("corruption at instr %d", loadIdx), nil
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/cli"
-	"repro/internal/cpu"
 	"repro/internal/oracle"
+	"repro/internal/progen"
 	"repro/internal/telemetry"
 )
 
@@ -111,61 +111,52 @@ func TestRunManifest(t *testing.T) {
 }
 
 // TestReportDivergence drives the one reporter with the selftest
-// scenarios' divergences, one per axis: the minimized report reaches
-// stdout and the repro file alike, and the returned error names the
-// axis — also when the repro file cannot be written.
+// scenarios' divergences, one per axis, through each scenario's run
+// function: the minimized report reaches stdout and the repro file
+// alike, and the returned error names the axis — also when the repro
+// file cannot be written.
 func TestReportDivergence(t *testing.T) {
-	cfg := cpu.DefaultConfig()
-	lockProg, lockPre, _, err := brokenFastPathScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockRes, err := oracle.RunProgram(lockProg, cfg, 100_000, lockPre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tierProg, tierPre, err := brokenTierScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tierRes, err := oracle.RunTierDiff(tierProg, cfg, 100_000, selftestSlice, tierPre)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := oracle.Postures()[0]
 	for _, tc := range []struct {
 		name                        string
+		scenario                    func() (progen.Program, runFunc, string, error)
 		r                           shardResult
-		div                         *oracle.Divergence
-		ax                          axis
 		head, wantErr, wantReproErr string
 	}{
 		{
-			"lockstep", shardResult{seed: 11, config: "baseline", cfg: cfg, prog: lockProg},
-			lockRes.Div, lockstepAxis(100_000, lockPre),
+			"lockstep", brokenFastPathScenario, shardResult{seed: 11, pos: baseline},
 			"DIVERGENCE seed=11 config=baseline\n",
 			"difftest: divergence on seed 11 (config baseline)",
 			"difftest: divergence found, and writing repro failed: ",
 		},
 		{
-			"tier", shardResult{seed: 12, config: "baseline", cfg: cfg, prog: tierProg},
-			tierRes.Div, tierAxis(100_000, selftestSlice, tierPre),
+			"tier", brokenTierScenario, shardResult{seed: 12, pos: baseline, tier: true},
 			"TIER DIVERGENCE seed=12 config=baseline (blocks vs single-step)\n",
 			"difftest: block-tier divergence on seed 12 (config baseline)",
 			"difftest: tier divergence found, and writing repro failed: ",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.div == nil {
+			p, run, _, err := tc.scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Div == nil {
 				t.Fatal("selftest scenario did not diverge")
 			}
+			tc.r.prog, tc.r.res = p, res
 			path := filepath.Join(t.TempDir(), "repro.txt")
 			var out strings.Builder
-			err := reportDivergence(&out, path, tc.r, tc.div, tc.ax)
+			err = reportDivergence(&out, path, tc.r, run)
 			if err == nil || err.Error() != tc.wantErr {
 				t.Errorf("error = %v, want %q", err, tc.wantErr)
 			}
 			report := out.String()
-			if !strings.HasPrefix(report, tc.head+tc.div.String()+"\nminimized to ") {
+			if !strings.HasPrefix(report, tc.head+res.Div.String()+"\nminimized to ") {
 				t.Errorf("report:\n%s", report)
 			}
 			if b, err := os.ReadFile(path); err != nil || string(b) != report {
@@ -173,7 +164,7 @@ func TestReportDivergence(t *testing.T) {
 			}
 
 			out.Reset()
-			err = reportDivergence(&out, filepath.Join(path, "unwritable"), tc.r, tc.div, tc.ax)
+			err = reportDivergence(&out, filepath.Join(path, "unwritable"), tc.r, run)
 			if err == nil || !strings.HasPrefix(err.Error(), tc.wantReproErr) || out.String() != report {
 				t.Errorf("unwritable repro: error %v, report changed: %t", err, out.String() != report)
 			}

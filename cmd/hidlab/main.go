@@ -36,12 +36,24 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.SamplesPerClass, "samples", cfg.SamplesPerClass, "training samples per class (paper: 2000)")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "pipeline seed")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel simulated machines (0 = all cores); results are identical for any value")
+	// Each -classifiers name is checked as the command line is parsed, so
+	// an unknown one is a usage error before any corpus is built.
+	fs.Func("classifiers", "comma-separated `list` of classifier families (default "+strings.Join(cfg.Classifiers, ",")+")", func(s string) error {
+		names := strings.Split(s, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+			if _, ok := ml.ByName(names[i], 0); !ok {
+				return fmt.Errorf("unknown classifier %q (want %s)", names[i], strings.Join(ml.ClassifierNames(), ", "))
+			}
+		}
+		cfg.Classifiers = names
+		return nil
+	})
 	var (
-		classifiers = fs.String("classifiers", strings.Join(cfg.Classifiers, ","), "comma-separated classifier families")
-		export      = fs.String("export", "", "write the labelled corpus to this CSV file")
-		cv          = fs.Int("cv", 0, "also run k-fold cross-validation with this k")
-		events      = fs.Bool("events", false, "list the 56-event PMU catalogue and exit")
-		profile     = fs.Int("profile", -1, "print per-app distribution stats for this feature index")
+		export  = fs.String("export", "", "write the labelled corpus to this CSV file")
+		cv      = fs.Int("cv", 0, "also run k-fold cross-validation with this k")
+		events  = fs.Bool("events", false, "list the 56-event PMU catalogue and exit")
+		profile = fs.Int("profile", -1, "print per-app distribution stats for this feature index")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -93,12 +105,8 @@ func run(args []string, stdout io.Writer) error {
 	train, test := full.Split(0.7, cfg.Seed)
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "classifier\taccuracy\tprecision\trecall\tf1\tauc\tverdict\tcv")
-	for _, name := range strings.Split(*classifiers, ",") {
-		name = strings.TrimSpace(name)
-		clf, ok := ml.ByName(name, cfg.Seed)
-		if !ok {
-			return fmt.Errorf("unknown classifier %q", name)
-		}
+	for _, name := range cfg.Classifiers {
+		clf, _ := ml.ByName(name, cfg.Seed)
 		det := hid.New(clf)
 		if err := det.Train(train); err != nil {
 			return err

@@ -37,3 +37,19 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Errorf("flag errors wrote to stdout:\n%s", out.String())
 	}
 }
+
+// TestRunUnknownClassifier: -classifiers rejects a name ml.ByName does
+// not know as the command line is parsed, before any corpus is
+// profiled, and trims the names it accepts.
+func TestRunUnknownClassifier(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-classifiers", "mlp,bogus"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("-classifiers mlp,bogus = %v, want cli.ErrUsage (exit 2)", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("an unknown classifier still ran the pipeline:\n%s", out.String())
+	}
+	if err := run([]string{"-classifiers", " lr , svm", "-events"}, &out); err != nil {
+		t.Errorf("-classifiers with spaced names: %v", err)
+	}
+}

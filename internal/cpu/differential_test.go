@@ -21,14 +21,9 @@ import (
 
 const fuzzBudget = 50_000
 
-// fuzzConfigs is a compact posture ring for fuzzing; the full ring lives
-// in cmd/difftest.
-var fuzzConfigs = []cpu.Config{
-	cpu.DefaultConfig(),
-	{SpecWindow: 64, MispredictPenalty: 24}, // speculation off
-	{SpecWindow: 2, MispredictPenalty: 3, SpeculationEnabled: true},
-	{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true, Predictor: "gshare"},
-}
+// fuzzPostures is oracle.Postures, the posture table difftest runs;
+// both fuzz targets pick their posture from it by cfgPick.
+var fuzzPostures = oracle.Postures()
 
 // FuzzDifferential explores generator seeds: every well-formed random
 // program must run divergence-free under every posture.
@@ -37,16 +32,20 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(42), uint8(1))
 	f.Add(int64(-7), uint8(2))
 	f.Add(int64(999983), uint8(3))
+	f.Add(int64(5), uint8(8))
+	f.Add(int64(6), uint8(9))
+	f.Add(int64(7), uint8(10))
+	f.Add(int64(8), uint8(11))
 	f.Fuzz(func(t *testing.T, seed int64, cfgPick uint8) {
-		cfg := fuzzConfigs[int(cfgPick)%len(fuzzConfigs)]
+		pos := fuzzPostures[int(cfgPick)%len(fuzzPostures)]
 		p := progen.Generate(seed, progen.DefaultOptions())
-		res, err := oracle.RunProgram(p, cfg, fuzzBudget, nil)
+		res, err := oracle.RunProgram(p, pos.CPU, fuzzBudget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Clean() {
-			t.Fatalf("seed %d cfg %d diverged after %d steps:\n%v\nprogram:\n%s",
-				seed, cfgPick, res.Steps, res.Div, p.Disasm(0))
+			t.Fatalf("seed %d posture %s diverged after %d steps:\n%v\nprogram:\n%s",
+				seed, pos.Name, res.Steps, res.Div, p.Disasm(0))
 		}
 	})
 }
@@ -230,25 +229,29 @@ func FuzzDifferentialMutated(f *testing.F) {
 
 // FuzzBlockCompile drives the superblock tier against the single-step
 // interpreter over generated programs (including self-modifying ones)
-// under the posture ring. The tier contract is harsher than the
-// architectural lock-step above: RunTierDiff compares the full PMU
-// snapshot — Cycle and StallCycles included — at every slice boundary,
-// plus all registers, flags and dirtied memory.
+// under every posture of oracle.Postures. The tier contract is harsher
+// than the architectural lock-step above: RunTierDiff compares the full
+// PMU snapshot — Cycle and StallCycles included — at every slice
+// boundary, plus all registers, flags and dirtied memory.
 func FuzzBlockCompile(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0))
 	f.Add(int64(42), uint8(1), uint16(33))
 	f.Add(int64(-7), uint8(2), uint16(257))
 	f.Add(int64(999983), uint8(3), uint16(1024))
+	f.Add(int64(5), uint8(8), uint16(7))
+	f.Add(int64(6), uint8(9), uint16(64))
+	f.Add(int64(7), uint8(10), uint16(0))
+	f.Add(int64(8), uint8(11), uint16(100))
 	f.Fuzz(func(t *testing.T, seed int64, cfgPick uint8, slice uint16) {
-		cfg := fuzzConfigs[int(cfgPick)%len(fuzzConfigs)]
+		pos := fuzzPostures[int(cfgPick)%len(fuzzPostures)]
 		p := progen.Generate(seed, progen.DefaultOptions())
-		res, err := oracle.RunTierDiff(p, cfg, fuzzBudget, uint64(slice), nil)
+		res, err := oracle.RunTierDiff(p, pos.CPU, fuzzBudget, uint64(slice), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Clean() {
-			t.Fatalf("seed %d cfg %d slice %d tier divergence after %d steps:\n%v\nprogram:\n%s",
-				seed, cfgPick, slice, res.Steps, res.Div, p.Disasm(0))
+			t.Fatalf("seed %d posture %s slice %d tier divergence after %d steps:\n%v\nprogram:\n%s",
+				seed, pos.Name, slice, res.Steps, res.Div, p.Disasm(0))
 		}
 	})
 }

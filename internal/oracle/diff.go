@@ -65,21 +65,25 @@ func (d *Divergence) String() string {
 		d.Step, d.PC, strings.Join(d.Reasons, "\n  "))
 }
 
-// Result reports one lock-step run.
+// Result reports one differential run, lock-step or block-tier.
 type Result struct {
-	// Steps is the number of instruction pairs retired.
+	// Steps counts the instructions both sides retired and, in Lockstep
+	// only, the one both sides faulted on.
 	Steps uint64
 	// Halted reports a clean HALT on both sides.
 	Halted bool
 	// BudgetExhausted reports that maxInstr was reached before HALT.
 	BudgetExhausted bool
-	// Fault, when non-nil, is the identical fault both sides raised (the
-	// optimized core's error). An identical fault is a *passing* outcome:
-	// the program was illegal and both implementations agreed on how.
+	// Fault, when non-nil, is the identical fault both sides raised, as
+	// the optimized (block-tier) core raised it. An identical fault is a
+	// *passing* outcome: the program was illegal and both sides agreed.
 	Fault error
 	// Div is non-nil when the two sides disagreed; everything else
 	// describes state at the moment of divergence.
 	Div *Divergence
+	// Blocks, set only by RunTierDiff, is the block-tier core's cache
+	// statistics, so callers can assert the fast tier engaged (Hits > 0).
+	Blocks cpu.BlockStats
 }
 
 // Clean reports whether the run completed without divergence.
@@ -138,7 +142,7 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 		res.Steps = step + 1
 
 		if errC != nil || errO != nil {
-			if reasons := compareFaults(errC, errO); len(reasons) > 0 {
+			if reasons := compareFaults(errC, errO, "core", "oracle"); len(reasons) > 0 {
 				res.Div = &Divergence{Step: step, PC: pc, Reasons: reasons}
 				return res
 			}
@@ -171,27 +175,50 @@ func Lockstep(c *cpu.CPU, o *Machine, maxInstr uint64, pre PreStep) Result {
 
 // compareState checks the per-retire architectural contract.
 func compareState(c *cpu.CPU, o *Machine, pages []uint64) []string {
-	var reasons []string
-	if c.PC != o.PC {
-		reasons = append(reasons, fmt.Sprintf("PC: core=%#x oracle=%#x", c.PC, o.PC))
-	}
-	if c.Halted() != o.Halted {
-		reasons = append(reasons, fmt.Sprintf("halted: core=%v oracle=%v", c.Halted(), o.Halted))
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if c.Regs[r] != o.Regs[r] {
-			reasons = append(reasons, fmt.Sprintf("r%d: core=%#x oracle=%#x", r, c.Regs[r], o.Regs[r]))
-		}
-	}
-	cz, clt, cb := c.Flags()
-	if cz != o.FlagZ || clt != o.FlagLT || cb != o.FlagB {
-		reasons = append(reasons, fmt.Sprintf("flags: core=(z=%v lt=%v b=%v) oracle=(z=%v lt=%v b=%v)",
-			cz, clt, cb, o.FlagZ, o.FlagLT, o.FlagB))
-	}
+	ref := arch{o.PC, o.Halted, &o.Regs, o.FlagZ, o.FlagLT, o.FlagB}
+	reasons := compareArch(coreArch(c), ref, "core", "oracle")
 	for _, pg := range pages {
 		if r := comparePage(c, o, pg); r != "" {
 			reasons = append(reasons, r)
 		}
+	}
+	return reasons
+}
+
+// arch is the architectural state both differential axes compare at
+// every point: PC, the halted bit, the registers and the flags.
+type arch struct {
+	pc                   uint64
+	halted               bool
+	regs                 *[isa.NumRegs]uint64
+	flagZ, flagLT, flagB bool
+}
+
+func coreArch(c *cpu.CPU) arch {
+	z, lt, b := c.Flags()
+	return arch{c.PC, c.Halted(), &c.Regs, z, lt, b}
+}
+
+// compareArch names every architectural field on which a and b differ,
+// calling them x and y in the reasons.
+func compareArch(a, b arch, x, y string) []string {
+	var reasons []string
+	if a.pc != b.pc {
+		reasons = append(reasons, fmt.Sprintf("PC: %s=%#x %s=%#x", x, a.pc, y, b.pc))
+	}
+	if a.halted != b.halted {
+		reasons = append(reasons, fmt.Sprintf("halted: %s=%v %s=%v", x, a.halted, y, b.halted))
+	}
+	if *a.regs != *b.regs { // whole-file compare first: they agree at almost every retire
+		for r := 0; r < isa.NumRegs; r++ {
+			if a.regs[r] != b.regs[r] {
+				reasons = append(reasons, fmt.Sprintf("r%d: %s=%#x %s=%#x", r, x, a.regs[r], y, b.regs[r]))
+			}
+		}
+	}
+	if a.flagZ != b.flagZ || a.flagLT != b.flagLT || a.flagB != b.flagB {
+		reasons = append(reasons, fmt.Sprintf("flags: %s=(z=%v lt=%v b=%v) %s=(z=%v lt=%v b=%v)",
+			x, a.flagZ, a.flagLT, a.flagB, y, b.flagZ, b.flagLT, b.flagB))
 	}
 	return reasons
 }
@@ -231,25 +258,26 @@ func peek8(m *mem.Memory, addr uint64) byte {
 }
 
 // compareFaults decides whether two per-step errors are the same
-// architectural event. Both sides wrap faults with the faulting PC
-// (cpu.Fault / oracle.Fault); the causes are compared structurally for
-// memory faults (kind + address) and by normalized message otherwise
-// (each side prefixes its package name, which is stripped).
-func compareFaults(errC, errO error) []string {
-	if errC == nil {
-		return []string{fmt.Sprintf("oracle faulted but core did not: %v", errO)}
+// architectural event, calling the sides x and y in the reasons. Both
+// sides wrap faults with the faulting PC (cpu.Fault / oracle.Fault); the
+// causes are compared structurally for memory faults (kind + address)
+// and by normalized message otherwise (each side prefixes its package
+// name, which is stripped).
+func compareFaults(errA, errB error, x, y string) []string {
+	if errA == nil {
+		return []string{fmt.Sprintf("%s faulted but %s did not: %v", y, x, errB)}
 	}
-	if errO == nil {
-		return []string{fmt.Sprintf("core faulted but oracle did not: %v", errC)}
+	if errB == nil {
+		return []string{fmt.Sprintf("%s faulted but %s did not: %v", x, y, errA)}
 	}
 	var reasons []string
-	pcC, keyC := faultKey(errC)
-	pcO, keyO := faultKey(errO)
-	if pcC != pcO {
-		reasons = append(reasons, fmt.Sprintf("fault PC: core=%#x oracle=%#x", pcC, pcO))
+	pcA, keyA := faultKey(errA)
+	pcB, keyB := faultKey(errB)
+	if pcA != pcB {
+		reasons = append(reasons, fmt.Sprintf("fault PC: %s=%#x %s=%#x", x, pcA, y, pcB))
 	}
-	if keyC != keyO {
-		reasons = append(reasons, fmt.Sprintf("fault cause: core=%q oracle=%q", keyC, keyO))
+	if keyA != keyB {
+		reasons = append(reasons, fmt.Sprintf("fault cause: %s=%q %s=%q", x, keyA, y, keyB))
 	}
 	return reasons
 }
@@ -289,13 +317,9 @@ func RunProgram(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) 
 
 // runProgram is RunProgram on r's machines.
 func (r *rig) runProgram(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) (Result, error) {
-	mc, err := r.load(0, p)
+	mc, mo, err := r.load(p, "core", "oracle")
 	if err != nil {
-		return Result{}, fmt.Errorf("oracle: core memory: %w", err)
-	}
-	mo, err := r.load(1, p)
-	if err != nil {
-		return Result{}, fmt.Errorf("oracle: oracle memory: %w", err)
+		return Result{}, err
 	}
 	c := r.core(0, mc, cfg, p)
 	o := &r.ref

@@ -1,15 +1,14 @@
 package oracle
 
-import (
-	"repro/internal/cpu"
-	"repro/internal/progen"
-)
+import "repro/internal/progen"
 
 // Minimize shrinks a diverging program to the shortest failing
 // instruction prefix. It scans prefix lengths k = 1..NumInstr, running
 // p.Truncate(k) (the first k instructions with the remainder replaced by
-// HALT) under the same config, and returns the first prefix that still
-// diverges together with its length and lock-step result.
+// HALT) through run, and returns the first prefix that still diverges
+// together with its length and result. run is the harness that found the
+// divergence, RunProgram or RunTierDiff, under the same posture and
+// hooks, so a block-tier repro stays a two-tier one.
 //
 // Linear scan from the front guarantees the returned prefix is minimal
 // under the truncation family; divergences are rare, programs are a few
@@ -17,12 +16,12 @@ import (
 // per second, so the cost is negligible next to the soak itself.
 //
 // ok is false when no prefix reproduces the divergence (e.g. the failure
-// was nondeterministic or induced by a PreStep hook keyed to state the
+// was nondeterministic or induced by a hook keyed to state the
 // truncation removed); callers should then report the full program.
-func Minimize(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) (min progen.Program, n int, res Result, ok bool) {
+func Minimize(p progen.Program, run func(progen.Program) (Result, error)) (min progen.Program, n int, res Result, ok bool) {
 	for k := 1; k <= p.NumInstr; k++ {
 		t := p.Truncate(k)
-		r, err := RunProgram(t, cfg, maxInstr, pre)
+		r, err := run(t)
 		if err != nil {
 			continue
 		}
@@ -31,21 +30,4 @@ func Minimize(p progen.Program, cfg cpu.Config, maxInstr uint64, pre PreStep) (m
 		}
 	}
 	return p, p.NumInstr, Result{}, false
-}
-
-// MinimizeTier is Minimize for block-tier divergences: the same
-// truncation scan, reproduced through RunTierDiff instead of the
-// reference lock-step.
-func MinimizeTier(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (min progen.Program, n int, res TierResult, ok bool) {
-	for k := 1; k <= p.NumInstr; k++ {
-		t := p.Truncate(k)
-		r, err := RunTierDiff(t, cfg, maxInstr, sliceInstr, pre)
-		if err != nil {
-			continue
-		}
-		if !r.Clean() {
-			return t, k, r, true
-		}
-	}
-	return p, p.NumInstr, TierResult{}, false
 }

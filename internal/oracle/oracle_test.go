@@ -164,7 +164,9 @@ func TestBrokenFastPathCaughtAndMinimized(t *testing.T) {
 	}
 	t.Logf("detected: %v", res.Div)
 
-	min, n, mres, ok := oracle.Minimize(p, cfg, testBudget, pre)
+	min, n, mres, ok := oracle.Minimize(p, func(p progen.Program) (oracle.Result, error) {
+		return oracle.RunProgram(p, cfg, testBudget, pre)
+	})
 	if !ok {
 		t.Fatal("minimizer failed to reproduce the divergence")
 	}

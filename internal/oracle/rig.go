@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/cpu"
@@ -23,16 +24,21 @@ type rig struct {
 }
 
 // rigs is the oracle's rig pool. The per-call functions' callers (cmd
-// difftest's shards, the minimizers, the fuzzers, bench) hold no machines
+// difftest's shards, the minimizer, the fuzzers, bench) hold no machines
 // to pass in, so a pool keeps every signature as it is.
 var rigs = sync.Pool{New: func() any { return new(rig) }}
 
-// load returns memory i holding p exactly as p.NewMem would build it:
-// the kept memory reset to p's size and loaded.
-func (r *rig) load(i int, p progen.Program) (*mem.Memory, error) {
-	m := &r.mems[i]
-	m.Reset(p.MemSize)
-	return m, p.LoadInto(m)
+// load returns both memories holding p exactly as p.NewMem would build
+// it: the kept memories reset to p's size and loaded. An error names the
+// side, x or y, whose memory failed.
+func (r *rig) load(p progen.Program, x, y string) (*mem.Memory, *mem.Memory, error) {
+	for i, side := range [2]string{x, y} {
+		r.mems[i].Reset(p.MemSize)
+		if err := p.LoadInto(&r.mems[i]); err != nil {
+			return nil, nil, fmt.Errorf("oracle: %s memory: %w", side, err)
+		}
+	}
+	return &r.mems[0], &r.mems[1], nil
 }
 
 // core returns core i reset over m under cfg, at p's entry.

@@ -31,11 +31,13 @@ type rigCase struct {
 }
 
 // describe renders every field of a case's two results.
-func describe(res Result, err error, tres TierResult, terr error) string {
-	return fmt.Sprintf("lockstep: err=%v steps=%d halted=%t budget=%t fault=%v div=%s\n"+
-		"tier: err=%v steps=%d halted=%t fault=%v blocks=%+v div=%s",
-		err, res.Steps, res.Halted, res.BudgetExhausted, res.Fault, divText(res.Div),
-		terr, tres.Steps, tres.Halted, tres.Fault, tres.Blocks, divText(tres.Div))
+func describe(res Result, err error, tres Result, terr error) string {
+	return "lockstep: " + resultText(res, err) + "\ntier: " + resultText(tres, terr)
+}
+
+func resultText(r Result, err error) string {
+	return fmt.Sprintf("err=%v steps=%d halted=%t budget=%t fault=%v blocks=%+v div=%s",
+		err, r.Steps, r.Halted, r.BudgetExhausted, r.Fault, r.Blocks, divText(r.Div))
 }
 
 func divText(d *Divergence) string {

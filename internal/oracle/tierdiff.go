@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/progen"
 )
 
@@ -14,26 +13,6 @@ import (
 // (difftest -selftest corrupts one side through it to prove the ring
 // would catch a broken block tier); production runs pass nil.
 type TierPreSlice func(slice uint64, blocks, single *cpu.CPU)
-
-// TierResult reports one block-tier differential run (RunTierDiff).
-type TierResult struct {
-	// Steps is the number of instructions both cores retired.
-	Steps uint64
-	// Halted reports a clean HALT on both tiers.
-	Halted bool
-	// Fault, when non-nil, is the identical fault both tiers raised — a
-	// passing outcome, like Lockstep's.
-	Fault error
-	// Div is non-nil when the tiers disagreed.
-	Div *Divergence
-	// Blocks is the block-tier core's cache statistics, so callers can
-	// assert the fast tier actually engaged (Hits > 0) rather than
-	// silently comparing the interpreter against itself.
-	Blocks cpu.BlockStats
-}
-
-// Clean reports whether the run completed without divergence.
-func (r TierResult) Clean() bool { return r.Div == nil }
 
 // RunTierDiff runs p on two optimized cores over identically initialized
 // private memories — one with the superblock tier enabled, one forced to
@@ -52,24 +31,20 @@ func (r TierResult) Clean() bool { return r.Div == nil }
 // default that exercises block re-entry across slice boundaries. Like
 // RunProgram's, the cores are a pooled rig's, and pre's arguments are
 // valid only until RunTierDiff returns.
-func RunTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (TierResult, error) {
+func RunTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (Result, error) {
 	r := rigs.Get().(*rig)
 	defer rigs.Put(r)
 	return r.runTierDiff(p, cfg, maxInstr, sliceInstr, pre)
 }
 
 // runTierDiff is RunTierDiff on r's cores.
-func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (TierResult, error) {
+func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr uint64, pre TierPreSlice) (Result, error) {
 	if sliceInstr == 0 {
 		sliceInstr = 257 // prime: slice edges drift across block boundaries
 	}
-	mb, err := r.load(0, p)
+	mb, ms, err := r.load(p, "block-tier", "single-step")
 	if err != nil {
-		return TierResult{}, fmt.Errorf("oracle: block-tier memory: %w", err)
-	}
-	ms, err := r.load(1, p)
-	if err != nil {
-		return TierResult{}, fmt.Errorf("oracle: single-step memory: %w", err)
+		return Result{}, err
 	}
 	cfgB, cfgS := cfg, cfg
 	cfgB.NoBlocks = false
@@ -77,7 +52,7 @@ func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr
 	cb := r.core(0, mb, cfgB, p)
 	cs := r.core(1, ms, cfgS, p)
 
-	var res TierResult
+	var res Result
 	for slice := uint64(0); res.Steps < maxInstr; slice++ {
 		if pre != nil {
 			pre(slice, cb, cs)
@@ -92,7 +67,7 @@ func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr
 		res.Blocks = cb.BlockStats()
 
 		if errB != nil || errS != nil {
-			if reasons := compareFaults(errB, errS); len(reasons) > 0 {
+			if reasons := compareFaults(errB, errS, "blocks", "single-step"); len(reasons) > 0 {
 				res.Div = &Divergence{Step: res.Steps, PC: cb.PC, Reasons: reasons}
 				return res, nil
 			}
@@ -110,6 +85,7 @@ func (r *rig) runTierDiff(p progen.Program, cfg cpu.Config, maxInstr, sliceInstr
 			return res, nil
 		}
 	}
+	res.BudgetExhausted = true
 	return res, nil
 }
 
@@ -125,24 +101,7 @@ func runSlice(c *cpu.CPU, n uint64) error {
 // compareTiers checks the tier contract: full architectural state, the
 // complete PMU snapshot, and every dirtied byte of memory.
 func compareTiers(cb, cs *cpu.CPU) []string {
-	var reasons []string
-	if cb.PC != cs.PC {
-		reasons = append(reasons, fmt.Sprintf("PC: blocks=%#x single-step=%#x", cb.PC, cs.PC))
-	}
-	if cb.Halted() != cs.Halted() {
-		reasons = append(reasons, fmt.Sprintf("halted: blocks=%v single-step=%v", cb.Halted(), cs.Halted()))
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if cb.Regs[r] != cs.Regs[r] {
-			reasons = append(reasons, fmt.Sprintf("r%d: blocks=%#x single-step=%#x", r, cb.Regs[r], cs.Regs[r]))
-		}
-	}
-	bz, blt, bb := cb.Flags()
-	sz, slt, sb := cs.Flags()
-	if bz != sz || blt != slt || bb != sb {
-		reasons = append(reasons, fmt.Sprintf("flags: blocks=(z=%v lt=%v b=%v) single-step=(z=%v lt=%v b=%v)",
-			bz, blt, bb, sz, slt, sb))
-	}
+	reasons := compareArch(coreArch(cb), coreArch(cs), "blocks", "single-step")
 	if sb, ss := cb.Snapshot(), cs.Snapshot(); sb != ss {
 		reasons = append(reasons, snapshotDiff(sb, ss)...)
 	}

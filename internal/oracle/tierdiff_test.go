@@ -176,3 +176,67 @@ func TestTierDiffDetectsCycleSkew(t *testing.T) {
 		t.Fatalf("divergence does not name the cycle counter:\n%v", res.Div)
 	}
 }
+
+// TestTierDiffFaultReasonsNameTiers: when a slice hook sends a core to
+// an unmapped PC, the fault mismatch names the two tiers, not the
+// lock-step harness's core and oracle, whichever side faults.
+func TestTierDiffFaultReasonsNameTiers(t *testing.T) {
+	p := tierDiffLoop(t)
+	unmapped := p.MemSize + 0x1000
+	for _, tc := range []struct {
+		name               string
+		blocksPC, singlePC uint64 // where the hook sends each core; 0 leaves it
+		want               string
+	}{
+		{"blocks", unmapped, 0, "blocks faulted but single-step did not: "},
+		{"single-step", 0, unmapped, "single-step faulted but blocks did not: "},
+		{"both", unmapped, unmapped + isa.InstrSize, "fault PC: blocks="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := oracle.RunTierDiff(p, cpu.DefaultConfig(), 4096, 0,
+				func(slice uint64, blocks, single *cpu.CPU) {
+					if slice == 1 && tc.blocksPC != 0 {
+						blocks.PC = tc.blocksPC
+					}
+					if slice == 1 && tc.singlePC != 0 {
+						single.PC = tc.singlePC
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Clean() {
+				t.Fatal("a core sent to an unmapped PC did not diverge")
+			}
+			text := strings.Join(res.Div.Reasons, "\n")
+			if !strings.HasPrefix(text, tc.want) || !strings.Contains(text, "single-step") {
+				t.Errorf("reasons %q, want them to start %q", res.Div.Reasons, tc.want)
+			}
+			for _, bad := range []string{"core=", "oracle=", "faulted but core", "core faulted", "oracle faulted"} {
+				if strings.Contains(text, bad) {
+					t.Errorf("reasons %q name the lock-step sides (%q)", res.Div.Reasons, bad)
+				}
+			}
+		})
+	}
+}
+
+// TestTierDiffBudget: like Lockstep, the tier diff reports a run it
+// stopped on its budget, and only such a run.
+func TestTierDiffBudget(t *testing.T) {
+	res, err := oracle.RunTierDiff(tierDiffLoop(t), cpu.DefaultConfig(), 4096, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Clean() || !res.BudgetExhausted || res.Halted || res.Steps != 4096 {
+		t.Errorf("budget-capped loop: clean %t, budget %t, halted %t, %d steps; want a clean budget stop at 4096",
+			res.Clean(), res.BudgetExhausted, res.Halted, res.Steps)
+	}
+	halting := progen.Generate(1, progen.DefaultOptions())
+	if res, err = oracle.RunTierDiff(halting, cpu.DefaultConfig(), testBudget, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res.BudgetExhausted != !(res.Halted || res.Fault != nil) {
+		t.Errorf("seed 1: budget %t, halted %t, fault %v", res.BudgetExhausted, res.Halted, res.Fault)
+	}
+}
