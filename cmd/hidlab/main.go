@@ -23,6 +23,7 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/ml"
 	"repro/internal/pmu"
+	"repro/internal/spectre"
 )
 
 func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
@@ -58,6 +59,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if cfg.FeatureSize < 1 || cfg.FeatureSize > int(pmu.NumEvents) {
+		return fmt.Errorf("%w: -features %d out of range (want 1 to %d)", cli.ErrUsage, cfg.FeatureSize, pmu.NumEvents)
+	}
 
 	if *events {
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
@@ -69,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "profiling benign corpus (%d workloads)...\n", len(mibench.AllWithBackgrounds()))
-	fmt.Fprintf(stdout, "profiling attack corpus (4 spectre variants)...\n")
+	fmt.Fprintf(stdout, "profiling attack corpus (%d spectre variants)...\n", len(spectre.Variants()))
 	corp, err := cfg.Corpora()
 	if err != nil {
 		return err

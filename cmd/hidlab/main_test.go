@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -51,5 +52,26 @@ func TestRunUnknownClassifier(t *testing.T) {
 	}
 	if err := run([]string{"-classifiers", " lr , svm", "-events"}, &out); err != nil {
 		t.Errorf("-classifiers with spaced names: %v", err)
+	}
+}
+
+// TestRunFeaturesRange: -features outside 1 to pmu.NumEvents is a usage
+// error raised before any corpus is profiled. Projecting the corpus
+// onto such a count would panic below zero, fail to train at zero and
+// clamp silently above the catalogue.
+func TestRunFeaturesRange(t *testing.T) {
+	for _, n := range []string{"-1", "0", "57"} {
+		var out strings.Builder
+		if err := run([]string{"-features", n, "-samples", "20"}, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("-features %s = %v, want cli.ErrUsage (exit 2)", n, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-features %s still ran the pipeline:\n%s", n, out.String())
+		}
+	}
+	for _, n := range []string{"1", "56"} {
+		if err := run([]string{"-features", n, "-events"}, io.Discard); err != nil {
+			t.Errorf("-features %s -events: %v", n, err)
+		}
 	}
 }

@@ -444,6 +444,9 @@ func runRank(args []string, stdout io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("%w: rank needs -in", cli.ErrUsage)
 	}
+	if *top < 0 {
+		return fmt.Errorf("%w: rank -top %d is negative", cli.ErrUsage, *top)
+	}
 	rep, err := readFindings(*in)
 	if err != nil {
 		return err

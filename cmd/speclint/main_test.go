@@ -196,8 +196,8 @@ func TestScanVerbGate(t *testing.T) {
 }
 
 // TestRankAndReportVerbs: rank prints the top findings of a written
-// report, report validates and summarizes it, and both reject a missing
-// -in.
+// report, report validates and summarizes it, both reject a missing
+// -in, and rank rejects a negative -top before reading the report.
 func TestRankAndReportVerbs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "findings.json")
 	var out strings.Builder
@@ -217,6 +217,13 @@ func TestRankAndReportVerbs(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "schema speclint/findings/v2") {
 		t.Errorf("report output unexpected:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"rank", "-in", path, "-top", "-1"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("rank -top -1 = %v, want cli.ErrUsage (exit 2)", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("rank -top -1 printed:\n%s", out.String())
 	}
 	if err := run([]string{"rank"}, &out); err == nil {
 		t.Error("rank without -in accepted")

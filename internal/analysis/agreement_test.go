@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-
 	"testing"
 
 	"repro/internal/cpu"
@@ -99,7 +98,7 @@ func TestAgreementVerdictShape(t *testing.T) {
 				t.Errorf("%s: unexpected leak finding at %#x", kind, f.AccessPC)
 			}
 		}
-		if dyn, err := LeaksDynamically(p, meta, cpu.DefaultConfig(), agreementBudget); err != nil || dyn {
+		if dyn, err := new(gadgetMachine).leaks(p, meta, cpu.DefaultConfig(), agreementBudget); err != nil || dyn {
 			t.Errorf("%s: dynamic leak=%v err=%v, want no leak", kind, dyn, err)
 		}
 	}
@@ -190,7 +189,7 @@ func TestAgreementUnderDefenses(t *testing.T) {
 		{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, FenceConditional: true},
 		{SpecWindow: 64, MispredictPenalty: 24, SpeculationEnabled: true, SquashCacheEffects: true},
 	} {
-		leak, err := LeaksDynamically(p, meta, cfg, agreementBudget)
+		leak, err := new(gadgetMachine).leaks(p, meta, cfg, agreementBudget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +198,56 @@ func TestAgreementUnderDefenses(t *testing.T) {
 		}
 	}
 	// Sanity: same program does leak on the undefended core.
-	leak, err := LeaksDynamically(p, meta, cpu.DefaultConfig(), agreementBudget)
+	leak, err := new(gadgetMachine).leaks(p, meta, cpu.DefaultConfig(), agreementBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !leak {
 		t.Fatal("leak kind did not leak on the undefended core")
+	}
+}
+
+// TestCheckAgreementJudge: cfg.ForceWrongPath selects the dynamic judge.
+// Under InvisiSpec-style squashing (SquashCacheEffects) the trained
+// cache oracle finds the leak gadget's probe line cold at halt, while
+// the forced harness still observes the transient covert probe — so the
+// same program reads no dynamic leak without the flag and a leak with it.
+func TestCheckAgreementJudge(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	cfg.SquashCacheEffects = true
+	for _, force := range []bool{false, true} {
+		cfg.ForceWrongPath = force
+		a, err := new(gadgetMachine).checkAgreement(7, progen.GadgetLeak, cfg, agreementBudget)
+		if err != nil {
+			t.Fatalf("ForceWrongPath=%v: %v", force, err)
+		}
+		if a.DynamicLeak != force {
+			t.Errorf("ForceWrongPath=%v: %v, want dynamic=%v", force, a, force)
+		}
+		if !a.Expect || !a.StaticLeak {
+			t.Errorf("ForceWrongPath=%v: %v, want expect and static leak", force, a)
+		}
+	}
+}
+
+// TestAgreementString pins the agreement line speclint prints per
+// program after "ok " or "DISAGREEMENT ".
+func TestAgreementString(t *testing.T) {
+	for _, tc := range []struct {
+		a      Agreement
+		agrees bool
+		want   string
+	}{
+		{Agreement{Seed: 7, Kind: progen.GadgetLeak, Expect: true, StaticLeak: true, DynamicLeak: true}, true,
+			"seed=7 kind=leak expect=true static=true dynamic=true"},
+		{Agreement{Seed: -3, Kind: progen.GadgetFenced, DynamicLeak: true}, false,
+			"seed=-3 kind=fenced expect=false static=false dynamic=true"},
+	} {
+		if got := tc.a.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if got := tc.a.Agrees(); got != tc.agrees {
+			t.Errorf("%v: Agrees() = %v, want %v", tc.a, got, tc.agrees)
+		}
 	}
 }

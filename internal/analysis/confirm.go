@@ -1,12 +1,8 @@
 package analysis
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/cpu"
 	"repro/internal/progen"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -134,60 +130,4 @@ func ConfirmFindings(fs []RankedFinding, w *ConfirmWitness) {
 		fs[i].Repro = w
 		fs[i].Score = ScoreFinding(fs[i].Finding, fs[i].Span, fs[i].Depth)
 	}
-}
-
-// Confirmation is one static-versus-forced-dynamic comparison outcome:
-// the three-way agreement check with the SpecFuzz harness standing in
-// for the trained-predictor ground truth.
-type Confirmation struct {
-	Seed       int64
-	Kind       progen.GadgetKind
-	Expect     bool // ground-truth label
-	StaticLeak bool
-	Confirmed  bool
-	Witness    *ConfirmWitness
-}
-
-// Agrees reports whether the forced run confirmed exactly the labeled
-// and statically-flagged leaks: every real gadget must reproduce, and
-// no mitigated or transmit-free program may warm a secret line.
-func (c Confirmation) Agrees() bool {
-	return c.StaticLeak == c.Expect && c.Confirmed == c.Expect
-}
-
-func (c Confirmation) String() string {
-	return fmt.Sprintf("seed=%d kind=%s expect=%v static=%v confirmed=%v",
-		c.Seed, c.Kind, c.Expect, c.StaticLeak, c.Confirmed)
-}
-
-// checkConfirm generates the gadget program for (seed, kind), runs the
-// static analyzer and the forced-speculation confirmation, and returns
-// the comparison.
-func (g *gadgetMachine) checkConfirm(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Confirmation, error) {
-	p, meta := progen.GenerateGadget(seed, kind)
-	rep := AnalyzeGadget(p, meta)
-	w, err := g.confirm(p, meta, cfg, maxInstr)
-	if err != nil {
-		return Confirmation{}, fmt.Errorf("seed %d kind %s: %w", seed, kind, err)
-	}
-	return Confirmation{
-		Seed:       seed,
-		Kind:       kind,
-		Expect:     kind.ExpectLeak(),
-		StaticLeak: len(rep.Leaks()) > 0,
-		Confirmed:  w != nil,
-		Witness:    w,
-	}, nil
-}
-
-// SoakConfirm fans n confirmation checks out over the sched pool,
-// cycling gadget kinds and deriving seeds exactly like SoakAgreement —
-// the zero-disagreement contract extended to the forced-speculation
-// harness. Each worker confirms on one reused gadget machine.
-func SoakConfirm(ctx context.Context, seed int64, n, workers int, cfg cpu.Config, maxInstr uint64) ([]Confirmation, error) {
-	kinds := progen.GadgetKinds()
-	return sched.MapLocal(ctx, workers, n, func(_ context.Context, g *gadgetMachine, i int) (Confirmation, error) {
-		s := sched.DeriveSeed(seed, uint64(i/len(kinds)))
-		return g.checkConfirm(s, kinds[i%len(kinds)], cfg, maxInstr)
-	})
 }

@@ -21,18 +21,19 @@ import (
 // with the static verdicts.
 func TestConfirmAgreement(t *testing.T) {
 	cfg := cpu.DefaultConfig()
+	cfg.ForceWrongPath = true
 	seeds := 34
 	if testing.Short() {
 		seeds = 6
 	}
 	n := seeds * progen.NumGadgetKinds
-	results, err := SoakConfirm(context.Background(), 1, n, 0, cfg, agreementBudget)
+	results, err := SoakAgreement(context.Background(), 1, n, 0, cfg, agreementBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range results {
-		if !c.Agrees() {
-			t.Errorf("disagreement: %v", c)
+	for _, a := range results {
+		if !a.Agrees() {
+			t.Errorf("disagreement: %v", a)
 		}
 	}
 	t.Logf("%d programs, zero confirm disagreements", n)

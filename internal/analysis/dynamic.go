@@ -87,16 +87,12 @@ func (g *gadgetMachine) run(p progen.Program, meta progen.GadgetMeta, cfg cpu.Co
 	return nil
 }
 
-// LeaksDynamically is the ground-truth oracle for one generated gadget
-// program: it runs the program on the real core (defenses as given by
-// cfg) once per planted secret byte and reports whether the secret's
-// probe cache line — and only that one — is warm at halt, both ways
-// round. This is flush+reload's observation made by inspecting the
-// cache model directly instead of timing loads.
-func LeaksDynamically(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64) (bool, error) {
-	return new(gadgetMachine).leaks(p, meta, cfg, maxInstr)
-}
-
+// leaks is the ground-truth oracle for one generated gadget program:
+// it runs the program on the real core (defenses as given by cfg) once
+// per planted secret byte and reports whether the secret's probe cache
+// line — and only that one — is warm at halt, both ways round. This is
+// flush+reload's observation made by inspecting the cache model
+// directly instead of timing loads.
 func (g *gadgetMachine) leaks(p progen.Program, meta progen.GadgetMeta, cfg cpu.Config, maxInstr uint64) (bool, error) {
 	leak := true
 	for i, secret := range gadgetSecrets {
@@ -141,9 +137,10 @@ func (a Agreement) String() string {
 // SoakAgreement fans n agreement checks out over the sched pool,
 // cycling through every gadget kind and deriving one program seed per
 // kind-cycle from the base seed — the engine behind speclint's -progen
-// soak and TestStaticDynamicAgreement. The context carries the caller's
-// telemetry sinks and progress pool (if any) into the pool workers. Each
-// worker runs its checks on one reused gadget machine.
+// soak, TestStaticDynamicAgreement and, with cfg.ForceWrongPath set,
+// TestConfirmAgreement. The context carries the caller's telemetry sinks
+// and progress pool (if any) into the pool workers. Each worker runs its
+// checks on one reused gadget machine.
 func SoakAgreement(ctx context.Context, seed int64, n, workers int, cfg cpu.Config, maxInstr uint64) ([]Agreement, error) {
 	kinds := progen.GadgetKinds()
 	return sched.MapLocal(ctx, workers, n, func(_ context.Context, g *gadgetMachine, i int) (Agreement, error) {
@@ -154,11 +151,23 @@ func SoakAgreement(ctx context.Context, seed int64, n, workers int, cfg cpu.Conf
 
 // checkAgreement generates the gadget program for (seed, kind), runs
 // both the analyzer and the simulator, and returns the comparison — the
-// step SoakAgreement runs per program.
+// step SoakAgreement runs per program. The dynamic judge is the
+// trained-predictor cache oracle (leaks), or with cfg.ForceWrongPath the
+// SpecFuzz-style confirmation (confirm): the two observe different
+// things, cache state at halt against covert-probe events, and differ
+// under a defense like SquashCacheEffects that undoes transient fills.
 func (g *gadgetMachine) checkAgreement(seed int64, kind progen.GadgetKind, cfg cpu.Config, maxInstr uint64) (Agreement, error) {
 	p, meta := progen.GenerateGadget(seed, kind)
 	rep := AnalyzeGadget(p, meta)
-	dyn, err := g.leaks(p, meta, cfg, maxInstr)
+	var dyn bool
+	var err error
+	if cfg.ForceWrongPath {
+		var w *ConfirmWitness
+		w, err = g.confirm(p, meta, cfg, maxInstr)
+		dyn = w != nil
+	} else {
+		dyn, err = g.leaks(p, meta, cfg, maxInstr)
+	}
 	if err != nil {
 		return Agreement{}, fmt.Errorf("seed %d kind %s: %w", seed, kind, err)
 	}

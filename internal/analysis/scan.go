@@ -133,25 +133,11 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 		for i, w := range witnesses {
 			byImage[images[confirmIdx[i]].Name] = w
 		}
-		// Upgrade in place per image (findings of one image are not
-		// contiguous after the score sort, so select by filtering),
-		// then restore canonical order — confirmation raises scores.
-		for name, w := range byImage {
-			if w == nil {
-				continue
-			}
-			var mine []RankedFinding
-			idxs := make([]int, 0, 8)
-			for i := range all {
-				if all[i].Image == name {
-					idxs = append(idxs, i)
-					mine = append(mine, all[i])
-				}
-			}
-			ConfirmFindings(mine, w)
-			for j, i := range idxs {
-				all[i] = mine[j]
-			}
+		// Upgrade each finding in place under its image's witness (a
+		// nil witness leaves it as is), then restore canonical order —
+		// confirmation raises scores.
+		for i := range all {
+			ConfirmFindings(all[i:i+1], byImage[all[i].Image])
 		}
 		SortRanked(all)
 	}

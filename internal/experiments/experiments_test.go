@@ -115,8 +115,8 @@ func TestCRRunFullChain(t *testing.T) {
 	// The attack resumed the host workload: the host's checksum output
 	// follows the leaked secret bytes.
 	out := cr.Machine.Output.String()
-	if !strings.HasPrefix(out, cfg.Secret) || !strings.HasSuffix(out, host.Expected) {
-		t.Errorf("combined output %q missing secret prefix or workload checksum %q", out, host.Expected)
+	if !strings.HasPrefix(out, cfg.Secret) || !strings.HasSuffix(out, host.Expected()) {
+		t.Errorf("combined output %q missing secret prefix or workload checksum %q", out, host.Expected())
 	}
 	if len(cr.Samples) == 0 {
 		t.Error("no samples collected during CR run")
@@ -576,7 +576,7 @@ func TestBenignRunNeverTriggersInjection(t *testing.T) {
 		if len(m.ExecLog) != 0 {
 			t.Errorf("%s benign run exec'd %v", w.Name, m.ExecLog)
 		}
-		if !strings.HasSuffix(m.Output.String(), w.Expected) {
+		if !strings.HasSuffix(m.Output.String(), w.Expected()) {
 			t.Errorf("%s benign output %q missing checksum", w.Name, m.Output.String())
 		}
 	}

@@ -67,7 +67,7 @@ wl_st_inner:
 .align 64
 wl_st_buf: .space %d
 `, iters, stride, bufSize, bufSize)
-	return Workload{Name: name, Asm: asm, Expected: putint(uint64(iters))}
+	return Workload{Name: name, Asm: asm, ref: func() uint64 { return uint64(iters) }}
 }
 
 // Editor alternates text-buffer scan/replace bursts with idle loops and
@@ -137,7 +137,7 @@ wl_ed_acc: .word 0
 .align 64
 wl_ed_buf: .space 4096
 `, rounds)
-	return Workload{Name: "editor", Asm: asm, Expected: putint(refEditor(rounds))}
+	return Workload{Name: "editor", Asm: asm, ref: func() uint64 { return refEditor(rounds) }}
 }
 
 // Chase is a serialized pointer chase over a 1 MiB table: nearly every
@@ -190,7 +190,7 @@ wl_ch_loop:
 .align 64
 wl_ch_tab: .space 1048576
 `, steps)
-	return Workload{Name: name, Asm: asm, Expected: putint(refChase(steps))}
+	return Workload{Name: name, Asm: asm, ref: func() uint64 { return refChase(steps) }}
 }
 
 // refChase mirrors the pointer-chase kernel. Table entry i holds

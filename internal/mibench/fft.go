@@ -251,7 +251,7 @@ wl_fft_wim: .word %s
 wl_fft_acc: .word 0
 `, passes, fftN, fftN, fftN, fftQ, fftQ, fftN, fftN, fftN, 8*fftN, 8*fftN,
 		emit(wre[:]), emit(wim[:]))
-	return Workload{Name: "fft", Asm: asm, Expected: putint(refFFT(passes))}
+	return Workload{Name: "fft", Asm: asm, ref: func() uint64 { return refFFT(passes) }}
 }
 
 // refFFT mirrors the assembly transform exactly (same fixed-point

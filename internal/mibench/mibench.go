@@ -1,12 +1,13 @@
 // Package mibench provides the benchmark workloads the paper uses as
 // hosts (MiBench, ref [23]): basicmath, bitcount, SHA, plus qsort,
-// CRC32, dijkstra and stringsearch from the same suite. Each workload is
+// CRC32, dijkstra, stringsearch, FFT and susan from the same suite, and
+// the background applications of the benign corpus. Each workload is
 // written in the simulated ISA as a `workload_main:` routine, wrapped by
 // rop.HostSource into a complete host binary with the vulnerable input
 // function and the gadget-bearing runtime.
 //
-// Every workload prints a checksum through rt_putint; package function
-// Reference computes the same value in Go, so tests can verify the
+// Every workload prints a checksum through rt_putint; its Expected
+// method computes the same value in Go, so tests can verify the
 // assembly bit-for-bit. Workload sizes are scaled ~1000x down from the
 // paper's native parameters (e.g. "Bitcount 50M" runs 50k operations) so
 // a full experiment sweep completes in CI time; the scaling is recorded
@@ -27,10 +28,14 @@ type Workload struct {
 	Name string
 	// Asm is the `workload_main:` routine plus any `.data` it needs.
 	Asm string
-	// Expected is the exact output the workload prints (from the Go
-	// reference implementation).
-	Expected string
+	// ref computes, in Go, the checksum the workload prints.
+	ref func() uint64
 }
+
+// Expected is the exact output the workload prints, from its Go
+// reference implementation. The reference runs on each call, and only
+// when called: building a workload never runs it.
+func (w Workload) Expected() string { return putint(w.ref()) }
 
 // HostModule wraps the workload in the vulnerable host scaffold and
 // assembles it. Each (Asm, opts) pair is assembled once per process and
@@ -165,7 +170,7 @@ wl_gcd_done:
 	mov r0, r1
 	ret
 `, n)
-	return Workload{Name: "math", Asm: asm, Expected: putint(refMath(n))}
+	return Workload{Name: "math", Asm: asm, ref: func() uint64 { return refMath(n) }}
 }
 
 // Bitcount is the bitcount kernel: Kernighan popcounts over an LCG
@@ -199,7 +204,7 @@ wl_bc_next:
 	call rt_putint
 	ret
 `, ops)
-	return Workload{Name: name, Asm: asm, Expected: putint(refBitcount(ops))}
+	return Workload{Name: name, Asm: asm, ref: func() uint64 { return refBitcount(ops) }}
 }
 
 // SHA1 is an SHA-1-flavoured mixing kernel: 80 rounds per block of
@@ -314,7 +319,7 @@ wl_sha_fdone:
 .align 64
 wl_sha_w: .space 128
 `, blocks)
-	return Workload{Name: "sha_1", Asm: asm, Expected: putint(refSHA1(blocks))}
+	return Workload{Name: "sha_1", Asm: asm, ref: func() uint64 { return refSHA1(blocks) }}
 }
 
 // SHA2 is an SHA-256-flavoured variant: 64 rounds with right-rotation
@@ -417,7 +422,7 @@ wl_sh2_fdone:
 .align 64
 wl_sh2_w: .space 128
 `, blocks)
-	return Workload{Name: "sha_2", Asm: asm, Expected: putint(refSHA2(blocks))}
+	return Workload{Name: "sha_2", Asm: asm, ref: func() uint64 { return refSHA2(blocks) }}
 }
 
 // Qsort fills an array from an LCG and quicksorts it recursively
@@ -535,7 +540,7 @@ wl_qs_pdone:
 .align 64
 wl_qs_arr: .space %d
 `, n, 8*n)
-	return Workload{Name: "qsort", Asm: asm, Expected: putint(refQsort(n))}
+	return Workload{Name: "qsort", Asm: asm, ref: func() uint64 { return refQsort(n) }}
 }
 
 // CRC32 runs the bitwise (table-less) CRC-32 over an LCG byte stream.
@@ -574,7 +579,7 @@ wl_crc_nox:
 	call rt_putint
 	ret
 `, n)
-	return Workload{Name: "crc32", Asm: asm, Expected: putint(refCRC32(n))}
+	return Workload{Name: "crc32", Asm: asm, ref: func() uint64 { return refCRC32(n) }}
 }
 
 // Dijkstra runs O(V^2) single-source shortest paths on a 16-node dense
@@ -711,7 +716,7 @@ wl_dj_vis: .space 128
 .align 64
 wl_dj_acc: .word 0
 `, passes)
-	return Workload{Name: "dijkstra", Asm: asm, Expected: putint(refDijkstra(passes))}
+	return Workload{Name: "dijkstra", Asm: asm, ref: func() uint64 { return refDijkstra(passes) }}
 }
 
 // StringSearch generates an LCG text over a 4-letter alphabet and counts
@@ -773,7 +778,7 @@ wl_ss_pat: .ascii "abac"
 .align 64
 wl_ss_text: .space %d
 `, n, n+8)
-	return Workload{Name: "stringsearch", Asm: asm, Expected: putint(refStringSearch(n))}
+	return Workload{Name: "stringsearch", Asm: asm, ref: func() uint64 { return refStringSearch(n) }}
 }
 
 func putint(v uint64) string { return fmt.Sprintf("%d\n", v) }

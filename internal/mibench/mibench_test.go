@@ -51,8 +51,8 @@ func TestWorkloadsMatchReference(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			got := runHost(t, w, 100_000_000)
-			if got != w.Expected {
-				t.Errorf("output %q, want %q", got, w.Expected)
+			if got != w.Expected() {
+				t.Errorf("output %q, want %q", got, w.Expected())
 			}
 		})
 	}
@@ -69,8 +69,8 @@ func TestStandardInstancesRun(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			got := runHost(t, w, 400_000_000)
-			if got != w.Expected {
-				t.Errorf("output %q, want %q", got, w.Expected)
+			if got != w.Expected() {
+				t.Errorf("output %q, want %q", got, w.Expected())
 			}
 		})
 	}
@@ -94,7 +94,7 @@ func TestBitcountVariantsScale(t *testing.T) {
 	// checksums being different and both nonzero.
 	a := Bitcount("a", 1000)
 	b := Bitcount("b", 2000)
-	if a.Expected == b.Expected {
+	if a.Expected() == b.Expected() {
 		t.Error("bitcount sizes produce identical checksums")
 	}
 }
@@ -108,9 +108,8 @@ func TestByName(t *testing.T) {
 		t.Error("ByName accepted unknown workload")
 	}
 
-	// A lookup builds the catalogue's source texts and checksums, not a
-	// workload's data: a Chase reference that built its 1 MiB table
-	// would cost three tables a call.
+	// A lookup builds the catalogue's source texts, and runs no Go
+	// reference: Chase's builds a 1 MiB table, three of them a call.
 	const calls, bound = 10, 256 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -224,5 +223,17 @@ func TestIPCCharacterization(t *testing.T) {
 	}
 	if chase > 0.2 {
 		t.Errorf("pointer chase IPC %.3f implausibly high for a serialized miss chain", chase)
+	}
+}
+
+// BenchmarkByName is the cost of one catalogue lookup: ByName builds
+// every workload of AllWithBackgrounds, source text and all, to find
+// one by name.
+func BenchmarkByName(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ByName("math"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -28,8 +28,8 @@ func TestMachineAllocatesTouchedPagesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := m.Output.String(); got != w.Expected {
-		t.Fatalf("output %q, want %q", got, w.Expected)
+	if got := m.Output.String(); got != w.Expected() {
+		t.Fatalf("output %q, want %q", got, w.Expected())
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= bound {
 		t.Errorf("%d MiB machine allocated %.2f MiB running %s, want under %d MiB",

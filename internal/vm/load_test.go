@@ -111,8 +111,8 @@ func TestSharedModuleLoadsConcurrently(t *testing.T) {
 	for i := range outs {
 		if errs[i] != nil {
 			t.Errorf("machine %d: %v", i, errs[i])
-		} else if outs[i] != w.Expected {
-			t.Errorf("machine %d printed %q, want %q", i, outs[i], w.Expected)
+		} else if outs[i] != w.Expected() {
+			t.Errorf("machine %d printed %q, want %q", i, outs[i], w.Expected())
 		}
 	}
 }

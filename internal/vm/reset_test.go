@@ -285,7 +285,7 @@ func TestResetScenariosRun(t *testing.T) {
 	}{
 		{"p42\n", false},
 		{"p", false}, // the canary follows; it depends on the slide
-		{mibench.Math(20).Expected, false},
+		{mibench.Math(20).Expected(), false},
 		{"82\n", false},
 		{"s", false},
 		{"", true},

@@ -14,7 +14,9 @@
 //	vm       — loader (ASLR), syscalls, EXEC chaining
 //	gadget   — ROP gadget scanner and chain builder
 //	rop      — vulnerable host scaffold and overflow payload builder
-//	spectre  — four attack variants (v1, RSB, spec-store-overflow, BTB)
+//	spectre  — six attack variants: the paper's averaged four (v1, RSB,
+//	           spec-store-overflow, BTB) plus v2-cross-train and
+//	           v4-store-bypass
 //	perturb  — Algorithm 2's defense-aware dynamic perturbations
 //	mibench  — MiBench-style host workloads written in the ISA
 //	pmu      — 56-event HPC catalogue and interval sampler
@@ -23,15 +25,14 @@
 //	trace    — labelled HPC datasets, noise model, CSV
 //	experiments — drivers for Fig. 4, Figs. 5/6, Table I
 //
-// This package exposes the high-level flows: running a single end-to-end
-// CR-Spectre attack (RunAttack) and regenerating every figure and table
-// of the paper's evaluation (Fig4, Fig5, Fig6, Table1).
+// This package exposes one high-level flow: running a single end-to-end
+// CR-Spectre attack (RunAttack). cmd/experiments regenerates every
+// figure and table of the paper's evaluation.
 package repro
 
 import (
 	"fmt"
 
-	"repro/internal/defense"
 	"repro/internal/experiments"
 	"repro/internal/gadget"
 	"repro/internal/hid"
@@ -42,143 +43,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spectre"
 )
-
-// Options configures the experiment drivers. The zero value is usable:
-// unset fields fall back to the defaults of the paper-scale pipeline
-// (feature size 4, 10 attempts, all four classifiers).
-type Options struct {
-	// FeatureSize is the number of monitored HPC features (paper: 4).
-	FeatureSize int
-	// SamplesPerClass sizes the training corpora (paper: 2000).
-	SamplesPerClass int
-	// Attempts is the number of attack attempts per campaign (paper: 10).
-	Attempts int
-	// Interval is the PMU sampling period in cycles.
-	Interval uint64
-	// Seed drives every stochastic component; equal seeds reproduce
-	// results bit-for-bit.
-	Seed int64
-	// Secret is the value the attack steals.
-	Secret string
-	// NoiseSigma is the relative system-noise jitter applied to samples.
-	NoiseSigma float64
-	// Classifiers selects detector families from {"mlp","nn","lr","svm"}.
-	Classifiers []string
-	// Reps is the Table I repetition count per cell.
-	Reps int
-	// Workers bounds the experiment engine's parallelism (0 = all
-	// cores). Results are byte-identical for any value.
-	Workers int
-}
-
-func (o Options) config() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	if o.FeatureSize > 0 {
-		cfg.FeatureSize = o.FeatureSize
-	}
-	if o.SamplesPerClass > 0 {
-		cfg.SamplesPerClass = o.SamplesPerClass
-	}
-	if o.Attempts > 0 {
-		cfg.Attempts = o.Attempts
-	}
-	if o.Interval > 0 {
-		cfg.Interval = o.Interval
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	if o.Secret != "" {
-		cfg.Secret = o.Secret
-	}
-	if o.NoiseSigma > 0 {
-		cfg.NoiseSigma = o.NoiseSigma
-	}
-	if len(o.Classifiers) > 0 {
-		cfg.Classifiers = o.Classifiers
-	}
-	if o.Reps > 0 {
-		cfg.Reps = o.Reps
-	}
-	if o.Workers > 0 {
-		cfg.Workers = o.Workers
-	}
-	return cfg
-}
-
-// Result and row types of the experiment drivers.
-type (
-	// Fig4Row is one bar of the feature-size sweep.
-	Fig4Row = experiments.Fig4Row
-	// CampaignResult holds both panels of a Fig. 5/6 campaign.
-	CampaignResult = experiments.CampaignResult
-	// AttemptPoint is one plotted accuracy point.
-	AttemptPoint = experiments.AttemptPoint
-	// Table1Row is one benchmark row of the IPC overhead table.
-	Table1Row = experiments.Table1Row
-)
-
-// Fig4 regenerates the paper's Fig. 4 (HID accuracy vs feature size).
-func Fig4(o Options) ([]Fig4Row, error) { return experiments.Fig4(o.config()) }
-
-// Fig5 regenerates Fig. 5 (offline-type HID vs Spectre and CR-Spectre).
-func Fig5(o Options) (*CampaignResult, error) { return experiments.Fig5(o.config()) }
-
-// Fig6 regenerates Fig. 6 (online-type HID vs Spectre and CR-Spectre).
-func Fig6(o Options) (*CampaignResult, error) { return experiments.Fig6(o.config()) }
-
-// Table1 regenerates Table I (IPC overhead per benchmark).
-func Table1(o Options) ([]Table1Row, error) { return experiments.Table1(o.config()) }
-
-// Extension-experiment result types.
-type (
-	// LatencyRow reports an online detector's adaptation speed.
-	LatencyRow = experiments.LatencyRow
-	// RecycleRow is one phase of the variant-recycling experiment.
-	RecycleRow = experiments.RecycleRow
-	// DefenseRow pairs a defense posture with the attack's outcome.
-	DefenseRow = defense.MatrixRow
-)
-
-// DetectionLatency measures how many observe/retrain rounds the online
-// HID needs to catch a fresh perturbation variant.
-func DetectionLatency(o Options, maxBatches int) ([]LatencyRow, error) {
-	return experiments.DetectionLatency(o.config(), maxBatches)
-}
-
-// VariantRecycling runs the bounded-memory (sliding window) HID
-// experiment: a once-caught variant evades again after its traces age
-// out of the window.
-func VariantRecycling(o Options, window int) ([]RecycleRow, error) {
-	return experiments.VariantRecycling(o.config(), window)
-}
-
-// DefenseMatrix evaluates the attack chain against the canonical defense
-// postures (DEP, canary, ASLR, §IV countermeasures, speculation
-// defenses) with and without the published info-leak bypasses.
-func DefenseMatrix(seed int64) ([]DefenseRow, error) {
-	return defense.Matrix(seed)
-}
-
-// AlarmRow reports a run-level alarm policy's quality.
-type AlarmRow = experiments.AlarmRow
-
-// RunLevelDetection evaluates run-level alarm policies against a
-// dilution-tuned CR-Spectre stream: pointwise accuracy collapses there,
-// but counting suspicious samples per run restores detection.
-func RunLevelDetection(o Options, crRuns int) ([]AlarmRow, error) {
-	return experiments.RunLevelDetection(o.config(), nil, crRuns)
-}
-
-// EnsembleRow compares detector families and their committee.
-type EnsembleRow = experiments.EnsembleRow
-
-// EnsembleComparison scores each classifier family and their
-// majority-vote committee against an evading CR-Spectre stream at two
-// feature sizes.
-func EnsembleComparison(o Options) ([]EnsembleRow, error) {
-	return experiments.EnsembleComparison(o.config())
-}
 
 // AttackOptions configures a single end-to-end CR-Spectre run.
 type AttackOptions struct {
@@ -237,8 +101,9 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 	if o.Host == "" {
 		o.Host = "math"
 	}
-	if o.Secret == "" {
-		o.Secret = "SPECTRE_PoC_42"
+	cfg := experiments.DefaultConfig()
+	if o.Secret != "" {
+		cfg.Secret = o.Secret
 	}
 	variant := spectre.V1BoundsCheck
 	if o.Variant != "" {
@@ -257,8 +122,6 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 		return nil, err
 	}
 
-	cfg := experiments.DefaultConfig()
-	cfg.Secret = o.Secret
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -282,8 +145,8 @@ func RunAttack(o AttackOptions) (*AttackReport, error) {
 		Variant:       variant.String(),
 		Injected:      cr.Injected,
 		Recovered:     cr.Recovered,
-		SecretCorrect: cr.Recovered == o.Secret,
-		HostCompleted: len(cr.Machine.Output.String()) > len(o.Secret),
+		SecretCorrect: cr.Recovered == cfg.Secret,
+		HostCompleted: len(cr.Machine.Output.String()) > len(cfg.Secret),
 		IPC:           cr.Machine.CPU.IPC(),
 		Samples:       len(cr.Samples),
 	}

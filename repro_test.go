@@ -98,53 +98,3 @@ func TestWorkloadsAndVariantsLists(t *testing.T) {
 		}
 	}
 }
-
-func TestExperimentFacadeSmall(t *testing.T) {
-	o := Options{
-		SamplesPerClass: 60,
-		Attempts:        2,
-		Secret:          "ABCD",
-		Classifiers:     []string{"lr"},
-		Seed:            2,
-		Interval:        10_000,
-	}
-	rows, err := Fig4(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Error("Fig4 empty")
-	}
-	res, err := Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Plain) != 2 || len(res.CR) != 2 {
-		t.Errorf("Fig5 panels sized %d/%d", len(res.Plain), len(res.CR))
-	}
-	res6, err := Fig6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res6.Online {
-		t.Error("Fig6 not online")
-	}
-}
-
-func TestFacadeExtensions(t *testing.T) {
-	rows, err := DefenseMatrix(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 22 {
-		t.Errorf("defense matrix rows = %d", len(rows))
-	}
-	o := Options{SamplesPerClass: 60, Secret: "ABCD", Classifiers: []string{"lr"}, Seed: 2, Interval: 10_000}
-	lat, err := DetectionLatency(o, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lat) != 1 || len(lat[0].Trajectory) == 0 {
-		t.Errorf("latency rows = %+v", lat)
-	}
-}
