@@ -68,6 +68,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if cfg.SamplesPerClass < 0 {
+		return fmt.Errorf("%w: -samples %d is negative", cli.ErrUsage, cfg.SamplesPerClass)
+	}
 	want := func(s, v string) bool { return *all || strings.TrimSpace(s) == v }
 	campaign := experiments.CampaignSpec{
 		Fig4:    want(*fig, "4"),

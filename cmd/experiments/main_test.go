@@ -75,6 +75,18 @@ func TestRunNoSelection(t *testing.T) {
 	}
 }
 
+// TestRunNegativeSamples: a negative -samples is a usage error raised
+// before any section runs, with nothing on stdout.
+func TestRunNegativeSamples(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "4", "-samples", "-2"}, &out); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("-samples -2 = %v, want cli.ErrUsage (exit 2)", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-samples -2 still ran:\n%s", out.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {

@@ -62,6 +62,12 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.FeatureSize < 1 || cfg.FeatureSize > int(pmu.NumEvents) {
 		return fmt.Errorf("%w: -features %d out of range (want 1 to %d)", cli.ErrUsage, cfg.FeatureSize, pmu.NumEvents)
 	}
+	if cfg.SamplesPerClass < 1 {
+		return fmt.Errorf("%w: -samples %d is below 1", cli.ErrUsage, cfg.SamplesPerClass)
+	}
+	if *profile < -1 || *profile >= int(pmu.NumEvents) {
+		return fmt.Errorf("%w: -profile %d out of range (want -1 to %d)", cli.ErrUsage, *profile, pmu.NumEvents-1)
+	}
 
 	if *events {
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)

@@ -75,3 +75,29 @@ func TestRunFeaturesRange(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSamplesAndProfileRange: -samples below 1 and -profile outside
+// -1 (off) to pmu.NumEvents-1 are usage errors raised before any corpus
+// is profiled; profiling first would end in an empty training set or an
+// out-of-range feature.
+func TestRunSamplesAndProfileRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-samples", "0"},
+		{"-samples", "-3"},
+		{"-samples", "20", "-profile", "56"},
+		{"-samples", "20", "-profile", "-2"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%q = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q still ran the pipeline:\n%s", args, out.String())
+		}
+	}
+	for _, n := range []string{"-1", "0", "55"} {
+		if err := run([]string{"-profile", n, "-events"}, io.Discard); err != nil {
+			t.Errorf("-profile %s -events: %v", n, err)
+		}
+	}
+}

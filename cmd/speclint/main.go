@@ -112,6 +112,9 @@ func runLint(args []string, stdout io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if *progenN < 0 {
+		return fmt.Errorf("%w: -progen %d is negative", cli.ErrUsage, *progenN)
+	}
 
 	start := time.Now()
 	h, ctx, err := startObs(*obsAddr, "agreement-soak")
@@ -362,6 +365,9 @@ func runScan(args []string, stdout io.Writer) error {
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
+	}
+	if *progenN < 0 {
+		return fmt.Errorf("%w: scan -progen %d is negative", cli.ErrUsage, *progenN)
 	}
 
 	start := time.Now()

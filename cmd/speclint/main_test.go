@@ -113,6 +113,20 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
+// TestNegativeProgen: a negative -progen count, to the lint soak or to
+// scan, is a usage error raised before any work, with nothing printed.
+func TestNegativeProgen(t *testing.T) {
+	for _, args := range [][]string{{"-progen", "-5"}, {"scan", "-progen", "-3"}} {
+		var out strings.Builder
+		if err := run(args, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%q = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q printed:\n%s", args, out.String())
+		}
+	}
+}
+
 // TestJSONDeterministic: the -json artifact and the scan report must be
 // byte-identical at any worker count — the satellite invariant CI's
 // determinism job diffs.

@@ -43,31 +43,62 @@ func (r *Report) Leaks() []Finding {
 // never executes the program, and it leaves NumGadgets 0: only
 // AnalyzeImage takes the gadget census.
 func Analyze(code []byte, base uint64, cfg Config, roots ...uint64) *Report {
-	return analyze(decodeImage(code), base, cfg, roots...)
+	var s scratch
+	return s.report(recoverCFG(new(CFG), decodeImage(code), base, roots, &s.walk), cfg)
 }
 
-// analyze is Analyze over an existing decode, which it only reads.
-func analyze(d *decodedImage, base uint64, cfg Config, roots ...uint64) *Report {
-	cfg = cfg.withDefaults()
-	g := recoverCFG(d, base, roots...)
-	pass := runTaint(g, cfg)
+// scratch is the static pass's working memory: a scan worker keeps one
+// for all its tasks (sched.MapLocal), and each exported entry point runs
+// on a fresh one.
+type scratch struct {
+	walk walk
+	pass taintPass
+	// split is the CFG of a root in the middle of a block of its
+	// image's shared CFG, which the root splits.
+	split CFG
+	fs    []Finding
+}
+
+// report is the pass over g from its roots, as a Report that owns g.
+func (s *scratch) report(g *CFG, cfg Config) *Report {
+	s.pass.run(g, g.Roots, cfg.withDefaults())
 	reachable := 0
-	for _, b := range g.Blocks {
-		if b.Reachable {
+	for i := range g.blocks {
+		if g.blocks[i].Reachable {
 			reachable++
 		}
 	}
 	return &Report{
-		Base:          base,
+		Base:          g.Base,
 		NumInstrs:     g.NumInstrs(),
-		NumBlocks:     len(g.Blocks),
+		NumBlocks:     len(g.blocks),
 		NumReachable:  reachable,
 		IndirectSites: len(g.IndirectSites),
 		InvalidTgts:   len(g.InvalidTargets),
 		TruncatedTail: g.Truncated,
-		Findings:      pass.findings(),
+		Findings:      s.pass.findings(nil, &s.walk),
 		CFG:           g,
 	}
+}
+
+// scanRoot is one scan task: the ranked findings of the pass from root
+// over the image called name, whose rootless CFG is g, which it only
+// reads. A root that starts a block of g runs on g, whose blocks,
+// edges, depths and paths are those of the root's own CFG; a root in
+// the middle of a block splits that block, so it recovers its own CFG
+// into s.split. An invalid root has no findings, as its own CFG has no
+// roots. Only the returned findings and their witnesses are allocated.
+func (s *scratch) scanRoot(name string, g *CFG, cfg Config, root uint64) []RankedFinding {
+	if !g.validPC(root) {
+		return nil
+	}
+	roots := []uint64{root}
+	if !g.isBlockStart(root) {
+		g = recoverCFG(&s.split, g.dec, g.Base, roots, &s.walk)
+	}
+	s.pass.run(g, roots, cfg.withDefaults())
+	s.fs = s.pass.findings(s.fs, &s.walk)
+	return rankFindings(name, s.fs, g, roots, &s.walk)
 }
 
 // AnalyzeImage analyses a linked image, rooting the pass at the entry

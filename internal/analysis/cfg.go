@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/isa"
@@ -53,79 +52,127 @@ type CFG struct {
 	// instruction slot (a truncated final instruction).
 	Truncated int
 
-	slots []isa.SlotDecode
+	dec *decodedImage
+	// blocks backs Blocks in address order, so a block's index in it is
+	// its index in Order; blockOf maps each slot to the index of the
+	// block holding it, or -1 for a slot that is not valid code; succs
+	// backs every block's Succs.
+	blocks  []Block
+	blockOf []int32
+	succs   []uint64
 }
 
 // NumInstrs returns the total instruction count across all blocks.
 func (g *CFG) NumInstrs() int {
 	n := 0
-	for _, b := range g.Blocks {
-		n += len(b.Instrs)
+	for i := range g.blocks {
+		n += len(g.blocks[i].Instrs)
 	}
 	return n
 }
 
 // BlockAt returns the block containing pc, if any.
 func (g *CFG) BlockAt(pc uint64) (*Block, bool) {
-	if (pc-g.Base)%isa.InstrSize != 0 {
+	k, ok := g.blockIndex(pc)
+	if !ok {
 		return nil, false
 	}
-	i := sort.Search(len(g.Order), func(i int) bool { return g.Order[i] > pc })
-	if i == 0 {
-		return nil, false
+	return &g.blocks[k], true
+}
+
+// blockIndex returns the index in g.blocks of the block containing pc.
+func (g *CFG) blockIndex(pc uint64) (int32, bool) {
+	i, ok := g.slotIndex(pc)
+	if !ok || g.blockOf[i] < 0 {
+		return 0, false
 	}
-	b := g.Blocks[g.Order[i-1]]
-	if pc >= b.Start && pc < b.End() {
-		return b, true
-	}
-	return nil, false
+	return g.blockOf[i], true
+}
+
+// isBlockStart reports whether pc starts a block.
+func (g *CFG) isBlockStart(pc uint64) bool {
+	k, ok := g.blockIndex(pc)
+	return ok && g.blocks[k].Start == pc
 }
 
 // InstrAt returns the instruction at pc when pc is an aligned, valid
 // slot inside the image.
 func (g *CFG) InstrAt(pc uint64) (isa.Instruction, bool) {
 	i, ok := g.slotIndex(pc)
-	if !ok || g.slots[i].Err != nil {
+	if !ok || !g.dec.validSlot(i) {
 		return isa.Instruction{}, false
 	}
-	return g.slots[i].In, true
+	return g.dec.instrs[i], true
 }
 
 func (g *CFG) slotIndex(pc uint64) (int, bool) {
 	if pc < g.Base || (pc-g.Base)%isa.InstrSize != 0 {
 		return 0, false
 	}
-	i := int((pc - g.Base) / isa.InstrSize)
-	if i >= len(g.slots) {
+	i := (pc - g.Base) / isa.InstrSize
+	if i >= uint64(len(g.dec.instrs)) {
 		return 0, false
 	}
-	return i, true
+	return int(i), true
 }
 
 // validPC reports whether pc is an aligned slot that decodes canonically.
 func (g *CFG) validPC(pc uint64) bool {
 	i, ok := g.slotIndex(pc)
-	return ok && g.slots[i].Err == nil
+	return ok && g.dec.validSlot(i)
 }
 
-// decodedImage is one image's slot decode, shared read-only by every
-// CFG recovered from it: a scan decodes each image once and recovers
-// one CFG per root from the same slots. instrs repeats slots[i].In
-// contiguously so every Block.Instrs can be a view of it rather than a
-// copy.
+// decodedImage is one image's decode, shared read-only by every CFG
+// recovered from it: a scan decodes each image once. instrs holds every
+// whole slot's instruction (the zero Instruction where the slot is not
+// canonical code), so every Block.Instrs can be a view of it rather
+// than a copy, and bit i of valid is set when slot i decodes
+// canonically.
 type decodedImage struct {
-	slots     []isa.SlotDecode
 	instrs    []isa.Instruction
+	valid     []uint64
 	truncated int
 }
 
 func decodeImage(code []byte) *decodedImage {
-	slots, truncated := isa.DecodeSlots(code)
-	instrs := make([]isa.Instruction, len(slots))
-	for i := range slots {
-		instrs[i] = slots[i].In
+	n := len(code) / isa.InstrSize
+	d := &decodedImage{
+		instrs:    make([]isa.Instruction, n),
+		valid:     make([]uint64, (n+63)/64),
+		truncated: len(code) - n*isa.InstrSize,
 	}
-	return &decodedImage{slots: slots, instrs: instrs, truncated: truncated}
+	for i := range d.instrs {
+		if in, err := isa.Decode(code[i*isa.InstrSize:]); err == nil {
+			d.instrs[i] = in
+			d.valid[i/64] |= 1 << (i % 64)
+		}
+	}
+	return d
+}
+
+func (d *decodedImage) validSlot(i int) bool { return d.valid[i/64]&(1<<(i%64)) != 0 }
+
+// walk is the reusable working memory of recovery and of the CFG's
+// searches: a scan worker keeps one for all its tasks, so a task
+// allocates none of it.
+type walk struct {
+	leader         []bool
+	depth          []int32
+	frontier, next []int32
+	prev           map[uint64]uint64
+	pcs, nextPCs   []uint64
+	route          []uint64
+}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // RecoverCFG rebuilds the control-flow graph of a code image loaded at
@@ -145,35 +192,30 @@ func decodeImage(code []byte) *decodedImage {
 // non-canonical byte frame, which the fixed-width ISA rejects by
 // construction.
 func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
-	return recoverCFG(decodeImage(code), base, roots...)
+	return recoverCFG(new(CFG), decodeImage(code), base, roots, new(walk))
 }
 
 // recoverCFG is RecoverCFG over an existing decode, which it only
-// reads. Block.Instrs are cap-limited views of d.instrs, and Succs views
-// of one per-CFG array, so appending to either copies instead of
-// writing into a neighbour.
-func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
-	slots := d.slots
-	g := &CFG{Base: base, Truncated: d.truncated, slots: slots}
-	n := len(slots)
+// reads, into g, whose storage it reuses (a scan worker re-recovers
+// into one CFG of its own); w is working memory. Block.Instrs are
+// cap-limited views of d.instrs, and Succs views of g.succs, so
+// appending to either copies instead of writing into a neighbour.
+func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *CFG {
+	n := len(d.instrs)
+	g.Base, g.Truncated, g.dec = base, d.truncated, d
+	g.Roots, g.IndirectSites, g.InvalidTargets = g.Roots[:0], g.IndirectSites[:0], g.InvalidTargets[:0]
 
 	// Pass 1: leaders. A slot starts a block if it is a root, a direct
 	// branch target, the slot after any control transfer, or the first
 	// valid slot after invalid space (linear-sweep region starts).
-	leader := make([]bool, n)
-	var invalid map[uint64]bool
+	leader := resized(w.leader, n)
+	w.leader = leader
 	markTarget := func(pc uint64) {
-		if i, ok := g.slotIndex(pc); ok && slots[i].Err == nil {
+		if i, ok := g.slotIndex(pc); ok && d.validSlot(i) {
 			leader[i] = true
 			return
 		}
-		if !invalid[pc] {
-			if invalid == nil {
-				invalid = map[uint64]bool{}
-			}
-			invalid[pc] = true
-			g.InvalidTargets = append(g.InvalidTargets, pc)
-		}
+		g.InvalidTargets = append(g.InvalidTargets, pc)
 	}
 	for _, r := range roots {
 		if g.validPC(r) {
@@ -182,13 +224,13 @@ func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
 		markTarget(r)
 	}
 	for i := 0; i < n; i++ {
-		if slots[i].Err != nil {
+		if !d.validSlot(i) {
 			continue
 		}
-		if i == 0 || slots[i-1].Err != nil {
+		if i == 0 || !d.validSlot(i-1) {
 			leader[i] = true // region start under the linear sweep
 		}
-		in := slots[i].In
+		in := d.instrs[i]
 		op := in.Op
 		switch {
 		case op == isa.JMP || op == isa.CALL || op.IsCondBranch():
@@ -197,7 +239,7 @@ func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
 			g.IndirectSites = append(g.IndirectSites, base+uint64(i)*isa.InstrSize)
 		}
 		if op.IsBranch() || op == isa.HALT {
-			if i+1 < n && slots[i+1].Err == nil {
+			if i+1 < n && d.validSlot(i+1) {
 				leader[i+1] = true
 			}
 		}
@@ -210,35 +252,55 @@ func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
 	}
 
 	// Pass 2: block formation over each maximal valid run. Leaders are
-	// visited in address order, so Order comes out sorted.
-	blocks := make([]Block, 0, nb)
-	g.Blocks = make(map[uint64]*Block, nb)
-	g.Order = make([]uint64, 0, nb)
+	// visited in address order, so Order comes out sorted. blocks is
+	// sized up front: Blocks points into it.
+	if cap(g.blocks) < nb {
+		g.blocks = make([]Block, 0, nb)
+	}
+	g.blocks = g.blocks[:0]
+	if g.Blocks == nil {
+		g.Blocks = make(map[uint64]*Block, nb)
+	} else {
+		clear(g.Blocks)
+	}
+	g.Order = slices.Grow(g.Order[:0], nb)
+	g.blockOf = slices.Grow(g.blockOf[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		g.blockOf[i] = -1
+	}
 	for i := 0; i < n; i++ {
 		if !leader[i] {
 			continue
 		}
 		j := i
 		for {
-			op := slots[j].In.Op
+			op := d.instrs[j].Op
 			if op.IsBranch() || op == isa.HALT {
 				break
 			}
-			if j+1 >= n || slots[j+1].Err != nil || leader[j+1] {
+			if j+1 >= n || !d.validSlot(j+1) || leader[j+1] {
 				break
 			}
 			j++
 		}
+		k := int32(len(g.blocks))
+		for s := i; s <= j; s++ {
+			g.blockOf[s] = k
+		}
 		start := base + uint64(i)*isa.InstrSize
-		blocks = append(blocks, Block{Start: start, Instrs: d.instrs[i : j+1 : j+1]})
-		g.Blocks[start] = &blocks[len(blocks)-1]
+		g.blocks = append(g.blocks, Block{Start: start, Instrs: d.instrs[i : j+1 : j+1]})
+		g.Blocks[start] = &g.blocks[k]
 		g.Order = append(g.Order, start)
 	}
 
-	// Pass 3: successor edges, at most two per block.
-	succs := make([]uint64, 0, 2*nb)
-	for k := range blocks {
-		b := &blocks[k]
+	// Pass 3: successor edges, at most two per block. succs is sized up
+	// front: every Succs is a view of it.
+	if cap(g.succs) < 2*nb {
+		g.succs = make([]uint64, 0, 2*nb)
+	}
+	succs := g.succs[:0]
+	for k := range g.blocks {
+		b := &g.blocks[k]
 		term := b.Terminal()
 		fall := b.End()
 		lo := len(succs)
@@ -267,20 +329,15 @@ func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
 			b.Succs = succs[lo:hi:hi]
 		}
 	}
+	g.succs = succs
 
-	// Pass 4: reachability from the roots.
-	work := append([]uint64(nil), g.Roots...)
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		b, ok := g.BlockAt(pc)
-		if !ok || b.Reachable {
-			continue
-		}
-		b.Reachable = true
-		work = append(work, b.Succs...)
+	// Pass 4: reachability from the roots: a block is reachable when it
+	// has a depth.
+	for k, depth := range g.blockDepths(g.Roots, w) {
+		g.blocks[k].Reachable = depth >= 0
 	}
 	slices.Sort(g.InvalidTargets)
+	g.InvalidTargets = slices.Compact(g.InvalidTargets)
 	return g
 }
 
@@ -290,81 +347,100 @@ func recoverCFG(d *decodedImage, base uint64, roots ...uint64) *CFG {
 // reachability axis: a gadget two calls from an entry point is easier
 // to steer execution into than one buried behind indirect flow.
 func (g *CFG) BlockDepths() map[uint64]int {
-	depth := make(map[uint64]int, len(g.Blocks))
-	for _, start := range g.Order {
-		depth[start] = -1
+	depths := g.blockDepths(g.Roots, new(walk))
+	out := make(map[uint64]int, len(depths))
+	for k, d := range depths {
+		out[g.blocks[k].Start] = int(d)
 	}
-	var frontier []uint64
-	for _, r := range g.Roots {
-		if b, ok := g.BlockAt(r); ok && depth[b.Start] == -1 {
-			depth[b.Start] = 0
-			frontier = append(frontier, b.Start)
+	return out
+}
+
+// blockDepths is BlockDepths from the given roots, by block index, in
+// w's storage: the result is valid until w's next search.
+func (g *CFG) blockDepths(roots []uint64, w *walk) []int32 {
+	depth := slices.Grow(w.depth[:0], len(g.blocks))[:len(g.blocks)]
+	for k := range depth {
+		depth[k] = -1
+	}
+	frontier, next := w.frontier[:0], w.next[:0]
+	for _, r := range roots {
+		if k, ok := g.blockIndex(r); ok && depth[k] == -1 {
+			depth[k] = 0
+			frontier = append(frontier, k)
 		}
 	}
-	for d := 1; len(frontier) > 0; d++ {
-		var next []uint64
-		for _, pc := range frontier {
-			for _, s := range g.Blocks[pc].Succs {
-				if depth[s] == -1 {
-					depth[s] = d
-					next = append(next, s)
+	for d := int32(1); len(frontier) > 0; d++ {
+		next = next[:0]
+		for _, k := range frontier {
+			for _, s := range g.blocks[k].Succs {
+				if sk, _ := g.blockIndex(s); depth[sk] == -1 {
+					depth[sk] = d
+					next = append(next, sk)
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	w.depth, w.frontier, w.next = depth, frontier, next
 	return depth
 }
 
 // succPCs returns the instruction-level successors of the instruction
-// at pc: the next instruction inside the block, or the block's Succs at
-// its terminal. Used by witness-path search.
-func (g *CFG) succPCs(pc uint64) []uint64 {
-	b, ok := g.BlockAt(pc)
+// at pc: the next instruction inside the block, held in one, or the
+// block's Succs at its terminal. Used by witness-path search.
+func (g *CFG) succPCs(pc uint64, one *[1]uint64) []uint64 {
+	k, ok := g.blockIndex(pc)
 	if !ok {
 		return nil
 	}
+	b := &g.blocks[k]
 	if next := pc + isa.InstrSize; next < b.End() {
-		return []uint64{next}
+		one[0] = next
+		return one[:]
 	}
 	return b.Succs
 }
 
 // path runs a breadth-first search from one PC to another over
-// instruction-level edges, bounded by limit steps, and returns the PCs
-// visited along the shortest route (inclusive of both ends).
-func (g *CFG) path(from, to uint64, limit int) []uint64 {
+// instruction-level edges, bounded by limit steps, and appends the PCs
+// visited along the shortest route (inclusive of both ends) to dst. It
+// returns nil when no route is found.
+func (g *CFG) path(dst []uint64, from, to uint64, limit int, w *walk) []uint64 {
 	if from == to {
-		return []uint64{from}
+		return append(dst, from)
 	}
-	prev := map[uint64]uint64{from: from}
-	frontier := []uint64{from}
+	if w.prev == nil {
+		w.prev = map[uint64]uint64{}
+	}
+	prev := w.prev
+	clear(prev)
+	prev[from] = from
+	frontier, next := append(w.pcs[:0], from), w.nextPCs[:0]
+	defer func() { w.pcs, w.nextPCs = frontier, next }()
+	var one [1]uint64
 	for depth := 0; depth < limit && len(frontier) > 0; depth++ {
-		var next []uint64
+		next = next[:0]
 		for _, pc := range frontier {
-			for _, s := range g.succPCs(pc) {
+			for _, s := range g.succPCs(pc, &one) {
 				if _, seen := prev[s]; seen {
 					continue
 				}
 				prev[s] = pc
 				if s == to {
-					var rev []uint64
+					out := dst
 					for at := to; ; at = prev[at] {
-						rev = append(rev, at)
+						out = append(out, at)
 						if at == from {
 							break
 						}
 					}
-					out := make([]uint64, len(rev))
-					for i, pc := range rev {
-						out[len(rev)-1-i] = pc
-					}
+					slices.Reverse(out[len(dst):])
 					return out
 				}
 				next = append(next, s)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return nil
 }

@@ -184,7 +184,7 @@ func TestCFGPath(t *testing.T) {
 		isa.Instruction{Op: isa.NOP},
 		isa.Instruction{Op: isa.HALT},
 	), base, base)
-	p := g.path(at(0), at(4), 16)
+	p := g.path(nil, at(0), at(4), 16, new(walk))
 	if len(p) == 0 || p[0] != at(0) || p[len(p)-1] != at(4) {
 		t.Fatalf("path = %x", p)
 	}
@@ -192,7 +192,7 @@ func TestCFGPath(t *testing.T) {
 	if len(p) != 3 {
 		t.Fatalf("path length = %d (%x), want 3 (0 -> je -> 4)", len(p), p)
 	}
-	if g.path(at(4), at(0), 16) != nil {
+	if g.path(nil, at(4), at(0), 16, new(walk)) != nil {
 		t.Error("found a path against edge direction")
 	}
 }

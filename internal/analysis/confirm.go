@@ -75,7 +75,7 @@ func (g *gadgetMachine) confirm(p progen.Program, meta progen.GadgetMeta, cfg cp
 		if err := g.run(p, meta, cfg, maxInstr, secret, true); err != nil {
 			return nil, err
 		}
-		w := probeWitness(g.rec, meta, secret, gadgetSecrets[1-i])
+		w := g.probeWitness(meta, secret, gadgetSecrets[1-i])
 		if w == nil {
 			return nil, nil
 		}
@@ -86,14 +86,16 @@ func (g *gadgetMachine) confirm(p progen.Program, meta progen.GadgetMeta, cfg cp
 	return witness, nil
 }
 
-// probeWitness judges one forced run from its covert-probe events: the
-// witness of the first probe of secret's line, or nil when other's line
-// was probed too or secret's never was.
-func probeWitness(rec *telemetry.Recorder, meta progen.GadgetMeta, secret, other byte) *ConfirmWitness {
+// probeWitness judges the last forced run from its covert-probe events,
+// read into the machine's event buffer: the witness of the first probe
+// of secret's line, or nil when other's line was probed too or secret's
+// never was.
+func (g *gadgetMachine) probeWitness(meta progen.GadgetMeta, secret, other byte) *ConfirmWitness {
 	selfLine := meta.ProbeBase + uint64(secret)*meta.ProbeStride
 	otherLine := meta.ProbeBase + uint64(other)*meta.ProbeStride
 	var witness *ConfirmWitness
-	for _, ev := range rec.Events() {
+	g.evs = g.rec.AppendEvents(g.evs[:0])
+	for _, ev := range g.evs {
 		if ev.Kind != telemetry.KindCovertProbe {
 			continue
 		}

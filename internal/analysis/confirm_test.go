@@ -194,9 +194,9 @@ func TestReusedMachineAfterFailure(t *testing.T) {
 }
 
 // TestReusedConfirmAllocs is the reuse gate: once a machine has confirmed
-// a few gadgets, confirming further ones resets memory, core and
-// recorder in place, so all that is left to allocate is the compiled
-// blocks, the event copy and the witness.
+// a few gadgets, confirming further ones resets memory, core, recorder
+// and event buffer in place, so all that is left to allocate is the
+// compiled blocks and the witness.
 func TestReusedConfirmAllocs(t *testing.T) {
 	const bound = 16 << 10
 	type gadget struct {

@@ -40,6 +40,8 @@ type gadgetMachine struct {
 	mem mem.Memory
 	cpu *cpu.CPU
 	rec *telemetry.Recorder
+	// evs holds the last confirmation run's events, read from rec.
+	evs []telemetry.Event
 }
 
 // run loads p with secret planted at meta.SecretAddr and the attacker

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -12,8 +14,9 @@ import (
 // must hold: every block instruction round-trips through isa.Encode to
 // the exact image bytes (the linear sweep only admits canonical slots),
 // blocks are disjoint and ordered, successors land on block starts, the
-// taint pass runs to completion on the recovered graph, and a CFG
-// recovered from a shared decode equals RecoverCFG's.
+// taint pass runs to completion on the recovered graph, a CFG
+// recovered from a shared decode equals RecoverCFG's, and a scan task
+// on the image's shared CFG ranks what Analyze ranks.
 func FuzzCFGRecovery(f *testing.F) {
 	p, _ := progen.GenerateGadget(1, progen.GadgetLeak)
 	f.Add(p.Code)
@@ -72,9 +75,36 @@ func FuzzCFGRecovery(f *testing.F) {
 			}
 		}
 		d := decodeImage(code)
-		checkSameCFG(t, recoverCFG(d, fuzzBase, fuzzBase), g)
+		checkSameCFG(t, recoverCFG(new(CFG), d, fuzzBase, []uint64{fuzzBase}, new(walk)), g)
 		for _, start := range g.Order {
-			checkSameCFG(t, recoverCFG(d, fuzzBase, start), RecoverCFG(code, fuzzBase, start))
+			checkSameCFG(t, recoverCFG(new(CFG), d, fuzzBase, []uint64{start}, new(walk)), RecoverCFG(code, fuzzBase, start))
+		}
+
+		// A scan task from every block start of the shared, rootless CFG
+		// and from one mid-block PC ranks what Analyze from that root
+		// ranks, on one reused scratch; and the summary rule (the shared
+		// CFG's blocks plus one per valid root inside a block) counts the
+		// blocks of the CFG from all those roots.
+		var s scratch
+		shared := recoverCFG(new(CFG), d, fuzzBase, nil, &s.walk)
+		roots := slices.Clone(shared.Order)
+		for _, start := range shared.Order {
+			if b := shared.Blocks[start]; len(b.Instrs) > 1 {
+				roots = append(roots, start+isa.InstrSize)
+				break
+			}
+		}
+		cfg := Config{TaintedRegs: []uint8{1}, UninitSecret: true}
+		blocks := len(shared.Blocks)
+		for _, r := range roots {
+			sameRanked(t, fmt.Sprintf("root %#x", r), s.scanRoot("fuzz", shared, cfg, r),
+				RankFindings("fuzz", Analyze(code, fuzzBase, cfg, r)))
+			if !shared.isBlockStart(r) {
+				blocks++
+			}
+		}
+		if all := RecoverCFG(code, fuzzBase, roots...); len(all.Blocks) != blocks {
+			t.Fatalf("the CFG from %d roots has %d blocks, the summary rule counts %d", len(roots), len(all.Blocks), blocks)
 		}
 	})
 }

@@ -103,16 +103,26 @@ func witnessSpan(f Finding) int {
 // order (canonical per findings()) is preserved; the report layer does
 // the global score sort after merging images.
 func RankFindings(image string, rep *Report) []RankedFinding {
-	var depths map[uint64]int
+	var roots []uint64
 	if rep.CFG != nil {
-		depths = rep.CFG.BlockDepths()
+		roots = rep.CFG.Roots
 	}
-	out := make([]RankedFinding, 0, len(rep.Findings))
-	for _, f := range rep.Findings {
+	return rankFindings(image, rep.Findings, rep.CFG, roots, new(walk))
+}
+
+// rankFindings is RankFindings over findings fs of the pass over g
+// (nil: no depths) from roots, with w as working memory.
+func rankFindings(image string, fs []Finding, g *CFG, roots []uint64, w *walk) []RankedFinding {
+	var depths []int32
+	if g != nil {
+		depths = g.blockDepths(roots, w)
+	}
+	out := make([]RankedFinding, 0, len(fs))
+	for _, f := range fs {
 		depth := -1
-		if rep.CFG != nil {
-			if b, ok := rep.CFG.BlockAt(f.AccessPC); ok {
-				depth = depths[b.Start]
+		if g != nil {
+			if k, ok := g.blockIndex(f.AccessPC); ok {
+				depth = int(depths[k])
 			}
 		}
 		span := witnessSpan(f)

@@ -22,9 +22,11 @@ import (
 // image join (taint that only flows via another root's prefix is not
 // seen), which is sound for a candidate sweep: every pair the joined
 // pass would flag from some root is flagged by that root's shard.
-// Each image is decoded once, by the first of its tasks to run; its
-// other tasks and the report's per-image summary recover their CFGs
-// from that shared, read-only decode.
+// Each image is decoded once, and recovers one CFG with no roots, by
+// the first of its tasks to run. Its other tasks and the report's
+// per-image summary read that CFG: a root that starts one of its blocks
+// runs on it, and only a root in the middle of a block recovers a CFG
+// of its own. Each pool worker runs its tasks on one scratch.
 
 // ConfirmSpec carries what the SpecFuzz confirmation pass needs to
 // execute a scanned image: the concrete program, its gadget metadata
@@ -84,25 +86,22 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 		root uint64
 	}
 	var tasks []task
-	rootCount := make([]int, len(images))
+	roots := make([][]uint64, len(images))
 	for i, im := range images {
-		roots := imageRoots(im.Img)
-		rootCount[i] = len(roots)
-		for _, r := range roots {
+		roots[i] = imageRoots(im.Img)
+		for _, r := range roots[i] {
 			tasks = append(tasks, task{i, r})
 		}
 	}
-	decoded := make([]*decodedImage, len(images))
-	decodeOnce := make([]sync.Once, len(images))
-	decode := func(i int) *decodedImage {
-		decodeOnce[i].Do(func() { decoded[i] = decodeImage(images[i].Img.Code) })
-		return decoded[i]
-	}
-	shards, err := sched.Map(ctx, workers, len(tasks), func(_ context.Context, i int) ([]RankedFinding, error) {
+	cfgs := make([]*CFG, len(images))
+	cfgOnce := make([]sync.Once, len(images))
+	shards, err := sched.MapLocal(ctx, workers, len(tasks), func(_ context.Context, s *scratch, i int) ([]RankedFinding, error) {
 		t := tasks[i]
 		im := images[t.img]
-		rep := analyze(decode(t.img), im.Img.Base, im.Cfg, t.root)
-		return RankFindings(im.Name, rep), nil
+		cfgOnce[t.img].Do(func() {
+			cfgs[t.img] = recoverCFG(new(CFG), decodeImage(im.Img.Code), im.Img.Base, nil, &s.walk)
+		})
+		return s.scanRoot(im.Name, cfgs[t.img], im.Cfg, t.root), nil
 	})
 	if err != nil {
 		return nil, err
@@ -148,13 +147,22 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 	}
 	rep := &FindingsReport{Schema: FindingsSchema, Policy: policy, Findings: all}
 	for i, im := range images {
-		g := recoverCFG(decode(i), im.Img.Base, imageRoots(im.Img)...)
+		// Every image has a task, for its entry, so the pool recovered
+		// its CFG. The summary is that of the CFG from every root: each
+		// valid root that does not start a block of it splits one.
+		g := cfgs[i]
+		blocks := len(g.blocks)
+		for _, r := range roots[i] {
+			if g.validPC(r) && !g.isBlockStart(r) {
+				blocks++
+			}
+		}
 		rep.Images = append(rep.Images, ImageSummary{
 			Name:      im.Name,
 			Base:      im.Img.Base,
 			NumInstrs: g.NumInstrs(),
-			NumBlocks: len(g.Blocks),
-			Roots:     rootCount[i],
+			NumBlocks: blocks,
+			Roots:     len(roots[i]),
 			Attack:    im.Attack,
 			Findings:  perImage[im.Name],
 		})

@@ -33,7 +33,9 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -243,11 +245,16 @@ func (s *regState) join(o regState) bool {
 // sitePair keys deduplicated (first, second) PC pairs.
 type sitePair [2]uint64
 
-// taintPass is the worklist abstract interpretation over one CFG.
+// taintPass is the worklist abstract interpretation over one CFG. Its
+// storage outlives a run: a scan worker runs every task on one pass,
+// and each run clears what the last one left.
 type taintPass struct {
 	g   *CFG
 	cfg Config
-	in  map[uint64]regState // block start -> joined entry state
+	// in is each block's joined entry state, by index in g.blocks; a
+	// block no run has reached holds a state that is not live.
+	in   []regState
+	work []int32
 	// accesses: (guard PC, access PC) pairs observed in-window, mapped
 	// to the union of address-taint bits seen across paths — taintA set
 	// means at least one path reaches the load with an attacker-steered
@@ -262,67 +269,69 @@ type taintPass struct {
 	// the branch predicts — the Spectre-v2 injection surface — mapped
 	// to the union of the target register's taint bits.
 	indirects map[uint64]uint8
+
+	// Working memory of findings and transmitIgnoringFences.
+	keys  []accessKey
+	pcs   []uint64
+	seen  map[fenceNode]bool
+	nodes []fenceNode
 }
 
 // visitBudget caps total block visits; the lattice guarantees
 // termination, but arbitrary fuzzed images deserve a hard stop too.
 const visitBudget = 1 << 16
 
-func runTaint(g *CFG, cfg Config) *taintPass {
-	p := &taintPass{
-		g:           g,
-		cfg:         cfg,
-		in:          map[uint64]regState{},
-		accesses:    map[sitePair]uint8{},
-		ssbAccesses: map[sitePair]uint8{},
-		transmits:   map[sitePair]bool{},
-		indirects:   map[uint64]uint8{},
+// run is the pass over g from roots, which must start blocks of g.
+func (p *taintPass) run(g *CFG, roots []uint64, cfg Config) {
+	p.g, p.cfg = g, cfg
+	p.in = resized(p.in, len(g.blocks))
+	if p.accesses == nil {
+		p.accesses = map[sitePair]uint8{}
+		p.ssbAccesses = map[sitePair]uint8{}
+		p.transmits = map[sitePair]bool{}
+		p.indirects = map[uint64]uint8{}
 	}
+	clear(p.accesses)
+	clear(p.ssbAccesses)
+	clear(p.transmits)
+	clear(p.indirects)
 	entry := regState{live: true}
 	for _, r := range cfg.TaintedRegs {
 		if int(r) < isa.NumRegs {
 			entry.taint[r] = taintA
 		}
 	}
-	work := make([]uint64, 0, len(g.Roots))
-	for _, r := range g.Roots {
-		s := p.in[r]
-		if s.join(entry) {
-			p.in[r] = s
-			work = append(work, r)
+	work := p.work[:0]
+	for _, r := range roots {
+		if k, ok := g.blockIndex(r); ok && p.in[k].join(entry) {
+			work = append(work, k)
 		}
 	}
 	visits := 0
 	for len(work) > 0 && visits < visitBudget {
 		visits++
-		start := work[len(work)-1]
+		k := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, ok := g.Blocks[start]
-		if !ok {
-			continue
-		}
-		out := p.flowBlock(b)
+		b := &g.blocks[k]
+		out := p.flowBlock(b, p.in[k])
 		// Propagate in the block's successor order: the access/guard
 		// pairs recorded during pre-fixpoint visits depend on the visit
 		// sequence, so the worklist must evolve identically on every run
 		// for reports to be byte-stable.
 		for _, succ := range b.Succs {
-			s := p.in[succ]
-			if s.join(out) {
-				p.in[succ] = s
-				work = append(work, succ)
+			if sk, _ := g.blockIndex(succ); p.in[sk].join(out) {
+				work = append(work, sk)
 			}
 		}
 	}
-	return p
+	p.work = work
 }
 
 // flowBlock runs the transfer function over one block from its joined
-// entry state and returns its exit state, which every successor
+// entry state s and returns its exit state, which every successor
 // receives. A terminal conditional branch opens a window when its
 // flags are unresolved (the bounds check may mispredict).
-func (p *taintPass) flowBlock(b *Block) regState {
-	s := p.in[b.Start]
+func (p *taintPass) flowBlock(b *Block, s regState) regState {
 	last := len(b.Instrs) - 1
 	for i, in := range b.Instrs[:last] {
 		p.step(&s, b.Start+uint64(i)*isa.InstrSize, in)
@@ -529,51 +538,53 @@ func firstSite(a, b uint64) uint64 {
 	}
 }
 
+// accessKey is one flagged access site as findings sorts them.
+type accessKey struct {
+	guard, access uint64
+	kind          string
+	taint         uint8
+}
+
 // findings assembles classified findings from the collected site pairs,
 // in the canonical order (AccessPC, Kind, GuardPC, TransmitPC) shared
-// with the findings report layer so scans are worker-invariant.
-func (p *taintPass) findings() []Finding {
-	type accessKey struct {
-		guard, access uint64
-		kind          string
-		taint         uint8
-	}
-	var keys []accessKey
+// with the findings report layer so scans are worker-invariant. It
+// reuses buf's storage for the result, and w for the witness searches;
+// only the witnesses are newly allocated.
+func (p *taintPass) findings(buf []Finding, w *walk) []Finding {
+	keys := p.keys[:0]
 	for k, at := range p.accesses {
 		keys = append(keys, accessKey{k[0], k[1], "", at})
 	}
 	for k, at := range p.ssbAccesses {
 		keys = append(keys, accessKey{k[0], k[1], FindingKindV4, at})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].guard != keys[j].guard {
-			return keys[i].guard < keys[j].guard
+	slices.SortFunc(keys, func(a, b accessKey) int {
+		if c := cmp.Compare(a.guard, b.guard); c != 0 {
+			return c
 		}
-		if keys[i].access != keys[j].access {
-			return keys[i].access < keys[j].access
+		if c := cmp.Compare(a.access, b.access); c != 0 {
+			return c
 		}
-		return keys[i].kind < keys[j].kind
+		return strings.Compare(a.kind, b.kind)
 	})
-	var out []Finding
-	limit := p.cfg.SpecWindow + 2
+	p.keys = keys
+	out := buf[:0]
 	for _, k := range keys {
 		atk := k.taint&taintA != 0
-		var txs []uint64
+		txs := p.pcs[:0]
 		for t := range p.transmits {
 			if t[0] == k.access {
 				txs = append(txs, t[1])
 			}
 		}
-		sort.Slice(txs, func(i, j int) bool { return txs[i] < txs[j] })
+		slices.Sort(txs)
+		p.pcs = txs
 		if len(txs) > 0 {
 			for _, tx := range txs {
-				f := Finding{Kind: k.kind, GuardPC: k.guard, AccessPC: k.access, TransmitPC: tx, Verdict: VerdictLeak, AttackerIndex: atk}
-				if w1 := p.g.path(k.guard, k.access, limit); w1 != nil {
-					if w2 := p.g.path(k.access, tx, limit); w2 != nil {
-						f.Witness = append(w1, w2[1:]...)
-					}
-				}
-				out = append(out, f)
+				out = append(out, Finding{
+					Kind: k.kind, GuardPC: k.guard, AccessPC: k.access, TransmitPC: tx, Verdict: VerdictLeak,
+					AttackerIndex: atk, Witness: p.witness(k.guard, k.access, tx, w),
+				})
 			}
 			continue
 		}
@@ -587,11 +598,12 @@ func (p *taintPass) findings() []Finding {
 	// in its own right: the leak body lives wherever the attacker
 	// trains the BTB to point, so the site is reported as a leak with
 	// no separate access/transmit.
-	var ipcs []uint64
+	ipcs := p.pcs[:0]
 	for pc := range p.indirects {
 		ipcs = append(ipcs, pc)
 	}
-	sort.Slice(ipcs, func(i, j int) bool { return ipcs[i] < ipcs[j] })
+	slices.Sort(ipcs)
+	p.pcs = ipcs
 	for _, pc := range ipcs {
 		out = append(out, Finding{
 			Kind: FindingKindV2, GuardPC: pc, AccessPC: pc, Verdict: VerdictLeak,
@@ -602,22 +614,46 @@ func (p *taintPass) findings() []Finding {
 	return out
 }
 
+// witness is a leak's route through the CFG, guard to access to
+// transmit, or nil when either leg exceeds the window: each leg is the
+// shortest within SpecWindow+2 instruction edges.
+func (p *taintPass) witness(guard, access, tx uint64, w *walk) []uint64 {
+	limit := p.cfg.SpecWindow + 2
+	route := p.g.path(w.route[:0], guard, access, limit, w)
+	if route == nil {
+		return nil
+	}
+	w.route = route
+	if route = p.g.path(route[:len(route)-1], access, tx, limit, w); route == nil {
+		return nil
+	}
+	w.route = route
+	return slices.Clone(route)
+}
+
 // SortFindings orders findings canonically by (AccessPC, Kind, GuardPC,
 // TransmitPC) — the contract the v2 findings report relies on for
 // byte-identical output at any worker count.
 func SortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		if fs[i].AccessPC != fs[j].AccessPC {
-			return fs[i].AccessPC < fs[j].AccessPC
+	slices.SortStableFunc(fs, func(a, b Finding) int {
+		if c := cmp.Compare(a.AccessPC, b.AccessPC); c != 0 {
+			return c
 		}
-		if fs[i].Kind != fs[j].Kind {
-			return fs[i].Kind < fs[j].Kind
+		if c := strings.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		if fs[i].GuardPC != fs[j].GuardPC {
-			return fs[i].GuardPC < fs[j].GuardPC
+		if c := cmp.Compare(a.GuardPC, b.GuardPC); c != 0 {
+			return c
 		}
-		return fs[i].TransmitPC < fs[j].TransmitPC
+		return cmp.Compare(a.TransmitPC, b.TransmitPC)
 	})
+}
+
+// fenceNode is one state of the fence-blind search: a PC and the
+// registers carrying the transient secret there.
+type fenceNode struct {
+	pc   uint64
+	regs uint16
 }
 
 // transmitIgnoringFences reports whether a load dependent on the value
@@ -630,13 +666,16 @@ func (p *taintPass) transmitIgnoringFences(access uint64) bool {
 	if !ok {
 		return false
 	}
-	type node struct {
-		pc   uint64
-		regs uint16 // registers carrying the transient secret
+	if p.seen == nil {
+		p.seen = map[fenceNode]bool{}
 	}
-	start := node{access + isa.InstrSize, 1 << in.Rd}
-	seen := map[node]bool{start: true}
-	work := []node{start}
+	seen := p.seen
+	clear(seen)
+	start := fenceNode{access + isa.InstrSize, 1 << in.Rd}
+	seen[start] = true
+	work := append(p.nodes[:0], start)
+	defer func() { p.nodes = work }()
+	var one [1]uint64
 	for steps := 0; len(work) > 0 && steps < visitBudget; steps++ {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -675,8 +714,8 @@ func (p *taintPass) transmitIgnoringFences(access uint64) bool {
 		if regs == 0 {
 			continue
 		}
-		for _, succ := range p.g.succPCs(n.pc) {
-			nn := node{succ, regs}
+		for _, succ := range p.g.succPCs(n.pc, &one) {
+			nn := fenceNode{succ, regs}
 			if !seen[nn] {
 				seen[nn] = true
 				work = append(work, nn)

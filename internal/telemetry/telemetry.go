@@ -26,7 +26,10 @@
 // cpu.TestTelemetryTimingNeutral).
 package telemetry
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Kind identifies one typed event class.
 type Kind uint8
@@ -255,18 +258,23 @@ func (r *Recorder) grow() {
 }
 
 // Events returns a copy of the retained events, oldest first.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) Events() []Event { return r.AppendEvents(nil) }
+
+// AppendEvents appends the retained events, oldest first, to dst and
+// returns the extended slice, so a caller that reads the ring run after
+// run can reuse one buffer.
+func (r *Recorder) AppendEvents(dst []Event) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
+	dst = slices.Grow(dst, r.n)
 	start := r.head - r.n
 	if start < 0 {
 		start += len(r.buf)
 	}
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+		dst = append(dst, r.buf[(start+i)%len(r.buf)])
 	}
-	return out
+	return dst
 }
 
 // EventsSince returns the retained events whose sequence number is >=
