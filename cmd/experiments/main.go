@@ -84,6 +84,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if !campaign.Any() {
 		return fmt.Errorf("%w: pick -fig 4|5|6, -table 1, -latency, -recycle, -alarms, or -all", cli.ErrUsage)
 	}
+	if cfg.SamplesPerClass == 0 && campaign.Trains() {
+		return fmt.Errorf("%w: -samples 0: the selected sections train a detector, which needs at least 1 sample per class (-table 1 alone trains none)", cli.ErrUsage)
+	}
 	if oc.Manifest == "" && *csvdir != "" {
 		oc.Manifest = filepath.Join(*csvdir, "manifest.json")
 	}

@@ -87,6 +87,28 @@ func TestRunNegativeSamples(t *testing.T) {
 	}
 }
 
+// TestRunZeroSamples: -samples 0 is a usage error raised before any
+// work, with nothing on stdout, whenever a selected section trains a
+// detector; Table I trains none and still runs.
+func TestRunZeroSamples(t *testing.T) {
+	for _, sel := range [][]string{{"-fig", "4"}, {"-latency"}, {"-table", "1", "-recycle"}, {"-all"}} {
+		var out bytes.Buffer
+		if err := run(append(sel, "-samples", "0"), &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%v -samples 0 = %v, want cli.ErrUsage (exit 2)", sel, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v -samples 0 still ran:\n%s", sel, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-table", "1", "-samples", "0", "-reps", "1", "-workers", "2"}, &out); err != nil {
+		t.Fatalf("-table 1 -samples 0: %v", err)
+	}
+	if !strings.Contains(out.String(), "Table I") {
+		t.Errorf("-table 1 -samples 0 rendered no table:\n%s", out.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {

@@ -58,6 +58,40 @@ func TestRunUnknownSection(t *testing.T) {
 	}
 }
 
+// TestRunSampleCount: a negative -samples, and -samples 0 with a
+// selected section that trains a detector, are usage errors raised
+// before any work, with nothing on stdout and no report written. The
+// defense matrix trains none and still runs on -samples 0.
+func TestRunSampleCount(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-samples", "0", "-sections", "fig4"},
+		{"-samples", "0", "-sections", "defense,ensemble"},
+		{"-samples", "0"},
+		{"-samples", "-1", "-sections", "table1"},
+	} {
+		out := filepath.Join(dir, "bad.md")
+		var stdout bytes.Buffer
+		if err := run(append([]string{"-o", out}, args...), &stdout); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%v = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v still ran:\n%s", args, stdout.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%v wrote a report", args)
+		}
+	}
+	out := filepath.Join(dir, "defense.md")
+	var stdout bytes.Buffer
+	if err := run([]string{"-o", out, "-samples", "0", "-sections", "defense"}, &stdout); err != nil {
+		t.Fatalf("-samples 0 -sections defense: %v", err)
+	}
+	if md, err := os.ReadFile(out); err != nil || !strings.Contains(string(md), "## Defense matrix") {
+		t.Errorf("-samples 0 -sections defense wrote no defense matrix: %v", err)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &stdout); !errors.Is(err, cli.ErrUsage) {

@@ -44,7 +44,7 @@ func (r *Report) Leaks() []Finding {
 // AnalyzeImage takes the gadget census.
 func Analyze(code []byte, base uint64, cfg Config, roots ...uint64) *Report {
 	var s scratch
-	return s.report(recoverCFG(new(CFG), decodeImage(code), base, roots, &s.walk), cfg)
+	return s.report(recoverCFG(new(CFG), isa.DecodeSlots(code), base, roots, &s.walk), cfg)
 }
 
 // scratch is the static pass's working memory: a scan worker keeps one
@@ -63,15 +63,15 @@ type scratch struct {
 func (s *scratch) report(g *CFG, cfg Config) *Report {
 	s.pass.run(g, g.Roots, cfg.withDefaults())
 	reachable := 0
-	for i := range g.blocks {
-		if g.blocks[i].Reachable {
+	for i := range g.Blocks {
+		if g.Blocks[i].Reachable {
 			reachable++
 		}
 	}
 	return &Report{
 		Base:          g.Base,
 		NumInstrs:     g.NumInstrs(),
-		NumBlocks:     len(g.blocks),
+		NumBlocks:     len(g.Blocks),
 		NumReachable:  reachable,
 		IndirectSites: len(g.IndirectSites),
 		InvalidTgts:   len(g.InvalidTargets),

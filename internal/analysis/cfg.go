@@ -35,10 +35,10 @@ func (b *Block) Terminal() isa.Instruction { return b.Instrs[len(b.Instrs)-1] }
 
 // CFG is the recovered control-flow graph of one code image.
 type CFG struct {
-	Base   uint64
-	Blocks map[uint64]*Block
-	// Order lists block starts in ascending address order.
-	Order []uint64
+	Base uint64
+	// Blocks lists the blocks in ascending address order; BlockAt finds
+	// the one holding a PC.
+	Blocks []Block
 	// Roots are the analysis entry points (image entry, symbols).
 	Roots []uint64
 	// IndirectSites lists the PCs of CALLR/JMPR/RET instructions —
@@ -52,12 +52,10 @@ type CFG struct {
 	// instruction slot (a truncated final instruction).
 	Truncated int
 
-	dec *decodedImage
-	// blocks backs Blocks in address order, so a block's index in it is
-	// its index in Order; blockOf maps each slot to the index of the
-	// block holding it, or -1 for a slot that is not valid code; succs
-	// backs every block's Succs.
-	blocks  []Block
+	dec *isa.Slots
+	// blockOf maps each slot to the index in Blocks of the block holding
+	// it, or -1 for a slot that is not valid code; succs backs every
+	// block's Succs.
 	blockOf []int32
 	succs   []uint64
 }
@@ -65,8 +63,8 @@ type CFG struct {
 // NumInstrs returns the total instruction count across all blocks.
 func (g *CFG) NumInstrs() int {
 	n := 0
-	for i := range g.blocks {
-		n += len(g.blocks[i].Instrs)
+	for i := range g.Blocks {
+		n += len(g.Blocks[i].Instrs)
 	}
 	return n
 }
@@ -77,10 +75,10 @@ func (g *CFG) BlockAt(pc uint64) (*Block, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &g.blocks[k], true
+	return &g.Blocks[k], true
 }
 
-// blockIndex returns the index in g.blocks of the block containing pc.
+// blockIndex returns the index in Blocks of the block containing pc.
 func (g *CFG) blockIndex(pc uint64) (int32, bool) {
 	i, ok := g.slotIndex(pc)
 	if !ok || g.blockOf[i] < 0 {
@@ -92,17 +90,17 @@ func (g *CFG) blockIndex(pc uint64) (int32, bool) {
 // isBlockStart reports whether pc starts a block.
 func (g *CFG) isBlockStart(pc uint64) bool {
 	k, ok := g.blockIndex(pc)
-	return ok && g.blocks[k].Start == pc
+	return ok && g.Blocks[k].Start == pc
 }
 
 // InstrAt returns the instruction at pc when pc is an aligned, valid
 // slot inside the image.
 func (g *CFG) InstrAt(pc uint64) (isa.Instruction, bool) {
 	i, ok := g.slotIndex(pc)
-	if !ok || !g.dec.validSlot(i) {
+	if !ok || !g.dec.Valid(i) {
 		return isa.Instruction{}, false
 	}
-	return g.dec.instrs[i], true
+	return g.dec.Instrs[i], true
 }
 
 func (g *CFG) slotIndex(pc uint64) (int, bool) {
@@ -110,7 +108,7 @@ func (g *CFG) slotIndex(pc uint64) (int, bool) {
 		return 0, false
 	}
 	i := (pc - g.Base) / isa.InstrSize
-	if i >= uint64(len(g.dec.instrs)) {
+	if i >= uint64(len(g.dec.Instrs)) {
 		return 0, false
 	}
 	return int(i), true
@@ -119,38 +117,8 @@ func (g *CFG) slotIndex(pc uint64) (int, bool) {
 // validPC reports whether pc is an aligned slot that decodes canonically.
 func (g *CFG) validPC(pc uint64) bool {
 	i, ok := g.slotIndex(pc)
-	return ok && g.dec.validSlot(i)
+	return ok && g.dec.Valid(i)
 }
-
-// decodedImage is one image's decode, shared read-only by every CFG
-// recovered from it: a scan decodes each image once. instrs holds every
-// whole slot's instruction (the zero Instruction where the slot is not
-// canonical code), so every Block.Instrs can be a view of it rather
-// than a copy, and bit i of valid is set when slot i decodes
-// canonically.
-type decodedImage struct {
-	instrs    []isa.Instruction
-	valid     []uint64
-	truncated int
-}
-
-func decodeImage(code []byte) *decodedImage {
-	n := len(code) / isa.InstrSize
-	d := &decodedImage{
-		instrs:    make([]isa.Instruction, n),
-		valid:     make([]uint64, (n+63)/64),
-		truncated: len(code) - n*isa.InstrSize,
-	}
-	for i := range d.instrs {
-		if in, err := isa.Decode(code[i*isa.InstrSize:]); err == nil {
-			d.instrs[i] = in
-			d.valid[i/64] |= 1 << (i % 64)
-		}
-	}
-	return d
-}
-
-func (d *decodedImage) validSlot(i int) bool { return d.valid[i/64]&(1<<(i%64)) != 0 }
 
 // walk is the reusable working memory of recovery and of the CFG's
 // searches: a scan worker keeps one for all its tasks, so a task
@@ -192,17 +160,19 @@ func resized[T any](s []T, n int) []T {
 // non-canonical byte frame, which the fixed-width ISA rejects by
 // construction.
 func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
-	return recoverCFG(new(CFG), decodeImage(code), base, roots, new(walk))
+	return recoverCFG(new(CFG), isa.DecodeSlots(code), base, roots, new(walk))
 }
 
-// recoverCFG is RecoverCFG over an existing decode, which it only
-// reads, into g, whose storage it reuses (a scan worker re-recovers
-// into one CFG of its own); w is working memory. Block.Instrs are
-// cap-limited views of d.instrs, and Succs views of g.succs, so
-// appending to either copies instead of writing into a neighbour.
-func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *CFG {
-	n := len(d.instrs)
-	g.Base, g.Truncated, g.dec = base, d.truncated, d
+// recoverCFG is RecoverCFG over an existing decode, which it only reads
+// and which every CFG recovered from the image shares (a scan decodes
+// each image once), into g, whose storage it reuses (a scan worker
+// re-recovers into one CFG of its own); w is working memory.
+// Block.Instrs are cap-limited views of d.Instrs, and Succs views of
+// g.succs, so appending to either copies instead of writing into a
+// neighbour.
+func recoverCFG(g *CFG, d *isa.Slots, base uint64, roots []uint64, w *walk) *CFG {
+	n := len(d.Instrs)
+	g.Base, g.Truncated, g.dec = base, d.Truncated, d
 	g.Roots, g.IndirectSites, g.InvalidTargets = g.Roots[:0], g.IndirectSites[:0], g.InvalidTargets[:0]
 
 	// Pass 1: leaders. A slot starts a block if it is a root, a direct
@@ -211,7 +181,7 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 	leader := resized(w.leader, n)
 	w.leader = leader
 	markTarget := func(pc uint64) {
-		if i, ok := g.slotIndex(pc); ok && d.validSlot(i) {
+		if i, ok := g.slotIndex(pc); ok && d.Valid(i) {
 			leader[i] = true
 			return
 		}
@@ -224,13 +194,13 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 		markTarget(r)
 	}
 	for i := 0; i < n; i++ {
-		if !d.validSlot(i) {
+		if !d.Valid(i) {
 			continue
 		}
-		if i == 0 || !d.validSlot(i-1) {
+		if i == 0 || !d.Valid(i-1) {
 			leader[i] = true // region start under the linear sweep
 		}
-		in := d.instrs[i]
+		in := d.Instrs[i]
 		op := in.Op
 		switch {
 		case op == isa.JMP || op == isa.CALL || op.IsCondBranch():
@@ -239,7 +209,7 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 			g.IndirectSites = append(g.IndirectSites, base+uint64(i)*isa.InstrSize)
 		}
 		if op.IsBranch() || op == isa.HALT {
-			if i+1 < n && d.validSlot(i+1) {
+			if i+1 < n && d.Valid(i+1) {
 				leader[i+1] = true
 			}
 		}
@@ -252,18 +222,8 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 	}
 
 	// Pass 2: block formation over each maximal valid run. Leaders are
-	// visited in address order, so Order comes out sorted. blocks is
-	// sized up front: Blocks points into it.
-	if cap(g.blocks) < nb {
-		g.blocks = make([]Block, 0, nb)
-	}
-	g.blocks = g.blocks[:0]
-	if g.Blocks == nil {
-		g.Blocks = make(map[uint64]*Block, nb)
-	} else {
-		clear(g.Blocks)
-	}
-	g.Order = slices.Grow(g.Order[:0], nb)
+	// visited in address order, so Blocks comes out sorted.
+	g.Blocks = slices.Grow(g.Blocks[:0], nb)
 	g.blockOf = slices.Grow(g.blockOf[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		g.blockOf[i] = -1
@@ -274,23 +234,20 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 		}
 		j := i
 		for {
-			op := d.instrs[j].Op
+			op := d.Instrs[j].Op
 			if op.IsBranch() || op == isa.HALT {
 				break
 			}
-			if j+1 >= n || !d.validSlot(j+1) || leader[j+1] {
+			if j+1 >= n || !d.Valid(j+1) || leader[j+1] {
 				break
 			}
 			j++
 		}
-		k := int32(len(g.blocks))
+		k := int32(len(g.Blocks))
 		for s := i; s <= j; s++ {
 			g.blockOf[s] = k
 		}
-		start := base + uint64(i)*isa.InstrSize
-		g.blocks = append(g.blocks, Block{Start: start, Instrs: d.instrs[i : j+1 : j+1]})
-		g.Blocks[start] = &g.blocks[k]
-		g.Order = append(g.Order, start)
+		g.Blocks = append(g.Blocks, Block{Start: base + uint64(i)*isa.InstrSize, Instrs: d.Instrs[i : j+1 : j+1]})
 	}
 
 	// Pass 3: successor edges, at most two per block. succs is sized up
@@ -299,8 +256,8 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 		g.succs = make([]uint64, 0, 2*nb)
 	}
 	succs := g.succs[:0]
-	for k := range g.blocks {
-		b := &g.blocks[k]
+	for k := range g.Blocks {
+		b := &g.Blocks[k]
 		term := b.Terminal()
 		fall := b.End()
 		lo := len(succs)
@@ -334,31 +291,21 @@ func recoverCFG(g *CFG, d *decodedImage, base uint64, roots []uint64, w *walk) *
 	// Pass 4: reachability from the roots: a block is reachable when it
 	// has a depth.
 	for k, depth := range g.blockDepths(g.Roots, w) {
-		g.blocks[k].Reachable = depth >= 0
+		g.Blocks[k].Reachable = depth >= 0
 	}
 	slices.Sort(g.InvalidTargets)
 	g.InvalidTargets = slices.Compact(g.InvalidTargets)
 	return g
 }
 
-// BlockDepths returns the breadth-first depth, in blocks, of every
-// block start from the nearest root, or -1 for blocks no root reaches
-// over direct edges. The exploitability ranking uses it as its
-// reachability axis: a gadget two calls from an entry point is easier
-// to steer execution into than one buried behind indirect flow.
-func (g *CFG) BlockDepths() map[uint64]int {
-	depths := g.blockDepths(g.Roots, new(walk))
-	out := make(map[uint64]int, len(depths))
-	for k, d := range depths {
-		out[g.blocks[k].Start] = int(d)
-	}
-	return out
-}
-
-// blockDepths is BlockDepths from the given roots, by block index, in
-// w's storage: the result is valid until w's next search.
+// blockDepths returns the breadth-first depth, in blocks, of every
+// block from the nearest of roots, by index in Blocks, or -1 for blocks
+// no root reaches over direct edges, in w's storage: the result is
+// valid until w's next search. The exploitability ranking uses it as
+// its reachability axis: a gadget two calls from an entry point is
+// easier to steer execution into than one buried behind indirect flow.
 func (g *CFG) blockDepths(roots []uint64, w *walk) []int32 {
-	depth := slices.Grow(w.depth[:0], len(g.blocks))[:len(g.blocks)]
+	depth := slices.Grow(w.depth[:0], len(g.Blocks))[:len(g.Blocks)]
 	for k := range depth {
 		depth[k] = -1
 	}
@@ -372,7 +319,7 @@ func (g *CFG) blockDepths(roots []uint64, w *walk) []int32 {
 	for d := int32(1); len(frontier) > 0; d++ {
 		next = next[:0]
 		for _, k := range frontier {
-			for _, s := range g.blocks[k].Succs {
+			for _, s := range g.Blocks[k].Succs {
 				if sk, _ := g.blockIndex(s); depth[sk] == -1 {
 					depth[sk] = d
 					next = append(next, sk)
@@ -393,7 +340,7 @@ func (g *CFG) succPCs(pc uint64, one *[1]uint64) []uint64 {
 	if !ok {
 		return nil
 	}
-	b := &g.blocks[k]
+	b := &g.Blocks[k]
 	if next := pc + isa.InstrSize; next < b.End() {
 		one[0] = next
 		return one[:]
@@ -449,8 +396,8 @@ func (g *CFG) path(dst []uint64, from, to uint64, limit int, w *walk) []uint64 {
 // address range, reachability and successors.
 func (g *CFG) Dump() string {
 	var b strings.Builder
-	for _, start := range g.Order {
-		blk := g.Blocks[start]
+	for i := range g.Blocks {
+		blk := &g.Blocks[i]
 		mark := " "
 		if blk.Reachable {
 			mark = "*"

@@ -22,6 +22,14 @@ func enc(t *testing.T, ins ...isa.Instruction) []byte {
 
 func at(i int) uint64 { return base + uint64(i)*isa.InstrSize }
 
+// startingAt returns the block of g that starts at pc, or nil.
+func startingAt(g *CFG, pc uint64) *Block {
+	if b, ok := g.BlockAt(pc); ok && b.Start == pc {
+		return b
+	}
+	return nil
+}
+
 func TestRecoverCFGStraightLine(t *testing.T) {
 	g := RecoverCFG(enc(t,
 		isa.Instruction{Op: isa.MOVI, Rd: 1, Imm: 4},
@@ -31,7 +39,7 @@ func TestRecoverCFGStraightLine(t *testing.T) {
 	if len(g.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1:\n%s", len(g.Blocks), g.Dump())
 	}
-	b := g.Blocks[base]
+	b := startingAt(g, base)
 	if b == nil || len(b.Instrs) != 3 || len(b.Succs) != 0 || !b.Reachable {
 		t.Fatalf("bad block: %+v", b)
 	}
@@ -62,7 +70,7 @@ func TestRecoverCFGDiamond(t *testing.T) {
 		t.Fatalf("blocks = %d, want %d:\n%s", len(g.Blocks), len(want), g.Dump())
 	}
 	for start, succs := range want {
-		b := g.Blocks[start]
+		b := startingAt(g, start)
 		if b == nil {
 			t.Fatalf("missing block at %#x:\n%s", start, g.Dump())
 		}
@@ -95,15 +103,15 @@ func TestRecoverCFGCallAndIndirect(t *testing.T) {
 		isa.Instruction{Op: isa.HALT},
 		isa.Instruction{Op: isa.RET},
 	), base, base)
-	b0 := g.Blocks[at(0)]
+	b0 := startingAt(g, at(0))
 	if b0 == nil || len(b0.Succs) != 2 {
 		t.Fatalf("call block succs: %+v", b0)
 	}
-	b1 := g.Blocks[at(1)]
+	b1 := startingAt(g, at(1))
 	if b1 == nil || !b1.Indirect || len(b1.Succs) != 0 {
 		t.Fatalf("callr block not marked indirect: %+v", b1)
 	}
-	b3 := g.Blocks[at(3)]
+	b3 := startingAt(g, at(3))
 	if b3 == nil || !b3.Indirect || !b3.Reachable {
 		t.Fatalf("ret block: %+v", b3)
 	}
@@ -139,7 +147,7 @@ func TestRecoverCFGInvalidTargets(t *testing.T) {
 			t.Errorf("missing invalid target %#x in %x", want, g.InvalidTargets)
 		}
 	}
-	if _, ok := g.Blocks[at(3)]; ok {
+	if _, ok := g.BlockAt(at(3)); ok {
 		t.Error("junk slot formed a block")
 	}
 }
@@ -152,14 +160,14 @@ func TestRecoverCFGLinearSweep(t *testing.T) {
 		isa.Instruction{Op: isa.POP, Rd: 3}, // dead: never jumped to
 		isa.Instruction{Op: isa.RET},
 	), base, base)
-	dead := g.Blocks[at(1)]
+	dead := startingAt(g, at(1))
 	if dead == nil {
 		t.Fatalf("linear sweep missed the dead region:\n%s", g.Dump())
 	}
 	if dead.Reachable {
 		t.Error("dead region marked reachable")
 	}
-	if !g.Blocks[at(0)].Reachable {
+	if !startingAt(g, at(0)).Reachable {
 		t.Error("entry block not reachable")
 	}
 }

@@ -240,36 +240,36 @@ func TestDedupeRanked(t *testing.T) {
 // the linear sweep keeps are -1.
 func TestBlockDepths(t *testing.T) {
 	p, meta := progen.GenerateGadget(7, progen.GadgetLeak)
-	rep := AnalyzeGadget(p, meta)
-	depths := rep.CFG.BlockDepths()
-	for _, r := range rep.CFG.Roots {
-		rb, ok := rep.CFG.BlockAt(r)
+	g := AnalyzeGadget(p, meta).CFG
+	depths := g.blockDepths(g.Roots, new(walk))
+	for _, r := range g.Roots {
+		k, ok := g.blockIndex(r)
 		if !ok {
 			t.Fatalf("root %#x has no block", r)
 		}
-		if depths[rb.Start] != 0 {
-			t.Errorf("root block %#x depth = %d", rb.Start, depths[rb.Start])
+		if depths[k] != 0 {
+			t.Errorf("root block %#x depth = %d", g.Blocks[k].Start, depths[k])
 		}
 	}
-	for start, d := range depths {
-		b := rep.CFG.Blocks[start]
+	for k, d := range depths {
+		b := &g.Blocks[k]
 		if (d >= 0) != b.Reachable {
-			t.Errorf("block %#x: depth %d vs reachable %v", start, d, b.Reachable)
+			t.Errorf("block %#x: depth %d vs reachable %v", b.Start, d, b.Reachable)
 		}
 		if d > 0 {
 			ok := false
-			for s2, d2 := range depths {
+			for k2, d2 := range depths {
 				if d2 != d-1 {
 					continue
 				}
-				for _, succ := range rep.CFG.Blocks[s2].Succs {
-					if succ == start {
+				for _, succ := range g.Blocks[k2].Succs {
+					if succ == b.Start {
 						ok = true
 					}
 				}
 			}
 			if !ok {
-				t.Errorf("block %#x at depth %d has no predecessor at depth %d", start, d, d-1)
+				t.Errorf("block %#x at depth %d has no predecessor at depth %d", b.Start, d, d-1)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -13,7 +12,8 @@ import (
 // the input, recovery must not panic, and the structural invariants
 // must hold: every block instruction round-trips through isa.Encode to
 // the exact image bytes (the linear sweep only admits canonical slots),
-// blocks are disjoint and ordered, successors land on block starts, the
+// blocks are disjoint and in address order, successors land on block
+// starts, the
 // taint pass runs to completion on the recovered graph, a CFG
 // recovered from a shared decode equals RecoverCFG's, and a scan task
 // on the image's shared CFG ranks what Analyze ranks.
@@ -34,10 +34,11 @@ func FuzzCFGRecovery(f *testing.F) {
 		g := RecoverCFG(code, fuzzBase, fuzzBase)
 
 		var prevEnd uint64
-		for i, start := range g.Order {
-			b := g.Blocks[start]
-			if b == nil || b.Start != start {
-				t.Fatalf("order entry %d (%#x) does not match its block", i, start)
+		for i := range g.Blocks {
+			b := &g.Blocks[i]
+			start := b.Start
+			if startingAt(g, start) != b {
+				t.Fatalf("block %d (%#x) is not the block BlockAt finds there", i, start)
 			}
 			if i > 0 && start < prevEnd {
 				t.Fatalf("block %#x overlaps the previous block ending at %#x", start, prevEnd)
@@ -59,7 +60,7 @@ func FuzzCFGRecovery(f *testing.F) {
 				}
 			}
 			for _, s := range b.Succs {
-				if sb := g.Blocks[s]; sb == nil || sb.Start != s {
+				if startingAt(g, s) == nil {
 					t.Fatalf("block %#x successor %#x is not a block start", start, s)
 				}
 			}
@@ -74,10 +75,10 @@ func FuzzCFGRecovery(f *testing.F) {
 				t.Fatalf("finding at %#x points outside the decoded image", fd.AccessPC)
 			}
 		}
-		d := decodeImage(code)
+		d := isa.DecodeSlots(code)
 		checkSameCFG(t, recoverCFG(new(CFG), d, fuzzBase, []uint64{fuzzBase}, new(walk)), g)
-		for _, start := range g.Order {
-			checkSameCFG(t, recoverCFG(new(CFG), d, fuzzBase, []uint64{start}, new(walk)), RecoverCFG(code, fuzzBase, start))
+		for _, b := range g.Blocks {
+			checkSameCFG(t, recoverCFG(new(CFG), d, fuzzBase, []uint64{b.Start}, new(walk)), RecoverCFG(code, fuzzBase, b.Start))
 		}
 
 		// A scan task from every block start of the shared, rootless CFG
@@ -87,10 +88,13 @@ func FuzzCFGRecovery(f *testing.F) {
 		// blocks of the CFG from all those roots.
 		var s scratch
 		shared := recoverCFG(new(CFG), d, fuzzBase, nil, &s.walk)
-		roots := slices.Clone(shared.Order)
-		for _, start := range shared.Order {
-			if b := shared.Blocks[start]; len(b.Instrs) > 1 {
-				roots = append(roots, start+isa.InstrSize)
+		var roots []uint64
+		for _, b := range shared.Blocks {
+			roots = append(roots, b.Start)
+		}
+		for _, b := range shared.Blocks {
+			if len(b.Instrs) > 1 {
+				roots = append(roots, b.Start+isa.InstrSize)
 				break
 			}
 		}

@@ -99,7 +99,7 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 		t := tasks[i]
 		im := images[t.img]
 		cfgOnce[t.img].Do(func() {
-			cfgs[t.img] = recoverCFG(new(CFG), decodeImage(im.Img.Code), im.Img.Base, nil, &s.walk)
+			cfgs[t.img] = recoverCFG(new(CFG), isa.DecodeSlots(im.Img.Code), im.Img.Base, nil, &s.walk)
 		})
 		return s.scanRoot(im.Name, cfgs[t.img], im.Cfg, t.root), nil
 	})
@@ -151,7 +151,7 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 		// its CFG. The summary is that of the CFG from every root: each
 		// valid root that does not start a block of it splits one.
 		g := cfgs[i]
-		blocks := len(g.blocks)
+		blocks := len(g.Blocks)
 		for _, r := range roots[i] {
 			if g.validPC(r) && !g.isBlockStart(r) {
 				blocks++

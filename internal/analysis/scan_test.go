@@ -91,21 +91,18 @@ func linkHost(tb testing.TB, name string) *isa.Image {
 // the next block.
 func checkSameCFG(tb testing.TB, got, want *CFG) {
 	tb.Helper()
-	if !reflect.DeepEqual(got.Order, want.Order) {
-		tb.Fatalf("Order: got %x, want %x", got.Order, want.Order)
-	}
-	for _, start := range want.Order {
-		gb, wb := got.Blocks[start], want.Blocks[start]
-		if gb == nil || gb.Start != wb.Start || !reflect.DeepEqual(gb.Instrs, wb.Instrs) ||
-			!reflect.DeepEqual(gb.Succs, wb.Succs) || gb.Indirect != wb.Indirect || gb.Reachable != wb.Reachable {
-			tb.Fatalf("block %#x: got %+v, want %+v", start, gb, wb)
-		}
-		if cap(gb.Instrs) != len(gb.Instrs) {
-			tb.Fatalf("block %#x: Instrs has cap %d > len %d", start, cap(gb.Instrs), len(gb.Instrs))
-		}
-	}
 	if len(got.Blocks) != len(want.Blocks) {
 		tb.Fatalf("got %d blocks, want %d", len(got.Blocks), len(want.Blocks))
+	}
+	for i := range want.Blocks {
+		gb, wb := &got.Blocks[i], &want.Blocks[i]
+		if gb.Start != wb.Start || !reflect.DeepEqual(gb.Instrs, wb.Instrs) ||
+			!reflect.DeepEqual(gb.Succs, wb.Succs) || gb.Indirect != wb.Indirect || gb.Reachable != wb.Reachable {
+			tb.Fatalf("block %d: got %+v, want %+v", i, gb, wb)
+		}
+		if cap(gb.Instrs) != len(gb.Instrs) {
+			tb.Fatalf("block %#x: Instrs has cap %d > len %d", gb.Start, cap(gb.Instrs), len(gb.Instrs))
+		}
 	}
 	if !reflect.DeepEqual(got.Roots, want.Roots) || !reflect.DeepEqual(got.IndirectSites, want.IndirectSites) ||
 		!reflect.DeepEqual(got.InvalidTargets, want.InvalidTargets) || got.Truncated != want.Truncated {
@@ -123,7 +120,7 @@ func checkSameCFG(tb testing.TB, got, want *CFG) {
 // shared decode would show up.
 func TestSharedDecodeCFGMatchesRecoverCFG(t *testing.T) {
 	for _, im := range scanTestCorpus(t, nil, 48) {
-		d := decodeImage(im.Img.Code)
+		d := isa.DecodeSlots(im.Img.Code)
 		roots := imageRoots(im.Img)
 		shared := make([]*CFG, len(roots))
 		for i, r := range roots {
@@ -150,7 +147,7 @@ func scanTasks(tb testing.TB, images []ScanImage, w *walk, midBlock bool) [][]sc
 	tb.Helper()
 	out := make([][]scanTask, len(images))
 	for i, im := range images {
-		g := recoverCFG(new(CFG), decodeImage(im.Img.Code), im.Img.Base, nil, w)
+		g := recoverCFG(new(CFG), isa.DecodeSlots(im.Img.Code), im.Img.Base, nil, w)
 		roots := imageRoots(im.Img)
 		if midBlock && strings.HasPrefix(im.Name, "host/") {
 			roots = append(roots, midBlockPC(tb, g))
@@ -170,8 +167,8 @@ func scanTasks(tb testing.TB, images []ScanImage, w *walk, midBlock bool) [][]sc
 func midBlockPC(tb testing.TB, g *CFG) uint64 {
 	tb.Helper()
 	var longest *Block
-	for _, start := range g.Order {
-		b := g.Blocks[start]
+	for i := range g.Blocks {
+		b := &g.Blocks[i]
 		if b.Terminal().Op.IsCondBranch() {
 			for i, in := range b.Instrs[:len(b.Instrs)-1] {
 				if in.Op == isa.LOAD || in.Op == isa.LOADB {
@@ -234,7 +231,7 @@ func TestScanTaskMatchesAnalyze(t *testing.T) {
 	}
 	for _, ts := range tasks {
 		im := ts[0].im
-		checkSameCFG(t, ts[0].g, recoverCFG(new(CFG), decodeImage(im.Img.Code), im.Img.Base, nil, new(walk)))
+		checkSameCFG(t, ts[0].g, recoverCFG(new(CFG), isa.DecodeSlots(im.Img.Code), im.Img.Base, nil, new(walk)))
 	}
 
 	rep, err := ScanCorpus(context.Background(), PolicyUninitSecret, images, 2)
@@ -327,7 +324,7 @@ func TestScanCorpusAllocs(t *testing.T) {
 func BenchmarkTaintRoot(b *testing.B) {
 	img := linkHost(b, "sha_1")
 	var s scratch
-	g := recoverCFG(new(CFG), decodeImage(img.Code), img.Base, nil, &s.walk)
+	g := recoverCFG(new(CFG), isa.DecodeSlots(img.Code), img.Base, nil, &s.walk)
 	if !g.isBlockStart(img.Entry) {
 		b.Fatalf("entry %#x does not start a block of the shared CFG", img.Entry)
 	}

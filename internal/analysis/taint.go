@@ -251,28 +251,30 @@ type sitePair [2]uint64
 type taintPass struct {
 	g   *CFG
 	cfg Config
-	// in is each block's joined entry state, by index in g.blocks; a
+	// in is each block's joined entry state, by index in g.Blocks; a
 	// block no run has reached holds a state that is not live.
 	in   []regState
 	work []int32
-	// accesses: (guard PC, access PC) pairs observed in-window, mapped
-	// to the union of address-taint bits seen across paths — taintA set
-	// means at least one path reaches the load with an attacker-steered
-	// index (the Finding.AttackerIndex ranking axis).
-	accesses map[sitePair]uint8
-	// ssbAccesses: (store PC, access PC) pairs observed inside a
-	// store-bypass window — the v4 counterpart of accesses.
-	ssbAccesses map[sitePair]uint8
+	// The sites below are recorded once per observation, in the
+	// worklist's order, and findings merges the repeats. They are not
+	// maps: a map would hand the merge's sort a different permutation
+	// on every run, and with it different coverage to a fuzzer.
+	//
+	// accesses: in-window loads, as (guard PC, access PC) or, with kind
+	// FindingKindV4, the (store PC, access PC) of a store-bypass window,
+	// each with the address-taint bits its path saw — taintA set on any
+	// observation means some path reaches the load with an
+	// attacker-steered index (the Finding.AttackerIndex ranking axis).
+	accesses []accessKey
 	// transmits: (access PC, transmit PC) pairs observed in-window.
-	transmits map[sitePair]bool
+	transmits []sitePair
 	// indirects: CALLR/JMPR sites whose target may be in flight when
-	// the branch predicts — the Spectre-v2 injection surface — mapped
-	// to the union of the target register's taint bits.
-	indirects map[uint64]uint8
+	// the branch predicts — the Spectre-v2 injection surface — as
+	// FindingKindV2 keys whose guard and access are the site, with the
+	// target register's taint bits.
+	indirects []accessKey
 
-	// Working memory of findings and transmitIgnoringFences.
-	keys  []accessKey
-	pcs   []uint64
+	// Working memory of transmitIgnoringFences.
 	seen  map[fenceNode]bool
 	nodes []fenceNode
 }
@@ -284,17 +286,8 @@ const visitBudget = 1 << 16
 // run is the pass over g from roots, which must start blocks of g.
 func (p *taintPass) run(g *CFG, roots []uint64, cfg Config) {
 	p.g, p.cfg = g, cfg
-	p.in = resized(p.in, len(g.blocks))
-	if p.accesses == nil {
-		p.accesses = map[sitePair]uint8{}
-		p.ssbAccesses = map[sitePair]uint8{}
-		p.transmits = map[sitePair]bool{}
-		p.indirects = map[uint64]uint8{}
-	}
-	clear(p.accesses)
-	clear(p.ssbAccesses)
-	clear(p.transmits)
-	clear(p.indirects)
+	p.in = resized(p.in, len(g.Blocks))
+	p.accesses, p.transmits, p.indirects = p.accesses[:0], p.transmits[:0], p.indirects[:0]
 	entry := regState{live: true}
 	for _, r := range cfg.TaintedRegs {
 		if int(r) < isa.NumRegs {
@@ -312,7 +305,7 @@ func (p *taintPass) run(g *CFG, roots []uint64, cfg Config) {
 		visits++
 		k := work[len(work)-1]
 		work = work[:len(work)-1]
-		b := &g.blocks[k]
+		b := &g.Blocks[k]
 		out := p.flowBlock(b, p.in[k])
 		// Propagate in the block's successor order: the access/guard
 		// pairs recorded during pre-fixpoint visits depend on the visit
@@ -451,15 +444,15 @@ func (p *taintPass) step(s *regState, pc uint64, in isa.Instruction) {
 	case op == isa.LOAD || op == isa.LOADB:
 		at := s.taint[in.Rs1]
 		if spec && at&taintS != 0 {
-			p.transmits[sitePair{s.site[in.Rs1], pc}] = true
+			p.transmits = append(p.transmits, sitePair{s.site[in.Rs1], pc})
 		}
 		if s.win > 0 && (at&taintA != 0 || p.cfg.UninitSecret) {
-			p.accesses[sitePair{s.guard, pc}] |= at
+			p.accesses = append(p.accesses, accessKey{s.guard, pc, "", at})
 		}
 		if s.ssbWin > 0 && at&taintA != 0 {
 			// Inside a store-bypass window, an attacker-addressed load
 			// may transiently read the stale byte under the slot.
-			p.ssbAccesses[sitePair{s.ssbStore, pc}] |= at
+			p.accesses = append(p.accesses, accessKey{s.ssbStore, pc, FindingKindV4, at})
 		}
 		if spec && (at != 0 || p.cfg.UninitSecret) {
 			// The loaded value is a transient secret; keep provenance
@@ -501,7 +494,7 @@ func (p *taintPass) step(s *regState, pc uint64, in isa.Instruction) {
 		if s.isInflight(in.Rs1) {
 			// The branch may predict before its target resolves — the
 			// BTB picks the transient continuation (Spectre-v2).
-			p.indirects[pc] |= s.taint[in.Rs1]
+			p.indirects = append(p.indirects, accessKey{pc, pc, FindingKindV2, s.taint[in.Rs1]})
 		}
 
 	case op == isa.CMP:
@@ -545,45 +538,46 @@ type accessKey struct {
 	taint         uint8
 }
 
+// mergeSites sorts keys by (guard, access, kind) and merges, in place,
+// the keys that repeat a site, joining their taint bits.
+func mergeSites(keys []accessKey) []accessKey {
+	slices.SortFunc(keys, func(a, b accessKey) int {
+		return cmp.Or(cmp.Compare(a.guard, b.guard), cmp.Compare(a.access, b.access), strings.Compare(a.kind, b.kind))
+	})
+	n := 0
+	for _, k := range keys {
+		if n > 0 && keys[n-1].guard == k.guard && keys[n-1].access == k.access && keys[n-1].kind == k.kind {
+			keys[n-1].taint |= k.taint
+			continue
+		}
+		keys[n] = k
+		n++
+	}
+	return keys[:n]
+}
+
 // findings assembles classified findings from the collected site pairs,
 // in the canonical order (AccessPC, Kind, GuardPC, TransmitPC) shared
 // with the findings report layer so scans are worker-invariant. It
 // reuses buf's storage for the result, and w for the witness searches;
 // only the witnesses are newly allocated.
 func (p *taintPass) findings(buf []Finding, w *walk) []Finding {
-	keys := p.keys[:0]
-	for k, at := range p.accesses {
-		keys = append(keys, accessKey{k[0], k[1], "", at})
-	}
-	for k, at := range p.ssbAccesses {
-		keys = append(keys, accessKey{k[0], k[1], FindingKindV4, at})
-	}
-	slices.SortFunc(keys, func(a, b accessKey) int {
-		if c := cmp.Compare(a.guard, b.guard); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.access, b.access); c != 0 {
-			return c
-		}
-		return strings.Compare(a.kind, b.kind)
+	slices.SortFunc(p.transmits, func(a, b sitePair) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	p.keys = keys
+	txs := slices.Compact(p.transmits)
 	out := buf[:0]
-	for _, k := range keys {
+	for _, k := range mergeSites(p.accesses) {
 		atk := k.taint&taintA != 0
-		txs := p.pcs[:0]
-		for t := range p.transmits {
-			if t[0] == k.access {
-				txs = append(txs, t[1])
-			}
-		}
-		slices.Sort(txs)
-		p.pcs = txs
-		if len(txs) > 0 {
-			for _, tx := range txs {
+		// txs is sorted, so the access's transmits are one run of it.
+		i, _ := slices.BinarySearchFunc(txs, k.access, func(t sitePair, access uint64) int {
+			return cmp.Compare(t[0], access)
+		})
+		if i < len(txs) && txs[i][0] == k.access {
+			for ; i < len(txs) && txs[i][0] == k.access; i++ {
 				out = append(out, Finding{
-					Kind: k.kind, GuardPC: k.guard, AccessPC: k.access, TransmitPC: tx, Verdict: VerdictLeak,
-					AttackerIndex: atk, Witness: p.witness(k.guard, k.access, tx, w),
+					Kind: k.kind, GuardPC: k.guard, AccessPC: k.access, TransmitPC: txs[i][1], Verdict: VerdictLeak,
+					AttackerIndex: atk, Witness: p.witness(k.guard, k.access, txs[i][1], w),
 				})
 			}
 			continue
@@ -598,16 +592,10 @@ func (p *taintPass) findings(buf []Finding, w *walk) []Finding {
 	// in its own right: the leak body lives wherever the attacker
 	// trains the BTB to point, so the site is reported as a leak with
 	// no separate access/transmit.
-	ipcs := p.pcs[:0]
-	for pc := range p.indirects {
-		ipcs = append(ipcs, pc)
-	}
-	slices.Sort(ipcs)
-	p.pcs = ipcs
-	for _, pc := range ipcs {
+	for _, k := range mergeSites(p.indirects) {
 		out = append(out, Finding{
-			Kind: FindingKindV2, GuardPC: pc, AccessPC: pc, Verdict: VerdictLeak,
-			AttackerIndex: p.indirects[pc]&taintA != 0,
+			Kind: k.kind, GuardPC: k.guard, AccessPC: k.access, Verdict: VerdictLeak,
+			AttackerIndex: k.taint&taintA != 0,
 		})
 	}
 	SortFindings(out)

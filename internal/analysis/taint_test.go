@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -220,5 +221,26 @@ func TestTaintLoopTerminates(t *testing.T) {
 	rep := analyzeTainted(enc(t, ins...))
 	if len(rep.Leaks()) == 0 {
 		t.Fatalf("looped gadget missed: %+v", rep.Findings)
+	}
+}
+
+// TestMergeSites: the observations of one (guard, access, kind) site
+// merge into one key whose taint joins all of theirs, whatever order
+// the worklist recorded them in, and the keys come out sorted.
+func TestMergeSites(t *testing.T) {
+	keys := []accessKey{
+		{guard: 2, access: 9, taint: taintS},
+		{guard: 1, access: 9, kind: FindingKindV4},
+		{guard: 2, access: 9, taint: taintA},
+		{guard: 1, access: 9},
+		{guard: 2, access: 9},
+	}
+	want := []accessKey{
+		{guard: 1, access: 9},
+		{guard: 1, access: 9, kind: FindingKindV4},
+		{guard: 2, access: 9, taint: taintA | taintS},
+	}
+	if got := mergeSites(keys); !slices.Equal(got, want) {
+		t.Fatalf("mergeSites = %+v, want %+v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -429,33 +430,179 @@ func TestBlockBudgetExactness(t *testing.T) {
 }
 
 // TestBlockExitLabels pins the BlockInfo exit labels the simdbg -blocks
-// dump prints: an exit's mnemonic, "fallthrough" for a body that ends
-// before a barrier, and "uncompilable" for the barrier's negative entry.
+// dump prints: every exit by its mnemonic, the serializing LFENCE, MFENCE
+// and SYSCALL included, and "fallthrough" for a full body that ends
+// without one. Every entry is a real block: no PC is left to a
+// placeholder.
 func TestBlockExitLabels(t *testing.T) {
 	c, _ := load(t, `
 		movi r1, 3
 	loop:
 		subi r1, r1, 1
 		lfence
+		mfence
 		cmpi r1, 0
 		jne loop
 		call f
+	`+strings.Repeat("nop\n", maxBlockOps)+`
+		syscall
 		halt
 	f:
 		ret
 	`, DefaultConfig())
+	c.OnSyscall = func(*CPU) error { return nil }
 	mustRun(t, c, 1000)
 	seen := map[string]bool{}
 	for _, b := range c.Blocks() {
 		seen[b.Exit] = true
-		if (b.Exit == "uncompilable") != (b.Instrs == 0) {
+		if b.Instrs < 1 {
 			t.Errorf("block %#x: exit %q with %d instrs", b.StartPC, b.Exit, b.Instrs)
 		}
+		if b.Exit == "fallthrough" && b.Instrs != maxBlockOps {
+			t.Errorf("block %#x falls through after %d instrs, want a full %d", b.StartPC, b.Instrs, maxBlockOps)
+		}
 	}
-	for _, exit := range []string{"fallthrough", "uncompilable", "jne", "call", "ret", "halt"} {
+	for _, exit := range []string{"fallthrough", "lfence", "mfence", "syscall", "jne", "call", "ret", "halt"} {
 		if !seen[exit] {
 			t.Errorf("no block labelled %q: %+v", exit, c.Blocks())
 		}
+	}
+	if len(seen) != 8 {
+		t.Errorf("exit labels %v, want exactly the eight above", seen)
+	}
+}
+
+// TestBlockSerializingExits: a hot loop of CLFLUSH, LFENCE, MFENCE and
+// SYSCALL runs its fences and SYSCALL as block exits, and the block tier
+// ends in the single-step tier's exact state. The handler counts its
+// calls and sums the retire count it sees, which holds both tiers to
+// one view of the core from inside a SYSCALL.
+func TestBlockSerializingExits(t *testing.T) {
+	const src = `
+		movi r1, 200
+		movi r2, buf
+	loop:
+		clflush [r2]
+		load r3, [r2]
+		lfence
+		addi r4, r4, 1
+		mfence
+		movi r0, 1
+		syscall
+		subi r1, r1, 1
+		cmpi r1, 0
+		jne loop
+		halt
+	.data
+	buf: .word 7
+	`
+	type result struct {
+		c             *CPU
+		calls, instrs uint64
+	}
+	run := func(noBlocks bool) result {
+		cfg := DefaultConfig()
+		cfg.NoBlocks = noBlocks
+		c, _ := load(t, src, cfg)
+		var r result
+		c.OnSyscall = func(c *CPU) error {
+			r.calls++
+			r.instrs += c.Instret()
+			c.Regs[5] += c.Regs[0]
+			return nil
+		}
+		mustRun(t, c, 100_000)
+		r.c = c
+		return r
+	}
+	b, s := run(false), run(true)
+	if b.calls != 200 || s.calls != 200 {
+		t.Fatalf("handler ran %d (blocks) and %d (single-step) times, want 200", b.calls, s.calls)
+	}
+	if b.instrs != s.instrs {
+		t.Errorf("handler saw %d retirements in sum on blocks, %d on single-step", b.instrs, s.instrs)
+	}
+	if b.c.Snapshot() != s.c.Snapshot() || b.c.Instret() != s.c.Instret() || b.c.PC != s.c.PC || b.c.Regs != s.c.Regs {
+		t.Fatalf("tiers diverge:\nblocks:      %+v pc=%#x regs=%v\nsingle-step: %+v pc=%#x regs=%v",
+			b.c.Snapshot(), b.c.PC, b.c.Regs, s.c.Snapshot(), s.c.PC, s.c.Regs)
+	}
+	exits := map[string]bool{}
+	for _, blk := range b.c.Blocks() {
+		if blk.Hits > 0 {
+			exits[blk.Exit] = true
+		}
+	}
+	for _, exit := range []string{"lfence", "mfence", "syscall"} {
+		if !exits[exit] {
+			t.Errorf("no hot block exits through %s: %+v", exit, b.c.Blocks())
+		}
+	}
+}
+
+// TestBlockSerializingFaults: a serializing exit that fails does not
+// retire, and both tiers report it alike. A privileged MFENCE faults on
+// itself; a SYSCALL faults past itself, where serialize hands the core
+// to its handler, whether the handler fails or there is none.
+func TestBlockSerializingFaults(t *testing.T) {
+	const fence = `
+		movi r1, 1
+		addi r1, r1, 1
+	at:
+		mfence
+		halt
+	`
+	const syscall = `
+		movi r0, 9
+		addi r1, r1, 1
+		syscall
+	at:
+		halt
+	`
+	errHandler := errors.New("handler failed")
+	for _, tc := range []struct {
+		name    string
+		src     string
+		edit    func(*Config)
+		handler SyscallFn
+	}{
+		{"mfence-privileged", fence, func(c *Config) { c.PrivilegedFlush = true }, nil},
+		{"syscall-handler-error", syscall, nil, func(*CPU) error { return errHandler }},
+		{"syscall-no-handler", syscall, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type result struct {
+				f            Fault
+				instret, cyc uint64
+			}
+			run := func(noBlocks bool) (result, uint64) {
+				cfg := DefaultConfig()
+				cfg.NoBlocks = noBlocks
+				if tc.edit != nil {
+					tc.edit(&cfg)
+				}
+				c, img := load(t, tc.src, cfg)
+				c.OnSyscall = tc.handler
+				err := c.Run(1000)
+				var f *Fault
+				if !errors.As(err, &f) {
+					t.Fatalf("noblocks=%v: got %v, want a fault", noBlocks, err)
+				}
+				at, _ := img.Symbol("at")
+				return result{*f, c.Instret(), c.Cycle}, at
+			}
+			b, at := run(false)
+			s, _ := run(true)
+			if b.f.PC != at || s.f.PC != at {
+				t.Errorf("fault PC %#x (blocks), %#x (single-step), want %#x", b.f.PC, s.f.PC, at)
+			}
+			if b.instret != 2 || s.instret != 2 {
+				t.Errorf("retired %d (blocks), %d (single-step), want the 2 before the fault", b.instret, s.instret)
+			}
+			if b.cyc != s.cyc || b.f.Err.Error() != s.f.Err.Error() {
+				t.Errorf("tiers fault differently: blocks cycle %d %v, single-step cycle %d %v",
+					b.cyc, b.f.Err, s.cyc, s.f.Err)
+			}
+		})
 	}
 }
 

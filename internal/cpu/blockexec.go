@@ -1,9 +1,10 @@
 // Superblock execution (see blockcache.go for the cache and compile
 // side). runBlocks is Run's fast tier: it retires whole compiled blocks
 // per dispatch, paying the fetch/decode and budget checks once per block.
-// A block — its body and its exit — goes through the same retire kernel
-// (exec.go) that Step runs on a single instruction, so the tiers share
-// one definition of every opcode's semantics and timing. What is
+// A block — its body and its exit (a branch, HALT, or a serializing
+// fence or SYSCALL) — goes through the same retire kernel (exec.go) that
+// Step runs on a single instruction, so the tiers share one definition
+// of every opcode's semantics and timing. What is
 // specific to this tier is the glue around the kernel: the lazy PC/Cycle
 // sync across a whole body, successor chaining, mid-block
 // self-modification and the cycle horizon (which can stop the core
@@ -17,9 +18,10 @@ package cpu
 import "repro/internal/isa"
 
 // runBlocks executes until HALT or maxInstr retired instructions, like
-// the single-step loop in Run, through the block cache. Instructions a
-// block cannot hold (fences, SYSCALL, undecodable or unaligned regions)
-// and blocks larger than the remaining budget retire via step.
+// the single-step loop in Run, through the block cache. A PC no block
+// can start at (unaligned, or an instruction that does not fetch and
+// decode, which faults) and a block larger than the remaining budget
+// retire via step.
 func (c *CPU) runBlocks(maxInstr uint64) error {
 	var (
 		executed uint64
@@ -44,12 +46,12 @@ func (c *CPU) runBlocks(maxInstr uint64) error {
 		}
 		if b == nil {
 			b = c.lookupBlock(pc)
-			if b != nil && b.nretire > 0 && prev != nil {
+			if b != nil && prev != nil {
 				prev.succ[succIdx] = b
 			}
 		}
 		prev = nil
-		if b == nil || b.nretire == 0 || uint64(b.nretire) > maxInstr-executed {
+		if b == nil || uint64(b.nretire) > maxInstr-executed {
 			if err := c.step(); err != nil {
 				return err
 			}

@@ -20,10 +20,9 @@ var errPrivileged = errors.New("cpu: privileged instruction in user mode")
 
 // Step retires exactly one architectural instruction (which may trigger a
 // wrong-path speculation episode internally). It runs the same retire
-// kernel as a compiled block — a straight-line instruction as a
-// one-instruction body, a control-flow instruction as a bare exit — and
-// retires only the speculation barriers (MFENCE/LFENCE/SYSCALL), which no
-// block holds, by itself. OnRetire observers run here, which is why Run
+// kernel as a compiled block: a block exit (a control transfer, HALT or
+// a serializing MFENCE/LFENCE/SYSCALL) as a bare exit, anything else as
+// a one-instruction body. OnRetire observers run here, which is why Run
 // single-steps whenever one is attached.
 func (c *CPU) Step() error {
 	err := c.step()
@@ -49,21 +48,9 @@ func (c *CPU) step() error {
 	}
 	pc := c.PC
 	var err error
-	switch cls := opTab[one[0].Op].class; {
-	case cls.terminates():
+	if opTab[one[0].Op].class.terminates() {
 		_, err = c.retire(nil, &one[0], nil)
-	case cls.barrier():
-		if err = c.serialize(one[0]); err != nil {
-			return &Fault{PC: c.PC, Err: err}
-		}
-		c.instret++
-		if c.noiseNext != 0 {
-			c.interfere()
-		}
-		if c.tel != nil && c.telRetire {
-			c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(one[0].Op))
-		}
-	default:
+	} else {
 		_, err = c.retire(one[:], nil, nil)
 	}
 	if err == nil && c.OnRetire != nil {
@@ -72,9 +59,11 @@ func (c *CPU) step() error {
 	return err
 }
 
-// serialize executes a speculation barrier: the fences drain every
+// serialize executes a serializing exit: the fences drain every
 // in-flight result, and SYSCALL additionally hands the core to its
-// handler (with PC already past the instruction).
+// handler (with PC already past the instruction). On an error c.PC is
+// where the fault is reported: the fence itself, or wherever the
+// SYSCALL handler left the core.
 func (c *CPU) serialize(in isa.Instruction) error {
 	if in.Op == isa.SYSCALL {
 		c.drain()
@@ -178,9 +167,9 @@ func (c *CPU) next() uint64 { return c.PC + isa.InstrSize }
 // a compiled block's straight-line instructions, or Step's single one —
 // then term, the exit, when non-nil, and returns how many instructions
 // retired. Every cycle charge, operand wait, hook site and fault identity
-// of a non-barrier instruction is written here once, and the exit
-// section is the one terminator resolver; block tier and single-step
-// tier differ only in how many instructions one call retires.
+// is written here once, and the exit section is the one terminator
+// resolver; block tier and single-step tier differ only in how many
+// instructions one call retires.
 //
 // The kernel keeps PC, Cycle and the retire count in locals and writes
 // them back only at exits and around calls into helpers that read core
@@ -197,9 +186,8 @@ func (c *CPU) next() uint64 { return c.PC + isa.InstrSize }
 // longer be trusted: RWX self-modification, so the outer loop
 // revalidates or recompiles; b is nil for Step, whose body has no
 // further decodes to distrust), and at a fault, with the faulting
-// instruction not retired. body never holds a control-flow instruction
-// or a speculation barrier: compileBlock and Step route those by the
-// same two op-table class tests, terminates and barrier.
+// instruction not retired. body never holds an exit: compileBlock and
+// Step route instructions by the same op-table test, terminates.
 //
 // Every telEmit below is dominated by telOn, the c.tel != nil guard
 // hoisted once per call — an idiom the vet pass cannot trace. The
@@ -411,14 +399,15 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 	}
 	n := len(body)
 	c.PC, c.Cycle = pc, cyc
+	c.instret += uint64(n)
 	if term == nil {
-		c.instret += uint64(n)
 		return n, nil
 	}
 
 	// The exit: the one terminator resolver. The branch helpers engage
 	// the predictors, launch the wrong-path episodes, and read and
-	// advance core state themselves.
+	// advance core state themselves; a SYSCALL handler sees the body
+	// retired.
 	in := *term
 	switch opTab[in.Op].class {
 	case clsJmp:
@@ -434,7 +423,7 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 		sp := c.Regs[isa.RegSP] - 8
 		ret := pc + isa.InstrSize
 		if err := c.Mem.Write64(sp, ret); err != nil {
-			return c.retireFault(pc, cyc, n, err)
+			return c.exitFault(n, err)
 		}
 		c.Caches.Access(sp)
 		c.Regs[isa.RegSP] = sp
@@ -457,18 +446,24 @@ func (c *CPU) retire(body []isa.Instruction, term *isa.Instruction, b *block) (i
 
 	case clsRet:
 		if err := c.ret(); err != nil {
-			return c.retireFault(pc, c.Cycle, n, err)
+			return c.exitFault(n, err)
 		}
 
 	case clsHalt:
 		c.Cycle++
 		c.halted = true
+
+	case clsFence, clsSyscall:
+		if err := c.serialize(in); err != nil {
+			return c.exitFault(n, err)
+		}
 	}
-	c.instret += uint64(n) + 1
+	c.instret++
 	if c.noiseNext != 0 {
 		c.interfere()
 	}
-	if telOn && c.telRetire {
+	// Read afresh, not telOn: a SYSCALL handler may have re-attached.
+	if c.tel != nil && c.telRetire {
 		c.telEmit(telemetry.KindRetire, c.Cycle, pc, 0, uint64(in.Op))
 	}
 	return n + 1, nil
@@ -505,6 +500,16 @@ func (c *CPU) retireFault(pc, cyc uint64, n int, err error) (int, error) {
 	c.PC, c.Cycle = pc, cyc
 	c.instret += uint64(n)
 	return n, &Fault{PC: pc, Err: err}
+}
+
+// exitFault wraps the error of an exit that failed, which does not
+// retire, with c.PC: the exit's own PC for a CALL, RET or fence, and
+// wherever serialize or the handler left it for a SYSCALL. Outlined
+// like retireFault.
+//
+//go:noinline
+func (c *CPU) exitFault(n int, err error) (int, error) {
+	return n, &Fault{PC: c.PC, Err: err}
 }
 
 // condBranch resolves a conditional branch, engaging the predictor and —
@@ -750,7 +755,9 @@ const (
 	clsFlush
 	clsRdtsc
 
-	// Terminators: a block's exit, resolved by the kernel's exit section.
+	// Exits: a block's last instruction, resolved by the kernel's exit
+	// section — the control transfers, HALT, and the serializing MFENCE,
+	// LFENCE and SYSCALL.
 	clsHalt
 	clsJmp
 	clsJcc
@@ -758,19 +765,13 @@ const (
 	clsCallr
 	clsJmpr
 	clsRet
-
-	// Speculation barriers: retired by Step only, never in a block.
 	clsFence
 	clsSyscall
 )
 
-// terminates reports whether the class ends a block: a control-flow
-// instruction, retired as the kernel's exit.
-func (k opClass) terminates() bool { return k >= clsHalt && k <= clsRet }
-
-// barrier reports whether the class is a speculation barrier, which step
-// retires by itself and no block holds.
-func (k opClass) barrier() bool { return k == clsFence || k == clsSyscall }
+// terminates reports whether the class ends a block, retired as the
+// kernel's exit.
+func (k opClass) terminates() bool { return k >= clsHalt }
 
 // opInfo is everything the execution paths need to know about an opcode
 // beyond its operands.

@@ -70,6 +70,16 @@ func (c *CPU) fetchDecode(pc uint64) (isa.Instruction, bool) {
 	return isa.Instruction{}, false
 }
 
+// decode is fetchDecode with its miss path: the one read of guest code
+// compileBlock and revalidateBlock make, so a block holds exactly the
+// decodes Step would retire.
+func (c *CPU) decode(pc uint64) (isa.Instruction, error) {
+	if in, ok := c.fetchDecode(pc); ok {
+		return in, nil
+	}
+	return c.fetchDecodeMiss(pc)
+}
+
 // fetchDecodeMiss fills (or refreshes) the predecode slot for pc: the
 // first visit to a PC pays the full permission-checked fetch and
 // validating decode here, and the first one in a page to decode

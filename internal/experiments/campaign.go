@@ -35,6 +35,13 @@ func (s CampaignSpec) Any() bool {
 	return false
 }
 
+// Trains reports whether a selected section trains a detector, which
+// needs at least one sample per class: every section but Table I.
+func (s CampaignSpec) Trains() bool {
+	s.Table1 = false
+	return s.Any()
+}
+
 // campaignSections are RunCampaign's sections in canonical order, each
 // under the key RenderSection knows it by. Each run renders its
 // driver's tables to w and returns the writer of its CSV (nil when csv

@@ -40,11 +40,10 @@ func Scan(img *isa.Image, maxLen int) []Gadget {
 	if maxLen < 1 {
 		maxLen = 1
 	}
-	slots, _ := isa.DecodeSlots(img.Code)
-	n := len(slots)
+	slots := isa.DecodeSlots(img.Code)
 	var out []Gadget
-	for i := 0; i < n; i++ {
-		if slots[i].Err != nil || slots[i].In.Op != isa.RET {
+	for i, in := range slots.Instrs {
+		if !slots.Valid(i) || in.Op != isa.RET {
 			continue
 		}
 		// Walk backwards up to maxLen-1 preceding instructions. Every
@@ -57,7 +56,7 @@ func Scan(img *isa.Image, maxLen int) []Gadget {
 			}
 			ok := true
 			for j := start; j < i; j++ {
-				if slots[j].Err != nil || slots[j].In.Op.IsBranch() || slots[j].In.Op == isa.HALT {
+				if op := slots.Instrs[j].Op; !slots.Valid(j) || op.IsBranch() || op == isa.HALT {
 					ok = false
 					break
 				}
@@ -65,13 +64,9 @@ func Scan(img *isa.Image, maxLen int) []Gadget {
 			if !ok {
 				break
 			}
-			instrs := make([]isa.Instruction, 0, back+1)
-			for j := start; j <= i; j++ {
-				instrs = append(instrs, slots[j].In)
-			}
 			out = append(out, Gadget{
 				Addr:   img.Base + uint64(start*isa.InstrSize),
-				Instrs: instrs,
+				Instrs: append([]isa.Instruction(nil), slots.Instrs[start:i+1]...),
 			})
 		}
 	}

@@ -418,8 +418,12 @@ func parseExpr(s string, line int) (sym string, addend int64, num int64, isNum b
 	if s == "" {
 		return "", 0, 0, false, errf(line, "empty expression")
 	}
-	if v, e := parseNum(s, line); e == nil {
-		return "", 0, v, true, nil
+	// Only a digit, a sign or a char literal's quote can start a number,
+	// so a symbol skips parseNum and the errors it would build.
+	if c := s[0]; c >= '0' && c <= '9' || c == '+' || c == '-' || c == '\'' {
+		if v, e := parseNum(s, line); e == nil {
+			return "", 0, v, true, nil
+		}
 	}
 	// symbol +/- offset
 	for i := 1; i < len(s); i++ {

@@ -23,28 +23,42 @@ func DisasmAll(code []byte, base uint64) string {
 	return b.String()
 }
 
-// SlotDecode is the decode result of one aligned instruction slot: the
-// instruction when Err is nil, or the reason the slot is not canonical
-// code (junk bytes, data mapped executable, a mid-rewrite SMC slot).
-type SlotDecode struct {
-	In  Instruction
-	Err error
+// Slots is the decode of every whole InstrSize-aligned slot of a code
+// image: the one whole-image decode that CFG recovery and the gadget
+// scanner both read.
+type Slots struct {
+	// Instrs holds slot i's instruction, or the zero Instruction where
+	// the slot is not canonical code (junk bytes, data mapped
+	// executable, a mid-rewrite SMC slot); Valid tells the two apart.
+	Instrs []Instruction
+	// Truncated is the number of trailing bytes that do not fill a slot
+	// (a truncated final instruction).
+	Truncated int
+	valid     []uint64 // bit i set when slot i decodes canonically
 }
 
-// DecodeSlots decodes every whole InstrSize-aligned slot of code and
-// returns one entry per slot plus the number of trailing bytes that do
-// not fill a slot (a truncated final instruction). Unlike DecodeAll it
-// does not stop at the first invalid slot: static analysis over images
-// that interleave code and data needs the full per-slot validity map,
-// and the gadget scanner needs every decodable suffix regardless of the
-// junk around it.
-func DecodeSlots(code []byte) (slots []SlotDecode, truncated int) {
+// Valid reports whether slot i decodes canonically.
+func (s *Slots) Valid(i int) bool { return s.valid[i/64]&(1<<(i%64)) != 0 }
+
+// DecodeSlots decodes every whole InstrSize-aligned slot of code. Unlike
+// DecodeAll it does not stop at the first invalid slot: static analysis
+// over images that interleave code and data needs the full per-slot
+// validity map, and the gadget scanner needs every decodable suffix
+// regardless of the junk around it.
+func DecodeSlots(code []byte) *Slots {
 	n := len(code) / InstrSize
-	slots = make([]SlotDecode, n)
-	for i := 0; i < n; i++ {
-		slots[i].In, slots[i].Err = Decode(code[i*InstrSize:])
+	s := &Slots{
+		Instrs:    make([]Instruction, n),
+		Truncated: len(code) - n*InstrSize,
+		valid:     make([]uint64, (n+63)/64),
 	}
-	return slots, len(code) - n*InstrSize
+	for i := range s.Instrs {
+		if in, err := Decode(code[i*InstrSize:]); err == nil {
+			s.Instrs[i] = in
+			s.valid[i/64] |= 1 << (i % 64)
+		}
+	}
+	return s
 }
 
 // DecodeAll decodes code into a slice of instructions, failing on the

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -25,25 +26,29 @@ func TestDecodeSlotsRoundTrip(t *testing.T) {
 		{Op: JMP, Imm: 0x10000},
 		{Op: RET},
 	}
-	slots, trunc := DecodeSlots(mustEncode(t, ins...))
-	if trunc != 0 {
-		t.Fatalf("truncated = %d, want 0", trunc)
+	code := mustEncode(t, ins...)
+	slots := DecodeSlots(code)
+	if slots.Truncated != 0 {
+		t.Fatalf("truncated = %d, want 0", slots.Truncated)
 	}
-	if len(slots) != len(ins) {
-		t.Fatalf("got %d slots, want %d", len(slots), len(ins))
+	if len(slots.Instrs) != len(ins) {
+		t.Fatalf("got %d slots, want %d", len(slots.Instrs), len(ins))
 	}
-	for i, s := range slots {
-		if s.Err != nil {
-			t.Fatalf("slot %d: unexpected error %v", i, s.Err)
+	for i, in := range slots.Instrs {
+		if !slots.Valid(i) {
+			t.Fatalf("slot %d: not valid", i)
 		}
-		if s.In != ins[i] {
-			t.Fatalf("slot %d: decoded %v, want %v", i, s.In, ins[i])
+		if in != ins[i] {
+			t.Fatalf("slot %d: decoded %v, want %v", i, in, ins[i])
 		}
 		// The canonical-encoding contract CFG recovery relies on: every
 		// decoded slot re-encodes to the exact bytes it came from.
 		var buf [InstrSize]byte
-		if err := s.In.Encode(buf[:]); err != nil {
+		if err := in.Encode(buf[:]); err != nil {
 			t.Fatalf("slot %d: re-encode: %v", i, err)
+		}
+		if !bytes.Equal(buf[:], code[i*InstrSize:(i+1)*InstrSize]) {
+			t.Fatalf("slot %d: re-encodes to % x, want % x", i, buf, code[i*InstrSize:(i+1)*InstrSize])
 		}
 	}
 }
@@ -55,15 +60,15 @@ func TestDecodeSlotsRoundTrip(t *testing.T) {
 func TestDecodeSlotsTruncatedTail(t *testing.T) {
 	code := mustEncode(t, Instruction{Op: MOVI, Rd: 3, Imm: 7}, Instruction{Op: RET})
 	for cut := 1; cut < InstrSize; cut++ {
-		slots, trunc := DecodeSlots(code[:len(code)-cut])
-		if len(slots) != 1 {
-			t.Fatalf("cut %d: got %d slots, want 1", cut, len(slots))
+		slots := DecodeSlots(code[:len(code)-cut])
+		if len(slots.Instrs) != 1 {
+			t.Fatalf("cut %d: got %d slots, want 1", cut, len(slots.Instrs))
 		}
-		if slots[0].Err != nil || slots[0].In.Op != MOVI {
-			t.Fatalf("cut %d: slot 0 = %v/%v, want movi", cut, slots[0].In, slots[0].Err)
+		if !slots.Valid(0) || slots.Instrs[0].Op != MOVI {
+			t.Fatalf("cut %d: slot 0 = %v (valid %v), want movi", cut, slots.Instrs[0], slots.Valid(0))
 		}
-		if want := InstrSize - cut; trunc != want {
-			t.Fatalf("cut %d: truncated = %d, want %d", cut, trunc, want)
+		if want := InstrSize - cut; slots.Truncated != want {
+			t.Fatalf("cut %d: truncated = %d, want %d", cut, slots.Truncated, want)
 		}
 	}
 	// DecodeAll, by contrast, must reject the ragged length outright.
@@ -73,9 +78,10 @@ func TestDecodeSlotsTruncatedTail(t *testing.T) {
 }
 
 // TestDecodeSlotsInvalidInterleaved models an RWX page mid-rewrite (or
-// plain data mapped executable): invalid slots must carry errors while
-// their neighbours still decode — the property that lets CFG recovery
-// and the gadget scanner work on partially-junk images.
+// plain data mapped executable): an invalid slot must read as not valid,
+// holding the zero Instruction, while its neighbours still decode — the
+// property that lets CFG recovery and the gadget scanner work on
+// partially-junk images.
 func TestDecodeSlotsInvalidInterleaved(t *testing.T) {
 	code := mustEncode(t,
 		Instruction{Op: MOVI, Rd: 1, Imm: 1},
@@ -91,12 +97,15 @@ func TestDecodeSlotsInvalidInterleaved(t *testing.T) {
 	} {
 		c := append([]byte(nil), code...)
 		corrupt(c[InstrSize : 2*InstrSize])
-		slots, _ := DecodeSlots(c)
-		if slots[0].Err != nil || slots[2].Err != nil {
-			t.Fatalf("%s: neighbour slots broken: %v / %v", name, slots[0].Err, slots[2].Err)
+		slots := DecodeSlots(c)
+		if !slots.Valid(0) || !slots.Valid(2) || slots.Instrs[0].Op != MOVI || slots.Instrs[2].Op != RET {
+			t.Fatalf("%s: neighbour slots broken: %v / %v", name, slots.Instrs[0], slots.Instrs[2])
 		}
-		if slots[1].Err == nil {
-			t.Fatalf("%s: corrupted slot decoded as %v", name, slots[1].In)
+		if slots.Valid(1) {
+			t.Fatalf("%s: corrupted slot decoded as %v", name, slots.Instrs[1])
+		}
+		if slots.Instrs[1] != (Instruction{}) {
+			t.Fatalf("%s: corrupted slot holds %+v, want the zero Instruction", name, slots.Instrs[1])
 		}
 	}
 }

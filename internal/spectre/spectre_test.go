@@ -314,3 +314,23 @@ func TestContextSensitiveFencingIsIncomplete(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleAllocs gates the assembler's allocations on the v1 attack
+// source, which every CR run assembles: a symbolic operand (call
+// leak_byte, movi r13, probe) must not build number-parse errors only to
+// throw them away.
+func TestAssembleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	src := Config{Variant: V1BoundsCheck, TargetAddr: 0x200000, SecretLen: 8}.Source()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := isa.Assemble(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("assembling the v1 attack source: %.0f allocations, want at most 400", allocs)
+	}
+	t.Logf("assembling the v1 attack source: %.0f allocations", allocs)
+}
