@@ -87,6 +87,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	if cfg.SamplesPerClass == 0 && campaign.Trains() {
 		return fmt.Errorf("%w: -samples 0: the selected sections train a detector, which needs at least 1 sample per class (-table 1 alone trains none)", cli.ErrUsage)
 	}
+	if cfg.Attempts < 1 && campaign.Attacks() {
+		return fmt.Errorf("%w: -attempts %d: Fig. 5 and Fig. 6 play at least 1 attack attempt", cli.ErrUsage, cfg.Attempts)
+	}
+	if cfg.Reps < 0 && campaign.Table1 {
+		return fmt.Errorf("%w: -reps %d is negative (0 = default 3)", cli.ErrUsage, cfg.Reps)
+	}
 	if oc.Manifest == "" && *csvdir != "" {
 		oc.Manifest = filepath.Join(*csvdir, "manifest.json")
 	}

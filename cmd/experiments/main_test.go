@@ -109,6 +109,35 @@ func TestRunZeroSamples(t *testing.T) {
 	}
 }
 
+// TestRunCampaignCounts: -attempts below 1 when Fig. 5 or Fig. 6 is
+// selected, and a negative -reps when Table I is, are usage errors
+// raised before any work, with nothing on stdout. A section that never
+// reads the value still runs with it.
+func TestRunCampaignCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "6", "-attempts", "-2", "-samples", "10"},
+		{"-fig", "5", "-attempts", "0"},
+		{"-all", "-attempts", "0"},
+		{"-table", "1", "-reps", "-4"},
+		{"-latency", "-table", "1", "-reps", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%v = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v still ran:\n%s", args, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "4", "-samples", "10", "-attempts", "-2", "-reps", "-4", "-workers", "2"}, &out); err != nil {
+		t.Fatalf("-fig 4 -attempts -2 -reps -4: %v", err)
+	}
+	if !strings.Contains(out.String(), "Fig 4") {
+		t.Errorf("-fig 4 -attempts -2 -reps -4 rendered no Fig. 4:\n%s", out.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &out); !errors.Is(err, cli.ErrUsage) {

@@ -28,19 +28,20 @@ import (
 
 // sections are the report's sections in order: the -sections key, the
 // heading, whether the section trains a detector (and so needs at least
-// one sample per class), and, for the two sections the campaign does not
-// run, the run that renders the body. The others render the campaign
-// section of the same key.
+// one sample per class), whether it plays attack attempts (and so needs
+// at least one), and, for the two sections the campaign does not run,
+// the run that renders the body. The others render the campaign section
+// of the same key.
 var sections = []struct {
-	key, title string
-	trains     bool
-	render     func(cfg experiments.Config, w io.Writer) error
+	key, title      string
+	trains, attacks bool
+	render          func(cfg experiments.Config, w io.Writer) error
 }{
-	{"fig4", "Fig. 4 — HID accuracy vs feature size", true, nil},
-	{"fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", true, nil},
-	{"fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", true, nil},
-	{"table1", "Table I — IPC overhead", false, nil},
-	{"defense", "Defense matrix (§I / §IV)", false, func(cfg experiments.Config, w io.Writer) error {
+	{"fig4", "Fig. 4 — HID accuracy vs feature size", true, false, nil},
+	{"fig5", "Fig. 5 — offline-type HID: Spectre vs CR-Spectre", true, true, nil},
+	{"fig6", "Fig. 6 — online-type HID: Spectre vs CR-Spectre", true, true, nil},
+	{"table1", "Table I — IPC overhead", false, false, nil},
+	{"defense", "Defense matrix (§I / §IV)", false, false, func(cfg experiments.Config, w io.Writer) error {
 		rows, err := defense.Matrix(cfg.Seed)
 		for _, r := range rows {
 			result := "BLOCKED "
@@ -51,16 +52,16 @@ var sections = []struct {
 		}
 		return err
 	}},
-	{"latency", "Extension — online-HID detection latency", true, nil},
-	{"recycle", "Extension — variant recycling vs windowed HID", true, nil},
-	{"ensemble", "Extension — pointwise detectors vs committee on a diluted variant", true, func(cfg experiments.Config, w io.Writer) error {
+	{"latency", "Extension — online-HID detection latency", true, false, nil},
+	{"recycle", "Extension — variant recycling vs windowed HID", true, false, nil},
+	{"ensemble", "Extension — pointwise detectors vs committee on a diluted variant", true, false, func(cfg experiments.Config, w io.Writer) error {
 		rows, err := experiments.EnsembleComparison(cfg)
 		if err == nil {
 			experiments.RenderEnsemble(w, rows)
 		}
 		return err
 	}},
-	{"alarms", "Extension — run-level alarm policies", true, nil},
+	{"alarms", "Extension — run-level alarm policies", true, false, nil},
 }
 
 func main() { cli.Exit(run(os.Args[1:], os.Stdout)) }
@@ -98,8 +99,14 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%w: -samples %d is negative", cli.ErrUsage, cfg.SamplesPerClass)
 	}
 	for _, sec := range sections {
-		if cfg.SamplesPerClass == 0 && sec.trains && (len(enabled) == 0 || enabled[sec.key]) {
+		if len(enabled) > 0 && !enabled[sec.key] {
+			continue
+		}
+		if cfg.SamplesPerClass == 0 && sec.trains {
 			return fmt.Errorf("%w: -samples 0: section %s trains a detector, which needs at least 1 sample per class", cli.ErrUsage, sec.key)
+		}
+		if cfg.Attempts < 1 && sec.attacks {
+			return fmt.Errorf("%w: -attempts %d: section %s plays at least 1 attack attempt", cli.ErrUsage, cfg.Attempts, sec.key)
 		}
 	}
 

@@ -92,6 +92,39 @@ func TestRunSampleCount(t *testing.T) {
 	}
 }
 
+// TestRunAttemptCount: -attempts below 1 with the fig5 or fig6 section
+// selected is a usage error raised before any work, with nothing on
+// stdout and no report written. A section that plays no attempts still
+// runs with it.
+func TestRunAttemptCount(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-attempts", "-1", "-samples", "10", "-sections", "fig5"},
+		{"-attempts", "0", "-sections", "defense,fig6"},
+		{"-attempts", "0"},
+	} {
+		out := filepath.Join(dir, "bad.md")
+		var stdout bytes.Buffer
+		if err := run(append([]string{"-o", out}, args...), &stdout); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%v = %v, want cli.ErrUsage (exit 2)", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v still ran:\n%s", args, stdout.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%v wrote a report", args)
+		}
+	}
+	out := filepath.Join(dir, "defense.md")
+	var stdout bytes.Buffer
+	if err := run([]string{"-o", out, "-attempts", "-1", "-sections", "defense"}, &stdout); err != nil {
+		t.Fatalf("-attempts -1 -sections defense: %v", err)
+	}
+	if md, err := os.ReadFile(out); err != nil || !strings.Contains(string(md), "## Defense matrix") {
+		t.Errorf("-attempts -1 -sections defense wrote no defense matrix: %v", err)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &stdout); !errors.Is(err, cli.ErrUsage) {

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
@@ -106,19 +105,17 @@ type Outcome struct {
 // Secret is the value planted in the host for Evaluate runs.
 const Secret = "S3CR3T_K3Y"
 
-// machines is Evaluate's machine pool. Its callers (the defense and
-// variant matrices, the daemon's attack repetitions) hold no machine to
-// pass in, so a pool keeps the signature. An Outcome holds only values
-// and copied strings, so nothing returned references a pooled machine.
-var machines = sync.Pool{New: func() any { return new(vm.Machine) }}
-
 // Evaluate runs the attack chain under the posture with the given
 // attacker capabilities and reports the outcome. Deterministic under
-// seed.
+// seed. Its callers (the defense and variant matrices, the daemon's
+// attack repetitions) hold no machine to pass in, so it runs on one from
+// the process's machine pool (vm.Get); an Outcome holds only values and
+// copied strings, so nothing returned references that machine.
 func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
-	m := machines.Get().(*vm.Machine)
-	defer machines.Put(m)
-	return evaluate(m, p, atk, seed)
+	m := vm.Get()
+	o, err := evaluate(m, p, atk, seed)
+	vm.Put(m)
+	return o, err
 }
 
 // evaluate is Evaluate on m, which it resets to the state vm.New builds.

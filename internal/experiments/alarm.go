@@ -11,7 +11,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/perturb"
 	"repro/internal/pmu"
-	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -112,11 +111,11 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 
 	// Per-run prediction sequences: one run per benign workload, crRuns
-	// diluted CR campaigns. Each run resets its worker's machine and the
+	// diluted CR campaigns. Each run resets its pooled machine and the
 	// detector is frozen (Predict is read-only), so both run sets fan
 	// out across the pool.
 	benignRuns := mibench.AllWithBackgrounds()
-	benignSeqs, err := sched.MapLocal(cfg.ctx("alarm-benign"), cfg.workers(), len(benignRuns),
+	benignSeqs, err := mapMachines(cfg, "alarm-benign", len(benignRuns),
 		func(_ context.Context, m *vm.Machine, i int) ([]int, error) {
 			samples, err := cfg.benignRun(m, benignRuns[i], cfg.Seed*53+int64(i))
 			if err != nil {
@@ -133,7 +132,7 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 	variant := perturb.Paper()
 	variant.Delay = 120
-	crSeqs, err := sched.MapLocal(cfg.ctx("alarm-crspectre"), cfg.workers(), crRuns,
+	crSeqs, err := mapMachines(cfg, "alarm-crspectre", crRuns,
 		func(_ context.Context, m *vm.Machine, r int) ([]int, error) {
 			cr, err := cfg.crRun(m, host, AttackSpec{
 				Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,

@@ -42,6 +42,10 @@ func (s CampaignSpec) Trains() bool {
 	return s.Any()
 }
 
+// Attacks reports whether a selected section plays a campaign of attack
+// attempts, which needs at least one: Fig. 5 and Fig. 6.
+func (s CampaignSpec) Attacks() bool { return s.Fig5 || s.Fig6 }
+
 // campaignSections are RunCampaign's sections in canonical order, each
 // under the key RenderSection knows it by. Each run renders its
 // driver's tables to w and returns the writer of its CSV (nil when csv

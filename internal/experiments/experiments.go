@@ -14,10 +14,10 @@
 // Parallelism: every driver fans its independent machine runs out
 // through the internal/sched worker pool, with per-task seeds derived
 // via sched.DeriveSeed so results are byte-identical for any Workers
-// setting (the golden determinism tests enforce this). Most pools run
-// on one machine per worker (sched.MapLocal), reset in place before each
-// run; a task copies out what it needs before the worker's next task
-// resets the machine.
+// setting (the golden determinism tests enforce this). Every pool task
+// and sequential driver runs on a machine from the process's machine
+// pool (vm.Get), reset in place before each run, and puts it back when
+// it returns; a task copies out what it keeps before then.
 package experiments
 
 import (
@@ -148,6 +148,20 @@ func (cfg Config) machine(m *vm.Machine, seed int64) {
 	}
 }
 
+// mapMachines is sched.Map over the named pool with one machine per
+// task: a task runs fn on a machine from the process's pool (vm.Get) and
+// puts it back (vm.Put) when fn returns. Which machine a task gets
+// depends on scheduling, so fn resets it before its run, as every run
+// kind does, and copies out what it keeps before it returns.
+func mapMachines[T any](cfg Config, pool string, n int, fn func(ctx context.Context, m *vm.Machine, task int) (T, error)) ([]T, error) {
+	return sched.Map(cfg.ctx(pool), cfg.workers(), n, func(ctx context.Context, task int) (T, error) {
+		m := vm.Get()
+		v, err := fn(ctx, m, task)
+		vm.Put(m)
+		return v, err
+	})
+}
+
 // sampler profiles the full 56-event catalogue; experiments project to
 // the wanted feature size afterwards.
 func (cfg Config) sampler() *pmu.Sampler {
@@ -273,8 +287,8 @@ func (cfg Config) standaloneRun(m *vm.Machine, spec AttackSpec, seed int64) ([]p
 }
 
 // CRResult reports one CR-Spectre campaign run. Machine is the finished
-// machine; a run on a pool worker's machine leaves it valid only until
-// the worker's next task resets it.
+// machine; a run on a pooled machine (vm.Get) leaves it valid only until
+// its task returns the machine to the pool.
 type CRResult struct {
 	Samples    []pmu.Sample
 	Recovered  string // bytes the covert channel produced
@@ -459,7 +473,7 @@ func (cfg Config) AttackCorpus(total int) (*trace.Set, error) {
 
 // corpus collects ~total samples labelled label from one source per app,
 // sharing the quota evenly. The sources fan out across the named pool,
-// each run on its worker's machine; source i's repetition seeds derive
+// each on a pooled machine reset per run; source i's repetition seeds derive
 // from (Seed*salt, i, rep), so the corpus is byte-identical for any
 // Workers setting.
 func (cfg Config) corpus(pool string, salt int64, label int, apps []string, total int,
@@ -469,7 +483,7 @@ func (cfg Config) corpus(pool string, salt int64, label int, apps []string, tota
 		return set, nil
 	}
 	quota := (total + len(apps) - 1) / len(apps)
-	parts, err := sched.MapLocal(cfg.ctx(pool), cfg.workers(), len(apps),
+	parts, err := mapMachines(cfg, pool, len(apps),
 		func(ctx context.Context, m *vm.Machine, i int) (*trace.Set, error) {
 			part := trace.NewSet(pmu.AllEvents())
 			base := sched.DeriveSeed(cfg.Seed*salt, uint64(i))

@@ -293,8 +293,8 @@ func TestTable1Shape(t *testing.T) {
 }
 
 // TestTable1Allocs bounds what a Table I pass allocates once its hosts
-// are assembled: every run is bare (no sample vectors) on its worker's
-// reset machine (no fresh memory, caches or predictors per run).
+// are assembled: every run is bare (no sample vectors) on a reset
+// machine from the pool (no fresh memory, caches or predictors per run).
 func TestTable1Allocs(t *testing.T) {
 	const bound = 3 << 20
 	cfg := detCfg(1)

@@ -129,7 +129,7 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 	res := &CampaignResult{Online: online}
 
 	// attemptSim is what one of an attempt's fanned-out simulations
-	// copies out of its worker's machine: task 0 is the panel-(a)
+	// copies out of its pooled machine: task 0 is the panel-(a)
 	// standalone run, tasks 1..len(crStates) the per-detector CR runs.
 	type attemptSim struct {
 		samples   []pmu.Sample
@@ -170,7 +170,7 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 				ProbeDelay: pd,
 			}
 		}
-		sims, err := sched.MapLocal(cfg.ctx("campaign"), cfg.workers(), 1+len(crStates),
+		sims, err := mapMachines(cfg, "campaign", 1+len(crStates),
 			func(_ context.Context, m *vm.Machine, t int) (attemptSim, error) {
 				if t == 0 {
 					samples, err := cfg.standaloneRun(m, spec, seed)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/ml"
 	"repro/internal/perturb"
-	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/vm"
 )
@@ -52,9 +51,9 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 	// Each classifier's adaptation race is self-contained (own detector,
 	// own variant, own seed stream), so the classifiers fan out across
 	// the pool; within one classifier the observe/retrain rounds remain
-	// inherently sequential.
-	return sched.Map(cfg.ctx("latency"), cfg.workers(), len(cfg.Classifiers),
-		func(_ context.Context, i int) (LatencyRow, error) {
+	// inherently sequential, on one pooled machine reset by every run.
+	return mapMachines(cfg, "latency", len(cfg.Classifiers),
+		func(_ context.Context, m *vm.Machine, i int) (LatencyRow, error) {
 			name := cfg.Classifiers[i]
 			clf, ok := ml.ByName(name, cfg.Seed+int64(i))
 			if !ok {
@@ -72,9 +71,8 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 			pd := int64(200 + rng.Int63n(200))
 
 			row := LatencyRow{Classifier: name, Variant: variant.String(), BatchesToDetect: -1}
-			var m vm.Machine // reset by every batch's run
 			for batch := 1; batch <= maxBatches; batch++ {
-				cr, err := cfg.crRun(&m, host, AttackSpec{
+				cr, err := cfg.crRun(m, host, AttackSpec{
 					Variant:    spectre.Variants()[(batch-1)%len(spectre.Variants())],
 					Perturb:    &variant,
 					ProbeDelay: pd,

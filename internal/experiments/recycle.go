@@ -66,10 +66,14 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	variantA := perturb.Paper().Mutate(rng)
 	variantA.Delay = 150
 
-	runEval := func(m *vm.Machine, v *perturb.Params, pd int64, seed int64) (ml.Dataset, error) {
+	// runEval runs one CR attack on a pooled machine, puts it back and
+	// returns the run's evaluation mix.
+	runEval := func(v *perturb.Params, pd int64, seed int64) (ml.Dataset, error) {
+		m := vm.Get()
 		cr, err := cfg.crRun(m, host, AttackSpec{
 			Variant: spectre.V1BoundsCheck, Perturb: v, ProbeDelay: pd,
 		}, seed)
+		vm.Put(m)
 		if err != nil {
 			return ml.Dataset{}, err
 		}
@@ -85,8 +89,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	// until it is caught.
 	const dilutionA = 500
 	seed := cfg.Seed * 13
-	var m vm.Machine // the sequential phases' machine, reset by every run
-	evalA, err := runEval(&m, &variantA, dilutionA, seed)
+	evalA, err := runEval(&variantA, dilutionA, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +99,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 			return nil, err
 		}
 		seed++
-		if evalA, err = runEval(&m, &variantA, dilutionA, seed); err != nil {
+		if evalA, err = runEval(&variantA, dilutionA, seed); err != nil {
 			return nil, err
 		}
 		acc := det.Accuracy(evalA)
@@ -113,9 +116,9 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	// replays them in round order.
 	const decoyRounds = 6
 	decoyBase := seed
-	decoys, err := sched.MapLocal(cfg.ctx("recycle-decoys"), cfg.workers(), decoyRounds,
-		func(_ context.Context, m *vm.Machine, r int) (ml.Dataset, error) {
-			return runEval(m, nil, 0, decoyBase+1+int64(r))
+	decoys, err := sched.Map(cfg.ctx("recycle-decoys"), cfg.workers(), decoyRounds,
+		func(_ context.Context, r int) (ml.Dataset, error) {
+			return runEval(nil, 0, decoyBase+1+int64(r))
 		})
 	if err != nil {
 		return nil, err
@@ -139,7 +142,7 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 
 	// Phase 3: recycle variant A after its traces aged out.
 	seed++
-	evalA2, err := runEval(&m, &variantA, dilutionA, seed)
+	evalA2, err := runEval(&variantA, dilutionA, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -196,9 +199,11 @@ func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
 	}
 	variant := perturb.Paper()
 	variant.Delay = 120
-	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{
+	m := vm.Get()
+	cr, err := cfg.crRun(m, host, AttackSpec{
 		Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,
 	}, cfg.Seed*7+3)
+	vm.Put(m)
 	if err != nil {
 		return nil, err
 	}

@@ -75,8 +75,8 @@ func table1Cells() []table1Cell {
 }
 
 // Table1For runs the overhead measurement over a custom workload list.
-// Every (row, cell, rep) run is one task of a single pool, on its
-// worker's machine; rep r of every cell runs at seed Seed+337r, and each
+// Every (row, cell, rep) run is one task of a single pool, on a pooled
+// machine; rep r of every cell runs at seed Seed+337r, and each
 // cell averages its reps in rep order, so the table is byte-identical
 // for any Workers setting.
 func Table1For(cfg Config, workloads []mibench.Workload) ([]Table1Row, error) {
@@ -86,7 +86,7 @@ func Table1For(cfg Config, workloads []mibench.Workload) ([]Table1Row, error) {
 	}
 	cells := table1Cells()
 	perRow := len(cells) * reps
-	ipcs, err := sched.MapLocal(cfg.ctx("table1"), cfg.workers(), len(workloads)*perRow,
+	ipcs, err := mapMachines(cfg, "table1", len(workloads)*perRow,
 		func(ctx context.Context, m *vm.Machine, task int) (float64, error) {
 			w, cell := workloads[task/perRow], cells[task%perRow/reps]
 			ipc, err := cfg.table1Run(m, w, cell.spec, cfg.Seed+int64(task%reps)*337)

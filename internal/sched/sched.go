@@ -149,9 +149,10 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 
 // MapLocal is Map with worker-local state: every worker goroutine owns
 // one L, zero-valued when the worker starts, and hands a pointer to it to
-// each task it runs. Tasks use it to reuse expensive scratch — a machine
-// reset in place rather than rebuilt — without a shared pool; nothing
-// else may touch it, so it needs no locking. Which tasks share a local
+// each task it runs. Tasks use it to reuse expensive scratch — the
+// analyzer's taint scratch, or a gadget machine reset in place rather
+// than rebuilt — without a shared pool; nothing else may touch it, so it
+// needs no locking. Which tasks share a local
 // depends on scheduling, so a task's result must not depend on what an
 // earlier task left in it: the determinism contract holds only for
 // state a task fully resets before use.

@@ -30,7 +30,8 @@ type CoExec struct {
 // binaries are registered but before Start. The shared hierarchy is
 // indexed by machine address, so register the two machines' binaries at
 // disjoint bases (distinct "physical" ranges); overlapping bases would
-// alias their lines.
+// alias their lines. Neither machine may go back to the machine pool
+// (Put): resetting either would reset the hierarchy the other runs on.
 func NewCoExec(primary, neighbour *Machine, quantum uint64) *CoExec {
 	if quantum == 0 {
 		quantum = 2000

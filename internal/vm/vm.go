@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -117,13 +118,32 @@ func New(cfg Config) *Machine {
 	return m
 }
 
+// machines is the process's one machine pool. The campaign pools and
+// defense.Evaluate take their machines from it, so a machine outlives
+// the pool or call it ran in and the next one skips backing its pages,
+// page tables, caches, predecode tables and branch units again.
+var machines = sync.Pool{New: func() any { return new(Machine) }}
+
+// Get takes a machine from the process's pool, or a zero one when the
+// pool is empty. It is in whatever state its last run left it: Reset is
+// the only way to prepare it, exactly as for a zero Machine.
+func Get() *Machine { return machines.Get().(*Machine) }
+
+// Put returns m to the pool once nothing its caller keeps references
+// it: its Mem, CPU, Output and images are the next Get's. Callers put a
+// machine back only when its run returned, so a run that panicked
+// leaves its machine to the collector. A machine whose CPU.Caches
+// another machine shares (either side of a CoExec pair) must not be
+// put, since the next Reset would reset the hierarchy under the other.
+func Put(m *Machine) { machines.Put(m) }
+
 // Reset returns the machine to exactly the state New(cfg) builds while
 // keeping its allocations: the memory's page arrays and tables
 // (mem.Memory.Reset), the core's tables (cpu.CPU.Reset), the ASLR
 // generator (reseeded), the binary and image maps and the output buffer.
 // Registrations, loaded images, output, exit state, the exec log and the
 // OnLoad hook are dropped like on a new machine. A zero Machine is
-// valid, so a worker can hold one by value and reset it per run.
+// valid, and so is one from the pool (Get), whatever its last run was.
 func (m *Machine) Reset(cfg Config) {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = DefaultMemSize
