@@ -160,6 +160,11 @@ type CPU struct {
 	// its coherence check.
 	icache []*icachePage
 	genTab []uint64
+	// icachePages is every predecode table the core has allocated. The
+	// first icacheUsed are attached to icache; the rest are the free
+	// list, cleared, which fetchDecodeMiss attaches before it allocates.
+	icachePages []*icachePage
+	icacheUsed  int
 
 	instret     uint64
 	loads       uint64
@@ -235,16 +240,18 @@ func New(m *mem.Memory, cfg Config) *CPU {
 // Reset returns the core to exactly the state New(m, cfg) builds while
 // keeping its allocations: the cache line arrays, the branch units (one
 // per predictor family and BTB geometry the core has run; cfg's is reset
-// in place), the predecode tables (kept while m has as many pages as the
-// previous memory), the compiled blocks' storage and the episode and
-// store-buffer scratch. Hooks, telemetry, probe and smash windows are
-// detached like on a new core.
+// in place), the predecode tables, the compiled blocks' storage and the
+// episode and store-buffer scratch. Hooks, telemetry, probe and smash
+// windows are detached like on a new core.
 //
 // m is typically the previous memory after mem.Memory.Reset, whose write
 // generations start again at zero; a kept predecode slot or compiled
 // block could then match a different program at the same PC and
-// generation, so every one is dropped, the blocks onto the free list
-// compileBlock refills. The cache hierarchy is reset in place: a core
+// generation, so every one is dropped: the blocks onto the free list
+// compileBlock refills, and the predecode tables the last run attached,
+// cleared, onto the free list fetchDecodeMiss refills. So clearing costs
+// what the last run decoded, and a core keeps no more tables than its
+// largest run attached. The cache hierarchy is reset in place: a core
 // sharing its hierarchy with another (vm.CoExec) empties both.
 func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 	if c.tel != nil {
@@ -265,13 +272,12 @@ func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 		caches.Reset()
 	}
 	caches.NextLinePrefetch = cfg.NextLinePrefetch
+	for _, t := range c.icachePages[:c.icacheUsed] {
+		*t = icachePage{}
+	}
 	icache := c.icache
 	if len(icache) == len(m.PageGens()) {
-		for _, t := range icache {
-			if t != nil {
-				*t = icachePage{}
-			}
-		}
+		clear(icache)
 	} else {
 		icache = make([]*icachePage, len(m.PageGens()))
 	}
@@ -285,6 +291,7 @@ func (c *CPU) Reset(m *mem.Memory, cfg Config) {
 		cfg:           cfg,
 		icache:        icache,
 		genTab:        m.PageGens(),
+		icachePages:   c.icachePages,
 		pendingStores: pending,
 		blocksOff:     cfg.NoBlocks,
 		spare:         spare,

@@ -816,8 +816,16 @@ func TestResetMatchesNew(t *testing.T) {
 		fresh := New(m, tc.after)
 
 		for pg, tab := range c.icache {
-			if tab != nil && *tab != (icachePage{}) {
-				t.Errorf("%s: predecode table of page %d kept entries", tc.name, pg)
+			if tab != nil {
+				t.Errorf("%s: predecode table of page %d stayed attached", tc.name, pg)
+			}
+		}
+		if c.icacheUsed != 0 {
+			t.Errorf("%s: %d predecode tables still counted attached", tc.name, c.icacheUsed)
+		}
+		for i, tab := range c.icachePages {
+			if *tab != (icachePage{}) {
+				t.Errorf("%s: free predecode table %d kept entries", tc.name, i)
 			}
 		}
 		if len(c.pendingStores) != 0 || len(c.specScratch.store) != 0 || len(c.specScratch.filled) != 0 {
@@ -831,6 +839,7 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 		got, want := *c, *fresh
 		got.icache, want.icache = nil, nil
+		got.icachePages, want.icachePages = nil, nil
 		got.pendingStores, want.pendingStores = nil, nil
 		got.specScratch, want.specScratch = specState{}, specState{}
 		got.units, want.units = nil, nil

@@ -16,12 +16,13 @@ import (
 // pays a per-page permission walk plus a fully validating decode.
 //
 // The cache is one table per guest page, with a slot for every
-// instruction-aligned offset in the page, and a page's table is allocated
-// when a fetch from that page first decodes. Building a core therefore
-// costs one pointer per page of memory, a core pays only for the code
-// pages it runs, and no two aligned PCs share a slot however much code
-// runs. An unaligned PC (reachable only through corrupted control flow)
-// shares its aligned neighbour's slot; the tag tells the two apart.
+// instruction-aligned offset in the page, and a page's table is attached
+// when a fetch from that page first decodes: one Reset cleared, or a new
+// one. Building a core therefore costs one pointer per page of memory, a
+// core pays only for the code pages it runs, and no two aligned PCs
+// share a slot however much code runs. An unaligned PC (reachable only
+// through corrupted control flow) shares its aligned neighbour's slot;
+// the tag tells the two apart.
 //
 // Coherence is generation-based rather than hook-based: mem.Memory bumps
 // a per-page write generation on every store, loader write and Protect
@@ -83,7 +84,7 @@ func (c *CPU) decode(pc uint64) (isa.Instruction, error) {
 // fetchDecodeMiss fills (or refreshes) the predecode slot for pc: the
 // first visit to a PC pays the full permission-checked fetch and
 // validating decode here, and the first one in a page to decode
-// allocates that page's table. A page-straddling pc takes the uncached
+// attaches that page's table. A page-straddling pc takes the uncached
 // Fetch+Decode path and leaves the cache alone.
 func (c *CPU) fetchDecodeMiss(pc uint64) (isa.Instruction, error) {
 	if pc&(mem.PageSize-1) > maxInPageOff {
@@ -114,9 +115,20 @@ func (c *CPU) fetchDecodeMiss(pc uint64) (isa.Instruction, error) {
 		return isa.Instruction{}, err
 	}
 	if t == nil {
-		t = new(icachePage)
-		c.icache[pg] = t
+		t = c.attachPage(pg)
 	}
 	t[slot] = icacheEntry{tag: pc + 1, gen: gen, in: in, raw: [isa.InstrSize]byte(raw)}
 	return in, nil
+}
+
+// attachPage gives page pg a cleared predecode table: the next one on the
+// free list Reset refills, or a new one.
+func (c *CPU) attachPage(pg uint64) *icachePage {
+	if c.icacheUsed == len(c.icachePages) {
+		c.icachePages = append(c.icachePages, new(icachePage))
+	}
+	t := c.icachePages[c.icacheUsed]
+	c.icacheUsed++
+	c.icache[pg] = t
+	return t
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +242,78 @@ func TestPredecodeLargeCodeToEndOfMemory(t *testing.T) {
 	blocks, single := run(false), run(true)
 	if blocks != single {
 		t.Errorf("tiers disagree:\nblocks   %+v\nnoblocks %+v", blocks, single)
+	}
+}
+
+// TestResetPredecodeAllocs is the predecode free-list gate. A core runs
+// one program at three load bases, as ASLR slides it between runs, with
+// a reset before each. Reset detaches every table the last run attached,
+// so the core keeps only as many as one run uses, and after the final
+// reset no table is attached and the next run, at a fourth base, takes
+// every table it needs from the free list.
+func TestResetPredecodeAllocs(t *testing.T) {
+	// 300 instructions span two code pages at any base.
+	mod, err := isa.Assemble("movi r2, 0\n" + strings.Repeat("addi r2, r2, 1\n", 300) + "halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mem.New(4 << 20)
+	cfg := DefaultConfig()
+	c := New(m, cfg)
+	run := func(base uint64) {
+		t.Helper()
+		m.Reset(m.Size())
+		img, err := mod.Link(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := img.MapInto(m); err != nil {
+			t.Fatal(err)
+		}
+		c.Reset(m, cfg)
+		c.PC = img.Entry
+		if err := c.Run(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if c.Regs[2] != 300 {
+			t.Fatalf("base %#x: r2 = %d, want 300", base, c.Regs[2])
+		}
+	}
+	attached := func() (pages []*icachePage) {
+		for _, tab := range c.icache {
+			if tab != nil {
+				pages = append(pages, tab)
+			}
+		}
+		return pages
+	}
+	for i, base := range []uint64{0x10000, 0x23000, 0x37000} {
+		run(base)
+		if n := len(attached()); n != 2 {
+			t.Fatalf("run %d attached %d predecode tables, want 2", i, n)
+		}
+		if n := len(c.icachePages); n != 2 {
+			t.Errorf("after run %d the core keeps %d predecode tables, want the 2 one run uses", i, n)
+		}
+	}
+
+	c.Reset(m, cfg)
+	if pages := attached(); len(pages) != 0 {
+		t.Errorf("%d predecode tables stayed attached after Reset", len(pages))
+	}
+	free := slices.Clone(c.icachePages)
+	for i, tab := range free {
+		if *tab != (icachePage{}) {
+			t.Errorf("free predecode table %d kept entries", i)
+		}
+	}
+	run(0x4a000)
+	for _, tab := range attached() {
+		if !slices.Contains(free, tab) {
+			t.Errorf("the run after Reset allocated predecode table %p", tab)
+		}
+	}
+	if len(c.icachePages) != len(free) {
+		t.Errorf("the core keeps %d predecode tables after the run, want %d", len(c.icachePages), len(free))
 	}
 }

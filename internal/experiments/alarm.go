@@ -12,7 +12,6 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/pmu"
 	"repro/internal/spectre"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -100,9 +99,7 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 
 	classify := func(samples []pmu.Sample, seed int64) []int {
-		set := trace.NewSet(pmu.AllEvents())
-		set.AddNoisy("run", trace.LabelAttack, samples, cfg.NoiseSigma, seed)
-		proj := set.Project(features)
+		proj := cfg.noisyAttack("run", samples, seed, features)
 		pred := make([]int, proj.Len())
 		for i, row := range proj.Data.X {
 			pred[i] = det.Predict(row)
@@ -111,13 +108,16 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	}
 
 	// Per-run prediction sequences: one run per benign workload, crRuns
-	// diluted CR campaigns. Each run resets its pooled machine and the
-	// detector is frozen (Predict is read-only), so both run sets fan
-	// out across the pool.
+	// diluted CR campaigns. Each run resets its pooled machine, samples
+	// into a pooled buffer that classify copies out of, and the detector
+	// is frozen (Predict is read-only), so both run sets fan out across
+	// the pool.
 	benignRuns := mibench.AllWithBackgrounds()
 	benignSeqs, err := mapMachines(cfg, "alarm-benign", len(benignRuns),
 		func(_ context.Context, m *vm.Machine, i int) ([]int, error) {
-			samples, err := cfg.benignRun(m, benignRuns[i], cfg.Seed*53+int64(i))
+			buf := getSamples()
+			defer putSamples(buf)
+			samples, err := cfg.benignRun(m, benignRuns[i], cfg.Seed*53+int64(i), buf)
 			if err != nil {
 				return nil, err
 			}
@@ -134,9 +134,11 @@ func RunLevelDetection(cfg Config, policies []AlarmPolicy, crRuns int) ([]AlarmR
 	variant.Delay = 120
 	crSeqs, err := mapMachines(cfg, "alarm-crspectre", crRuns,
 		func(_ context.Context, m *vm.Machine, r int) ([]int, error) {
+			buf := getSamples()
+			defer putSamples(buf)
 			cr, err := cfg.crRun(m, host, AttackSpec{
 				Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,
-			}, cfg.Seed*71+int64(r))
+			}, cfg.Seed*71+int64(r), buf)
 			if err != nil {
 				return nil, err
 			}

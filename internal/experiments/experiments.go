@@ -16,15 +16,19 @@
 // via sched.DeriveSeed so results are byte-identical for any Workers
 // setting (the golden determinism tests enforce this). Every pool task
 // and sequential driver runs on a machine from the process's machine
-// pool (vm.Get), reset in place before each run, and puts it back when
-// it returns; a task copies out what it keeps before then.
+// pool (vm.Get), reset in place before each run, and samples into a
+// buffer from the process's sample pool (getSamples); it puts both back
+// when it returns. Scratch rows never leave a task: what a task keeps
+// of a run's samples it copies out first (trace.Set.AddNoisy copies).
 package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
@@ -168,6 +172,30 @@ func (cfg Config) sampler() *pmu.Sampler {
 	return &pmu.Sampler{Interval: cfg.Interval, Events: pmu.AllEvents()}
 }
 
+// samplePool is the process's pool of sample buffers, beside vm.Get's
+// machines: a run samples into the rows an earlier run left in its
+// buffer (pmu.Sampler.AppendRun), so the sampler stops allocating
+// vectors once the buffer has held a run as long.
+var samplePool = sync.Pool{New: func() any { return new([]pmu.Sample) }}
+
+// getSamples takes a sample buffer from the process's pool. A run
+// sampled into it (sample) leaves its samples there, valid until the
+// buffer's next run or its putSamples.
+func getSamples() *[]pmu.Sample { return samplePool.Get().(*[]pmu.Sample) }
+
+// putSamples returns buf to the pool once nothing its caller keeps
+// points into its rows.
+func putSamples(buf *[]pmu.Sample) { samplePool.Put(buf) }
+
+// sample profiles m's started run into buf's rows and leaves the grown
+// buffer in buf. A buffer from getSamples is scratch; a new one (as
+// RunCR and RunStandalone pass) holds samples its caller owns.
+func (cfg Config) sample(m *vm.Machine, buf *[]pmu.Sample) ([]pmu.Sample, error) {
+	samples, err := cfg.sampler().AppendRun((*buf)[:0], m.CPU, cfg.Budget)
+	*buf = samples
+	return samples, err
+}
+
 // publishBlocks folds a finished machine's block-cache counters into the
 // metrics registry under "blocks.". Called at every run choke point so
 // the manifest reports how much of a campaign the superblock tier
@@ -195,13 +223,13 @@ func (cfg Config) benignMachine(m *vm.Machine, w mibench.Workload, seed int64) e
 }
 
 // benignRun profiles one workload host with a benign argument on m
-// (reset first) and returns its samples; m is left finished (for
-// counters/IPC).
-func (cfg Config) benignRun(m *vm.Machine, w mibench.Workload, seed int64) ([]pmu.Sample, error) {
+// (reset first) into buf (see sample) and returns its samples; m is
+// left finished (for counters/IPC).
+func (cfg Config) benignRun(m *vm.Machine, w mibench.Workload, seed int64, buf *[]pmu.Sample) ([]pmu.Sample, error) {
 	if err := cfg.benignMachine(m, w, seed); err != nil {
 		return nil, err
 	}
-	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
+	samples, err := cfg.sample(m, buf)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: benign %s: %w", w.Name, err)
 	}
@@ -272,13 +300,13 @@ func (cfg Config) standaloneMachine(m *vm.Machine, spec AttackSpec, seed int64) 
 }
 
 // standaloneRun profiles the standalone attack — the paper's
-// "traditional Spectre" baseline — on m; m is left finished (its Output
-// carries the recovered bytes).
-func (cfg Config) standaloneRun(m *vm.Machine, spec AttackSpec, seed int64) ([]pmu.Sample, error) {
+// "traditional Spectre" baseline — on m into buf (see sample); m is left
+// finished (its Output carries the recovered bytes).
+func (cfg Config) standaloneRun(m *vm.Machine, spec AttackSpec, seed int64, buf *[]pmu.Sample) ([]pmu.Sample, error) {
 	if err := cfg.standaloneMachine(m, spec, seed); err != nil {
 		return nil, err
 	}
-	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
+	samples, err := cfg.sample(m, buf)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: standalone spectre: %w", err)
 	}
@@ -288,7 +316,8 @@ func (cfg Config) standaloneRun(m *vm.Machine, spec AttackSpec, seed int64) ([]p
 
 // CRResult reports one CR-Spectre campaign run. Machine is the finished
 // machine; a run on a pooled machine (vm.Get) leaves it valid only until
-// its task returns the machine to the pool.
+// its task returns the machine to the pool, and likewise Samples when
+// they were sampled into a pooled buffer (getSamples).
 type CRResult struct {
 	Samples    []pmu.Sample
 	Recovered  string // bytes the covert channel produced
@@ -339,14 +368,15 @@ func injected(m *vm.Machine) bool {
 	return slices.Contains(m.ExecLog, "crspectre")
 }
 
-// crRun profiles the full CR-Spectre flow on m, reset first; m is left
-// finished (its Output carries the leaked bytes).
-func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
+// crRun profiles the full CR-Spectre flow on m, reset first, into buf
+// (see sample); m is left finished (its Output carries the leaked
+// bytes).
+func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed int64, buf *[]pmu.Sample) (*CRResult, error) {
 	chainWords, err := cfg.crMachine(m, w, spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	samples, err := cfg.sampler().Run(m.CPU, cfg.Budget)
+	samples, err := cfg.sample(m, buf)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cr run on %s: %w", w.Name, err)
 	}
@@ -366,14 +396,14 @@ func (cfg Config) crRun(m *vm.Machine, w mibench.Workload, spec AttackSpec, seed
 
 // RunCR exposes the CR-Spectre flow for the public facade and tools.
 func RunCR(cfg Config, w mibench.Workload, spec AttackSpec, seed int64) (*CRResult, error) {
-	return cfg.crRun(new(vm.Machine), w, spec, seed)
+	return cfg.crRun(new(vm.Machine), w, spec, seed, new([]pmu.Sample))
 }
 
 // RunStandalone exposes the traditional-Spectre flow (Fig. 2b) for the
 // facade, tools and ablation benchmarks.
 func RunStandalone(cfg Config, spec AttackSpec, seed int64) ([]pmu.Sample, *vm.Machine, error) {
 	m := new(vm.Machine)
-	samples, err := cfg.standaloneRun(m, spec, seed)
+	samples, err := cfg.standaloneRun(m, spec, seed, new([]pmu.Sample))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -452,8 +482,8 @@ func (cfg Config) BenignCorpus(workloads []mibench.Workload, total int) (*trace.
 		apps[i] = w.Name
 	}
 	return cfg.corpus("benign-corpus", 7919, trace.LabelBenign, apps, total,
-		func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error) {
-			return cfg.benignRun(m, workloads[i], seed)
+		func(m *vm.Machine, i int, seed int64, buf *[]pmu.Sample) ([]pmu.Sample, error) {
+			return cfg.benignRun(m, workloads[i], seed, buf)
 		})
 }
 
@@ -466,18 +496,18 @@ func (cfg Config) AttackCorpus(total int) (*trace.Set, error) {
 		apps[i] = "spectre-" + v.String()
 	}
 	return cfg.corpus("attack-corpus", 104729, trace.LabelAttack, apps, total,
-		func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error) {
-			return cfg.standaloneRun(m, AttackSpec{Variant: variants[i]}, seed)
+		func(m *vm.Machine, i int, seed int64, buf *[]pmu.Sample) ([]pmu.Sample, error) {
+			return cfg.standaloneRun(m, AttackSpec{Variant: variants[i]}, seed, buf)
 		})
 }
 
 // corpus collects ~total samples labelled label from one source per app,
 // sharing the quota evenly. The sources fan out across the named pool,
-// each on a pooled machine reset per run; source i's repetition seeds derive
-// from (Seed*salt, i, rep), so the corpus is byte-identical for any
-// Workers setting.
+// each on a pooled machine reset per run and one pooled sample buffer;
+// source i's repetition seeds derive from (Seed*salt, i, rep), so the
+// corpus is byte-identical for any Workers setting.
 func (cfg Config) corpus(pool string, salt int64, label int, apps []string, total int,
-	run func(m *vm.Machine, i int, seed int64) ([]pmu.Sample, error)) (*trace.Set, error) {
+	run func(m *vm.Machine, i int, seed int64, buf *[]pmu.Sample) ([]pmu.Sample, error)) (*trace.Set, error) {
 	set := trace.NewSet(pmu.AllEvents())
 	if len(apps) == 0 || total <= 0 {
 		return set, nil
@@ -486,11 +516,13 @@ func (cfg Config) corpus(pool string, salt int64, label int, apps []string, tota
 	parts, err := mapMachines(cfg, pool, len(apps),
 		func(ctx context.Context, m *vm.Machine, i int) (*trace.Set, error) {
 			part := trace.NewSet(pmu.AllEvents())
+			buf := getSamples()
+			defer putSamples(buf)
 			base := sched.DeriveSeed(cfg.Seed*salt, uint64(i))
 			got := 0
 			for rep := 0; got < quota && rep < 200; rep++ {
 				seed := sched.DeriveSeed(base, uint64(rep))
-				samples, err := run(m, i, seed)
+				samples, err := run(m, i, seed, buf)
 				if err != nil {
 					return nil, err
 				}
@@ -535,17 +567,36 @@ func subsample(samples []pmu.Sample, n int) []pmu.Sample {
 // to benign's feature width, mixed with rows drawn from benign (a set
 // already projected to the size the detector monitors).
 func (cfg Config) attackEval(app string, samples []pmu.Sample, noiseSeed int64, benign *trace.Set, mixSeed int64) *trace.Set {
-	set := trace.NewSet(pmu.AllEvents())
-	set.AddNoisy(app, trace.LabelAttack, samples, cfg.NoiseSigma, noiseSeed)
-	return cfg.evalMix(set.Project(len(benign.Events)), benign, mixSeed)
+	return cfg.evalMix(cfg.noisyAttack(app, samples, noiseSeed, len(benign.Events)), benign, mixSeed)
 }
+
+// noisySets pools noisyAttack's full-width noisy rows.
+var noisySets = sync.Pool{New: func() any { return trace.NewSet(pmu.AllEvents()) }}
+
+// noisyAttack returns samples with system noise seeded by seed, labelled
+// attack under app and projected to the first n events. The full-width
+// noisy rows are scratch from noisySets, which AddNoisy refills call
+// after call; Project copies the n columns out of them, so none leaves
+// the call.
+func (cfg Config) noisyAttack(app string, samples []pmu.Sample, seed int64, n int) *trace.Set {
+	noisy := noisySets.Get().(*trace.Set)
+	noisy.Apps, noisy.Data.X, noisy.Data.Y = noisy.Apps[:0], noisy.Data.X[:0], noisy.Data.Y[:0]
+	noisy.AddNoisy(app, trace.LabelAttack, samples, cfg.NoiseSigma, seed)
+	out := noisy.Project(n)
+	noisySets.Put(noisy)
+	return out
+}
+
+// mixRands pools evalMix's generators. Seed restarts one on exactly the
+// stream a new generator on that seed yields (see trace.AddNoisy).
+var mixRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // evalMix builds a per-attempt evaluation set: the attempt's attack
 // samples plus a fresh benign batch at roughly 4:1 attack:benign — the
 // system keeps running benign applications while the attack executes, so
 // the HID judges a mixed stream. The sampling RNG follows the engine's
-// derivation rule (a private stream per call), so concurrent evalMix
-// calls from pool tasks never share random state.
+// derivation rule (sched.Rand's stream, private to the call), so
+// concurrent evalMix calls from pool tasks never share random state.
 func (cfg Config) evalMix(attack *trace.Set, benign *trace.Set, seed int64) *trace.Set {
 	out := trace.NewSet(attack.Events)
 	_ = out.Merge(attack)
@@ -553,7 +604,8 @@ func (cfg Config) evalMix(attack *trace.Set, benign *trace.Set, seed int64) *tra
 	if want < 1 {
 		want = 1
 	}
-	rng := sched.Rand(seed, 0)
+	rng := mixRands.Get().(*rand.Rand)
+	rng.Seed(sched.DeriveSeed(seed, 0))
 	n := benign.Len()
 	for k := 0; k < want && n > 0; k++ {
 		i := rng.Intn(n)
@@ -561,5 +613,6 @@ func (cfg Config) evalMix(attack *trace.Set, benign *trace.Set, seed int64) *tra
 		out.Data.X = append(out.Data.X, benign.Data.X[i])
 		out.Data.Y = append(out.Data.Y, benign.Data.Y[i])
 	}
+	mixRands.Put(rng)
 	return out
 }

@@ -21,7 +21,7 @@ import (
 
 // newTestSet builds a uniform labelled set for mixing tests.
 func newTestSet(n, label int) *trace.Set {
-	s := trace.NewSet(pmu.Features(4))
+	s := trace.NewSet(pmu.AllEvents()[:4])
 	samples := make([]pmu.Sample, n)
 	for i := range samples {
 		samples[i] = pmu.Sample{float64(i), 1, 2, 3}
@@ -86,7 +86,7 @@ func TestStandaloneRunLeaksSecret(t *testing.T) {
 	cfg := testConfig()
 	var m vm.Machine // one machine, reset by every variant's run
 	for _, v := range spectre.Variants() {
-		if _, err := cfg.standaloneRun(&m, AttackSpec{Variant: v}, 5); err != nil {
+		if _, err := cfg.standaloneRun(&m, AttackSpec{Variant: v}, 5, new([]pmu.Sample)); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
 		if got := m.Output.String(); got != cfg.Secret {
@@ -102,7 +102,7 @@ func TestCRRunFullChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	pp := perturb.Paper()
-	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &pp}, 9)
+	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &pp}, 9, new([]pmu.Sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,12 @@ func TestFig5OfflineShape(t *testing.T) {
 	}
 	// Degrading trend: last attempt no better than the first.
 	for _, c := range cfg.Classifiers {
-		pts := Points(res.CR, c)
+		var pts []AttemptPoint
+		for _, p := range res.CR {
+			if p.Classifier == c {
+				pts = append(pts, p)
+			}
+		}
 		if pts[len(pts)-1].Accuracy > pts[0].Accuracy+0.05 {
 			t.Errorf("%s: offline CR accuracy rose from %.3f to %.3f", c, pts[0].Accuracy, pts[len(pts)-1].Accuracy)
 		}
@@ -553,7 +558,7 @@ func TestCRRunAllVariants(t *testing.T) {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
-			cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: v}, 21)
+			cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: v}, 21, new([]pmu.Sample))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -570,7 +575,7 @@ func TestBenignRunNeverTriggersInjection(t *testing.T) {
 	cfg := testConfig()
 	var m vm.Machine // one machine, reset by every workload's run
 	for _, w := range mibench.Suite()[:2] {
-		if _, err := cfg.benignRun(&m, w, 3); err != nil {
+		if _, err := cfg.benignRun(&m, w, 3, new([]pmu.Sample)); err != nil {
 			t.Fatal(err)
 		}
 		if len(m.ExecLog) != 0 {
@@ -591,7 +596,7 @@ func TestCRSamplesCarryInjectionSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck}, 5)
+	cr, err := cfg.crRun(new(vm.Machine), host, AttackSpec{Variant: spectre.V1BoundsCheck}, 5, new([]pmu.Sample))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mibench"
 	"repro/internal/ml"
 	"repro/internal/perturb"
-	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/vm"
@@ -129,10 +128,12 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 	res := &CampaignResult{Online: online}
 
 	// attemptSim is what one of an attempt's fanned-out simulations
-	// copies out of its pooled machine: task 0 is the panel-(a)
-	// standalone run, tasks 1..len(crStates) the per-detector CR runs.
+	// keeps once its pooled machine and sample buffer go back: the
+	// evaluation mix the detectors score, built inside the task from
+	// the run's samples. Task 0 is the panel-(a) standalone run, tasks
+	// 1..len(crStates) the per-detector CR runs.
 	type attemptSim struct {
-		samples   []pmu.Sample
+		eval      ml.Dataset
 		recovered bool // the exact secret came back (and, for CR, was injected)
 	}
 
@@ -149,8 +150,10 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		// learns); online HIDs face per-detector dynamic mutation. Each
 		// spec reads only state fixed at the start of the attempt, so
 		// they are captured here and the simulations fan out across the
-		// pool. Scoring, retraining and mutation then fan out per
-		// detector below, once every simulation has finished.
+		// pool, each building its evaluation mix (attackEval reads only
+		// benignEval, and evalMix's RNG is private to the call).
+		// Scoring, retraining and mutation then fan out per detector
+		// below, once every simulation has finished.
 		crSpecs := make([]AttackSpec, len(crStates))
 		crVariants := make([]perturb.Params, len(crStates))
 		for j, st := range crStates {
@@ -172,35 +175,37 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		}
 		sims, err := mapMachines(cfg, "campaign", 1+len(crStates),
 			func(_ context.Context, m *vm.Machine, t int) (attemptSim, error) {
+				buf := getSamples()
+				defer putSamples(buf)
 				if t == 0 {
-					samples, err := cfg.standaloneRun(m, spec, seed)
+					samples, err := cfg.standaloneRun(m, spec, seed, buf)
 					if err != nil {
 						return attemptSim{}, fmt.Errorf("campaign: attempt %d standalone: %w", attempt, err)
 					}
-					return attemptSim{samples, m.Output.String() == cfg.Secret}, nil
+					eval := cfg.attackEval("spectre", samples, seed, benignEval, seed)
+					return attemptSim{eval.Data, m.Output.String() == cfg.Secret}, nil
 				}
 				st := crStates[t-1]
-				cr, err := cfg.crRun(m, host, crSpecs[t-1], seed+int64(len(st.det.Name())))
+				cr, err := cfg.crRun(m, host, crSpecs[t-1], seed+int64(len(st.det.Name())), buf)
 				if err != nil {
 					return attemptSim{}, fmt.Errorf("campaign: attempt %d cr (%s): %w", attempt, st.det.Name(), err)
 				}
-				return attemptSim{cr.Samples, cr.Recovered == cfg.Secret && cr.Injected}, nil
+				eval := cfg.attackEval("cr-spectre", cr.Samples, seed, benignEval, seed+7)
+				return attemptSim{eval.Data, cr.Recovered == cfg.Secret && cr.Injected}, nil
 			})
 		if err != nil {
 			return nil, err
 		}
 
-		eval := cfg.attackEval("spectre", sims[0].samples, seed, benignEval, seed)
 		points, err := sched.Map(cfg.ctx("campaign-hid"), cfg.workers(), len(states),
 			func(_ context.Context, t int) (AttemptPoint, error) {
 				st := states[t]
 				if t < len(plainStates) {
-					return st.score(eval.Data, AttemptPoint{Attempt: attempt, Recovered: sims[0].recovered})
+					return st.score(sims[0].eval, AttemptPoint{Attempt: attempt, Recovered: sims[0].recovered})
 				}
 				j := t - len(plainStates)
 				sim := sims[1+j]
-				crEval := cfg.attackEval("cr-spectre", sim.samples, seed, benignEval, seed+7)
-				p, err := st.score(crEval.Data, AttemptPoint{
+				p, err := st.score(sim.eval, AttemptPoint{
 					Attempt:   attempt,
 					Variant:   crVariants[j].String(),
 					Recovered: sim.recovered,
@@ -219,17 +224,6 @@ func (cfg Config) campaign(online bool) (*CampaignResult, error) {
 		res.CR = append(res.CR, points[len(plainStates):]...)
 	}
 	return res, nil
-}
-
-// Points selects one classifier's series from a panel.
-func Points(panel []AttemptPoint, classifier string) []AttemptPoint {
-	var out []AttemptPoint
-	for _, p := range panel {
-		if p.Classifier == classifier {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // MeanAccuracy averages a panel's accuracy.

@@ -71,12 +71,14 @@ func DetectionLatency(cfg Config, maxBatches int) ([]LatencyRow, error) {
 			pd := int64(200 + rng.Int63n(200))
 
 			row := LatencyRow{Classifier: name, Variant: variant.String(), BatchesToDetect: -1}
+			buf := getSamples()
+			defer putSamples(buf)
 			for batch := 1; batch <= maxBatches; batch++ {
 				cr, err := cfg.crRun(m, host, AttackSpec{
 					Variant:    spectre.Variants()[(batch-1)%len(spectre.Variants())],
 					Perturb:    &variant,
 					ProbeDelay: pd,
-				}, cfg.Seed*31+int64(batch)+int64(i)*977)
+				}, cfg.Seed*31+int64(batch)+int64(i)*977, buf)
 				if err != nil {
 					return LatencyRow{}, err
 				}

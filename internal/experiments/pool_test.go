@@ -3,17 +3,22 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/defense"
 	"repro/internal/mibench"
 	"repro/internal/perturb"
+	"repro/internal/pmu"
 	"repro/internal/sched"
 	"repro/internal/spectre"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -36,16 +41,16 @@ func pooledRuns(t *testing.T) []pooledRun {
 	cells := table1Cells()
 	runs := []pooledRun{
 		{"benign math", func(cfg Config, m *vm.Machine) (any, error) {
-			return cfg.benignRun(m, mibench.Math(300), 3)
+			return cfg.benignRun(m, mibench.Math(300), 3, new([]pmu.Sample))
 		}},
 		{"benign sha_1", func(cfg Config, m *vm.Machine) (any, error) {
-			return cfg.benignRun(m, mibench.SHA1(20), 4)
+			return cfg.benignRun(m, mibench.SHA1(20), 4, new([]pmu.Sample))
 		}},
 		{"cr plain", func(cfg Config, m *vm.Machine) (any, error) {
-			return crValue(cfg.crRun(m, host, AttackSpec{Variant: spectre.V1BoundsCheck}, 9))
+			return crValue(cfg.crRun(m, host, AttackSpec{Variant: spectre.V1BoundsCheck}, 9, new([]pmu.Sample)))
 		}},
 		{"cr perturbed", func(cfg Config, m *vm.Machine) (any, error) {
-			return crValue(cfg.crRun(m, host, AttackSpec{Variant: spectre.VRSB, Perturb: &pp, ProbeDelay: 90}, 10))
+			return crValue(cfg.crRun(m, host, AttackSpec{Variant: spectre.VRSB, Perturb: &pp, ProbeDelay: 90}, 10, new([]pmu.Sample)))
 		}},
 		{"table1 original", func(cfg Config, m *vm.Machine) (any, error) {
 			return cfg.table1Run(m, mibench.Math(300), cells[0].spec, 11)
@@ -56,7 +61,7 @@ func pooledRuns(t *testing.T) []pooledRun {
 	}
 	for i, v := range spectre.Variants() {
 		runs = append(runs, pooledRun{"standalone " + v.String(), func(cfg Config, m *vm.Machine) (any, error) {
-			return cfg.standaloneRun(m, AttackSpec{Variant: v}, int64(20+i))
+			return cfg.standaloneRun(m, AttackSpec{Variant: v}, int64(20+i), new([]pmu.Sample))
 		}})
 	}
 	return runs
@@ -155,14 +160,15 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 }
 
 // TestCorpusReuseAllocs bounds what a corpus pass allocates once the
-// machine pool holds a machine: its run resets that machine in place
-// rather than backing a new one's pages, page tables, caches, predecode
-// tables and branch units.
+// machine and sample pools hold what it used: its run resets a machine
+// in place rather than backing a new one's pages, page tables, caches,
+// predecode tables and branch units, and samples into a kept buffer's
+// rows rather than new vectors.
 func TestCorpusReuseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops about a quarter of its Puts")
 	}
-	const bound = 64 << 10
+	const bound = 24 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -181,4 +187,103 @@ func TestCorpusReuseAllocs(t *testing.T) {
 		t.Errorf("a corpus pass allocates %d bytes, want under %d", got, bound)
 	}
 	t.Logf("per corpus pass: %d bytes, %d objects", got, after.Mallocs-before.Mallocs)
+}
+
+// scratchOutputs is what TestScratchRunsMatchFresh compares: a
+// test-scale online campaign, a benign corpus and a CR run.
+type scratchOutputs struct {
+	fig6   *CampaignResult
+	corpus *trace.Set
+	cr     CRResult
+}
+
+// poisonScratch fills the sample and noisy-row pools with buffers whose
+// rows hold NaN, narrower than, as wide as and wider than a sample, and
+// evalMix's generator pool with generators off their seed's stream.
+func poisonScratch() {
+	nan := math.NaN()
+	for range 8 {
+		rows := make([]pmu.Sample, 64)
+		for i := range rows {
+			rows[i] = make(pmu.Sample, []int{3, int(pmu.NumEvents), 2 * int(pmu.NumEvents)}[i%3])
+			for j := range rows[i] {
+				rows[i][j] = nan
+			}
+		}
+		noisy := trace.NewSet(pmu.AllEvents())
+		noisy.AddNoisy("poison", trace.LabelBenign, rows, 0, 0)
+		putSamples(&rows)
+		noisySets.Put(noisy)
+		rng := rand.New(rand.NewSource(-1))
+		rng.Int63()
+		mixRands.Put(rng)
+	}
+}
+
+// TestScratchRunsMatchFresh is the scratch rule's identity gate. It
+// takes reference outputs with the process's pools empty, as a new
+// process starts (two collections empty every sync.Pool), then fills
+// the scratch pools with NaN rows and runs the same work again: a
+// test-scale Fig. 6 campaign, a benign corpus and RunCR. Each must equal
+// its reference, so no stale row or generator state reaches an output;
+// and the CR run's Samples, which RunCR hands its caller, must survive
+// the pooled runs after it unchanged.
+func TestScratchRunsMatchFresh(t *testing.T) {
+	cfg := testConfig()
+	cfg.SamplesPerClass = 24
+	cfg.Attempts = 2
+	cfg.Workers = 4
+	host, err := mibench.ByName("math")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := perturb.Paper()
+	spec := AttackSpec{Variant: spectre.V1BoundsCheck, Perturb: &pp, ProbeDelay: 90}
+	runCR := func() CRResult {
+		cr, err := RunCR(cfg, host, spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := *cr
+		v.Machine = nil
+		return v
+	}
+	pooled := func(out *scratchOutputs) {
+		var err error
+		if out.fig6, err = Fig6(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if out.corpus, err = cfg.BenignCorpus([]mibench.Workload{mibench.Math(300), mibench.SHA1(20)}, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	runtime.GC()
+	runtime.GC()
+	var want scratchOutputs
+	want.cr = runCR()
+	pooled(&want)
+
+	poisonScratch()
+	var got scratchOutputs
+	got.cr = runCR()
+	kept := make([]pmu.Sample, len(got.cr.Samples))
+	for i, s := range got.cr.Samples {
+		kept[i] = slices.Clone(s)
+	}
+	poisonScratch()
+	pooled(&got)
+
+	if !reflect.DeepEqual(got.fig6, want.fig6) {
+		t.Errorf("Fig6 on poisoned scratch differs from a fresh process's:\n%+v\nwant\n%+v", got.fig6, want.fig6)
+	}
+	if !reflect.DeepEqual(got.corpus, want.corpus) {
+		t.Error("BenignCorpus on poisoned scratch differs from a fresh process's")
+	}
+	if !reflect.DeepEqual(got.cr, want.cr) {
+		t.Errorf("RunCR on poisoned scratch differs from a fresh process's:\n%+v\nwant\n%+v", got.cr, want.cr)
+	}
+	if !reflect.DeepEqual(got.cr.Samples, kept) {
+		t.Error("RunCR's samples changed under the pooled runs after it")
+	}
 }

@@ -66,13 +66,14 @@ func VariantRecycling(cfg Config, window int) ([]RecycleRow, error) {
 	variantA := perturb.Paper().Mutate(rng)
 	variantA.Delay = 150
 
-	// runEval runs one CR attack on a pooled machine, puts it back and
-	// returns the run's evaluation mix.
+	// runEval runs one CR attack on a pooled machine and sample buffer,
+	// puts them back and returns the run's evaluation mix.
 	runEval := func(v *perturb.Params, pd int64, seed int64) (ml.Dataset, error) {
-		m := vm.Get()
+		m, buf := vm.Get(), getSamples()
+		defer putSamples(buf)
 		cr, err := cfg.crRun(m, host, AttackSpec{
 			Variant: spectre.V1BoundsCheck, Perturb: v, ProbeDelay: pd,
-		}, seed)
+		}, seed, buf)
 		vm.Put(m)
 		if err != nil {
 			return ml.Dataset{}, err
@@ -199,10 +200,11 @@ func EnsembleComparison(cfg Config) ([]EnsembleRow, error) {
 	}
 	variant := perturb.Paper()
 	variant.Delay = 120
-	m := vm.Get()
+	m, buf := vm.Get(), getSamples()
+	defer putSamples(buf)
 	cr, err := cfg.crRun(m, host, AttackSpec{
 		Variant: spectre.V1BoundsCheck, Perturb: &variant, ProbeDelay: 350,
-	}, cfg.Seed*7+3)
+	}, cfg.Seed*7+3, buf)
 	vm.Put(m)
 	if err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ func TestTrainRejectsEmptyAndInvalid(t *testing.T) {
 	if err := d.Train(bad); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}
-	if d.Trained() {
+	if d.trained {
 		t.Fatal("detector claims trained after failed Train")
 	}
 }

@@ -38,9 +38,6 @@ func New(clf ml.Classifier) *Detector {
 // Name returns the underlying classifier family name.
 func (d *Detector) Name() string { return d.clf.Name() }
 
-// Trained reports whether Train has succeeded.
-func (d *Detector) Trained() bool { return d.trained }
-
 // Train fits the scaler and classifier on the labelled dataset.
 func (d *Detector) Train(ds ml.Dataset) error {
 	if err := ds.Validate(); err != nil {

@@ -27,7 +27,7 @@ func twoClass(n int, sep float64, seed int64) ml.Dataset {
 
 func TestDetectorTrainAndScore(t *testing.T) {
 	d := New(ml.NewLogReg(1))
-	if d.Trained() {
+	if d.trained {
 		t.Fatal("detector trained before Train")
 	}
 	if acc := d.Accuracy(twoClass(50, 6, 3)); acc != 0 {
@@ -37,7 +37,7 @@ func TestDetectorTrainAndScore(t *testing.T) {
 	if err := d.Train(data); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Trained() {
+	if !d.trained {
 		t.Fatal("detector not marked trained")
 	}
 	if acc := d.Accuracy(twoClass(200, 6, 9)); acc < 0.95 {

@@ -110,12 +110,3 @@ func (d Dataset) Split(trainFrac float64, seed int64) (train, test Dataset) {
 	test.Shuffle(seed + 2)
 	return train, test
 }
-
-// CountLabels tallies rows per label.
-func (d Dataset) CountLabels() map[int]int {
-	out := map[int]int{}
-	for _, y := range d.Y {
-		out[y]++
-	}
-	return out
-}

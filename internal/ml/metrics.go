@@ -107,15 +107,6 @@ func AUC(scores []float64, y []int) float64 {
 	return u / (float64(nPos) * float64(nNeg))
 }
 
-// Scores runs a Scorer over a matrix.
-func Scores(s Scorer, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, row := range X {
-		out[i] = s.Score(row)
-	}
-	return out
-}
-
 // EvaluateAccuracy fits nothing: it runs clf over X and scores against y.
 func EvaluateAccuracy(clf Classifier, X [][]float64, y []int) float64 {
 	pred := make([]int, len(X))

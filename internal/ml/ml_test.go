@@ -162,13 +162,22 @@ func TestScalerConstantFeature(t *testing.T) {
 	}
 }
 
+// countLabels tallies d's rows per label.
+func countLabels(d Dataset) map[int]int {
+	out := map[int]int{}
+	for _, y := range d.Y {
+		out[y]++
+	}
+	return out
+}
+
 func TestSplitStratified(t *testing.T) {
 	d := blobs(1000, 2, 1, 17)
 	train, test := d.Split(0.7, 3)
 	if train.Len()+test.Len() != d.Len() {
 		t.Fatal("split lost rows")
 	}
-	tr, te := train.CountLabels(), test.CountLabels()
+	tr, te := countLabels(train), countLabels(test)
 	if tr[0] != 350 || tr[1] != 350 {
 		t.Errorf("train labels %v, want 350/350", tr)
 	}
@@ -348,7 +357,11 @@ func TestScorersSeparateBlobsByAUC(t *testing.T) {
 			t.Fatal(err)
 		}
 		scorer := clf.(Scorer)
-		auc := AUC(Scores(scorer, sc.Transform(test.X)), test.Y)
+		var scores []float64
+		for _, row := range sc.Transform(test.X) {
+			scores = append(scores, scorer.Score(row))
+		}
+		auc := AUC(scores, test.Y)
 		if auc < 0.98 {
 			t.Errorf("%s AUC on separable blobs = %.3f", name, auc)
 		}

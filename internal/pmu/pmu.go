@@ -244,19 +244,6 @@ func AllEvents() []Event {
 	return out
 }
 
-// Features returns the first n events of the priority ordering — the
-// paper's feature-size knob (1, 2, 4, 8, 16). n is clamped to the
-// catalogue size.
-func Features(n int) []Event {
-	if n < 1 {
-		n = 1
-	}
-	if n > int(NumEvents) {
-		n = int(NumEvents)
-	}
-	return AllEvents()[:n]
-}
-
 func ratio(a, b uint64) float64 {
 	if b == 0 {
 		return 0
@@ -275,13 +262,18 @@ func Extract(d cpu.Snapshot, e Event) float64 {
 	return catalogue[e].value(d)
 }
 
-// Vector extracts the given events from a delta into a feature vector.
-func Vector(d cpu.Snapshot, events []Event) []float64 {
-	out := make([]float64, len(events))
-	for i, e := range events {
-		out[i] = Extract(d, e)
+// vector extracts the given events from a delta into a feature vector:
+// into row when row has room for every event, and into a new vector
+// otherwise.
+func vector(row []float64, d cpu.Snapshot, events []Event) []float64 {
+	if cap(row) < len(events) {
+		row = make([]float64, len(events))
 	}
-	return out
+	row = row[:len(events)]
+	for i, e := range events {
+		row[i] = Extract(d, e)
+	}
+	return row
 }
 
 // Sample is one sampling interval's event vector.
@@ -300,7 +292,7 @@ type Sampler struct {
 // Run executes the core until it halts or maxInstr instructions retire,
 // emitting one sample per elapsed interval. The trailing partial
 // interval is kept when it covers at least half the period (so short
-// programs still produce a final sample).
+// programs still produce a final sample). The samples are the caller's.
 //
 // The core advances through cpu.RunUntilCycle, which stops on exactly
 // the retirement that crosses each interval boundary in either
@@ -308,10 +300,27 @@ type Sampler struct {
 // loop's while the hot stretches between boundaries run through the
 // superblock cache (TestSamplerTierEquivalence pins this).
 func (s *Sampler) Run(c *cpu.CPU, maxInstr uint64) ([]Sample, error) {
+	return s.AppendRun(nil, c, maxInstr)
+}
+
+// AppendRun is Run appending its samples to dst, and returns the
+// extended slice. Each sample is written into the row of dst's spare
+// capacity it lands on when that row has room for every event, so a
+// caller that samples run after run into one buffer (dst[:0]) stops
+// allocating vectors once the buffer has held a run as long. Rows in
+// dst's spare capacity are therefore overwritten: a caller keeps a
+// sample past its buffer's next use only by copying it.
+func (s *Sampler) AppendRun(dst []Sample, c *cpu.CPU, maxInstr uint64) ([]Sample, error) {
 	if s.Interval == 0 {
-		return nil, fmt.Errorf("pmu: sampling interval must be positive")
+		return dst, fmt.Errorf("pmu: sampling interval must be positive")
 	}
-	var samples []Sample
+	emit := func(d cpu.Snapshot) {
+		var row Sample
+		if n := len(dst); n < cap(dst) {
+			row = dst[:n+1][n]
+		}
+		dst = append(dst, vector(row, d, s.Events))
+	}
 	prev := c.Snapshot()
 	nextBoundary := c.Cycle + s.Interval
 	for retired := uint64(0); retired < maxInstr && !c.Halted(); {
@@ -319,17 +328,17 @@ func (s *Sampler) Run(c *cpu.CPU, maxInstr uint64) ([]Sample, error) {
 		err := c.RunUntilCycle(maxInstr-retired, nextBoundary)
 		retired += c.Instret() - before
 		if err != nil && err != cpu.ErrBudget {
-			return samples, err
+			return dst, err
 		}
 		if c.Cycle >= nextBoundary {
 			snap := c.Snapshot()
-			samples = append(samples, Vector(snap.Sub(prev), s.Events))
+			emit(snap.Sub(prev))
 			prev = snap
 			nextBoundary = c.Cycle + s.Interval
 		}
 	}
 	if tail := c.Snapshot().Sub(prev); tail.Cycles >= s.Interval/2 {
-		samples = append(samples, Vector(tail, s.Events))
+		emit(tail)
 	}
-	return samples, nil
+	return dst, nil
 }

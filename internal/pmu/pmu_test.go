@@ -2,6 +2,7 @@ package pmu
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -28,20 +29,11 @@ func TestEventCatalogueIs56(t *testing.T) {
 
 func TestPaperFeaturePriority(t *testing.T) {
 	want := []Event{TotalCacheMisses, TotalCacheAccesses, TotalBranches, BranchMispredictions, Instructions, Cycles}
-	got := Features(6)
+	got := AllEvents()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("feature %d = %s, want %s", i, got[i], want[i])
 		}
-	}
-	if len(Features(0)) != 1 {
-		t.Error("Features(0) should clamp to 1")
-	}
-	if len(Features(1000)) != 56 {
-		t.Error("Features(1000) should clamp to 56")
-	}
-	if len(Features(4)) != 4 {
-		t.Error("Features(4) length wrong")
 	}
 }
 
@@ -170,7 +162,7 @@ func TestExtractZeroDeltaIsFinite(t *testing.T) {
 
 func TestVector(t *testing.T) {
 	d := cpu.Snapshot{Instructions: 10, Cycles: 20}
-	v := Vector(d, []Event{Instructions, Cycles, IPC})
+	v := vector(nil, d, []Event{Instructions, Cycles, IPC})
 	if len(v) != 3 || v[0] != 10 || v[1] != 20 || v[2] != 0.5 {
 		t.Errorf("vector = %v", v)
 	}
@@ -232,7 +224,7 @@ func TestSamplerProducesSamples(t *testing.T) {
 	// A long-running loop sampled at a small interval must yield
 	// multiple samples with sane headline values.
 	c := newCore(t, loopSrc, cpu.DefaultConfig())
-	s := &Sampler{Interval: 10_000, Events: Features(6)}
+	s := &Sampler{Interval: 10_000, Events: AllEvents()[:6]}
 	samples, err := s.Run(c, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +247,7 @@ func TestSamplerProducesSamples(t *testing.T) {
 }
 
 func TestSamplerZeroIntervalRejected(t *testing.T) {
-	s := &Sampler{Interval: 0, Events: Features(1)}
+	s := &Sampler{Interval: 0, Events: AllEvents()[:1]}
 	if _, err := s.Run(nil, 0); err == nil {
 		t.Error("zero interval accepted")
 	}
@@ -367,6 +359,71 @@ func TestSamplerIsPassive(t *testing.T) {
 	}
 }
 
+// TestAppendRunMatchesRun checks the reuse rule: sampling into a dirty
+// buffer (spare rows narrower and wider than a sample, stale values, and
+// capacity past what the run fills) appends exactly Run's samples after
+// the buffer's kept prefix, which stays untouched.
+func TestAppendRunMatchesRun(t *testing.T) {
+	s := &Sampler{Interval: 9973, Events: AllEvents()}
+	want, err := s.Run(newCore(t, specSrc, cpu.DefaultConfig()), 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]Sample, 1, len(want)+40)
+	dst[0] = Sample{1, 2, 3}
+	for i := 1; i < cap(dst); i++ {
+		row := make(Sample, []int{3, len(s.Events), 2 * len(s.Events)}[i%3])
+		for j := range row {
+			row[j] = -float64(i)
+		}
+		dst[:i+1][i] = row
+	}
+	got, err := s.AppendRun(dst, newCore(t, specSrc, cpu.DefaultConfig()), 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(want) || !slices.Equal(got[0], Sample{1, 2, 3}) {
+		t.Fatalf("AppendRun returned %d samples after prefix %v, want %d after [1 2 3]", len(got)-1, got[0], len(want))
+	}
+	for i, w := range want {
+		if g := got[1+i]; !slices.Equal(g, w) {
+			t.Fatalf("sample %d:\nappended %v\nRun      %v", i, g, w)
+		}
+	}
+}
+
+// TestAppendRunAllocs pins what the reuse is for: a second run sampled
+// into the buffer the first one filled allocates no vector. The core is
+// reset in place between the runs, and loopSrc keeps no state in
+// memory, so every rerun samples as many vectors and allocates nothing
+// else either.
+func TestAppendRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := &Sampler{Interval: 9973, Events: AllEvents()}
+	c := newCore(t, loopSrc, cpu.DefaultConfig())
+	entry := c.PC
+	buf, err := s.AppendRun(nil, c, 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(buf)
+	allocs := testing.AllocsPerRun(5, func() {
+		c.Reset(c.Mem, cpu.DefaultConfig())
+		c.PC = entry
+		if buf, err = s.AppendRun(buf[:0], c, 5_000_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(buf) != n {
+		t.Fatalf("rerun sampled %d vectors, the first run %d", len(buf), n)
+	}
+	if allocs != 0 {
+		t.Errorf("a rerun into the same buffer allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // vectorSink keeps the benchmarked results alive.
 var vectorSink []float64
 
@@ -385,7 +442,7 @@ func BenchmarkVector(b *testing.B) {
 	events := AllEvents()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		vectorSink = Vector(d, events)
+		vectorSink = vector(nil, d, events)
 	}
 }
 

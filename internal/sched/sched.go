@@ -70,7 +70,9 @@ func DeriveSeed(base int64, index uint64) int64 {
 }
 
 // Rand builds a private *rand.Rand for one task from the derived seed
-// stream — the only sanctioned way to obtain an RNG inside a Map task.
+// stream — the only sanctioned stream for an RNG inside a Map task. A
+// pooled generator reseeded with DeriveSeed(base, index) draws exactly
+// this stream without allocating a source.
 func Rand(base int64, index uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(base, index)))
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"repro/internal/ml"
 	"repro/internal/pmu"
@@ -48,12 +49,30 @@ func (s *Set) Add(app string, label int, samples []pmu.Sample) {
 	}
 }
 
+// noiseRands pools AddNoisy's generators. Seed restarts a generator on
+// exactly the stream rand.New(rand.NewSource(seed)) yields, so a call
+// that reseeds the one it takes draws what a new one would, without
+// allocating a source's state per call.
+var noiseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // AddNoisy appends samples with multiplicative Gaussian jitter of the
-// given relative sigma (the system-noise model).
+// given relative sigma (the system-noise model), seeded by seed. Each
+// jittered row is written into the row of X's spare capacity it lands
+// on when that row has room, as pmu.Sampler.AppendRun does, so a set
+// emptied to length zero and refilled run after run reuses its rows;
+// rows past X's length are therefore the set's to overwrite.
 func (s *Set) AddNoisy(app string, label int, samples []pmu.Sample, sigma float64, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := noiseRands.Get().(*rand.Rand)
+	rng.Seed(seed)
 	for _, smp := range samples {
-		row := make([]float64, len(smp))
+		var row []float64
+		if n := len(s.Data.X); n < cap(s.Data.X) {
+			row = s.Data.X[:n+1][n]
+		}
+		if cap(row) < len(smp) {
+			row = make([]float64, len(smp))
+		}
+		row = row[:len(smp)]
 		for j, v := range smp {
 			row[j] = v * (1 + sigma*rng.NormFloat64())
 		}
@@ -61,6 +80,7 @@ func (s *Set) AddNoisy(app string, label int, samples []pmu.Sample, sigma float6
 		s.Data.X = append(s.Data.X, row)
 		s.Data.Y = append(s.Data.Y, label)
 	}
+	noiseRands.Put(rng)
 }
 
 // Merge appends every record of other (events must match).
@@ -79,10 +99,10 @@ func (s *Set) Merge(other *Set) error {
 }
 
 // Project returns a view of the set restricted to the first n feature
-// columns. Because the PMU's priority ordering is a prefix (Features(n)
-// = AllEvents()[:n]), one full-width corpus serves every feature size in
-// the Fig. 4 sweep. Rows are copied; mutating the projection does not
-// affect the source.
+// columns. Because the PMU's priority ordering is a prefix (monitoring n
+// features means monitoring AllEvents()[:n]), one full-width corpus
+// serves every feature size in the Fig. 4 sweep. Rows are copied;
+// mutating the projection does not affect the source.
 func (s *Set) Project(n int) *Set {
 	if n >= len(s.Events) {
 		n = len(s.Events)
@@ -92,19 +112,6 @@ func (s *Set) Project(n int) *Set {
 	for i := range s.Data.X {
 		out.Data.X = append(out.Data.X, append([]float64(nil), s.Data.X[i][:n]...))
 		out.Data.Y = append(out.Data.Y, s.Data.Y[i])
-	}
-	return out
-}
-
-// Subset returns the records whose label matches.
-func (s *Set) Subset(label int) *Set {
-	out := NewSet(s.Events)
-	for i, y := range s.Data.Y {
-		if y == label {
-			out.Apps = append(out.Apps, s.Apps[i])
-			out.Data.X = append(out.Data.X, s.Data.X[i])
-			out.Data.Y = append(out.Data.Y, y)
-		}
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 )
 
 func sampleSet() *Set {
-	s := NewSet(pmu.Features(3))
+	s := NewSet(pmu.AllEvents()[:3])
 	s.Add("appA", LabelBenign, []pmu.Sample{{1, 2, 3}, {4, 5, 6}})
 	s.Add("attack", LabelAttack, []pmu.Sample{{7, 8, 9}})
 	return s
@@ -30,7 +32,7 @@ func TestAddAndLabels(t *testing.T) {
 }
 
 func TestAddCopiesSamples(t *testing.T) {
-	s := NewSet(pmu.Features(1))
+	s := NewSet(pmu.AllEvents()[:1])
 	smp := pmu.Sample{42}
 	s.Add("a", 0, []pmu.Sample{smp})
 	smp[0] = 99
@@ -40,7 +42,7 @@ func TestAddCopiesSamples(t *testing.T) {
 }
 
 func TestAddNoisyJitters(t *testing.T) {
-	s := NewSet(pmu.Features(1))
+	s := NewSet(pmu.AllEvents()[:1])
 	samples := make([]pmu.Sample, 200)
 	for i := range samples {
 		samples[i] = pmu.Sample{100}
@@ -62,7 +64,7 @@ func TestAddNoisyJitters(t *testing.T) {
 		t.Errorf("noisy sd %v out of band for sigma=0.05", sd)
 	}
 	// Determinism under the seed.
-	s2 := NewSet(pmu.Features(1))
+	s2 := NewSet(pmu.AllEvents()[:1])
 	s2.AddNoisy("a", 0, samples, 0.05, 7)
 	for i := range s.Data.X {
 		if s.Data.X[i][0] != s2.Data.X[i][0] {
@@ -80,7 +82,7 @@ func TestMerge(t *testing.T) {
 	if a.Len() != 6 {
 		t.Errorf("merged len = %d", a.Len())
 	}
-	mismatch := NewSet(pmu.Features(2))
+	mismatch := NewSet(pmu.AllEvents()[:2])
 	if err := a.Merge(mismatch); err == nil {
 		t.Error("merged mismatched event widths")
 	}
@@ -106,11 +108,45 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	s := sampleSet()
-	atk := s.Subset(LabelAttack)
-	if atk.Len() != 1 || atk.Apps[0] != "attack" {
-		t.Errorf("subset = %d rows", atk.Len())
+// TestAddNoisyReuse checks AddNoisy's reuse rules. Jittered rows drawn
+// from a seed equal what a new generator on that seed gives, also after
+// the pooled generators served other seeds; and a set truncated to
+// length zero refills to exactly a new set's rows, writing into each
+// spare row wide enough to hold one whatever it held.
+func TestAddNoisyReuse(t *testing.T) {
+	samples := []pmu.Sample{{100, 200, 300}, {1, 2, 3}, {5, 6, 7}, {8, 9, 10}}
+	rng := rand.New(rand.NewSource(7))
+	var want [][]float64
+	for _, smp := range samples {
+		row := make([]float64, len(smp))
+		for j, v := range smp {
+			row[j] = v * (1 + 0.05*rng.NormFloat64())
+		}
+		want = append(want, row)
+	}
+
+	for seed := int64(0); seed < 4; seed++ {
+		NewSet(pmu.AllEvents()[:3]).AddNoisy("other", LabelBenign, samples, 0.3, seed)
+	}
+	fresh := NewSet(pmu.AllEvents()[:3])
+	fresh.AddNoisy("a", LabelAttack, samples, 0.05, 7)
+	if !reflect.DeepEqual(fresh.Data.X, want) {
+		t.Fatalf("seed 7 after the pool served other seeds:\n%v\nwant\n%v", fresh.Data.X, want)
+	}
+
+	// Spare rows narrower and wider than a sample, holding stale values.
+	reused := NewSet(pmu.AllEvents()[:3])
+	reused.AddNoisy("stale", LabelBenign, []pmu.Sample{{1}, {1, 2, 3, 4, 5, 6}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}}, 0.5, 99)
+	spare := reused.Data.X
+	reused.Apps, reused.Data.X, reused.Data.Y = reused.Apps[:0], reused.Data.X[:0], reused.Data.Y[:0]
+	reused.AddNoisy("a", LabelAttack, samples, 0.05, 7)
+	if !reflect.DeepEqual(reused.Apps, fresh.Apps) || !reflect.DeepEqual(reused.Data, fresh.Data) {
+		t.Fatalf("refilled set differs from a new one:\n%v %v\nwant\n%v %v", reused.Apps, reused.Data, fresh.Apps, fresh.Data)
+	}
+	for i, row := range reused.Data.X {
+		if roomy := cap(spare[i]) >= len(samples[i]); (&row[0] == &spare[i][0]) != roomy {
+			t.Errorf("row %d: reused = %v, want %v (spare row cap %d)", i, !roomy, roomy, cap(spare[i]))
+		}
 	}
 }
 
@@ -149,7 +185,7 @@ func TestCSVRoundTrip(t *testing.T) {
 // irrational-looking float64s, and the 'g'/-1 serialisation must bring
 // every bit back.
 func TestCSVRoundTripNoisy(t *testing.T) {
-	s := NewSet(pmu.Features(int(pmu.NumEvents)))
+	s := NewSet(pmu.AllEvents())
 	samples := make([]pmu.Sample, 5)
 	for i := range samples {
 		smp := make(pmu.Sample, int(pmu.NumEvents))
@@ -201,7 +237,7 @@ func TestReadCSVRejectsJunk(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := NewSet(pmu.Features(2))
+	s := NewSet(pmu.AllEvents()[:2])
 	s.Add("a", LabelBenign, []pmu.Sample{{10, 0}, {20, 0}, {30, 0}})
 	s.Add("atk", LabelAttack, []pmu.Sample{{100, 0}})
 	rows, err := s.Summarize(0)
@@ -231,7 +267,7 @@ func TestSummarize(t *testing.T) {
 	if _, err := s.Summarize(9); err == nil {
 		t.Error("out-of-range feature accepted")
 	}
-	empty := NewSet(pmu.Features(1))
+	empty := NewSet(pmu.AllEvents()[:1])
 	if _, err := empty.Summarize(0); err == nil {
 		t.Error("empty set accepted")
 	}
